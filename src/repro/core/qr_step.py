@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set, Tuple
 
-import numpy as np
-
 from ..kernels.dispatch import KernelCall
 from ..kernels.qr_kernels import QRTileFactor, geqrt_tile, tsmqr, tsqrt, ttqrt, unmqr
 from ..runtime.schedule import KernelTask
@@ -108,7 +106,6 @@ def qr_step_tasks(
     the per-tile op order of that column.
     """
     n = tiles.n
-    nb = tiles.nb
     rows = list(range(k, n))
     elims: List[Elimination] = list(eliminations)
     if validate:
@@ -151,7 +148,7 @@ def qr_step_tasks(
         def do_geqrt(row=row) -> None:
             factor = geqrt_tile(tiles.tile(row, k))
             factors[("geqrt", row)] = factor
-            tiles.set_tile(row, k, np.triu(factor.r))
+            tiles.set_tile(row, k, factor.r)
 
         # In descriptor form the compact-WY factor flows to the update
         # tasks along the graph edges (produces/consumes keys) instead of
@@ -326,8 +323,8 @@ def qr_step_tasks(
         def do_couple(e=e, couple=couple, key=key) -> None:
             factor = couple(tiles.tile(e.eliminator, k), tiles.tile(e.killed, k))
             factors[key] = factor
-            tiles.set_tile(e.eliminator, k, np.triu(factor.r))
-            tiles.set_tile(e.killed, k, np.zeros((nb, nb), dtype=tiles.dtype))
+            tiles.set_tile(e.eliminator, k, factor.r)
+            tiles.set_tile(e.killed, k, 0.0)
 
         tasks.append(
             KernelTask(

@@ -154,7 +154,7 @@ def _lu_gemm_rhs(tiles: TileMatrix, inputs, i, k) -> None:
 @kernel_op("qr.geqrt")
 def _qr_geqrt(tiles: TileMatrix, inputs, row, k):
     factor = geqrt_tile(tiles.tile(row, k))
-    tiles.set_tile(row, k, np.triu(factor.r))
+    tiles.set_tile(row, k, factor.r)
     return factor
 
 
@@ -174,8 +174,8 @@ def _qr_unmqr_rhs(tiles: TileMatrix, inputs, row) -> None:
 def _qr_couple(tiles: TileMatrix, inputs, kind, eliminator, killed, k):
     couple = ttqrt if kind == "TT" else tsqrt
     factor = couple(tiles.tile(eliminator, k), tiles.tile(killed, k))
-    tiles.set_tile(eliminator, k, np.triu(factor.r))
-    tiles.set_tile(killed, k, np.zeros((tiles.nb, tiles.nb), dtype=tiles.dtype))
+    tiles.set_tile(eliminator, k, factor.r)
+    tiles.set_tile(killed, k, 0.0)
     return factor
 
 
@@ -488,7 +488,7 @@ def _sig_qr_couple(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
             ("matmul", ("lit", 2 * ctx.nb, 2 * ctx.nb), ("stack", pair), ("stack", pair)),
         ),
         owner_tile=(killed, k),
-        product_bytes=4 * ctx.nb * ctx.nb * ctx.itemsize,
+        product_bytes=3 * ctx.nb * ctx.nb * ctx.itemsize,
     )
 
 

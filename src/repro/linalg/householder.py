@@ -1,4 +1,4 @@
-"""Compact-WY Householder QR — the substrate of the tiled QR kernels.
+"""Compact-WY Householder QR — the readable reference implementation.
 
 The PLASMA/DPLASMA tile kernels used by the paper (GEQRT, TSQRT, TSMQR,
 TTQRT, TTMQR, UNMQR) are all built on blocked Householder reflections in
@@ -8,7 +8,8 @@ that
 
     Q = I - V T V^T .
 
-This module implements that machinery from scratch on top of numpy:
+This module builds that machinery from scratch on top of numpy, one
+reflector per Python loop iteration, following the LAPACK conventions:
 
 * :func:`house` — a single Householder reflector (LAPACK ``dlarfg``),
 * :func:`geqrt` — blocked QR of a rectangular matrix returning ``(V, T, R)``
@@ -18,9 +19,12 @@ This module implements that machinery from scratch on top of numpy:
 * :func:`apply_q_transpose` / :func:`apply_q` — apply ``Q^T`` or ``Q`` to a
   matrix using the compact-WY form (LAPACK ``dlarfb``).
 
-These routines are written for clarity and tested against
-``numpy.linalg.qr``; the tile kernels in :mod:`repro.kernels.qr_kernels`
-use them for every orthogonal transformation.
+It is written for clarity, not speed, and tested against
+``numpy.linalg.qr``.  The production tile kernels in
+:mod:`repro.kernels.qr_kernels` factor with LAPACK ``dgeqrt`` instead (same
+sign convention, so ``R`` agrees to rounding) and take only the GEMM applies
+from here; :func:`house`, :func:`geqrt` and :func:`larft` stay as the
+reference the kernel tests compare against.
 """
 
 from __future__ import annotations

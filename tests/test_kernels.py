@@ -1,7 +1,10 @@
 """Tests for the LU and QR tile kernels and the Table I flop model."""
 
+import pickle
+
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgeqrt
 
 from repro.kernels import (
     KernelFlops,
@@ -26,7 +29,7 @@ from repro.kernels import (
     unmqr,
     update_gemm,
 )
-from repro.linalg import build_q
+from repro.linalg import apply_q_transpose, build_q, geqrt
 
 
 # --------------------------------------------------------------------------- #
@@ -172,6 +175,93 @@ class TestQRKernels:
         before = np.linalg.norm(np.vstack([r_top, a_bot]))
         after = np.linalg.norm(f.r)
         assert after == pytest.approx(before, rel=1e-10)
+
+
+# --------------------------------------------------------------------------- #
+# QR kernels (LAPACK dgeqrt) against the pure-NumPy Householder reference
+# --------------------------------------------------------------------------- #
+QR_TILE_SIZES = (1, 2, 3, 8, 17, 64)
+
+
+def _assert_close(actual, expected, rel):
+    scale = max(float(np.abs(expected).max()), 1.0)
+    np.testing.assert_allclose(actual, expected, rtol=0.0, atol=rel * scale)
+
+
+def _square_tile(case, nb, rng):
+    a = rng.standard_normal((nb, nb))
+    if case == "zero_column":
+        a[:, nb // 2] = 0.0
+    elif case == "triangular":
+        a = np.triu(a)
+    return a
+
+
+@pytest.mark.parametrize("nb", QR_TILE_SIZES)
+class TestQRKernelsAgainstReference:
+    @pytest.mark.parametrize("case", ["random", "zero_column", "triangular"])
+    def test_geqrt_tile(self, nb, case, rng):
+        a = _square_tile(case, nb, rng)
+        kept = a.copy()
+        c = rng.standard_normal((nb, 3))
+        v_ref, t_ref, r_ref = geqrt(a)
+        f = geqrt_tile(a)
+        np.testing.assert_array_equal(a, kept)  # functional: input untouched
+        # Same sign convention as the reference, so R compares directly.
+        _assert_close(f.r, r_ref, 1e-12)
+        _assert_close(unmqr(f, c), apply_q_transpose(v_ref, t_ref, c), 1e-12)
+        assert np.all(np.tril(f.r, -1) == 0.0) and np.all(np.tril(f.t, -1) == 0.0)
+        assert not f.coupled and f.v is f.vb and f.vb.shape == (nb, nb)
+
+    @pytest.mark.parametrize("kernel", [tsqrt, ttqrt])
+    @pytest.mark.parametrize("case", ["random", "zero"])
+    def test_coupled_factorization(self, nb, kernel, case, rng):
+        r_top = np.triu(rng.standard_normal((nb, nb)))
+        bottom = np.zeros((nb, nb)) if case == "zero" else rng.standard_normal((nb, nb))
+        if kernel is ttqrt:
+            bottom = np.triu(bottom)
+        c_top, c_bot = rng.standard_normal((nb, 3)), rng.standard_normal((nb, 3))
+        v_ref, t_ref, r_ref = geqrt(np.vstack([r_top, bottom]))
+        expected = apply_q_transpose(v_ref, t_ref, np.vstack([c_top, c_bot]))
+
+        f = kernel(r_top, bottom)
+        _assert_close(f.r, r_ref, 1e-12)
+        apply = ttmqr if kernel is ttqrt else tsmqr
+        top, bot = apply(f, c_top, c_bot)
+        _assert_close(np.vstack([top, bot]), expected, 1e-12)
+
+        # V = [I; V_b]: only the bottom block is stored, the top is exact.
+        assert f.coupled and f.vb.shape == (nb, nb) and f.v.shape == (2 * nb, nb)
+        np.testing.assert_array_equal(f.v[:nb], np.eye(nb))
+        np.testing.assert_array_equal(f.v[nb:], f.vb)
+        # The structured update equals the dense compact-WY apply with full V.
+        dense = apply_q_transpose(f.v, f.t, np.vstack([c_top, c_bot]))
+        _assert_close(np.vstack([top, bot]), dense, 1e-13)
+        if case == "zero":  # nothing to annihilate: tau = 0, Q = I
+            assert not f.vb.any() and not f.t.any()
+            np.testing.assert_array_equal(f.r, r_top)
+
+    def test_dgeqrt_keeps_triangular_top_exact(self, nb, rng):
+        """The LAPACK property the stored ``[I; V_b]`` layout relies on."""
+        stacked = np.vstack(
+            [np.triu(rng.standard_normal((nb, nb))), rng.standard_normal((nb, nb))]
+        )
+        qr, _t, info = dgeqrt(nb, stacked)
+        assert info == 0
+        assert np.all(np.tril(qr[:nb], -1) == 0.0)
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_factor_pickles(self, nb, coupled, rng):
+        a = rng.standard_normal((nb, nb))
+        f = tsqrt(np.triu(a), a) if coupled else geqrt_tile(a)
+        payload = pickle.dumps(f)
+        g = pickle.loads(payload)
+        assert (g.nb, g.coupled) == (f.nb, f.coupled)
+        for name in ("vb", "t", "r"):
+            np.testing.assert_array_equal(getattr(g, name), getattr(f, name))
+        # What crosses a process or rank boundary is what qr.geqrt/qr.couple
+        # declare as product_bytes: three nb x nb blocks of doubles.
+        assert len(payload) <= 3 * nb * nb * 8 + 1024
 
 
 # --------------------------------------------------------------------------- #
