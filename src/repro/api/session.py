@@ -18,9 +18,12 @@ extra ``n`` trailing columns make the miss factorization costlier than a
 single direct solve, which is the explicit trade of a serving layer: the
 cost is paid once per matrix and every subsequent hit is cheap.
 
-Hit/miss/eviction statistics are exposed on ``session.stats`` so
-benchmarks (``benchmarks/test_bench_session_cache.py``) can measure the
-amortization.
+A hit therefore costs one ``transform @ b``, one tiled back-substitution
+and one residual pass ``A @ x - b`` for the stability report; the two
+O(n^2) norms of ``A`` the report needs are computed on the miss and kept
+on the cache entry.  ``benchmarks/e2e`` measures it: ``serve_warm`` (hits
+only) and ``serve_churn`` (misses, evictions and hits); the counters are
+exposed on ``session.stats``.
 """
 
 from __future__ import annotations
@@ -30,14 +33,14 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.factorization import Factorization, SolveResult
+from ..core.factorization import Factorization, SolveResult, stack_rhs
 from ..linalg.pivoting import SingularPanelError
 from ..linalg.triangular import tiled_back_substitution
-from ..stability.metrics import stability_report
+from ..stability.metrics import matrix_norms, stability_report, stability_reports
 from .facade import make_solver
 
 __all__ = ["CacheStats", "SolverSession", "matrix_fingerprint"]
@@ -90,6 +93,7 @@ class _CacheEntry:
     transform: np.ndarray  # (n + pad, n): transformed-rhs operator
     n: int
     pad: int
+    a_norms: Tuple[float, float]  # matrix_norms(A), for every report on a hit
     serves: int = field(default=0)
 
 
@@ -268,6 +272,7 @@ class SolverSession:
             transform=np.asarray(fact.tiles.rhs),
             n=n,
             pad=fact.padding,
+            a_norms=matrix_norms(a),
         )
         self._insert(key, entry, elapsed, generation)
         return entry
@@ -314,15 +319,9 @@ class SolverSession:
         b = np.asarray(b, dtype=np.float64)
         if b.shape[0] != a.shape[0]:
             raise ValueError(f"b has {b.shape[0]} rows but A has order {a.shape[0]}")
-        entry = self._get_or_factor(a, key if key is not None else matrix_fingerprint(a))
-
-        b2 = b.reshape(a.shape[0], -1)
-        x2 = self._back_substitute(entry, b2)
+        entry, x2 = self._serve(a, b.reshape(a.shape[0], -1), key)
         x = x2[:, 0] if b.ndim == 1 else x2
-        with self._lock:
-            entry.serves += 1
-            self.stats.solves += 1
-        report = stability_report(a, x, b, x_true=x_true)
+        report = stability_report(a, x, b, x_true=x_true, a_norms=entry.a_norms)
         return SolveResult(x=x, factorization=entry.factorization, stability=report)
 
     def solve_many(
@@ -341,63 +340,24 @@ class SolverSession:
         batch is one cache lookup plus one multi-column back-substitution.
         """
         a = self._check_matrix(a)
-        if isinstance(bs, np.ndarray):
-            b_mat = np.asarray(bs, dtype=np.float64)
-            if b_mat.ndim == 1:
-                b_mat = b_mat.reshape(-1, 1)
-            elif b_mat.ndim != 2:
-                raise ValueError(
-                    f"right-hand sides must form a 1-D or 2-D array, got ndim={b_mat.ndim}"
-                )
-        else:
-            b_mat = np.column_stack(
-                [np.asarray(b, dtype=np.float64).reshape(-1) for b in bs]
-            )
-        if b_mat.shape[0] != a.shape[0]:
-            raise ValueError(
-                f"right-hand sides have {b_mat.shape[0]} rows but A has "
-                f"order {a.shape[0]}"
-            )
-        xt_mat: Optional[np.ndarray] = None
-        if x_true is not None:
-            # Accept the same forms as ``bs`` (array or sequence of
-            # vectors), mirroring TiledSolverBase.solve_many: a sequence
-            # must be *column*-stacked, or it would land as (nrhs, n) and
-            # the per-column slicing below would read the wrong axis.
-            if isinstance(x_true, np.ndarray):
-                xt_mat = np.asarray(x_true, dtype=np.float64)
-                if xt_mat.ndim == 1:
-                    xt_mat = xt_mat.reshape(-1, 1)
-            else:
-                xt_mat = np.column_stack(
-                    [np.asarray(x, dtype=np.float64).reshape(-1) for x in x_true]
-                )
-            if xt_mat.shape != b_mat.shape:
-                raise ValueError(
-                    f"x_true has shape {xt_mat.shape} but the right-hand sides "
-                    f"have shape {b_mat.shape}"
-                )
+        b_mat, xt_mat = stack_rhs(a.shape[0], bs, x_true)
+        entry, x = self._serve(a, b_mat, key)
+        reports = stability_reports(a, x, b_mat, xt_mat, a_norms=entry.a_norms)
+        return [
+            SolveResult(x=x[:, j], factorization=entry.factorization, stability=report)
+            for j, report in enumerate(reports)
+        ]
 
+    def _serve(
+        self, a: np.ndarray, b2: np.ndarray, key: Optional[str]
+    ) -> Tuple[_CacheEntry, np.ndarray]:
+        """Look up (or factor) ``A``, apply the cached RHS operator to the
+        ``(n, nrhs)`` block ``b2`` and back-substitute: ``(entry, x)``."""
         entry = self._get_or_factor(a, key if key is not None else matrix_fingerprint(a))
-        x = self._back_substitute(entry, b_mat)
-        fact = entry.factorization
-        with self._lock:
-            entry.serves += 1
-            self.stats.solves += 1
-        out: List[SolveResult] = []
-        for j in range(b_mat.shape[1]):
-            report = stability_report(
-                a,
-                x[:, j],
-                b_mat[:, j],
-                x_true=None if xt_mat is None else xt_mat[:, j],
-            )
-            out.append(SolveResult(x=x[:, j], factorization=fact, stability=report))
-        return out
-
-    def _back_substitute(self, entry: _CacheEntry, b2: np.ndarray) -> np.ndarray:
-        """Apply the cached RHS operator to ``b`` and back-substitute."""
         tiles = entry.factorization.tiles
         transformed = entry.transform @ b2  # (n + pad, nrhs)
         x_padded = tiled_back_substitution(tiles.array, transformed, tiles.nb)
-        return x_padded[: entry.n, :]
+        with self._lock:
+            entry.serves += 1
+            self.stats.solves += 1
+        return entry, x_padded[: entry.n, :]

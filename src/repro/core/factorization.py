@@ -15,7 +15,7 @@ baselines) produces the same two artefacts:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from ..stability.metrics import StabilityReport, stability_report
 from ..tiles.tile_matrix import TileMatrix
 from ..trees.base import Elimination
 
-__all__ = ["StepRecord", "Factorization", "SolveResult"]
+__all__ = ["StepRecord", "Factorization", "SolveResult", "stack_rhs"]
 
 
 @dataclass
@@ -185,3 +185,41 @@ class SolveResult:
         x = factorization.solve()
         report = stability_report(a_original, x, b_original, x_true=x_true)
         return cls(x=x, factorization=factorization, stability=report)
+
+
+def stack_rhs(
+    n: int,
+    bs: Union[np.ndarray, Sequence[np.ndarray]],
+    x_true: Union[np.ndarray, Sequence[np.ndarray], None] = None,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Normalise the right-hand sides of a ``solve_many`` to an ``(n, nrhs)`` block.
+
+    ``bs`` is an ``(n, nrhs)`` array, one length-``n`` vector, or a sequence
+    of length-``n`` vectors (stacked as *columns*); ``x_true``, when given,
+    takes the same forms and must stack to the same shape.  Returns the
+    float64 blocks ``(b_mat, xt_mat)``, ``xt_mat`` being ``None`` without
+    ``x_true``.
+    """
+
+    def stack(vs) -> np.ndarray:
+        if isinstance(vs, np.ndarray):
+            mat = np.asarray(vs, dtype=np.float64)
+            return mat.reshape(-1, 1) if mat.ndim == 1 else mat
+        return np.column_stack([np.asarray(v, dtype=np.float64).reshape(-1) for v in vs])
+
+    b_mat = stack(bs)
+    if b_mat.ndim != 2:
+        raise ValueError(
+            f"right-hand sides must form a 1-D or 2-D array, got ndim={b_mat.ndim}"
+        )
+    if b_mat.shape[0] != n:
+        raise ValueError(
+            f"right-hand sides have {b_mat.shape[0]} rows but A has order {n}"
+        )
+    xt_mat = None if x_true is None else stack(x_true)
+    if xt_mat is not None and xt_mat.shape != b_mat.shape:
+        raise ValueError(
+            f"x_true has shape {xt_mat.shape} but the right-hand sides "
+            f"have shape {b_mat.shape}"
+        )
+    return b_mat, xt_mat

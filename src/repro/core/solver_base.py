@@ -42,11 +42,11 @@ from ..runtime.schedule import (
     written_tiles,
 )
 from ..stability.growth import GrowthTracker
-from ..stability.metrics import stability_report
+from ..stability.metrics import stability_report, stability_reports
 from ..tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from ..tiles.shared_buffer import SharedTileBuffer
 from ..tiles.tile_matrix import TileMatrix
-from .factorization import Factorization, SolveResult, StepRecord
+from .factorization import Factorization, SolveResult, StepRecord, stack_rhs
 
 __all__ = ["TiledSolverBase", "pad_to_tile_multiple"]
 
@@ -417,53 +417,13 @@ class TiledSolverBase(ABC):
         :class:`Factorization`).
         """
         a = np.asarray(a, dtype=np.float64)
-        if isinstance(bs, np.ndarray):
-            b_mat = np.asarray(bs, dtype=np.float64)
-            if b_mat.ndim == 1:
-                b_mat = b_mat.reshape(-1, 1)  # a single right-hand side
-            elif b_mat.ndim != 2:
-                raise ValueError(
-                    f"right-hand sides must form a 1-D or 2-D array, got ndim={b_mat.ndim}"
-                )
-        else:
-            b_mat = np.column_stack(
-                [np.asarray(b, dtype=np.float64).reshape(-1) for b in bs]
-            )
-        if b_mat.shape[0] != a.shape[0]:
-            raise ValueError(
-                f"right-hand sides have {b_mat.shape[0]} rows but A has order {a.shape[0]}"
-            )
-        xt_mat: Optional[np.ndarray] = None
-        if x_true is not None:
-            # Accept the same forms as ``bs`` (array or sequence of vectors).
-            if isinstance(x_true, np.ndarray):
-                xt_mat = np.asarray(x_true, dtype=np.float64)
-                if xt_mat.ndim == 1:
-                    xt_mat = xt_mat.reshape(-1, 1)
-            else:
-                xt_mat = np.column_stack(
-                    [np.asarray(x, dtype=np.float64).reshape(-1) for x in x_true]
-                )
-            if xt_mat.shape != b_mat.shape:
-                raise ValueError(
-                    f"x_true has shape {xt_mat.shape} but the right-hand sides "
-                    f"have shape {b_mat.shape}"
-                )
-
+        b_mat, xt_mat = stack_rhs(a.shape[0], bs, x_true)
         fact, x = self._factor_and_back_substitute(a, b_mat)
-
-        results: List[SolveResult] = []
-        for j in range(b_mat.shape[1]):
-            report = stability_report(
-                a,
-                x[:, j],
-                b_mat[:, j],
-                x_true=None if xt_mat is None else xt_mat[:, j],
-            )
-            results.append(
-                SolveResult(x=x[:, j], factorization=fact, stability=report)
-            )
-        return results
+        reports = stability_reports(a, x, b_mat, xt_mat)
+        return [
+            SolveResult(x=x[:, j], factorization=fact, stability=report)
+            for j, report in enumerate(reports)
+        ]
 
     # ------------------------------------------------------------------ #
     # Helpers

@@ -59,22 +59,21 @@ def tiled_back_substitution(a: np.ndarray, c: np.ndarray, tile_size: int) -> np.
             f"matrix order {n_total} is not a multiple of tile_size {tile_size}"
         )
     n = n_total // tile_size
-    c = np.array(c, dtype=np.float64, copy=True)
-    if c.ndim == 1:
+    c = np.asarray(c, dtype=np.float64)
+    squeeze = c.ndim == 1
+    if squeeze:
         c = c.reshape(-1, 1)
-        squeeze = True
-    else:
-        squeeze = False
 
     nb = tile_size
     x = np.zeros_like(c)
     for i in range(n - 1, -1, -1):
         rows = slice(i * nb, (i + 1) * nb)
-        acc = c[rows].copy()
+        acc = c[rows].copy()  # the one copy: ``c`` itself is never written
         for j in range(i + 1, n):
             cols = slice(j * nb, (j + 1) * nb)
             acc -= a[rows, cols] @ x[cols]
-        u_ii = np.triu(a[rows, rows])
-        x[rows] = trsm_upper_left(u_ii, acc)
+        # ``lower=False`` reads only the upper triangle of the diagonal tile,
+        # so the multipliers/reflectors below it need no masking copy.
+        x[rows] = trsm_upper_left(a[rows, rows], acc)
 
     return x[:, 0] if squeeze else x

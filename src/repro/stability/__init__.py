@@ -13,8 +13,10 @@ from .metrics import (
     hpl1,
     hpl2,
     hpl3,
+    matrix_norms,
     normwise_backward_error,
     stability_report,
+    stability_reports,
 )
 
 __all__ = [
@@ -23,8 +25,10 @@ __all__ = [
     "hpl3",
     "normwise_backward_error",
     "forward_error",
+    "matrix_norms",
     "StabilityReport",
     "stability_report",
+    "stability_reports",
     "GrowthTracker",
     "max_criterion_growth_bound",
     "sum_criterion_growth_bound",

@@ -169,6 +169,18 @@ class TestTriangularSolves:
         x = tiled_back_substitution(u, u @ x_true, nb)
         np.testing.assert_allclose(x, x_true, atol=1e-9)
 
+    @pytest.mark.parametrize("nrhs", [1, 5])
+    def test_tiled_back_substitution_reads_factors_in_place(self, rng, nrhs):
+        """No masking copy of the diagonal tiles and no private copy of ``c``:
+        garbage below the diagonal changes no bit, and ``c`` is left alone."""
+        n, nb = 24, 6
+        u = np.triu(rng.standard_normal((n, n))) + 4.0 * np.eye(n)
+        a = u + np.tril(rng.standard_normal((n, n)), -1) * 100.0
+        c = rng.standard_normal((n, nrhs))
+        c_before = c.copy()
+        assert np.array_equal(tiled_back_substitution(a, c, nb), tiled_back_substitution(u, c, nb))
+        assert np.array_equal(c, c_before)
+
     def test_tiled_back_substitution_bad_tile_size(self, rng):
         with pytest.raises(ValueError):
             tiled_back_substitution(np.eye(10), np.ones(10), 4)

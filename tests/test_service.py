@@ -10,6 +10,7 @@ import repro
 from repro.api.service import MatrixHandle, ServiceClosed, SolveFuture
 from repro.api.session import matrix_fingerprint
 from repro.linalg.pivoting import SingularPanelError
+from repro.stability import stability_report
 
 ALL_SOLVERS = [
     ("hybrid", dict(criterion="max(alpha=50)")),
@@ -120,9 +121,16 @@ class TestBitIdentical:
         b = rng.standard_normal(a.shape[0])
         session = repro.SolverSession(algorithm=algorithm, tile_size=8, **opts)
         sync = session.solve(a, b)
+        hit = session.solve(a, b)
         with repro.SolverService(algorithm=algorithm, tile_size=8, **opts) as svc:
             served = svc.submit(svc.register(a), b).result(timeout=60)
         assert np.array_equal(served.x, sync.x)
+        # One-column service batches go through the batched report and session
+        # hits through the cached matrix norms: both must report, field for
+        # field, what the public function says about the same solution.
+        direct = repro.make_solver(algorithm, tile_size=8, **opts).solve(a, b)
+        for result in (direct, sync, hit, served):
+            assert result.stability == stability_report(a, result.x, b)
 
     @pytest.mark.parametrize("algorithm,opts", ALL_SOLVERS)
     def test_coalesced_batch_matches_session_solve_many(self, rng, algorithm, opts):
@@ -141,6 +149,7 @@ class TestBitIdentical:
         assert svc.stats.batches == 1  # all four coalesced into one pass
         for fut, s in zip(futs, sync):
             assert np.array_equal(fut.result().x, s.x)
+            assert fut.result().stability == s.stability
 
 
 class TestCoalescing:

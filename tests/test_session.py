@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import repro
+import repro.api.session as session_module
+import repro.stability.metrics as metrics_module
 from repro.api.session import matrix_fingerprint
 from repro.linalg.pivoting import SingularPanelError
 
@@ -245,6 +247,62 @@ class TestPrecomputedKey:
         plain = session.solve(a, b)
         keyed = session.solve(a, b, key=key)
         np.testing.assert_array_equal(plain.x, keyed.x)
+
+
+class TestCachedMatrixNorms:
+    """The O(n^2) norms of ``A`` are paid once per cache miss, never per hit."""
+
+    @pytest.fixture
+    def norm_calls(self, monkeypatch):
+        calls = []
+        real = metrics_module.matrix_norms
+
+        def counting(a):
+            calls.append(a.shape)
+            return real(a)
+
+        # The session imports the name; reports without ``a_norms`` look it
+        # up in the metrics module.  Both routes must hit the counter.
+        monkeypatch.setattr(metrics_module, "matrix_norms", counting)
+        monkeypatch.setattr(session_module, "matrix_norms", counting)
+        return calls
+
+    def test_one_miss_and_fifty_hits_compute_the_norms_once(self, rng, session, norm_calls):
+        n = 32
+        a = rng.standard_normal((n, n)) + 4.0 * np.eye(n)
+        session.solve(a, rng.standard_normal(n))  # the miss
+        for i in range(50):
+            if i % 2:
+                session.solve(a, rng.standard_normal(n))
+            else:
+                session.solve_many(a, rng.standard_normal((n, 3)))
+        assert (session.stats.misses, session.stats.hits) == (1, 50)
+        assert len(norm_calls) == 1
+
+        session.clear()
+        session.solve(a, rng.standard_normal(n))
+        assert len(norm_calls) == 2  # a cleared entry takes its norms with it
+
+    def test_service_submits_compute_the_norms_once(self, rng, norm_calls):
+        n = 32
+        a = rng.standard_normal((n, n)) + 4.0 * np.eye(n)
+        with repro.SolverService(algorithm="hybrid", tile_size=8) as svc:
+            handle = svc.register(a)
+            for _ in range(51):
+                assert svc.submit(handle, rng.standard_normal(n)).result(timeout=60).hpl3 < 50
+            assert svc.session.stats.misses == 1
+            assert len(norm_calls) == 1
+            svc.clear()
+            svc.submit(handle, rng.standard_normal(n)).result(timeout=60)
+            assert len(norm_calls) == 2
+
+    def test_direct_solver_pays_them_once_per_solve(self, rng, norm_calls):
+        n = 16
+        a = rng.standard_normal((n, n)) + 4.0 * np.eye(n)
+        solver = repro.make_solver("hybrid", tile_size=8)
+        solver.solve(a, rng.standard_normal(n))
+        solver.solve_many(a, rng.standard_normal((n, 4)))
+        assert len(norm_calls) == 2
 
 
 class TestCachedFactorization:
