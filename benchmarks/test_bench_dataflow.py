@@ -20,6 +20,14 @@ from repro import HybridLUQRSolver, LUPPSolver, MaxCriterion, ThreadedExecutor
 from repro.matrices.random_gen import random_matrix, random_rhs
 from repro.runtime import merge_traces
 
+#: Smallest tile order at which the threaded runs below are sized.  Two tasks
+#: overlap when a kernel outlasts the hand-off of the next task to another
+#: thread (tens of microseconds); the LAPACK tile kernels finish an order-8
+#: tile sooner than that, so at the harness default (12 tiles of 8) roughly
+#: one threaded factorization in ten runs serially and the overlap assertions
+#: below would fail by chance.
+OVERLAP_TILE_SIZE = 64
+
 
 # --------------------------------------------------------------------------- #
 # Sequential vs threaded execution
@@ -27,8 +35,8 @@ from repro.runtime import merge_traces
 @pytest.mark.benchmark(group="dataflow-execution")
 @pytest.mark.parametrize("mode", ["sequential", "threaded-4"])
 def test_factorization_execution_path(benchmark, bench_config, mode):
-    n = bench_config.n_order
-    nb = bench_config.tile_size
+    nb = max(bench_config.tile_size, OVERLAP_TILE_SIZE)
+    n = bench_config.n_tiles * nb
     a = random_matrix(n, seed=1)
     b = random_rhs(n, seed=2)
     executor = ThreadedExecutor(workers=4) if mode == "threaded-4" else None
@@ -52,8 +60,8 @@ def test_factorization_execution_path(benchmark, bench_config, mode):
 @pytest.mark.benchmark(group="dataflow-execution")
 def test_threaded_concurrency_report(bench_config):
     """Not a timing benchmark: records the concurrency evidence explicitly."""
-    n = bench_config.n_order
-    nb = bench_config.tile_size
+    nb = max(bench_config.tile_size, OVERLAP_TILE_SIZE)
+    n = bench_config.n_tiles * nb
     a = random_matrix(n, seed=1)
     seq = LUPPSolver(nb, track_growth=False)
     par = LUPPSolver(nb, track_growth=False, executor=ThreadedExecutor(workers=4))

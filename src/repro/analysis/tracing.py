@@ -230,6 +230,17 @@ class TracingTileMatrix(TileMatrix):
             TileMatrix.row_block(self, i, j_start, j_stop), refs
         )
 
+    # -- guarded full-height views (in-place SWPTRSM) -------------------- #
+    # The view spans the whole column; the tiles recorded and guarded are
+    # the ones the kernel names, all-or-nothing like the block views.
+    def column_rows(self, j: int, rows: Sequence[int]) -> np.ndarray:
+        refs = [(i, j) for i in rows]
+        return self._guarded_block(TileMatrix.column_rows(self, j, rows), refs)
+
+    def rhs_rows(self, rows: Sequence[int]) -> np.ndarray:
+        refs = [(i, RHS_COLUMN) for i in rows]
+        return self._guarded_block(TileMatrix.rhs_rows(self, rows), refs)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tracing{TileMatrix.__repr__(self)}"
 

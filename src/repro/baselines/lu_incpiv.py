@@ -140,7 +140,7 @@ class LUIncPivSolver(TiledSolverBase):
 
             def do_tstrf(i=i, key=key) -> None:
                 stacked = np.vstack([np.triu(tiles.tile(k, k)), tiles.tile(i, k)])
-                pair = factor_panel_lu(stacked, nb, recursive=False)
+                pair = factor_panel_lu(stacked, nb)
                 factors[key] = pair
                 tiles.set_tile(k, k, np.triu(pair.lu[:nb]))
                 tiles.set_tile(i, k, pair.lu[nb:])
@@ -240,7 +240,7 @@ class LUIncPivSolver(TiledSolverBase):
 
             def do_tstrf(i=i, key=key) -> None:
                 stacked = np.vstack([np.triu(tiles.tile(k, k)), tiles.tile(i, k)])
-                pair = factor_panel_lu(stacked, nb, recursive=False)
+                pair = factor_panel_lu(stacked, nb)
                 factors[key] = pair
                 tiles.set_tile(k, k, np.triu(pair.lu[:nb]))
                 tiles.set_tile(i, k, pair.lu[nb:])

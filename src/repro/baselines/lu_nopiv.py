@@ -66,9 +66,7 @@ class LUNoPivSolver(TiledSolverBase):
         self, tiles: TileMatrix, dist: BlockCyclicDistribution, k: int
     ) -> Tuple[StepRecord, List[KernelTask]]:
         record = StepRecord(k=k, kind="LU", decision_overhead=False)
-        analysis = analyze_panel(
-            tiles, dist, k, domain_pivoting=self.domain_pivoting, recursive_panel=False
-        )
+        analysis = analyze_panel(tiles, dist, k, domain_pivoting=self.domain_pivoting)
         record.domain_rows = analysis.domain_rows
         return record, lu_step_tasks(
             tiles, k, analysis, record, backend=self.kernel_backend

@@ -59,9 +59,7 @@ class LUPPSolver(TiledSolverBase):
         # A single-process distribution makes the "diagonal domain" cover the
         # whole panel, which is exactly the panel-wide pivot search of LUPP.
         full_panel_dist = BlockCyclicDistribution(ProcessGrid(1, 1), tiles.n)
-        analysis = analyze_panel(
-            tiles, full_panel_dist, k, domain_pivoting=True, recursive_panel=True
-        )
+        analysis = analyze_panel(tiles, full_panel_dist, k, domain_pivoting=True)
         record.domain_rows = analysis.domain_rows
         record.add_kernel("panel_pivot_exchange")
         return record, lu_step_tasks(

@@ -65,7 +65,9 @@ class HybridLUQRSolver(TiledSolverBase):
         Search LU pivots across the whole diagonal domain (True, the
         paper's experimental variant) or only inside the diagonal tile.
     recursive_panel:
-        Use the recursive panel LU kernel for the domain factorization.
+        Accepted for compatibility; selects nothing.  The domain
+        factorization has one kernel (:func:`repro.linalg.pivoting.getrf`),
+        which is the recursive panel LU.
     executor:
         Optional dataflow executor for the numerical kernels; the per-step
         decision stays sequential but the selected branch's kernels fan
@@ -135,13 +137,7 @@ class HybridLUQRSolver(TiledSolverBase):
         # performance model exactly like the real implementation.
         record.add_kernel("panel_backup")
 
-        analysis = analyze_panel(
-            tiles,
-            dist,
-            k,
-            domain_pivoting=self.domain_pivoting,
-            recursive_panel=self.recursive_panel,
-        )
+        analysis = analyze_panel(tiles, dist, k, domain_pivoting=self.domain_pivoting)
         record.add_kernel("criterion_allreduce")
         record.domain_rows = analysis.domain_rows
 

@@ -23,10 +23,8 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from ..kernels.dispatch import KernelCall
-from ..kernels.lu_kernels import apply_swptrsm, eliminate_trsm
+from ..kernels.lu_kernels import eliminate_trsm, stacked_row_index, swptrsm_inplace
 from ..linalg.pivoting import SingularPanelError
 from ..runtime.schedule import KernelTask
 from ..runtime.task import RHS_COLUMN
@@ -102,13 +100,14 @@ def lu_step_tasks(
     # ------------------------------------------------------------------ #
     # Apply (SWPTRSM): for each trailing column (and the RHS), permute the
     # domain rows with the panel pivots and solve the unit-lower system on
-    # the new row k:  A_kj <- L1^{-1} P A_kj.
+    # the new row k:  A_kj <- L1^{-1} P A_kj.  In place on a view of the
+    # tile column: only the rows the pivots move are gathered (the domain
+    # rows are strided under a p > 1 grid, hence matrix row indices).
     # ------------------------------------------------------------------ #
+    row_index = stacked_row_index(domain_rows, nb)
     for j in range(k + 1, n):
         def do_apply(j=j) -> None:
-            stacked = tiles.panel(j, domain_rows)
-            stacked = apply_swptrsm(factor, stacked)
-            tiles.scatter_panel(j, domain_rows, stacked)
+            swptrsm_inplace(factor, tiles.column_rows(j, domain_rows), row_index)
 
         col_refs = frozenset((i, j) for i in domain_rows)
         tasks.append(
@@ -124,10 +123,7 @@ def lu_step_tasks(
 
     if tiles.has_rhs:
         def do_apply_rhs() -> None:
-            stacked_rhs = np.vstack([tiles.rhs_tile(i) for i in domain_rows])
-            stacked_rhs = apply_swptrsm(factor, stacked_rhs)
-            for idx, i in enumerate(domain_rows):
-                tiles.rhs_tile(i)[...] = stacked_rhs[idx * nb : (idx + 1) * nb]
+            swptrsm_inplace(factor, tiles.rhs_rows(domain_rows), row_index)
 
         rhs_refs = frozenset((i, RHS_COLUMN) for i in domain_rows)
         tasks.append(
@@ -148,7 +144,8 @@ def lu_step_tasks(
     # ------------------------------------------------------------------ #
     for i in (i for i in range(k + 1, n) if i not in domain_set):
         def do_eliminate(i=i) -> None:
-            tiles.set_tile(i, k, eliminate_trsm(factor, tiles.tile(i, k)))
+            tile = tiles.tile(i, k)
+            tile[...] = eliminate_trsm(factor, tile)
 
         tasks.append(
             KernelTask(

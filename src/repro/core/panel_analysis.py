@@ -5,6 +5,12 @@ dataflow (Figure 1): the diagonal domain is factored with LU and partial
 pivoting, local tile norms and per-column maxima are computed, and the lot
 is (conceptually) all-reduced among the nodes hosting panel tiles so every
 node can evaluate the criterion and take the same decision.
+
+The paper's design rests on this check having "a small computational
+overhead", so it is kept to: one stacked copy of the domain (the column
+maxima are read from it, then :func:`repro.linalg.pivoting.getrf` factors
+it in place), one vectorized pass for the sub-diagonal tile norms, and a
+few triangular solves of the 1-norm estimator against the packed factors.
 """
 
 from __future__ import annotations
@@ -73,21 +79,26 @@ def analyze_panel(
         every panel tile of the diagonal domain; when False only the
         diagonal tile is factored (the plain A1 variant).
     recursive_panel:
-        Use the recursive panel LU (PLASMA-style) rather than right-looking.
+        Accepted for compatibility; selects nothing.  There is one panel
+        kernel, :func:`repro.linalg.pivoting.getrf`, and it is the
+        recursive (PLASMA-style) one.
     """
     nb = tiles.nb
     n = tiles.n
-    panel_rows = list(range(k, n))
     if domain_pivoting:
         domain_rows = dist.diagonal_domain_rows(k)
     else:
         domain_rows = [k]
-    off_domain_rows = [i for i in panel_rows if i not in set(domain_rows)]
+    domain_set = set(domain_rows)
+    off_domain_rows = [i for i in range(k, n) if i not in domain_set]
 
-    # Tile norms of the sub-diagonal panel tiles (pre-factorization values).
-    offdiag_tile_norms = [tiles.tile_norm(i, k, ord=1) for i in panel_rows if i != k]
+    # Tile norms of the sub-diagonal panel tiles (pre-factorization values),
+    # one vectorized pass over the panel column.
+    offdiag_tile_norms = tiles.region_tile_norms(k + 1, n, k, k + 1)[:, 0].tolist()
 
     # Per-column maxima inside / outside the diagonal domain (MUMPS data).
+    # ``local_panel`` is the one stacked copy of the domain: the maxima are
+    # read from it, then it is factored in place.
     local_panel = tiles.panel(k, domain_rows)
     local_max = np.max(np.abs(local_panel), axis=0)
     if off_domain_rows:
@@ -100,7 +111,7 @@ def analyze_panel(
     # An exactly singular domain cannot be factored; the criteria then see a
     # zero pivot scale and the hybrid driver falls back to a QR step.
     try:
-        factor = factor_panel_lu(local_panel, nb, recursive=recursive_panel)
+        factor = factor_panel_lu(local_panel, nb)
     except SingularPanelError:
         factor = None
 
@@ -110,9 +121,9 @@ def analyze_panel(
         # factorization, so its inverse norm is estimated directly from the
         # packed top block.
         diag_inv_norm_inv = smallest_inverse_norm_from_lu(
-            factor.lu[:nb, :nb], np.arange(nb, dtype=np.int64)
+            factor.top, np.arange(nb, dtype=np.int64)
         )
-        pivots = np.abs(np.diag(factor.lu[:nb, :nb]))
+        pivots = np.abs(np.diag(factor.top))
     else:
         diag_inv_norm_inv = 0.0
         pivots = np.zeros(nb)

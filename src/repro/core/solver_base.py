@@ -258,17 +258,24 @@ class TiledSolverBase(ABC):
         Thread-safe in the sense that concurrent calls on one solver
         instance serialize (the instance carries per-factorization state);
         use separate solver instances for genuinely parallel
-        factorizations.
+        factorizations.  Raises ``ValueError`` when ``A`` or ``b`` holds a
+        NaN or Inf.
         """
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"A must be square, got shape {a.shape}")
+        # LAPACK's dgetrf/dgeqrt do not flag NaN input; reject it here, once,
+        # instead of wherever a triangular solve happens to meet it.
+        if not np.isfinite(a).all():
+            raise ValueError("A must not contain NaN or Inf")
         if b is not None:
             b = np.asarray(b, dtype=np.float64)
             if b.shape[0] != a.shape[0]:
                 raise ValueError(
                     f"b has {b.shape[0]} rows but A has order {a.shape[0]}"
                 )
+            if not np.isfinite(b).all():
+                raise ValueError("b must not contain NaN or Inf")
         with self._factor_lock:
             return self._factor_locked(a, b)
 

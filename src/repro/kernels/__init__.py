@@ -28,6 +28,8 @@ from .lu_kernels import (
     eliminate_trsm,
     factor_panel_lu,
     factor_tile_lu,
+    stacked_row_index,
+    swptrsm_inplace,
     update_gemm,
 )
 from .qr_kernels import QRTileFactor, geqrt_tile, tsmqr, tsqrt, ttmqr, ttqrt, unmqr
@@ -56,6 +58,8 @@ __all__ = [
     "factor_panel_lu",
     "eliminate_trsm",
     "apply_swptrsm",
+    "swptrsm_inplace",
+    "stacked_row_index",
     "update_gemm",
     "QRTileFactor",
     "geqrt_tile",

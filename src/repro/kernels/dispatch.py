@@ -42,7 +42,14 @@ import numpy as np
 
 from ..tiles.shared_buffer import SharedBufferMeta, SharedTileBuffer
 from ..tiles.tile_matrix import TileMatrix
-from .lu_kernels import apply_swptrsm, eliminate_trsm, factor_panel_lu, factor_tile_lu
+from .lu_kernels import (
+    apply_swptrsm,
+    eliminate_trsm,
+    factor_panel_lu,
+    factor_tile_lu,
+    stacked_row_index,
+    swptrsm_inplace,
+)
 from .qr_kernels import geqrt_tile, tsmqr, tsqrt, ttqrt, unmqr
 
 __all__ = [
@@ -117,25 +124,20 @@ def _lu_scatter_factor(tiles: TileMatrix, inputs, k, domain_rows, factor) -> Non
 
 @kernel_op("lu.swptrsm")
 def _lu_swptrsm(tiles: TileMatrix, inputs, j, domain_rows, factor) -> None:
-    rows = list(domain_rows)
-    stacked = tiles.panel(j, rows)
-    stacked = apply_swptrsm(factor, stacked)
-    tiles.scatter_panel(j, rows, stacked)
+    column = tiles.column_rows(j, domain_rows)
+    swptrsm_inplace(factor, column, stacked_row_index(domain_rows, tiles.nb))
 
 
 @kernel_op("lu.swptrsm_rhs")
 def _lu_swptrsm_rhs(tiles: TileMatrix, inputs, domain_rows, factor) -> None:
-    nb = tiles.nb
-    rows = list(domain_rows)
-    stacked = np.vstack([tiles.rhs_tile(i) for i in rows])
-    stacked = apply_swptrsm(factor, stacked)
-    for idx, i in enumerate(rows):
-        tiles.rhs_tile(i)[...] = stacked[idx * nb : (idx + 1) * nb]
+    rhs = tiles.rhs_rows(domain_rows)
+    swptrsm_inplace(factor, rhs, stacked_row_index(domain_rows, tiles.nb))
 
 
 @kernel_op("lu.trsm")
 def _lu_trsm(tiles: TileMatrix, inputs, i, k, factor) -> None:
-    tiles.set_tile(i, k, eliminate_trsm(factor, tiles.tile(i, k)))
+    tile = tiles.tile(i, k)
+    tile[...] = eliminate_trsm(factor, tile)
 
 
 @kernel_op("lu.gemm")
@@ -221,7 +223,7 @@ def _incpiv_swptrsm_rhs(tiles: TileMatrix, inputs, k) -> None:
 def _incpiv_tstrf(tiles: TileMatrix, inputs, k, i):
     nb = tiles.nb
     stacked = np.vstack([np.triu(tiles.tile(k, k)), tiles.tile(i, k)])
-    pair = factor_panel_lu(stacked, nb, recursive=False)
+    pair = factor_panel_lu(stacked, nb)
     tiles.set_tile(k, k, np.triu(pair.lu[:nb]))
     tiles.set_tile(i, k, pair.lu[nb:])
     return pair

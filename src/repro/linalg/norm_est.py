@@ -20,6 +20,8 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
+from .pivoting import pivot_moves
+
 __all__ = [
     "inverse_norm1_exact",
     "inverse_norm1_estimate",
@@ -72,7 +74,11 @@ def hager_norm1_estimate(
 
     # Final "alternating" test vector improves robustness for matrices whose
     # columns have similar norms (as recommended by Higham).
-    v = np.array([(-1.0) ** i * (1.0 + i / (n - 1.0)) if n > 1 else 1.0 for i in range(n)])
+    if n > 1:
+        i = np.arange(n)
+        v = np.where(i % 2 == 0, 1.0, -1.0) * (1.0 + i / (n - 1.0))
+    else:
+        v = np.ones(1)
     y = solve(v)
     alt = 2.0 * float(np.linalg.norm(y, 1)) / (3.0 * n)
     return max(gamma, alt)
@@ -84,39 +90,34 @@ def inverse_norm1_estimate(lu: np.ndarray, piv: np.ndarray) -> float:
     ``lu``/``piv`` follow the storage convention of
     :func:`repro.linalg.pivoting.getrf`.  Each estimator iteration costs two
     triangular solves, i.e. ``O(nb^2)`` flops — this matches the complexity
-    the paper quotes for criterion evaluation (Section III-D).
+    the paper quotes for criterion evaluation (Section III-D).  The solves
+    run against the packed ``lu`` directly: LAPACK references only the
+    triangle it is told to (and no diagonal for the unit-lower factor).
     """
     n = lu.shape[0]
-    lo = np.tril(lu[:n, :n], k=-1) + np.eye(n)
-    u = np.triu(lu[:n, :n])
-
-    def perm_apply(x: np.ndarray) -> np.ndarray:
-        y = x.copy()
-        for j in range(len(piv)):
-            p = int(piv[j])
-            if p != j:
-                y[[j, p]] = y[[p, j]]
-        return y
-
-    def perm_apply_t(x: np.ndarray) -> np.ndarray:
-        y = x.copy()
-        for j in range(len(piv) - 1, -1, -1):
-            p = int(piv[j])
-            if p != j:
-                y[[j, p]] = y[[p, j]]
-        return y
+    packed = lu[:n, :n]
+    # x -> P x is one gather of the rows the pivots move (none for the
+    # identity sequence of a domain-pivoted tile); P^T undoes it.
+    dst, src = pivot_moves(np.asarray(piv))
 
     def solve(x: np.ndarray) -> np.ndarray:
         # A^{-1} x = U^{-1} L^{-1} P x
-        y = perm_apply(x)
-        y = sla.solve_triangular(lo, y, lower=True, unit_diagonal=True)
-        return sla.solve_triangular(u, y, lower=False)
+        y = x
+        if dst.size:
+            y = x.copy()
+            y[dst] = x[src]
+        y = sla.solve_triangular(packed, y, lower=True, unit_diagonal=True)
+        return sla.solve_triangular(packed, y, lower=False)
 
     def solve_t(x: np.ndarray) -> np.ndarray:
         # A^{-T} x = P^T L^{-T} U^{-T} x
-        y = sla.solve_triangular(u.T, x, lower=True)
-        y = sla.solve_triangular(lo.T, y, lower=False, unit_diagonal=True)
-        return perm_apply_t(y)
+        y = sla.solve_triangular(packed.T, x, lower=True)
+        y = sla.solve_triangular(packed.T, y, lower=False, unit_diagonal=True)
+        if dst.size:
+            z = y.copy()
+            z[src] = y[dst]
+            y = z
+        return y
 
     return hager_norm1_estimate(solve, solve_t, n)
 

@@ -6,16 +6,20 @@ multi-threaded *recursive* LU kernel of PLASMA to enlarge the pivot search
 space while keeping efficiency (Section IV, "LU ON PANEL").  This module
 provides:
 
-* :func:`getrf` — right-looking LU with partial pivoting of a rectangular
-  ``m``-by-``k`` matrix (LAPACK ``dgetrf`` on a tall panel),
+* :func:`getrf` — recursive LU with partial pivoting of a rectangular
+  ``m``-by-``k`` panel: a fixed column-halving recursion whose leaves are
+  single LAPACK ``dgetrf`` calls (the analogue of PLASMA's recursive panel
+  kernel); :func:`recursive_getrf` is the same function,
+* :func:`getrf_reference` — the readable per-column right-looking loop the
+  tests compare :func:`getrf` against,
 * :func:`getrf_nopiv` — LU without pivoting (used by the LU NoPiv baseline),
-* :func:`recursive_getrf` — recursive (cache-oblivious) LU with partial
-  pivoting, the pure-Python analogue of PLASMA's recursive panel kernel,
-* :func:`apply_row_pivots` / :func:`pivots_to_permutation` — helpers to apply
-  the pivot sequence to trailing columns, as SWPTRSM does.
+* :func:`apply_row_pivots` / :func:`pivot_moves` /
+  :func:`pivots_to_permutation` — helpers to apply the pivot sequence to
+  trailing columns, as SWPTRSM does.
 
-All routines return the pivot sequence in LAPACK convention: ``piv[i] = p``
-means that row ``i`` was swapped with row ``p`` at elimination step ``i``.
+All routines return the pivot sequence in LAPACK convention, 0-based:
+``piv[i] = p`` means that row ``i`` was swapped with row ``p`` at
+elimination step ``i``.
 """
 
 from __future__ import annotations
@@ -23,15 +27,30 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dgetrf
 
 __all__ = [
     "getrf",
+    "getrf_reference",
     "getrf_nopiv",
     "recursive_getrf",
     "apply_row_pivots",
+    "pivot_moves",
     "pivots_to_permutation",
     "SingularPanelError",
 ]
+
+#: Largest block (in elements) handed to one ``dgetrf`` call.  Not a tuning
+#: knob: OpenBLAS switches to its *parallel* LU from 20 000 elements up and
+#: the bits of the factors then depend on ``OPENBLAS_NUM_THREADS`` (measured:
+#: 768x64, 256x128, 1024x128 and 2048x256 panels hash differently at 1 and 2
+#: threads; blocks up to 128x128 and 1024x16 hash equal).  Worker processes
+#: run one BLAS thread and the host any number, so a panel kernel above the
+#: bound would break executor bit-identity — the ``dtpqrt`` trap of the QR
+#: kernels.  Below it every leaf is the sequential LAPACK routine, and the
+#: pieces between leaves (row gathers, ``dtrsm``, GEMM) are thread-stable.
+_LEAF_ELEMENTS = 16384
 
 
 class SingularPanelError(RuntimeError):
@@ -45,15 +64,90 @@ class SingularPanelError(RuntimeError):
     """
 
 
-def getrf(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """LU with partial pivoting of an ``m``-by-``k`` matrix (``m >= k``).
+def getrf(a: np.ndarray, *, overwrite_a: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+    """LU with partial pivoting of an ``m``-by-``k`` panel (``m >= k``).
 
-    The factorization is performed in place on a copy: on return the
-    strictly-lower part of the leading ``k`` columns holds ``L`` (unit
-    diagonal implicit) and the upper triangle of the top ``k`` rows holds
-    ``U``, exactly as LAPACK's ``dgetrf`` stores them.
+    On return the strictly-lower part of the leading ``k`` columns holds
+    ``L`` (unit diagonal implicit) and the upper triangle of the top ``k``
+    rows holds ``U``, exactly as LAPACK's ``dgetrf`` stores them.
+
+    The panel is split column-wise in halves: the left half is factored,
+    its row swaps and a unit-lower ``dtrsm`` are applied to the right half,
+    the lower-right block receives the GEMM Schur update, and the right
+    half is factored in turn — the recursive-LU panel kernel of PLASMA
+    [Dongarra et al. 2013] used by the paper.  The recursion bottoms out on
+    one ``dgetrf`` call per block of at most ``_LEAF_ELEMENTS`` elements
+    (or a single column); that bound keeps the factors bit-identical for
+    any BLAS thread count (see its comment) and is fixed by design.
+
+    ``a`` is copied unless ``overwrite_a`` is set and ``a`` is already a
+    C-contiguous float64 array, in which case it is factored in place.
+    Raises :class:`SingularPanelError` naming the first exactly-zero pivot
+    column.  Non-finite input is not detected (LAPACK does not flag NaN);
+    the solvers reject it before any kernel runs.
 
     Returns ``(lu, piv)``.
+    """
+    if overwrite_a:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+    else:
+        a = np.array(a, dtype=np.float64, order="C", copy=True)
+    m, k = a.shape
+    if m < k:
+        raise ValueError(f"getrf requires m >= k, got shape {a.shape}")
+    piv = np.empty(k, dtype=np.int64)
+    _getrf_columns(a, piv, 0, k)
+    return a, piv
+
+
+#: PLASMA's recursive panel kernel *is* :func:`getrf` now; the name is kept
+#: for callers that selected it explicitly.
+recursive_getrf = getrf
+
+
+def _getrf_columns(a: np.ndarray, piv: np.ndarray, c0: int, c1: int) -> None:
+    """Factor columns ``[c0, c1)`` of ``a`` in place over rows ``c0:``.
+
+    Row swaps are applied to those columns only (the caller owns the
+    columns on either side).  Columns are finished left to right, so the
+    first leaf to meet an exactly-zero pivot names the first such column.
+    """
+    width = c1 - c0
+    if width <= 1 or (a.shape[0] - c0) * width <= _LEAF_ELEMENTS:
+        lu, leaf_piv, info = dgetrf(a[c0:, c0:c1])
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgetrf")
+        if info > 0:
+            raise SingularPanelError(f"zero pivot encountered at column {c0 + info - 1}")
+        a[c0:, c0:c1] = lu
+        piv[c0:c1] = leaf_piv + c0
+        return
+
+    mid = c0 + width // 2
+    _getrf_columns(a, piv, c0, mid)
+    _swap_rows(a, piv, c0, mid, slice(mid, c1))
+    # A12 <- L11^{-1} A12 (L11 unit lower: dtrsm reads only that triangle),
+    # then the Schur update of the lower-right block.
+    a[c0:mid, mid:c1] = dtrsm(1.0, a[c0:mid, c0:mid], a[c0:mid, mid:c1], lower=1, diag=1)
+    a[mid:, mid:c1] -= a[mid:, c0:mid] @ a[c0:mid, mid:c1]
+    _getrf_columns(a, piv, mid, c1)
+    # The L columns of the left half follow the right half's row swaps.
+    _swap_rows(a, piv, mid, c1, slice(c0, mid))
+
+
+def _swap_rows(a: np.ndarray, piv: np.ndarray, c0: int, c1: int, cols: slice) -> None:
+    """Apply the swaps ``piv[c0:c1]`` to columns ``cols`` of ``a`` in one gather."""
+    dst, src = pivot_moves(piv[c0:c1], base=c0)
+    if dst.size:
+        a[dst, cols] = a[src, cols]
+
+
+def getrf_reference(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-column right-looking LU with partial pivoting (readable reference).
+
+    Same contract and storage as :func:`getrf`; no kernel calls it — the
+    tests compare :func:`getrf` against it (equal pivots, factors to
+    rounding).
     """
     a = np.array(a, dtype=np.float64, copy=True)
     m, k = a.shape
@@ -95,70 +189,6 @@ def getrf_nopiv(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def recursive_getrf(a: np.ndarray, threshold: int = 16) -> Tuple[np.ndarray, np.ndarray]:
-    """Recursive LU with partial pivoting of an ``m``-by-``k`` panel.
-
-    This mirrors the recursive-LU panel kernel of PLASMA [Dongarra et al.
-    2013] used by the paper: the panel is split column-wise in halves, the
-    left half is factored recursively, its transformations are applied to
-    the right half, and the right half is factored recursively in turn.
-    The recursion bottoms out on :func:`getrf` below ``threshold`` columns.
-
-    Returns ``(lu, piv)`` with the same storage convention as :func:`getrf`.
-    """
-    a = np.array(a, dtype=np.float64, copy=True)
-    m, k = a.shape
-    if m < k:
-        raise ValueError(f"recursive_getrf requires m >= k, got shape {a.shape}")
-
-    piv = np.arange(k, dtype=np.int64)
-    _recursive_getrf_inplace(a, piv, 0, k, threshold)
-    return a, piv
-
-
-def _recursive_getrf_inplace(
-    a: np.ndarray, piv: np.ndarray, col0: int, ncols: int, threshold: int
-) -> None:
-    """Factor columns ``[col0, col0+ncols)`` of ``a`` in place, rows ``col0:``."""
-    if ncols <= threshold:
-        sub = a[col0:, col0 : col0 + ncols]
-        lu, sub_piv = getrf(sub)
-        sub[...] = lu
-        piv[col0 : col0 + ncols] = sub_piv + col0
-        # Apply the swaps to the columns left of the block (they belong to
-        # already-factored L and must follow their rows).
-        for j_local, p in enumerate(sub_piv):
-            j = col0 + j_local
-            p_global = col0 + int(p)
-            if p_global != j and col0 > 0:
-                a[[j, p_global], :col0] = a[[p_global, j], :col0]
-        return
-
-    half = ncols // 2
-    # Factor the left half.
-    _recursive_getrf_inplace(a, piv, col0, half, threshold)
-    mid = col0 + half
-    end = col0 + ncols
-
-    # Apply the left half's pivots to the right half.
-    for j in range(col0, mid):
-        p = int(piv[j])
-        if p != j:
-            a[[j, p], mid:end] = a[[p, j], mid:end]
-
-    # Triangular solve: A12 <- L11^{-1} A12 (L11 unit lower triangular).
-    l11 = np.tril(a[col0:mid, col0:mid], k=-1) + np.eye(half)
-    a[col0:mid, mid:end] = np.linalg.solve(l11, a[col0:mid, mid:end])
-
-    # Schur update of the lower-right block.
-    a[mid:, mid:end] -= a[mid:, col0:mid] @ a[col0:mid, mid:end]
-
-    # Factor the right half.  (Its base cases apply their row swaps to every
-    # column on their left — including the left half factored above — so no
-    # further fix-up of the L columns is needed here.)
-    _recursive_getrf_inplace(a, piv, mid, ncols - half, threshold)
-
-
 def apply_row_pivots(c: np.ndarray, piv: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Apply a LAPACK-style pivot sequence to the rows of ``c`` (in place).
 
@@ -173,6 +203,24 @@ def apply_row_pivots(c: np.ndarray, piv: np.ndarray, inverse: bool = False) -> n
     return c
 
 
+def pivot_moves(piv: np.ndarray, base: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+    """The rows a LAPACK pivot sequence actually moves, as one gather.
+
+    ``piv[j]`` swaps row ``base + j`` with row ``piv[j]``.  Returns index
+    arrays ``(dst, src)`` (at most ``2 len(piv)`` rows) such that
+    ``c[dst] = c[src]`` equals :func:`apply_row_pivots` on ``c`` — every
+    other row stays where it is.
+    """
+    origin = {}
+    for j, p in enumerate(piv.tolist(), base):
+        if p != j:
+            origin[j], origin[p] = origin.get(p, p), origin.get(j, j)
+    dst = np.fromiter(origin, dtype=np.int64, count=len(origin))
+    src = np.fromiter(origin.values(), dtype=np.int64, count=len(origin))
+    moved = dst != src
+    return dst[moved], src[moved]
+
+
 def pivots_to_permutation(piv: np.ndarray, m: int) -> np.ndarray:
     """Convert a LAPACK pivot sequence into an explicit permutation vector.
 
@@ -180,8 +228,6 @@ def pivots_to_permutation(piv: np.ndarray, m: int) -> np.ndarray:
     permutation performed by :func:`apply_row_pivots`.
     """
     perm = np.arange(m, dtype=np.int64)
-    for j in range(len(piv)):
-        p = int(piv[j])
-        if p != j:
-            perm[[j, p]] = perm[[p, j]]
+    dst, src = pivot_moves(np.asarray(piv))
+    perm[dst] = src
     return perm

@@ -23,6 +23,7 @@ from .calibrate import (
     clear_calibration_cache,
     collect_samples,
     default_calibration,
+    kernel_source_hash,
     run_calibration,
 )
 from .model import PerformanceModel, PerformanceReport
@@ -41,6 +42,7 @@ __all__ = [
     "clear_calibration_cache",
     "collect_samples",
     "default_calibration",
+    "kernel_source_hash",
     "run_calibration",
     "TunedConfig",
     "autotune_config",

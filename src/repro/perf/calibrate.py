@@ -26,11 +26,17 @@ The fitted :class:`Calibration` drives three consumers:
 Calibrations persist per host at ``~/.cache/repro/calibration.json``
 (override with the ``REPRO_CALIBRATION`` environment variable) and are
 loaded lazily and cached by modification time, so solvers pick up a new
-calibration without re-importing anything.
+calibration without re-importing anything.  A saved file records a hash of
+the kernel sources it was measured with; :func:`default_calibration`
+ignores a file whose hash is missing or different — a table fitted before a
+kernel got several times cheaper would silently skew priorities and
+``tile_size="auto"`` — until :func:`run_calibration` is run again.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 import socket
@@ -48,6 +54,7 @@ __all__ = [
     "KernelCost",
     "Calibration",
     "calibration_path",
+    "kernel_source_hash",
     "default_calibration",
     "clear_calibration_cache",
     "collect_samples",
@@ -62,6 +69,27 @@ CALIBRATION_ENV = "REPRO_CALIBRATION"
 #: Version 2 added per-kernel-backend cost tables (the ``backends`` key);
 #: version-1 files load unchanged (their table is the ``numpy`` reference).
 _FORMAT_VERSION = 2
+
+
+@functools.lru_cache(maxsize=1)
+def kernel_source_hash() -> str:
+    """SHA-256 over the sources of every tile kernel a calibration times.
+
+    ``kernels/*.py`` plus the linalg modules the kernels are built on; a
+    change to any of them may move a kernel's cost, so a persisted table is
+    only trusted by :func:`default_calibration` under the hash it was
+    measured with.
+    """
+    package = Path(__file__).resolve().parents[1]
+    sources = sorted((package / "kernels").glob("*.py")) + [
+        package / "linalg" / name
+        for name in ("pivoting.py", "householder.py", "triangular.py")
+    ]
+    digest = hashlib.sha256()
+    for source in sources:
+        digest.update(source.name.encode())
+        digest.update(source.read_bytes())
+    return digest.hexdigest()
 
 
 def calibration_path() -> Path:
@@ -139,6 +167,10 @@ class Calibration:
     kernels: Dict[str, KernelCost] = field(default_factory=dict)
     host: str = ""
     backends: Dict[str, Dict[str, KernelCost]] = field(default_factory=dict)
+    #: :func:`kernel_source_hash` at measurement time; empty for tables
+    #: loaded from files that predate it (which load, but are not trusted
+    #: as the host default).
+    kernel_hash: str = field(default_factory=kernel_source_hash)
 
     def _table(self, backend: Optional[str]) -> Dict[str, KernelCost]:
         if backend is None or backend == _REFERENCE_BACKEND:
@@ -278,6 +310,7 @@ class Calibration:
         return {
             "version": _FORMAT_VERSION,
             "host": self.host,
+            "kernel_hash": self.kernel_hash,
             "kernels": self._table_to_dict(self.kernels),
             "backends": {
                 backend: self._table_to_dict(table)
@@ -297,6 +330,7 @@ class Calibration:
         return cls(
             kernels=cls._table_from_dict(data.get("kernels", {})),
             host=str(data.get("host", "")),
+            kernel_hash=str(data.get("kernel_hash", "")),
             backends={
                 str(backend): cls._table_from_dict(table)
                 for backend, table in data.get("backends", {}).items()
@@ -474,7 +508,9 @@ def default_calibration() -> Optional[Calibration]:
 
     Cached by file modification time, so the cost of calling this per
     factorization is one ``stat``; a corrupt or unreadable file degrades
-    to ``None`` (static cost models) rather than raising.
+    to ``None`` (static cost models) rather than raising, and so does a
+    stale one — measured with other kernel sources than the installed ones
+    (:func:`kernel_source_hash`), or before the hash was recorded.
     """
     path = calibration_path()
     key = str(path)
@@ -491,6 +527,8 @@ def default_calibration() -> Optional[Calibration]:
         try:
             calibration = Calibration.load(path)
         except (OSError, ValueError, KeyError, TypeError):
+            calibration = None
+        if calibration is not None and calibration.kernel_hash != kernel_source_hash():
             calibration = None
     with _CACHE_LOCK:
         _CACHE[key] = (mtime, calibration)

@@ -11,7 +11,7 @@ the paper.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -180,6 +180,27 @@ class TileMatrix:
         self._check(i, max(j_start, 0))
         nb = self._nb
         return self._data[i * nb : (i + 1) * nb, j_start * nb : j_stop * nb]
+
+    def column_rows(self, j: int, rows: Sequence[int]) -> np.ndarray:
+        """Full-height ``(N, nb)`` view of tile column ``j`` for tile rows ``rows``.
+
+        For a kernel that works in place on a row set that is no rectangular
+        block (the strided domain rows of a ``p > 1`` grid): it indexes the
+        view by matrix row and must stay inside the tile rows it names —
+        ``rows`` is what access tracing records and guards.
+        """
+        for i in rows:
+            self._check(i, j)
+        nb = self._nb
+        return self._data[:, j * nb : (j + 1) * nb]
+
+    def rhs_rows(self, rows: Sequence[int]) -> np.ndarray:
+        """The attached RHS as one view, for a kernel touching tile rows ``rows``."""
+        if self._rhs is None:
+            raise ValueError("this TileMatrix has no attached right-hand side")
+        for i in rows:
+            self._check(i, 0)
+        return self._rhs
 
     def panel(self, k: int, rows: Optional[List[int]] = None) -> np.ndarray:
         """A *copy* of panel column ``k`` stacked over the given tile rows.

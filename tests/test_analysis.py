@@ -12,6 +12,8 @@ and the `repro-analyze` CLI.
 
 from __future__ import annotations
 
+from dataclasses import replace as dataclass_replace
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,7 @@ from repro.matrices import registry as matrix_registry
 from repro.runtime.executor import ExecutionTrace, ThreadedExecutor
 from repro.runtime.graph import CycleError, TaskGraph
 from repro.runtime.schedule import KernelTask, build_step_graph, merge_traces
+from repro.runtime.task import RHS_COLUMN
 from repro.tiles.distribution import BlockCyclicDistribution
 from repro.tiles.tile_matrix import TileMatrix
 
@@ -420,6 +423,51 @@ class TestTracingBackend:
         )
         with pytest.raises(RaceReport):
             backend.wrap_task(task, step=0).fn()
+
+    def test_column_and_rhs_row_views_guard_the_named_tiles(self):
+        backend = TracingBackend()
+        tiles = backend.prepare_tiles(
+            TileMatrix.from_dense(np.eye(24), 8, rhs=np.ones((24, 2)))
+        )
+        seen = {}
+
+        def gather():
+            seen["column"] = tiles.column_rows(1, [0, 2])
+            seen["rhs"] = tiles.rhs_rows([0, 2])
+
+        declared = frozenset({(0, 1), (2, 1), (0, RHS_COLUMN), (2, RHS_COLUMN)})
+        backend.wrap_task(KernelTask("gather", gather, reads=declared, writes=declared), 0).fn()
+        assert seen["column"].shape == (24, 8) and seen["column"].flags.writeable
+        assert seen["rhs"].shape == (24, 2) and seen["rhs"].flags.writeable
+        assert backend.recorder.records[-1].written == declared
+
+        # One named tile missing from the write set: the view is read-only.
+        short = declared - {(2, 1)}
+        backend.wrap_task(KernelTask("gather", gather, reads=declared, writes=short), 0).fn()
+        assert not seen["column"].flags.writeable
+        # ... and missing from both sets: an undeclared read.
+        with pytest.raises(RaceReport, match="undeclared read"):
+            backend.wrap_task(KernelTask("gather", gather, reads=short, writes=short), 0).fn()
+
+    def test_swptrsm_with_underdeclared_write_set_is_caught(self):
+        """The in-place SWPTRSM gathers through the guarded accessors."""
+
+        class CorruptedLUPP(SOLVERS.get("lupp")):
+            def _plan_step(self, tiles, dist, k):
+                record, tasks = super()._plan_step(tiles, dist, k)
+                return record, [
+                    dataclass_replace(t, writes=frozenset(sorted(t.writes)[1:]))
+                    if t.kernel == "swptrsm"
+                    else t
+                    for t in tasks
+                ]
+
+        a, b = _system(32, seed=5)
+        backend = TracingBackend()
+        with pytest.raises(RaceReport) as exc_info:
+            CorruptedLUPP(tile_size=8, kernel_backend=backend).factor(a, b)
+        assert exc_info.value.kernel == "swptrsm"
+        assert exc_info.value.access == "write"
 
     def test_tracing_backend_is_registered_and_resolves(self):
         assert "tracing" in KERNEL_BACKENDS

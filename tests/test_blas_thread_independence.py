@@ -2,10 +2,14 @@
 
 Worker processes of the ``processes`` and ``cluster`` executors start with
 one BLAS thread while the host may run two or more, so executor bit-identity
-needs every kernel to give the same bits at any thread count.  The QR tile
-kernels were chosen for that (LAPACK ``dgeqrt`` plus GEMM applies; the
-``dtpqrt`` family is not thread-stable from nb = 32 up) — this is the guard
-that fails if a thread-sensitive routine is swapped in later.
+needs every kernel to give the same bits at any thread count.  The tile
+kernels were chosen for that: the QR half is LAPACK ``dgeqrt`` plus GEMM
+applies (the ``dtpqrt`` family is not thread-stable from nb = 32 up), the LU
+panel is a recursion over ``dgetrf`` leaves of at most 16 384 elements
+(OpenBLAS switches to its parallel LU from 20 000 elements up, and a bare
+``dgetrf`` on a 1024x128 panel hashes differently at 1 and 2 threads).  This
+is the guard that fails if a thread-sensitive routine is swapped in later —
+run at the sizes where it bites, not only at tiles too small to thread.
 """
 
 from __future__ import annotations
@@ -19,38 +23,80 @@ import pytest
 
 import repro
 
-_FACTOR_AND_HASH = """
+pytestmark = pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2, reason="needs two cores for two BLAS threads"
+)
+
+_PRELUDE = """
 import hashlib
 import numpy as np
 import repro
 
+def digest(*arrays):
+    h = hashlib.sha256()
+    for array in arrays:
+        h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
+"""
+
+_FACTOR = _PRELUDE + """
+n, nb, algorithm, criterion, both_kinds = {n}, {nb}, {algorithm!r}, {criterion!r}, {both_kinds}
 rng = np.random.default_rng(7)
-a = rng.standard_normal((256, 256))
-b = rng.standard_normal((256, 2))
-solver = repro.make_solver(algorithm="hybrid", tile_size=64, criterion="max(alpha=5)")
-fact = solver.factor(a, b)
-assert fact.qr_steps > 0 and fact.lu_steps > 0, fact.step_kinds
-digest = hashlib.sha256()
-digest.update(np.ascontiguousarray(fact.tiles.array).tobytes())
-digest.update(np.ascontiguousarray(fact.tiles.rhs).tobytes())
-print(digest.hexdigest())
+a = rng.standard_normal((n, n))
+b = rng.standard_normal((n, 2))
+options = dict(criterion=criterion) if criterion else dict()
+fact = repro.make_solver(algorithm=algorithm, tile_size=nb, **options).factor(a, b)
+assert fact.succeeded, fact.breakdown
+if both_kinds:
+    assert fact.qr_steps > 0 and fact.lu_steps > 0, fact.step_kinds
+print(digest(fact.tiles.array, fact.tiles.rhs))
+"""
+
+_PANELS = _PRELUDE + """
+from repro.linalg import getrf
+
+rng = np.random.default_rng(11)
+for shape in [(1024, 128), (2048, 256)]:
+    lu, piv = getrf(rng.standard_normal(shape))
+    print(shape, digest(lu, piv))
 """
 
 
-def _factor_digest(threads: int) -> str:
+def _run(script: str, threads: int) -> str:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     src = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _FACTOR_AND_HASH],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores for two BLAS threads")
-def test_factors_identical_for_one_and_two_blas_threads():
-    one, two = _factor_digest(1), _factor_digest(2)
+@pytest.mark.parametrize(
+    "n, nb, algorithm, criterion, both_kinds",
+    [
+        (256, 64, "hybrid", "max(alpha=5)", True),
+        # The kernel-bound benchmark configuration: 1024x128 domain panels,
+        # far above the size where a bare dgetrf starts to thread.
+        (1024, 128, "hybrid", "max(alpha=500)", True),
+        (512, 128, "lu_incpiv", None, False),
+        (512, 128, "lupp", None, False),
+    ],
+    ids=["hybrid-256-64", "hybrid-1024-128", "lu_incpiv-512-128", "lupp-512-128"],
+)
+def test_factors_identical_for_one_and_two_blas_threads(n, nb, algorithm, criterion, both_kinds):
+    script = _FACTOR.format(
+        n=n, nb=nb, algorithm=algorithm, criterion=criterion, both_kinds=both_kinds
+    )
+    one, two = _run(script, 1), _run(script, 2)
     assert len(one) == 64
+    assert one == two
+
+
+def test_panel_lu_identical_for_one_and_two_blas_threads():
+    """``getrf`` itself, on panels a bare ``dgetrf`` factors thread-dependently."""
+    one, two = _run(_PANELS, 1), _run(_PANELS, 2)
+    assert len(one.splitlines()) == 2
     assert one == two

@@ -28,6 +28,7 @@ from repro.perf.calibrate import (
     clear_calibration_cache,
     collect_samples,
     default_calibration,
+    kernel_source_hash,
     run_calibration,
 )
 from repro.runtime.executor import ExecutionTrace, SequentialExecutor, ThreadedExecutor
@@ -157,6 +158,32 @@ def test_corrupt_calibration_degrades_to_none(isolated_calibration):
     isolated_calibration.write_text("not json {")
     clear_calibration_cache()
     assert default_calibration() is None
+
+
+def test_stale_calibration_is_ignored_as_host_default(isolated_calibration):
+    """A table measured with other kernel sources (or before the hash was
+    recorded) still loads explicitly but is not trusted as the default."""
+    cal = Calibration(host="testhost")
+    cal.add_samples({("getrf", 16): [0.25]})
+    assert cal.kernel_hash == kernel_source_hash()
+    cal.save()
+    fresh = json.loads(isolated_calibration.read_text())
+    assert fresh["kernel_hash"] == kernel_source_hash() and fresh["version"] == 2
+    assert default_calibration() is not None
+
+    version2 = {k: v for k, v in fresh.items() if k != "kernel_hash"}
+    version1 = dict(version=1, host=fresh["host"], kernels=fresh["kernels"])
+    for stale in (dict(fresh, kernel_hash="0" * 64), version2, version1):
+        isolated_calibration.write_text(json.dumps(stale))
+        clear_calibration_cache()
+        assert default_calibration() is None
+        loaded = Calibration.load(isolated_calibration)
+        assert loaded.kernel_duration("getrf", 16) == pytest.approx(0.25)
+        assert loaded.kernel_hash == stale.get("kernel_hash", "")
+
+    # Re-running the calibration makes the file current again.
+    run_calibration(n=32, tile_sizes=(8,), algorithms=("lupp",))
+    assert default_calibration() is not None
 
 
 def test_calibration_rejects_future_format():

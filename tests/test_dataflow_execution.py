@@ -87,9 +87,13 @@ def test_threaded_hybrid_same_decisions_and_pivots(rng):
 
 def test_threaded_execution_overlaps_tasks(rng):
     """On >= 4 workers the per-step traces show real task concurrency."""
-    n = 128
+    # Tiles of order 64: two tasks overlap when a kernel outlasts the hand-off
+    # of the next task to another thread (tens of microseconds).  The LAPACK
+    # LU kernels finish an order-16 tile sooner than that: at n = 128 / nb = 16
+    # about one factorization in twenty runs serially.
+    n = 512
     a = rng.standard_normal((n, n))
-    solver = LUPPSolver(16, track_growth=False, executor=ThreadedExecutor(workers=4))
+    solver = LUPPSolver(64, track_growth=False, executor=ThreadedExecutor(workers=4))
     solver.factor(a)
     assert solver.step_traces, "executor path must record per-step traces"
     assert max(t.max_concurrency for t in solver.step_traces) > 1

@@ -20,7 +20,9 @@ from repro.kernels import (
     kernel_flops,
     lu_step_flops,
     qr_step_flops,
+    stacked_row_index,
     step_flops_table,
+    swptrsm_inplace,
     true_flops,
     tsmqr,
     tsqrt,
@@ -29,7 +31,20 @@ from repro.kernels import (
     unmqr,
     update_gemm,
 )
-from repro.linalg import apply_q_transpose, build_q, geqrt
+from repro.core.factorization import StepRecord
+from repro.core.lu_step import lu_step_tasks
+from repro.core.panel_analysis import analyze_panel
+from repro.kernels.dispatch import KERNELS
+from repro.linalg import (
+    apply_q_transpose,
+    apply_row_pivots,
+    build_q,
+    geqrt,
+    getrf,
+    trsm_lower_left_unit,
+    trsm_upper_right,
+)
+from repro.tiles import BlockCyclicDistribution, ProcessGrid, TileMatrix
 
 
 # --------------------------------------------------------------------------- #
@@ -48,20 +63,18 @@ class TestLUKernels:
 
     def test_factor_panel_stacks(self, rng):
         stacked = rng.standard_normal((24, 8))
-        f = factor_panel_lu(stacked, 8)
+        f = factor_panel_lu(stacked.copy(), 8)
         # The factored panel reproduces the permuted input: P W = L U.
         lfull = np.tril(f.lu, -1)
         lfull[np.arange(8), np.arange(8)] = 1.0
-        from repro.linalg import apply_row_pivots
-
         pw = apply_row_pivots(stacked.copy(), f.piv)
         np.testing.assert_allclose(lfull @ f.u, pw, atol=1e-11)
 
-    def test_factor_panel_recursive_equals_plain(self, rng):
+    def test_factor_panel_recursive_flag_selects_nothing(self, rng):
         stacked = rng.standard_normal((32, 8))
-        f1 = factor_panel_lu(stacked, 8, recursive=True)
-        f2 = factor_panel_lu(stacked, 8, recursive=False)
-        np.testing.assert_allclose(f1.lu, f2.lu, atol=1e-10)
+        f1 = factor_panel_lu(stacked.copy(), 8, recursive=True)
+        f2 = factor_panel_lu(stacked.copy(), 8, recursive=False)
+        np.testing.assert_array_equal(f1.lu, f2.lu)
         np.testing.assert_array_equal(f1.piv, f2.piv)
 
     def test_factor_panel_wrong_width(self, rng):
@@ -81,8 +94,6 @@ class TestLUKernels:
         c = rng.standard_normal((6, 4))
         out = apply_swptrsm(f, c)
         # out = L^{-1} P c  =>  L out = P c
-        from repro.linalg import apply_row_pivots
-
         pc = apply_row_pivots(c.copy(), f.piv)
         np.testing.assert_allclose(f.l_top @ out[:6], pc[:6], atol=1e-10)
 
@@ -112,6 +123,111 @@ class TestLUKernels:
 
         expected = a_ij - a_ik @ np.linalg.inv(a_kk) @ a_kj
         np.testing.assert_allclose(updated, expected, atol=1e-9)
+
+
+# --------------------------------------------------------------------------- #
+# In-place SWPTRSM/TRSM against the explicit swap-loop / explicit-triangle form
+# --------------------------------------------------------------------------- #
+def _reference_swptrsm(factor, stacked):
+    """The readable form: one swap per pivot, then a solve against ``tril + I``."""
+    c = np.array(stacked, dtype=np.float64, copy=True)
+    apply_row_pivots(c, factor.piv)
+    c[: factor.nb] = trsm_lower_left_unit(factor.l_top, c[: factor.nb])
+    return c
+
+
+def _reference_lu_step(tiles, k, domain_rows, factor):
+    """One LU step through stacked copies, swap loops and explicit triangles."""
+    nb, n = tiles.nb, tiles.n
+    tiles.scatter_panel(k, domain_rows, factor.lu)
+    for j in range(k + 1, n):
+        tiles.scatter_panel(j, domain_rows, _reference_swptrsm(factor, tiles.panel(j, domain_rows)))
+    if tiles.has_rhs:
+        stacked = _reference_swptrsm(factor, np.vstack([tiles.rhs_tile(i) for i in domain_rows]))
+        for idx, i in enumerate(domain_rows):
+            tiles.rhs_tile(i)[...] = stacked[idx * nb : (idx + 1) * nb]
+    for i in range(k + 1, n):
+        if i not in domain_rows:
+            tiles.set_tile(i, k, trsm_upper_right(factor.u, tiles.tile(i, k)))
+    for i in range(k + 1, n):
+        for j in range(k + 1, n):
+            tiles.tile(i, j)[...] -= tiles.tile(i, k) @ tiles.tile(k, j)
+        if tiles.has_rhs:
+            tiles.rhs_tile(i)[...] -= tiles.tile(i, k) @ tiles.rhs_tile(k)
+
+
+class TestInPlaceLUKernels:
+    @pytest.mark.parametrize("nb", [1, 3, 8, 64])
+    @pytest.mark.parametrize("tiles_stacked", [1, 3])
+    def test_functional_forms_match_the_readable_ones(self, nb, tiles_stacked, rng):
+        f = factor_panel_lu(rng.standard_normal((tiles_stacked * nb, nb)), nb)
+        c = rng.standard_normal((tiles_stacked * nb, 5))
+        kept = c.copy()
+        np.testing.assert_array_equal(apply_swptrsm(f, c), _reference_swptrsm(f, c))
+        np.testing.assert_array_equal(c, kept)
+        a_ik = rng.standard_normal((nb, nb))
+        np.testing.assert_array_equal(eliminate_trsm(f, a_ik), trsm_upper_right(f.u, a_ik))
+
+    def test_swptrsm_inplace_touches_only_the_listed_rows(self, rng):
+        nb = 4
+        f = factor_panel_lu(rng.standard_normal((2 * nb, nb)), nb)
+        c = rng.standard_normal((5 * nb, 3))
+        rows = stacked_row_index([1, 3], nb)  # a strided domain
+        expected = c.copy()
+        expected[rows] = _reference_swptrsm(f, c[rows])
+        swptrsm_inplace(f, c, rows)
+        np.testing.assert_array_equal(c, expected)
+
+    @pytest.mark.parametrize("with_rhs", [False, True], ids=["no-rhs", "rhs"])
+    @pytest.mark.parametrize("grid", [(1, 1), (2, 2)], ids=["contiguous", "strided"])
+    @pytest.mark.parametrize("form", ["closure", "kernel_call"])
+    def test_lu_step_bit_identical_to_reference(self, form, grid, with_rhs, rng):
+        nb, n, k = 8, 5, 1
+        a = rng.standard_normal((n * nb, n * nb))
+        rhs = rng.standard_normal((n * nb, 3)) if with_rhs else None
+        tiles = TileMatrix.from_dense(a, nb, rhs=rhs)
+        dist = BlockCyclicDistribution(ProcessGrid(*grid), n)
+        analysis = analyze_panel(tiles, dist, k)
+        assert analysis.domain_rows == ([1, 2, 3, 4] if grid == (1, 1) else [1, 3])
+        np.testing.assert_array_equal(tiles.array, a)  # analysis reads, never writes
+
+        expected = tiles.copy()
+        _reference_lu_step(expected, k, analysis.domain_rows, analysis.factor)
+
+        tasks = lu_step_tasks(tiles, k, analysis, StepRecord(k=k, kind="LU"))
+        assert [t.kernel for t in tasks].count("swptrsm") == n - k - 1 + with_rhs
+        for task in tasks:
+            if form == "closure":
+                task.fn()
+            else:  # what a worker process runs, after the pickle round trip
+                call = pickle.loads(pickle.dumps(task.call))
+                KERNELS[call.kernel](tiles, (), *call.args)
+        np.testing.assert_array_equal(tiles.array, expected.array)
+        if with_rhs:
+            np.testing.assert_array_equal(tiles.rhs, expected.rhs)
+
+    def test_factor_ships_exactly_lu_and_piv(self, rng):
+        nb = 16
+        f = factor_panel_lu(rng.standard_normal((3 * nb, nb)), nb)
+        assert "moves" in vars(f)  # built at construction, not on first use
+        assert set(f.__getstate__()) == {"lu", "piv", "nb"}
+        payload = pickle.dumps(f)
+        assert len(payload) <= f.lu.nbytes + f.piv.nbytes + 512
+        g = pickle.loads(payload)
+        np.testing.assert_array_equal(g.lu, f.lu)
+        np.testing.assert_array_equal(g.piv, f.piv)
+        for rebuilt, built in zip(g.moves, f.moves):
+            np.testing.assert_array_equal(rebuilt, built)
+        c = rng.standard_normal((3 * nb, 2))
+        np.testing.assert_array_equal(apply_swptrsm(g, c), apply_swptrsm(f, c))
+
+    def test_factor_panel_factors_the_stack_in_place(self, rng):
+        stacked = rng.standard_normal((24, 8))
+        lu, piv = getrf(stacked)
+        f = factor_panel_lu(stacked, 8)
+        assert f.lu is stacked
+        np.testing.assert_array_equal(f.lu, lu)
+        np.testing.assert_array_equal(f.piv, piv)
 
 
 # --------------------------------------------------------------------------- #

@@ -18,6 +18,8 @@ from repro.linalg import (
     trsm_upper_left,
     trsm_upper_right,
 )
+from repro.linalg import pivoting
+from repro.linalg.pivoting import getrf_reference, pivot_moves
 
 
 def reconstruct_from_lu(lu, piv):
@@ -61,8 +63,9 @@ class TestGetrf:
         np.testing.assert_allclose(np.abs(np.diag(lu)), np.abs(np.diag(lu_sp)), rtol=1e-10)
 
     def test_wide_rejected(self, rng):
-        with pytest.raises(ValueError):
-            getrf(rng.standard_normal((3, 5)))
+        for factor in (getrf, getrf_reference):
+            with pytest.raises(ValueError):
+                factor(rng.standard_normal((3, 5)))
 
     def test_singular_raises(self):
         with pytest.raises(SingularPanelError):
@@ -93,17 +96,42 @@ class TestGetrfNoPiv:
             getrf_nopiv(rng.standard_normal((4, 3)))
 
 
-class TestRecursiveGetrf:
-    def test_matches_right_looking(self, rng):
-        a = rng.standard_normal((24, 12))
-        lu_r, piv_r = recursive_getrf(a, threshold=4)
-        lu_p, piv_p = getrf(a)
-        np.testing.assert_allclose(lu_r, lu_p, atol=1e-10)
-        np.testing.assert_array_equal(piv_r, piv_p)
+@pytest.fixture
+def tiny_leaves(monkeypatch):
+    """Shrink the dgetrf leaf bound so small panels exercise the recursion."""
+    monkeypatch.setattr(pivoting, "_LEAF_ELEMENTS", 8)
 
-    def test_reconstruction(self, rng):
+
+def assert_matches_reference(a):
+    """``getrf`` against the per-column loop: pivots, factors, ``P A = L U``."""
+    m, k = a.shape
+    lu, piv = getrf(a)
+    lu_ref, piv_ref = getrf_reference(a)
+    np.testing.assert_array_equal(piv, piv_ref)
+    assert piv.dtype == np.int64
+    np.testing.assert_allclose(lu, lu_ref, rtol=0.0, atol=1e-12)
+    lower = np.tril(lu, -1)
+    lower[np.arange(k), np.arange(k)] = 1.0
+    pa = apply_row_pivots(a.copy(), piv)
+    np.testing.assert_allclose(lower @ np.triu(lu[:k]), pa, rtol=0.0, atol=1e-13)
+
+
+class TestRecursiveGetrf:
+    """The LAPACK-leaf recursion against the kept per-column reference."""
+
+    def test_recursive_getrf_is_getrf(self):
+        assert recursive_getrf is getrf
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 17, 64, 128])
+    @pytest.mark.parametrize("rows", ["k", "2k", "1024"])
+    def test_matches_right_looking(self, k, rows):
+        m = {"k": k, "2k": 2 * k, "1024": 1024}[rows]
+        rng = np.random.default_rng(1000 * k + m)
+        assert_matches_reference(rng.standard_normal((m, k)))
+
+    def test_reconstruction(self, rng, tiny_leaves):
         a = rng.standard_normal((30, 10))
-        lu, piv = recursive_getrf(a, threshold=3)
+        lu, piv = recursive_getrf(a)
         np.testing.assert_allclose(reconstruct_from_lu(lu, piv), a, atol=1e-11)
 
     @given(m_extra=st.integers(0, 12), k=st.integers(1, 10), seed=st.integers(0, 500))
@@ -111,10 +139,45 @@ class TestRecursiveGetrf:
     def test_property_recursive_equals_plain(self, m_extra, k, seed):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((k + m_extra, k))
-        lu_r, piv_r = recursive_getrf(a, threshold=2)
-        lu_p, piv_p = getrf(a)
-        np.testing.assert_allclose(lu_r, lu_p, atol=1e-9)
-        np.testing.assert_array_equal(piv_r, piv_p)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pivoting, "_LEAF_ELEMENTS", 8)
+            assert_matches_reference(a)
+
+    def test_tied_pivots_pick_first_row(self, tiny_leaves):
+        # Every candidate of every column ties in magnitude at the first
+        # step; LAPACK (idamax) and the reference (argmax) take the first.
+        a = np.ones((12, 4))
+        a[:, 1] = [1, -1] * 6
+        a[:, 2] = [1, 1, -1, -1] * 3
+        a[:, 3] = [1, 1, 1, 1, -1, -1, -1, -1, 1, 1, 1, 1]
+        lu, piv = getrf(a)
+        assert piv[0] == 0
+        np.testing.assert_array_equal(piv, getrf_reference(a)[1])
+        np.testing.assert_allclose(reconstruct_from_lu(lu, piv), a, atol=1e-14)
+
+    @pytest.mark.parametrize("shape, column", [((40, 20), 7), ((40, 20), 0), ((1024, 128), 77)])
+    def test_zero_column_names_the_same_column(self, shape, column):
+        a = np.random.default_rng(3).standard_normal(shape)
+        a[:, column] = 0.0
+        message = f"zero pivot encountered at column {column}"
+        for factor in (getrf, getrf_reference):
+            with pytest.raises(SingularPanelError, match=message + "$"):
+                factor(a)
+
+    def test_zero_column_inside_the_recursion(self, rng, tiny_leaves):
+        a = rng.standard_normal((16, 9))
+        a[:, 6] = 0.0
+        with pytest.raises(SingularPanelError, match="column 6$"):
+            getrf(a)
+
+    def test_overwrite_factors_in_place(self, rng):
+        a = rng.standard_normal((1024, 128))
+        work = a.copy()
+        lu, piv = getrf(work, overwrite_a=True)
+        assert lu is work
+        lu_copy, piv_copy = getrf(a)
+        np.testing.assert_array_equal(lu, lu_copy)
+        np.testing.assert_array_equal(piv, piv_copy)
 
 
 class TestPivotHelpers:
@@ -131,6 +194,23 @@ class TestPivotHelpers:
         swapped = apply_row_pivots(c.copy(), piv)
         perm = pivots_to_permutation(piv, 7)
         np.testing.assert_allclose(c[perm], swapped)
+
+    @given(m_extra=st.integers(0, 9), k=st.integers(0, 9), seed=st.integers(0, 500))
+    @settings(max_examples=60, deadline=None)
+    def test_pivot_moves_is_the_swap_sequence_as_one_gather(self, m_extra, k, seed):
+        rng = np.random.default_rng(seed)
+        m = k + m_extra + 1
+        piv = np.array([rng.integers(j, m) for j in range(k)], dtype=np.int64)
+        c = rng.standard_normal((m, 3))
+        dst, src = pivot_moves(piv)
+        assert len(dst) <= 2 * k and not np.any(dst == src)
+        gathered = c.copy()
+        gathered[dst] = c[src]
+        np.testing.assert_array_equal(gathered, apply_row_pivots(c.copy(), piv))
+        # ``base`` shifts the rows the sequence starts at.
+        dst_b, src_b = pivot_moves(piv + 5, base=5)
+        np.testing.assert_array_equal(dst_b, dst + 5)
+        np.testing.assert_array_equal(src_b, src + 5)
 
 
 class TestTriangularSolves:

@@ -257,3 +257,48 @@ class TestBreakdowns:
         result = solver.solve(a, b)
         np.testing.assert_allclose(a @ result.x, b, atol=1e-8)
         assert result.factorization.steps[0].kind == "QR"
+
+
+class TestNonFiniteInput:
+    """NaN/Inf is rejected once, at ``factor`` entry, naming the argument.
+
+    LAPACK's ``dgetrf``/``dgeqrt`` do not flag NaN, so without the check a
+    non-finite entry surfaced only as scipy's "array must not contain infs
+    or NaNs" from whichever triangular solve first met it.
+    """
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["A", "b"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: HybridLUQRSolver(NB, MaxCriterion(10.0), grid=GRID),
+            lambda: LUNoPivSolver(NB),
+            lambda: LUIncPivSolver(NB),
+            lambda: LUPPSolver(NB),
+            lambda: HQRSolver(NB, grid=GRID),
+        ],
+        ids=["hybrid", "lu-nopiv", "lu-incpiv", "lupp", "hqr"],
+    )
+    def test_factor_and_solve_reject_it(self, rng, make, where, bad):
+        n = 4 * NB
+        a = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+        b = rng.standard_normal(n)
+        if where == "A":
+            a[n - 1, n - 2] = bad  # last tile row: no early panel meets it
+        else:
+            b[n - 1] = bad
+        message = f"^{where} must not contain NaN or Inf$"
+        solver = make()
+        with pytest.raises(ValueError, match=message):
+            solver.factor(a, b)
+        with pytest.raises(ValueError, match=message):
+            solver.solve(a, b)
+        with pytest.raises(ValueError, match=message):
+            solver.solve_many(a, np.stack([b, b], axis=1))
+
+    def test_matrix_alone_is_checked(self, rng):
+        a = rng.standard_normal((8, 8))
+        a[3, 5] = np.nan
+        with pytest.raises(ValueError, match="^A must not contain NaN or Inf$"):
+            LUPPSolver(NB).factor(a)

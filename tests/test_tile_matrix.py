@@ -110,6 +110,20 @@ class TestTileAccess:
         np.testing.assert_array_equal(tm.row_block(1, 1), a[8:16, 8:])
         np.testing.assert_array_equal(tm.row_block(0, 1, 2), a[0:8, 8:16])
 
+    def test_column_rows_and_rhs_rows_are_full_height_views(self, rng):
+        a = rng.standard_normal((24, 24))
+        tm = TileMatrix.from_dense(a, 8, rhs=rng.standard_normal((24, 2)))
+        column = tm.column_rows(1, [0, 2])
+        assert column.shape == (24, 8) and np.shares_memory(column, tm.array)
+        np.testing.assert_array_equal(column, a[:, 8:16])
+        assert tm.rhs_rows([0, 2]) is tm.rhs
+        with pytest.raises(IndexError):
+            tm.column_rows(1, [0, 3])
+        with pytest.raises(IndexError):
+            tm.rhs_rows([3])
+        with pytest.raises(ValueError):
+            TileMatrix.from_dense(a, 8).rhs_rows([0])
+
     def test_panel_and_scatter_roundtrip(self, rng):
         a = rng.standard_normal((32, 32))
         tm = TileMatrix.from_dense(a, 8)
