@@ -24,7 +24,7 @@ behaviour of a plan:
 
 - :mod:`repro.analysis.abstract` — abstract interpretation over (tile
   shape, dtype): conformability of every kernel, end-to-end dtype
-  preservation, fused-sweep shape consistency;
+  preservation, sweep shape consistency;
 - :mod:`repro.analysis.liveness` — tile/product liveness intervals and a
   certified peak-memory bound, cross-checked against execution traces;
 - :mod:`repro.analysis.placement` — owner-computes placement under the

@@ -16,9 +16,9 @@ the whole plan and without running a single kernel:
   float64 on a float32 problem — the class of bug PR 7 fixed dynamically in
   ``qr.couple`` — is flagged at every write it contaminates);
 - the signature-declared access sets equal the sets the planner declared on
-  the task, so fused sweeps are shape- and access-consistent with their
-  constituent kernels;
-- every referenced tile exists (out-of-range fused unions surface as
+  the task, so trailing-update sweeps are shape- and access-consistent
+  with their constituent tile kernels;
+- every referenced tile exists (out-of-range sweeps surface as
   ``unknown-tile``).
 
 Interpretation is parametric in the dtype: the context carries the dtype of

@@ -146,7 +146,6 @@ def capture_plan(solver, a=None, b=None, *, seed: int = 0, n: Optional[int] = No
     ctx, dist, _ = _system_context(solver, a, b)
     with solver._factor_lock:
         a_work, b_work, _ = pad_to_tile_multiple(np.asarray(a), b, solver.tile_size)
-        solver.kernel_backend.warm(solver.tile_size, a_work.dtype)
         tiles = TileMatrix.from_dense(a_work, solver.tile_size, rhs=b_work)
         solver._reset()
         graph = TaskGraph()
@@ -179,15 +178,14 @@ def _trace_and_verify(
     tracer = (
         solver.kernel_backend
         if isinstance(solver.kernel_backend, TracingBackend)
-        else TracingBackend(solver.kernel_backend)
+        else TracingBackend()
     )
     violations: List[Violation] = []
     with solver._factor_lock:
         previous_backend = solver.kernel_backend
-        solver.kernel_backend = tracer  # planners batch/fuse through it
+        solver.kernel_backend = tracer
         try:
             a_work, b_work, _ = pad_to_tile_multiple(a, b, solver.tile_size)
-            tracer.warm(solver.tile_size, a_work.dtype)
             tiles = TileMatrix.from_dense(a_work, solver.tile_size, rhs=b_work)
             if dynamic:
                 tiles = tracer.prepare_tiles(tiles)

@@ -2,8 +2,8 @@
 
 Each fixture takes a *real* emitted plan, corrupts it in one specific,
 realistic way (a mis-placed task, a pivot chain escaping its domain, a
-kernel that silently drops precision, a fused sweep whose argument range
-disagrees with its declared tile sets), and asserts the analyzer flags
+kernel that silently drops precision, a trailing-update sweep whose
+argument range disagrees with its declared tile sets), and asserts the analyzer flags
 it.  They serve two purposes: regression tests that the analyses have
 teeth, and executable documentation of what each violation kind means.
 
@@ -38,7 +38,7 @@ __all__ = [
     "corrupt_wrong_owner",
     "corrupt_cross_domain_pivot",
     "corrupt_dtype_dropping_kernel",
-    "corrupt_fused_sweep_range",
+    "corrupt_sweep_range",
     "corrupt_factor_shape",
     "run_corruption_suite",
 ]
@@ -138,26 +138,22 @@ def corrupt_dtype_dropping_kernel() -> List[Violation]:
     return result.violations
 
 
-def corrupt_fused_sweep_range(algorithm: str = "lu_nopiv") -> List[Violation]:
-    """A fused GEMM sweep whose argument range outruns its declared tiles.
+def corrupt_sweep_range(algorithm: str = "lu_nopiv") -> List[Violation]:
+    """A GEMM sweep whose argument range outruns its declared tiles.
 
-    Extends one ``fused.lu_gemm_sweep``'s row range by one: the signature
-    now implies reads/writes (and a trailing tile) the planner never
-    declared — possibly beyond the matrix.  The interpreter must report
-    set mismatches (and ``unknown-tile`` when the range walks off the
-    edge).
+    Extends one ``lu.gemm_sweep``'s row range by one: the signature now
+    implies reads/writes (and a trailing tile) the planner never declared —
+    beyond the matrix.  The interpreter must report set mismatches (and
+    ``unknown-tile`` for the row that walks off the edge).
     """
-    from ..api.facade import make_solver
-
-    solver = make_solver(algorithm, tile_size=4, grid="2x2", kernel_backend="fused")
-    graph, ctx, dist = capture_plan(solver)
+    graph, ctx, dist = capture_plan(_solver(algorithm))
     victim = next(
         t
         for t in graph.tasks
-        if t.call is not None and t.call.kernel == "fused.lu_gemm_sweep"
+        if t.call is not None and t.call.kernel == "lu.gemm_sweep"
     )
-    backend, k, j, i0, i1 = victim.call.args
-    victim.call = dataclasses.replace(victim.call, args=(backend, k, j, i0, i1 + 1))
+    k, i1, j0, j1 = victim.call.args
+    victim.call = dataclasses.replace(victim.call, args=(k, i1 + 1, j0, j1))
     result = interpret_graph(graph, ctx)
     return result.violations
 
@@ -187,7 +183,7 @@ _SUITE = {
     "wrong-owner": (corrupt_wrong_owner, "wrong-owner"),
     "cross-domain-pivot": (corrupt_cross_domain_pivot, "cross-domain-pivot"),
     "dtype-drop": (corrupt_dtype_dropping_kernel, "dtype-mismatch"),
-    "fused-range": (corrupt_fused_sweep_range, "read-set-mismatch"),
+    "sweep-range": (corrupt_sweep_range, "read-set-mismatch"),
     "factor-shape": (corrupt_factor_shape, "shape-mismatch"),
 }
 

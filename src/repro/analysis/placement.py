@@ -12,8 +12,8 @@ paper's pivoting invariant — an LU panel's pivot chain
 panel-wide LUPP exchange — and prices the cross-owner traffic with a
 :class:`~repro.runtime.platform.Platform`.
 
-Fused sweeps are decomposed into their signature-declared constituents, so
-a sweep whose written tiles span several owners is priced per logical
+Sweeps are decomposed into their signature-declared constituents, so a
+sweep whose written tiles span several owners is priced per logical
 kernel (and reported as a ``multi-owner`` statistic — a fusion boundary a
 distributed executor must split, not a correctness violation).
 
@@ -123,8 +123,8 @@ _ref_bytes = ref_bytes
 def constituent_units(effect) -> Tuple[Tuple[Tuple[Any, ...], Any], ...]:
     """Decompose an effect into ``((read_refs, ...), anchor_ref)`` units.
 
-    Fused sweeps decompose into their signature-declared constituents; a
-    plain per-tile kernel is a single unit anchored at its owner tile.
+    Sweeps decompose into their signature-declared constituents; a plain
+    per-tile kernel is a single unit anchored at its owner tile.
     Shared between this analyzer and the cluster executor so both count
     messages per logical kernel with identical semantics.
     """
@@ -286,7 +286,7 @@ def analyze_placement(
                 )
 
             # Per-unit tile traffic, deduplicated per destination within the
-            # task (a fused sweep fetches a shared tile once per node).
+            # task (a sweep fetches a shared tile once per node).
             fetched: Set[Tuple[Tuple[int, int], int]] = set()
             unit_owners: Set[int] = set()
             for unit_reads, unit_anchor in units:

@@ -34,26 +34,18 @@ TASK_KERNELS_OF_OP: Dict[str, Tuple[str, ...]] = {
     "lu.swptrsm": ("swptrsm",),
     "lu.swptrsm_rhs": ("swptrsm",),
     "lu.trsm": ("trsm",),
-    "lu.gemm": ("gemm",),
-    "lu.gemm_rhs": ("gemm_rhs",),
+    "lu.gemm_sweep": ("gemm",),
+    "lu.gemm_sweep_rhs": ("gemm_rhs",),
     "qr.geqrt": ("geqrt",),
-    "qr.unmqr": ("unmqr",),
-    "qr.unmqr_rhs": ("unmqr_rhs",),
     "qr.couple": ("tsqrt", "ttqrt"),
-    "qr.update": ("tsmqr", "ttmqr"),
-    "qr.update_rhs": ("tsmqr_rhs", "ttmqr_rhs"),
+    "qr.sweep": ("unmqr", "tsmqr"),
+    "qr.sweep_rhs": ("unmqr_rhs", "tsmqr_rhs"),
     "incpiv.getrf": ("getrf",),
     "incpiv.swptrsm": ("swptrsm",),
     "incpiv.swptrsm_rhs": ("swptrsm",),
     "incpiv.tstrf": ("tstrf",),
-    "incpiv.ssssm": ("ssssm",),
-    "incpiv.ssssm_rhs": ("ssssm_rhs",),
-    "fused.lu_gemm_sweep": ("gemm",),
-    "fused.lu_gemm_rhs_sweep": ("gemm_rhs",),
-    "fused.qr_column_chain": ("unmqr", "tsmqr"),
-    "fused.qr_rhs_chain": ("unmqr_rhs", "tsmqr_rhs"),
-    "fused.incpiv_ssssm_chain": ("ssssm",),
-    "fused.incpiv_ssssm_rhs_chain": ("ssssm_rhs",),
+    "incpiv.ssssm_sweep": ("ssssm",),
+    "incpiv.ssssm_sweep_rhs": ("ssssm_rhs",),
 }
 
 #: Task kernels with no closed-form Table-I entry; kernel_cost_fn prices
@@ -267,14 +259,6 @@ def _lint_kernel_backends() -> Tuple[List[Violation], int]:
 
     violations: List[Violation] = []
     names = KERNEL_BACKENDS.names()
-    sweep_methods = (
-        "lu_gemm_sweep",
-        "lu_gemm_rhs_sweep",
-        "qr_column_chain",
-        "qr_rhs_chain",
-        "incpiv_ssssm_chain",
-        "incpiv_ssssm_rhs_chain",
-    )
     for name in names:
         try:
             backend = resolve_backend(name)
@@ -296,48 +280,19 @@ def _lint_kernel_backends() -> Tuple[List[Violation], int]:
                 )
             )
             continue
-        # Calibration tables, trace views, and fused descriptors key off
-        # these names; both must resolve back through the registry.
-        for label, value in (
-            ("name", backend.name),
-            ("descriptor_name", backend.descriptor_name),
-        ):
-            if value not in KERNEL_BACKENDS:
-                violations.append(
-                    Violation(
-                        kind="backend-protocol",
-                        message=(
-                            f"kernel backend {name!r} has {label}={value!r} "
-                            "which is not a registered backend name — its "
-                            "calibration entries and fused descriptors would "
-                            "be unresolvable"
-                        ),
-                        subject=name,
-                    )
-                )
-        if not callable(getattr(backend, "warm", None)):
+        # Calibration tables and trace views key off the name; it must
+        # resolve back through the registry.
+        if backend.name not in KERNEL_BACKENDS:
             violations.append(
                 Violation(
                     kind="backend-protocol",
-                    message=f"kernel backend {name!r} has no callable warm()",
+                    message=(
+                        f"kernel backend {name!r} has name={backend.name!r} "
+                        "which is not a registered backend name"
+                    ),
                     subject=name,
                 )
             )
-        if backend.fuses:
-            for method in sweep_methods:
-                if getattr(type(backend), method, None) is getattr(
-                    KernelBackend, method
-                ):
-                    violations.append(
-                        Violation(
-                            kind="backend-protocol",
-                            message=(
-                                f"kernel backend {name!r} declares fuses=True "
-                                f"but does not implement {method}()"
-                            ),
-                            subject=name,
-                        )
-                    )
     return violations, len(names)
 
 

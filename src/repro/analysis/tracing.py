@@ -45,7 +45,7 @@ from typing import Any, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..api.registry import register_kernel_backend
-from ..kernels.backends import KernelBackend, resolve_backend
+from ..kernels.backends import KernelBackend
 from ..runtime.task import RHS_COLUMN, TileRef
 from ..tiles.tile_matrix import TileMatrix
 from .report import RaceReport
@@ -224,18 +224,16 @@ class TracingTileMatrix(TileMatrix):
     def row_block(
         self, i: int, j_start: int, j_stop: Optional[int] = None
     ) -> np.ndarray:
+        view = TileMatrix.row_block(self, i, j_start, j_stop)
         stop = self.n if j_stop is None else j_stop
-        refs = [(i, j) for j in range(j_start, stop)]
-        return self._guarded_block(
-            TileMatrix.row_block(self, i, j_start, j_stop), refs
-        )
+        return self._guarded_block(view, [(i, j) for j in range(j_start, stop)])
 
     # -- guarded full-height views (in-place SWPTRSM) -------------------- #
-    # The view spans the whole column; the tiles recorded and guarded are
+    # The view spans whole columns; the tiles recorded and guarded are
     # the ones the kernel names, all-or-nothing like the block views.
-    def column_rows(self, j: int, rows: Sequence[int]) -> np.ndarray:
-        refs = [(i, j) for i in rows]
-        return self._guarded_block(TileMatrix.column_rows(self, j, rows), refs)
+    def column_rows(self, j0: int, j1: int, rows: Sequence[int]) -> np.ndarray:
+        view = TileMatrix.column_rows(self, j0, j1, rows)
+        return self._guarded_block(view, [(i, j) for i in rows for j in range(j0, j1)])
 
     def rhs_rows(self, rows: Sequence[int]) -> np.ndarray:
         refs = [(i, RHS_COLUMN) for i in rows]
@@ -247,13 +245,13 @@ class TracingTileMatrix(TileMatrix):
 
 @register_kernel_backend("tracing", aliases=("trace",))
 class TracingBackend(KernelBackend):
-    """Kernel backend that traces tile accesses of an inner backend.
+    """Kernel backend that traces the tile accesses of every task.
 
-    Delegates all computation (fusion plan included) to ``inner`` — the
-    bit-exact ``numpy`` reference by default — so traced factorizations
-    produce exactly the inner backend's results.  Collects every
-    :class:`RaceReport` it raises in :attr:`reports`; per-task access
-    records live on :attr:`recorder`.
+    The planners emit the same tasks under it as under ``numpy`` and the
+    wrapped kernels run on the same bytes, so traced factorizations are
+    bit-identical to untraced ones.  Collects every :class:`RaceReport` it
+    raises in :attr:`reports`; per-task access records live on
+    :attr:`recorder`.
 
     Usage::
 
@@ -264,11 +262,7 @@ class TracingBackend(KernelBackend):
 
     name = "tracing"
 
-    def __init__(self, inner: Any = None) -> None:
-        inner = resolve_backend(inner)
-        if isinstance(inner, TracingBackend):
-            raise ValueError("tracing backends cannot be nested")
-        self.inner = inner
+    def __init__(self) -> None:
         self.recorder = AccessRecorder()
         self.reports: List[RaceReport] = []
         #: Bytes of the tile storage (matrix + RHS) of the last traced
@@ -277,20 +271,6 @@ class TracingBackend(KernelBackend):
         #: base against.
         self.storage_bytes: int = 0
         self._uids = itertools.count()
-
-    # -- identity ------------------------------------------------------ #
-    @property
-    def fuses(self) -> bool:
-        return self.inner.fuses
-
-    @property
-    def descriptor_name(self) -> str:
-        # Fused descriptors execute untraced in worker processes; ship
-        # the compute backend's name, not ours.
-        return self.inner.descriptor_name
-
-    def warm(self, nb: int, dtype: Any = np.float64) -> None:
-        self.inner.warm(nb, dtype)
 
     def reset(self) -> None:
         """Drop all recorded accesses and reports (new factorization)."""
@@ -348,29 +328,6 @@ class TracingBackend(KernelBackend):
                 recorder.end()
 
         return dataclass_replace(task, fn=traced)
-
-    # -- fused sweeps delegate to the inner backend --------------------- #
-    def lu_gemm_sweep(self, tiles, k: int, j: int, i0: int, i1: int) -> None:
-        self.inner.lu_gemm_sweep(tiles, k, j, i0, i1)
-
-    def lu_gemm_rhs_sweep(self, tiles, k: int, i0: int, i1: int) -> None:
-        self.inner.lu_gemm_rhs_sweep(tiles, k, i0, i1)
-
-    def qr_column_chain(self, tiles, j: int, ops: Sequence[tuple], factors) -> None:
-        self.inner.qr_column_chain(tiles, j, ops, factors)
-
-    def qr_rhs_chain(self, tiles, ops: Sequence[tuple], factors) -> None:
-        self.inner.qr_rhs_chain(tiles, ops, factors)
-
-    def incpiv_ssssm_chain(
-        self, tiles, k: int, j: int, rows: Sequence[int], pairs: Sequence[Any]
-    ) -> None:
-        self.inner.incpiv_ssssm_chain(tiles, k, j, rows, pairs)
-
-    def incpiv_ssssm_rhs_chain(
-        self, tiles, k: int, rows: Sequence[int], pairs: Sequence[Any]
-    ) -> None:
-        self.inner.incpiv_ssssm_rhs_chain(tiles, k, rows, pairs)
 
     def undeclared_accesses(self) -> List[Tuple[Any, TileRef]]:
         """Cross-check recorded accesses against declarations, post hoc.

@@ -9,10 +9,10 @@ the executors rely on but never re-derive:
   (no dependency path in either direction) write the same tile
   (write-write, which covers duplicate writes without an ordering edge)
   or read a tile the other writes (read-write);
-- **fused unions** — a fused task's declared ``reads``/``writes`` match
-  exactly the union of its constituent per-kernel accesses, reconstructed
-  from its ``fused.*`` :class:`~repro.kernels.dispatch.KernelCall`
-  descriptor;
+- **sweep unions** — a task batching several tile kernels (``fused > 1``)
+  declares exactly the union of their accesses, as its
+  :class:`~repro.kernels.dispatch.KernelCall` signature reconstructs it,
+  and batches as many kernels as the signature counts;
 - **product flow** — every ``consumes`` key is produced by an ancestor
   task along every topological order (equivalently: by a task with a
   dependency path to the consumer), or by an earlier graph of the same
@@ -28,74 +28,41 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+import numpy as np
+
+from ..kernels.dispatch import KERNEL_SIGNATURES, SigContext
 from ..runtime.graph import CycleError, TaskGraph
-from ..runtime.task import RHS_COLUMN, Task, TileRef
+from ..runtime.task import Task, TileRef
 from .report import Violation
 
 __all__ = ["verify_graph", "expected_fused_sets"]
 
 
+#: Signature context for access sets alone: sweep signatures take every
+#: tile range from the call's arguments, so size and dtype do not matter.
+_SET_CONTEXT = SigContext(n=0, nb=1, nrhs=1, dtype=np.float64)
+
+
 def expected_fused_sets(
     task: Task,
 ) -> Optional[Tuple[Set[TileRef], Set[TileRef], int]]:
-    """Reconstruct ``(reads, writes, count)`` of a fused task's descriptor.
+    """Reconstruct ``(reads, writes, count)`` of a task from its descriptor.
 
-    Replays the per-tile access rules of the constituent kernels from the
-    task's ``fused.*`` :class:`KernelCall` arguments (the QR chains take
+    Evaluates the op's signature in
+    :data:`~repro.kernels.dispatch.KERNEL_SIGNATURES` (the QR chains take
     the elimination step ``k`` from ``task.step``).  Returns ``None`` for
-    descriptors this verifier does not know how to expand.
+    tasks without a descriptor, ops without a signature, and arguments
+    the signature rejects.
     """
     call = task.call
-    if call is None:
+    signature = None if call is None else KERNEL_SIGNATURES.get(call.kernel)
+    if signature is None:
         return None
-    k = task.step
-    args = call.args
-    if call.kernel == "fused.lu_gemm_sweep":
-        _, kk, j, i0, i1 = args
-        writes = {(i, j) for i in range(i0, i1)}
-        reads = {(i, kk) for i in range(i0, i1)} | {(kk, j)} | writes
-        return reads, writes, i1 - i0
-    if call.kernel == "fused.lu_gemm_rhs_sweep":
-        _, kk, i0, i1 = args
-        writes = {(i, RHS_COLUMN) for i in range(i0, i1)}
-        reads = {(i, kk) for i in range(i0, i1)} | {(kk, RHS_COLUMN)} | writes
-        return reads, writes, i1 - i0
-    if call.kernel == "fused.qr_column_chain":
-        _, j, ops = args
-        return _qr_chain_sets(ops, k, j)
-    if call.kernel == "fused.qr_rhs_chain":
-        (_, ops) = args
-        return _qr_chain_sets(ops, k, RHS_COLUMN)
-    if call.kernel == "fused.incpiv_ssssm_chain":
-        _, kk, j, rows = args
-        writes = {(kk, j)} | {(i, j) for i in rows}
-        reads = {(i, kk) for i in rows} | writes
-        return reads, writes, len(rows)
-    if call.kernel == "fused.incpiv_ssssm_rhs_chain":
-        _, kk, rows = args
-        writes = {(kk, RHS_COLUMN)} | {(i, RHS_COLUMN) for i in rows}
-        reads = {(i, kk) for i in rows} | writes
-        return reads, writes, len(rows)
-    return None
-
-
-def _qr_chain_sets(
-    ops: Iterable[tuple], k: int, j: int
-) -> Tuple[Set[TileRef], Set[TileRef], int]:
-    reads: Set[TileRef] = set()
-    writes: Set[TileRef] = set()
-    count = 0
-    for op in ops:
-        count += 1
-        if op[0] == "unmqr":
-            _, row, _ = op
-            reads.update({(row, k), (row, j)})
-            writes.add((row, j))
-        else:
-            _, elim, killed, _ = op
-            reads.update({(killed, k), (elim, j), (killed, j)})
-            writes.update({(elim, j), (killed, j)})
-    return reads, writes, count
+    try:
+        effect = signature.effect(call, task.step, _SET_CONTEXT)
+    except (TypeError, ValueError, IndexError):  # malformed arguments
+        return None
+    return set(effect.reads), set(effect.writes), effect.unit_count
 
 
 def _fmt_tiles(tiles: Iterable[TileRef], limit: int = 6) -> str:
@@ -185,7 +152,7 @@ def verify_graph(
                     )
 
     # ------------------------------------------------------------------ #
-    # Fused-task union sets
+    # Sweep-task union sets
     # ------------------------------------------------------------------ #
     for t in graph.tasks:
         if t.fused <= 1:
@@ -197,7 +164,7 @@ def verify_graph(
                     kind="fused-descriptor-missing",
                     message=(
                         f"fused task {t.uid} ({t.kernel}, x{t.fused}) has "
-                        "no expandable fused.* KernelCall descriptor"
+                        "no KernelCall descriptor with a signature"
                         + (f" (got {t.call.kernel!r})" if t.call else "")
                     ),
                     tasks=(t.uid,),
@@ -205,13 +172,15 @@ def verify_graph(
             )
             continue
         exp_reads, exp_writes, exp_count = expected
-        if t.fused != exp_count:
+        mixed = sum(count for _, count in t.mix) if t.mix else t.fused
+        if t.fused != exp_count or mixed != exp_count:
             violations.append(
                 Violation(
                     kind="fused-count-mismatch",
                     message=(
                         f"task {t.uid} ({t.kernel}) declares fused={t.fused} "
-                        f"but its descriptor batches {exp_count} kernels"
+                        f"and a kernel mix of {mixed} but its descriptor "
+                        f"batches {exp_count} kernels"
                     ),
                     tasks=(t.uid,),
                 )

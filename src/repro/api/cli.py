@@ -52,7 +52,7 @@ def _parser() -> argparse.ArgumentParser:
         "--kernel-backend",
         default=None,
         metavar="SPEC",
-        help="kernel backend to plan with (numpy, fused, jit; default numpy)",
+        help="kernel backend to plan with (default numpy)",
     )
     parser.add_argument(
         "--executor",

@@ -73,9 +73,8 @@ EXECUTORS.reserve(
 )
 KERNEL_BACKENDS.reserve(
     "auto",
-    "resolved by the facade from the calibrated performance model; pass "
-    "kernel_backend='auto' to make_solver/solve/factor instead of creating "
-    "it from the registry",
+    "resolved by the facade (to 'numpy'); pass kernel_backend='auto' to "
+    "make_solver/solve/factor instead of creating it from the registry",
 )
 
 
@@ -94,13 +93,14 @@ class SolverSpec:
     ``domain_pivoting=False`` for the hybrid solver); they are validated
     against the algorithm's constructor signature when the solver is built.
 
-    ``kernel_backend`` selects how tile-kernel sweeps execute (a
-    :data:`~repro.api.registry.KERNEL_BACKENDS` name such as ``"numpy"``,
-    ``"fused"`` or ``"jit"``, or a ready backend instance); ``None`` keeps
-    the bit-exact per-tile reference.
+    ``kernel_backend`` selects the hooks wrapped around the planned tasks
+    (a :data:`~repro.api.registry.KERNEL_BACKENDS` name such as
+    ``"numpy"`` or ``"tracing"``, or a ready backend instance); ``None``
+    is ``numpy``.
 
-    ``tile_size``, ``executor`` and ``kernel_backend`` additionally accept
-    the string ``"auto"``: the facade then consults the autotuner
+    ``tile_size`` and ``executor`` additionally accept the string
+    ``"auto"`` (so does ``kernel_backend``, meaning ``numpy``): the facade
+    then consults the autotuner
     (:func:`repro.perf.autotune.autotune_config`), which predicts
     makespans under this host's calibrated cost model — or applies its
     documented deterministic fallback when no calibration exists.
@@ -158,11 +158,10 @@ def make_executor(spec: Any) -> Any:
 
 
 def make_kernel_backend(spec: Any) -> Any:
-    """Resolve a kernel-backend spec (``"fused"``) or pass through.
+    """Resolve a kernel-backend spec (``"tracing"``) or pass through.
 
-    ``None`` resolves to the bit-exact per-tile ``numpy`` reference;
-    unknown names raise a :class:`ValueError` listing the registered
-    backends.
+    ``None`` resolves to ``numpy``; unknown names raise a
+    :class:`ValueError` listing the registered backends.
     """
     from ..kernels.backends import resolve_backend  # lazy: pulls in numpy
 
@@ -193,32 +192,29 @@ def _is_auto(value: Any) -> bool:
 def _resolve_auto(spec: "SolverSpec") -> "SolverSpec":
     """Replace ``"auto"`` fields with the autotuner's choice.
 
-    One :func:`~repro.perf.autotune.autotune_config` call serves tile
-    size, executor and kernel backend so the triple is consistent (the
-    tile size that wins is the one predicted under the executor and
-    backend that win).  An auto-resolved inline executor becomes the
-    explicit ``"none"`` spec rather than ``None`` — the autotuner made a
-    decision, so the ``REPRO_EXECUTOR`` environment fallback must not
-    override it.
+    One :func:`~repro.perf.autotune.autotune_config` call serves tile size
+    and executor so the pair is consistent (the tile size that wins is the
+    one predicted under the executor that wins).  An auto-resolved inline
+    executor becomes the explicit ``"none"`` spec rather than ``None`` —
+    the autotuner made a decision, so the ``REPRO_EXECUTOR`` environment
+    fallback must not override it.  ``kernel_backend="auto"`` is
+    ``numpy``: every backend runs the same plan, so there is nothing to
+    tune.
     """
+    changes: Dict[str, Any] = {}
+    if _is_auto(spec.kernel_backend):
+        changes["kernel_backend"] = "numpy"
     tile_auto = _is_auto(spec.tile_size)
     exec_auto = _is_auto(spec.executor)
-    backend_auto = _is_auto(spec.kernel_backend)
-    if not (tile_auto or exec_auto or backend_auto):
-        return spec
-    from ..perf.autotune import autotune_config  # lazy: perf pulls in numpy
+    if tile_auto or exec_auto:
+        from ..perf.autotune import autotune_config  # lazy: perf pulls in numpy
 
-    tuned = autotune_config(
-        spec.size_hint, kernel_backends="auto" if backend_auto else None
-    )
-    changes: Dict[str, Any] = {}
-    if tile_auto:
-        changes["tile_size"] = tuned.tile_size
-    if exec_auto:
-        changes["executor"] = tuned.executor if tuned.executor is not None else "none"
-    if backend_auto:
-        changes["kernel_backend"] = tuned.kernel_backend
-    return replace(spec, **changes)
+        tuned = autotune_config(spec.size_hint)
+        if tile_auto:
+            changes["tile_size"] = tuned.tile_size
+        if exec_auto:
+            changes["executor"] = tuned.executor if tuned.executor is not None else "none"
+    return replace(spec, **changes) if changes else spec
 
 
 # --------------------------------------------------------------------------- #

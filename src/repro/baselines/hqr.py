@@ -74,6 +74,4 @@ class HQRSolver(TiledSolverBase):
             step=k,
         )
         elims = tree.eliminations_for_step(k, list(range(k, tiles.n)))
-        return record, qr_step_tasks(
-            tiles, k, elims, record, backend=self.kernel_backend
-        )
+        return record, qr_step_tasks(tiles, k, elims, record)

@@ -17,14 +17,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..api.registry import register_solver
 from ..core.factorization import StepRecord
 from ..core.solver_base import Executor, TiledSolverBase
-from ..kernels.dispatch import KernelCall
-from ..kernels.lu_kernels import LUPanelFactor, apply_swptrsm, factor_panel_lu, factor_tile_lu
-from ..runtime.schedule import KernelTask
+from ..kernels.dispatch import KernelCall, sweep_ranges
+from ..kernels.lu_kernels import LUPanelFactor
+from ..runtime.schedule import KernelTask, call_task
 from ..runtime.task import RHS_COLUMN
 from ..tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from ..tiles.tile_matrix import TileMatrix
@@ -60,250 +58,68 @@ class LUIncPivSolver(TiledSolverBase):
         self, tiles: TileMatrix, dist: BlockCyclicDistribution, k: int
     ) -> Tuple[StepRecord, List[KernelTask]]:
         record = StepRecord(k=k, kind="LU", decision_overhead=False)
-        nb = tiles.nb
         n = tiles.n
-        tasks: List[KernelTask] = []
+        m = n - k - 1
+        ranges = sweep_ranges(k, n)
         # Pairwise factors are computed at execution time (they depend on the
-        # evolving diagonal tile) and flow to their SSSSM updates through
-        # this table; the tile access sets serialize the chain through
-        # (k, k) while the updates fan out across trailing columns.
-        factors: Dict[object, LUPanelFactor] = {}
+        # evolving diagonal tile) and flow to the SSSSM chains through this
+        # table, keyed like the descriptors' produces/consumes edges; the
+        # tile access sets serialize the TSTRF chain through (k, k).
+        products: Dict[object, LUPanelFactor] = {}
+        tasks: List[KernelTask] = []
 
         # ---- Factor the diagonal tile (pivoting inside the tile). -------- #
-        def do_getrf() -> None:
-            factor = factor_tile_lu(tiles.tile(k, k))
-            factors["diag"] = factor
-            tiles.set_tile(k, k, np.triu(factor.lu))
-
-        # Descriptor keys carrying the pairwise factors along graph edges
-        # on the multi-process executor (mirroring the ``factors`` table).
         diag_key = ("incpiv-diag", k)
-        tasks.append(
-            KernelTask(
-                "getrf",
-                do_getrf,
-                reads=frozenset({(k, k)}),
-                writes=frozenset({(k, k)}),
-                call=KernelCall("incpiv.getrf", args=(k,), produces=diag_key),
-            )
-        )
+        call = KernelCall("incpiv.getrf", args=(k,), produces=diag_key)
+        tasks.append(call_task("getrf", tiles, call, {(k, k)}, {(k, k)}, products))
         record.add_kernel("getrf")
 
         # Apply its transformation to the trailing row k and the RHS.
-        for j in range(k + 1, n):
-            def do_swptrsm(j=j) -> None:
-                tiles.set_tile(k, j, apply_swptrsm(factors["diag"], tiles.tile(k, j)))
-
+        for j0, j1 in ranges:
+            cols = {(k, j) for j in range(j0, j1)}
+            call = KernelCall("incpiv.swptrsm", args=(k, j0, j1), consumes=(diag_key,))
             tasks.append(
-                KernelTask(
-                    "swptrsm",
-                    do_swptrsm,
-                    reads=frozenset({(k, k), (k, j)}),
-                    writes=frozenset({(k, j)}),
-                    call=KernelCall(
-                        "incpiv.swptrsm", args=(k, j), consumes=(diag_key,)
-                    ),
-                )
+                call_task("swptrsm", tiles, call, cols | {(k, k)}, cols, products, j1 - j0)
             )
-            record.add_kernel("swptrsm")
+        if m:
+            record.add_kernel("swptrsm", m)
         if tiles.has_rhs:
-            def do_swptrsm_rhs() -> None:
-                tiles.rhs_tile(k)[...] = apply_swptrsm(factors["diag"], tiles.rhs_tile(k))
-
-            tasks.append(
-                KernelTask(
-                    "swptrsm",
-                    do_swptrsm_rhs,
-                    reads=frozenset({(k, k), (k, RHS_COLUMN)}),
-                    writes=frozenset({(k, RHS_COLUMN)}),
-                    call=KernelCall(
-                        "incpiv.swptrsm_rhs", args=(k,), consumes=(diag_key,)
-                    ),
-                )
-            )
+            cols = {(k, RHS_COLUMN)}
+            call = KernelCall("incpiv.swptrsm_rhs", args=(k,), consumes=(diag_key,))
+            tasks.append(call_task("swptrsm", tiles, call, cols | {(k, k)}, cols, products))
             record.add_kernel("swptrsm")
 
         # ---- Pairwise elimination of every sub-diagonal panel tile. ------ #
-        backend = self.kernel_backend
-        sub_rows = list(range(k + 1, n))
-        if (
-            backend is not None
-            and getattr(backend, "fuses", False)
-            and len(sub_rows) >= 2
-        ):
-            return record, self._plan_fused_elimination(
-                tiles, k, record, tasks, factors, backend, sub_rows
-            )
+        # PLASMA's TSTRF per tile, then the SSSSM updates of all pairs as one
+        # chain per column range: a column sees the pairs in the same order
+        # as under a per-tile plan, and no TSTRF reads a trailing tile.
+        rows = tuple(range(k + 1, n))
+        pair_keys = tuple(("incpiv-pair", k, i) for i in rows)
+        for i, key in zip(rows, pair_keys):
+            pair = {(k, k), (i, k)}
+            call = KernelCall("incpiv.tstrf", args=(k, i), produces=key)
+            tasks.append(call_task("tstrf", tiles, call, pair, pair, products))
+        if m:
+            record.add_kernel("tstrf", m)
 
-        for i in range(k + 1, n):
-            key = ("pair", i)
-
-            def do_tstrf(i=i, key=key) -> None:
-                stacked = np.vstack([np.triu(tiles.tile(k, k)), tiles.tile(i, k)])
-                pair = factor_panel_lu(stacked, nb)
-                factors[key] = pair
-                tiles.set_tile(k, k, np.triu(pair.lu[:nb]))
-                tiles.set_tile(i, k, pair.lu[nb:])
-
-            pair_key = ("incpiv-pair", k, i)
-            tasks.append(
-                KernelTask(
-                    "tstrf",  # PLASMA's pairwise panel kernel
-                    do_tstrf,
-                    reads=frozenset({(k, k), (i, k)}),
-                    writes=frozenset({(k, k), (i, k)}),
-                    call=KernelCall(
-                        "incpiv.tstrf", args=(k, i), produces=pair_key
-                    ),
-                )
-            )
-            record.add_kernel("tstrf")
-
-            for j in range(k + 1, n):
-                def do_ssssm(i=i, j=j, key=key) -> None:
-                    pair = factors[key]
-                    l2 = pair.lu[nb:]
-                    c = np.vstack([tiles.tile(k, j), tiles.tile(i, j)])
-                    c = apply_swptrsm(pair, c)
-                    top = c[:nb]
-                    bottom = c[nb:] - l2 @ top
-                    tiles.set_tile(k, j, top)
-                    tiles.set_tile(i, j, bottom)
-
-                tasks.append(
-                    KernelTask(
-                        "ssssm",
-                        do_ssssm,
-                        reads=frozenset({(i, k), (k, j), (i, j)}),
-                        writes=frozenset({(k, j), (i, j)}),
-                        call=KernelCall(
-                            "incpiv.ssssm", args=(k, i, j), consumes=(pair_key,)
-                        ),
-                    )
-                )
-                record.add_kernel("ssssm")
-            if tiles.has_rhs:
-                def do_ssssm_rhs(i=i, key=key) -> None:
-                    pair = factors[key]
-                    l2 = pair.lu[nb:]
-                    c = np.vstack([tiles.rhs_tile(k), tiles.rhs_tile(i)])
-                    c = apply_swptrsm(pair, c)
-                    top = c[:nb]
-                    bottom = c[nb:] - l2 @ top
-                    tiles.rhs_tile(k)[...] = top
-                    tiles.rhs_tile(i)[...] = bottom
-
-                tasks.append(
-                    KernelTask(
-                        "ssssm_rhs",
-                        do_ssssm_rhs,
-                        reads=frozenset({(i, k), (k, RHS_COLUMN), (i, RHS_COLUMN)}),
-                        writes=frozenset({(k, RHS_COLUMN), (i, RHS_COLUMN)}),
-                        call=KernelCall(
-                            "incpiv.ssssm_rhs", args=(k, i), consumes=(pair_key,)
-                        ),
-                    )
-                )
-                record.add_kernel("ssssm_rhs")
-        return record, tasks
-
-    def _plan_fused_elimination(
-        self,
-        tiles: TileMatrix,
-        k: int,
-        record: StepRecord,
-        tasks: List[KernelTask],
-        factors: Dict[object, LUPanelFactor],
-        backend,
-        sub_rows: List[int],
-    ) -> List[KernelTask]:
-        """Fused plan for the pairwise eliminations of step ``k``.
-
-        All TSTRF tasks are emitted first, then one SSSSM *chain* task per
-        trailing column replays the pairwise updates of that column in
-        program order.  This reordering is bit-exact: SSSSM closures read
-        the pairwise factor objects (not the panel tile bytes), TSTRF only
-        touches panel tiles ``(k, k)``/``(i, k)``, and within each column
-        the update order is unchanged.  The chain's reads over the whole
-        panel column give it RAW edges from every TSTRF, so the dataflow
-        executors never start a chain before its factors exist.
-        """
-        nb = tiles.nb
-        n = tiles.n
-        rows_t = tuple(sub_rows)
-        m = len(sub_rows)
-        inproc_keys = []
-        pair_keys = []
-        for i in sub_rows:
-            key = ("pair", i)
-            inproc_keys.append(key)
-
-            def do_tstrf(i=i, key=key) -> None:
-                stacked = np.vstack([np.triu(tiles.tile(k, k)), tiles.tile(i, k)])
-                pair = factor_panel_lu(stacked, nb)
-                factors[key] = pair
-                tiles.set_tile(k, k, np.triu(pair.lu[:nb]))
-                tiles.set_tile(i, k, pair.lu[nb:])
-
-            pair_key = ("incpiv-pair", k, i)
-            pair_keys.append(pair_key)
-            tasks.append(
-                KernelTask(
-                    "tstrf",
-                    do_tstrf,
-                    reads=frozenset({(k, k), (i, k)}),
-                    writes=frozenset({(k, k), (i, k)}),
-                    call=KernelCall("incpiv.tstrf", args=(k, i), produces=pair_key),
-                )
-            )
-            record.add_kernel("tstrf")
-
-        panel_reads = frozenset((i, k) for i in sub_rows)
-        keys_t = tuple(inproc_keys)
-        consumes = tuple(pair_keys)
-        bname = backend.descriptor_name
-        for j in range(k + 1, n):
-            def do_ssssm_chain(j=j) -> None:
-                pairs = tuple(factors[key] for key in keys_t)
-                backend.incpiv_ssssm_chain(tiles, k, j, rows_t, pairs)
-
-            col = frozenset({(k, j)}) | frozenset((i, j) for i in sub_rows)
-            tasks.append(
-                KernelTask(
-                    "ssssm",
-                    do_ssssm_chain,
-                    reads=panel_reads | col,
-                    writes=col,
-                    fused=m,
-                    call=KernelCall(
-                        "fused.incpiv_ssssm_chain",
-                        args=(bname, k, j, rows_t),
-                        consumes=consumes,
-                    ),
-                )
-            )
-            record.add_kernel("ssssm", m)
-        if tiles.has_rhs:
-            def do_ssssm_rhs_chain() -> None:
-                pairs = tuple(factors[key] for key in keys_t)
-                backend.incpiv_ssssm_rhs_chain(tiles, k, rows_t, pairs)
-
-            rhs_col = frozenset({(k, RHS_COLUMN)}) | frozenset(
-                (i, RHS_COLUMN) for i in sub_rows
+        multipliers = {(i, k) for i in rows}
+        for j0, j1 in ranges:
+            cols = {(i, j) for i in (k,) + rows for j in range(j0, j1)}
+            call = KernelCall(
+                "incpiv.ssssm_sweep", args=(k, j0, j1, rows), consumes=pair_keys
             )
             tasks.append(
-                KernelTask(
-                    "ssssm_rhs",
-                    do_ssssm_rhs_chain,
-                    reads=panel_reads | rhs_col,
-                    writes=rhs_col,
-                    fused=m,
-                    call=KernelCall(
-                        "fused.incpiv_ssssm_rhs_chain",
-                        args=(bname, k, rows_t),
-                        consumes=consumes,
-                    ),
+                call_task(
+                    "ssssm", tiles, call, multipliers | cols, cols, products, m * (j1 - j0)
                 )
+            )
+        if m:
+            record.add_kernel("ssssm", m * m)
+        if tiles.has_rhs and m:
+            cols = {(i, RHS_COLUMN) for i in (k,) + rows}
+            call = KernelCall("incpiv.ssssm_sweep_rhs", args=(k, rows), consumes=pair_keys)
+            tasks.append(
+                call_task("ssssm_rhs", tiles, call, multipliers | cols, cols, products, m)
             )
             record.add_kernel("ssssm_rhs", m)
-        return tasks
+        return record, tasks

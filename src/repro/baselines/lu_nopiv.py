@@ -68,6 +68,4 @@ class LUNoPivSolver(TiledSolverBase):
         record = StepRecord(k=k, kind="LU", decision_overhead=False)
         analysis = analyze_panel(tiles, dist, k, domain_pivoting=self.domain_pivoting)
         record.domain_rows = analysis.domain_rows
-        return record, lu_step_tasks(
-            tiles, k, analysis, record, backend=self.kernel_backend
-        )
+        return record, lu_step_tasks(tiles, k, analysis, record)

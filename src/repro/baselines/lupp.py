@@ -62,6 +62,4 @@ class LUPPSolver(TiledSolverBase):
         analysis = analyze_panel(tiles, full_panel_dist, k, domain_pivoting=True)
         record.domain_rows = analysis.domain_rows
         record.add_kernel("panel_pivot_exchange")
-        return record, lu_step_tasks(
-            tiles, k, analysis, record, backend=self.kernel_backend
-        )
+        return record, lu_step_tasks(tiles, k, analysis, record)

@@ -289,7 +289,7 @@ class ClusterExecutor:
         if self.hosts:
             for index, spec in enumerate(self.hosts):
                 address = _parse_host(spec)
-                conn = Client(address, authkey=self.authkey)
+                conn = worker_mod.no_delay(Client(address, authkey=self.authkey))
                 self._nodes.append(self._handshake(index, conn, process=None))
         else:
             authkey = os.urandom(16)
@@ -318,7 +318,7 @@ class ClusterExecutor:
             try:
                 nodes: Dict[int, _Node] = {}
                 for _ in range(self.workers):
-                    conn = listener.accept()
+                    conn = worker_mod.no_delay(listener.accept())
                     node = self._handshake(len(nodes), conn, process=None)
                     nodes[node.index] = node
                 # Hello order follows connect order, not spawn order: pair
@@ -690,7 +690,7 @@ class ClusterExecutor:
                 self.comm.cross_bytes += ref_bytes(ref, ctx)
                 self.comm.record_edge(src, dest)
 
-        # Physical completeness: a fused multi-owner task executes wholly on
+        # Physical completeness: a multi-owner sweep executes wholly on
         # `node`, so reads the placement model charged to *other* units'
         # owners must still physically reach this node (forward traffic).
         shipped = set(payload_refs)
@@ -755,10 +755,8 @@ class ClusterExecutor:
         trace.start_times[uid] = start
         trace.finish_times[uid] = finish
         trace.worker_of_task[uid] = worker_name
-        trace.kernel_of_task[uid] = task.kernel
+        trace.record_kernel(uid, task)
         trace.rank_of_task[uid] = task.owner
-        if task.fused > 1:
-            trace.fused_of_task[uid] = task.fused
         if norms is not None and call.norm_tiles:
             trace.tile_norms[uid] = dict(zip(call.norm_tiles, norms))
 

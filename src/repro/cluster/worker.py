@@ -7,8 +7,9 @@ the *local* tile store of one cluster node and executes the kernel tasks
 the host dispatches to it.
 
 The wire protocol is a sequence of picklable tuples over a
-:mod:`multiprocessing.connection` channel (a pipe-backed socket locally,
-an authenticated TCP socket in ``hosts=`` mode):
+:mod:`multiprocessing.connection` channel: an authenticated TCP socket,
+over loopback for locally spawned workers, with Nagle's algorithm off
+(:func:`no_delay`):
 
 Host → worker
     ``("bind", n, nb, nrhs, tiles)``
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import socket
 import threading
 import time
 from multiprocessing.connection import Client, Connection, Listener
@@ -63,9 +65,24 @@ from ..kernels.dispatch import KERNELS
 from ..runtime.task import RHS_COLUMN
 from ..tiles.tile_matrix import TileMatrix
 
-__all__ = ["serve", "serve_listener", "main"]
+__all__ = ["serve", "serve_listener", "main", "no_delay"]
 
 TilePayload = Sequence[Tuple[int, int, np.ndarray]]
+
+
+def no_delay(conn: Connection) -> Connection:
+    """Turn Nagle's algorithm off on a TCP connection and return it.
+
+    :mod:`multiprocessing.connection` writes a message larger than 16 KiB
+    as two writes, the length header and then the body.  With Nagle on,
+    the body waits for the ACK of the header, which the peer's delayed ACK
+    holds back for up to 40 ms, so every task or reply carrying a few tiles
+    stalled.  Both ends of every cluster channel call this.
+    """
+    with socket.socket(fileno=os.dup(conn.fileno())) as sock:
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return conn
 
 
 def _apply_tiles(tiles: TileMatrix, payload: TilePayload) -> None:
@@ -207,7 +224,7 @@ def serve_listener(
     (out-of-band), listens on a TCP endpoint, and the
     :class:`~repro.cluster.executor.ClusterExecutor` connects in.
     """
-    conn = listener.accept()
+    conn = no_delay(listener.accept())
     try:
         serve(
             conn,
@@ -228,7 +245,7 @@ def _spawned_main(
     fail_after_tasks: Optional[int],
 ) -> None:
     """Entry point of locally spawned workers: connect back to the host."""
-    conn = Client(address, authkey=authkey)
+    conn = no_delay(Client(address, authkey=authkey))
     try:
         serve(
             conn,

@@ -64,10 +64,6 @@ class HybridLUQRSolver(TiledSolverBase):
     domain_pivoting:
         Search LU pivots across the whole diagonal domain (True, the
         paper's experimental variant) or only inside the diagonal tile.
-    recursive_panel:
-        Accepted for compatibility; selects nothing.  The domain
-        factorization has one kernel (:func:`repro.linalg.pivoting.getrf`),
-        which is the recursive panel LU.
     executor:
         Optional dataflow executor for the numerical kernels; the per-step
         decision stays sequential but the selected branch's kernels fan
@@ -95,7 +91,6 @@ class HybridLUQRSolver(TiledSolverBase):
         intra_tree: Optional[ReductionTree] = None,
         inter_tree: Optional[ReductionTree] = None,
         domain_pivoting: bool = True,
-        recursive_panel: bool = True,
         track_growth: bool = True,
         executor: Optional[Executor] = None,
         lookahead: int = 1,
@@ -113,7 +108,6 @@ class HybridLUQRSolver(TiledSolverBase):
         self.intra_tree = intra_tree if intra_tree is not None else GreedyTree()
         self.inter_tree = inter_tree if inter_tree is not None else FibonacciTree()
         self.domain_pivoting = bool(domain_pivoting)
-        self.recursive_panel = bool(recursive_panel)
 
     # ------------------------------------------------------------------ #
     # TiledSolverBase hooks
@@ -148,9 +142,7 @@ class HybridLUQRSolver(TiledSolverBase):
         # what the criterion says (there is no factorization to reuse).
         if decision.use_lu and not analysis.singular:
             record.kind = "LU"
-            tasks = lu_step_tasks(
-                tiles, k, analysis, record, backend=self.kernel_backend
-            )
+            tasks = lu_step_tasks(tiles, k, analysis, record)
         else:
             record.kind = "QR"
             # The domain factorization is discarded and the panel restored
@@ -165,7 +157,5 @@ class HybridLUQRSolver(TiledSolverBase):
                 step=k,
             )
             elims = tree.eliminations_for_step(k, list(range(k, tiles.n)))
-            tasks = qr_step_tasks(
-                tiles, k, elims, record, backend=self.kernel_backend
-            )
+            tasks = qr_step_tasks(tiles, k, elims, record)
         return record, tasks

@@ -12,21 +12,25 @@ The attached right-hand side is updated exactly like an extra trailing
 column, so the factorization directly produces the transformed ``b``.
 
 The step is *planned* rather than executed: :func:`lu_step_tasks` emits the
-ordered list of :class:`~repro.runtime.schedule.KernelTask` closures with
+ordered list of :class:`~repro.runtime.schedule.KernelTask` objects with
 their tile read/write sets, so the same plan can run inline (the sequential
-reference, :func:`perform_lu_step`) or fan out on a dataflow executor with
-dependencies inferred exactly as the DAG builder infers them for the
-performance simulation.
+reference, :func:`perform_lu_step`) or fan out on a dataflow executor.  The
+panel kernels are one task per tile; the trailing update is one SWPTRSM and
+one GEMM per column range (:func:`~repro.kernels.dispatch.sweep_ranges`:
+the next two panel columns, so lookahead can start step ``k+1`` early and
+overlap it with the bulk block) plus one of each for the right-hand side.
+A range's GEMM is a
+single BLAS call over block views (the README records where its bits match
+those of per-tile products).
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from ..kernels.dispatch import KernelCall
-from ..kernels.lu_kernels import eliminate_trsm, stacked_row_index, swptrsm_inplace
+from ..kernels.dispatch import KernelCall, sweep_ranges
 from ..linalg.pivoting import SingularPanelError
-from ..runtime.schedule import KernelTask
+from ..runtime.schedule import KernelTask, call_task
 from ..runtime.task import RHS_COLUMN
 from ..tiles.tile_matrix import TileMatrix
 from .factorization import StepRecord
@@ -40,7 +44,6 @@ def lu_step_tasks(
     k: int,
     analysis: PanelAnalysis,
     record: StepRecord,
-    backend=None,
 ) -> List[KernelTask]:
     """Plan one LU step (variant A1) as a list of kernel tasks.
 
@@ -48,197 +51,78 @@ def lu_step_tasks(
     for the same ``tiles`` and ``k``; its domain factorization is reused (it
     is *not* recomputed), exactly as in the paper where the factorization
     performed for the criterion check becomes the factorization of the step
-    when the LU branch is selected.
+    when the LU branch is selected.  The pre-computed factor (a picklable
+    :class:`~repro.kernels.lu_kernels.LUPanelFactor`) travels in the task
+    descriptors, so the plan also runs on worker processes.
 
-    ``record`` receives the kernel counts at planning time (they describe
-    the step regardless of how it is executed).  Closures read tile state
-    lazily, so the returned tasks are valid for sequential execution in
-    program order and for dataflow execution under the superscalar
-    dependency rules.
-
-    ``backend`` (a :class:`~repro.kernels.backends.KernelBackend`) controls
-    the trailing-update plan: a fusing backend collapses each trailing
-    column's GEMM sweep into one stacked-GEMM task (``fused`` tasks carry
-    the logical kernel count); ``None`` or the ``numpy`` reference keeps
-    the bit-exact one-task-per-tile plan.
+    ``record`` receives the Table-I kernel counts at planning time (one per
+    logical tile kernel, however the kernels are batched into tasks).
     """
     if analysis.factor is None:
         raise SingularPanelError(
             f"diagonal domain of panel {k} is singular; an LU step is impossible"
         )
-    nb = tiles.nb
     n = tiles.n
-    domain_rows: List[int] = analysis.domain_rows
+    m = n - k - 1
+    rows = tuple(analysis.domain_rows)
     factor = analysis.factor
-    domain_set = set(domain_rows)
-    panel_refs = frozenset((i, k) for i in domain_rows)
+    panel = frozenset((i, k) for i in rows)
+    ranges = sweep_ranges(k, n)
     tasks: List[KernelTask] = []
 
-    # ------------------------------------------------------------------ #
     # Factor: write the packed domain factorization into the panel tiles.
-    # The diagonal tile receives L1\U, the other domain tiles receive their
-    # L blocks (which are exactly the Schur multipliers of those rows).
-    # ------------------------------------------------------------------ #
-    def do_factor() -> None:
-        tiles.scatter_panel(k, domain_rows, factor.lu)
-
-    # Descriptor forms ship the pre-computed domain factorization (a
-    # picklable LUPanelFactor) with every task that uses it, so the plan
-    # can also run on the multi-process executor.
-    rows_t = tuple(domain_rows)
-    tasks.append(
-        KernelTask(
-            "getrf",
-            do_factor,
-            reads=panel_refs,
-            writes=panel_refs,
-            call=KernelCall("lu.scatter_factor", args=(k, rows_t, factor)),
-        )
-    )
+    # The diagonal tile receives L1\U, the other domain tiles their L blocks
+    # (which are exactly the Schur multipliers of those rows).
+    call = KernelCall("lu.scatter_factor", args=(k, rows, factor))
+    tasks.append(call_task("getrf", tiles, call, panel, panel))
     record.add_kernel("getrf")
 
-    # ------------------------------------------------------------------ #
-    # Apply (SWPTRSM): for each trailing column (and the RHS), permute the
-    # domain rows with the panel pivots and solve the unit-lower system on
-    # the new row k:  A_kj <- L1^{-1} P A_kj.  In place on a view of the
-    # tile column: only the rows the pivots move are gathered (the domain
-    # rows are strided under a p > 1 grid, hence matrix row indices).
-    # ------------------------------------------------------------------ #
-    row_index = stacked_row_index(domain_rows, nb)
-    for j in range(k + 1, n):
-        def do_apply(j=j) -> None:
-            swptrsm_inplace(factor, tiles.column_rows(j, domain_rows), row_index)
-
-        col_refs = frozenset((i, j) for i in domain_rows)
-        tasks.append(
-            KernelTask(
-                "swptrsm",
-                do_apply,
-                reads=panel_refs | col_refs,
-                writes=col_refs,
-                call=KernelCall("lu.swptrsm", args=(j, rows_t, factor)),
-            )
-        )
-        record.add_kernel("swptrsm")
-
+    # Apply (SWPTRSM): permute the domain rows of the trailing columns (and
+    # of the RHS) with the panel pivots and solve the unit-lower system on
+    # the new row k, A_kj <- L1^{-1} P A_kj — in place, on a view of the
+    # domain rows (strided under a p > 1 grid).
+    for j0, j1 in ranges:
+        cols = frozenset((i, j) for i in rows for j in range(j0, j1))
+        call = KernelCall("lu.swptrsm", args=(j0, j1, rows, factor))
+        tasks.append(call_task("swptrsm", tiles, call, panel | cols, cols, fused=j1 - j0))
+    if m:
+        record.add_kernel("swptrsm", m)
     if tiles.has_rhs:
-        def do_apply_rhs() -> None:
-            swptrsm_inplace(factor, tiles.rhs_rows(domain_rows), row_index)
-
-        rhs_refs = frozenset((i, RHS_COLUMN) for i in domain_rows)
-        tasks.append(
-            KernelTask(
-                "swptrsm",
-                do_apply_rhs,
-                reads=panel_refs | rhs_refs,
-                writes=rhs_refs,
-                call=KernelCall("lu.swptrsm_rhs", args=(rows_t, factor)),
-            )
-        )
+        cols = frozenset((i, RHS_COLUMN) for i in rows)
+        call = KernelCall("lu.swptrsm_rhs", args=(rows, factor))
+        tasks.append(call_task("swptrsm", tiles, call, panel | cols, cols))
         record.add_kernel("swptrsm")
 
-    # ------------------------------------------------------------------ #
     # Eliminate (TRSM): panel tiles outside the diagonal domain become the
     # Schur multipliers A_ik U_kk^{-1}.  (Domain tiles below the diagonal
     # already hold their multipliers from the packed factorization.)
-    # ------------------------------------------------------------------ #
-    for i in (i for i in range(k + 1, n) if i not in domain_set):
-        def do_eliminate(i=i) -> None:
-            tile = tiles.tile(i, k)
-            tile[...] = eliminate_trsm(factor, tile)
-
-        tasks.append(
-            KernelTask(
-                "trsm",
-                do_eliminate,
-                reads=frozenset({(k, k), (i, k)}),
-                writes=frozenset({(i, k)}),
-                call=KernelCall("lu.trsm", args=(i, k, factor)),
-            )
-        )
+    domain = set(rows)
+    for i in range(k + 1, n):
+        if i not in domain:
+            call = KernelCall("lu.trsm", args=(i, k, factor))
+            tasks.append(call_task("trsm", tiles, call, {(k, k), (i, k)}, {(i, k)}))
     # Table I charges one TRSM per sub-diagonal panel tile regardless of
     # which node performs it.
-    record.add_kernel("trsm", max(n - k - 1, 0))
+    record.add_kernel("trsm", m)
 
-    # ------------------------------------------------------------------ #
-    # Update (GEMM): A_ij <- A_ij - A_ik A_kj for every trailing tile, plus
-    # the same update of the RHS tiles.  A fusing backend collapses each
-    # trailing column into one stacked GEMM over contiguous block views:
-    # the sweep's tile rows are contiguous (k+1..n-1), so the whole column
-    # update is a single (m*nb, nb) x (nb, nb) product — mathematically
-    # identical to the per-tile loop, one dispatch instead of m.
-    # ------------------------------------------------------------------ #
-    m = n - k - 1
-    if backend is not None and getattr(backend, "fuses", False) and m >= 2:
-        i0, i1 = k + 1, n
-        sweep_panel = frozenset((i, k) for i in range(i0, i1))
-        for j in range(k + 1, n):
-            def do_update_col(j=j) -> None:
-                backend.lu_gemm_sweep(tiles, k, j, i0, i1)
-
-            col_refs = frozenset((i, j) for i in range(i0, i1))
-            tasks.append(
-                KernelTask(
-                    "gemm",
-                    do_update_col,
-                    reads=sweep_panel | frozenset({(k, j)}) | col_refs,
-                    writes=col_refs,
-                    fused=m,
-                    call=KernelCall(
-                        "fused.lu_gemm_sweep", args=(backend.descriptor_name, k, j, i0, i1)
-                    ),
-                )
-            )
-            record.add_kernel("gemm", m)
-        if tiles.has_rhs:
-            def do_update_rhs_sweep() -> None:
-                backend.lu_gemm_rhs_sweep(tiles, k, i0, i1)
-
-            rhs_refs = frozenset((i, RHS_COLUMN) for i in range(i0, i1))
-            tasks.append(
-                KernelTask(
-                    "gemm_rhs",
-                    do_update_rhs_sweep,
-                    reads=sweep_panel | frozenset({(k, RHS_COLUMN)}) | rhs_refs,
-                    writes=rhs_refs,
-                    fused=m,
-                    call=KernelCall(
-                        "fused.lu_gemm_rhs_sweep", args=(backend.descriptor_name, k, i0, i1)
-                    ),
-                )
-            )
-            record.add_kernel("gemm_rhs", m)
-        return tasks
-
-    for i in range(k + 1, n):
-        for j in range(k + 1, n):
-            def do_update(i=i, j=j) -> None:
-                tiles.tile(i, j)[...] -= tiles.tile(i, k) @ tiles.tile(k, j)
-
-            tasks.append(
-                KernelTask(
-                    "gemm",
-                    do_update,
-                    reads=frozenset({(i, k), (k, j), (i, j)}),
-                    writes=frozenset({(i, j)}),
-                    call=KernelCall("lu.gemm", args=(i, j, k)),
-                )
-            )
-            record.add_kernel("gemm")
-        if tiles.has_rhs:
-            def do_update_rhs(i=i) -> None:
-                tiles.rhs_tile(i)[...] -= tiles.tile(i, k) @ tiles.rhs_tile(k)
-
-            tasks.append(
-                KernelTask(
-                    "gemm_rhs",
-                    do_update_rhs,
-                    reads=frozenset({(i, k), (k, RHS_COLUMN), (i, RHS_COLUMN)}),
-                    writes=frozenset({(i, RHS_COLUMN)}),
-                    call=KernelCall("lu.gemm_rhs", args=(i, k)),
-                )
-            )
-            record.add_kernel("gemm_rhs")
+    # Update (GEMM): A_ij <- A_ij - A_ik A_kj over each column range in one
+    # product of block views, then the same update of the RHS.
+    multipliers = frozenset((i, k) for i in range(k + 1, n))
+    for j0, j1 in ranges:
+        cols = frozenset((i, j) for i in range(k + 1, n) for j in range(j0, j1))
+        row_k = frozenset((k, j) for j in range(j0, j1))
+        call = KernelCall("lu.gemm_sweep", args=(k, n, j0, j1))
+        tasks.append(
+            call_task("gemm", tiles, call, multipliers | row_k | cols, cols, fused=m * (j1 - j0))
+        )
+    if m:
+        record.add_kernel("gemm", m * m)
+    if tiles.has_rhs and m:
+        cols = frozenset((i, RHS_COLUMN) for i in range(k + 1, n))
+        reads = multipliers | {(k, RHS_COLUMN)} | cols
+        call = KernelCall("lu.gemm_sweep_rhs", args=(k, n))
+        tasks.append(call_task("gemm_rhs", tiles, call, reads, cols, fused=m))
+        record.add_kernel("gemm_rhs", m)
     return tasks
 
 

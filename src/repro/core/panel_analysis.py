@@ -62,7 +62,6 @@ def analyze_panel(
     dist: BlockCyclicDistribution,
     k: int,
     domain_pivoting: bool = True,
-    recursive_panel: bool = True,
 ) -> PanelAnalysis:
     """Factor the diagonal domain of panel ``k`` and build the criterion input.
 
@@ -78,10 +77,6 @@ def analyze_panel(
         When True (the paper's experimental variant), the pivot search spans
         every panel tile of the diagonal domain; when False only the
         diagonal tile is factored (the plain A1 variant).
-    recursive_panel:
-        Accepted for compatibility; selects nothing.  There is one panel
-        kernel, :func:`repro.linalg.pivoting.getrf`, and it is the
-        recursive (PLASMA-style) one.
     """
     nb = tiles.nb
     n = tiles.n

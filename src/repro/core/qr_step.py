@@ -11,20 +11,21 @@ GEQRT/UNMQR on demand, coupling tiles with TSQRT/TSMQR (square victims) or
 TTQRT/TTMQR (triangular victims), and applying every transformation to the
 trailing tiles and to the attached right-hand side.  Like the LU step, the
 work is emitted as a list of :class:`~repro.runtime.schedule.KernelTask`
-closures with tile read/write sets: the compact-WY factors produced by the
-panel kernels flow to their update tasks through a shared factor table,
-and the tile access sets serialize producers before consumers under the
-superscalar dependency rules, so the same plan runs inline (the sequential
-reference) or fans out on a dataflow executor.
+objects with tile read/write sets: one task per panel kernel, then one
+update chain per trailing column range and one for the right-hand side.
+The compact-WY factors flow from the panel tasks to the chains along
+produces/consumes keys, and the tile access sets serialize producers
+before consumers under the superscalar dependency rules, so the same plan
+runs inline (the sequential reference) or fans out on a dataflow executor.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set, Tuple
 
-from ..kernels.dispatch import KernelCall
-from ..kernels.qr_kernels import QRTileFactor, geqrt_tile, tsmqr, tsqrt, ttqrt, unmqr
-from ..runtime.schedule import KernelTask
+from ..kernels.dispatch import KernelCall, sweep_ranges
+from ..kernels.qr_kernels import QRTileFactor
+from ..runtime.schedule import KernelTask, call_task
 from ..runtime.task import RHS_COLUMN
 from ..tiles.tile_matrix import TileMatrix
 from ..trees.base import Elimination, validate_eliminations
@@ -89,330 +90,112 @@ def qr_step_tasks(
     eliminations: Sequence[Elimination],
     record: StepRecord,
     validate: bool = True,
-    backend=None,
 ) -> List[KernelTask]:
     """Plan one QR step as a list of kernel tasks.
 
     ``eliminations`` must reduce the panel rows ``k..n-1`` to the diagonal
     row ``k``; it is validated by default (cheap) so that a malformed
     reduction tree cannot silently corrupt the factorization.  ``record``
-    receives the kernel counts and the elimination list at planning time.
+    receives the Table-I kernel counts and the elimination list at planning
+    time.
 
-    ``backend`` (a :class:`~repro.kernels.backends.KernelBackend`) controls
-    the trailing-update plan: with a fusing backend, the panel kernels
-    (GEQRT/TSQRT/TTQRT) stay per-tile but each trailing column's update
-    chain (UNMQR/TSMQR/TTMQR in program order) collapses into one task —
-    per-column numerics are identical because the chain replays exactly
-    the per-tile op order of that column.
+    The panel kernels (GEQRT/TSQRT/TTQRT) are one task each, in the order
+    of the elimination list; each publishes its compact-WY factor under a
+    ``produces`` key.  The trailing update then runs as one chain per
+    column range (:func:`~repro.kernels.dispatch.sweep_ranges`) and one for
+    the right-hand side: every UNMQR/TSMQR/TTMQR of the step, in program
+    order, applied to the tile-row blocks of the range.  A column sees the
+    same kernels in the same order as under a per-tile plan, and panel
+    column ``k`` is never an update operand, so running all panel kernels
+    first changes no value.
     """
     n = tiles.n
-    rows = list(range(k, n))
+    m = n - k - 1
     elims: List[Elimination] = list(eliminations)
     if validate:
-        validate_eliminations(rows, elims)
+        validate_eliminations(list(range(k, n)), elims)
 
-    fuse = backend is not None and getattr(backend, "fuses", False)
-
-    # Compact-WY factors flow from the panel kernels to their trailing
-    # updates through this table (keyed by producing event); the tile
-    # read/write sets below guarantee each producer runs first.
-    factors: Dict[Tuple, QRTileFactor] = {}
+    # Compact-WY factors flow from the panel tasks to the chains through
+    # this table, keyed like the descriptors' produces/consumes edges.
+    products: Dict[object, QRTileFactor] = {}
     tasks: List[KernelTask] = []
     triangular: Set[int] = set()
+    # The trailing-update chain: (kernel, rows..., factor key) per op.
+    chain: List[tuple] = []
 
-    # Fusion bookkeeping: per trailing column, the ordered op chain (in
-    # program order), its picklable descriptor form (factors referenced by
-    # index into the chain's ``consumes`` tuple), and the ordered factor
-    # keys it consumes.  Populated while walking the elimination list,
-    # emitted as one task per column by ``emit_chains`` at the end.
-    chains: Dict[int, List[tuple]] = {j: [] for j in range(k + 1, n)}
-    chain_desc: Dict[int, List[tuple]] = {j: [] for j in range(k + 1, n)}
-    chain_keys: Dict[int, List[tuple]] = {j: [] for j in range(k + 1, n)}
-    rhs_chain: List[tuple] = []
-    rhs_desc: List[tuple] = []
-    rhs_keys: List[tuple] = []
-
-    def chain_input(keys: List[tuple], key: tuple) -> int:
-        """Index of ``key`` in the chain's consumes tuple (appending once)."""
-        try:
-            return keys.index(key)
-        except ValueError:
-            keys.append(key)
-            return len(keys) - 1
-
-    def emit_triangularize(row: int) -> None:
-        """GEQRT the panel tile of ``row`` and update its trailing tiles."""
+    def triangularize(row: int) -> None:
+        """GEQRT the panel tile of ``row``; its UNMQR joins the chain."""
         if row in triangular:
             return
-
-        def do_geqrt(row=row) -> None:
-            factor = geqrt_tile(tiles.tile(row, k))
-            factors[("geqrt", row)] = factor
-            tiles.set_tile(row, k, factor.r)
-
-        # In descriptor form the compact-WY factor flows to the update
-        # tasks along the graph edges (produces/consumes keys) instead of
-        # through the in-process ``factors`` table.
-        geqrt_key = ("geqrt", k, row)
-        tasks.append(
-            KernelTask(
-                "geqrt",
-                do_geqrt,
-                reads=frozenset({(row, k)}),
-                writes=frozenset({(row, k)}),
-                call=KernelCall("qr.geqrt", args=(row, k), produces=geqrt_key),
-            )
-        )
+        key = ("geqrt", k, row)
+        call = KernelCall("qr.geqrt", args=(row, k), produces=key)
+        tasks.append(call_task("geqrt", tiles, call, {(row, k)}, {(row, k)}, products))
         record.add_kernel("geqrt")
-        if fuse:
-            for j in range(k + 1, n):
-                idx = chain_input(chain_keys[j], geqrt_key)
-                chains[j].append(("unmqr", row, ("geqrt", row)))
-                chain_desc[j].append(("unmqr", row, idx))
-                record.add_kernel("unmqr")
-            if tiles.has_rhs:
-                idx = chain_input(rhs_keys, geqrt_key)
-                rhs_chain.append(("unmqr", row, ("geqrt", row)))
-                rhs_desc.append(("unmqr", row, idx))
-                record.add_kernel("unmqr_rhs")
-            triangular.add(row)
-            return
-        for j in range(k + 1, n):
-            def do_unmqr(row=row, j=j) -> None:
-                factor = factors[("geqrt", row)]
-                tiles.set_tile(row, j, unmqr(factor, tiles.tile(row, j)))
-
-            tasks.append(
-                KernelTask(
-                    "unmqr",
-                    do_unmqr,
-                    reads=frozenset({(row, k), (row, j)}),
-                    writes=frozenset({(row, j)}),
-                    call=KernelCall(
-                        "qr.unmqr", args=(row, j), consumes=(geqrt_key,)
-                    ),
-                )
-            )
-            record.add_kernel("unmqr")
+        chain.append(("unmqr", row, key))
+        if m:
+            record.add_kernel("unmqr", m)
         if tiles.has_rhs:
-            def do_unmqr_rhs(row=row) -> None:
-                factor = factors[("geqrt", row)]
-                tiles.rhs_tile(row)[...] = unmqr(factor, tiles.rhs_tile(row))
-
-            tasks.append(
-                KernelTask(
-                    "unmqr_rhs",
-                    do_unmqr_rhs,
-                    reads=frozenset({(row, k), (row, RHS_COLUMN)}),
-                    writes=frozenset({(row, RHS_COLUMN)}),
-                    call=KernelCall(
-                        "qr.unmqr_rhs", args=(row,), consumes=(geqrt_key,)
-                    ),
-                )
-            )
             record.add_kernel("unmqr_rhs")
         triangular.add(row)
 
-    def emit_chains() -> None:
-        """Emit one fused task per trailing column (and one for the RHS).
-
-        All panel tasks (GEQRT/couples) precede the chains in program
-        order; a chain only reads column ``k`` panel tiles and its own
-        column's tiles, so the superscalar analysis orders each chain
-        after every factor it consumes and chains of different columns
-        stay independent (full cross-column executor parallelism).
-        """
-        if not fuse:
-            return
-        bname = backend.descriptor_name
-        for j in range(k + 1, n):
-            ops = chains[j]
-            if not ops:
-                continue
-            reads: Set[Tuple[int, int]] = set()
-            writes: Set[Tuple[int, int]] = set()
-            for op in ops:
-                if op[0] == "unmqr":
-                    _, row, _ = op
-                    reads.update({(row, k), (row, j)})
-                    writes.add((row, j))
-                else:
-                    _, elim, killed, _ = op
-                    reads.update({(killed, k), (elim, j), (killed, j)})
-                    writes.update({(elim, j), (killed, j)})
-            kernel_name = (
-                "tsmqr" if any(op[0] == "update" for op in ops) else "unmqr"
-            )
-
-            def do_chain(j=j, ops=tuple(ops)) -> None:
-                backend.qr_column_chain(tiles, j, ops, factors)
-
-            tasks.append(
-                KernelTask(
-                    kernel_name,
-                    do_chain,
-                    reads=frozenset(reads),
-                    writes=frozenset(writes),
-                    fused=len(ops),
-                    call=KernelCall(
-                        "fused.qr_column_chain",
-                        args=(bname, j, tuple(chain_desc[j])),
-                        consumes=tuple(chain_keys[j]),
-                    ),
-                )
-            )
-        if tiles.has_rhs and rhs_chain:
-            reads = set()
-            writes = set()
-            for op in rhs_chain:
-                if op[0] == "unmqr":
-                    _, row, _ = op
-                    reads.update({(row, k), (row, RHS_COLUMN)})
-                    writes.add((row, RHS_COLUMN))
-                else:
-                    _, elim, killed, _ = op
-                    reads.update(
-                        {(killed, k), (elim, RHS_COLUMN), (killed, RHS_COLUMN)}
-                    )
-                    writes.update({(elim, RHS_COLUMN), (killed, RHS_COLUMN)})
-            kernel_name = (
-                "tsmqr_rhs"
-                if any(op[0] == "update" for op in rhs_chain)
-                else "unmqr_rhs"
-            )
-
-            def do_rhs_chain(ops=tuple(rhs_chain)) -> None:
-                backend.qr_rhs_chain(tiles, ops, factors)
-
-            tasks.append(
-                KernelTask(
-                    kernel_name,
-                    do_rhs_chain,
-                    reads=frozenset(reads),
-                    writes=frozenset(writes),
-                    fused=len(rhs_chain),
-                    call=KernelCall(
-                        "fused.qr_rhs_chain",
-                        args=(bname, tuple(rhs_desc)),
-                        consumes=tuple(rhs_keys),
-                    ),
-                )
-            )
-
-    # The diagonal tile must end up triangular even if no elimination uses
-    # it as an eliminator (single-row panel, or trees rooted elsewhere merge
-    # into it last with TT kernels which triangularize it on demand).
-    if not elims:
-        emit_triangularize(k)
-        emit_chains()
-        return tasks
-
     for e in elims:
-        emit_triangularize(e.eliminator)
+        triangularize(e.eliminator)
         if e.kind == "TT":
-            emit_triangularize(e.killed)
-            couple, couple_name = ttqrt, "ttqrt"
-            update_name, update_rhs_name = "ttmqr", "ttmqr_rhs"
+            triangularize(e.killed)
+            couple, update = "ttqrt", "ttmqr"
         else:
-            couple, couple_name = tsqrt, "tsqrt"
-            update_name, update_rhs_name = "tsmqr", "tsmqr_rhs"
-        key = ("couple", e.eliminator, e.killed)
-        panel_pair = frozenset({(e.eliminator, k), (e.killed, k)})
-        couple_key = ("couple", k, e.eliminator, e.killed)
+            couple, update = "tsqrt", "tsmqr"
+        key = ("couple", k, e.eliminator, e.killed)
+        pair = {(e.eliminator, k), (e.killed, k)}
+        call = KernelCall(
+            "qr.couple", args=(e.kind, e.eliminator, e.killed, k), produces=key
+        )
+        tasks.append(call_task(couple, tiles, call, pair, pair, products))
+        record.add_kernel(couple)
+        chain.append((update, e.eliminator, e.killed, key))
+        if m:
+            record.add_kernel(update, m)
+        if tiles.has_rhs:
+            record.add_kernel(update + "_rhs")
 
-        def do_couple(e=e, couple=couple, key=key) -> None:
-            factor = couple(tiles.tile(e.eliminator, k), tiles.tile(e.killed, k))
-            factors[key] = factor
-            tiles.set_tile(e.eliminator, k, factor.r)
-            tiles.set_tile(e.killed, k, 0.0)
+    # The surviving diagonal tile must end up triangular even if no
+    # elimination used it as an eliminator (single-row panel, degenerate
+    # trees).
+    triangularize(k)
+    record.eliminations = elims
 
+    # Descriptor form of the chain: factors referenced by their index in
+    # the consumes tuple.
+    keys = list(dict.fromkeys(op[-1] for op in chain))
+    ops = tuple(op[:-1] + (keys.index(op[-1]),) for op in chain)
+    kernel = "tsmqr" if any(op[0] != "unmqr" for op in ops) else "unmqr"
+    families: Dict[str, int] = {}
+    for op in ops:
+        families[op[0]] = families.get(op[0], 0) + 1
+
+    def add_chain(suffix: str, call: KernelCall, columns) -> None:
+        reads: Set[Tuple[int, int]] = set()
+        writes: Set[Tuple[int, int]] = set()
+        for op in ops:
+            reads.add((op[-2], k))  # the factor's panel tile (row or killed)
+            writes.update((row, j) for row in op[1:-1] for j in columns)
+        # The chain is labelled with one kernel; its mix keeps the per-family
+        # counts for the cost model and calibration.
+        mix = tuple((name + suffix, count * len(columns)) for name, count in families.items())
         tasks.append(
-            KernelTask(
-                couple_name,
-                do_couple,
-                reads=panel_pair,
-                writes=panel_pair,
-                call=KernelCall(
-                    "qr.couple",
-                    args=(e.kind, e.eliminator, e.killed, k),
-                    produces=couple_key,
-                ),
+            call_task(
+                kernel + suffix, tiles, call, reads | writes, writes, products,
+                fused=len(ops) * len(columns),
+                mix=mix if len(mix) > 1 else (),
             )
         )
-        record.add_kernel(couple_name)
 
-        if fuse:
-            for j in range(k + 1, n):
-                idx = chain_input(chain_keys[j], couple_key)
-                chains[j].append(("update", e.eliminator, e.killed, key))
-                chain_desc[j].append(("update", e.eliminator, e.killed, idx))
-                record.add_kernel(update_name)
-            if tiles.has_rhs:
-                idx = chain_input(rhs_keys, couple_key)
-                rhs_chain.append(("update", e.eliminator, e.killed, key))
-                rhs_desc.append(("update", e.eliminator, e.killed, idx))
-                record.add_kernel(update_rhs_name)
-            continue
-
-        for j in range(k + 1, n):
-            def do_update(e=e, j=j, key=key) -> None:
-                factor = factors[key]
-                top, bottom = tsmqr(
-                    factor, tiles.tile(e.eliminator, j), tiles.tile(e.killed, j)
-                )
-                tiles.set_tile(e.eliminator, j, top)
-                tiles.set_tile(e.killed, j, bottom)
-
-            pair_j = frozenset({(e.eliminator, j), (e.killed, j)})
-            tasks.append(
-                KernelTask(
-                    update_name,
-                    do_update,
-                    reads=pair_j | frozenset({(e.killed, k)}),
-                    writes=pair_j,
-                    call=KernelCall(
-                        "qr.update",
-                        args=(e.eliminator, e.killed, j),
-                        consumes=(couple_key,),
-                    ),
-                )
-            )
-            record.add_kernel(update_name)
-        if tiles.has_rhs:
-            def do_update_rhs(e=e, key=key) -> None:
-                factor = factors[key]
-                top, bottom = tsmqr(
-                    factor, tiles.rhs_tile(e.eliminator), tiles.rhs_tile(e.killed)
-                )
-                tiles.rhs_tile(e.eliminator)[...] = top
-                tiles.rhs_tile(e.killed)[...] = bottom
-
-            pair_rhs = frozenset(
-                {(e.eliminator, RHS_COLUMN), (e.killed, RHS_COLUMN)}
-            )
-            tasks.append(
-                KernelTask(
-                    update_rhs_name,
-                    do_update_rhs,
-                    reads=pair_rhs | frozenset({(e.killed, k)}),
-                    writes=pair_rhs,
-                    call=KernelCall(
-                        "qr.update_rhs",
-                        args=(e.eliminator, e.killed),
-                        consumes=(couple_key,),
-                    ),
-                )
-            )
-            record.add_kernel(update_rhs_name)
-
-    # Make sure the surviving diagonal tile is triangular (it always is when
-    # it acted as an eliminator at least once, but a defensive GEQRT keeps
-    # the invariant for degenerate trees).
-    if k not in triangular:
-        emit_triangularize(k)
-
-    emit_chains()
-    record.eliminations = elims
+    for j0, j1 in sweep_ranges(k, n):
+        call = KernelCall("qr.sweep", args=(j0, j1, ops), consumes=tuple(keys))
+        add_chain("", call, range(j0, j1))
+    if tiles.has_rhs:
+        call = KernelCall("qr.sweep_rhs", args=(ops,), consumes=tuple(keys))
+        add_chain("_rhs", call, (RHS_COLUMN,))
     return tasks
 
 

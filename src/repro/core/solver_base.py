@@ -124,12 +124,11 @@ class TiledSolverBase(ABC):
         Results are bit-identical for every depth (the pipeline only
         flushes dependency-closed task sets).
     kernel_backend:
-        Kernel-execution backend (a registry name such as ``"numpy"``,
-        ``"fused"`` or ``"jit"``, or a ready
-        :class:`~repro.kernels.backends.KernelBackend` instance).  The
-        default ``None`` keeps the bit-exact per-tile ``numpy`` reference;
-        fusing backends batch each trailing column's update sweep into one
-        task (see :mod:`repro.kernels.backends`).
+        Kernel backend (a registry name such as ``"numpy"`` or
+        ``"tracing"``, or a ready
+        :class:`~repro.kernels.backends.KernelBackend` instance): hooks
+        around the planned tasks, e.g. access tracing.  Every backend runs
+        the same plan; the default ``None`` is ``numpy``.
     """
 
     #: Name used in experiment tables; overridden by subclasses.
@@ -153,8 +152,7 @@ class TiledSolverBase(ABC):
         self.track_growth = bool(track_growth)
         self.executor = executor
         self.lookahead = int(lookahead)
-        #: Resolved kernel backend; ``None`` resolves to the bit-exact
-        #: per-tile ``numpy`` reference.
+        #: Resolved kernel backend; ``None`` resolves to ``numpy``.
         self.kernel_backend: KernelBackend = resolve_backend(kernel_backend)
         #: Per-flush execution traces of the last factorization (only
         #: populated when an executor is configured).
@@ -232,13 +230,7 @@ class TiledSolverBase(ABC):
         """
         from ..perf.calibrate import default_calibration
 
-        cal = default_calibration()
-        if cal is None:
-            return None
-        # Priorities should reflect the backend this solver actually runs:
-        # a view falls back to the numpy table for kernels the backend has
-        # no calibrated samples of.
-        return cal.view(self.kernel_backend.name)
+        return default_calibration()
 
     def _criterion_name(self) -> Optional[str]:
         return None
@@ -283,9 +275,6 @@ class TiledSolverBase(ABC):
         self, a: np.ndarray, b: Optional[np.ndarray]
     ) -> Factorization:
         a_work, b_work, pad = pad_to_tile_multiple(a, b, self.tile_size)
-        # Prime any compiled kernels before the factorization starts, so
-        # first-call JIT compilation never lands inside a timed run.
-        self.kernel_backend.warm(self.tile_size, a_work.dtype)
         # A multi-process executor needs the tiles in shared memory so its
         # workers see (and mutate) the same bytes; the factors are copied
         # back out below so the returned Factorization owns plain arrays.

@@ -1,15 +1,8 @@
 """Tile kernels (LU and QR), their flop model (Table I), the picklable
 kernel-descriptor dispatch table used by the multi-process executor, and
-the pluggable kernel backends (per-tile reference, fused, JIT)."""
+the kernel-backend hooks instrumentation plugs into."""
 
-from .backends import (
-    FusedBackend,
-    JitBackend,
-    KernelBackend,
-    NumpyBackend,
-    numba_available,
-    resolve_backend,
-)
+from .backends import KernelBackend, NumpyBackend, resolve_backend
 from .dispatch import KERNELS, KernelCall, execute_kernel_call
 from .flops import (
     KernelFlops,
@@ -40,10 +33,7 @@ __all__ = [
     "execute_kernel_call",
     "KernelBackend",
     "NumpyBackend",
-    "FusedBackend",
-    "JitBackend",
     "resolve_backend",
-    "numba_available",
     "KernelFlops",
     "kernel_flops",
     "lu_step_flops",

@@ -24,10 +24,18 @@ segment described by a
 cached per worker process so only the first task of a factorization pays
 the attach cost.
 
-The numerical code below mirrors the closures in
-:mod:`repro.core.lu_step`, :mod:`repro.core.qr_step` and
-:mod:`repro.baselines.lu_incpiv` operation for operation, so descriptor
-execution is bit-identical to closure execution.
+The step planners (:mod:`repro.core.lu_step`, :mod:`repro.core.qr_step`,
+:mod:`repro.baselines.lu_incpiv`) run these same operations in-process
+(:func:`repro.runtime.schedule.call_task`), so descriptor execution on a
+worker is bit-identical to closure execution by construction.
+
+Panel kernels are one call per tile.  The trailing update of step ``k`` is
+one *sweep* call per column range (:func:`sweep_ranges`: the next two
+panel columns, then the bulk block) plus one for the right-hand side: a single
+GEMM over a block view for LU, the step's UNMQR/TSMQR/TTMQR chain in
+program order over tile-row blocks for QR, the SSSSM chain for IncPiv.
+Each sweep's signature lists its per-tile constituents, so the analyzers
+price and check it kernel by kernel.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import os
 import time
 from dataclasses import dataclass
 from multiprocessing import current_process
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,6 +70,7 @@ __all__ = [
     "KernelSignature",
     "KERNEL_SIGNATURES",
     "kernel_signature",
+    "sweep_ranges",
 ]
 
 
@@ -114,8 +123,27 @@ def kernel_op(name: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     return decorator
 
 
+def sweep_ranges(k: int, n: int) -> List[Tuple[int, int]]:
+    """Trailing tile-column ranges of step ``k``: ``k+1``, ``k+2``, ``[k+3, n)``.
+
+    The split follows what the default lookahead-1 pipeline
+    (:class:`~repro.runtime.schedule.StepPipeline`) flushes.  Planning
+    step ``k+1`` needs only step ``k``'s update of column ``k+1``, so that
+    column is a sweep of its own.  Planning step ``k+2`` flushes the rest
+    of step ``k`` together with step ``k+1``'s update of column ``k+2``;
+    with column ``k+2`` apart from the bulk block, that update waits only
+    on step ``k``'s sweep of the same column and runs beside the bulk
+    block.  A bulk block holding column ``k+2`` would make every such
+    flush one serial chain.  The ranges do not follow a solver's
+    ``lookahead``, so that no setting of it changes a bit of the result.
+    Empty ranges are dropped.
+    """
+    edges = [min(j, n) for j in (k + 1, k + 2, k + 3)] + [n]
+    return [(j0, j1) for j0, j1 in zip(edges, edges[1:]) if j0 < j1]
+
+
 # --------------------------------------------------------------------------- #
-# LU step (variant A1) — mirrors repro.core.lu_step closures
+# LU step (variant A1)
 # --------------------------------------------------------------------------- #
 @kernel_op("lu.scatter_factor")
 def _lu_scatter_factor(tiles: TileMatrix, inputs, k, domain_rows, factor) -> None:
@@ -123,9 +151,9 @@ def _lu_scatter_factor(tiles: TileMatrix, inputs, k, domain_rows, factor) -> Non
 
 
 @kernel_op("lu.swptrsm")
-def _lu_swptrsm(tiles: TileMatrix, inputs, j, domain_rows, factor) -> None:
-    column = tiles.column_rows(j, domain_rows)
-    swptrsm_inplace(factor, column, stacked_row_index(domain_rows, tiles.nb))
+def _lu_swptrsm(tiles: TileMatrix, inputs, j0, j1, domain_rows, factor) -> None:
+    columns = tiles.column_rows(j0, j1, domain_rows)
+    swptrsm_inplace(factor, columns, stacked_row_index(domain_rows, tiles.nb))
 
 
 @kernel_op("lu.swptrsm_rhs")
@@ -140,36 +168,26 @@ def _lu_trsm(tiles: TileMatrix, inputs, i, k, factor) -> None:
     tile[...] = eliminate_trsm(factor, tile)
 
 
-@kernel_op("lu.gemm")
-def _lu_gemm(tiles: TileMatrix, inputs, i, j, k) -> None:
-    tiles.tile(i, j)[...] -= tiles.tile(i, k) @ tiles.tile(k, j)
+@kernel_op("lu.gemm_sweep")
+def _lu_gemm_sweep(tiles: TileMatrix, inputs, k, i1, j0, j1) -> None:
+    c = tiles.block(k + 1, i1, j0, j1)
+    c -= tiles.block(k + 1, i1, k, k + 1) @ tiles.block(k, k + 1, j0, j1)
 
 
-@kernel_op("lu.gemm_rhs")
-def _lu_gemm_rhs(tiles: TileMatrix, inputs, i, k) -> None:
-    tiles.rhs_tile(i)[...] -= tiles.tile(i, k) @ tiles.rhs_tile(k)
+@kernel_op("lu.gemm_sweep_rhs")
+def _lu_gemm_sweep_rhs(tiles: TileMatrix, inputs, k, i1) -> None:
+    c = tiles.rhs_block(k + 1, i1)
+    c -= tiles.block(k + 1, i1, k, k + 1) @ tiles.rhs_tile(k)
 
 
 # --------------------------------------------------------------------------- #
-# QR step (hierarchical tiled QR) — mirrors repro.core.qr_step closures
+# QR step (hierarchical tiled QR)
 # --------------------------------------------------------------------------- #
 @kernel_op("qr.geqrt")
 def _qr_geqrt(tiles: TileMatrix, inputs, row, k):
     factor = geqrt_tile(tiles.tile(row, k))
     tiles.set_tile(row, k, factor.r)
     return factor
-
-
-@kernel_op("qr.unmqr")
-def _qr_unmqr(tiles: TileMatrix, inputs, row, j) -> None:
-    (factor,) = inputs
-    tiles.set_tile(row, j, unmqr(factor, tiles.tile(row, j)))
-
-
-@kernel_op("qr.unmqr_rhs")
-def _qr_unmqr_rhs(tiles: TileMatrix, inputs, row) -> None:
-    (factor,) = inputs
-    tiles.rhs_tile(row)[...] = unmqr(factor, tiles.rhs_tile(row))
 
 
 @kernel_op("qr.couple")
@@ -181,24 +199,36 @@ def _qr_couple(tiles: TileMatrix, inputs, kind, eliminator, killed, k):
     return factor
 
 
-@kernel_op("qr.update")
-def _qr_update(tiles: TileMatrix, inputs, eliminator, killed, j) -> None:
-    (factor,) = inputs
-    top, bottom = tsmqr(factor, tiles.tile(eliminator, j), tiles.tile(killed, j))
-    tiles.set_tile(eliminator, j, top)
-    tiles.set_tile(killed, j, bottom)
+def _qr_chain(operand, ops, factors) -> None:
+    """Apply a step's trailing-update chain, in program order, to one range.
+
+    ``ops`` holds ``("unmqr", row, idx)`` and ``("tsmqr"|"ttmqr", eliminator,
+    killed, idx)`` entries; ``idx`` indexes the consumed factors and
+    ``operand(row)`` is the tile-row view of the range.
+    """
+    for op in ops:
+        if op[0] == "unmqr":
+            _, row, idx = op
+            c = operand(row)
+            c[...] = unmqr(factors[idx], c)
+        else:
+            _, eliminator, killed, idx = op
+            top, bottom = operand(eliminator), operand(killed)
+            top[...], bottom[...] = tsmqr(factors[idx], top, bottom)
 
 
-@kernel_op("qr.update_rhs")
-def _qr_update_rhs(tiles: TileMatrix, inputs, eliminator, killed) -> None:
-    (factor,) = inputs
-    top, bottom = tsmqr(factor, tiles.rhs_tile(eliminator), tiles.rhs_tile(killed))
-    tiles.rhs_tile(eliminator)[...] = top
-    tiles.rhs_tile(killed)[...] = bottom
+@kernel_op("qr.sweep")
+def _qr_sweep(tiles: TileMatrix, inputs, j0, j1, ops) -> None:
+    _qr_chain(lambda row: tiles.row_block(row, j0, j1), ops, inputs)
+
+
+@kernel_op("qr.sweep_rhs")
+def _qr_sweep_rhs(tiles: TileMatrix, inputs, ops) -> None:
+    _qr_chain(tiles.rhs_tile, ops, inputs)
 
 
 # --------------------------------------------------------------------------- #
-# LU IncPiv — mirrors repro.baselines.lu_incpiv closures
+# LU IncPiv
 # --------------------------------------------------------------------------- #
 @kernel_op("incpiv.getrf")
 def _incpiv_getrf(tiles: TileMatrix, inputs, k):
@@ -208,9 +238,10 @@ def _incpiv_getrf(tiles: TileMatrix, inputs, k):
 
 
 @kernel_op("incpiv.swptrsm")
-def _incpiv_swptrsm(tiles: TileMatrix, inputs, k, j) -> None:
+def _incpiv_swptrsm(tiles: TileMatrix, inputs, k, j0, j1) -> None:
     (factor,) = inputs
-    tiles.set_tile(k, j, apply_swptrsm(factor, tiles.tile(k, j)))
+    c = tiles.row_block(k, j0, j1)
+    c[...] = apply_swptrsm(factor, c)
 
 
 @kernel_op("incpiv.swptrsm_rhs")
@@ -229,27 +260,23 @@ def _incpiv_tstrf(tiles: TileMatrix, inputs, k, i):
     return pair
 
 
-def _ssssm_pair(pair, nb, top, bottom):
-    l2 = pair.lu[nb:]
-    c = np.vstack([top, bottom])
-    c = apply_swptrsm(pair, c)
-    return c[:nb], c[nb:] - l2 @ c[:nb]
+def _ssssm_chain(operand, k, rows, pairs, nb) -> None:
+    """SSSSM of row ``k`` with each row of ``rows`` in turn, on one range."""
+    top = operand(k)
+    for i, pair in zip(rows, pairs):
+        bottom = operand(i)
+        c = apply_swptrsm(pair, np.vstack([top, bottom]))
+        top[...], bottom[...] = c[:nb], c[nb:] - pair.lu[nb:] @ c[:nb]
 
 
-@kernel_op("incpiv.ssssm")
-def _incpiv_ssssm(tiles: TileMatrix, inputs, k, i, j) -> None:
-    (pair,) = inputs
-    top, bottom = _ssssm_pair(pair, tiles.nb, tiles.tile(k, j), tiles.tile(i, j))
-    tiles.set_tile(k, j, top)
-    tiles.set_tile(i, j, bottom)
+@kernel_op("incpiv.ssssm_sweep")
+def _incpiv_ssssm_sweep(tiles: TileMatrix, inputs, k, j0, j1, rows) -> None:
+    _ssssm_chain(lambda i: tiles.row_block(i, j0, j1), k, rows, inputs, tiles.nb)
 
 
-@kernel_op("incpiv.ssssm_rhs")
-def _incpiv_ssssm_rhs(tiles: TileMatrix, inputs, k, i) -> None:
-    (pair,) = inputs
-    top, bottom = _ssssm_pair(pair, tiles.nb, tiles.rhs_tile(k), tiles.rhs_tile(i))
-    tiles.rhs_tile(k)[...] = top
-    tiles.rhs_tile(i)[...] = bottom
+@kernel_op("incpiv.ssssm_sweep_rhs")
+def _incpiv_ssssm_sweep_rhs(tiles: TileMatrix, inputs, k, rows) -> None:
+    _ssssm_chain(tiles.rhs_tile, k, rows, inputs, tiles.nb)
 
 
 # --------------------------------------------------------------------------- #
@@ -306,7 +333,7 @@ class OpEffect:
 
     ``owner_tile`` anchors the task's owner under a distribution
     (owner-computes on the written tile).  ``constituents`` decomposes a
-    fused operation into ``((read_refs, ...), anchor_ref)`` units so
+    sweep operation into ``((read_refs, ...), anchor_ref)`` units so
     placement can price intra-sweep communication per logical kernel.
     ``product_bytes`` sizes the value published under ``call.produces``.
     ``unit_count`` is the number of logical kernels (cross-checked against
@@ -377,20 +404,40 @@ def _sig_lu_scatter_factor(call: KernelCall, step: int, ctx: SigContext) -> OpEf
     )
 
 
+def _sweep_effect(units, checks=()) -> OpEffect:
+    """Effect of a sweep op: the union of its per-tile kernel units.
+
+    ``units`` are ``(reads, writes, check, anchor)`` tuples, one per
+    logical kernel, exactly the effect that kernel has as a task of its
+    own; they become the placement constituents and the unit count.
+    """
+    reads: set = set()
+    writes: set = set()
+    for unit_reads, unit_writes, _check, _anchor in units:
+        reads.update(unit_reads)
+        writes.update(unit_writes)
+    return OpEffect(
+        reads=frozenset(reads | writes),
+        writes=frozenset(writes),
+        checks=tuple(checks) + tuple(unit[2] for unit in units),
+        constituents=tuple((unit[0], unit[3]) for unit in units),
+        unit_count=len(units),
+    )
+
+
 @kernel_signature("lu.swptrsm")
 def _sig_lu_swptrsm(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    j, rows, factor = call.args
-    panel = frozenset((i, step) for i in rows)
-    col = tuple((i, j) for i in rows)
+    j0, j1, rows, factor = call.args
+    panel = tuple((i, step) for i in rows)
     d = len(rows) * ctx.nb
-    return OpEffect(
-        reads=panel | frozenset(col),
-        writes=frozenset(col),
-        checks=(
-            ("concrete", "swptrsm.lu", _factor_lu_shape(factor), (d, ctx.nb)),
-            ("matmul", ("lit", d, d), ("stack", col), ("stack", col)),
-        ),
-        owner_tile=(rows[0], j),
+    units = []
+    for j in range(j0, j1):
+        col = tuple((i, j) for i in rows)
+        check = ("matmul", ("lit", d, d), ("stack", col), ("stack", col))
+        units.append((panel + col, col, check, (rows[0], j)))
+    return _sweep_effect(
+        units,
+        checks=(("concrete", "swptrsm.lu", _factor_lu_shape(factor), (d, ctx.nb)),),
     )
 
 
@@ -422,25 +469,31 @@ def _sig_lu_trsm(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
     )
 
 
-@kernel_signature("lu.gemm")
-def _sig_lu_gemm(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    i, j, k = call.args
-    return OpEffect(
-        reads=frozenset({(i, k), (k, j), (i, j)}),
-        writes=frozenset({(i, j)}),
-        checks=(("matmul", (i, k), (k, j), (i, j)),),
-        owner_tile=(i, j),
+@kernel_signature("lu.gemm_sweep")
+def _sig_lu_gemm_sweep(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
+    k, i1, j0, j1 = call.args
+    return _sweep_effect(
+        [
+            (((i, k), (k, j), (i, j)), ((i, j),), ("matmul", (i, k), (k, j), (i, j)), (i, j))
+            for i in range(k + 1, i1)
+            for j in range(j0, j1)
+        ]
     )
 
 
-@kernel_signature("lu.gemm_rhs")
-def _sig_lu_gemm_rhs(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    i, k = call.args
-    return OpEffect(
-        reads=frozenset({(i, k), (k, _RHS), (i, _RHS)}),
-        writes=frozenset({(i, _RHS)}),
-        checks=(("matmul", (i, k), (k, _RHS), (i, _RHS)),),
-        owner_tile=(i, _RHS),
+@kernel_signature("lu.gemm_sweep_rhs")
+def _sig_lu_gemm_sweep_rhs(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
+    k, i1 = call.args
+    return _sweep_effect(
+        [
+            (
+                ((i, k), (k, _RHS), (i, _RHS)),
+                ((i, _RHS),),
+                ("matmul", (i, k), (k, _RHS), (i, _RHS)),
+                (i, _RHS),
+            )
+            for i in range(k + 1, i1)
+        ]
     )
 
 
@@ -453,28 +506,6 @@ def _sig_qr_geqrt(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
         checks=(("matmul", ("lit", ctx.nb, ctx.nb), (row, k), (row, k)),),
         owner_tile=(row, k),
         product_bytes=3 * ctx.nb * ctx.nb * ctx.itemsize,
-    )
-
-
-@kernel_signature("qr.unmqr")
-def _sig_qr_unmqr(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    row, j = call.args
-    return OpEffect(
-        reads=frozenset({(row, step), (row, j)}),
-        writes=frozenset({(row, j)}),
-        checks=(("matmul", ("lit", ctx.nb, ctx.nb), (row, j), (row, j)),),
-        owner_tile=(row, j),
-    )
-
-
-@kernel_signature("qr.unmqr_rhs")
-def _sig_qr_unmqr_rhs(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    (row,) = call.args
-    return OpEffect(
-        reads=frozenset({(row, step), (row, _RHS)}),
-        writes=frozenset({(row, _RHS)}),
-        checks=(("matmul", ("lit", ctx.nb, ctx.nb), (row, _RHS), (row, _RHS)),),
-        owner_tile=(row, _RHS),
     )
 
 
@@ -494,32 +525,31 @@ def _sig_qr_couple(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
     )
 
 
-@kernel_signature("qr.update")
-def _sig_qr_update(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    eliminator, killed, j = call.args
-    pair = ((eliminator, j), (killed, j))
-    return OpEffect(
-        reads=frozenset(pair) | frozenset({(killed, step)}),
-        writes=frozenset(pair),
-        checks=(
-            ("matmul", ("lit", 2 * ctx.nb, 2 * ctx.nb), ("stack", pair), ("stack", pair)),
-        ),
-        owner_tile=(killed, j),
-    )
+def _qr_sweep_effect(columns, ops, step: int, ctx: SigContext) -> OpEffect:
+    units = []
+    for j in columns:
+        for op in ops:
+            if op[0] == "unmqr":
+                ref = (op[1], j)
+                check = ("matmul", ("lit", ctx.nb, ctx.nb), ref, ref)
+                units.append((((op[1], step), ref), (ref,), check, ref))
+            else:
+                pair = ((op[1], j), (op[2], j))
+                check = ("matmul", ("lit", 2 * ctx.nb, 2 * ctx.nb), ("stack", pair), ("stack", pair))
+                units.append((pair + ((op[2], step),), pair, check, pair[1]))
+    return _sweep_effect(units)
 
 
-@kernel_signature("qr.update_rhs")
-def _sig_qr_update_rhs(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    eliminator, killed = call.args
-    pair = ((eliminator, _RHS), (killed, _RHS))
-    return OpEffect(
-        reads=frozenset(pair) | frozenset({(killed, step)}),
-        writes=frozenset(pair),
-        checks=(
-            ("matmul", ("lit", 2 * ctx.nb, 2 * ctx.nb), ("stack", pair), ("stack", pair)),
-        ),
-        owner_tile=(killed, _RHS),
-    )
+@kernel_signature("qr.sweep")
+def _sig_qr_sweep(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
+    j0, j1, ops = call.args
+    return _qr_sweep_effect(range(j0, j1), ops, step, ctx)
+
+
+@kernel_signature("qr.sweep_rhs")
+def _sig_qr_sweep_rhs(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
+    (ops,) = call.args
+    return _qr_sweep_effect((_RHS,), ops, step, ctx)
 
 
 @kernel_signature("incpiv.getrf")
@@ -536,12 +566,12 @@ def _sig_incpiv_getrf(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
 
 @kernel_signature("incpiv.swptrsm")
 def _sig_incpiv_swptrsm(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    k, j = call.args
-    return OpEffect(
-        reads=frozenset({(k, k), (k, j)}),
-        writes=frozenset({(k, j)}),
-        checks=(("matmul", ("lit", ctx.nb, ctx.nb), (k, j), (k, j)),),
-        owner_tile=(k, j),
+    k, j0, j1 = call.args
+    return _sweep_effect(
+        [
+            (((k, k), (k, j)), ((k, j),), ("matmul", ("lit", ctx.nb, ctx.nb), (k, j), (k, j)), (k, j))
+            for j in range(j0, j1)
+        ]
     )
 
 
@@ -572,32 +602,26 @@ def _sig_incpiv_tstrf(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
     )
 
 
-@kernel_signature("incpiv.ssssm")
-def _sig_incpiv_ssssm(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    k, i, j = call.args
-    pair = ((k, j), (i, j))
-    return OpEffect(
-        reads=frozenset({(i, k), (k, j), (i, j)}),
-        writes=frozenset(pair),
-        checks=(
-            ("matmul", ("lit", 2 * ctx.nb, 2 * ctx.nb), ("stack", pair), ("stack", pair)),
-        ),
-        owner_tile=(i, j),
-    )
+def _ssssm_sweep_effect(k, columns, rows, ctx: SigContext) -> OpEffect:
+    units = []
+    for j in columns:
+        for i in rows:
+            pair = ((k, j), (i, j))
+            check = ("matmul", ("lit", 2 * ctx.nb, 2 * ctx.nb), ("stack", pair), ("stack", pair))
+            units.append((((i, k),) + pair, pair, check, (i, j)))
+    return _sweep_effect(units)
 
 
-@kernel_signature("incpiv.ssssm_rhs")
-def _sig_incpiv_ssssm_rhs(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    k, i = call.args
-    pair = ((k, _RHS), (i, _RHS))
-    return OpEffect(
-        reads=frozenset({(i, k), (k, _RHS), (i, _RHS)}),
-        writes=frozenset(pair),
-        checks=(
-            ("matmul", ("lit", 2 * ctx.nb, 2 * ctx.nb), ("stack", pair), ("stack", pair)),
-        ),
-        owner_tile=(i, _RHS),
-    )
+@kernel_signature("incpiv.ssssm_sweep")
+def _sig_incpiv_ssssm_sweep(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
+    k, j0, j1, rows = call.args
+    return _ssssm_sweep_effect(k, range(j0, j1), rows, ctx)
+
+
+@kernel_signature("incpiv.ssssm_sweep_rhs")
+def _sig_incpiv_ssssm_sweep_rhs(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
+    k, rows = call.args
+    return _ssssm_sweep_effect(k, (_RHS,), rows, ctx)
 
 
 # --------------------------------------------------------------------------- #

@@ -61,8 +61,7 @@ class LUPanelFactor:
         communication certificates declare, and rebuilds it on arrival.
 
     The triangular solves read ``L``/``U`` straight from the packed top
-    block (LAPACK references only the triangle it is told to); the
-    :attr:`u` / :attr:`l_top` copies exist for readers and tests.
+    block (LAPACK references only the triangle it is told to).
     """
 
     lu: np.ndarray
@@ -86,16 +85,6 @@ class LUPanelFactor:
         return self.lu[: self.nb, : self.nb]
 
     @property
-    def u(self) -> np.ndarray:
-        """The ``nb x nb`` upper-triangular factor ``U``."""
-        return np.triu(self.top)
-
-    @property
-    def l_top(self) -> np.ndarray:
-        """The ``nb x nb`` unit-lower-triangular top block of ``L``."""
-        return np.tril(self.top, k=-1) + np.eye(self.nb)
-
-    @property
     def smallest_pivot(self) -> float:
         """Smallest absolute diagonal entry of ``U`` (breakdown indicator)."""
         return float(np.min(np.abs(np.diag(self.top))))
@@ -107,7 +96,7 @@ def factor_tile_lu(tile: np.ndarray) -> LUPanelFactor:
     return LUPanelFactor(lu=lu, piv=piv, nb=tile.shape[0])
 
 
-def factor_panel_lu(stacked: np.ndarray, nb: int, recursive: bool = True) -> LUPanelFactor:
+def factor_panel_lu(stacked: np.ndarray, nb: int) -> LUPanelFactor:
     """Factor kernel on the stacked diagonal *domain* (the experimental variant).
 
     ``stacked`` is the vertical concatenation of all panel tiles owned by
@@ -121,8 +110,7 @@ def factor_panel_lu(stacked: np.ndarray, nb: int, recursive: bool = True) -> LUP
 
     The kernel is :func:`repro.linalg.pivoting.getrf`, the analogue of
     PLASMA's recursive-LU panel kernel used in the paper's implementation
-    (Section IV).  ``recursive`` is accepted for compatibility and selects
-    nothing: there is one panel kernel.
+    (Section IV).
     """
     if stacked.shape[1] != nb:
         raise ValueError(f"stacked panel must have {nb} columns, got {stacked.shape[1]}")

@@ -13,7 +13,6 @@ from .pivoting import (
     getrf,
     getrf_nopiv,
     pivots_to_permutation,
-    recursive_getrf,
 )
 from .triangular import (
     tiled_back_substitution,
@@ -31,7 +30,6 @@ __all__ = [
     "build_q",
     "getrf",
     "getrf_nopiv",
-    "recursive_getrf",
     "apply_row_pivots",
     "pivots_to_permutation",
     "SingularPanelError",

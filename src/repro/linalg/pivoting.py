@@ -9,7 +9,7 @@ provides:
 * :func:`getrf` — recursive LU with partial pivoting of a rectangular
   ``m``-by-``k`` panel: a fixed column-halving recursion whose leaves are
   single LAPACK ``dgetrf`` calls (the analogue of PLASMA's recursive panel
-  kernel); :func:`recursive_getrf` is the same function,
+  kernel),
 * :func:`getrf_reference` — the readable per-column right-looking loop the
   tests compare :func:`getrf` against,
 * :func:`getrf_nopiv` — LU without pivoting (used by the LU NoPiv baseline),
@@ -34,7 +34,6 @@ __all__ = [
     "getrf",
     "getrf_reference",
     "getrf_nopiv",
-    "recursive_getrf",
     "apply_row_pivots",
     "pivot_moves",
     "pivots_to_permutation",
@@ -98,11 +97,6 @@ def getrf(a: np.ndarray, *, overwrite_a: bool = False) -> Tuple[np.ndarray, np.n
     piv = np.empty(k, dtype=np.int64)
     _getrf_columns(a, piv, 0, k)
     return a, piv
-
-
-#: PLASMA's recursive panel kernel *is* :func:`getrf` now; the name is kept
-#: for callers that selected it explicitly.
-recursive_getrf = getrf
 
 
 def _getrf_columns(a: np.ndarray, piv: np.ndarray, c0: int, c1: int) -> None:

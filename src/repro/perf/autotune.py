@@ -69,22 +69,14 @@ _SPEEDUP_MARGIN = 1.15
 _UNSET = object()
 
 
-#: Backend candidates tried for ``kernel_backend="auto"``, best-first for
-#: tie-breaking: the fused sweep wins ties against the per-tile reference
-#: (fewer dispatches for the same predicted time), and when no calibration
-#: exists the fallback picks it outright.
-_AUTO_BACKENDS = ("fused", "numpy")
-
-
 @dataclass
 class TunedConfig:
     """The autotuner's answer for one matrix order.
 
     ``executor`` is a registry spec string (``"threaded(workers=4)"``) or
     ``None`` for the inline kernel path — exactly what
-    :func:`repro.api.facade.make_executor` accepts.  ``kernel_backend`` is
-    a kernel-backend registry name, or ``None`` when backend tuning was
-    not requested.  ``source`` records how the choice was made:
+    :func:`repro.api.facade.make_executor` accepts.  ``source`` records
+    how the choice was made:
     ``"calibrated"`` (simulated makespans under a measured cost model) or
     ``"fallback"`` (the deterministic rule).
     """
@@ -94,7 +86,6 @@ class TunedConfig:
     executor: Optional[str]
     source: str
     predicted_makespans: Dict[int, float] = field(default_factory=dict)
-    kernel_backend: Optional[str] = None
 
 
 def _divisors_in_range(n: int, lo: int, hi: int) -> List[int]:
@@ -146,7 +137,6 @@ def predicted_makespan(
     tile_size: int,
     calibration: Calibration,
     cores: int = 1,
-    kernel_backend: Optional[str] = None,
 ) -> float:
     """Predicted wall time of factoring an order-``n`` matrix at ``nb``.
 
@@ -154,11 +144,7 @@ def predicted_makespan(
     the common case; the relative ranking across tile sizes carries over
     to QR-heavy runs since every kernel scales as ``nb^3``), prices it
     with the calibration, and list-schedules it on ``cores`` identical
-    workers of one node.  ``kernel_backend`` prices the graph with that
-    backend's per-logical-kernel cost table
-    (:meth:`~repro.perf.calibrate.Calibration.view`) — fused backends
-    record per-logical-kernel samples, so the per-tile graph priced with
-    their table predicts the fused run.
+    workers of one node.
     """
     nb = int(tile_size)
     n_tiles = n // nb
@@ -168,53 +154,22 @@ def predicted_makespan(
         step_kinds=["LU"] * n_tiles,
         algorithm="LUPP",
     )
-    priced = calibration.view(kernel_backend)
-    platform = calibrated_platform(priced, cores=int(cores), nb=nb)
+    platform = calibrated_platform(calibration, cores=int(cores), nb=nb)
     graph = build_task_graph(spec, platform=platform)
-    sim = simulate(graph, platform, nb, record_schedule=False, calibration=priced)
+    sim = simulate(graph, platform, nb, record_schedule=False, calibration=calibration)
     return float(sim.makespan)
 
 
-def _backend_candidates(
-    kernel_backends, calibration: Optional[Calibration]
-) -> Optional[List[str]]:
-    """Kernel-backend candidates, tie-break order first; ``None`` = no tuning.
-
-    ``"auto"`` expands to the built-in preference list plus every backend
-    the calibration has samples for; an explicit sequence passes through.
-    """
-    if kernel_backends is None:
-        return None
-    if isinstance(kernel_backends, str):
-        if kernel_backends.strip().lower() != "auto":
-            return [kernel_backends.strip().lower()]
-        names = list(_AUTO_BACKENDS)
-        if calibration is not None:
-            names += [
-                b for b in calibration.calibrated_backends() if b not in names
-            ]
-        return names
-    return [str(b).strip().lower() for b in kernel_backends]
-
-
-def _tune_for_backend(
-    n: int,
-    calibration: Calibration,
-    candidates: List[int],
-    w: int,
-    backend: Optional[str],
-) -> Tuple[TunedConfig, float]:
-    """Best (tile size, executor) for one backend, plus its predicted time."""
+def _tune(
+    n: int, calibration: Calibration, candidates: List[int], w: int
+) -> TunedConfig:
+    """Best (tile size, executor) under the calibrated cost model."""
     serial: Dict[int, float] = {}
     parallel: Dict[int, float] = {}
     for nb in candidates:
-        serial[nb] = predicted_makespan(
-            n, nb, calibration, cores=1, kernel_backend=backend
-        )
+        serial[nb] = predicted_makespan(n, nb, calibration, cores=1)
         parallel[nb] = (
-            predicted_makespan(n, nb, calibration, cores=w, kernel_backend=backend)
-            if w >= 2
-            else serial[nb]
+            predicted_makespan(n, nb, calibration, cores=w) if w >= 2 else serial[nb]
         )
 
     def best(table: Dict[int, float]) -> Tuple[int, float]:
@@ -224,33 +179,28 @@ def _tune_for_backend(
     serial_nb, serial_time = best(serial)
     parallel_nb, parallel_time = best(parallel)
     if w >= 2 and parallel_time * _SPEEDUP_MARGIN < serial_time:
-        config = TunedConfig(
+        return TunedConfig(
             n=n,
             tile_size=parallel_nb,
             executor=f"threaded(workers={w})",
             source="calibrated",
             predicted_makespans=parallel,
-            kernel_backend=backend,
         )
-        return config, parallel_time
-    config = TunedConfig(
+    return TunedConfig(
         n=n,
         tile_size=serial_nb,
         executor=None,
         source="calibrated",
         predicted_makespans=serial,
-        kernel_backend=backend,
     )
-    return config, serial_time
 
 
 def autotune_config(
     n: Optional[int],
     calibration=_UNSET,
     workers: Optional[int] = None,
-    kernel_backends=None,
 ) -> TunedConfig:
-    """Choose ``(tile_size, executor[, kernel_backend])`` for order ``n``.
+    """Choose ``(tile_size, executor)`` for order ``n``.
 
     With a calibration (the host's persisted one by default), candidate
     tile sizes are ranked by simulated makespan, once on a single core
@@ -260,56 +210,26 @@ def autotune_config(
     applies (see the module docstring).  ``n=None`` (size unknown at
     :func:`~repro.api.facade.make_solver` time) always takes the
     fallback with the facade's default tile size.
-
-    ``kernel_backends`` opts into kernel-backend tuning: ``"auto"`` (or an
-    explicit candidate sequence) ranks each backend by its own best
-    predicted configuration, priced with that backend's calibrated cost
-    table; ties break toward the earlier candidate, so the fused sweep
-    beats the per-tile reference at equal predictions.  The fallback
-    (no calibration) picks the first candidate — ``"fused"`` under
-    ``"auto"``, whose per-column batching is the safe default when nothing
-    has been measured.  ``None`` (default) skips backend tuning entirely
-    and the returned ``kernel_backend`` is ``None``.
     """
     if calibration is _UNSET:
         calibration = default_calibration()
     w = _worker_count(workers)
-    backends = _backend_candidates(kernel_backends, calibration)
-    fallback_backend = backends[0] if backends else None
 
     if n is None or int(n) <= 0:
         executor = f"threaded(workers={w})" if w >= 2 else None
         return TunedConfig(
-            n=0,
-            tile_size=_DEFAULT_TILE_SIZE,
-            executor=executor,
-            source="fallback",
-            kernel_backend=fallback_backend,
+            n=0, tile_size=_DEFAULT_TILE_SIZE, executor=executor, source="fallback"
         )
     n = int(n)
 
-    fallback_exec = (
-        f"threaded(workers={w})" if n >= _SERIAL_CUTOFF and w >= 2 else None
-    )
     candidates = candidate_tile_sizes(n, calibration)
     if calibration is None or calibration.n_samples == 0 or not candidates:
         return TunedConfig(
             n=n,
             tile_size=_fallback_tile_size(n),
-            executor=fallback_exec,
+            executor=(
+                f"threaded(workers={w})" if n >= _SERIAL_CUTOFF and w >= 2 else None
+            ),
             source="fallback",
-            kernel_backend=fallback_backend,
         )
-
-    if backends is None:
-        config, _ = _tune_for_backend(n, calibration, candidates, w, None)
-        return config
-
-    best_config: Optional[TunedConfig] = None
-    best_key: Optional[Tuple[float, int]] = None
-    for rank, backend in enumerate(backends):
-        config, time = _tune_for_backend(n, calibration, candidates, w, backend)
-        key = (time, rank)
-        if best_key is None or key < best_key:
-            best_config, best_key = config, key
-    return best_config
+    return _tune(n, calibration, candidates, w)

@@ -20,8 +20,7 @@ The fitted :class:`Calibration` drives three consumers:
   replaces the analytic platform rates with measured per-core costs, so a
   simulated makespan predicts a measured one);
 * the autotuner (:mod:`repro.perf.autotune` compares predicted makespans
-  across tile sizes and backends at ``make_solver(tile_size="auto")``
-  time).
+  across tile sizes at ``make_solver(tile_size="auto")`` time).
 
 Calibrations persist per host at ``~/.cache/repro/calibration.json``
 (override with the ``REPRO_CALIBRATION`` environment variable) and are
@@ -48,6 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..kernels.flops import KernelFlops
 from ..runtime.executor import ExecutionTrace, SequentialExecutor
 from ..runtime.platform import Platform
+from ..runtime.schedule import static_kernel_flops
 from ..tiles.distribution import ProcessGrid
 
 __all__ = [
@@ -66,8 +66,8 @@ __all__ = [
 #: Environment variable overriding the calibration file location.
 CALIBRATION_ENV = "REPRO_CALIBRATION"
 
-#: Version 2 added per-kernel-backend cost tables (the ``backends`` key);
-#: version-1 files load unchanged (their table is the ``numpy`` reference).
+#: Version-1 files load unchanged; a version-2 ``backends`` key (per
+#: kernel-backend tables, which earlier releases wrote) is ignored.
 _FORMAT_VERSION = 2
 
 
@@ -148,75 +148,31 @@ class KernelCost:
         self.by_nb[nb] = (total / count, count)
 
 
-#: Backend whose samples live in the primary ``kernels`` table (the
-#: bit-exact per-tile reference every solver uses by default).
-_REFERENCE_BACKEND = "numpy"
-
-
 @dataclass
 class Calibration:
-    """Per-kernel cost model fitted from real execution traces.
-
-    ``kernels`` is the cost table of the ``numpy`` reference backend;
-    ``backends`` holds one additional table per non-reference kernel
-    backend (``"fused"``, ``"jit"``, ...).  Lookups for a backend fall
-    back to the reference table for kernels that backend has no samples
-    of, so a partially calibrated backend stays usable.
-    """
+    """Per-kernel cost model fitted from real execution traces."""
 
     kernels: Dict[str, KernelCost] = field(default_factory=dict)
     host: str = ""
-    backends: Dict[str, Dict[str, KernelCost]] = field(default_factory=dict)
     #: :func:`kernel_source_hash` at measurement time; empty for tables
     #: loaded from files that predate it (which load, but are not trusted
     #: as the host default).
     kernel_hash: str = field(default_factory=kernel_source_hash)
 
-    def _table(self, backend: Optional[str]) -> Dict[str, KernelCost]:
-        if backend is None or backend == _REFERENCE_BACKEND:
-            return self.kernels
-        return self.backends.setdefault(str(backend), {})
-
     @property
     def n_samples(self) -> int:
-        total = sum(k.count for k in self.kernels.values())
-        for table in self.backends.values():
-            total += sum(k.count for k in table.values())
-        return total
+        return sum(k.count for k in self.kernels.values())
 
-    def calibrated_backends(self) -> List[str]:
-        """Backends with at least one sample, reference first."""
-        names = [
-            name
-            for name, table in sorted(self.backends.items())
-            if any(cost.count for cost in table.values())
-        ]
-        has_ref = any(cost.count for cost in self.kernels.values())
-        return ([_REFERENCE_BACKEND] if has_ref else []) + names
-
-    def kernel_duration(
-        self, kernel: str, nb: int, backend: Optional[str] = None
-    ) -> Optional[float]:
+    def kernel_duration(self, kernel: str, nb: int) -> Optional[float]:
         """Calibrated duration of ``kernel`` at tile size ``nb``, if known.
 
-        ``backend`` selects a per-backend table, falling back to the
-        ``numpy`` reference table for kernels that backend never observed.
-        Returns ``None`` for kernels never observed at all; callers fall
-        back to their static cost model (Table-I flops at an analytic
-        rate).
+        Returns ``None`` for kernels never observed; callers fall back to
+        their static cost model (Table-I flops at an analytic rate).
         """
-        if backend is not None and backend != _REFERENCE_BACKEND:
-            cost = self.backends.get(str(backend), {}).get(kernel)
-            if cost is not None:
-                duration = cost.duration(nb)
-                if duration is not None:
-                    return duration
         cost = self.kernels.get(kernel)
         return None if cost is None else cost.duration(nb)
 
-    def flops_per_second(
-        self, nb: int, backend: Optional[str] = None
-    ) -> Optional[float]:
+    def flops_per_second(self, nb: int) -> Optional[float]:
         """Effective per-core rate implied by the calibration at ``nb``.
 
         Preferred from GEMM (the dominant, best-understood kernel), else
@@ -228,12 +184,9 @@ class Calibration:
         ranked: Dict[str, int] = {
             name: cost.count for name, cost in self.kernels.items()
         }
-        if backend is not None and backend != _REFERENCE_BACKEND:
-            for name, cost in self.backends.get(str(backend), {}).items():
-                ranked[name] = ranked.get(name, 0) + cost.count
         candidates = ["gemm"] + sorted(ranked, key=lambda k: -ranked[k])
         for kernel in candidates:
-            duration = self.kernel_duration(kernel, nb, backend=backend)
+            duration = self.kernel_duration(kernel, nb)
             if duration is None or duration <= 0.0:
                 continue
             base = kernel[:-4] if kernel.endswith("_rhs") else kernel
@@ -248,39 +201,13 @@ class Calibration:
         sizes = set()
         for cost in self.kernels.values():
             sizes.update(cost.by_nb)
-        for table in self.backends.values():
-            for cost in table.values():
-                sizes.update(cost.by_nb)
         return sorted(sizes)
 
-    def add_samples(
-        self,
-        samples: Dict[Tuple[str, int], List[float]],
-        backend: Optional[str] = None,
-    ) -> "Calibration":
-        """Fold ``(kernel, nb) -> durations`` samples in; returns self.
-
-        ``backend`` routes the samples to that backend's table (default:
-        the ``numpy`` reference table).
-        """
-        table = self._table(backend)
+    def add_samples(self, samples: Dict[Tuple[str, int], List[float]]) -> "Calibration":
+        """Fold ``(kernel, nb) -> durations`` samples in; returns self."""
         for (kernel, nb), durations in samples.items():
-            table.setdefault(kernel, KernelCost()).add(nb, durations)
+            self.kernels.setdefault(kernel, KernelCost()).add(nb, durations)
         return self
-
-    def view(self, backend: Optional[str] = None):
-        """A Calibration-compatible adapter bound to one backend.
-
-        The view exposes the same read API (``kernel_duration``,
-        ``flops_per_second``, ``observed_tile_sizes``, ``n_samples``) with
-        the backend pre-applied, so consumers that know nothing about
-        backends — the simulator, ``kernel_cost_fn`` — price tasks with
-        that backend's measured costs.  ``view("numpy")`` (or ``None``)
-        returns the calibration itself.
-        """
-        if backend is None or backend == _REFERENCE_BACKEND:
-            return self
-        return _BackendView(self, str(backend))
 
     # ------------------------------------------------------------------ #
     # Persistence
@@ -312,16 +239,12 @@ class Calibration:
             "host": self.host,
             "kernel_hash": self.kernel_hash,
             "kernels": self._table_to_dict(self.kernels),
-            "backends": {
-                backend: self._table_to_dict(table)
-                for backend, table in sorted(self.backends.items())
-            },
         }
 
     @classmethod
     def from_dict(cls, data: Dict) -> "Calibration":
-        # Version 1 is version 2 without per-backend tables; anything newer
-        # (or unversioned) is rejected rather than silently misread.
+        # Anything newer (or unversioned) is rejected rather than silently
+        # misread.
         version = int(data.get("version", 0))
         if version not in (1, _FORMAT_VERSION):
             raise ValueError(
@@ -331,10 +254,6 @@ class Calibration:
             kernels=cls._table_from_dict(data.get("kernels", {})),
             host=str(data.get("host", "")),
             kernel_hash=str(data.get("kernel_hash", "")),
-            backends={
-                str(backend): cls._table_from_dict(table)
-                for backend, table in data.get("backends", {}).items()
-            },
         )
 
     def save(self, path: Optional[Path] = None) -> Path:
@@ -352,40 +271,6 @@ class Calibration:
         return cls.from_dict(json.loads(path.read_text()))
 
 
-class _BackendView:
-    """Read-only Calibration adapter with a kernel backend pre-applied.
-
-    Duck-types the read API consumers use (the simulator's
-    ``kernel_duration``, ``kernel_cost_fn``'s ``flops_per_second``, the
-    autotuner's ``observed_tile_sizes``/``n_samples``); lookups consult
-    the backend's table first and fall back to the reference table.
-    """
-
-    def __init__(self, calibration: Calibration, backend: str) -> None:
-        self._calibration = calibration
-        self.backend = backend
-
-    @property
-    def host(self) -> str:
-        return self._calibration.host
-
-    @property
-    def n_samples(self) -> int:
-        return self._calibration.n_samples
-
-    def kernel_duration(self, kernel: str, nb: int) -> Optional[float]:
-        return self._calibration.kernel_duration(kernel, nb, backend=self.backend)
-
-    def flops_per_second(self, nb: int) -> Optional[float]:
-        return self._calibration.flops_per_second(nb, backend=self.backend)
-
-    def observed_tile_sizes(self) -> List[int]:
-        return self._calibration.observed_tile_sizes()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_BackendView(backend={self.backend!r})"
-
-
 # --------------------------------------------------------------------------- #
 # Fitting from traces
 # --------------------------------------------------------------------------- #
@@ -400,15 +285,20 @@ def collect_samples(
     (timer-resolution artifacts) are all skipped rather than crashing or
     skewing the fit.
 
-    Fused tasks (``ExecutionTrace.fused_of_task``) batch ``m`` logical
+    Sweep tasks (``ExecutionTrace.fused_of_task``) batch ``m`` logical
     per-tile kernels in one measurement; their duration is split into
     ``m`` equal per-kernel samples so the fitted table stays per *logical*
-    kernel and remains comparable across backends.
+    kernel.  A QR update chain runs UNMQR, TSMQR and TTMQR in one task
+    (``ExecutionTrace.mix_of_task``): its duration is shared out over the
+    families in proportion to their Table-I flop counts, and each share is
+    booked under that family's own name.  The chain is timed as a whole,
+    so those samples are apportioned, not separately measured.
     """
     nb = int(tile_size)
     samples: Dict[Tuple[str, int], List[float]] = {}
     for trace in traces:
         fused_of_task = getattr(trace, "fused_of_task", {})
+        mix_of_task = getattr(trace, "mix_of_task", {})
         for uid, kernel in trace.kernel_of_task.items():
             start = trace.start_times.get(uid)
             finish = trace.finish_times.get(uid)
@@ -417,8 +307,16 @@ def collect_samples(
             duration = finish - start
             if duration <= 0.0:
                 continue
-            m = max(int(fused_of_task.get(uid, 1)), 1)
-            samples.setdefault((kernel, nb), []).extend([duration / m] * m)
+            mix = mix_of_task.get(uid)
+            if not mix:
+                m = max(int(fused_of_task.get(uid, 1)), 1)
+                samples.setdefault((kernel, nb), []).extend([duration / m] * m)
+                continue
+            weights = [static_kernel_flops(name, nb) * count for name, count in mix]
+            total = sum(weights)
+            for (name, count), weight in zip(mix, weights):
+                share = duration * weight / total
+                samples.setdefault((name, nb), []).extend([share / count] * count)
     return samples
 
 
@@ -442,54 +340,32 @@ def run_calibration(
     executor=None,
     save: bool = True,
     path: Optional[Path] = None,
-    kernel_backends: Sequence[str] = (_REFERENCE_BACKEND,),
 ) -> Calibration:
     """Measure this host: factor seeded matrices and fit a calibration.
 
-    One factorization per ``(backend, algorithm, tile size)`` triple; the
-    default algorithms cover both the LU and the QR kernel families.  The
+    One factorization per ``(algorithm, tile size)`` pair; the default
+    algorithms cover both the LU and the QR kernel families.  The
     default executor is a
     :class:`~repro.runtime.executor.SequentialExecutor` so every duration
     is an uncontended single-core measurement — exactly the per-core cost
     the simulator and the priority scheduler want.
-
-    ``kernel_backends`` names the kernel backends to measure; each is
-    warmed (triggering any JIT compilation) *before* its timed
-    factorizations, so first-call compile time never leaks into the cost
-    tables.  Non-reference backends land in per-backend tables the
-    autotuner compares when picking ``kernel_backend="auto"``.
     """
     import numpy as np
 
     from ..api.facade import make_solver
-    from ..kernels.backends import resolve_backend
 
     if executor is None:
         executor = SequentialExecutor()
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n)) + 4.0 * np.eye(n)
     calibration = Calibration(host=socket.gethostname())
-    for backend_name in kernel_backends:
-        backend = resolve_backend(backend_name)
-        # Compile-time firewall: prime the backend for every tile size
-        # outside the timed window (satellite requirement — JIT compile
-        # time must never poison the calibration).
-        for nb in tile_sizes:
-            backend.warm(int(nb), a.dtype)
-        for nb in tile_sizes:
-            for algorithm in algorithms:
-                solver = make_solver(
-                    algorithm,
-                    tile_size=int(nb),
-                    executor=executor,
-                    track_growth=False,
-                    kernel_backend=backend,
-                )
-                solver.factor(a.copy())
-                calibration.add_samples(
-                    collect_samples(solver.step_traces, nb),
-                    backend=backend.name,
-                )
+    for nb in tile_sizes:
+        for algorithm in algorithms:
+            solver = make_solver(
+                algorithm, tile_size=int(nb), executor=executor, track_growth=False
+            )
+            solver.factor(a.copy())
+            calibration.add_samples(collect_samples(solver.step_traces, nb))
     if save:
         calibration.save(path)
         clear_calibration_cache()

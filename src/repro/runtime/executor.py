@@ -37,9 +37,11 @@ class ExecutionTrace:
     Besides per-task timings, the trace records each task's kernel name
     (``kernel_of_task``) so per-kernel cost calibration
     (:mod:`repro.perf.calibrate`) can be fed from traces alone, the batch
-    count of fused tasks (``fused_of_task``, recorded only when > 1, so
-    calibration can divide a fused sweep's duration back into per-kernel
-    samples), and optionally the tile norms sampled by the multi-process
+    count of sweep tasks (``fused_of_task``, recorded only when > 1, so
+    calibration can divide a sweep's duration back into per-kernel
+    samples) and the kernel mix of sweeps running several kernel families
+    (``mix_of_task``, see :func:`~repro.runtime.task.kernel_mix`), and
+    optionally the tile norms sampled by the multi-process
     executor's workers (``tile_norms``, used for exact growth tracking
     under cross-step lookahead).
     """
@@ -49,12 +51,21 @@ class ExecutionTrace:
     worker_of_task: Dict[int, str] = field(default_factory=dict)
     kernel_of_task: Dict[int, str] = field(default_factory=dict)
     fused_of_task: Dict[int, int] = field(default_factory=dict)
+    mix_of_task: Dict[int, Tuple[Tuple[str, int], ...]] = field(default_factory=dict)
     tile_norms: Dict[int, Dict[TileRef, float]] = field(default_factory=dict)
     #: Logical (block-cyclic) rank each task executed under — recorded only
     #: by distribution-aware executors, so owner-computes placement can be
     #: asserted directly from the trace.
     rank_of_task: Dict[int, int] = field(default_factory=dict)
     wall_time: float = 0.0
+
+    def record_kernel(self, uid: int, task) -> None:
+        """Record what task ``uid`` computes: kernel, batch count, mix."""
+        self.kernel_of_task[uid] = task.kernel
+        if task.fused > 1:
+            self.fused_of_task[uid] = task.fused
+        if task.mix:
+            self.mix_of_task[uid] = task.mix
 
     @property
     def n_tasks(self) -> int:
@@ -126,9 +137,7 @@ class SequentialExecutor:
                 task = graph.task(uid)
                 trace.start_times[uid] = time.perf_counter()
                 trace.worker_of_task[uid] = "main"
-                trace.kernel_of_task[uid] = task.kernel
-                if task.fused > 1:
-                    trace.fused_of_task[uid] = task.fused
+                trace.record_kernel(uid, task)
                 try:
                     if task.fn is not None:
                         task.fn()
@@ -204,9 +213,7 @@ class ThreadedExecutor:
             task = tasks[uid]
             trace.start_times[uid] = time.perf_counter()
             trace.worker_of_task[uid] = threading.current_thread().name
-            trace.kernel_of_task[uid] = task.kernel
-            if task.fused > 1:
-                trace.fused_of_task[uid] = task.fused
+            trace.record_kernel(uid, task)
             try:
                 if task.fn is not None:
                     task.fn()

@@ -64,6 +64,7 @@ class TaskGraph:
         fn=None,
         call=None,
         fused: int = 1,
+        mix: Iterable[Tuple[str, int]] = (),
         extra_deps: Iterable[int] = (),
     ) -> Task:
         """Append a task; infer its dependencies from tile accesses."""
@@ -82,6 +83,7 @@ class TaskGraph:
             fn=fn,
             call=call,
             fused=max(int(fused), 1),
+            mix=tuple(mix),
         )
 
         deps: Set[int] = set(extra_deps)

@@ -285,9 +285,7 @@ class ProcessExecutor:
                     trace.start_times[uid] = start
                     trace.finish_times[uid] = finish
                     trace.worker_of_task[uid] = worker
-                    trace.kernel_of_task[uid] = tasks[uid].kernel
-                    if tasks[uid].fused > 1:
-                        trace.fused_of_task[uid] = tasks[uid].fused
+                    trace.record_kernel(uid, tasks[uid])
                     call = tasks[uid].call
                     if norms is not None:
                         trace.tile_norms[uid] = dict(zip(call.norm_tiles, norms))

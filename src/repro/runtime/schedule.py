@@ -34,17 +34,20 @@ import threading
 from dataclasses import dataclass, replace as dataclass_replace
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from ..kernels.dispatch import KERNELS
 from ..kernels.flops import KernelFlops
 from .executor import ExecutionTrace
 from .graph import TaskGraph
-from .task import Task, TileRef
+from .task import Task, TileRef, kernel_mix
 
 __all__ = [
     "KernelTask",
+    "call_task",
     "StepPipeline",
     "build_step_graph",
     "run_step_tasks",
     "kernel_cost_fn",
+    "static_kernel_flops",
     "assign_task_priorities",
     "merge_traces",
     "written_tiles",
@@ -75,11 +78,13 @@ class KernelTask:
         executor ships to its workers (closures cannot cross a process
         boundary, so a task without a descriptor can only run in-process).
     fused:
-        Number of logical per-tile kernels batched into this task (1 for
-        plain per-tile tasks).  Set by the step planners when a fusing
-        kernel backend collapses a trailing-update sweep into one task;
-        the cost model multiplies the per-kernel duration by it and
-        calibration divides measured durations back down.
+        Number of logical per-tile kernels this task performs (1 for the
+        per-tile panel kernels; a trailing-update sweep carries its tile
+        count).  The cost model multiplies the per-kernel duration by it
+        and calibration divides measured durations back down.
+    mix:
+        ``(kernel, count)`` pairs of a sweep running several kernel
+        families (see :attr:`repro.runtime.task.Task.mix`).
     """
 
     kernel: str
@@ -89,6 +94,44 @@ class KernelTask:
     flops: float = 0.0
     call: Optional[object] = None
     fused: int = 1
+    mix: Tuple[Tuple[str, int], ...] = ()
+
+
+def call_task(
+    kernel: str,
+    tiles,
+    call,
+    reads: Iterable[TileRef],
+    writes: Iterable[TileRef],
+    products: Optional[Dict[object, object]] = None,
+    fused: int = 1,
+    mix: Tuple[Tuple[str, int], ...] = (),
+) -> KernelTask:
+    """A task whose in-process body runs ``call``'s op from :data:`KERNELS`.
+
+    The closure does on ``tiles`` exactly what a worker process does with
+    the descriptor, so both forms of the task are one code path.
+    ``products`` is the step's factor table: consumed keys are read from
+    it and the op's result is stored under ``call.produces`` — the
+    in-process counterpart of the executors' produces/consumes edges.
+    """
+    op = KERNELS[call.kernel]
+    args, consumes, produces = call.args, call.consumes, call.produces
+
+    def run() -> None:
+        result = op(tiles, tuple(products[key] for key in consumes), *args)
+        if produces is not None:
+            products[produces] = result
+
+    return KernelTask(
+        kernel,
+        run,
+        reads=frozenset(reads),
+        writes=frozenset(writes),
+        call=call,
+        fused=fused,
+        mix=mix,
+    )
 
 
 def build_step_graph(
@@ -115,6 +158,7 @@ def build_step_graph(
             fn=t.fn,
             call=t.call,
             fused=t.fused,
+            mix=t.mix,
         )
     return graph
 
@@ -154,36 +198,39 @@ def kernel_cost_fn(
     costs stay in seconds.  Without a calibration, costs are plain flop
     counts — only relative magnitudes matter for priorities.  Kernels with
     no Table-I entry (``tstrf``, ``ssssm``, RHS variants strip their
-    ``_rhs`` suffix first) are charged a generic ``nb^3``.
+    ``_rhs`` suffix first) are charged a generic ``nb^3``.  A sweep is
+    charged per logical kernel of its :func:`~repro.runtime.task.kernel_mix`.
     """
     nb = int(tile_size)
-    flops = KernelFlops(nb)
-
-    def static_flops(kernel: str) -> float:
-        base = kernel[:-4] if kernel.endswith("_rhs") else kernel
-        try:
-            return float(flops.of(base))
-        except KeyError:
-            return float(nb**3)
 
     if calibration is None:
-        return lambda task: static_flops(task.kernel) * max(
-            getattr(task, "fused", 1), 1
+        return lambda task: sum(
+            static_kernel_flops(kernel, nb) * m for kernel, m in kernel_mix(task)
         )
 
     rate = calibration.flops_per_second(nb)
 
-    def cost(task: Task) -> float:
-        # Fused tasks batch `fused` logical kernels; calibration tables are
-        # per logical kernel, so scale back up here.
-        m = max(getattr(task, "fused", 1), 1)
-        measured = calibration.kernel_duration(task.kernel, nb)
+    def unit_cost(kernel: str) -> float:
+        measured = calibration.kernel_duration(kernel, nb)
         if measured is not None and measured > 0.0:
-            return float(measured) * m
-        fl = static_flops(task.kernel) * m
+            return float(measured)
+        fl = static_kernel_flops(kernel, nb)
         return fl / rate if rate else fl
 
-    return cost
+    return lambda task: sum(unit_cost(kernel) * m for kernel, m in kernel_mix(task))
+
+
+def static_kernel_flops(kernel: str, nb: int) -> float:
+    """Table-I flop count of one ``kernel`` on tiles of order ``nb``.
+
+    RHS variants are charged as their ``_rhs``-stripped kernel; kernels
+    with no Table-I entry a generic ``nb^3``.
+    """
+    base = kernel[:-4] if kernel.endswith("_rhs") else kernel
+    try:
+        return float(KernelFlops(nb).of(base))
+    except KeyError:
+        return float(nb**3)
 
 
 def assign_task_priorities(
@@ -410,6 +457,7 @@ class StepPipeline:
                     fn=task.fn,
                     call=task.call,
                     fused=task.fused,
+                    mix=task.mix,
                 )
         assign_task_priorities(graph, self.tile_size, self.calibration)
         steps = [step for idx, (step, _) in enumerate(self._pending) if selected[idx]]
@@ -490,6 +538,8 @@ def merge_traces(traces: Sequence[ExecutionTrace]) -> ExecutionTrace:
             merged.kernel_of_task[offset + uid] = kernel
         for uid, m in getattr(tr, "fused_of_task", {}).items():
             merged.fused_of_task[offset + uid] = m
+        for uid, mix in getattr(tr, "mix_of_task", {}).items():
+            merged.mix_of_task[offset + uid] = mix
         for uid, norms in tr.tile_norms.items():
             merged.tile_norms[offset + uid] = dict(norms)
         for uid, rank in getattr(tr, "rank_of_task", {}).items():
@@ -506,6 +556,7 @@ def merge_traces(traces: Sequence[ExecutionTrace]) -> ExecutionTrace:
             | set(tr.worker_of_task)
             | set(tr.kernel_of_task)
             | set(getattr(tr, "fused_of_task", ()))
+            | set(getattr(tr, "mix_of_task", ()))
             | set(tr.tile_norms)
             | set(getattr(tr, "rank_of_task", ()))
         )

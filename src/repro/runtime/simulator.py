@@ -31,7 +31,7 @@ from typing import Dict, List, Tuple
 
 from .graph import TaskGraph
 from .platform import Platform
-from .task import Task
+from .task import Task, kernel_mix
 
 __all__ = ["ScheduledTask", "SimulationResult", "simulate"]
 
@@ -78,13 +78,14 @@ class SimulationResult:
 def _task_duration(task: Task, platform: Platform, tile_size: int, calibration) -> float:
     if task.duration_hint is not None:
         return float(task.duration_hint)
-    # Fused tasks batch several logical per-tile kernels; cost tables are
-    # per logical kernel, so the duration scales with the batch count.
-    m = max(getattr(task, "fused", 1), 1)
+    # Sweep tasks batch several logical per-tile kernels; cost tables are
+    # per logical kernel, so the duration adds up over the task's mix.
+    mix = kernel_mix(task)
     if calibration is not None:
-        measured = calibration.kernel_duration(task.kernel, tile_size)
-        if measured is not None and measured > 0.0:
-            return float(measured) * m
+        measured = [calibration.kernel_duration(kernel, tile_size) for kernel, _ in mix]
+        if all(d is not None and d > 0.0 for d in measured):
+            return sum(float(d) * m for d, (_, m) in zip(measured, mix))
+    m = max(getattr(task, "fused", 1), 1)
     return platform.kernel_duration(task.kernel, task.flops) * m
 
 

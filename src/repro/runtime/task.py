@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, FrozenSet, Optional, Set, Tuple
 
-__all__ = ["TileRef", "Task"]
+__all__ = ["TileRef", "Task", "kernel_mix"]
 
 #: A tile coordinate ``(i, j)``; the right-hand-side tile of row ``i`` is
 #: represented as ``(i, RHS_COLUMN)``.
@@ -74,10 +74,15 @@ class Task:
         results.
     fused:
         Number of logical per-tile kernels this task batches (1 for a
-        plain per-tile task).  Fused backends collapse a trailing-update
-        sweep into one task; the cost model and the simulator scale the
-        per-kernel duration by this count, and calibration divides the
-        measured duration back down so cost tables stay per-tile.
+        plain per-tile task; a trailing-update sweep carries its tile
+        count).  The cost model and the simulator scale the per-kernel
+        duration by this count, and calibration divides the measured
+        duration back down so cost tables stay per-tile.
+    mix:
+        ``(kernel, count)`` pairs of a sweep that runs several kernel
+        families (a QR update chain: UNMQR, TSMQR and TTMQR); the counts
+        add up to ``fused``.  Empty when all ``fused`` kernels are
+        ``kernel`` — see :func:`kernel_mix`.
     """
 
     uid: int
@@ -93,6 +98,7 @@ class Task:
     call: Optional[object] = None
     priority: float = 0.0
     fused: int = 1
+    mix: Tuple[Tuple[str, int], ...] = ()
     deps: Set[int] = field(default_factory=set)
 
     def touches(self) -> FrozenSet[TileRef]:
@@ -107,3 +113,17 @@ class Task:
             f"Task(uid={self.uid}, kernel={self.kernel!r}, step={self.step}, "
             f"owner={self.owner}, deps={sorted(self.deps)})"
         )
+
+
+def kernel_mix(task) -> Tuple[Tuple[str, int], ...]:
+    """The ``(kernel, count)`` pairs one task performs.
+
+    A task's ``mix`` when it has one, else ``((kernel, fused),)``.  The cost
+    model, the simulator and calibration all price a task through this, so
+    a QR update chain is charged per UNMQR/TSMQR/TTMQR, not as ``fused``
+    copies of the kernel it is labelled with.
+    """
+    mix = getattr(task, "mix", ())
+    if mix:
+        return tuple(mix)
+    return ((task.kernel, max(int(getattr(task, "fused", 1)), 1)),)

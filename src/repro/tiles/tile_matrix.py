@@ -151,9 +151,8 @@ class TileMatrix:
         """View of the rectangular tile block ``[i0:i1, j0:j1)`` (no copy).
 
         The returned array has shape ``((i1-i0)*nb, (j1-j0)*nb)`` and
-        aliases the underlying storage, so a contiguous run of tile rows in
-        one tile column can be updated with a single stacked GEMM — the
-        fused trailing-update sweep of the batched kernel backends.
+        aliases the underlying storage, so a whole trailing block can be
+        updated with a single GEMM (the LU trailing-update sweep).
         """
         if not (0 <= i0 <= i1 <= self._n and 0 <= j0 <= j1 <= self._n):
             raise IndexError(
@@ -174,25 +173,37 @@ class TileMatrix:
         return self._rhs[i0 * nb : i1 * nb, :]
 
     def row_block(self, i: int, j_start: int, j_stop: Optional[int] = None) -> np.ndarray:
-        """View of tile row ``i`` restricted to tile columns ``[j_start, j_stop)``."""
+        """View of tile row ``i`` restricted to tile columns ``[j_start, j_stop)``.
+
+        Bounds follow :meth:`block`: ``0 <= i < n`` and
+        ``0 <= j_start <= j_stop <= n``, so an empty column range at the
+        right edge is a valid (empty) view.
+        """
         if j_stop is None:
             j_stop = self._n
-        self._check(i, max(j_start, 0))
+        if not (0 <= i < self._n and 0 <= j_start <= j_stop <= self._n):
+            raise IndexError(
+                f"tile row block [{i}, {j_start}:{j_stop}] outside "
+                f"{self._n}x{self._n} tile matrix"
+            )
         nb = self._nb
         return self._data[i * nb : (i + 1) * nb, j_start * nb : j_stop * nb]
 
-    def column_rows(self, j: int, rows: Sequence[int]) -> np.ndarray:
-        """Full-height ``(N, nb)`` view of tile column ``j`` for tile rows ``rows``.
+    def column_rows(self, j0: int, j1: int, rows: Sequence[int]) -> np.ndarray:
+        """Full-height view of tile columns ``[j0, j1)`` for tile rows ``rows``.
 
         For a kernel that works in place on a row set that is no rectangular
         block (the strided domain rows of a ``p > 1`` grid): it indexes the
         view by matrix row and must stay inside the tile rows it names —
         ``rows`` is what access tracing records and guards.
         """
-        for i in rows:
-            self._check(i, j)
+        if not (0 <= j0 <= j1 <= self._n and all(0 <= i < self._n for i in rows)):
+            raise IndexError(
+                f"tile rows {list(rows)} x columns [{j0}:{j1}] outside "
+                f"{self._n}x{self._n} tile matrix"
+            )
         nb = self._nb
-        return self._data[:, j * nb : (j + 1) * nb]
+        return self._data[:, j0 * nb : j1 * nb]
 
     def rhs_rows(self, rows: Sequence[int]) -> np.ndarray:
         """The attached RHS as one view, for a kernel touching tile rows ``rows``."""

@@ -161,11 +161,7 @@ class TestMergeTraceConsistency:
 
     def test_real_fused_traces_stay_consistent(self):
         a, b = _system(48, seed=5)
-        solver = _solver(
-            "lupp",
-            kernel_backend="fused",
-            executor=ThreadedExecutor(workers=2),
-        )
+        solver = _solver("lupp", executor=ThreadedExecutor(workers=2))
         solver.factor(a, b)
         merged = merge_traces(solver.step_traces)
         assert set(merged.fused_of_task) <= set(merged.kernel_of_task)
@@ -187,9 +183,8 @@ class TestVerifierCleanPlans:
         assert verify_graph(graph) == []
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @pytest.mark.parametrize("backend", ["numpy", "fused"])
-    def test_audit_clean_inline(self, algorithm, backend):
-        solver = _solver(algorithm, tile_size=8, kernel_backend=backend)
+    def test_audit_clean_inline(self, algorithm):
+        solver = _solver(algorithm, tile_size=8)
         report = audit(solver, lint=False)
         assert report.ok, [str(v) for v in report.violations]
         assert report.checked["tasks"] > 0
@@ -261,7 +256,7 @@ class TestVerifierCorruptedPlans:
 
     def test_wrong_fused_union_is_flagged(self):
         a, b = _system(32, seed=3)
-        solver = _solver("lupp", tile_size=8, kernel_backend="fused")
+        solver = _solver("lupp", tile_size=8)
         graph = _capture_plan(solver, a, b)
         fused = [t for t in graph.tasks if t.fused > 1]
         assert fused
@@ -272,7 +267,7 @@ class TestVerifierCorruptedPlans:
 
     def test_wrong_fused_count_is_flagged(self):
         a, b = _system(32, seed=3)
-        solver = _solver("hqr", tile_size=8, kernel_backend="fused")
+        solver = _solver("hqr", tile_size=8)
         graph = _capture_plan(solver, a, b)
         victim = next(t for t in graph.tasks if t.fused > 1)
         victim.fused += 1
@@ -293,7 +288,7 @@ class TestVerifierCorruptedPlans:
             0,
             reads={(0, 0)},
             writes={(0, 1)},
-            call=KernelCall("qr.unmqr", args=(0,), consumes=(key,)),
+            call=KernelCall("qr.sweep", args=(1, 2, (("unmqr", 0, 0),)), consumes=(key,)),
         )
         kinds = [v.kind for v in verify_graph(g)]
         assert kinds == ["missing-producer"]
@@ -314,7 +309,7 @@ class TestVerifierCorruptedPlans:
             0,
             reads={(1, 1)},
             writes={(1, 2)},
-            call=KernelCall("qr.unmqr", args=(1,), consumes=(key,)),
+            call=KernelCall("qr.sweep", args=(2, 3, (("unmqr", 1, 0),)), consumes=(key,)),
         )
         # Disjoint tiles: no inferred edge between producer and consumer.
         kinds = [v.kind for v in verify_graph(g)]
@@ -432,7 +427,7 @@ class TestTracingBackend:
         seen = {}
 
         def gather():
-            seen["column"] = tiles.column_rows(1, [0, 2])
+            seen["column"] = tiles.column_rows(1, 2, [0, 2])
             seen["rhs"] = tiles.rhs_rows([0, 2])
 
         declared = frozenset({(0, 1), (2, 1), (0, RHS_COLUMN), (2, RHS_COLUMN)})
@@ -474,16 +469,18 @@ class TestTracingBackend:
         backend = resolve_backend("tracing")
         assert isinstance(backend, TracingBackend)
         assert backend.name == "tracing"
-        # Fused descriptors must carry a compute backend's name.
-        assert backend.descriptor_name == "numpy"
-        with pytest.raises(ValueError, match="nested"):
-            TracingBackend(TracingBackend())
 
-    @pytest.mark.parametrize("inner", ["numpy", "fused"])
-    def test_traced_factorization_matches_inner_backend(self, inner):
+    def test_traced_row_block_keeps_the_bounds(self):
+        tiles = self._traced_tiles(TracingBackend(), n=24, nb=8)
+        assert tiles.row_block(2, 3).shape == (8, 0)
+        for args in [(0, 1, 8), (0, 3, 1), (3, 0)]:
+            with pytest.raises(IndexError):
+                tiles.row_block(*args)
+
+    def test_traced_factorization_matches_untraced(self):
         a, b = _system(48, seed=7)
-        reference = _solver("hybrid", kernel_backend=inner).factor(a, b)
-        traced_backend = TracingBackend(inner)
+        reference = _solver("hybrid").factor(a, b)
+        traced_backend = TracingBackend()
         traced = _solver("hybrid", kernel_backend=traced_backend).factor(a, b)
         assert np.array_equal(reference.tiles.array, traced.tiles.array)
         assert np.array_equal(reference.tiles.rhs, traced.tiles.rhs)
@@ -563,19 +560,16 @@ class TestRegistryLint:
 
     def test_protocol_violating_backend_is_flagged(self):
         class BrokenBackend(KernelBackend):
-            # fuses=True without implementing any sweep method, and a
-            # name that resolves to nothing.
-            name = "broken_test_backend"
-            fuses = True
+            # Registered under one name, calling itself by another.
+            name = "unregistered_name"
 
         KERNEL_BACKENDS.register("broken_test_backend")(BrokenBackend)
         try:
             violations = [
                 v for v in lint_registries() if v.subject == "broken_test_backend"
             ]
-            kinds = {v.kind for v in violations}
-            assert kinds == {"backend-protocol"}
-            assert len(violations) >= 6  # six missing sweep methods
+            assert [v.kind for v in violations] == ["backend-protocol"]
+            assert "unregistered_name" in violations[0].message
         finally:
             KERNEL_BACKENDS.unregister("broken_test_backend")
         assert lint_registries() == []

@@ -9,7 +9,7 @@ from repro.api.facade import SolverSpec, make_executor, make_grid, make_solver
 from repro.core.solver_base import TiledSolverBase
 from repro.criteria.base import RobustnessCriterion
 from repro.runtime import SequentialExecutor, ThreadedExecutor
-from repro.tiles import ProcessGrid
+from repro.tiles import BlockCyclicDistribution, ProcessGrid, TileMatrix
 from repro.trees.base import ReductionTree
 
 
@@ -190,8 +190,31 @@ class TestMakeSolver:
         )
         assert solver.domain_pivoting is False
         # options may also ride on the algorithm spec itself
-        solver = make_solver(algorithm="hybrid(recursive_panel=False)", tile_size=8)
-        assert solver.recursive_panel is False
+        solver = make_solver(algorithm="hybrid(domain_pivoting=False)", tile_size=8)
+        assert solver.domain_pivoting is False
+
+    def test_removed_panel_flags_fail_loudly(self):
+        """``recursive_panel``/``recursive`` selected nothing and are gone."""
+        import repro.linalg
+        from repro.core.panel_analysis import analyze_panel
+        from repro.kernels import factor_panel_lu, factor_tile_lu
+
+        with pytest.raises(ValueError, match="does not accept option 'recursive_panel'"):
+            make_solver(algorithm="hybrid(recursive_panel=False)", tile_size=8)
+        tiles = TileMatrix.from_dense(np.eye(16), 8)
+        dist = BlockCyclicDistribution(ProcessGrid(1, 1), tiles.n)
+        with pytest.raises(TypeError, match="recursive_panel"):
+            analyze_panel(tiles, dist, 0, recursive_panel=True)
+        with pytest.raises(TypeError, match="recursive"):
+            factor_panel_lu(np.eye(8), 8, recursive=True)
+        # The alias of getrf and the copying triangle properties are gone too.
+        assert not hasattr(repro.linalg, "recursive_getrf")
+        with pytest.raises(ImportError):
+            from repro.linalg.pivoting import recursive_getrf  # noqa: F401
+        factor = factor_tile_lu(np.eye(8))
+        for attribute in ("u", "l_top"):
+            with pytest.raises(AttributeError):
+                getattr(factor, attribute)
 
     def test_criterion_on_baseline_rejected(self):
         with pytest.raises(ValueError, match="does not accept a criterion"):

@@ -10,6 +10,9 @@ panel is a recursion over ``dgetrf`` leaves of at most 16 384 elements
 ``dgetrf`` on a 1024x128 panel hashes differently at 1 and 2 threads).  This
 is the guard that fails if a thread-sensitive routine is swapped in later —
 run at the sizes where it bites, not only at tiles too small to thread.
+The trailing update is one wide GEMM / TRSM / QR apply per column range, so
+the bulk applies are checked too: on many small tiles (n = 512, nb = 16)
+and on a 1024 x 1024 matrix of 256-tiles, where every apply threads.
 """
 
 from __future__ import annotations
@@ -62,6 +65,30 @@ for shape in [(1024, 128), (2048, 256)]:
 """
 
 
+_BULK = _PRELUDE + """
+from repro.core.factorization import StepRecord
+from repro.core.lu_step import lu_step_tasks
+from repro.core.panel_analysis import analyze_panel
+from repro.core.qr_step import qr_step_tasks
+from repro.tiles import BlockCyclicDistribution, ProcessGrid, TileMatrix
+from repro.trees.greedy import GreedyTree
+
+rng = np.random.default_rng(13)
+a, b = rng.standard_normal((1024, 1024)), rng.standard_normal((1024, 2))
+for kind in ("LU", "QR"):
+    tiles = TileMatrix.from_dense(a, 256, rhs=b)
+    record = StepRecord(k=0, kind=kind)
+    if kind == "LU":
+        dist = BlockCyclicDistribution(ProcessGrid(1, 1), tiles.n)
+        tasks = lu_step_tasks(tiles, 0, analyze_panel(tiles, dist, 0), record)
+    else:
+        tasks = qr_step_tasks(tiles, 0, GreedyTree().eliminations(range(4)), record)
+    for task in tasks:
+        task.fn()
+    print(kind, digest(tiles.array, tiles.rhs))
+"""
+
+
 def _run(script: str, threads: int) -> str:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     src = str(Path(repro.__file__).resolve().parents[1])
@@ -78,13 +105,21 @@ def _run(script: str, threads: int) -> str:
     "n, nb, algorithm, criterion, both_kinds",
     [
         (256, 64, "hybrid", "max(alpha=5)", True),
+        # Small tiles, wide bulk GEMMs and QR chains, both step kinds.
+        (512, 16, "hybrid", "max(alpha=50)", True),
         # The kernel-bound benchmark configuration: 1024x128 domain panels,
         # far above the size where a bare dgetrf starts to thread.
         (1024, 128, "hybrid", "max(alpha=500)", True),
         (512, 128, "lu_incpiv", None, False),
         (512, 128, "lupp", None, False),
     ],
-    ids=["hybrid-256-64", "hybrid-1024-128", "lu_incpiv-512-128", "lupp-512-128"],
+    ids=[
+        "hybrid-256-64",
+        "hybrid-512-16",
+        "hybrid-1024-128",
+        "lu_incpiv-512-128",
+        "lupp-512-128",
+    ],
 )
 def test_factors_identical_for_one_and_two_blas_threads(n, nb, algorithm, criterion, both_kinds):
     script = _FACTOR.format(
@@ -98,5 +133,12 @@ def test_factors_identical_for_one_and_two_blas_threads(n, nb, algorithm, criter
 def test_panel_lu_identical_for_one_and_two_blas_threads():
     """``getrf`` itself, on panels a bare ``dgetrf`` factors thread-dependently."""
     one, two = _run(_PANELS, 1), _run(_PANELS, 2)
+    assert len(one.splitlines()) == 2
+    assert one == two
+
+
+def test_bulk_applies_identical_for_one_and_two_blas_threads():
+    """One LU and one QR step of a 1024 x 1024 matrix of 256-tiles."""
+    one, two = _run(_BULK, 1), _run(_BULK, 2)
     assert len(one.splitlines()) == 2
     assert one == two

@@ -203,12 +203,15 @@ class TestStepTaskPlans:
         dist = BlockCyclicDistribution(ProcessGrid(1, 1), tiles.n)
         rec = StepRecord(k=0, kind="LU")
         tasks = lu_step_tasks(tiles, 0, analyze_panel(tiles, dist, 0), rec)
-        # One getrf covering the domain, one swptrsm per trailing column and
-        # one gemm per trailing tile; the record additionally charges the
-        # Table-I trsm count for the sub-diagonal panel tiles.
+        # One getrf covering the domain; the swptrsm and gemm sweeps carry
+        # one logical kernel per trailing column / tile in ``fused``.  The
+        # record additionally charges the Table-I trsm count for the
+        # sub-diagonal panel tiles.
         from collections import Counter
 
-        planned = Counter(t.kernel for t in tasks)
+        planned = Counter()
+        for t in tasks:
+            planned[t.kernel] += t.fused
         assert planned["getrf"] == rec.kernel_counts["getrf"]
         assert planned["swptrsm"] == rec.kernel_counts["swptrsm"]
         assert planned["gemm"] == rec.kernel_counts["gemm"]

@@ -34,7 +34,7 @@ from repro.kernels import (
 from repro.core.factorization import StepRecord
 from repro.core.lu_step import lu_step_tasks
 from repro.core.panel_analysis import analyze_panel
-from repro.kernels.dispatch import KERNELS
+from repro.kernels.dispatch import KERNELS, sweep_ranges
 from repro.linalg import (
     apply_q_transpose,
     apply_row_pivots,
@@ -47,6 +47,16 @@ from repro.linalg import (
 from repro.tiles import BlockCyclicDistribution, ProcessGrid, TileMatrix
 
 
+def _u(f):
+    """The upper-triangular factor ``U`` of a packed factorization."""
+    return np.triu(f.top)
+
+
+def _l_top(f):
+    """The unit-lower top block of ``L`` of a packed factorization."""
+    return np.tril(f.top, -1) + np.eye(f.nb)
+
+
 # --------------------------------------------------------------------------- #
 # LU kernels
 # --------------------------------------------------------------------------- #
@@ -56,9 +66,8 @@ class TestLUKernels:
         f = factor_tile_lu(a)
         assert isinstance(f, LUPanelFactor)
         assert f.nb == 8
-        assert f.u.shape == (8, 8)
-        np.testing.assert_allclose(np.tril(f.u, -1), 0.0)
-        np.testing.assert_allclose(np.diag(f.l_top), 1.0)
+        assert f.top.shape == (8, 8)
+        np.testing.assert_allclose(np.diag(_l_top(f)), 1.0)
         assert f.smallest_pivot > 0.0
 
     def test_factor_panel_stacks(self, rng):
@@ -68,14 +77,7 @@ class TestLUKernels:
         lfull = np.tril(f.lu, -1)
         lfull[np.arange(8), np.arange(8)] = 1.0
         pw = apply_row_pivots(stacked.copy(), f.piv)
-        np.testing.assert_allclose(lfull @ f.u, pw, atol=1e-11)
-
-    def test_factor_panel_recursive_flag_selects_nothing(self, rng):
-        stacked = rng.standard_normal((32, 8))
-        f1 = factor_panel_lu(stacked.copy(), 8, recursive=True)
-        f2 = factor_panel_lu(stacked.copy(), 8, recursive=False)
-        np.testing.assert_array_equal(f1.lu, f2.lu)
-        np.testing.assert_array_equal(f1.piv, f2.piv)
+        np.testing.assert_allclose(lfull @ _u(f), pw, atol=1e-11)
 
     def test_factor_panel_wrong_width(self, rng):
         with pytest.raises(ValueError):
@@ -86,7 +88,7 @@ class TestLUKernels:
         f = factor_tile_lu(a_kk)
         a_ik = rng.standard_normal((6, 6))
         out = eliminate_trsm(f, a_ik)
-        np.testing.assert_allclose(out @ f.u, a_ik, atol=1e-10)
+        np.testing.assert_allclose(out @ _u(f), a_ik, atol=1e-10)
 
     def test_apply_swptrsm_single_tile(self, rng):
         a_kk = rng.standard_normal((6, 6))
@@ -95,7 +97,7 @@ class TestLUKernels:
         out = apply_swptrsm(f, c)
         # out = L^{-1} P c  =>  L out = P c
         pc = apply_row_pivots(c.copy(), f.piv)
-        np.testing.assert_allclose(f.l_top @ out[:6], pc[:6], atol=1e-10)
+        np.testing.assert_allclose(_l_top(f) @ out[:6], pc[:6], atol=1e-10)
 
     def test_apply_swptrsm_row_count_check(self, rng):
         f = factor_tile_lu(rng.standard_normal((6, 6)))
@@ -132,7 +134,7 @@ def _reference_swptrsm(factor, stacked):
     """The readable form: one swap per pivot, then a solve against ``tril + I``."""
     c = np.array(stacked, dtype=np.float64, copy=True)
     apply_row_pivots(c, factor.piv)
-    c[: factor.nb] = trsm_lower_left_unit(factor.l_top, c[: factor.nb])
+    c[: factor.nb] = trsm_lower_left_unit(_l_top(factor), c[: factor.nb])
     return c
 
 
@@ -148,7 +150,7 @@ def _reference_lu_step(tiles, k, domain_rows, factor):
             tiles.rhs_tile(i)[...] = stacked[idx * nb : (idx + 1) * nb]
     for i in range(k + 1, n):
         if i not in domain_rows:
-            tiles.set_tile(i, k, trsm_upper_right(factor.u, tiles.tile(i, k)))
+            tiles.set_tile(i, k, trsm_upper_right(_u(factor), tiles.tile(i, k)))
     for i in range(k + 1, n):
         for j in range(k + 1, n):
             tiles.tile(i, j)[...] -= tiles.tile(i, k) @ tiles.tile(k, j)
@@ -166,7 +168,7 @@ class TestInPlaceLUKernels:
         np.testing.assert_array_equal(apply_swptrsm(f, c), _reference_swptrsm(f, c))
         np.testing.assert_array_equal(c, kept)
         a_ik = rng.standard_normal((nb, nb))
-        np.testing.assert_array_equal(eliminate_trsm(f, a_ik), trsm_upper_right(f.u, a_ik))
+        np.testing.assert_array_equal(eliminate_trsm(f, a_ik), trsm_upper_right(_u(f), a_ik))
 
     def test_swptrsm_inplace_touches_only_the_listed_rows(self, rng):
         nb = 4
@@ -195,7 +197,7 @@ class TestInPlaceLUKernels:
         _reference_lu_step(expected, k, analysis.domain_rows, analysis.factor)
 
         tasks = lu_step_tasks(tiles, k, analysis, StepRecord(k=k, kind="LU"))
-        assert [t.kernel for t in tasks].count("swptrsm") == n - k - 1 + with_rhs
+        assert [t.kernel for t in tasks].count("swptrsm") == len(sweep_ranges(k, n)) + with_rhs
         for task in tasks:
             if form == "closure":
                 task.fn()

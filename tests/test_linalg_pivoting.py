@@ -12,7 +12,6 @@ from repro.linalg import (
     getrf,
     getrf_nopiv,
     pivots_to_permutation,
-    recursive_getrf,
     tiled_back_substitution,
     trsm_lower_left_unit,
     trsm_upper_left,
@@ -119,9 +118,6 @@ def assert_matches_reference(a):
 class TestRecursiveGetrf:
     """The LAPACK-leaf recursion against the kept per-column reference."""
 
-    def test_recursive_getrf_is_getrf(self):
-        assert recursive_getrf is getrf
-
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 17, 64, 128])
     @pytest.mark.parametrize("rows", ["k", "2k", "1024"])
     def test_matches_right_looking(self, k, rows):
@@ -131,7 +127,7 @@ class TestRecursiveGetrf:
 
     def test_reconstruction(self, rng, tiny_leaves):
         a = rng.standard_normal((30, 10))
-        lu, piv = recursive_getrf(a)
+        lu, piv = getrf(a)
         np.testing.assert_allclose(reconstruct_from_lu(lu, piv), a, atol=1e-11)
 
     @given(m_extra=st.integers(0, 12), k=st.integers(1, 10), seed=st.integers(0, 500))

@@ -200,7 +200,7 @@ def test_repro_executor_env_var(rng, monkeypatch):
 # --------------------------------------------------------------------------- #
 def test_unbound_executor_rejects_run():
     graph = build_step_graph(
-        [KernelTask("x", lambda: None, call=KernelCall("lu.gemm", args=(0, 0, 0)))]
+        [KernelTask("x", lambda: None, call=KernelCall("lu.gemm_sweep", args=(0, 2, 1, 2)))]
     )
     with pytest.raises(RuntimeError, match="not bound"):
         ProcessExecutor(workers=1).run(graph)
@@ -268,7 +268,7 @@ def test_cycle_below_sources_detected():
     from repro.runtime.graph import TaskGraph
 
     graph = TaskGraph()
-    call = KernelCall("lu.gemm", args=(0, 0, 1))
+    call = KernelCall("lu.gemm_sweep", args=(0, 2, 1, 2))
     graph.add_task(kernel="source", step=0, fn=lambda: None, call=call)
     # Tasks 1 and 2 depend on each other through explicit extra_deps.
     graph.add_task(kernel="a", step=0, fn=lambda: None, call=call, extra_deps=[2])

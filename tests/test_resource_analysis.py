@@ -16,7 +16,7 @@ from repro.analysis.corruption import (
     corrupt_cross_domain_pivot,
     corrupt_dtype_dropping_kernel,
     corrupt_factor_shape,
-    corrupt_fused_sweep_range,
+    corrupt_sweep_range,
     corrupt_wrong_owner,
     run_corruption_suite,
 )
@@ -62,7 +62,7 @@ class TestCleanMatrix:
         assert report.resources["memory[executed]"]["peak_bytes"] > 0
         assert "placement[plan]" in report.resources
 
-    @pytest.mark.parametrize("backend", [None, "fused", "jit"])
+    @pytest.mark.parametrize("backend", [None, "tracing"])
     @pytest.mark.parametrize("grid", ["2x2", "4x1"])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_audit_clean_backends(self, algorithm, backend, grid):
@@ -208,8 +208,8 @@ class TestCorruption:
         kinds = {v.kind for v in corrupt_dtype_dropping_kernel()}
         assert "dtype-mismatch" in kinds
 
-    def test_fused_range_detected(self):
-        kinds = {v.kind for v in corrupt_fused_sweep_range()}
+    def test_sweep_range_detected(self):
+        kinds = {v.kind for v in corrupt_sweep_range()}
         assert "read-set-mismatch" in kinds
         assert "write-set-mismatch" in kinds
 

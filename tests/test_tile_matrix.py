@@ -109,16 +109,31 @@ class TestTileAccess:
         tm = TileMatrix.from_dense(a, 8)
         np.testing.assert_array_equal(tm.row_block(1, 1), a[8:16, 8:])
         np.testing.assert_array_equal(tm.row_block(0, 1, 2), a[0:8, 8:16])
+        # Bounds as block(): an empty range at the right edge is a view ...
+        assert tm.row_block(2, 3).shape == (8, 0)
+        assert tm.row_block(2, 3).shape == tm.block(2, 3, 3, 3).shape
+        # ... a stop past the edge or before the start is an error.
+        with pytest.raises(IndexError):
+            tm.row_block(0, 1, 3 + 5)
+        with pytest.raises(IndexError):
+            tm.row_block(0, 3, 1)
+        with pytest.raises(IndexError):
+            tm.row_block(3, 0)
 
     def test_column_rows_and_rhs_rows_are_full_height_views(self, rng):
         a = rng.standard_normal((24, 24))
         tm = TileMatrix.from_dense(a, 8, rhs=rng.standard_normal((24, 2)))
-        column = tm.column_rows(1, [0, 2])
+        column = tm.column_rows(1, 2, [0, 2])
         assert column.shape == (24, 8) and np.shares_memory(column, tm.array)
         np.testing.assert_array_equal(column, a[:, 8:16])
+        columns = tm.column_rows(1, 3, [0, 2])
+        assert columns.shape == (24, 16) and np.shares_memory(columns, tm.array)
+        np.testing.assert_array_equal(columns, a[:, 8:])
         assert tm.rhs_rows([0, 2]) is tm.rhs
         with pytest.raises(IndexError):
-            tm.column_rows(1, [0, 3])
+            tm.column_rows(1, 2, [0, 3])
+        with pytest.raises(IndexError):
+            tm.column_rows(2, 4, [0])
         with pytest.raises(IndexError):
             tm.rhs_rows([3])
         with pytest.raises(ValueError):
