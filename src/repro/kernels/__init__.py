@@ -25,7 +25,18 @@ from .lu_kernels import (
     swptrsm_inplace,
     update_gemm,
 )
-from .qr_kernels import QRTileFactor, geqrt_tile, tsmqr, tsqrt, ttmqr, ttqrt, unmqr
+from .qr_kernels import (
+    QRTileFactor,
+    geqrt_tile,
+    tsmqr,
+    tsmqr_inplace,
+    tsqrt,
+    ttmqr,
+    ttmqr_inplace,
+    ttqrt,
+    unmqr,
+    unmqr_inplace,
+)
 
 __all__ = [
     "KernelCall",
@@ -54,8 +65,11 @@ __all__ = [
     "QRTileFactor",
     "geqrt_tile",
     "unmqr",
+    "unmqr_inplace",
     "tsqrt",
     "tsmqr",
+    "tsmqr_inplace",
     "ttqrt",
     "ttmqr",
+    "ttmqr_inplace",
 ]

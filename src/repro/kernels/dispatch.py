@@ -58,7 +58,14 @@ from .lu_kernels import (
     stacked_row_index,
     swptrsm_inplace,
 )
-from .qr_kernels import geqrt_tile, tsmqr, tsqrt, ttqrt, unmqr
+from .qr_kernels import (
+    geqrt_tile,
+    tsmqr_inplace,
+    tsqrt,
+    ttmqr_inplace,
+    ttqrt,
+    unmqr_inplace,
+)
 
 __all__ = [
     "KernelCall",
@@ -204,17 +211,16 @@ def _qr_chain(operand, ops, factors) -> None:
 
     ``ops`` holds ``("unmqr", row, idx)`` and ``("tsmqr"|"ttmqr", eliminator,
     killed, idx)`` entries; ``idx`` indexes the consumed factors and
-    ``operand(row)`` is the tile-row view of the range.
+    ``operand(row)`` is the tile-row view of the range, updated in place.
     """
     for op in ops:
         if op[0] == "unmqr":
             _, row, idx = op
-            c = operand(row)
-            c[...] = unmqr(factors[idx], c)
+            unmqr_inplace(factors[idx], operand(row))
         else:
-            _, eliminator, killed, idx = op
-            top, bottom = operand(eliminator), operand(killed)
-            top[...], bottom[...] = tsmqr(factors[idx], top, bottom)
+            name, eliminator, killed, idx = op
+            apply = ttmqr_inplace if name == "ttmqr" else tsmqr_inplace
+            apply(factors[idx], operand(eliminator), operand(killed))
 
 
 @kernel_op("qr.sweep")

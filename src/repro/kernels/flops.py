@@ -75,6 +75,12 @@ class KernelFlops:
         return 2.0 * self.nb**3
 
     # ----------------------- QR-step kernels -------------------------- #
+    # The applies in repro.kernels.qr_kernels use the structure these
+    # counts assume: TRMMs by the unit-lower V (UNMQR) and the upper V_b
+    # (TTMQR), GEMMs only by TSQRT's full V_b.  Each executes its count
+    # below plus nb^3 for the TRMM by T, which is full nb x nb here (block
+    # size nb) but block diagonal, and negligible, in the paper's
+    # inner-blocked kernels.
     @property
     def geqrt(self) -> float:
         """Householder QR of one ``nb x nb`` tile (compact WY)."""

@@ -18,12 +18,17 @@ counterparts, are:
   inter-domain reduction trees.
 * **TTMQR**  — apply the TTQRT transformation to trailing tiles.
 
-These are the production kernels: the three factorizations are one call
+These are the production kernels.  The three factorizations are one call
 each to LAPACK ``dgeqrt`` (recursive, level-3) with the block size equal to
-the tile size, so ``T`` is the full ``nb x nb`` compact-WY factor, and the
-applies are plain GEMMs.  The readable pure-NumPy construction of the same
-``(V, T, R)`` lives in :mod:`repro.linalg.householder`; the tests compare
-every kernel here against it.
+the tile size, so ``T`` is the full ``nb x nb`` compact-WY factor.  The
+applies work in place on the caller's views (``*_inplace``; the
+functional ``unmqr``/``tsmqr``/``ttmqr`` are copy + in-place) and use the
+structure of their operands: ``T`` is upper triangular, GEQRT's ``V`` is
+unit lower triangular and TTQRT's ``V_b`` upper triangular, so those
+products are BLAS ``dtrmm`` calls on one workspace; only TSMQR's full
+square ``V_b`` goes through GEMM.  The tests compare every kernel here
+against a readable pure-NumPy Householder construction of the same
+``(V, T, R)``.
 
 A coupled factorization works on ``[R_top; bottom]`` with ``R_top`` upper
 triangular, so its reflectors always have the form ``V = [I; V_b]``: the top
@@ -32,9 +37,9 @@ is stored.  TSMQR/TTMQR use that structure directly::
 
     w = T^T (C_top + V_b^T C_bot);   C_top -= w;   C_bot -= V_b w
 
-Every kernel returns new tile values (functional style); the drivers in
-:mod:`repro.core.qr_step` and :mod:`repro.baselines.hqr` write them back
-into the :class:`~repro.tiles.TileMatrix`.
+The factorizations return new values; the trailing-update sweeps of
+:mod:`repro.kernels.dispatch` run the in-place applies on views of the
+:class:`~repro.tiles.TileMatrix`.
 """
 
 from __future__ import annotations
@@ -43,18 +48,20 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dgeqrt
-
-from ..linalg.householder import apply_q_transpose
 
 __all__ = [
     "QRTileFactor",
     "geqrt_tile",
     "unmqr",
+    "unmqr_inplace",
     "tsqrt",
     "tsmqr",
+    "tsmqr_inplace",
     "ttqrt",
     "ttmqr",
+    "ttmqr_inplace",
 ]
 
 
@@ -115,11 +122,6 @@ def geqrt_tile(a_kk: np.ndarray) -> QRTileFactor:
     return QRTileFactor(vb=v, t=t, r=r, nb=a_kk.shape[0])
 
 
-def unmqr(factor: QRTileFactor, c: np.ndarray) -> np.ndarray:
-    """UNMQR: apply ``Q^T`` of a GEQRT factorization to a trailing tile."""
-    return apply_q_transpose(factor.vb, factor.t, c)
-
-
 def tsqrt(r_top: np.ndarray, a_bottom: np.ndarray) -> QRTileFactor:
     """TSQRT: eliminate a square tile using a triangular eliminator tile.
 
@@ -129,18 +131,6 @@ def tsqrt(r_top: np.ndarray, a_bottom: np.ndarray) -> QRTileFactor:
     reflectors (returned in ``vb``).
     """
     return _couple(r_top, a_bottom, "tsqrt")
-
-
-def tsmqr(
-    factor: QRTileFactor, c_top: np.ndarray, c_bottom: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """TSMQR: apply a TSQRT transformation to a pair of trailing tiles.
-
-    ``c_top`` belongs to the eliminator row, ``c_bottom`` to the killed row.
-    Returns the updated ``(c_top, c_bottom)``.
-    """
-    w = factor.t.T @ (c_top + factor.vb.T @ c_bottom)
-    return c_top - w, c_bottom - factor.vb @ w
 
 
 def ttqrt(r_top: np.ndarray, r_bottom: np.ndarray) -> QRTileFactor:
@@ -153,8 +143,98 @@ def ttqrt(r_top: np.ndarray, r_bottom: np.ndarray) -> QRTileFactor:
     return _couple(r_top, np.triu(r_bottom), "ttqrt")
 
 
+# --------------------------------------------------------------------------- #
+# Applies: in place on the caller's views, one workspace each
+# --------------------------------------------------------------------------- #
+def _trmm(a: np.ndarray, wt: np.ndarray, lower: int, trans: int, unit: int = 0) -> None:
+    """``w <- op(a) w`` in place for a triangular ``a``; ``wt`` is ``w.T``.
+
+    ``w`` is a C-ordered workspace, so ``wt`` is the Fortran-ordered
+    ``w^T`` BLAS works on, and the product becomes ``w^T <- w^T op(a)^T``
+    (right side).  ``a.T`` is the Fortran-ordered ``a^T``, whose triangle is
+    the other one, and ``op(a)^T = op(a^T)`` with the same ``trans``; so
+    neither operand is copied for a C-ordered ``a``.  Arguments go to f2py
+    positionally (``side, lower, trans_a, diag, overwrite_b``): keyword
+    parsing costs as much as a small tile's product.
+    """
+    dtrmm(1.0, a.T, wt, 1, 1 - lower, trans, unit, 1)
+
+
+def _workspace(c: np.ndarray) -> np.ndarray:
+    return np.array(c, dtype=np.float64, order="C")
+
+
+def unmqr_inplace(factor: QRTileFactor, c: np.ndarray) -> None:
+    """UNMQR, in place: ``C <- Q^T C = C - V T^T V^T C`` for a GEQRT factor.
+
+    ``c`` is any ``nb``-row view (a tile, a tile-row block, an RHS tile);
+    ``V`` is unit lower and ``T`` upper triangular, so the three products
+    are TRMMs on one workspace.
+    """
+    w = _workspace(c)
+    _trmm(factor.vb, w.T, 1, 1, 1)  # w = V^T C   (unit lower)
+    _trmm(factor.t, w.T, 0, 1)  # w = T^T w
+    _trmm(factor.vb, w.T, 1, 0, 1)  # w = V w
+    c -= w
+
+
+def tsmqr_inplace(factor: QRTileFactor, c_top: np.ndarray, c_bottom: np.ndarray) -> None:
+    """TSMQR, in place: apply a TSQRT transformation to a pair of row views.
+
+    ``c_top`` belongs to the eliminator row, ``c_bottom`` to the killed row.
+    ``V_b`` is a full square block, so its two products stay GEMMs; only
+    ``T^T`` is a TRMM::
+
+        w = T^T (C_top + V_b^T C_bot);   C_top -= w;   C_bot -= V_b w
+    """
+    w = factor.vb.T @ c_bottom
+    w += c_top
+    _trmm(factor.t, w.T, 0, 1)  # w = T^T w
+    c_top -= w
+    c_bottom -= factor.vb @ w
+
+
+def ttmqr_inplace(factor: QRTileFactor, c_top: np.ndarray, c_bottom: np.ndarray) -> None:
+    """TTMQR, in place: apply a TTQRT transformation to a pair of row views.
+
+    TTQRT's ``V_b`` is upper triangular (the killed tile was), so all three
+    products of the TSMQR formula are TRMMs on one workspace.
+    """
+    w = _workspace(c_bottom)
+    _trmm(factor.vb, w.T, 0, 1)  # w = V_b^T C_bot   (upper)
+    w += c_top
+    _trmm(factor.t, w.T, 0, 1)  # w = T^T w
+    c_top -= w
+    _trmm(factor.vb, w.T, 0, 0)  # w = V_b w
+    c_bottom -= w
+
+
+def unmqr(factor: QRTileFactor, c: np.ndarray) -> np.ndarray:
+    """UNMQR: apply ``Q^T`` of a GEQRT factorization to a trailing tile.
+
+    Functional form of :func:`unmqr_inplace`: returns a new array.
+    """
+    out = _workspace(c)
+    unmqr_inplace(factor, out)
+    return out
+
+
+def tsmqr(
+    factor: QRTileFactor, c_top: np.ndarray, c_bottom: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """TSMQR: functional form of :func:`tsmqr_inplace`.
+
+    Returns the updated ``(c_top, c_bottom)`` as new arrays.
+    """
+    top, bottom = _workspace(c_top), _workspace(c_bottom)
+    tsmqr_inplace(factor, top, bottom)
+    return top, bottom
+
+
 def ttmqr(
     factor: QRTileFactor, c_top: np.ndarray, c_bottom: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """TTMQR: apply a TTQRT transformation to a pair of trailing tiles."""
-    return tsmqr(factor, c_top, c_bottom)
+    """TTMQR: functional form of :func:`ttmqr_inplace`."""
+    top, bottom = _workspace(c_top), _workspace(c_bottom)
+    ttmqr_inplace(factor, top, bottom)
+    return top, bottom

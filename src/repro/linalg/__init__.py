@@ -1,6 +1,5 @@
-"""Dense linear-algebra substrate: Householder QR, pivoted LU, norm estimation."""
+"""Dense linear-algebra substrate: pivoted LU, triangular solves, norm estimation."""
 
-from .householder import apply_q, apply_q_transpose, build_q, geqrt, house, larft
 from .norm_est import (
     hager_norm1_estimate,
     inverse_norm1_estimate,
@@ -22,12 +21,6 @@ from .triangular import (
 )
 
 __all__ = [
-    "house",
-    "geqrt",
-    "larft",
-    "apply_q",
-    "apply_q_transpose",
-    "build_q",
     "getrf",
     "getrf_nopiv",
     "apply_row_pivots",

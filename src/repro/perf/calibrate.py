@@ -83,7 +83,7 @@ def kernel_source_hash() -> str:
     package = Path(__file__).resolve().parents[1]
     sources = sorted((package / "kernels").glob("*.py")) + [
         package / "linalg" / name
-        for name in ("pivoting.py", "householder.py", "triangular.py")
+        for name in ("pivoting.py", "triangular.py")
     ]
     digest = hashlib.sha256()
     for source in sources:

@@ -1,4 +1,4 @@
-"""Compact-WY Householder QR — the readable reference implementation.
+"""Compact-WY Householder QR — the readable reference the QR kernel tests use.
 
 The PLASMA/DPLASMA tile kernels used by the paper (GEQRT, TSQRT, TSMQR,
 TTQRT, TTMQR, UNMQR) are all built on blocked Householder reflections in
@@ -22,9 +22,9 @@ reflector per Python loop iteration, following the LAPACK conventions:
 It is written for clarity, not speed, and tested against
 ``numpy.linalg.qr``.  The production tile kernels in
 :mod:`repro.kernels.qr_kernels` factor with LAPACK ``dgeqrt`` instead (same
-sign convention, so ``R`` agrees to rounding) and take only the GEMM applies
-from here; :func:`house`, :func:`geqrt` and :func:`larft` stay as the
-reference the kernel tests compare against.
+sign convention, so ``R`` agrees to rounding) and apply with TRMM/GEMM on
+the triangular structure of ``V`` and ``T``; the kernel tests compare them
+against this module.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from repro.kernels.lu_kernels import (
     stacked_row_index,
     swptrsm_inplace,
 )
-from repro.kernels.qr_kernels import geqrt_tile, tsmqr, tsqrt, ttqrt, unmqr
+from repro.kernels.qr_kernels import geqrt_tile, tsmqr, tsqrt, ttmqr, ttqrt, unmqr
 from repro.linalg.pivoting import SingularPanelError
 from repro.runtime.schedule import KernelTask
 from repro.trees.base import validate_eliminations
@@ -119,8 +119,8 @@ def qr_step_tasks(tiles, k, eliminations, record: StepRecord, validate=True):
         tiles.set_tile(e.eliminator, k, factor.r)
         tiles.set_tile(e.killed, k, 0.0)
 
-    def update(e, j):
-        top, bottom = tsmqr(
+    def update(e, apply, j):
+        top, bottom = apply(
             factors[("couple", e.eliminator, e.killed)],
             tiles.tile(e.eliminator, j),
             tiles.tile(e.killed, j),
@@ -128,8 +128,8 @@ def qr_step_tasks(tiles, k, eliminations, record: StepRecord, validate=True):
         tiles.set_tile(e.eliminator, j, top)
         tiles.set_tile(e.killed, j, bottom)
 
-    def update_rhs(e):
-        top, bottom = tsmqr(
+    def update_rhs(e, apply):
+        top, bottom = apply(
             factors[("couple", e.eliminator, e.killed)],
             tiles.rhs_tile(e.eliminator),
             tiles.rhs_tile(e.killed),
@@ -141,16 +141,16 @@ def qr_step_tasks(tiles, k, eliminations, record: StepRecord, validate=True):
         triangularize(e.eliminator)
         if e.kind == "TT":
             triangularize(e.killed)
-            kernel, name, update_name = ttqrt, "ttqrt", "ttmqr"
+            kernel, apply, name, update_name = ttqrt, ttmqr, "ttqrt", "ttmqr"
         else:
-            kernel, name, update_name = tsqrt, "tsqrt", "tsmqr"
+            kernel, apply, name, update_name = tsqrt, tsmqr, "tsqrt", "tsmqr"
         fns.append(lambda e=e, kernel=kernel: couple(e, kernel))
         record.add_kernel(name)
         for j in range(k + 1, n):
-            fns.append(lambda e=e, j=j: update(e, j))
+            fns.append(lambda e=e, apply=apply, j=j: update(e, apply, j))
             record.add_kernel(update_name)
         if tiles.has_rhs:
-            fns.append(lambda e=e: update_rhs(e))
+            fns.append(lambda e=e, apply=apply: update_rhs(e, apply))
             record.add_kernel(update_name + "_rhs")
     triangularize(k)
     record.eliminations = elims

@@ -3,11 +3,13 @@
 Worker processes of the ``processes`` and ``cluster`` executors start with
 one BLAS thread while the host may run two or more, so executor bit-identity
 needs every kernel to give the same bits at any thread count.  The tile
-kernels were chosen for that: the QR half is LAPACK ``dgeqrt`` plus GEMM
-applies (the ``dtpqrt`` family is not thread-stable from nb = 32 up), the LU
-panel is a recursion over ``dgetrf`` leaves of at most 16 384 elements
-(OpenBLAS switches to its parallel LU from 20 000 elements up, and a bare
-``dgetrf`` on a 1024x128 panel hashes differently at 1 and 2 threads).  This
+kernels were chosen for that: the QR half is LAPACK ``dgeqrt`` plus
+applies by ``dtrmm`` (on the triangular ``T``, ``V`` and TT's ``V_b``) and
+GEMM (on TS's full ``V_b``) — the ``dtpqrt`` family is not thread-stable
+from nb = 32 up — and the LU panel is a recursion over ``dgetrf`` leaves of
+at most 16 384 elements (OpenBLAS switches to its parallel LU from 20 000
+elements up, and a bare ``dgetrf`` on a 1024x128 panel hashes differently
+at 1 and 2 threads).  This
 is the guard that fails if a thread-sensitive routine is swapped in later —
 run at the sizes where it bites, not only at tiles too small to thread.
 The trailing update is one wide GEMM / TRSM / QR apply per column range, so

@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+from householder import apply_q_transpose, build_q, geqrt
 from scipy.linalg.lapack import dgeqrt
 
 from repro.kernels import (
@@ -25,10 +26,13 @@ from repro.kernels import (
     swptrsm_inplace,
     true_flops,
     tsmqr,
+    tsmqr_inplace,
     tsqrt,
     ttmqr,
+    ttmqr_inplace,
     ttqrt,
     unmqr,
+    unmqr_inplace,
     update_gemm,
 )
 from repro.core.factorization import StepRecord
@@ -36,10 +40,7 @@ from repro.core.lu_step import lu_step_tasks
 from repro.core.panel_analysis import analyze_panel
 from repro.kernels.dispatch import KERNELS, sweep_ranges
 from repro.linalg import (
-    apply_q_transpose,
     apply_row_pivots,
-    build_q,
-    geqrt,
     getrf,
     trsm_lower_left_unit,
     trsm_upper_right,
@@ -380,6 +381,95 @@ class TestQRKernelsAgainstReference:
         # What crosses a process or rank boundary is what qr.geqrt/qr.couple
         # declare as product_bytes: three nb x nb blocks of doubles.
         assert len(payload) <= 3 * nb * nb * 8 + 1024
+
+
+# --------------------------------------------------------------------------- #
+# Structure-aware applies (TRMM on V, V_b and T; GEMM on TSQRT's full V_b)
+# --------------------------------------------------------------------------- #
+def _factor_for(kernel, nb, rng):
+    """A GEQRT factor for ``unmqr``, else a TSQRT/TTQRT factor for the pair apply."""
+    if kernel == "unmqr":
+        return geqrt_tile(rng.standard_normal((nb, nb)))
+    couple = ttqrt if kernel == "ttmqr" else tsqrt
+    return couple(np.triu(rng.standard_normal((nb, nb))), rng.standard_normal((nb, nb)))
+
+
+_INPLACE = {"unmqr": unmqr_inplace, "tsmqr": tsmqr_inplace, "ttmqr": ttmqr_inplace}
+_FUNCTIONAL = {"unmqr": unmqr, "tsmqr": tsmqr, "ttmqr": ttmqr}
+
+
+@pytest.mark.parametrize("kernel", ["unmqr", "tsmqr", "ttmqr"])
+class TestStructuredApplies:
+    @pytest.mark.parametrize("nb", QR_TILE_SIZES)
+    def test_matches_dense_compact_wy(self, kernel, nb, rng):
+        f = _factor_for(kernel, nb, rng)
+        rows = nb if kernel == "unmqr" else 2 * nb
+        c = rng.standard_normal((rows, 3 * nb + 1))
+        expected = apply_q_transpose(f.v, f.t, c)
+        if kernel == "unmqr":
+            actual = unmqr(f, c)
+        else:
+            actual = np.vstack(_FUNCTIONAL[kernel](f, c[:nb], c[nb:]))
+        _assert_close(actual, expected, 1e-13)
+
+    @pytest.mark.parametrize("nb", QR_TILE_SIZES)
+    def test_inplace_writes_only_its_operands(self, kernel, nb, rng):
+        f = _factor_for(kernel, nb, rng)
+        factor_before = [f.vb.copy(), f.t.copy(), f.r.copy()]
+        # Tile-row views of a C-ordered matrix, as TileMatrix.row_block gives.
+        store = rng.standard_normal((3 * nb, 5 * nb))
+        before = store.copy()
+        top, bottom = store[:nb, nb : 4 * nb], store[2 * nb :, nb : 4 * nb]
+        if kernel == "unmqr":
+            expected = (unmqr(f, top),)
+            unmqr_inplace(f, top)
+            written = (top,)
+        else:
+            expected = _FUNCTIONAL[kernel](f, top, bottom)
+            _INPLACE[kernel](f, top, bottom)
+            written = (top, bottom)
+        for view, value in zip(written, expected):
+            np.testing.assert_array_equal(view, value)
+            view[...] = np.nan
+        untouched = ~np.isnan(store)
+        np.testing.assert_array_equal(store[untouched], before[untouched])
+        for array, kept in zip((f.vb, f.t, f.r), factor_before):
+            np.testing.assert_array_equal(array, kept)
+
+    @pytest.mark.parametrize("nb", [3, 8, 12, 16, 17, 64, 128])
+    def test_wide_apply_equals_per_tile_bits(self, kernel, nb, rng):
+        """A sweep's row-wide apply gives each column block the per-tile bits.
+
+        TSMQR's two GEMMs reproduce per-tile bits only for tile orders
+        <= 16 or divisible by 8 on OpenBLAS; the TRMM applies do at every
+        order.
+        """
+        if kernel == "tsmqr" and nb > 16 and nb % 8:
+            pytest.skip("wide GEMM blocks differently from the per-tile GEMM")
+        f = _factor_for(kernel, nb, rng)
+        cols = 4
+        top = rng.standard_normal((nb, cols * nb))
+        bottom = rng.standard_normal((nb, cols * nb))
+        wide_top, wide_bottom = top.copy(), bottom.copy()
+        if kernel == "unmqr":
+            unmqr_inplace(f, wide_top)
+        else:
+            _INPLACE[kernel](f, wide_top, wide_bottom)
+        for j in range(cols):
+            block = slice(j * nb, (j + 1) * nb)
+            if kernel == "unmqr":
+                np.testing.assert_array_equal(wide_top[:, block], unmqr(f, top[:, block]))
+            else:
+                t, b = _FUNCTIONAL[kernel](f, top[:, block], bottom[:, block])
+                np.testing.assert_array_equal(wide_top[:, block], t)
+                np.testing.assert_array_equal(wide_bottom[:, block], b)
+
+
+@pytest.mark.parametrize("nb", QR_TILE_SIZES)
+def test_ttqrt_vb_is_exactly_upper_triangular(nb, rng):
+    """TTMQR's TRMM on ``V_b`` reads only its upper triangle."""
+    f = ttqrt(np.triu(rng.standard_normal((nb, nb))), rng.standard_normal((nb, nb)))
+    assert np.all(np.tril(f.vb, -1) == 0.0)
 
 
 # --------------------------------------------------------------------------- #

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.linalg import apply_q, apply_q_transpose, build_q, geqrt, house, larft
+from householder import apply_q, apply_q_transpose, build_q, geqrt, house, larft
 
 
 class TestHouse:
