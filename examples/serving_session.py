@@ -6,7 +6,7 @@ factorizations keyed by matrix fingerprint.  The first request for a matrix
 factors ``[A | I]`` — riding the identity along the elimination
 materializes the operator that maps *any* right-hand side to its
 transformed image — and every further request against the same matrix is
-one small matmul plus the tiled back-substitution.  This is the
+one small matmul plus one LAPACK back-substitution.  This is the
 across-requests analogue of ``solve_many`` (which amortizes one
 factorization across a batch of right-hand sides, Section II-D1).
 

@@ -13,17 +13,20 @@ miss factors ``[A | I]``: every transformation the elimination steps apply
 to the right-hand side is a linear row operation, so riding the identity
 along the factorization materializes the combined operator ``M`` with
 ``M @ b`` equal to the transformed right-hand side for *any* ``b``.  A
-request is then one small matmul plus the tiled back-substitution.  The
+request is then one small matmul plus the back-substitution.  The
 extra ``n`` trailing columns make the miss factorization costlier than a
 single direct solve, which is the explicit trade of a serving layer: the
 cost is paid once per matrix and every subsequent hit is cheap.
 
-A hit therefore costs one ``transform @ b``, one tiled back-substitution
-and one residual pass ``A @ x - b`` for the stability report; the two
-O(n^2) norms of ``A`` the report needs are computed on the miss and kept
-on the cache entry.  ``benchmarks/e2e`` measures it: ``serve_warm`` (hits
-only) and ``serve_churn`` (misses, evictions and hits); the counters are
-exposed on ``session.stats``.
+A hit therefore costs one ``transform @ b``, one back-substitution (a
+single LAPACK ``dtrtrs`` on the cached factor) and one residual pass
+``A @ x - b`` for the stability report; the two O(n^2) norms of ``A`` the
+report needs are computed on the miss and kept on the cache entry.  A
+right-hand side holding NaN or Inf is rejected before any of it, with the
+``ValueError`` that ``factor`` raises, and counts neither a hit nor a
+miss.  ``benchmarks/e2e`` measures a hit: ``serve_warm`` (hits only) and
+``serve_churn`` (misses, evictions and hits); the counters are exposed on
+``session.stats``.
 """
 
 from __future__ import annotations
@@ -308,6 +311,8 @@ class SolverSession:
         miss); every further request applies the cached right-hand-side
         operator and back-substitutes.  Shapes mirror
         :meth:`TiledSolverBase.solve`: a 1-D ``b`` yields a 1-D solution.
+        A ``b`` holding NaN or Inf raises ``ValueError``, on a hit as on a
+        miss.
 
         ``key`` is a precomputed :func:`matrix_fingerprint` of ``a``
         (callers vouch for the correspondence — a
@@ -353,6 +358,13 @@ class SolverSession:
     ) -> Tuple[_CacheEntry, np.ndarray]:
         """Look up (or factor) ``A``, apply the cached RHS operator to the
         ``(n, nrhs)`` block ``b2`` and back-substitute: ``(entry, x)``."""
+        # O(n nrhs), before the lookup: a NaN/Inf ``b`` would otherwise
+        # surface only as a non-finite solution after the BLAS calls.
+        # ``count_nonzero``, not ``.all()``: a ufunc reduction on the service
+        # thread before its first factorization leaves ~7 MB more resident
+        # after it (allocator layout, measured as serve_warm's peak RSS).
+        if np.count_nonzero(np.isfinite(b2)) != b2.size:
+            raise ValueError("b must not contain NaN or Inf")
         entry = self._get_or_factor(a, key if key is not None else matrix_fingerprint(a))
         tiles = entry.factorization.tiles
         transformed = entry.transform @ b2  # (n + pad, nrhs)

@@ -151,7 +151,14 @@ class Factorization:
     # Solving
     # ------------------------------------------------------------------ #
     def solve(self) -> np.ndarray:
-        """Back-substitute the transformed RHS against the triangular factor."""
+        """Back-substitute the transformed RHS against the triangular factor.
+
+        One LAPACK ``dtrtrs`` on the factor's upper triangle, read in place
+        (:func:`~repro.linalg.triangular.tiled_back_substitution`); the
+        factors and the transformed RHS are not written.  Raises
+        ``numpy.linalg.LinAlgError`` on an exactly-zero diagonal entry and
+        ``ValueError`` on a non-finite solution.
+        """
         if not self.succeeded:
             raise RuntimeError(f"cannot solve: factorization broke down ({self.breakdown})")
         if not self.tiles.has_rhs:

@@ -8,7 +8,6 @@ from .norm_est import (
 )
 from .pivoting import (
     SingularPanelError,
-    apply_row_pivots,
     getrf,
     getrf_nopiv,
     pivots_to_permutation,
@@ -16,14 +15,12 @@ from .pivoting import (
 from .triangular import (
     tiled_back_substitution,
     trsm_lower_left_unit,
-    trsm_upper_left,
     trsm_upper_right,
 )
 
 __all__ = [
     "getrf",
     "getrf_nopiv",
-    "apply_row_pivots",
     "pivots_to_permutation",
     "SingularPanelError",
     "inverse_norm1_exact",
@@ -32,6 +29,5 @@ __all__ = [
     "smallest_inverse_norm_from_lu",
     "trsm_upper_right",
     "trsm_lower_left_unit",
-    "trsm_upper_left",
     "tiled_back_substitution",
 ]

@@ -10,12 +10,12 @@ provides:
   ``m``-by-``k`` panel: a fixed column-halving recursion whose leaves are
   single LAPACK ``dgetrf`` calls (the analogue of PLASMA's recursive panel
   kernel),
-* :func:`getrf_reference` — the readable per-column right-looking loop the
-  tests compare :func:`getrf` against,
 * :func:`getrf_nopiv` — LU without pivoting (used by the LU NoPiv baseline),
-* :func:`apply_row_pivots` / :func:`pivot_moves` /
-  :func:`pivots_to_permutation` — helpers to apply the pivot sequence to
-  trailing columns, as SWPTRSM does.
+* :func:`pivot_moves` / :func:`pivots_to_permutation` — helpers to apply
+  the pivot sequence to trailing columns, as SWPTRSM does.
+
+The readable per-column reference LU and the swap-by-swap pivot
+application the tests compare these against live in ``tests/``.
 
 All routines return the pivot sequence in LAPACK convention, 0-based:
 ``piv[i] = p`` means that row ``i`` was swapped with row ``p`` at
@@ -32,9 +32,7 @@ from scipy.linalg.lapack import dgetrf
 
 __all__ = [
     "getrf",
-    "getrf_reference",
     "getrf_nopiv",
-    "apply_row_pivots",
     "pivot_moves",
     "pivots_to_permutation",
     "SingularPanelError",
@@ -136,35 +134,6 @@ def _swap_rows(a: np.ndarray, piv: np.ndarray, c0: int, c1: int, cols: slice) ->
         a[dst, cols] = a[src, cols]
 
 
-def getrf_reference(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-column right-looking LU with partial pivoting (readable reference).
-
-    Same contract and storage as :func:`getrf`; no kernel calls it — the
-    tests compare :func:`getrf` against it (equal pivots, factors to
-    rounding).
-    """
-    a = np.array(a, dtype=np.float64, copy=True)
-    m, k = a.shape
-    if m < k:
-        raise ValueError(f"getrf requires m >= k, got shape {a.shape}")
-    piv = np.arange(k, dtype=np.int64)
-
-    for j in range(k):
-        # Pivot search over the remaining rows of column j.
-        p = j + int(np.argmax(np.abs(a[j:, j])))
-        piv[j] = p
-        if a[p, j] == 0.0:
-            raise SingularPanelError(f"zero pivot encountered at column {j}")
-        if p != j:
-            a[[j, p], :] = a[[p, j], :]
-        # Eliminate below the pivot.
-        if j + 1 < m:
-            a[j + 1 :, j] /= a[j, j]
-            if j + 1 < k:
-                a[j + 1 :, j + 1 :] -= np.outer(a[j + 1 :, j], a[j, j + 1 :])
-    return a, piv
-
-
 def getrf_nopiv(a: np.ndarray) -> np.ndarray:
     """LU *without* pivoting of a square matrix (the LU NoPiv baseline kernel).
 
@@ -183,27 +152,14 @@ def getrf_nopiv(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def apply_row_pivots(c: np.ndarray, piv: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Apply a LAPACK-style pivot sequence to the rows of ``c`` (in place).
-
-    With ``inverse=True`` the swaps are undone (applied in reverse order).
-    Returns ``c`` for convenience.
-    """
-    indices = range(len(piv) - 1, -1, -1) if inverse else range(len(piv))
-    for j in indices:
-        p = int(piv[j])
-        if p != j:
-            c[[j, p], :] = c[[p, j], :]
-    return c
-
-
 def pivot_moves(piv: np.ndarray, base: int = 0) -> Tuple[np.ndarray, np.ndarray]:
     """The rows a LAPACK pivot sequence actually moves, as one gather.
 
     ``piv[j]`` swaps row ``base + j`` with row ``piv[j]``.  Returns index
     arrays ``(dst, src)`` (at most ``2 len(piv)`` rows) such that
-    ``c[dst] = c[src]`` equals :func:`apply_row_pivots` on ``c`` — every
-    other row stays where it is.
+    ``c[dst] = c[src]`` equals swapping row ``base + j`` with row
+    ``piv[j]`` for ``j = 0, 1, ...`` in turn — every other row stays where
+    it is.
     """
     origin = {}
     for j, p in enumerate(piv.tolist(), base):
@@ -219,7 +175,7 @@ def pivots_to_permutation(piv: np.ndarray, m: int) -> np.ndarray:
     """Convert a LAPACK pivot sequence into an explicit permutation vector.
 
     Returns ``perm`` such that ``(P A)[i] = A[perm[i]]`` where ``P`` is the
-    permutation performed by :func:`apply_row_pivots`.
+    permutation the swap sequence performs (see :func:`pivot_moves`).
     """
     perm = np.arange(m, dtype=np.int64)
     dst, src = pivot_moves(np.asarray(piv))

@@ -14,7 +14,10 @@ is the guard that fails if a thread-sensitive routine is swapped in later —
 run at the sizes where it bites, not only at tiles too small to thread.
 The trailing update is one wide GEMM / TRSM / QR apply per column range, so
 the bulk applies are checked too: on many small tiles (n = 512, nb = 16)
-and on a 1024 x 1024 matrix of 256-tiles, where every apply threads.
+and on a 1024 x 1024 matrix of 256-tiles, where every apply threads.  The
+solution is hashed as well: the back-substitution is one ``dtrtrs`` on the
+whole factor, checked on every factorization above and on a warm session
+hit with 1 and 32 right-hand sides.
 """
 
 from __future__ import annotations
@@ -54,7 +57,18 @@ fact = repro.make_solver(algorithm=algorithm, tile_size=nb, **options).factor(a,
 assert fact.succeeded, fact.breakdown
 if both_kinds:
     assert fact.qr_steps > 0 and fact.lu_steps > 0, fact.step_kinds
-print(digest(fact.tiles.array, fact.tiles.rhs))
+print(digest(fact.tiles.array, fact.tiles.rhs, fact.solve()))
+"""
+
+_SESSION_HIT = _PRELUDE + """
+rng = np.random.default_rng(17)
+a = rng.standard_normal((1024, 1024))
+session = repro.SolverSession(algorithm="hybrid", tile_size=128, criterion="max(alpha=500)")
+session.warm(a)
+print(1, digest(session.solve(a, rng.standard_normal(1024)).x))
+results = session.solve_many(a, rng.standard_normal((1024, 32)))
+print(32, digest(*(r.x for r in results)))
+assert session.stats.hits == 2
 """
 
 _PANELS = _PRELUDE + """
@@ -129,6 +143,13 @@ def test_factors_identical_for_one_and_two_blas_threads(n, nb, algorithm, criter
     )
     one, two = _run(script, 1), _run(script, 2)
     assert len(one) == 64
+    assert one == two
+
+
+def test_session_hit_solution_identical_for_one_and_two_blas_threads():
+    """The warm-hit back-substitution (one ``dtrtrs``), with 1 and 32 columns."""
+    one, two = _run(_SESSION_HIT, 1), _run(_SESSION_HIT, 2)
+    assert len(one.splitlines()) == 2
     assert one == two
 
 

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 from householder import apply_q_transpose, build_q, geqrt
+from linalg_oracle import apply_row_pivots
 from scipy.linalg.lapack import dgeqrt
 
 from repro.kernels import (
@@ -39,12 +40,7 @@ from repro.core.factorization import StepRecord
 from repro.core.lu_step import lu_step_tasks
 from repro.core.panel_analysis import analyze_panel
 from repro.kernels.dispatch import KERNELS, sweep_ranges
-from repro.linalg import (
-    apply_row_pivots,
-    getrf,
-    trsm_lower_left_unit,
-    trsm_upper_right,
-)
+from repro.linalg import getrf, trsm_lower_left_unit, trsm_upper_right
 from repro.tiles import BlockCyclicDistribution, ProcessGrid, TileMatrix
 
 

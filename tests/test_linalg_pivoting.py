@@ -5,20 +5,24 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from linalg_oracle import (
+    apply_row_pivots,
+    getrf_reference,
+    tiled_back_substitution_loop,
+    trsm_upper_left,
+)
 
 from repro.linalg import (
     SingularPanelError,
-    apply_row_pivots,
     getrf,
     getrf_nopiv,
     pivots_to_permutation,
     tiled_back_substitution,
     trsm_lower_left_unit,
-    trsm_upper_left,
     trsm_upper_right,
 )
 from repro.linalg import pivoting
-from repro.linalg.pivoting import getrf_reference, pivot_moves
+from repro.linalg.pivoting import pivot_moves
 
 
 def reconstruct_from_lu(lu, piv):
@@ -260,3 +264,43 @@ class TestTriangularSolves:
     def test_tiled_back_substitution_bad_tile_size(self, rng):
         with pytest.raises(ValueError):
             tiled_back_substitution(np.eye(10), np.ones(10), 4)
+
+    @pytest.mark.parametrize("nrhs", [1, 2, 32])
+    @pytest.mark.parametrize("nb", [1, 3, 8, 16, 17, 64, 128])
+    def test_single_solve_matches_tiled_loop(self, nb, nrhs):
+        """One ``dtrtrs`` against the tile-row loop it replaced."""
+        rng = np.random.default_rng(100 * nb + nrhs)
+        n = nb * max(4, 64 // nb)
+        u = np.triu(rng.standard_normal((n, n))) + 4.0 * np.eye(n)
+        a = u + np.tril(rng.standard_normal((n, n)), -1) * 100.0
+        c = rng.standard_normal((n, nrhs))
+        x = tiled_back_substitution(a, c, nb)
+        x_loop = tiled_back_substitution_loop(a, c, nb)
+        assert x.shape == c.shape
+        assert np.max(np.abs(x - x_loop)) <= 1e-13 * np.max(np.abs(x_loop))
+
+    def test_one_dimensional_rhs_gives_one_dimensional_solution(self, rng):
+        n, nb = 24, 6
+        u = np.triu(rng.standard_normal((n, n))) + 4.0 * np.eye(n)
+        c = rng.standard_normal(n)
+        x = tiled_back_substitution(u, c, nb)
+        assert x.shape == (n,)
+        assert np.array_equal(x, tiled_back_substitution(u, c.reshape(n, 1), nb)[:, 0])
+
+    def test_rhs_row_count_must_match(self):
+        with pytest.raises(ValueError, match="c has 24 rows"):
+            tiled_back_substitution(np.eye(12), np.ones(24), 4)
+
+    def test_zero_diagonal_entry_names_its_index(self, rng):
+        n, nb = 24, 6
+        u = np.triu(rng.standard_normal((n, n))) + 4.0 * np.eye(n)
+        u[13, 13] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="index 13$"):
+            tiled_back_substitution(u, rng.standard_normal((n, 2)), nb)
+
+    def test_non_finite_solution_raises(self, rng):
+        n, nb = 24, 6
+        u = np.triu(rng.standard_normal((n, n))) + 4.0 * np.eye(n)
+        u[2, 20] = np.inf
+        with pytest.raises(ValueError, match="non-finite solution"):
+            tiled_back_substitution(u, rng.standard_normal(n), nb)

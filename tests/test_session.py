@@ -305,6 +305,63 @@ class TestCachedMatrixNorms:
         assert len(norm_calls) == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+class TestNonFiniteRhs:
+    """A NaN/Inf ``b`` raises ``factor``'s ValueError on every serving route,
+    a warm ``key=`` hit included, before any lookup or BLAS call."""
+
+    MESSAGE = "^b must not contain NaN or Inf$"
+
+    @staticmethod
+    def _system(rng, bad, n=32):
+        a = rng.standard_normal((n, n)) + 4.0 * np.eye(n)
+        b = rng.standard_normal((n, 2))
+        b[n - 1, 1] = bad
+        return a, b
+
+    def test_session_solve_and_solve_many(self, rng, session, bad):
+        a, b = self._system(rng, bad)
+        key = matrix_fingerprint(a)
+        session.warm(a, key=key)
+        for call in (
+            lambda: session.solve(a, b[:, 1], key=key),
+            lambda: session.solve(a, b[:, 1]),
+            lambda: session.solve(a, b),
+            lambda: session.solve_many(a, b, key=key),
+            lambda: session.solve_many(a, [b[:, 0], b[:, 1]]),
+        ):
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                call()
+        # Rejected before the lookup: no hit is counted, nothing is served.
+        assert (session.stats.misses, session.stats.hits, session.stats.solves) == (1, 0, 0)
+        np.testing.assert_allclose(a @ session.solve(a, b[:, 0], key=key).x, b[:, 0], atol=1e-8)
+
+    def test_cold_session_rejects_it_without_factoring(self, rng, session, bad):
+        a, b = self._system(rng, bad)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            session.solve_many(a, b)
+        assert session.stats.misses == 0 and len(session) == 0
+
+    def test_service_future_raises(self, rng, bad):
+        a, b = self._system(rng, bad)
+        with repro.SolverService(algorithm="hybrid", tile_size=8) as svc:
+            handle = svc.register(a, warm=True)
+            future = svc.submit(handle, b[:, 1])
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                future.result(timeout=60)
+            with pytest.raises(ValueError, match=self.MESSAGE):
+                svc.submit(handle, b).result(timeout=60)
+            # The dispatcher survives and keeps serving the clean column.
+            good = svc.submit(handle, b[:, 0]).result(timeout=60)
+            np.testing.assert_allclose(a @ good.x, b[:, 0], atol=1e-8)
+            assert svc.stats.failed == 2
+
+    def test_facade_solve(self, rng, bad):
+        a, b = self._system(rng, bad)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            repro.solve(a, b[:, 1], algorithm="hybrid", tile_size=8)
+
+
 class TestCachedFactorization:
     def test_validates_like_solve(self, rng, session):
         """Regression: it used to bypass ``_check_matrix`` entirely."""

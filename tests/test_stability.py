@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.matrices import registry
 from repro.stability import (
     GrowthTracker,
     forward_error,
     hpl1,
     hpl2,
     hpl3,
+    matrix_norms,
     max_criterion_growth_bound,
     normwise_backward_error,
     partial_pivoting_growth_bound,
@@ -175,6 +177,18 @@ class TestSinglePassReport:
             assert abs(got.hpl3 - one.hpl3) <= 2.0
             assert got.hpl2 == pytest.approx(one.hpl2, abs=2.0 * n)
             assert got.forward_error == one.forward_error
+
+    @pytest.mark.parametrize(
+        "name", ["zeros"] + [e.name for e in registry.TABLE_III + registry.EXTRA]
+    )
+    def test_matrix_norms_equal_numpy_norms_exactly(self, name):
+        """One ``|A|`` pass gives ``numpy.linalg.norm``'s 1- and inf-norms bit for bit."""
+        n = 36
+        a = np.zeros((n, n)) if name == "zeros" else registry.build(name, n)
+        assert matrix_norms(a) == (
+            float(np.linalg.norm(a, 1)),
+            float(np.linalg.norm(a, np.inf)),
+        )
 
     def test_zero_matrix_block_is_all_inf(self):
         for rep in stability_reports(np.zeros((4, 4)), np.zeros((4, 3)), np.zeros((4, 3))):
