@@ -13,82 +13,16 @@ paper's sizes.
 
 from __future__ import annotations
 
-import datetime
-import json
 import os
-import socket
-import subprocess
-from pathlib import Path
 
 import pytest
 
 from repro.experiments.common import ExperimentConfig
 from repro.tiles import ProcessGrid
 
-#: Repo root — BENCH_<area>.json records land next to README.md.
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-
 
 def _env_int(name: str, default: int) -> int:
     return int(os.environ.get(name, default))
-
-
-def _git_sha() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=_REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-        return out.stdout.strip() if out.returncode == 0 else "unknown"
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-
-
-@pytest.fixture(scope="session")
-def bench_record():
-    """Append benchmark timings to a ``BENCH_<area>.json`` at the repo root.
-
-    Usage::
-
-        def test_something(bench_record):
-            ...
-            bench_record("scheduler", {"makespan_s": 0.12, "n": 96})
-
-    Each call appends one run record — stamped with the current git SHA,
-    hostname, and UTC timestamp — to the ``runs`` list of
-    ``BENCH_<area>.json``, so successive runs (and successive commits)
-    accumulate into a comparable history instead of overwriting each
-    other.  A corrupt or foreign file is restarted rather than crashed on.
-    """
-    sha = _git_sha()
-    host = socket.gethostname()
-
-    def record(area: str, payload: dict) -> Path:
-        path = _REPO_ROOT / f"BENCH_{area}.json"
-        doc = {"area": area, "runs": []}
-        if path.exists():
-            try:
-                loaded = json.loads(path.read_text())
-                if isinstance(loaded, dict) and isinstance(loaded.get("runs"), list):
-                    doc = loaded
-            except (OSError, ValueError):
-                pass
-        doc["area"] = area
-        doc["runs"].append(
-            {
-                "git_sha": sha,
-                "host": host,
-                "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-                **payload,
-            }
-        )
-        path.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n")
-        return path
-
-    return record
 
 
 @pytest.fixture(scope="session")

@@ -22,9 +22,8 @@ the inline reference.
 On top of those, the **static resource analyzer** certifies resource
 behaviour of a plan:
 
-- :mod:`repro.analysis.abstract` — abstract interpretation over (tile
-  shape, dtype): conformability of every kernel, end-to-end dtype
-  preservation, sweep shape consistency;
+- :mod:`repro.analysis.abstract` — abstract interpretation over tile
+  shapes: conformability of every kernel and sweep shape consistency;
 - :mod:`repro.analysis.liveness` — tile/product liveness intervals and a
   certified peak-memory bound, cross-checked against execution traces;
 - :mod:`repro.analysis.placement` — owner-computes placement under the

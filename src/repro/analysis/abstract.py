@@ -1,37 +1,32 @@
-"""Abstract interpretation of task plans over (tile shape, dtype).
+"""Abstract interpretation of task plans over tile shapes.
 
 The analyzer symbolically executes every emitted :class:`TaskGraph` over an
-abstract domain where each tile is a ``(rows, cols, dtype)`` triple.  Each
+abstract domain where each tile is a ``(rows, cols)`` pair.  Each
 :class:`~repro.kernels.dispatch.KernelCall` is given a *transfer rule* — the
 :data:`~repro.kernels.dispatch.KERNEL_SIGNATURES` entry registered next to
 its op in :data:`~repro.kernels.dispatch.KERNELS` — which yields the tile
-sets the kernel reads and writes, conformability checks over its operands,
-and a dtype rule.  Walking the graph in topological order then proves, for
-the whole plan and without running a single kernel:
+sets the kernel reads and writes and conformability checks over its
+operands.  Walking the graph in topological order then proves, for the
+whole plan and without running a single kernel:
 
 - every kernel application conforms (matrix products, stacked panels, and
   the concrete panel-factor arrays carried inside calls all have the shapes
   the plan geometry implies);
-- dtypes are preserved end to end (an operation that silently forces
-  float64 on a float32 problem — the class of bug PR 7 fixed dynamically in
-  ``qr.couple`` — is flagged at every write it contaminates);
 - the signature-declared access sets equal the sets the planner declared on
   the task, so trailing-update sweeps are shape- and access-consistent
   with their constituent tile kernels;
 - every referenced tile exists (out-of-range sweeps surface as
   ``unknown-tile``).
 
-Interpretation is parametric in the dtype: the context carries the dtype of
-the *input* matrix, so float32 coverage is real even though the concrete
-``TileMatrix`` storage normalises to float64.
+Every factorization runs on float64 tiles whatever the input dtype
+(:class:`~repro.tiles.tile_matrix.TileMatrix` converts on entry), so there
+is no dtype to track.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
-
-import numpy as np
 
 from ..kernels.dispatch import KERNEL_SIGNATURES, SigContext
 from ..runtime.graph import TaskGraph
@@ -57,11 +52,10 @@ def task_label(task: Task) -> str:
 
 @dataclass(frozen=True)
 class AbstractTile:
-    """Abstract value of one tile: its shape and dtype."""
+    """Abstract value of one tile: its shape."""
 
     rows: int
     cols: int
-    dtype: Any
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -79,9 +73,9 @@ class AbstractResult:
     kernels_checked: int = 0
 
 
-def make_context(n: int, nb: int, nrhs: int, dtype: Any = np.float64) -> SigContext:
+def make_context(n: int, nb: int, nrhs: int) -> SigContext:
     """Build the signature-evaluation context for an ``n``-tile problem."""
-    return SigContext(n=n, nb=nb, nrhs=nrhs, dtype=np.dtype(dtype))
+    return SigContext(n=n, nb=nb, nrhs=nrhs)
 
 
 def initial_state(ctx: SigContext) -> Dict[Tuple[int, int], AbstractTile]:
@@ -93,28 +87,27 @@ def initial_state(ctx: SigContext) -> Dict[Tuple[int, int], AbstractTile]:
     state: Dict[Tuple[int, int], AbstractTile] = {}
     for i in range(ctx.n):
         for j in range(ctx.n):
-            state[(i, j)] = AbstractTile(ctx.nb, ctx.nb, ctx.dtype)
+            state[(i, j)] = AbstractTile(ctx.nb, ctx.nb)
         if ctx.nrhs > 0:
-            state[(i, RHS_COLUMN)] = AbstractTile(ctx.nb, ctx.nrhs, ctx.dtype)
+            state[(i, RHS_COLUMN)] = AbstractTile(ctx.nb, ctx.nrhs)
     return state
 
 
 def signature_effect(task: Task, ctx: SigContext):
     """Resolve ``task``'s transfer rule and evaluate it.
 
-    Returns ``(signature, effect, violation)``; on any failure the first two
-    are ``None`` and the violation explains why (missing rule for the op, or
-    the rule raising on malformed arguments).  Tasks without a descriptor
-    (``task.call is None``) return all-``None`` — the caller decides whether
-    opaque tasks are acceptable in its pass.
+    Returns ``(effect, violation)``; on any failure the effect is ``None``
+    and the violation explains why (missing rule for the op, or the rule
+    raising on malformed arguments).  Tasks without a descriptor
+    (``task.call is None``) return ``(None, None)`` — the caller decides
+    whether opaque tasks are acceptable in its pass.
     """
     call = getattr(task, "call", None)
     if call is None:
-        return None, None, None
+        return None, None
     signature = KERNEL_SIGNATURES.get(call.kernel)
     if signature is None:
         return (
-            None,
             None,
             Violation(
                 kind="missing-transfer-rule",
@@ -131,7 +124,6 @@ def signature_effect(task: Task, ctx: SigContext):
     except Exception as exc:
         return (
             None,
-            None,
             Violation(
                 kind="signature-error",
                 message=f"signature of {call.kernel!r} failed on task {task_label(task)}: {exc!r}",
@@ -139,7 +131,7 @@ def signature_effect(task: Task, ctx: SigContext):
                 subject=call.kernel,
             ),
         )
-    return signature, effect, None
+    return effect, None
 
 
 def _ref_label(ref: Tuple[int, int]) -> str:
@@ -293,7 +285,7 @@ def interpret_graph(
     for uid in graph.topological_order():
         task = graph.tasks[uid]
         result.tasks_checked += 1
-        signature, effect, violation = signature_effect(task, ctx)
+        effect, violation = signature_effect(task, ctx)
         if violation is not None:
             violations.append(violation)
             continue
@@ -343,57 +335,30 @@ def interpret_graph(
 
         _run_checks(task, effect.checks, state, violations)
 
-        # Dtype transfer: reads promote; an explicit rule overrides.  A write
-        # whose dtype disagrees with the tile's current abstract dtype is a
-        # preservation violation; the (wrong) dtype still propagates so every
-        # contaminated downstream write is reported too.
-        read_dtypes = [state[r].dtype for r in effect.reads if r in state]
-        promoted = np.result_type(*read_dtypes) if read_dtypes else ctx.dtype
-        if signature.dtype_rule != "preserve":
-            promoted = np.dtype(signature.dtype_rule)
         for ref in effect.writes:
-            tile = state.get(ref)
-            if tile is None:
-                # unknown-tile was already recorded by the checks above when
-                # the ref appeared there; record it here too for writes that
-                # no check touches.
-                if not any(
-                    v.kind == "unknown-tile" and v.tile == ref and uid in v.tasks
-                    for v in violations
-                ):
-                    violations.append(
-                        Violation(
-                            kind="unknown-tile",
-                            message=(
-                                f"{task_label(task)} writes {_ref_label(ref)}, "
-                                "which does not exist"
-                            ),
-                            tasks=(uid,),
-                            tile=ref,
-                        )
-                    )
-                continue
-            if np.dtype(promoted) != np.dtype(tile.dtype):
+            # unknown-tile was already recorded by the checks above when the
+            # ref appeared there; record it here too for writes that no check
+            # touches.
+            if ref not in state and not any(
+                v.kind == "unknown-tile" and v.tile == ref and uid in v.tasks
+                for v in violations
+            ):
                 violations.append(
                     Violation(
-                        kind="dtype-mismatch",
+                        kind="unknown-tile",
                         message=(
-                            f"{task_label(task)}: {task.call.kernel!r} writes "
-                            f"{_ref_label(ref)} as {np.dtype(promoted).name}, "
-                            f"tile holds {np.dtype(tile.dtype).name}"
+                            f"{task_label(task)} writes {_ref_label(ref)}, "
+                            "which does not exist"
                         ),
                         tasks=(uid,),
                         tile=ref,
-                        subject=task.call.kernel,
                     )
                 )
-                state[ref] = AbstractTile(tile.rows, tile.cols, np.dtype(promoted))
 
         produced = task.call.produces
         if produced is not None:
             result.products[produced] = {
                 "bytes": effect.product_bytes,
-                "dtype": np.dtype(promoted),
                 "producer": uid,
             }
     return result

@@ -19,7 +19,7 @@ configured solver.  For a solver it runs, in order:
 
 Both solver passes additionally run the **static resource analyzer**
 (:mod:`repro.analysis.abstract`, :mod:`repro.analysis.liveness`,
-:mod:`repro.analysis.placement`): shape/dtype abstract interpretation,
+:mod:`repro.analysis.placement`): shape abstract interpretation,
 a certified peak-memory bound (cross-checked against the execution
 traces and optionally admission-gated via ``max_memory``), and
 owner-computes placement with priced communication volume.
@@ -42,7 +42,7 @@ from ..runtime.schedule import build_step_graph
 from ..tiles.distribution import BlockCyclicDistribution
 from ..tiles.tile_matrix import TileMatrix
 from .abstract import SigContext, interpret_graphs, make_context
-from .liveness import analyze_liveness
+from .liveness import analyze_liveness, tile_storage_bytes
 from .placement import analyze_placement, assign_owners
 from .report import AuditReport, RaceReport, Violation
 from .tracing import TracingBackend
@@ -69,12 +69,11 @@ def default_audit_system(solver, seed: int = 0, n: Optional[int] = None):
 
 def _system_context(
     solver, a: np.ndarray, b: Optional[np.ndarray]
-) -> Tuple[SigContext, BlockCyclicDistribution, int]:
-    """Signature context, distribution, and base storage bytes of a system.
+) -> Tuple[SigContext, BlockCyclicDistribution]:
+    """Signature context and distribution of a system.
 
-    The context carries the *input* dtype (so dtype-preservation is judged
-    against what the caller supplied); the base storage is priced at the
-    tile store's own dtype (:class:`TileMatrix` holds float64).
+    Tiles hold float64 whatever the input dtype, so the context prices
+    every byte at 8 and a float32 input certifies as its float64 copy.
     """
     from ..core.solver_base import pad_to_tile_multiple
 
@@ -84,12 +83,8 @@ def _system_context(
     if b_work is not None:
         b_arr = np.asarray(b_work)
         nrhs = 1 if b_arr.ndim == 1 else int(b_arr.shape[1])
-    ctx = make_context(n_tiles, solver.tile_size, nrhs, np.asarray(a).dtype)
-    dist = BlockCyclicDistribution(solver.grid, n_tiles)
-    storage_item = 8  # TileMatrix stores float64 regardless of input dtype
-    base_bytes = a_work.shape[0] * a_work.shape[0] * storage_item
-    base_bytes += a_work.shape[0] * nrhs * storage_item
-    return ctx, dist, base_bytes
+    ctx = make_context(n_tiles, solver.tile_size, nrhs)
+    return ctx, BlockCyclicDistribution(solver.grid, n_tiles)
 
 
 def _resource_passes(
@@ -143,7 +138,7 @@ def capture_plan(solver, a=None, b=None, *, seed: int = 0, n: Optional[int] = No
 
     if a is None:
         a, b = default_audit_system(solver, seed=seed, n=n)
-    ctx, dist, _ = _system_context(solver, a, b)
+    ctx, dist = _system_context(solver, a, b)
     with solver._factor_lock:
         a_work, b_work, _ = pad_to_tile_multiple(np.asarray(a), b, solver.tile_size)
         tiles = TileMatrix.from_dense(a_work, solver.tile_size, rhs=b_work)
@@ -220,7 +215,8 @@ def _trace_and_verify(
         report.add(
             "tracer", [v for v in violations if v.kind.startswith("undeclared")]
         )
-    ctx, _dist_unused, base_bytes = _system_context(solver, a, b)
+    ctx, _dist_unused = _system_context(solver, a, b)
+    base_bytes = tile_storage_bytes(ctx)
     if dynamic and getattr(tracer, "storage_bytes", 0):
         # Cross-check: the bound's base term must cover what the tracing
         # backend actually saw allocated for the tile store.
@@ -268,7 +264,7 @@ def _verify_executed_graphs(
             if task.call is not None and task.call.produces is not None:
                 produced.add(task.call.produces)
     report.add("verifier", violations)
-    ctx, dist, base_bytes = _system_context(solver, a, b)
+    ctx, dist = _system_context(solver, a, b)
     traces = solver.step_traces if solver.step_traces else None
     _resource_passes(
         report,
@@ -276,7 +272,6 @@ def _verify_executed_graphs(
         ctx,
         dist,
         platform=platform,
-        base_bytes=base_bytes,
         # Flush-granular window bound: dominates any executor's true
         # concurrent overlap because flushes run sequentially.
         mode="window",
@@ -308,7 +303,7 @@ def audit(
     well-conditioned random system (``seed``, order ``n``).
 
     Both solver passes also run the resource analyzer: abstract
-    shape/dtype interpretation, a certified peak-memory bound (admission
+    shape interpretation, a certified peak-memory bound (admission
     checked against ``max_memory`` bytes when given), and owner-computes
     placement with communication volume priced by ``platform`` (default:
     the Dancer calibration on the solver's grid).

@@ -2,9 +2,9 @@
 
 Each fixture takes a *real* emitted plan, corrupts it in one specific,
 realistic way (a mis-placed task, a pivot chain escaping its domain, a
-kernel that silently drops precision, a trailing-update sweep whose
-argument range disagrees with its declared tile sets), and asserts the analyzer flags
-it.  They serve two purposes: regression tests that the analyses have
+trailing-update sweep whose argument range disagrees with its declared
+tile sets, a panel factor of the wrong shape), and asserts the analyzer
+flags it.  They serve two purposes: regression tests that the analyses have
 teeth, and executable documentation of what each violation kind means.
 
 Every fixture returns the list of violations the corrupted artifact
@@ -15,21 +15,10 @@ fixture — CI fails if any corruption goes unnoticed.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 from typing import Any, Dict, List, Tuple
 
-import numpy as np
-
-from ..kernels.dispatch import (
-    KERNEL_SIGNATURES,
-    KERNELS,
-    KernelCall,
-    KernelSignature,
-    OpEffect,
-)
-from ..runtime.graph import TaskGraph
-from .abstract import interpret_graph, make_context
+from .abstract import interpret_graph
 from .audit import capture_plan
 from .placement import analyze_placement, assign_owners
 from .report import Violation
@@ -37,7 +26,6 @@ from .report import Violation
 __all__ = [
     "corrupt_wrong_owner",
     "corrupt_cross_domain_pivot",
-    "corrupt_dtype_dropping_kernel",
     "corrupt_sweep_range",
     "corrupt_factor_shape",
     "run_corruption_suite",
@@ -95,49 +83,6 @@ def corrupt_cross_domain_pivot(algorithm: str = "lu_nopiv") -> List[Violation]:
     return violations
 
 
-@contextlib.contextmanager
-def _temporary_kernel(name: str, fn, signature: KernelSignature):
-    """Register a kernel + signature for the duration of the block."""
-    if name in KERNELS or name in KERNEL_SIGNATURES:
-        raise ValueError(f"fixture kernel {name!r} collides with a real op")
-    KERNELS[name] = fn
-    KERNEL_SIGNATURES[name] = signature
-    try:
-        yield
-    finally:
-        KERNELS.pop(name, None)
-        KERNEL_SIGNATURES.pop(name, None)
-
-
-def corrupt_dtype_dropping_kernel() -> List[Violation]:
-    """A kernel stub whose signature declares it hard-casts to float64.
-
-    Under a float32 problem the abstract interpreter must flag every tile
-    such a kernel writes as ``dtype-mismatch`` — the static analogue of a
-    kernel calling an implicitly-double LAPACK routine on single-precision
-    input.
-    """
-
-    def _effect(call: KernelCall, step: int, ctx) -> OpEffect:
-        (i, j) = call.args
-        return OpEffect(reads=frozenset({(i, j)}), writes=frozenset({(i, j)}))
-
-    signature = KernelSignature(effect=_effect, dtype_rule="float64")
-    with _temporary_kernel("fixture.dtype_drop", lambda *a: None, signature):
-        graph = TaskGraph()
-        call = KernelCall(kernel="fixture.dtype_drop", args=(0, 0))
-        graph.add_task(
-            "dtype_drop",
-            step=0,
-            reads={(0, 0)},
-            writes={(0, 0)},
-            call=call,
-        )
-        ctx = make_context(2, 4, 0, np.float32)
-        result = interpret_graph(graph, ctx)
-    return result.violations
-
-
 def corrupt_sweep_range(algorithm: str = "lu_nopiv") -> List[Violation]:
     """A GEMM sweep whose argument range outruns its declared tiles.
 
@@ -182,7 +127,6 @@ def corrupt_factor_shape(algorithm: str = "lu_nopiv") -> List[Violation]:
 _SUITE = {
     "wrong-owner": (corrupt_wrong_owner, "wrong-owner"),
     "cross-domain-pivot": (corrupt_cross_domain_pivot, "cross-domain-pivot"),
-    "dtype-drop": (corrupt_dtype_dropping_kernel, "dtype-mismatch"),
     "sweep-range": (corrupt_sweep_range, "read-set-mismatch"),
     "factor-shape": (corrupt_factor_shape, "shape-mismatch"),
 }

@@ -96,16 +96,10 @@ class MemoryCertificate:
         }
 
 
-def tile_storage_bytes(ctx: SigContext, itemsize: Optional[int] = None) -> int:
-    """Bytes of the always-live tile storage (matrix + RHS).
-
-    ``itemsize`` overrides the context's (the concrete ``TileMatrix``
-    normalises storage to float64, so certifying a real run must price
-    tiles at the storage width, not the input width).
-    """
-    item = ctx.itemsize if itemsize is None else int(itemsize)
-    matrix = ctx.n * ctx.n * ctx.nb * ctx.nb * item
-    rhs = ctx.n * ctx.nb * ctx.nrhs * item
+def tile_storage_bytes(ctx: SigContext) -> int:
+    """Bytes of the always-live tile storage (matrix + RHS)."""
+    matrix = ctx.n * ctx.n * ctx.nb * ctx.nb * ctx.itemsize
+    rhs = ctx.n * ctx.nb * ctx.nrhs * ctx.itemsize
     return matrix + rhs
 
 
@@ -135,7 +129,7 @@ def collect_product_intervals(
                     interval.last_graph = g_idx
                     interval.consumers.append((g_idx, uid))
             if call.produces is not None:
-                _sig, effect, _violation = signature_effect(task, ctx)
+                effect, _violation = signature_effect(task, ctx)
                 nbytes = effect.product_bytes if effect is not None else 0
                 records[call.produces] = ProductInterval(
                     key=call.produces,

@@ -143,7 +143,7 @@ _constituents = constituent_units
 
 def task_anchor(task: Task, ctx: SigContext) -> Optional[Tuple[int, int]]:
     """The tile anchoring ``task``'s owner (owner-computes), or ``None``."""
-    _sig, effect, _violation = signature_effect(task, ctx)
+    effect, _violation = signature_effect(task, ctx)
     if effect is None:
         return None
     if effect.owner_tile is not None:
@@ -258,7 +258,7 @@ def analyze_placement(
             task = graph.tasks[uid]
             call = getattr(task, "call", None)
             summary.tasks += 1
-            _sig, effect, _violation = signature_effect(task, ctx)
+            effect, _violation = signature_effect(task, ctx)
             if effect is None:
                 summary.opaque_tasks += 1
                 owner_cache[uid] = None

@@ -87,7 +87,7 @@ def _lint_kernels() -> Tuple[List[Violation], int]:
 
     violations: List[Violation] = []
     # The abstract interpreter (repro.analysis.abstract) can only model ops
-    # that declare a shape/dtype signature; drift in either direction —
+    # that declare a shape signature; drift in either direction —
     # a dispatchable op without a signature, or a signature for an op that
     # no longer dispatches — is a lint failure.
     for name in sorted(set(KERNELS) - set(KERNEL_SIGNATURES)):
@@ -96,7 +96,7 @@ def _lint_kernels() -> Tuple[List[Violation], int]:
                 kind="missing-kernel-signature",
                 message=(
                     f"kernel op {name!r} is registered in KERNELS but has no "
-                    "shape/dtype signature in KERNEL_SIGNATURES — the static "
+                    "shape signature in KERNEL_SIGNATURES — the static "
                     "resource analyzer cannot model its tasks"
                 ),
                 subject=name,

@@ -28,8 +28,6 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-import numpy as np
-
 from ..kernels.dispatch import KERNEL_SIGNATURES, SigContext
 from ..runtime.graph import CycleError, TaskGraph
 from ..runtime.task import Task, TileRef
@@ -39,8 +37,8 @@ __all__ = ["verify_graph", "expected_fused_sets"]
 
 
 #: Signature context for access sets alone: sweep signatures take every
-#: tile range from the call's arguments, so size and dtype do not matter.
-_SET_CONTEXT = SigContext(n=0, nb=1, nrhs=1, dtype=np.float64)
+#: tile range from the call's arguments, so the size does not matter.
+_SET_CONTEXT = SigContext(n=0, nb=1, nrhs=1)
 
 
 def expected_fused_sets(

@@ -33,7 +33,6 @@ from ..tiles.distribution import ProcessGrid
 from .registry import (
     CRITERIA,
     EXECUTORS,
-    KERNEL_BACKENDS,
     SOLVERS,
     TREES,
     parse_spec,
@@ -62,21 +61,6 @@ _INLINE_EXECUTORS = {"none", "inline", "off"}
 #: the whole suite on the multi-process backend, as the CI matrix does).
 _EXECUTOR_ENV = "REPRO_EXECUTOR"
 
-#: The facade resolves ``"auto"`` itself (through the autotuner) before
-#: the executor registry is consulted; reserving the name keeps plugins
-#: from shadowing it and makes ``EXECUTORS.get("auto")`` self-explanatory.
-EXECUTORS.reserve(
-    "auto",
-    "resolved by the facade from the calibrated performance model; pass "
-    "executor='auto' to make_solver/solve/factor instead of creating it "
-    "from the registry",
-)
-KERNEL_BACKENDS.reserve(
-    "auto",
-    "resolved by the facade (to 'numpy'); pass kernel_backend='auto' to "
-    "make_solver/solve/factor instead of creating it from the registry",
-)
-
 
 @dataclass
 class SolverSpec:
@@ -98,16 +82,8 @@ class SolverSpec:
     ``"numpy"`` or ``"tracing"``, or a ready backend instance); ``None``
     is ``numpy``.
 
-    ``tile_size`` and ``executor`` additionally accept the string
-    ``"auto"`` (so does ``kernel_backend``, meaning ``numpy``): the facade
-    then consults the autotuner
-    (:func:`repro.perf.autotune.autotune_config`), which predicts
-    makespans under this host's calibrated cost model — or applies its
-    documented deterministic fallback when no calibration exists.
-    ``size_hint`` is the matrix order those predictions are made for;
-    :func:`solve` and :func:`factor` fill it in from the matrix itself,
-    so it only needs to be passed when calling :func:`make_solver`
-    directly with ``"auto"`` fields.
+    ``tile_size`` is an integer >= 1 chosen by the caller; the paper, too,
+    fixes ``nb`` per platform by experiment.
     """
 
     algorithm: Any = "hybrid"
@@ -118,7 +94,6 @@ class SolverSpec:
     grid: Any = None
     executor: Any = None
     track_growth: bool = True
-    size_hint: Optional[int] = None
     kernel_backend: Any = None
     options: Dict[str, Any] = field(default_factory=dict)
 
@@ -185,38 +160,6 @@ def make_grid(spec: Any) -> Optional[ProcessGrid]:
     )
 
 
-def _is_auto(value: Any) -> bool:
-    return isinstance(value, str) and value.strip().lower() == "auto"
-
-
-def _resolve_auto(spec: "SolverSpec") -> "SolverSpec":
-    """Replace ``"auto"`` fields with the autotuner's choice.
-
-    One :func:`~repro.perf.autotune.autotune_config` call serves tile size
-    and executor so the pair is consistent (the tile size that wins is the
-    one predicted under the executor that wins).  An auto-resolved inline
-    executor becomes the explicit ``"none"`` spec rather than ``None`` —
-    the autotuner made a decision, so the ``REPRO_EXECUTOR`` environment
-    fallback must not override it.  ``kernel_backend="auto"`` is
-    ``numpy``: every backend runs the same plan, so there is nothing to
-    tune.
-    """
-    changes: Dict[str, Any] = {}
-    if _is_auto(spec.kernel_backend):
-        changes["kernel_backend"] = "numpy"
-    tile_auto = _is_auto(spec.tile_size)
-    exec_auto = _is_auto(spec.executor)
-    if tile_auto or exec_auto:
-        from ..perf.autotune import autotune_config  # lazy: perf pulls in numpy
-
-        tuned = autotune_config(spec.size_hint)
-        if tile_auto:
-            changes["tile_size"] = tuned.tile_size
-        if exec_auto:
-            changes["executor"] = tuned.executor if tuned.executor is not None else "none"
-    return replace(spec, **changes) if changes else spec
-
-
 # --------------------------------------------------------------------------- #
 # Solver assembly
 # --------------------------------------------------------------------------- #
@@ -263,14 +206,10 @@ def make_solver(spec: Any = None, **kwargs: Any):
 
     Raises :class:`ValueError` when the algorithm name is unknown (listing
     the registered names) or when a component is specified that the chosen
-    algorithm does not accept (e.g. a criterion for a pure baseline).
-
-    ``tile_size="auto"`` / ``executor="auto"`` delegate the choice to the
-    autotuner (see :class:`SolverSpec`); pass ``size_hint=<matrix order>``
-    so the prediction targets the matrix you are about to factor.
+    algorithm does not accept (e.g. a criterion for a pure baseline),
+    and when ``tile_size`` is not an integer >= 1.
     """
     spec = _normalize_spec(spec, kwargs)
-    spec = _resolve_auto(spec)
 
     algorithm = spec.algorithm
     extra_options: Dict[str, Any] = dict(spec.options)
@@ -305,7 +244,7 @@ def make_solver(spec: Any = None, **kwargs: Any):
     # default for the built-ins (whose tile_size is required).
     if "tile_size" in params:
         if spec.tile_size is not None:
-            build_kwargs["tile_size"] = int(spec.tile_size)
+            build_kwargs["tile_size"] = spec.tile_size
         elif params["tile_size"].default is inspect.Parameter.empty:
             build_kwargs["tile_size"] = DEFAULT_TILE_SIZE
     # Base arguments every built-in accepts; a user-registered solver with
@@ -361,17 +300,6 @@ def make_solver(spec: Any = None, **kwargs: Any):
 # --------------------------------------------------------------------------- #
 # Top-level facades
 # --------------------------------------------------------------------------- #
-def _default_size_hint(spec: Any, kwargs: Dict[str, Any], a: np.ndarray) -> None:
-    """Default the autotuner's ``size_hint`` to the order of ``a``.
-
-    An explicit hint — in ``kwargs`` or carried by a ``SolverSpec``/dict —
-    wins; the matrix the caller handed over is only the default.
-    """
-    if isinstance(spec, SolverSpec) and spec.size_hint is not None:
-        return
-    if isinstance(spec, dict) and spec.get("size_hint") is not None:
-        return
-    kwargs.setdefault("size_hint", int(a.shape[0]))
 def solve(
     a: np.ndarray,
     b: np.ndarray,
@@ -387,11 +315,7 @@ def solve(
     its :meth:`~repro.core.solver_base.TiledSolverBase.solve` — the result
     is bit-identical to hand-constructing the same solver.  Returns a
     :class:`~repro.core.factorization.SolveResult`.
-
-    The matrix order is passed to the autotuner as the ``size_hint``, so
-    ``tile_size="auto"`` / ``executor="auto"`` tune for this very matrix.
     """
-    _default_size_hint(spec, kwargs, a)
     return make_solver(spec, **kwargs).solve(a, b, x_true=x_true)
 
 
@@ -404,8 +328,6 @@ def factor(
 ):
     """Factor ``[A | b]`` with a declaratively configured solver.
 
-    Returns the :class:`~repro.core.factorization.Factorization`.  Like
-    :func:`solve`, fills the autotuner's ``size_hint`` from the matrix.
+    Returns the :class:`~repro.core.factorization.Factorization`.
     """
-    _default_size_hint(spec, kwargs, a)
     return make_solver(spec, **kwargs).factor(a, b)

@@ -144,7 +144,6 @@ class Registry:
         self.kind = kind
         self._factories: Dict[str, Callable[..., Any]] = {}
         self._aliases: Dict[str, str] = {}
-        self._reserved: Dict[str, str] = {}
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -156,12 +155,6 @@ class Registry:
         canonical = name.lower()
 
         def decorator(factory: Callable[..., Any]) -> Callable[..., Any]:
-            for key in (canonical, *(a.lower() for a in aliases)):
-                if key in self._reserved:
-                    raise ValueError(
-                        f"{self.kind} name {key!r} is reserved: "
-                        f"{self._reserved[key]}"
-                    )
             existing = self._factories.get(canonical)
             if existing is not None and existing is not factory:
                 raise ValueError(
@@ -222,29 +215,9 @@ class Registry:
         key = str(name).lower()
         return key in self._factories or key in self._aliases
 
-    def reserve(self, name: str, message: str) -> None:
-        """Reserve ``name`` so nothing can register it and lookups explain why.
-
-        Used for names with special meaning to a layer above the registry
-        (the facade resolves ``executor="auto"`` itself before the
-        registry is ever consulted); :meth:`get` on a reserved name raises
-        ``message`` instead of the generic unknown-name listing.
-        """
-        key = str(name).lower()
-        if key in self._factories or key in self._aliases:
-            raise ValueError(
-                f"cannot reserve {key!r}: the {self.kind} name is already "
-                f"registered"
-            )
-        self._reserved[key] = str(message)
-
     def get(self, name: str) -> Callable[..., Any]:
         """Return the factory registered under ``name`` (or an alias)."""
         key = str(name).lower()
-        if key in self._reserved:
-            raise ValueError(
-                f"{self.kind} name {key!r} is reserved: {self._reserved[key]}"
-            )
         key = self._aliases.get(key, key)
         try:
             return self._factories[key]

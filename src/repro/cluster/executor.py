@@ -453,7 +453,7 @@ class ClusterExecutor:
 
             self._mirror = tiles
             self._dist = dist
-            self._ctx = SigContext(n=tiles.n, nb=tiles.nb, nrhs=nrhs, dtype=np.float64)
+            self._ctx = SigContext(n=tiles.n, nb=tiles.nb, nrhs=nrhs)
             self._rank_node = rank_node
             self._products = {}
             self._product_owner = {}
@@ -552,7 +552,7 @@ class ClusterExecutor:
         dist = self._dist
         effects: Dict[int, Any] = {}
         for task in tasks:
-            _sig, effect, _violation = signature_effect(task, ctx)
+            effect, _violation = signature_effect(task, ctx)
             if effect is None:
                 raise ClusterError(
                     f"{task_label(task)} has no kernel signature; distributed "

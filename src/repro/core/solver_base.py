@@ -24,6 +24,7 @@ bit-identical factors.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from abc import ABC, abstractmethod
 from typing import List, Optional, Sequence, Tuple, Union
@@ -90,7 +91,7 @@ class TiledSolverBase(ABC):
     Parameters
     ----------
     tile_size:
-        Tile order ``nb``.
+        Tile order ``nb``, an integer >= 1.
     grid:
         Virtual process grid used for the block-cyclic distribution (both
         for diagonal-domain definition and for the performance model).
@@ -143,8 +144,12 @@ class TiledSolverBase(ABC):
         lookahead: int = 1,
         kernel_backend=None,
     ) -> None:
-        if tile_size < 1:
-            raise ValueError(f"tile_size must be positive, got {tile_size}")
+        if (
+            not isinstance(tile_size, numbers.Integral)
+            or isinstance(tile_size, bool)
+            or tile_size < 1
+        ):
+            raise ValueError(f"tile_size must be an integer >= 1, got {tile_size!r}")
         if lookahead < 0:
             raise ValueError(f"lookahead must be >= 0, got {lookahead}")
         self.tile_size = int(tile_size)

@@ -44,7 +44,7 @@ import os
 import time
 from dataclasses import dataclass
 from multiprocessing import current_process
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -286,10 +286,10 @@ def _incpiv_ssssm_sweep_rhs(tiles: TileMatrix, inputs, k, rows) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# Shape/dtype signatures — abstract transfer rules for the static analyzer
+# Shape signatures — abstract transfer rules for the static analyzer
 # --------------------------------------------------------------------------- #
 # The analyzer (repro.analysis.abstract) symbolically executes plans over an
-# abstract domain of (tile shape, dtype) values.  Each kernel operation in
+# abstract domain of tile shapes.  Each kernel operation in
 # KERNELS declares a *signature*: a function mapping a KernelCall to the tile
 # sets it reads and writes, the conformability checks its numerics imply, an
 # owner anchor for placement (owner-computes on the written tile), and the
@@ -306,19 +306,15 @@ _RHS = -1
 class SigContext:
     """Problem-level context a signature is evaluated under.
 
-    ``dtype`` is the dtype of the *input* matrix (pre tile-storage cast), so
-    abstract interpretation covers dtypes the concrete TileMatrix would
-    normalise away.
+    Tiles always hold float64 (``TileMatrix`` converts any input on
+    entry), so every byte count prices :attr:`itemsize` = 8.
     """
 
     n: int
     nb: int
     nrhs: int
-    dtype: Any
 
-    @property
-    def itemsize(self) -> int:
-        return int(np.dtype(self.dtype).itemsize)
+    itemsize: ClassVar[int] = 8
 
 
 @dataclass(frozen=True)
@@ -359,14 +355,10 @@ class OpEffect:
 class KernelSignature:
     """Transfer rule for one kernel op.
 
-    ``effect(call, step, ctx) -> OpEffect`` derives the abstract effect;
-    ``dtype_rule`` is ``"preserve"`` (writes take the promoted dtype of the
-    reads) or a concrete numpy dtype name the operation forces its outputs
-    to.
+    ``effect(call, step, ctx) -> OpEffect`` derives the abstract effect.
     """
 
     effect: Callable[[KernelCall, int, SigContext], OpEffect]
-    dtype_rule: str = "preserve"
 
 
 #: Name -> signature table, lint-checked against :data:`KERNELS` both ways.
@@ -374,14 +366,14 @@ KERNEL_SIGNATURES: Dict[str, KernelSignature] = {}
 
 
 def kernel_signature(
-    name: str, dtype_rule: str = "preserve"
+    name: str,
 ) -> Callable[[Callable[..., OpEffect]], Callable[..., OpEffect]]:
-    """Register the shape/dtype signature for kernel op ``name``."""
+    """Register the shape signature for kernel op ``name``."""
 
     def decorator(fn: Callable[..., OpEffect]) -> Callable[..., OpEffect]:
         if name in KERNEL_SIGNATURES:
             raise ValueError(f"kernel signature {name!r} is already registered")
-        KERNEL_SIGNATURES[name] = KernelSignature(effect=fn, dtype_rule=dtype_rule)
+        KERNEL_SIGNATURES[name] = KernelSignature(effect=fn)
         return fn
 
     return decorator

@@ -12,15 +12,13 @@ a real factorization can be fitted into a per-kernel cost model
   observed sizes) to extrapolate to unobserved tile sizes — every tile
   kernel is ``Theta(nb^3)`` at leading order (Table I).
 
-The fitted :class:`Calibration` drives three consumers:
+The fitted :class:`Calibration` drives two consumers:
 
 * the critical-path scheduler (b-level priorities weigh each task by its
   calibrated duration, see :func:`repro.runtime.schedule.kernel_cost_fn`);
 * the discrete-event simulator (``simulate(..., calibration=...)``
   replaces the analytic platform rates with measured per-core costs, so a
-  simulated makespan predicts a measured one);
-* the autotuner (:mod:`repro.perf.autotune` compares predicted makespans
-  across tile sizes at ``make_solver(tile_size="auto")`` time).
+  simulated makespan predicts a measured one).
 
 Calibrations persist per host at ``~/.cache/repro/calibration.json``
 (override with the ``REPRO_CALIBRATION`` environment variable) and are
@@ -28,8 +26,8 @@ loaded lazily and cached by modification time, so solvers pick up a new
 calibration without re-importing anything.  A saved file records a hash of
 the kernel sources it was measured with; :func:`default_calibration`
 ignores a file whose hash is missing or different — a table fitted before a
-kernel got several times cheaper would silently skew priorities and
-``tile_size="auto"`` — until :func:`run_calibration` is run again.
+kernel got several times cheaper would silently skew priorities — until
+:func:`run_calibration` is run again.
 """
 
 from __future__ import annotations
@@ -195,13 +193,6 @@ class Calibration:
             except KeyError:
                 continue
         return None
-
-    def observed_tile_sizes(self) -> List[int]:
-        """Every tile size any kernel has samples for, ascending."""
-        sizes = set()
-        for cost in self.kernels.values():
-            sizes.update(cost.by_nb)
-        return sorted(sizes)
 
     def add_samples(self, samples: Dict[Tuple[str, int], List[float]]) -> "Calibration":
         """Fold ``(kernel, nb) -> durations`` samples in; returns self."""

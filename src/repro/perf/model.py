@@ -19,8 +19,8 @@ The model is no longer purely analytic.  Pass a
 :class:`~repro.perf.calibrate.Calibration` (fitted from real execution
 traces by :mod:`repro.perf.calibrate`) and every kernel the calibration
 has observed is priced at its *measured* per-core duration instead of the
-platform's paper-derived rates — the same predictions the autotuner and
-the critical-path scheduler consume online.
+platform's paper-derived rates, from the same fit the critical-path
+scheduler's b-level priorities read online.
 """
 
 from __future__ import annotations

@@ -19,8 +19,10 @@ The result (makespan, per-node utilisation, communication volume, schedule
 trace) is what the performance model converts into the GFLOP/s numbers of
 Figure 2 and Table II.  With a calibration the same machinery turns
 predictive: a simulated makespan estimates what a *measured* run on this
-host would take, which is what the autotuner
-(:mod:`repro.perf.autotune`) compares across candidate configurations.
+host would take (``tests/test_calibration.py`` checks the prediction).
+The simulator prices :mod:`repro.core.dag_builder`'s per-tile plan, not
+the sweep plan the runtime executes, so it ranks configurations at paper
+scale only; it does not choose a tile size or an executor.
 """
 
 from __future__ import annotations

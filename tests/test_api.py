@@ -1,5 +1,7 @@
 """Tests for the public API: spec parser, registries, and the facades."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,38 @@ class TestMakeSolver:
         for attribute in ("u", "l_top"):
             with pytest.raises(AttributeError):
                 getattr(factor, attribute)
+
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            {"tile_size": "auto"},
+            {"executor": "auto"},
+            {"kernel_backend": "auto"},
+            {"size_hint": 96},
+        ],
+        ids=["tile_size", "executor", "kernel_backend", "size_hint"],
+    )
+    def test_removed_autotune_knobs_fail_loudly(self, removed):
+        """The autotuner is gone: its spellings raise instead of tuning."""
+        kwargs = {"algorithm": "lupp", "tile_size": 8, **removed}
+        with pytest.raises(ValueError):
+            make_solver(**kwargs)
+        a = np.eye(16) * 4.0
+        with pytest.raises(ValueError):
+            repro.solve(a, np.ones(16), **kwargs)
+
+    @pytest.mark.parametrize("bad", [True, "8", 8.0, 0, -1])
+    def test_tile_size_must_be_a_positive_integer(self, bad):
+        message = f"tile_size must be an integer >= 1, got {re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match=message):
+            make_solver(algorithm="lupp", tile_size=bad)
+        with pytest.raises(ValueError, match=message):
+            repro.LUPPSolver(bad)
+
+    def test_tile_size_accepts_numpy_integers(self):
+        for nb in (np.int64(8), np.int32(8)):
+            solver = make_solver(algorithm="lupp", tile_size=nb)
+            assert solver.tile_size == 8 and type(solver.tile_size) is int
 
     def test_criterion_on_baseline_rejected(self):
         with pytest.raises(ValueError, match="does not accept a criterion"):

@@ -1,10 +1,10 @@
 """Online calibration: trace harvesting, fitting, persistence, prediction.
 
 The calibration layer turns measured kernel durations into the cost model
-behind the priority scheduler, the predictive simulator, and the
-autotuner.  These tests pin the fit math, the trace-edge-case robustness
-of :func:`merge_traces` / :func:`collect_samples`, the JSON round trip
-through ``REPRO_CALIBRATION``, and — the tier-1 closing-the-loop check —
+behind the priority scheduler and the predictive simulator.  These tests
+pin the fit math, the trace-edge-case robustness of :func:`merge_traces` /
+:func:`collect_samples`, the JSON round trip through
+``REPRO_CALIBRATION``, and — the tier-1 closing-the-loop check —
 that a calibrated simulation predicts a measured makespan to within a
 small factor for every solver.
 """
@@ -151,7 +151,10 @@ def test_calibration_roundtrip_via_env(isolated_calibration):
     assert loaded.host == "testhost"
     assert loaded.kernel_duration("gemm", 8) == pytest.approx(0.5)
     assert loaded.kernel_duration("getrf", 16) == pytest.approx(0.5)
-    assert loaded.observed_tile_sizes() == [8, 16]
+    assert {name: sorted(cost.by_nb) for name, cost in loaded.kernels.items()} == {
+        "gemm": [8],
+        "getrf": [16],
+    }
 
 
 def test_corrupt_calibration_degrades_to_none(isolated_calibration):

@@ -111,7 +111,7 @@ def test_execution_ranks_match_assign_owners(cluster2, rng):
     solver.collect_step_graphs = True
     solver.factor(a, b)
 
-    ctx = SigContext(n=N // NB, nb=NB, nrhs=1, dtype=np.float64)
+    ctx = SigContext(n=N // NB, nb=NB, nrhs=1)
     dist = BlockCyclicDistribution(ProcessGrid(2, 2), N // NB)
     checked = 0
     for graph, trace in zip(solver.step_graphs, solver.step_traces):
@@ -137,7 +137,7 @@ def test_measured_comm_matches_placement_prediction(algorithm, rng):
     finally:
         executor.close()
 
-    ctx = SigContext(n=N // NB, nb=NB, nrhs=1, dtype=np.float64)
+    ctx = SigContext(n=N // NB, nb=NB, nrhs=1)
     dist = BlockCyclicDistribution(ProcessGrid(2, 2), N // NB)
     violations, predicted = analyze_placement(solver.step_graphs, dist, ctx)
 

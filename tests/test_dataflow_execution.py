@@ -24,6 +24,7 @@ from repro.core.lu_step import lu_step_tasks
 from repro.core.panel_analysis import analyze_panel
 from repro.core.factorization import StepRecord
 from repro.core.qr_step import qr_step_tasks
+from repro.matrices.random_gen import random_matrix
 from repro.runtime import (
     KernelTask,
     build_step_graph,
@@ -362,6 +363,25 @@ class TestIncrementalGrowth:
 
         fact_b = BruteForce(8, MaxCriterion(alpha=1.0)).factor(a, b)
         assert fact_b.growth.per_step == pytest.approx(per_step, rel=1e-12)
+
+    def test_matches_per_tile_rescan(self):
+        """The incremental maxima equal a rescan of the trailing submatrix
+        with one ``tile_norm`` call per tile after every step."""
+
+        class PerTileRescan(LUPPSolver):
+            def _active_region_max_norm(self, tiles, k):
+                best = 0.0
+                for i in range(k, tiles.n):
+                    for j in range(k, tiles.n):
+                        best = max(best, tiles.tile_norm(i, j, ord=1))
+                return best
+
+        a = random_matrix(96, seed=3)
+        rescan = PerTileRescan(8, track_growth=True).factor(a)
+        incremental = LUPPSolver(8, track_growth=True).factor(a)
+        assert incremental.growth.per_step == pytest.approx(
+            rescan.growth.per_step, rel=1e-12
+        )
 
     def test_region_tile_norms_vectorized_matches_loop(self, rng):
         tiles = TileMatrix.from_dense(rng.standard_normal((40, 40)), 8)

@@ -267,13 +267,6 @@ def test_former_backend_names_are_numpy_aliases(alias):
     assert make_kernel_backend(alias).name == "numpy"
 
 
-def test_auto_is_reserved_for_the_facade():
-    with pytest.raises(ValueError, match="facade"):
-        KERNEL_BACKENDS.get("auto")
-    solver = make_solver("hybrid", tile_size=16, kernel_backend="auto", size_hint=64)
-    assert solver.kernel_backend.name == "numpy"
-
-
 def test_resolve_backend_passes_instances_through():
     instance = NumpyBackend()
     assert resolve_backend(instance) is instance

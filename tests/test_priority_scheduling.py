@@ -188,6 +188,48 @@ def test_lookahead_zero_matches_stepwise_trace_count():
     assert 0 < len(solver.step_traces) <= n // nb + 1
 
 
+# --------------------------------------------------------------------------- #
+# Priorities against FIFO dispatch
+# --------------------------------------------------------------------------- #
+#: FIFO must not beat priorities by more than this factor (noise guard).
+_FIFO_TOLERANCE = 1.25
+
+
+def _best_hqr_wall_time(a, samples=2):
+    """Best-of-``samples`` summed step wall time of HQR on 4 threads.
+
+    HQR because priorities only act when more tasks are ready than workers
+    are free, which its reduction trees provide at every step.
+    """
+    best = None
+    for _ in range(samples):
+        solver = make_solver(
+            "hqr",
+            tile_size=8,
+            track_growth=False,
+            executor=ThreadedExecutor(workers=4),
+        )
+        assert solver.factor(a.copy()).succeeded
+        wall = sum(t.wall_time for t in solver.step_traces)
+        best = wall if best is None else min(best, wall)
+    return best
+
+
+def test_prioritized_vs_fifo_makespan(monkeypatch):
+    """b-level priorities never make the schedule meaningfully worse than
+    submission-order dispatch."""
+    a = random_matrix(96, seed=7)
+    prioritized = _best_hqr_wall_time(a)
+    # FIFO: every task keeps priority 0.0, so the ready heap degenerates
+    # to submission order.
+    monkeypatch.setattr(TaskGraph, "assign_priorities", lambda self, cost=None: {})
+    fifo = _best_hqr_wall_time(a)
+    assert prioritized <= fifo * _FIFO_TOLERANCE, (
+        f"priority scheduling regressed: {prioritized:.4f}s vs FIFO "
+        f"{fifo:.4f}s (tolerance {_FIFO_TOLERANCE}x)"
+    )
+
+
 def test_negative_lookahead_rejected():
     with pytest.raises(ValueError):
         solver = make_solver("lupp", tile_size=8, executor=None)

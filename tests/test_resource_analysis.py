@@ -1,6 +1,6 @@
 """Tests for the static resource analyzer.
 
-Covers the three passes (shape/dtype abstract interpretation, tile
+Covers the three passes (shape abstract interpretation, tile
 liveness / peak-memory certification, placement & communication
 analysis), their wiring through ``audit()``, the corruption fixtures,
 the registry signature lint, and the distribution validation fixes.
@@ -14,7 +14,6 @@ import pytest
 from repro import analysis
 from repro.analysis.corruption import (
     corrupt_cross_domain_pivot,
-    corrupt_dtype_dropping_kernel,
     corrupt_factor_shape,
     corrupt_sweep_range,
     corrupt_wrong_owner,
@@ -39,12 +38,12 @@ def _system(dtype=np.float64, n=16, seed=0):
 
 
 # --------------------------------------------------------------------- #
-# Clean matrix: every solver x dtype x lookahead x grid audits clean
+# Clean matrix: every solver x lookahead x grid audits clean
 # --------------------------------------------------------------------- #
 class TestCleanMatrix:
     @pytest.mark.parametrize("grid", GRIDS)
     @pytest.mark.parametrize("lookahead", [0, 2])
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("dtype", [np.float64])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_audit_clean(self, algorithm, dtype, lookahead, grid):
         a, b = _system(dtype)
@@ -61,6 +60,28 @@ class TestCleanMatrix:
         assert report.resources["memory[plan]"]["peak_bytes"] > 0
         assert report.resources["memory[executed]"]["peak_bytes"] > 0
         assert "placement[plan]" in report.resources
+
+    def test_float32_input_certifies_as_float64(self):
+        """Tiles hold float64 whatever the input dtype, so a float32 system
+        certifies exactly the resources of its float64 copy."""
+        a, b = _system(np.float32)
+        reports = [
+            analysis.audit(
+                make_solver(
+                    "hybrid",
+                    tile_size=4,
+                    grid="2x2",
+                    executor="threaded(workers=2)",
+                    lookahead=2,
+                ),
+                a.astype(dtype),
+                b.astype(dtype),
+                lint=False,
+            )
+            for dtype in (np.float32, np.float64)
+        ]
+        assert all(r.ok for r in reports), [str(v) for r in reports for v in r.violations]
+        assert reports[0].resources == reports[1].resources
 
     @pytest.mark.parametrize("backend", [None, "tracing"])
     @pytest.mark.parametrize("grid", ["2x2", "4x1"])
@@ -95,7 +116,7 @@ class TestLiveness:
         solver2.collect_step_graphs = True
         a, b = _system()
         solver2.factor(a, b)
-        ctx = analysis.make_context(4, 4, 1, np.float64)
+        ctx = analysis.make_context(4, 4, 1)
         intervals = analysis.collect_product_intervals(solver2.step_graphs, ctx)
         cert = analysis.certify_peak_memory(
             solver2.step_graphs, ctx, mode="window", intervals=intervals
@@ -112,7 +133,7 @@ class TestLiveness:
         )
         assert not violations
         assert cert.peak_bytes == cert.base_bytes + cert.product_peak_bytes
-        assert cert.base_bytes == analysis.tile_storage_bytes(ctx, itemsize=8)
+        assert cert.base_bytes == analysis.tile_storage_bytes(ctx)
         # An impossible admission limit is flagged.
         violations, _ = analysis.analyze_liveness(
             [graph], ctx, mode="sequential", max_memory=1
@@ -130,7 +151,7 @@ class TestLiveness:
         solver.collect_step_graphs = True
         a, b = _system()
         solver.factor(a, b)
-        ctx = analysis.make_context(4, 4, 1, np.float64)
+        ctx = analysis.make_context(4, 4, 1)
         seq = analysis.certify_peak_memory(
             solver.step_graphs, ctx, mode="sequential"
         )
@@ -204,10 +225,6 @@ class TestCorruption:
         kinds = {v.kind for v in corrupt_cross_domain_pivot()}
         assert "cross-domain-pivot" in kinds
 
-    def test_dtype_dropping_kernel_detected(self):
-        kinds = {v.kind for v in corrupt_dtype_dropping_kernel()}
-        assert "dtype-mismatch" in kinds
-
     def test_sweep_range_detected(self):
         kinds = {v.kind for v in corrupt_sweep_range()}
         assert "read-set-mismatch" in kinds
@@ -222,11 +239,6 @@ class TestCorruption:
         assert suite, "suite must not be empty"
         for name, entry in suite.items():
             assert entry["detected"], f"corruption {name!r} went unnoticed"
-
-    def test_fixture_kernel_cleanup(self):
-        corrupt_dtype_dropping_kernel()
-        assert "fixture.dtype_drop" not in KERNELS
-        assert "fixture.dtype_drop" not in KERNEL_SIGNATURES
 
 
 # --------------------------------------------------------------------- #

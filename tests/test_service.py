@@ -2,6 +2,7 @@
 
 import asyncio
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -171,6 +172,43 @@ class TestCoalescing:
         assert svc.session.stats.hits == 0
         assert svc.session.stats.solves == 1
         svc.shutdown()
+
+    def test_coalescing_speedup_vs_sequential(self):
+        """16 queued right-hand sides served coalesced are >= 2x faster than
+        16 sequential ``SolverSession.solve`` calls (best of five each)."""
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((96, 96)) + 4.0 * np.eye(96)
+        bs = [rng.standard_normal(96) for _ in range(16)]
+        spec = dict(algorithm="hybrid", criterion="max(alpha=50)", tile_size=8)
+
+        session = repro.SolverSession(**spec)
+        session.warm(a)
+        seq_best = None
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for b in bs:
+                session.solve(a, b)
+            elapsed = time.perf_counter() - t0
+            seq_best = elapsed if seq_best is None else min(seq_best, elapsed)
+
+        service = repro.SolverService(start=False, **spec)
+        handle = service.register(a, warm=True)
+        svc_best = None
+        for _ in range(5):
+            t0 = time.perf_counter()
+            futures = [service.submit(handle, b) for b in bs]
+            service.start()  # no-op after the first round
+            for f in futures:
+                f.result(timeout=120)
+            elapsed = time.perf_counter() - t0
+            svc_best = elapsed if svc_best is None else min(svc_best, elapsed)
+        service.shutdown()
+
+        speedup = seq_best / svc_best
+        assert speedup >= 2.0, (
+            f"coalesced serving only {speedup:.2f}x faster than sequential "
+            f"({1e3 * svc_best:.2f} ms vs {1e3 * seq_best:.2f} ms)"
+        )
 
     def test_mixed_column_counts_coalesce(self, rng):
         svc = repro.SolverService(algorithm="lupp", tile_size=8, start=False)
