@@ -39,9 +39,9 @@ Tile payload entries are ``(i, j, ndarray)`` with ``j ==``
 :data:`~repro.runtime.task.RHS_COLUMN` meaning the RHS tile of row
 ``i``.  Norm sampling mirrors
 :func:`repro.kernels.dispatch.execute_kernel_call` — computed *after*
-the finish timestamp via ``region_tile_norms`` so lookahead growth
-tracking stays bit-identical to the inline drivers without skewing
-kernel timings.
+the finish timestamp, in one ``region_tile_norms`` pass over the
+sampled tiles' bounding box, so lookahead growth tracking stays
+bit-identical to the inline drivers without skewing kernel timings.
 
 Fault injection: ``fail_after_tasks=N`` makes the worker call
 ``os._exit`` upon *receiving* its N-th task message, before executing
@@ -188,13 +188,11 @@ def serve(
                         products[call.produces] = result
                     norms: Optional[Tuple[float, ...]] = None
                     if call.norm_tiles:
-                        # Same 1x1-region path as the inline drivers' norm
-                        # cache, sampled after `finish`: bit-identical
-                        # growth bookkeeping, unskewed timings.
-                        norms = tuple(
-                            float(tiles.region_tile_norms(i, i + 1, j, j + 1)[0, 0])
-                            for (i, j) in call.norm_tiles
-                        )
+                        # The inline drivers' region_tile_norms reduction,
+                        # one pass over the sampled tiles' bounding box,
+                        # after `finish`: bit-identical growth
+                        # bookkeeping, unskewed timings.
+                        norms = tiles.sampled_tile_norms(call.norm_tiles)
                     writes = _read_writes(tiles, want_writes)
                     reply = result if call.produces is not None else None
                     send(("done", uid, reply, norms, writes, start, finish, name))

@@ -36,12 +36,7 @@ from ..linalg.pivoting import SingularPanelError
 from ..runtime.executor import ExecutionTrace, SequentialExecutor, ThreadedExecutor
 from ..runtime.graph import TaskGraph
 from ..runtime.process_executor import ProcessExecutor
-from ..runtime.schedule import (
-    KernelTask,
-    StepPipeline,
-    run_step_tasks,
-    written_tiles,
-)
+from ..runtime.schedule import KernelTask, StepPipeline, run_step_tasks
 from ..stability.growth import GrowthTracker
 from ..stability.metrics import stability_report, stability_reports
 from ..tiles.distribution import BlockCyclicDistribution, ProcessGrid
@@ -97,10 +92,10 @@ class TiledSolverBase(ABC):
         for diagonal-domain definition and for the performance model).
         Defaults to a single process (shared-memory behaviour).
     track_growth:
-        Record the tile-norm growth factor after every step (tile norms are
-        maintained incrementally from the tiles each step writes, so the
-        overhead is one vectorized pass over the updated region; disable
-        for pure benchmarking runs).
+        Record the tile-norm growth factor after every step (one
+        vectorized pass over the trailing region ``[k:, k:]`` the step
+        wrote; disable for pure benchmarking runs).  Either way a
+        factorization that overflows raises ``ValueError``.
     executor:
         Optional dataflow executor.  When set, every elimination step's
         kernels are materialised as a task graph and dispatched on it (a
@@ -169,10 +164,8 @@ class TiledSolverBase(ABC):
         self.collect_step_graphs = False
         self.step_graphs: List[TaskGraph] = []
         self._pipeline: Optional[StepPipeline] = None
-        self._norm_cache: Optional[np.ndarray] = None
-        self._last_written = None
-        # A solver instance carries per-factorization state (the norm
-        # cache, step traces, criterion state), so concurrent factor()
+        # A solver instance carries per-factorization state (the
+        # pipeline, step traces, criterion state), so concurrent factor()
         # calls on one instance must serialize; SolverSession relies on
         # this when misses on different matrices share its single solver.
         self._factor_lock = threading.RLock()
@@ -223,7 +216,6 @@ class TiledSolverBase(ABC):
         record, tasks = self._plan_step(tiles, dist, k)
         tasks = [self.kernel_backend.wrap_task(t, k) for t in tasks]
         run_step_tasks(tasks, executor=None, step=k)
-        self._last_written = written_tiles(tasks)
         return record
 
     def _calibration(self):
@@ -256,7 +248,8 @@ class TiledSolverBase(ABC):
         instance serialize (the instance carries per-factorization state);
         use separate solver instances for genuinely parallel
         factorizations.  Raises ``ValueError`` when ``A`` or ``b`` holds a
-        NaN or Inf.
+        NaN or Inf, and when the factorization overflows (naming the step
+        whose growth norms first turn non-finite when growth is tracked).
         """
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -310,17 +303,15 @@ class TiledSolverBase(ABC):
         self._pipeline = None
 
         growth: Optional[GrowthTracker] = None
+        norms = None
         if self.track_growth:
-            self._norm_cache = tiles.region_tile_norms(0, tiles.n, 0, tiles.n)
-            growth = GrowthTracker(float(self._norm_cache.max()))
-        else:
-            self._norm_cache = None
+            norms = tiles.region_tile_norms(0, tiles.n, 0, tiles.n)
+            growth = GrowthTracker(float(norms.max()))
 
         steps = []
         breakdown: Optional[str] = None
         try:
             for k in range(tiles.n):
-                self._last_written = None
                 try:
                     record = self._do_step(tiles, dist, k)
                 except SingularPanelError as exc:
@@ -354,10 +345,10 @@ class TiledSolverBase(ABC):
                     self.executor.unbind_tiles()
 
         if growth is not None and self._pipeline is not None:
-            self._replay_growth(growth, len(steps))
+            self._replay_growth(growth, norms, len(steps))
         self._pipeline = None
-        self._norm_cache = None
-        self._last_written = None
+        if growth is None and not np.isfinite(tiles.array).all():
+            raise ValueError("the factorization overflowed: its factors hold NaN or Inf")
         return Factorization(
             tiles=tiles,
             steps=steps,
@@ -429,46 +420,28 @@ class TiledSolverBase(ABC):
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-    def _replay_growth(self, growth: GrowthTracker, n_steps: int) -> None:
+    def _replay_growth(self, growth: GrowthTracker, norms: np.ndarray, n_steps: int) -> None:
         """Rebuild the per-step growth record from the pipeline's samples.
 
-        Each tile's norm was sampled by its last writer of each step (same
-        ``region_tile_norms`` code path as the inline bookkeeping), so
-        applying the samples step by step to the norm cache reproduces the
-        inline per-step record bit for bit, regardless of how the pipeline
-        interleaved the steps at execution time.
+        Each tile's norm was sampled by its last writer of each step, with
+        the same ``region_tile_norms`` reduction as the inline ``[k:, k:]``
+        pass, so applying the samples step by step to the initial
+        ``norms`` reproduces the inline per-step record bit for bit,
+        regardless of how the pipeline interleaved the steps at execution
+        time.
         """
-        cache = self._norm_cache
-        if cache is None:  # pragma: no cover - growth implies a cache
-            return
         samples = self._pipeline.norm_samples
         for k in range(n_steps):
             for (i, j), value in samples.get(k, {}).items():
-                cache[i, j] = value
-            growth.record(float(cache[k:, k:].max()))
+                norms[i, j] = value
+            growth.record(float(norms[k:, k:].max()))
 
     def _active_region_max_norm(self, tiles: TileMatrix, k: int) -> float:
-        """Largest tile 1-norm over the region touched at/after step ``k``.
+        """Largest tile 1-norm of the trailing region ``[k:, k:]`` after step ``k``.
 
-        Maintained incrementally: only the tiles written during the step
-        (known from the step's task plan) have their norms recomputed —
-        vectorized over the written bounding box — and the region maximum
-        is read from the cache.  Falls back to a full vectorized rescan of
-        the trailing region when no write information is available (e.g. a
-        subclass overriding ``_do_step`` directly).
+        One vectorized pass: every solver's step ``k`` writes that region's
+        bounding box, so re-norming all of it costs what re-norming only
+        the written tiles would.
         """
-        n = tiles.n
-        cache = self._norm_cache
-        if cache is None:
-            return float(tiles.region_tile_norms(k, n, k, n).max())
-        written = self._last_written
-        if written is None:
-            cache[k:, k:] = tiles.region_tile_norms(k, n, k, n)
-        else:
-            rows = [i for (i, j) in written if 0 <= j < n]
-            cols = [j for (i, j) in written if 0 <= j < n]
-            if rows:
-                i0, i1 = min(rows), max(rows) + 1
-                j0, j1 = min(cols), max(cols) + 1
-                cache[i0:i1, j0:j1] = tiles.region_tile_norms(i0, i1, j0, j1)
-        return float(cache[k:, k:].max())
+        return float(tiles.region_tile_norms(k, tiles.n, k, tiles.n).max())
+

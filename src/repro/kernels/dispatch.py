@@ -700,11 +700,8 @@ def execute_kernel_call(
     finish = time.perf_counter()
     norms: Optional[Tuple[float, ...]] = None
     if call.norm_tiles:
-        # Same code path as the incremental norm cache of the tiled
-        # drivers (region_tile_norms over a 1x1 tile region), so the
+        # One region_tile_norms pass over the sampled tiles' bounding box,
+        # the reduction the inline drivers' growth norms use, so the
         # sampled values are bit-identical to the inline bookkeeping.
-        norms = tuple(
-            float(tiles.region_tile_norms(i, i + 1, j, j + 1)[0, 0])
-            for (i, j) in call.norm_tiles
-        )
+        norms = tiles.sampled_tile_norms(call.norm_tiles)
     return result, norms, start, finish, current_process().name

@@ -45,6 +45,7 @@ The factorizations return new values; the trailing-update sweeps of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -90,6 +91,20 @@ class QRTileFactor:
         return self.vb
 
 
+@lru_cache(maxsize=None)
+def _masks(nb: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Strictly-lower mask and identity of order ``nb``, built once (``np.triu``
+    rebuilds its ``np.tri`` mask per call, at more than the ``np.where``)."""
+    lower, eye = np.tri(nb, k=-1, dtype=bool), np.eye(nb)
+    lower.flags.writeable = eye.flags.writeable = False
+    return lower, eye
+
+
+def _triu(m: np.ndarray) -> np.ndarray:
+    """``np.triu(m)`` for a square ``m``: the same ``np.where``, cached mask."""
+    return np.where(_masks(m.shape[0])[0], 0.0, m)
+
+
 def _dgeqrt(a: np.ndarray, kernel: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-block LAPACK ``dgeqrt`` of ``a`` (``m x nb``, ``m >= nb``), in place.
 
@@ -102,13 +117,13 @@ def _dgeqrt(a: np.ndarray, kernel: str) -> Tuple[np.ndarray, np.ndarray, np.ndar
     if info != 0:
         raise np.linalg.LinAlgError(f"{kernel}: LAPACK dgeqrt failed with info={info}")
     # LAPACK leaves the strict lower triangle of T unreferenced.
-    return qr, np.triu(t), np.triu(qr[:nb])
+    return qr, _triu(t), _triu(qr[:nb])
 
 
 def _couple(r_top: np.ndarray, bottom: np.ndarray, kernel: str) -> QRTileFactor:
     nb = r_top.shape[0]
     stacked = np.empty((2 * nb, nb), order="F")
-    stacked[:nb] = np.triu(r_top)
+    stacked[:nb] = _triu(r_top)
     stacked[nb:] = bottom
     qr, t, r = _dgeqrt(stacked, kernel)
     return QRTileFactor(vb=np.ascontiguousarray(qr[nb:]), t=t, r=r, nb=nb, coupled=True)
@@ -117,9 +132,9 @@ def _couple(r_top: np.ndarray, bottom: np.ndarray, kernel: str) -> QRTileFactor:
 def geqrt_tile(a_kk: np.ndarray) -> QRTileFactor:
     """GEQRT: QR of one square tile. Returns the compact-WY factor and ``R``."""
     qr, t, r = _dgeqrt(np.array(a_kk, dtype=np.float64, order="F"), "geqrt")
-    v = np.tril(qr, -1)
-    np.fill_diagonal(v, 1.0)
-    return QRTileFactor(vb=v, t=t, r=r, nb=a_kk.shape[0])
+    lower, eye = _masks(a_kk.shape[0])
+    # Unit lower triangular V: reflectors below the diagonal, ones on it.
+    return QRTileFactor(vb=np.where(lower, qr, eye), t=t, r=r, nb=a_kk.shape[0])
 
 
 def tsqrt(r_top: np.ndarray, a_bottom: np.ndarray) -> QRTileFactor:
@@ -140,7 +155,7 @@ def ttqrt(r_top: np.ndarray, r_bottom: np.ndarray) -> QRTileFactor:
     when combining the local eliminators of different domains along the
     inter-node reduction tree.
     """
-    return _couple(r_top, np.triu(r_bottom), "ttqrt")
+    return _couple(r_top, _triu(r_bottom), "ttqrt")
 
 
 # --------------------------------------------------------------------------- #

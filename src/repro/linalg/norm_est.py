@@ -10,7 +10,9 @@ estimator (the algorithm behind LAPACK ``dlacon``), which only needs a few
 solves with the already-computed LU factors.
 
 This module provides both the exact norm (for testing and for small tiles)
-and the Hager estimator.
+and the Hager estimator, whose solves are direct ``dtrtrs`` calls
+(:func:`repro.linalg.triangular.trtrs`; ``scipy.linalg.solve_triangular``'s
+input checks cost ten times an ``nb``-vector solve).
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 
 from .pivoting import pivot_moves
+from .triangular import trtrs
 
 __all__ = [
     "inverse_norm1_exact",
@@ -60,7 +62,7 @@ def hager_norm1_estimate(
     gamma = 0.0
     for _ in range(max_iter):
         y = solve(x)
-        gamma_new = float(np.linalg.norm(y, 1))
+        gamma_new = float(np.abs(y).sum())
         xi = np.sign(y)
         xi[xi == 0.0] = 1.0
         z = solve_t(xi)
@@ -80,25 +82,51 @@ def hager_norm1_estimate(
     else:
         v = np.ones(1)
     y = solve(v)
-    alt = 2.0 * float(np.linalg.norm(y, 1)) / (3.0 * n)
+    alt = 2.0 * float(np.abs(y).sum()) / (3.0 * n)
     return max(gamma, alt)
+
+
+def _checked_pivots(lu: np.ndarray, piv: np.ndarray) -> np.ndarray:
+    """``piv`` as an array, after checking ``lu``/``piv`` describe a square factor."""
+    piv = np.asarray(piv)
+    n = lu.shape[0]
+    if lu.ndim != 2 or lu.shape[1] != n or (piv.size and int(piv.max()) >= n):
+        raise ValueError(
+            f"expected the square LU factor of a square matrix and pivots < {n}, "
+            f"got lu of shape {lu.shape} and pivots up to {int(piv.max(initial=0))}"
+        )
+    return piv
 
 
 def inverse_norm1_estimate(lu: np.ndarray, piv: np.ndarray) -> float:
     """Estimate ``||A^{-1}||_1`` from the LU factors of ``A`` (``P A = L U``).
 
     ``lu``/``piv`` follow the storage convention of
-    :func:`repro.linalg.pivoting.getrf`.  Each estimator iteration costs two
-    triangular solves, i.e. ``O(nb^2)`` flops — this matches the complexity
-    the paper quotes for criterion evaluation (Section III-D).  The solves
-    run against the packed ``lu`` directly: LAPACK references only the
-    triangle it is told to (and no diagonal for the unit-lower factor).
+    :func:`repro.linalg.pivoting.getrf` for a *square* ``A``; a tall
+    factor, or pivots reaching past its order, raise ``ValueError``.  Each
+    estimator iteration costs two triangular solves, i.e. ``O(nb^2)``
+    flops — this matches the complexity the paper quotes for criterion
+    evaluation (Section III-D).  The solves run against the packed ``lu``
+    directly: LAPACK references only the triangle it is told to (and no
+    diagonal for the unit-lower factor).  A non-finite ``lu``, or a
+    non-finite vector entering a solve, raises ``ValueError``.
     """
+    return _estimate(lu, _checked_pivots(lu, piv))
+
+
+def _estimate(lu: np.ndarray, piv: np.ndarray) -> float:
     n = lu.shape[0]
-    packed = lu[:n, :n]
+    if not np.isfinite(lu).all():
+        raise ValueError("LU factor must not contain NaN or Inf")
     # x -> P x is one gather of the rows the pivots move (none for the
     # identity sequence of a domain-pivoted tile); P^T undoes it.
-    dst, src = pivot_moves(np.asarray(piv))
+    dst, src = pivot_moves(piv)
+    lu_t = lu.T
+
+    def trs(a: np.ndarray, y: np.ndarray, lower: int, unit: int = 0) -> np.ndarray:
+        if not np.isfinite(y).all():
+            raise ValueError("non-finite vector in the norm estimator")
+        return trtrs(a, y, lower, 0, unit)
 
     def solve(x: np.ndarray) -> np.ndarray:
         # A^{-1} x = U^{-1} L^{-1} P x
@@ -106,13 +134,12 @@ def inverse_norm1_estimate(lu: np.ndarray, piv: np.ndarray) -> float:
         if dst.size:
             y = x.copy()
             y[dst] = x[src]
-        y = sla.solve_triangular(packed, y, lower=True, unit_diagonal=True)
-        return sla.solve_triangular(packed, y, lower=False)
+        # x is one of the estimator's own (finite) test vectors.
+        return trs(lu, trtrs(lu, y, 1, 0, 1), 0)
 
     def solve_t(x: np.ndarray) -> np.ndarray:
         # A^{-T} x = P^T L^{-T} U^{-T} x
-        y = sla.solve_triangular(packed.T, x, lower=True)
-        y = sla.solve_triangular(packed.T, y, lower=False, unit_diagonal=True)
+        y = trs(lu_t, trs(lu_t, x, 1), 0, 1)
         if dst.size:
             z = y.copy()
             z[src] = y[dst]
@@ -128,11 +155,14 @@ def smallest_inverse_norm_from_lu(lu: np.ndarray, piv: np.ndarray) -> float:
     This is the left-hand side quantity of the Max and Sum criteria,
     ``||(A_kk)^{-1}||_1^{-1}``, obtained from the already computed LU
     factors.  Returns ``0.0`` when the estimate of ``||A^{-1}||_1`` overflows
-    (i.e. the tile is numerically singular), which makes the criteria fail
-    and forces a QR step — the desired behaviour.
+    or meets a non-finite value (i.e. the tile is numerically singular),
+    which makes the criteria fail and forces a QR step — the desired
+    behaviour.  A malformed ``lu``/``piv`` pair raises ``ValueError``
+    instead (see :func:`inverse_norm1_estimate`).
     """
+    piv = _checked_pivots(lu, piv)
     try:
-        est = inverse_norm1_estimate(lu, piv)
+        est = _estimate(lu, piv)
     except (np.linalg.LinAlgError, ValueError, FloatingPointError):
         return 0.0
     if not np.isfinite(est) or est == 0.0:

@@ -6,20 +6,43 @@ back-substitution used once the hybrid factorization has reduced
 The back-substitution is one LAPACK ``dtrtrs`` on the whole factor: its
 upper triangle is already one contiguous array, so a tile-by-tile loop
 only adds Python calls (the tiled form is kept in ``tests/`` as the
-oracle).
+oracle).  Every solve is a direct ``dtrtrs`` (:func:`trtrs`): the drivers
+reject non-finite input once and catch overflow in their growth norms.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg.lapack import dtrtrs
 
 __all__ = [
+    "trtrs",
     "trsm_upper_right",
     "trsm_lower_left_unit",
     "tiled_back_substitution",
 ]
+
+
+def trtrs(a: np.ndarray, b: np.ndarray, lower: int, trans: int = 0, unit: int = 0) -> np.ndarray:
+    """Solve ``op(A) X = B`` by LAPACK ``dtrtrs``, with no finiteness check.
+
+    The call ``scipy.linalg.solve_triangular`` makes, so the same bits: a
+    Fortran-ordered ``a`` as is, any other as ``a.T`` with the triangle and
+    ``trans`` flipped; ``b`` is copied.  Raises ``LinAlgError`` on an
+    exactly-zero diagonal entry.  Positional arguments: f2py's keyword
+    parsing costs as much as a small tile's solve.
+    """
+    if a.flags.f_contiguous:
+        x, info = dtrtrs(a, b, lower, trans, unit)
+    else:
+        x, info = dtrtrs(a.T, b, 1 - lower, 1 - trans, unit)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular triangular factor: zero diagonal entry at index {info - 1}"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
+    return x
 
 
 def trsm_upper_right(u: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -28,8 +51,7 @@ def trsm_upper_right(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     This is the *Eliminate* kernel of the LU step: ``A_ik <- A_ik U_kk^{-1}``.
     """
     # X U = B  <=>  U^T X^T = B^T
-    xt = sla.solve_triangular(u.T, b.T, lower=True)
-    return xt.T
+    return trtrs(u.T, b.T, 1).T
 
 
 def trsm_lower_left_unit(l: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -38,7 +60,7 @@ def trsm_lower_left_unit(l: np.ndarray, b: np.ndarray) -> np.ndarray:
     This is the triangular part of the *Apply* kernel (SWPTRSM):
     ``A_kj <- L_kk^{-1} P_kk A_kj``.
     """
-    return sla.solve_triangular(l, b, lower=True, unit_diagonal=True)
+    return trtrs(l, b, 1, 0, 1)
 
 
 def tiled_back_substitution(a: np.ndarray, c: np.ndarray, tile_size: int) -> np.ndarray:
@@ -47,8 +69,8 @@ def tiled_back_substitution(a: np.ndarray, c: np.ndarray, tile_size: int) -> np.
     ``a`` is the C-ordered ``(N, N)`` array left behind by the factorization:
     its upper triangle holds ``U`` (below-diagonal entries hold
     multipliers/reflectors and are never read).  The solve is one
-    ``dtrtrs`` on ``a.T``, the Fortran-ordered view of the same bytes, as
-    its lower triangle transposed (``lower=1, trans=1``), so ``a`` is
+    :func:`trtrs`, i.e. ``dtrtrs`` on ``a.T``, the Fortran-ordered view of
+    the same bytes, as its lower triangle transposed, so ``a`` is
     neither copied nor written; ``c`` is copied once by LAPACK's wrapper
     and left untouched.  ``tile_size`` is only checked to divide ``N``.
 
@@ -64,14 +86,7 @@ def tiled_back_substitution(a: np.ndarray, c: np.ndarray, tile_size: int) -> np.
     c = np.asarray(c, dtype=np.float64)
     if c.shape[0] != n_total:
         raise ValueError(f"c has {c.shape[0]} rows but the factor has order {n_total}")
-    # lower=1, trans=1, passed positionally as in ``qr_kernels._trmm``.
-    x, info = dtrtrs(a.T, c.reshape(n_total, -1), 1, 1)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"singular triangular factor: zero diagonal entry at index {info - 1}"
-        )
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
+    x = trtrs(a, c.reshape(n_total, -1), 0)
     # O(N nrhs): a NaN/Inf in the factor or in ``c`` surfaces in ``x``.
     if not np.isfinite(x).all():
         raise ValueError("back-substitution produced a non-finite solution")

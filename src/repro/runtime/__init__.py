@@ -31,7 +31,6 @@ from .schedule import (
     kernel_cost_fn,
     merge_traces,
     run_step_tasks,
-    written_tiles,
 )
 from .simulator import ScheduledTask, SimulationResult, simulate
 from .task import Task, TileRef
@@ -45,7 +44,6 @@ __all__ = [
     "build_step_graph",
     "run_step_tasks",
     "merge_traces",
-    "written_tiles",
     "kernel_cost_fn",
     "assign_task_priorities",
     "Platform",

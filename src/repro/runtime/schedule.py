@@ -50,7 +50,6 @@ __all__ = [
     "static_kernel_flops",
     "assign_task_priorities",
     "merge_traces",
-    "written_tiles",
 ]
 
 
@@ -273,9 +272,10 @@ class StepPipeline:
     last writer of each tile within a step samples the tile's 1-norm right
     after its kernel (via a wrapped closure in-process, or via
     ``KernelCall.norm_tiles`` on worker processes) into ``norm_samples``,
-    which the driver replays step by step after the factorization — the
-    samples are taken by the same ``region_tile_norms`` code path as the
-    inline bookkeeping, so the replayed values are bit-identical.
+    which the driver replays step by step after the factorization.  A task
+    samples with one ``region_tile_norms`` pass over its tiles' bounding
+    box (``TileMatrix.sampled_tile_norms``), the reduction of the inline
+    ``[k:, k:]`` pass, so the replayed values are bit-identical.
 
     Parameters
     ----------
@@ -415,14 +415,9 @@ class StepPipeline:
             # Sample after the write; the next writer of each tile lives in
             # a later step and therefore depends on this task, so no other
             # task can touch the tile between the write and the sample.
-            values = [
-                (t, float(tiles.region_tile_norms(t[0], t[0] + 1, t[1], t[1] + 1)[0, 0]))
-                for t in sample_tiles
-            ]
+            values = tiles.sampled_tile_norms(sample_tiles)
             with self._lock:
-                store = self.norm_samples.setdefault(step, {})
-                for tile, value in values:
-                    store[tile] = value
+                self.norm_samples.setdefault(step, {}).update(zip(sample_tiles, values))
 
         return sampled
 
@@ -477,14 +472,6 @@ class StepPipeline:
         self._pending = [
             entry for idx, entry in enumerate(self._pending) if not selected[idx]
         ]
-
-
-def written_tiles(tasks: Iterable[KernelTask]) -> FrozenSet[TileRef]:
-    """Union of the tiles written by the given tasks (RHS refs included)."""
-    out: set = set()
-    for t in tasks:
-        out.update(t.writes)
-    return frozenset(out)
 
 
 def _check_trace_consistency(tr: ExecutionTrace) -> None:

@@ -44,8 +44,17 @@ class GrowthTracker:
     per_step: List[float] = field(default_factory=list)
 
     def record(self, current_max_norm: float) -> None:
-        """Record the largest tile norm after one elimination step."""
-        self.per_step.append(float(current_max_norm))
+        """Record the largest tile norm after one elimination step.
+
+        A non-finite norm means the factorization overflowed: raises
+        ``ValueError`` naming the step.
+        """
+        value = float(current_max_norm)
+        if not np.isfinite(value):
+            raise ValueError(
+                f"the factorization overflowed at step {len(self.per_step)}: a tile norm is {value}"
+            )
+        self.per_step.append(value)
 
     @property
     def growth_factor(self) -> float:

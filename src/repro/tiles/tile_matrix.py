@@ -261,7 +261,7 @@ class TileMatrix:
         ``(i, j)`` with ``i0 <= i < i1`` and ``j0 <= j < j1``.  The 1-norm
         of a tile is its largest column absolute sum — computed here with a
         single reshape/sum/max over the region instead of one
-        ``np.linalg.norm`` call per tile, which is what makes incremental
+        ``np.linalg.norm`` call per tile, which is what makes per-step
         growth tracking cheap.
         """
         if not (0 <= i0 <= i1 <= self._n and 0 <= j0 <= j1 <= self._n):
@@ -274,6 +274,15 @@ class TileMatrix:
         nb = self._nb
         sub = self._data[i0 * nb : i1 * nb, j0 * nb : j1 * nb]
         return np.abs(sub).reshape(rows, nb, cols, nb).sum(axis=1).max(axis=2)
+
+    def sampled_tile_norms(self, refs: Sequence[Tuple[int, int]]) -> Tuple[float, ...]:
+        """1-norms of the tiles ``refs``, bit-identical to per-tile calls, from
+        one :meth:`region_tile_norms` call over their bounding box."""
+        rows = [i for i, _ in refs]
+        cols = [j for _, j in refs]
+        i0, j0 = min(rows), min(cols)
+        box = self.region_tile_norms(i0, max(rows) + 1, j0, max(cols) + 1)
+        return tuple(float(box[i - i0, j - j0]) for i, j in refs)
 
     def max_tile_norm(self, ord: object = 1) -> float:
         """Largest tile norm of the whole matrix."""

@@ -20,6 +20,7 @@ from repro import (
     SequentialExecutor,
     ThreadedExecutor,
 )
+from repro.api.facade import make_executor, make_solver
 from repro.core.lu_step import lu_step_tasks
 from repro.core.panel_analysis import analyze_panel
 from repro.core.factorization import StepRecord
@@ -30,7 +31,6 @@ from repro.runtime import (
     build_step_graph,
     merge_traces,
     run_step_tasks,
-    written_tiles,
 )
 from repro.runtime.task import RHS_COLUMN
 from repro.tiles import BlockCyclicDistribution, ProcessGrid, TileMatrix
@@ -222,7 +222,7 @@ class TestStepTaskPlans:
         dist = BlockCyclicDistribution(ProcessGrid(1, 1), tiles.n)
         rec = StepRecord(k=0, kind="LU")
         tasks = lu_step_tasks(tiles, 0, analyze_panel(tiles, dist, 0), rec)
-        written = written_tiles(tasks)
+        written = set().union(*(t.writes for t in tasks))
         n = tiles.n
         for i in range(n):
             for j in range(n):
@@ -342,46 +342,52 @@ class TestSolveMany:
 # --------------------------------------------------------------------------- #
 # Incremental growth tracking
 # --------------------------------------------------------------------------- #
+def _per_tile_rescan(solver_cls):
+    """``solver_cls`` with growth read by one ``tile_norm`` call per tile of
+    the trailing submatrix after every step (the brute-force reference)."""
+
+    class PerTileRescan(solver_cls):
+        def _active_region_max_norm(self, tiles, k):
+            best = 0.0
+            for i in range(k, tiles.n):
+                for j in range(k, tiles.n):
+                    best = max(best, tiles.tile_norm(i, j, ord=1))
+            return best
+
+    return PerTileRescan
+
+
 class TestIncrementalGrowth:
     def test_matches_full_rescan(self, rng):
-        """The cached incremental norms equal a from-scratch trailing rescan."""
+        """The hybrid's one-pass ``[k:, k:]`` maxima equal a per-tile
+        rescan exactly, over both LU and QR steps."""
         n = 72
         a = rng.standard_normal((n, n))
         b = rng.standard_normal(n)
         fact = HybridLUQRSolver(8, MaxCriterion(alpha=1.0)).factor(a, b)
+        assert fact.lu_steps and fact.qr_steps
         per_step = fact.growth.per_step
         assert len(per_step) == fact.n_steps
 
-        # Brute-force recomputation: a solver whose steps report no write
-        # information falls back to a full rescan of the trailing region.
-        class BruteForce(HybridLUQRSolver):
-            def _do_step(self, tiles, dist, k):
-                record, tasks = self._plan_step(tiles, dist, k)
-                for t in tasks:
-                    t.fn()
-                return record  # leaves _last_written = None
-
-        fact_b = BruteForce(8, MaxCriterion(alpha=1.0)).factor(a, b)
-        assert fact_b.growth.per_step == pytest.approx(per_step, rel=1e-12)
+        rescan = _per_tile_rescan(HybridLUQRSolver)(8, MaxCriterion(alpha=1.0))
+        assert rescan.factor(a, b).growth.per_step == per_step
 
     def test_matches_per_tile_rescan(self):
-        """The incremental maxima equal a rescan of the trailing submatrix
+        """The per-step maxima equal a rescan of the trailing submatrix
         with one ``tile_norm`` call per tile after every step."""
-
-        class PerTileRescan(LUPPSolver):
-            def _active_region_max_norm(self, tiles, k):
-                best = 0.0
-                for i in range(k, tiles.n):
-                    for j in range(k, tiles.n):
-                        best = max(best, tiles.tile_norm(i, j, ord=1))
-                return best
-
         a = random_matrix(96, seed=3)
-        rescan = PerTileRescan(8, track_growth=True).factor(a)
+        rescan = _per_tile_rescan(LUPPSolver)(8, track_growth=True).factor(a)
         incremental = LUPPSolver(8, track_growth=True).factor(a)
-        assert incremental.growth.per_step == pytest.approx(
-            rescan.growth.per_step, rel=1e-12
-        )
+        assert incremental.growth.per_step == rescan.growth.per_step
+
+    def test_sampled_tile_norms_match_per_tile_regions(self, rng):
+        """One bounding-box pass gives each tile the bits of its own 1x1 pass."""
+        for nb in (1, 8, 17):
+            tiles = TileMatrix.from_dense(rng.standard_normal((6 * nb, 6 * nb)), nb)
+            refs = [(1, 4), (5, 2), (3, 3), (1, 2)]
+            single = [float(tiles.region_tile_norms(i, i + 1, j, j + 1)[0, 0]) for i, j in refs]
+            assert tiles.sampled_tile_norms(refs) == tuple(single)
+            assert single == [tiles.tile_norm(i, j) for i, j in refs]
 
     def test_region_tile_norms_vectorized_matches_loop(self, rng):
         tiles = TileMatrix.from_dense(rng.standard_normal((40, 40)), 8)
@@ -401,3 +407,24 @@ class TestIncrementalGrowth:
         f_seq = LUPPSolver(8).factor(a)
         f_par = LUPPSolver(8, executor=ThreadedExecutor(workers=4)).factor(a)
         assert f_seq.growth.per_step == f_par.growth.per_step
+
+        # The hybrid on a 2x2 grid, LU and QR steps mixed: every executor
+        # samples norms its own way (inline pass, wrapped closure, worker
+        # side) and must replay the inline record exactly.
+        a = random_matrix(64, seed=7)
+
+        def factor(executor):
+            return make_solver(
+                "hybrid", tile_size=8, grid="2x2", criterion="max(alpha=30)",
+                executor=executor,
+            ).factor(a)
+
+        ref = factor("inline")
+        assert ref.lu_steps and ref.qr_steps
+        for spec in ["sequential", "threaded(workers=2)", "processes(workers=2)",
+                     "cluster(workers=2)"]:
+            executor = make_executor(spec)
+            try:
+                assert factor(executor).growth.per_step == ref.growth.per_step, spec
+            finally:
+                getattr(executor, "close", lambda: None)()

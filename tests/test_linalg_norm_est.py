@@ -79,6 +79,32 @@ class TestInverseNormFromLU:
         piv = np.arange(4)
         assert smallest_inverse_norm_from_lu(lu, piv) == 0.0
 
+    def test_non_finite_intermediate_returns_zero(self):
+        # Dividing by the tiny pivot makes U^{-T} xi overflow inside the
+        # transposed pass; the L^{-T} solve then meets an Inf and the
+        # estimate is 0.0 (a QR step), as scipy's finiteness check decided.
+        lu = np.triu(np.full((8, 8), 2.0)) + np.eye(8)
+        lu[0, 0] = 1e-308
+        assert smallest_inverse_norm_from_lu(lu, np.arange(8)) == 0.0
+
+    def test_non_finite_factor_returns_zero(self):
+        lu = np.eye(4)
+        lu[3, 1] = np.inf
+        assert smallest_inverse_norm_from_lu(lu, np.arange(4)) == 0.0
+
+    def test_tall_factor_is_rejected(self, rng):
+        lu, piv = getrf(rng.standard_normal((24, 8)))
+        for f in (inverse_norm1_estimate, smallest_inverse_norm_from_lu):
+            with pytest.raises(ValueError, match=r"shape \(24, 8\)"):
+                f(lu, piv)
+
+    def test_pivots_past_the_square_top_are_rejected(self, rng):
+        lu, piv = getrf(rng.standard_normal((24, 8)))
+        assert piv.max() >= 8
+        for f in (inverse_norm1_estimate, smallest_inverse_norm_from_lu):
+            with pytest.raises(ValueError, match=r"shape \(8, 8\)"):
+                f(lu[:8], piv)
+
 
 def _explicit_inverse_norm1_estimate(lu, piv):
     """The estimator spelled out: explicit triangles, one swap per pivot, and

@@ -195,38 +195,41 @@ def test_lookahead_zero_matches_stepwise_trace_count():
 _FIFO_TOLERANCE = 1.25
 
 
-def _best_hqr_wall_time(a, samples=2):
-    """Best-of-``samples`` summed step wall time of HQR on 4 threads.
+def _hqr_wall_time(a):
+    """Summed step wall time of HQR on 2 worker processes.
 
     HQR because priorities only act when more tasks are ready than workers
-    are free, which its reduction trees provide at every step.
+    are free, which its reduction trees provide at every step.  Worker
+    processes rather than threads: on 2 vCPUs, four threads contending for
+    the GIL over ~20 us tile kernels made the 40 ms wall heavy-tailed; in
+    processes the host keeps only the dispatch loop the priorities steer,
+    and n = 128 makes that loop ~0.2 s long against the same noise.
     """
-    best = None
-    for _ in range(samples):
-        solver = make_solver(
-            "hqr",
-            tile_size=8,
-            track_growth=False,
-            executor=ThreadedExecutor(workers=4),
-        )
-        assert solver.factor(a.copy()).succeeded
-        wall = sum(t.wall_time for t in solver.step_traces)
-        best = wall if best is None else min(best, wall)
-    return best
+    solver = make_solver(
+        "hqr", tile_size=8, track_growth=False, executor=ProcessExecutor(workers=2)
+    )
+    assert solver.factor(a.copy()).succeeded
+    return sum(t.wall_time for t in solver.step_traces)
 
 
 def test_prioritized_vs_fifo_makespan(monkeypatch):
     """b-level priorities never make the schedule meaningfully worse than
     submission-order dispatch."""
-    a = random_matrix(96, seed=7)
-    prioritized = _best_hqr_wall_time(a)
-    # FIFO: every task keeps priority 0.0, so the ready heap degenerates
-    # to submission order.
-    monkeypatch.setattr(TaskGraph, "assign_priorities", lambda self, cost=None: {})
-    fifo = _best_hqr_wall_time(a)
-    assert prioritized <= fifo * _FIFO_TOLERANCE, (
-        f"priority scheduling regressed: {prioritized:.4f}s vs FIFO "
-        f"{fifo:.4f}s (tolerance {_FIFO_TOLERANCE}x)"
+    a = random_matrix(128, seed=7)
+    # Untimed: spawns the shared worker pool and imports repro in it, which
+    # would otherwise land on whichever side runs first.
+    _hqr_wall_time(a)
+    prioritized, fifo = [], []
+    for _ in range(2):  # best of two, alternated so drift hits both sides
+        prioritized.append(_hqr_wall_time(a))
+        with monkeypatch.context() as patch:
+            # FIFO: every task keeps priority 0.0, so the ready heap
+            # degenerates to submission order.
+            patch.setattr(TaskGraph, "assign_priorities", lambda self, cost=None: {})
+            fifo.append(_hqr_wall_time(a))
+    assert min(prioritized) <= min(fifo) * _FIFO_TOLERANCE, (
+        f"priority scheduling regressed: {min(prioritized):.4f}s vs FIFO "
+        f"{min(fifo):.4f}s (tolerance {_FIFO_TOLERANCE}x)"
     )
 
 

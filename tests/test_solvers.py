@@ -18,6 +18,7 @@ from repro import (
     ProcessGrid,
     RandomCriterion,
     SumCriterion,
+    make_solver,
 )
 from repro.linalg import SingularPanelError
 from repro.matrices.random_gen import (
@@ -25,6 +26,7 @@ from repro.matrices.random_gen import (
     near_singular_leading_tile,
     random_matrix,
 )
+from repro.runtime.executor import SequentialExecutor
 
 NB = 4
 GRID = ProcessGrid(2, 2)
@@ -302,3 +304,69 @@ class TestNonFiniteInput:
         a[3, 5] = np.nan
         with pytest.raises(ValueError, match="^A must not contain NaN or Inf$"):
             LUPPSolver(NB).factor(a)
+
+
+class TestOverflow:
+    """A factorization whose values overflow raises ``ValueError``.
+
+    The triangular solves call LAPACK directly, without scipy's finiteness
+    check, so no kernel raises on its own: the growth norms of the step
+    that first turns non-finite name it, and without growth tracking one
+    ``isfinite`` pass over the factors catches it.
+    """
+
+    @staticmethod
+    def _growing(n=64):
+        # Wilkinson's growth matrix: partial pivoting doubles the last
+        # column at every row, 2**63 * 1e300 overflows.
+        w = np.eye(n) - np.tril(np.ones((n, n)), -1)
+        w[:, -1] = 1.0
+        return 1e300 * w
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("track_growth", [True, False])
+    @pytest.mark.parametrize("executor", [None, "sequential"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda **kw: HybridLUQRSolver(8, MaxCriterion(1e300), **kw),
+            lambda **kw: LUNoPivSolver(8, **kw),
+            lambda **kw: LUIncPivSolver(8, **kw),
+            lambda **kw: LUPPSolver(8, **kw),
+        ],
+        ids=["hybrid", "lu-nopiv", "lu-incpiv", "lupp"],
+    )
+    def test_factor_and_solve_raise(self, make, executor, track_growth):
+        a = self._growing()
+        solver = make(executor=executor and SequentialExecutor(), track_growth=track_growth)
+        message = "overflowed at step 3" if track_growth else "overflowed"
+        with pytest.raises(ValueError, match=message):
+            solver.factor(a)
+        with pytest.raises(ValueError, match=message):
+            solver.solve(a, np.ones(a.shape[0]))
+
+    def test_hqr_does_not_overflow(self):
+        a = self._growing()
+        result = HQRSolver(8).solve(a, a @ np.ones(a.shape[0]))
+        np.testing.assert_allclose(result.x, 1.0, rtol=1e-10)
+
+
+@pytest.mark.parametrize("executor", [None, "sequential"])
+@pytest.mark.parametrize("algorithm", ["hybrid", "lupp", "hqr", "lu_incpiv", "lu_nopiv"])
+def test_factorization_path_never_calls_solve_triangular(monkeypatch, algorithm, executor):
+    """Every triangular solve on the factor/solve path is a direct
+    ``dtrtrs``; scipy's wrapper re-reads both operands for finiteness."""
+    import scipy.linalg
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy.linalg.solve_triangular was called")
+
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", forbidden)
+    n = 48
+    rng = np.random.default_rng(33)
+    a = rng.standard_normal((n, n))
+    b = rng.standard_normal(n)
+    kw = {"criterion": "max(alpha=30)"} if algorithm == "hybrid" else {}
+    solver = make_solver(algorithm, tile_size=8, grid="2x2", executor=executor, **kw)
+    assert solver.factor(a, b).succeeded
+    np.testing.assert_allclose(a @ solver.solve(a, b).x, b, atol=1e-8)
