@@ -239,6 +239,17 @@ class TracingTileMatrix(TileMatrix):
         refs = [(i, RHS_COLUMN) for i in rows]
         return self._guarded_block(TileMatrix.rhs_rows(self, rows), refs)
 
+    # -- guarded panel copies ------------------------------------------- #
+    def panel(self, k: int, rows: Optional[Sequence[int]] = None) -> np.ndarray:
+        for i in range(k, self.n) if rows is None else rows:
+            self.recorder.on_read((i, k))
+        return TileMatrix.panel(self, k, rows)
+
+    def scatter_panel(self, k: int, rows: Sequence[int], panel: np.ndarray) -> None:
+        for i in rows:
+            self.recorder.on_write((i, k))
+        TileMatrix.scatter_panel(self, k, rows, panel)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tracing{TileMatrix.__repr__(self)}"
 

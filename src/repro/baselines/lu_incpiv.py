@@ -15,6 +15,7 @@ eliminations compound growth — the behaviour Figure 2 shows for LU IncPiv.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..api.registry import register_solver
@@ -67,59 +68,62 @@ class LUIncPivSolver(TiledSolverBase):
         # tile access sets serialize the TSTRF chain through (k, k).
         products: Dict[object, LUPanelFactor] = {}
         tasks: List[KernelTask] = []
+        rows = tuple(range(k + 1, n))
+
+        # Access-set builders, called only when a task's sets are first read.
+        def swptrsm_sets(columns):
+            cols = {(k, j) for j in columns}
+            return cols | {(k, k)}, cols
+
+        def pair_sets(i):
+            pair = {(k, k), (i, k)}
+            return pair, pair
+
+        def ssssm_sets(columns):
+            cols = {(i, j) for i in (k,) + rows for j in columns}
+            return {(i, k) for i in rows} | cols, cols
 
         # ---- Factor the diagonal tile (pivoting inside the tile). -------- #
         diag_key = ("incpiv-diag", k)
         call = KernelCall("incpiv.getrf", args=(k,), produces=diag_key)
-        tasks.append(call_task("getrf", tiles, call, {(k, k)}, {(k, k)}, products))
+        tasks.append(call_task("getrf", tiles, call, lambda: ({(k, k)}, {(k, k)}), products))
         record.add_kernel("getrf")
 
         # Apply its transformation to the trailing row k and the RHS.
         for j0, j1 in ranges:
-            cols = {(k, j) for j in range(j0, j1)}
             call = KernelCall("incpiv.swptrsm", args=(k, j0, j1), consumes=(diag_key,))
-            tasks.append(
-                call_task("swptrsm", tiles, call, cols | {(k, k)}, cols, products, j1 - j0)
-            )
+            sweep = partial(swptrsm_sets, range(j0, j1))
+            tasks.append(call_task("swptrsm", tiles, call, sweep, products, j1 - j0))
         if m:
             record.add_kernel("swptrsm", m)
         if tiles.has_rhs:
-            cols = {(k, RHS_COLUMN)}
             call = KernelCall("incpiv.swptrsm_rhs", args=(k,), consumes=(diag_key,))
-            tasks.append(call_task("swptrsm", tiles, call, cols | {(k, k)}, cols, products))
+            rhs = partial(swptrsm_sets, (RHS_COLUMN,))
+            tasks.append(call_task("swptrsm", tiles, call, rhs, products))
             record.add_kernel("swptrsm")
 
         # ---- Pairwise elimination of every sub-diagonal panel tile. ------ #
         # PLASMA's TSTRF per tile, then the SSSSM updates of all pairs as one
         # chain per column range: a column sees the pairs in the same order
         # as under a per-tile plan, and no TSTRF reads a trailing tile.
-        rows = tuple(range(k + 1, n))
         pair_keys = tuple(("incpiv-pair", k, i) for i in rows)
         for i, key in zip(rows, pair_keys):
-            pair = {(k, k), (i, k)}
             call = KernelCall("incpiv.tstrf", args=(k, i), produces=key)
-            tasks.append(call_task("tstrf", tiles, call, pair, pair, products))
+            tasks.append(call_task("tstrf", tiles, call, partial(pair_sets, i), products))
         if m:
             record.add_kernel("tstrf", m)
 
-        multipliers = {(i, k) for i in rows}
         for j0, j1 in ranges:
-            cols = {(i, j) for i in (k,) + rows for j in range(j0, j1)}
             call = KernelCall(
                 "incpiv.ssssm_sweep", args=(k, j0, j1, rows), consumes=pair_keys
             )
-            tasks.append(
-                call_task(
-                    "ssssm", tiles, call, multipliers | cols, cols, products, m * (j1 - j0)
-                )
-            )
+            sweep = partial(ssssm_sets, range(j0, j1))
+            tasks.append(call_task("ssssm", tiles, call, sweep, products, m * (j1 - j0)))
         if m:
             record.add_kernel("ssssm", m * m)
         if tiles.has_rhs and m:
-            cols = {(i, RHS_COLUMN) for i in (k,) + rows}
             call = KernelCall("incpiv.ssssm_sweep_rhs", args=(k, rows), consumes=pair_keys)
-            tasks.append(
-                call_task("ssssm_rhs", tiles, call, multipliers | cols, cols, products, m)
-            )
+            rhs = partial(ssssm_sets, (RHS_COLUMN,))
+            tasks.append(call_task("ssssm_rhs", tiles, call, rhs, products, m))
             record.add_kernel("ssssm_rhs", m)
         return record, tasks

@@ -26,6 +26,7 @@ those of per-tile products).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List
 
 from ..kernels.dispatch import KernelCall, sweep_ranges
@@ -66,15 +67,27 @@ def lu_step_tasks(
     m = n - k - 1
     rows = tuple(analysis.domain_rows)
     factor = analysis.factor
-    panel = frozenset((i, k) for i in rows)
     ranges = sweep_ranges(k, n)
     tasks: List[KernelTask] = []
+
+    # Access-set builders, called only when a task's sets are first read.
+    def panel():
+        return frozenset((i, k) for i in rows)
+
+    def swptrsm_sets(columns):
+        cols = frozenset((i, j) for i in rows for j in columns)
+        return panel() | cols, cols
+
+    def gemm_sets(columns):
+        cols = frozenset((i, j) for i in range(k + 1, n) for j in columns)
+        multipliers = frozenset((i, k) for i in range(k + 1, n))
+        return multipliers | {(k, j) for j in columns} | cols, cols
 
     # Factor: write the packed domain factorization into the panel tiles.
     # The diagonal tile receives L1\U, the other domain tiles their L blocks
     # (which are exactly the Schur multipliers of those rows).
     call = KernelCall("lu.scatter_factor", args=(k, rows, factor))
-    tasks.append(call_task("getrf", tiles, call, panel, panel))
+    tasks.append(call_task("getrf", tiles, call, lambda: (panel(), panel())))
     record.add_kernel("getrf")
 
     # Apply (SWPTRSM): permute the domain rows of the trailing columns (and
@@ -82,15 +95,15 @@ def lu_step_tasks(
     # the new row k, A_kj <- L1^{-1} P A_kj — in place, on a view of the
     # domain rows (strided under a p > 1 grid).
     for j0, j1 in ranges:
-        cols = frozenset((i, j) for i in rows for j in range(j0, j1))
         call = KernelCall("lu.swptrsm", args=(j0, j1, rows, factor))
-        tasks.append(call_task("swptrsm", tiles, call, panel | cols, cols, fused=j1 - j0))
+        sweep = partial(swptrsm_sets, range(j0, j1))
+        tasks.append(call_task("swptrsm", tiles, call, sweep, fused=j1 - j0))
     if m:
         record.add_kernel("swptrsm", m)
     if tiles.has_rhs:
-        cols = frozenset((i, RHS_COLUMN) for i in rows)
         call = KernelCall("lu.swptrsm_rhs", args=(rows, factor))
-        tasks.append(call_task("swptrsm", tiles, call, panel | cols, cols))
+        rhs = partial(swptrsm_sets, (RHS_COLUMN,))
+        tasks.append(call_task("swptrsm", tiles, call, rhs))
         record.add_kernel("swptrsm")
 
     # Eliminate (TRSM): panel tiles outside the diagonal domain become the
@@ -100,28 +113,23 @@ def lu_step_tasks(
     for i in range(k + 1, n):
         if i not in domain:
             call = KernelCall("lu.trsm", args=(i, k, factor))
-            tasks.append(call_task("trsm", tiles, call, {(k, k), (i, k)}, {(i, k)}))
+            tasks.append(call_task("trsm", tiles, call, lambda i=i: ({(k, k), (i, k)}, {(i, k)})))
     # Table I charges one TRSM per sub-diagonal panel tile regardless of
     # which node performs it.
     record.add_kernel("trsm", m)
 
     # Update (GEMM): A_ij <- A_ij - A_ik A_kj over each column range in one
     # product of block views, then the same update of the RHS.
-    multipliers = frozenset((i, k) for i in range(k + 1, n))
     for j0, j1 in ranges:
-        cols = frozenset((i, j) for i in range(k + 1, n) for j in range(j0, j1))
-        row_k = frozenset((k, j) for j in range(j0, j1))
         call = KernelCall("lu.gemm_sweep", args=(k, n, j0, j1))
-        tasks.append(
-            call_task("gemm", tiles, call, multipliers | row_k | cols, cols, fused=m * (j1 - j0))
-        )
+        sweep = partial(gemm_sets, range(j0, j1))
+        tasks.append(call_task("gemm", tiles, call, sweep, fused=m * (j1 - j0)))
     if m:
         record.add_kernel("gemm", m * m)
     if tiles.has_rhs and m:
-        cols = frozenset((i, RHS_COLUMN) for i in range(k + 1, n))
-        reads = multipliers | {(k, RHS_COLUMN)} | cols
         call = KernelCall("lu.gemm_sweep_rhs", args=(k, n))
-        tasks.append(call_task("gemm_rhs", tiles, call, reads, cols, fused=m))
+        rhs = partial(gemm_sets, (RHS_COLUMN,))
+        tasks.append(call_task("gemm_rhs", tiles, call, rhs, fused=m))
         record.add_kernel("gemm_rhs", m)
     return tasks
 

@@ -7,10 +7,11 @@ is (conceptually) all-reduced among the nodes hosting panel tiles so every
 node can evaluate the criterion and take the same decision.
 
 The paper's design rests on this check having "a small computational
-overhead", so it is kept to: one stacked copy of the domain (the column
-maxima are read from it, then :func:`repro.linalg.pivoting.getrf` factors
-it in place), one vectorized pass for the sub-diagonal tile norms, and a
-few triangular solves of the 1-norm estimator against the packed factors.
+overhead", so it is kept to: one stacked copy of the panel and one |.|
+pass over it for the column maxima and the sub-diagonal tile norms (then
+:func:`repro.linalg.pivoting.getrf` factors the domain rows of the copy in
+place), and a few triangular solves of the 1-norm estimator against the
+packed factors.
 """
 
 from __future__ import annotations
@@ -87,20 +88,20 @@ def analyze_panel(
     domain_set = set(domain_rows)
     off_domain_rows = [i for i in range(k, n) if i not in domain_set]
 
-    # Tile norms of the sub-diagonal panel tiles (pre-factorization values),
-    # one vectorized pass over the panel column.
-    offdiag_tile_norms = tiles.region_tile_norms(k + 1, n, k, k + 1)[:, 0].tolist()
-
-    # Per-column maxima inside / outside the diagonal domain (MUMPS data).
-    # ``local_panel`` is the one stacked copy of the domain: the maxima are
-    # read from it, then it is factored in place.
-    local_panel = tiles.panel(k, domain_rows)
-    local_max = np.max(np.abs(local_panel), axis=0)
-    if off_domain_rows:
-        away_panel = tiles.panel(k, off_domain_rows)
-        away_max = np.max(np.abs(away_panel), axis=0)
-    else:
-        away_max = np.zeros(nb)
+    # One stacked copy of the panel, diagonal domain first, and one |.| pass
+    # over it give the per-column maxima inside / outside the domain (MUMPS
+    # data) and the sub-diagonal tile 1-norms (the ``region_tile_norms``
+    # reduction), all pre-factorization; the domain block is factored below.
+    rows = domain_rows + off_domain_rows
+    stacked = tiles.panel(k, rows)
+    magnitudes = np.abs(stacked)
+    split = len(domain_rows) * nb
+    local_max = magnitudes[:split].max(axis=0)
+    away_max = magnitudes[split:].max(axis=0) if off_domain_rows else np.zeros(nb)
+    norms = np.empty(n - k)
+    norms[np.subtract(rows, k)] = magnitudes.reshape(-1, nb, nb).sum(axis=1).max(axis=1)
+    offdiag_tile_norms = norms[1:].tolist()
+    local_panel = stacked[:split]
 
     # LU factorization (partial pivoting) of the stacked diagonal domain.
     # An exactly singular domain cannot be factored; the criteria then see a

@@ -21,7 +21,8 @@ runs inline (the sequential reference) or fans out on a dataflow executor.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from functools import partial
+from typing import Dict, List, Sequence, Set
 
 from ..kernels.dispatch import KernelCall, sweep_ranges
 from ..kernels.qr_kernels import QRTileFactor
@@ -123,13 +124,17 @@ def qr_step_tasks(
     # The trailing-update chain: (kernel, rows..., factor key) per op.
     chain: List[tuple] = []
 
+    def pair_sets(e: Elimination):
+        pair = {(e.eliminator, k), (e.killed, k)}
+        return pair, pair
+
     def triangularize(row: int) -> None:
         """GEQRT the panel tile of ``row``; its UNMQR joins the chain."""
         if row in triangular:
             return
         key = ("geqrt", k, row)
         call = KernelCall("qr.geqrt", args=(row, k), produces=key)
-        tasks.append(call_task("geqrt", tiles, call, {(row, k)}, {(row, k)}, products))
+        tasks.append(call_task("geqrt", tiles, call, lambda: ({(row, k)}, {(row, k)}), products))
         record.add_kernel("geqrt")
         chain.append(("unmqr", row, key))
         if m:
@@ -146,11 +151,10 @@ def qr_step_tasks(
         else:
             couple, update = "tsqrt", "tsmqr"
         key = ("couple", k, e.eliminator, e.killed)
-        pair = {(e.eliminator, k), (e.killed, k)}
         call = KernelCall(
             "qr.couple", args=(e.kind, e.eliminator, e.killed, k), produces=key
         )
-        tasks.append(call_task(couple, tiles, call, pair, pair, products))
+        tasks.append(call_task(couple, tiles, call, partial(pair_sets, e), products))
         record.add_kernel(couple)
         chain.append((update, e.eliminator, e.killed, key))
         if m:
@@ -166,35 +170,38 @@ def qr_step_tasks(
 
     # Descriptor form of the chain: factors referenced by their index in
     # the consumes tuple.
-    keys = list(dict.fromkeys(op[-1] for op in chain))
-    ops = tuple(op[:-1] + (keys.index(op[-1]),) for op in chain)
+    index = {key: i for i, key in enumerate(dict.fromkeys(op[-1] for op in chain))}
+    keys = tuple(index)
+    ops = tuple(op[:-1] + (index[op[-1]],) for op in chain)
     kernel = "tsmqr" if any(op[0] != "unmqr" for op in ops) else "unmqr"
     families: Dict[str, int] = {}
     for op in ops:
         families[op[0]] = families.get(op[0], 0) + 1
 
-    def add_chain(suffix: str, call: KernelCall, columns) -> None:
-        reads: Set[Tuple[int, int]] = set()
-        writes: Set[Tuple[int, int]] = set()
+    def chain_sets(columns):
+        reads, writes = set(), set()
         for op in ops:
             reads.add((op[-2], k))  # the factor's panel tile (row or killed)
             writes.update((row, j) for row in op[1:-1] for j in columns)
+        return reads | writes, writes
+
+    def add_chain(suffix: str, call: KernelCall, columns) -> None:
         # The chain is labelled with one kernel; its mix keeps the per-family
         # counts for the cost model and calibration.
         mix = tuple((name + suffix, count * len(columns)) for name, count in families.items())
         tasks.append(
             call_task(
-                kernel + suffix, tiles, call, reads | writes, writes, products,
+                kernel + suffix, tiles, call, partial(chain_sets, columns), products,
                 fused=len(ops) * len(columns),
                 mix=mix if len(mix) > 1 else (),
             )
         )
 
     for j0, j1 in sweep_ranges(k, n):
-        call = KernelCall("qr.sweep", args=(j0, j1, ops), consumes=tuple(keys))
+        call = KernelCall("qr.sweep", args=(j0, j1, ops), consumes=keys)
         add_chain("", call, range(j0, j1))
     if tiles.has_rhs:
-        call = KernelCall("qr.sweep_rhs", args=(ops,), consumes=tuple(keys))
+        call = KernelCall("qr.sweep_rhs", args=(ops,), consumes=keys)
         add_chain("_rhs", call, (RHS_COLUMN,))
     return tasks
 

@@ -211,16 +211,18 @@ def _qr_chain(operand, ops, factors) -> None:
 
     ``ops`` holds ``("unmqr", row, idx)`` and ``("tsmqr"|"ttmqr", eliminator,
     killed, idx)`` entries; ``idx`` indexes the consumed factors and
-    ``operand(row)`` is the tile-row view of the range, updated in place.
+    ``operand(row)`` is the tile-row view of the range, updated in place
+    (fetched once per row and chain).
     """
+    views = {row: operand(row) for row in dict.fromkeys(r for op in ops for r in op[1:-1])}
     for op in ops:
         if op[0] == "unmqr":
             _, row, idx = op
-            unmqr_inplace(factors[idx], operand(row))
+            unmqr_inplace(factors[idx], views[row])
         else:
             name, eliminator, killed, idx = op
             apply = ttmqr_inplace if name == "ttmqr" else tsmqr_inplace
-            apply(factors[idx], operand(eliminator), operand(killed))
+            apply(factors[idx], views[eliminator], views[killed])
 
 
 @kernel_op("qr.sweep")

@@ -113,7 +113,7 @@ def _dgeqrt(a: np.ndarray, kernel: str) -> Tuple[np.ndarray, np.ndarray, np.ndar
     ``nb x nb`` factor ``T`` and the tile ``R``.
     """
     nb = a.shape[1]
-    qr, t, info = dgeqrt(nb, a, overwrite_a=1)
+    qr, t, info = dgeqrt(nb, a, 1)  # positional: f2py keyword parsing is costly
     if info != 0:
         raise np.linalg.LinAlgError(f"{kernel}: LAPACK dgeqrt failed with info={info}")
     # LAPACK leaves the strict lower triangle of T unreferenced.

@@ -16,22 +16,21 @@ elimination and trailing-matrix update within a step fans out; since numpy
 kernels release the GIL inside BLAS, the updates genuinely overlap on a
 :class:`~repro.runtime.executor.ThreadedExecutor`.
 
-``build_step_graph`` accepts an existing graph to append to, which is the
-seam for cross-step lookahead; :class:`StepPipeline` builds on that seam:
-it holds the planned-but-not-yet-executed tasks of several steps in one
-pending window and flushes *dependency-closed* slices of it, so step
-``k+1``'s panel tasks run in the same graph — and therefore concurrently
-with — step ``k``'s still-draining trailing update, exactly the panel/
-update overlap the paper obtains from PaRSEC's asynchrony.  Before each
-flush the graph's tasks are prioritised by critical-path depth (b-level)
-under the calibrated cost model, so the executors' priority-ordered ready
-sets favour the panel chain.
+:class:`StepPipeline` holds the planned-but-not-yet-executed tasks of
+several steps in one pending window and flushes *dependency-closed* slices
+of it, so step ``k+1``'s panel tasks run in the same graph as — and
+concurrently with — step ``k``'s still-draining trailing update, the
+panel/update overlap the paper obtains from PaRSEC's asynchrony.  Each
+flush is prioritised by critical-path depth (b-level) under the calibrated
+cost model, so the executors' priority-ordered ready sets favour the panel
+chain.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace as dataclass_replace
+from functools import partial
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..kernels.dispatch import KERNELS
@@ -53,7 +52,22 @@ __all__ = [
 ]
 
 
-@dataclass
+class _AccessSets:
+    """A task's ``(reads, writes)``, built by ``build`` on first use and cached;
+    every :func:`dataclasses.replace` copy of the task shares it."""
+
+    __slots__ = ("build", "sets")
+
+    def __init__(self, build) -> None:
+        self.build, self.sets = build, None
+
+    def __call__(self) -> Tuple[FrozenSet[TileRef], FrozenSet[TileRef]]:
+        if self.sets is None:
+            self.sets = tuple(map(frozenset, self.build()))
+        return self.sets
+
+
+@dataclass(init=False)
 class KernelTask:
     """One numerical kernel invocation of an elimination step.
 
@@ -68,7 +82,10 @@ class KernelTask:
     reads / writes:
         Tile coordinates accessed; right-hand-side tiles use the
         ``(i, RHS_COLUMN)`` convention of :mod:`repro.runtime.task`.
-        Dependencies between tasks are inferred from these sets.
+        Dependencies between tasks are inferred from these sets.  Built on
+        first read from the zero-argument ``access`` builder the planners
+        pass (explicit ``reads=``/``writes=`` win over it); the inline path
+        never reads them, so it never builds them.
     flops:
         Optional flop count (forwarded to the graph for diagnostics).
     call:
@@ -88,20 +105,33 @@ class KernelTask:
 
     kernel: str
     fn: Callable[[], None]
-    reads: FrozenSet[TileRef] = frozenset()
-    writes: FrozenSet[TileRef] = frozenset()
+    access: _AccessSets
     flops: float = 0.0
     call: Optional[object] = None
     fused: int = 1
     mix: Tuple[Tuple[str, int], ...] = ()
+
+    def __init__(
+        self, kernel: str, fn: Callable[[], None], reads=None, writes=None,
+        flops: float = 0.0, call=None, fused: int = 1, mix=(), access=None,
+    ) -> None:
+        if access is None or reads is not None or writes is not None:
+            r, w = access() if access is not None else ((), ())
+            r, w = (r if reads is None else reads), (w if writes is None else writes)
+            access = partial(tuple, (r, w))
+        self.kernel, self.fn, self.flops, self.call = kernel, fn, flops, call
+        self.fused, self.mix = fused, mix
+        self.access = access if isinstance(access, _AccessSets) else _AccessSets(access)
+
+    reads = property(lambda self: self.access()[0], doc="Tiles read (built on first use).")
+    writes = property(lambda self: self.access()[1], doc="Tiles written (built on first use).")
 
 
 def call_task(
     kernel: str,
     tiles,
     call,
-    reads: Iterable[TileRef],
-    writes: Iterable[TileRef],
+    access: Callable[[], Tuple[Iterable[TileRef], Iterable[TileRef]]],
     products: Optional[Dict[object, object]] = None,
     fused: int = 1,
     mix: Tuple[Tuple[str, int], ...] = (),
@@ -110,9 +140,10 @@ def call_task(
 
     The closure does on ``tiles`` exactly what a worker process does with
     the descriptor, so both forms of the task are one code path.
-    ``products`` is the step's factor table: consumed keys are read from
-    it and the op's result is stored under ``call.produces`` — the
-    in-process counterpart of the executors' produces/consumes edges.
+    ``access`` builds ``(reads, writes)`` on first read.  ``products`` is the
+    step's factor table: consumed keys are read from it and the op's result
+    is stored under ``call.produces`` — the in-process counterpart of the
+    executors' produces/consumes edges.
     """
     op = KERNELS[call.kernel]
     args, consumes, produces = call.args, call.consumes, call.produces
@@ -122,15 +153,7 @@ def call_task(
         if produces is not None:
             products[produces] = result
 
-    return KernelTask(
-        kernel,
-        run,
-        reads=frozenset(reads),
-        writes=frozenset(writes),
-        call=call,
-        fused=fused,
-        mix=mix,
-    )
+    return KernelTask(kernel, run, call=call, fused=fused, mix=mix, access=access)
 
 
 def build_step_graph(
@@ -142,8 +165,8 @@ def build_step_graph(
 
     Tasks must be given in the sequential (program) order of the step;
     read/write dependencies are inferred by the graph's superscalar
-    analysis.  Passing an existing ``graph`` appends the tasks to it —
-    the entry point for cross-step lookahead.
+    analysis.  Passing an existing ``graph`` appends the tasks to it (the
+    audit accumulates every step of a factorization in one graph this way).
     """
     if graph is None:
         graph = TaskGraph()
@@ -256,9 +279,11 @@ class StepPipeline:
     (panel analysis reads column ``k`` alone), any task a flushed task
     depends on (the dependency closure under the superscalar analysis —
     RAW, WAW and WAR edges alike), and every task of steps older than the
-    lookahead depth.  Each flush materialises one
-    :class:`~repro.runtime.graph.TaskGraph` in program order, assigns
-    critical-path priorities, and runs it to completion on the executor —
+    lookahead depth.  ``submit`` adds each task once to the window's
+    dependency oracle, one :class:`~repro.runtime.graph.TaskGraph` holding
+    kernel, step and access sets (no closures).  A flush runs the oracle's
+    induced :meth:`~repro.runtime.graph.TaskGraph.subgraph` on the selected
+    tasks with critical-path priorities, to completion on the executor —
     so step ``k``'s panel tasks execute concurrently with step ``k-1``'s
     still-pending trailing update inside the same graph.
 
@@ -320,6 +345,8 @@ class StepPipeline:
         #: ``step -> {tile: 1-norm after that step}`` samples for growth
         #: replay; only populated when ``submit`` is given the tiles.
         self.norm_samples: Dict[int, Dict[TileRef, float]] = {}
+        self._oracle = TaskGraph()
+        #: ``(oracle uid, task)`` of every planned task that has not run yet.
         self._pending: List[Tuple[int, KernelTask]] = []
         # Executors whose kernels run outside this process (shared-memory
         # workers or distributed cluster nodes) must sample norms on the
@@ -351,7 +378,9 @@ class StepPipeline:
         entries = list(tasks)
         if tiles is not None and entries:
             entries = self._attach_norm_sampling(entries, step, tiles)
-        self._pending.extend((step, t) for t in entries)
+        for task in entries:
+            entry = self._oracle.add_task(task.kernel, step, task.reads, task.writes)
+            self._pending.append((entry.uid, task))
 
     def advance(self, k: int) -> None:
         """Flush everything planning step ``k`` needs (call before planning)."""
@@ -424,41 +453,33 @@ class StepPipeline:
     def _flush(self, needed: Callable[[int, KernelTask], bool]) -> None:
         if not self._pending:
             return
-        # Dependency oracle over the whole pending window: the superscalar
-        # analysis turns every RAW/WAW/WAR relation into an edge, so the
-        # ancestor closure below is exactly "everything a selected task
-        # needs to have run first".
-        oracle = TaskGraph()
-        for step, task in self._pending:
-            oracle.add_task(
-                kernel=task.kernel, step=step, reads=task.reads, writes=task.writes
-            )
-        selected = [needed(step, task) for step, task in self._pending]
-        for idx in range(len(self._pending) - 1, -1, -1):
-            if selected[idx]:
-                for dep in oracle.task(idx).deps:
-                    selected[dep] = True
-        if not any(selected):
+        # The oracle turns every RAW/WAW/WAR relation into an edge, so the
+        # closure below is exactly "everything a selected task needs to have
+        # run first" (edges to tasks that already ran are ignored).
+        oracle = self._oracle
+        live = {uid for uid, _ in self._pending}
+        selected = set()
+        for uid, task in reversed(self._pending):
+            if uid in selected or needed(oracle.task(uid).step, task):
+                selected.add(uid)
+                selected.update(live.intersection(oracle.task(uid).deps))
+        if not selected:
             return
-        graph = TaskGraph()
-        for idx, (step, task) in enumerate(self._pending):
-            if selected[idx]:
-                graph.add_task(
-                    kernel=task.kernel,
-                    step=step,
-                    reads=task.reads,
-                    writes=task.writes,
-                    flops=task.flops,
-                    fn=task.fn,
-                    call=task.call,
-                    fused=task.fused,
-                    mix=task.mix,
-                )
+        graph = oracle.subgraph(selected)
+        chosen = [task for uid, task in self._pending if uid in selected]
+        for entry, task in zip(graph.tasks, chosen):
+            entry.fn, entry.call, entry.flops = task.fn, task.call, task.flops
+            entry.fused, entry.mix = max(int(task.fused), 1), tuple(task.mix)
         assign_task_priorities(graph, self.tile_size, self.calibration)
-        steps = [step for idx, (step, _) in enumerate(self._pending) if selected[idx]]
+        steps = [entry.step for entry in graph.tasks]
         self.window_spans.append((min(steps), max(steps)))
         if self.collect_graphs:
             self.graphs.append(graph)
+        self._pending = [entry for entry in self._pending if entry[0] not in selected]
+        for uid in selected:  # ran: the oracle no longer needs their sets
+            oracle.task(uid).reads = oracle.task(uid).writes = frozenset()
+        if not self._pending:
+            self._oracle = TaskGraph()
         try:
             trace = self.executor.run(graph)
         except BaseException:
@@ -469,9 +490,6 @@ class StepPipeline:
         for uid, norms in trace.tile_norms.items():
             store = self.norm_samples.setdefault(graph.task(uid).step, {})
             store.update(norms)
-        self._pending = [
-            entry for idx, entry in enumerate(self._pending) if not selected[idx]
-        ]
 
 
 def _check_trace_consistency(tr: ExecutionTrace) -> None:

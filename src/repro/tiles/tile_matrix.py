@@ -11,7 +11,7 @@ the paper.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,16 +24,19 @@ class TileMatrix:
     Parameters
     ----------
     data:
-        A 2-D array of shape ``(n*nb, n*nb)``.  The array is used in place
-        (not copied) unless ``copy=True``.
+        A 2-D array of shape ``(n*nb, n*nb)``.  A C-contiguous float64
+        array is used in place (aliased); any other input (another dtype,
+        a Fortran-ordered or strided array) is converted to a C-contiguous
+        float64 copy.
     tile_size:
         The tile order ``nb``.
     rhs:
         Optional right-hand side of shape ``(n*nb,)`` or ``(n*nb, nrhs)``;
         it is carried along as an extra (narrow) tile column so the hybrid
-        factorization can transform ``[A | b]`` in one pass.
+        factorization can transform ``[A | b]`` in one pass; aliased or
+        converted like ``data``.
     copy:
-        Copy ``data`` (and ``rhs``) instead of aliasing them.
+        Always copy ``data`` (and ``rhs``), never alias them.
     """
 
     def __init__(
@@ -43,7 +46,7 @@ class TileMatrix:
         rhs: Optional[np.ndarray] = None,
         copy: bool = False,
     ) -> None:
-        data = np.array(data, dtype=np.float64, copy=copy)
+        data = np.array(data, dtype=np.float64) if copy else np.asarray(data, dtype=np.float64)
         if data.ndim != 2 or data.shape[0] != data.shape[1]:
             raise ValueError(f"TileMatrix requires a square 2-D array, got shape {data.shape}")
         if tile_size < 1:
@@ -58,7 +61,7 @@ class TileMatrix:
 
         self._rhs: Optional[np.ndarray] = None
         if rhs is not None:
-            rhs = np.array(rhs, dtype=np.float64, copy=copy)
+            rhs = np.array(rhs, dtype=np.float64) if copy else np.asarray(rhs, dtype=np.float64)
             if rhs.ndim == 1:
                 rhs = rhs.reshape(-1, 1)
             if rhs.shape[0] != data.shape[0]:
@@ -213,25 +216,31 @@ class TileMatrix:
             self._check(i, 0)
         return self._rhs
 
-    def panel(self, k: int, rows: Optional[List[int]] = None) -> np.ndarray:
+    def panel(self, k: int, rows: Optional[Sequence[int]] = None) -> np.ndarray:
         """A *copy* of panel column ``k`` stacked over the given tile rows.
 
         When ``rows`` is omitted the full panel ``k..n-1`` is returned.  The
-        stacking order follows ``rows``.
+        stacking order follows ``rows``.  One block copy: a fancy index on
+        the column's ``(n, nb, nb)`` tile view.
         """
-        if rows is None:
-            rows = list(range(k, self._n))
-        return np.vstack([self.tile(i, k) for i in rows])
+        rows = list(range(k, self._n) if rows is None else rows)
+        return self._column_tiles(k, rows)[rows].reshape(-1, self._nb)
 
-    def scatter_panel(self, k: int, rows: List[int], panel: np.ndarray) -> None:
-        """Write a stacked panel back into the tiles listed in ``rows``."""
-        nb = self._nb
+    def scatter_panel(self, k: int, rows: Sequence[int], panel: np.ndarray) -> None:
+        """Write a stacked panel back into the tiles listed in ``rows`` (one block copy)."""
+        nb, rows = self._nb, list(rows)
         if panel.shape != (len(rows) * nb, nb):
             raise ValueError(
                 f"panel shape {panel.shape} does not match {len(rows)} tiles of order {nb}"
             )
-        for idx, i in enumerate(rows):
-            self.set_tile(i, k, panel[idx * nb : (idx + 1) * nb, :])
+        self._column_tiles(k, rows)[rows] = panel.reshape(-1, nb, nb)
+
+    def _column_tiles(self, k: int, rows: Sequence[int]) -> np.ndarray:
+        """Tile column ``k`` as an ``(n, nb, nb)`` view, once ``rows`` are bounds-checked."""
+        n, nb = self._n, self._nb
+        if not 0 <= k < n or len(rows) and not (0 <= min(rows) and max(rows) < n):
+            raise IndexError(f"panel tiles {list(rows)} x column {k} outside {n}x{n} tile matrix")
+        return self._data[:, k * nb : (k + 1) * nb].reshape(n, nb, nb)
 
     def tiles(self) -> Iterator[Tuple[int, int, np.ndarray]]:
         """Iterate over ``(i, j, tile_view)`` in row-major order."""

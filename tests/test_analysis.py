@@ -402,6 +402,21 @@ class TestTracingBackend:
         assert float(tiles.tile(1, 0).mean()) == 7.0
         assert backend.recorder.records == []
 
+    def test_undeclared_panel_scatter_raises_race_report(self):
+        """The block panel copy records and guards every tile it writes."""
+        backend = TracingBackend()
+        tiles = self._traced_tiles(backend, n=24, nb=8)
+
+        def scatter():
+            tiles.scatter_panel(0, [0, 1], np.ones((16, 8)))
+
+        declared = frozenset({(0, 0)})
+        task = KernelTask("scatter", scatter, reads=declared, writes=declared)
+        with pytest.raises(RaceReport) as exc_info:
+            backend.wrap_task(task, step=0).fn()
+        assert exc_info.value.access == "write"
+        assert exc_info.value.tile == (1, 0)
+
     def test_block_views_guard_on_the_whole_range(self):
         backend = TracingBackend()
         tiles = self._traced_tiles(backend, n=24, nb=8)

@@ -29,6 +29,24 @@ class TestConstruction:
         tm.array[0, 0] = 77.0
         assert a[0, 0] == 77.0
 
+    def test_wraps_non_float64_input(self):
+        tm = TileMatrix(np.arange(16).reshape(4, 4), 2)
+        assert tm.dtype == np.float64
+        np.testing.assert_array_equal(tm.array, np.arange(16.0).reshape(4, 4))
+        tm = TileMatrix(np.eye(4), 2, rhs=np.arange(4))
+        assert tm.rhs.dtype == np.float64
+        np.testing.assert_array_equal(tm.rhs[:, 0], np.arange(4.0))
+
+    def test_fortran_input_is_copied_and_c_float64_aliased(self, rng):
+        a = np.asfortranarray(rng.standard_normal((16, 16)))
+        tm = TileMatrix(a, 4)
+        assert not np.shares_memory(tm.array, a) and tm.array.flags.c_contiguous
+        np.testing.assert_array_equal(tm.array, a)
+        c = rng.standard_normal((16, 16))
+        b = rng.standard_normal(16)
+        tm = TileMatrix(c, 4, rhs=b)
+        assert np.shares_memory(tm.array, c) and np.shares_memory(tm.rhs, b)
+
     def test_rejects_non_square(self, rng):
         with pytest.raises(ValueError):
             TileMatrix(rng.standard_normal((8, 12)), 4)
@@ -149,6 +167,30 @@ class TestTileAccess:
         tm.scatter_panel(2, rows, panel2)
         np.testing.assert_array_equal(tm.tile(1, 2), panel2[:8])
         np.testing.assert_array_equal(tm.tile(3, 2), panel2[8:])
+
+    @pytest.mark.parametrize("rows", [[1, 2, 3], [0, 2], [3]])
+    def test_block_panel_copies_match_per_tile_forms(self, rng, rows):
+        """Contiguous rows, the strided domain rows of a 2x2 grid, one row."""
+        tm = TileMatrix(rng.standard_normal((32, 32)), 8)
+        panel = tm.panel(0, rows)
+        np.testing.assert_array_equal(panel, np.vstack([tm.tile(i, 0) for i in rows]))
+        assert not np.shares_memory(panel, tm.array)
+        ref = tm.copy()
+        new = rng.standard_normal(panel.shape)
+        tm.scatter_panel(1, rows, new)
+        for idx, i in enumerate(rows):
+            ref.set_tile(i, 1, new[idx * 8 : (idx + 1) * 8])
+        np.testing.assert_array_equal(tm.array, ref.array)
+
+    @pytest.mark.parametrize("rows", [[4], [-1], [0, 4]])
+    def test_panel_rows_are_bounds_checked(self, rng, rows):
+        tm = TileMatrix(rng.standard_normal((32, 32)), 8)
+        with pytest.raises(IndexError):
+            tm.panel(1, rows)
+        with pytest.raises(IndexError):
+            tm.scatter_panel(1, rows, np.zeros((8 * len(rows), 8)))
+        with pytest.raises(IndexError):
+            tm.panel(4, [0])
 
     def test_panel_default_rows(self, rng):
         tm = TileMatrix(rng.standard_normal((32, 32)), 8)
