@@ -476,10 +476,8 @@ class StepPipeline:
         if self.collect_graphs:
             self.graphs.append(graph)
         self._pending = [entry for entry in self._pending if entry[0] not in selected]
-        for uid in selected:  # ran: the oracle no longer needs their sets
+        for uid in selected:  # about to run: the oracle keeps their uids, not their sets
             oracle.task(uid).reads = oracle.task(uid).writes = frozenset()
-        if not self._pending:
-            self._oracle = TaskGraph()
         try:
             trace = self.executor.run(graph)
         except BaseException:
