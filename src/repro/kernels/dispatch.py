@@ -58,14 +58,7 @@ from .lu_kernels import (
     stacked_row_index,
     swptrsm_inplace,
 )
-from .qr_kernels import (
-    geqrt_tile,
-    tsmqr_inplace,
-    tsqrt,
-    ttmqr_inplace,
-    ttqrt,
-    unmqr_inplace,
-)
+from .qr_kernels import IB, apply_chain, geqrt_tile, tsqrt, ttqrt
 
 __all__ = [
     "KernelCall",
@@ -211,18 +204,17 @@ def _qr_chain(operand, ops, factors) -> None:
 
     ``ops`` holds ``("unmqr", row, idx)`` and ``("tsmqr"|"ttmqr", eliminator,
     killed, idx)`` entries; ``idx`` indexes the consumed factors and
-    ``operand(row)`` is the tile-row view of the range, updated in place
-    (fetched once per row and chain).
+    ``operand(row)`` is the tile-row view of the range.  The whole chain is
+    one :func:`~repro.kernels.qr_kernels.apply_chain`: each row is staged
+    once, every apply runs in place on the staged copy, and each row is
+    written back once.
     """
-    views = {row: operand(row) for row in dict.fromkeys(r for op in ops for r in op[1:-1])}
-    for op in ops:
-        if op[0] == "unmqr":
-            _, row, idx = op
-            unmqr_inplace(factors[idx], views[row])
-        else:
-            name, eliminator, killed, idx = op
-            apply = ttmqr_inplace if name == "ttmqr" else tsmqr_inplace
-            apply(factors[idx], views[eliminator], views[killed])
+    rows = list(dict.fromkeys(r for op in ops for r in op[1:-1]))
+    slot = {row: i for i, row in enumerate(rows)}
+    apply_chain(
+        [operand(row) for row in rows],
+        [(factors[op[-1]], slot[op[1]], slot[op[2]] if len(op) == 4 else None) for op in ops],
+    )
 
 
 @kernel_op("qr.sweep")
@@ -497,6 +489,11 @@ def _sig_lu_gemm_sweep_rhs(call: KernelCall, step: int, ctx: SigContext) -> OpEf
     )
 
 
+def _qr_factor_bytes(ctx: SigContext) -> int:
+    """A QR factor's arrays: ``vb`` and ``r`` (``nb x nb``), block-T ``t`` (``ib x nb``)."""
+    return (2 * ctx.nb + min(ctx.nb, IB)) * ctx.nb * ctx.itemsize
+
+
 @kernel_signature("qr.geqrt")
 def _sig_qr_geqrt(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
     row, k = call.args
@@ -505,7 +502,7 @@ def _sig_qr_geqrt(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
         writes=frozenset({(row, k)}),
         checks=(("matmul", ("lit", ctx.nb, ctx.nb), (row, k), (row, k)),),
         owner_tile=(row, k),
-        product_bytes=3 * ctx.nb * ctx.nb * ctx.itemsize,
+        product_bytes=_qr_factor_bytes(ctx),
     )
 
 
@@ -521,7 +518,7 @@ def _sig_qr_couple(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
             ("matmul", ("lit", 2 * ctx.nb, 2 * ctx.nb), ("stack", pair), ("stack", pair)),
         ),
         owner_tile=(killed, k),
-        product_bytes=3 * ctx.nb * ctx.nb * ctx.itemsize,
+        product_bytes=_qr_factor_bytes(ctx),
     )
 
 

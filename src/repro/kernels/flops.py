@@ -75,12 +75,11 @@ class KernelFlops:
         return 2.0 * self.nb**3
 
     # ----------------------- QR-step kernels -------------------------- #
-    # The applies in repro.kernels.qr_kernels use the structure these
-    # counts assume: TRMMs by the unit-lower V (UNMQR) and the upper V_b
-    # (TTMQR), GEMMs only by TSQRT's full V_b.  Each executes its count
-    # below plus nb^3 for the TRMM by T, which is full nb x nb here (block
-    # size nb) but block diagonal, and negligible, in the paper's
-    # inner-blocked kernels.
+    # The kernels in repro.kernels.qr_kernels are LAPACK's inner-blocked
+    # tile QR (dgeqrt / dtpqrt / dgemqrt / dtpmqrt at ib = 8), as in the
+    # paper: they use the structure these counts assume (unit-lower V,
+    # upper V_b for TT) and the products by the block-diagonal T add
+    # only O(ib nb^2).
     @property
     def geqrt(self) -> float:
         """Householder QR of one ``nb x nb`` tile (compact WY)."""

@@ -18,42 +18,45 @@ counterparts, are:
   inter-domain reduction trees.
 * **TTMQR**  — apply the TTQRT transformation to trailing tiles.
 
-These are the production kernels.  The three factorizations are one call
-each to LAPACK ``dgeqrt`` (recursive, level-3) with the block size equal to
-the tile size, so ``T`` is the full ``nb x nb`` compact-WY factor.  The
-applies work in place on the caller's views (``*_inplace``; the
-functional ``unmqr``/``tsmqr``/``ttmqr`` are copy + in-place) and use the
-structure of their operands: ``T`` is upper triangular, GEQRT's ``V`` is
-unit lower triangular and TTQRT's ``V_b`` upper triangular, so those
-products are BLAS ``dtrmm`` calls on one workspace; only TSMQR's full
-square ``V_b`` goes through GEMM.  The tests compare every kernel here
-against a readable pure-NumPy Householder construction of the same
-``(V, T, R)``.
+These are the production kernels, one LAPACK call each, from LAPACK's own
+tile-QR family at the inner block size ``ib = min(nb, IB)``: GEQRT is
+``dgeqrt``, TSQRT and TTQRT are ``dtpqrt`` (``l = 0`` for the square
+bottom tile, ``l = nb`` for the triangular one), UNMQR is ``dgemqrt`` and
+TSMQR/TTMQR are ``dtpmqrt`` with the factor's ``l``.  ``T`` is LAPACK's
+``ib x nb`` block-T: the upper-triangular ``ib x ib`` factors of the
+successive reflector blocks, side by side.
 
-A coupled factorization works on ``[R_top; bottom]`` with ``R_top`` upper
-triangular, so its reflectors always have the form ``V = [I; V_b]``: the top
-block is exactly the identity and only the ``nb x nb`` bottom block ``V_b``
-is stored.  TSMQR/TTMQR use that structure directly::
+The applies work on the transposed operand: ``Q^T C`` is ``(C^T Q)^T``, so
+every apply runs side ``'R'`` on a Fortran-ordered ``C^T``.
+:func:`apply_chain` copies the tile rows a chain of applies touches once
+into one such workspace, runs every apply in place on it and writes each
+row back once; the trailing-update sweeps of
+:mod:`repro.kernels.dispatch` call it per column range.  The workspace's
+row count (the operand's column count) is rounded up to a multiple of
+:data:`PAD` and zero-padded: so padded, each column of a wide apply has the
+bits it has when its tile is applied on its own, at every tile order.  At
+``ib = 8`` every call also gives the same bits at any BLAS thread count;
+at ``ib = 16`` the wide applies and at ``ib = 32`` ``dtpqrt`` do not.  The
+tests compare every kernel here against a readable pure-NumPy Householder
+construction of the same ``(V, T, R)``.
 
-    w = T^T (C_top + V_b^T C_bot);   C_top -= w;   C_bot -= V_b w
-
-The factorizations return new values; the trailing-update sweeps of
-:mod:`repro.kernels.dispatch` run the in-place applies on views of the
-:class:`~repro.tiles.TileMatrix`.
+The factorizations return new values; the in-place applies
+(``*_inplace``) and the sweeps update the caller's views, and the
+functional ``unmqr``/``tsmqr``/``ttmqr`` are copy + in-place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dgeqrt
+from scipy.linalg.lapack import dgemqrt, dgeqrt, dtpmqrt, dtpqrt
 
 __all__ = [
     "QRTileFactor",
+    "apply_chain",
     "geqrt_tile",
     "unmqr",
     "unmqr_inplace",
@@ -65,16 +68,27 @@ __all__ = [
     "ttmqr_inplace",
 ]
 
+#: Largest inner block size: the widest at which every call is thread-stable.
+IB = 8
+#: The applies' workspace row count is a multiple of this.
+PAD = 8
+#: Most doubles :func:`apply_chain` stages at once (2 MiB): bounds the
+#: memory a wide sweep adds.
+WORKSPACE = 1 << 18
+
 
 @dataclass
 class QRTileFactor:
-    """Compact-WY representation ``Q = I - V T V^T`` of a tile elimination.
+    """Compact-WY representation of a tile elimination.
 
-    ``vb`` is the stored ``nb x nb`` block of reflectors: all of ``V`` (unit
-    lower triangular) for GEQRT, the bottom block of ``V = [I; V_b]`` for the
-    coupled kernels (TSQRT/TTQRT).  ``t`` is the upper-triangular compact-WY
-    factor and ``r`` the resulting upper-triangular tile, both with exact
-    zeros below the diagonal.
+    ``vb`` is the ``nb x nb`` block of reflectors LAPACK returns: for
+    GEQRT the whole packed ``dgeqrt`` output, whose strict lower triangle
+    holds ``V`` below its unit diagonal (the apply reads nothing else); for
+    the coupled kernels (TSQRT/TTQRT) the bottom block of ``V = [I; V_b]``,
+    upper triangular for TTQRT.  ``t`` is the ``ib x nb`` block-T and ``l``
+    the number of upper-trapezoidal rows of ``V_b`` (``nb`` for TTQRT, else
+    0).  ``r`` is the resulting upper-triangular tile, with exact zeros
+    below the diagonal.
     """
 
     vb: np.ndarray
@@ -82,59 +96,55 @@ class QRTileFactor:
     r: np.ndarray
     nb: int
     coupled: bool = False
+    l: int = 0
 
     @property
     def v(self) -> np.ndarray:
         """The full reflector matrix (``2*nb`` rows for a coupled factor)."""
         if self.coupled:
             return np.vstack([np.eye(self.nb), self.vb])
-        return self.vb
+        return np.tril(self.vb, -1) + np.eye(self.nb)
 
 
 @lru_cache(maxsize=None)
-def _masks(nb: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Strictly-lower mask and identity of order ``nb``, built once (``np.triu``
-    rebuilds its ``np.tri`` mask per call, at more than the ``np.where``)."""
-    lower, eye = np.tri(nb, k=-1, dtype=bool), np.eye(nb)
-    lower.flags.writeable = eye.flags.writeable = False
-    return lower, eye
+def _strictly_lower(nb: int) -> np.ndarray:
+    """Strictly-lower mask of order ``nb``, built once (``np.triu`` rebuilds
+    its ``np.tri`` mask per call, at more than the ``np.where``)."""
+    mask = np.tri(nb, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _triu(m: np.ndarray) -> np.ndarray:
     """``np.triu(m)`` for a square ``m``: the same ``np.where``, cached mask."""
-    return np.where(_masks(m.shape[0])[0], 0.0, m)
+    return np.where(_strictly_lower(m.shape[0]), 0.0, m)
 
 
-def _dgeqrt(a: np.ndarray, kernel: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-block LAPACK ``dgeqrt`` of ``a`` (``m x nb``, ``m >= nb``), in place.
+def _fortran(a: np.ndarray) -> np.ndarray:
+    return np.array(a, dtype=np.float64, order="F")
 
-    ``a`` must be a Fortran-ordered float64 array the caller owns.  Returns
-    the packed LAPACK output (reflectors strictly below the diagonal), the
-    ``nb x nb`` factor ``T`` and the tile ``R``.
-    """
-    nb = a.shape[1]
-    qr, t, info = dgeqrt(nb, a, 1)  # positional: f2py keyword parsing is costly
+
+def _check(info: int, kernel: str, routine: str) -> None:
     if info != 0:
-        raise np.linalg.LinAlgError(f"{kernel}: LAPACK dgeqrt failed with info={info}")
-    # LAPACK leaves the strict lower triangle of T unreferenced.
-    return qr, _triu(t), _triu(qr[:nb])
-
-
-def _couple(r_top: np.ndarray, bottom: np.ndarray, kernel: str) -> QRTileFactor:
-    nb = r_top.shape[0]
-    stacked = np.empty((2 * nb, nb), order="F")
-    stacked[:nb] = _triu(r_top)
-    stacked[nb:] = bottom
-    qr, t, r = _dgeqrt(stacked, kernel)
-    return QRTileFactor(vb=np.ascontiguousarray(qr[nb:]), t=t, r=r, nb=nb, coupled=True)
+        raise np.linalg.LinAlgError(f"{kernel}: LAPACK {routine} failed with info={info}")
 
 
 def geqrt_tile(a_kk: np.ndarray) -> QRTileFactor:
     """GEQRT: QR of one square tile. Returns the compact-WY factor and ``R``."""
-    qr, t, r = _dgeqrt(np.array(a_kk, dtype=np.float64, order="F"), "geqrt")
-    lower, eye = _masks(a_kk.shape[0])
-    # Unit lower triangular V: reflectors below the diagonal, ones on it.
-    return QRTileFactor(vb=np.where(lower, qr, eye), t=t, r=r, nb=a_kk.shape[0])
+    nb = a_kk.shape[0]
+    # Positional arguments throughout: f2py keyword parsing costs as much
+    # as a small tile's kernel.
+    qr, t, info = dgeqrt(min(nb, IB), _fortran(a_kk), 1)
+    _check(info, "geqrt", "dgeqrt")
+    return QRTileFactor(vb=qr, t=t, r=_triu(qr), nb=nb)
+
+
+def _couple(r_top: np.ndarray, bottom: np.ndarray, l: int, kernel: str) -> QRTileFactor:
+    nb = r_top.shape[0]
+    # dtpqrt reads only the upper triangle of r_top, and with l = nb of bottom.
+    r, vb, t, info = dtpqrt(l, min(nb, IB), _fortran(r_top), bottom, 1, 1)
+    _check(info, kernel, "dtpqrt")
+    return QRTileFactor(vb=vb, t=t, r=_triu(r), nb=nb, coupled=True, l=l)
 
 
 def tsqrt(r_top: np.ndarray, a_bottom: np.ndarray) -> QRTileFactor:
@@ -145,7 +155,7 @@ def tsqrt(r_top: np.ndarray, a_bottom: np.ndarray) -> QRTileFactor:
     eliminator tile, while the killed tile conceptually stores the
     reflectors (returned in ``vb``).
     """
-    return _couple(r_top, a_bottom, "tsqrt")
+    return _couple(r_top, _fortran(a_bottom), 0, "tsqrt")
 
 
 def ttqrt(r_top: np.ndarray, r_bottom: np.ndarray) -> QRTileFactor:
@@ -155,73 +165,60 @@ def ttqrt(r_top: np.ndarray, r_bottom: np.ndarray) -> QRTileFactor:
     when combining the local eliminators of different domains along the
     inter-node reduction tree.
     """
-    return _couple(r_top, _triu(r_bottom), "ttqrt")
+    return _couple(r_top, _fortran(_triu(r_bottom)), r_top.shape[0], "ttqrt")
 
 
 # --------------------------------------------------------------------------- #
-# Applies: in place on the caller's views, one workspace each
+# Applies: one staged workspace per chain, in place on it
 # --------------------------------------------------------------------------- #
-def _trmm(a: np.ndarray, wt: np.ndarray, lower: int, trans: int, unit: int = 0) -> None:
-    """``w <- op(a) w`` in place for a triangular ``a``; ``wt`` is ``w.T``.
+def apply_chain(
+    rows: Sequence[np.ndarray], ops: Sequence[Tuple[QRTileFactor, int, Optional[int]]]
+) -> None:
+    """Apply a chain of QR transformations, in order, to tile-row views.
 
-    ``w`` is a C-ordered workspace, so ``wt`` is the Fortran-ordered
-    ``w^T`` BLAS works on, and the product becomes ``w^T <- w^T op(a)^T``
-    (right side).  ``a.T`` is the Fortran-ordered ``a^T``, whose triangle is
-    the other one, and ``op(a)^T = op(a^T)`` with the same ``trans``; so
-    neither operand is copied for a C-ordered ``a``.  Arguments go to f2py
-    positionally (``side, lower, trans_a, diag, overwrite_b``): keyword
-    parsing costs as much as a small tile's product.
+    ``rows`` are ``nb``-row views of one width, updated in place; each op
+    ``(factor, top, bottom)`` applies ``Q^T`` of ``factor`` to ``rows[top]``
+    (GEQRT, ``bottom`` is ``None``) or to the stacked
+    ``[rows[top]; rows[bottom]]`` (TSQRT/TTQRT).
+    The rows are staged into a C-ordered ``len(rows)*nb x padded-width``
+    workspace, whose transpose is the Fortran-ordered ``C^T`` every LAPACK
+    call updates in place.  Wide rows go in column chunks of at most
+    :data:`WORKSPACE` elements, a multiple of :data:`PAD` wide: that bounds
+    the workspace and, padded, leaves the bits unchanged.
     """
-    dtrmm(1.0, a.T, wt, 1, 1 - lower, trans, unit, 1)
-
-
-def _workspace(c: np.ndarray) -> np.ndarray:
-    return np.array(c, dtype=np.float64, order="C")
+    nb, width = rows[0].shape
+    chunk = max(PAD, WORKSPACE // (len(rows) * nb) // PAD * PAD)
+    for c0 in range(0, width, chunk):
+        c1 = min(width, c0 + chunk)
+        ws = np.zeros((len(rows) * nb, -(-(c1 - c0) // PAD) * PAD))
+        np.concatenate([row[:, c0:c1] for row in rows], out=ws[:, : c1 - c0])
+        staged = ws.reshape(len(rows), nb, -1)
+        x = staged.transpose(0, 2, 1)  # x[i]: row i's C^T, Fortran-ordered
+        for factor, top, bottom in ops:
+            if bottom is None:
+                info = dgemqrt(factor.vb, factor.t, x[top], "R", "N", 1)[1]
+            else:
+                info = dtpmqrt(factor.l, factor.vb, factor.t, x[top], x[bottom], "R", "N", 1, 1)[2]
+            if info:
+                raise np.linalg.LinAlgError(f"QR apply: LAPACK failed with info={info}")
+        for row, part in zip(rows, staged):
+            row[:, c0:c1] = part[:, : c1 - c0]
 
 
 def unmqr_inplace(factor: QRTileFactor, c: np.ndarray) -> None:
-    """UNMQR, in place: ``C <- Q^T C = C - V T^T V^T C`` for a GEQRT factor.
+    """UNMQR, in place: ``C <- Q^T C`` for a GEQRT factor.
 
-    ``c`` is any ``nb``-row view (a tile, a tile-row block, an RHS tile);
-    ``V`` is unit lower and ``T`` upper triangular, so the three products
-    are TRMMs on one workspace.
+    ``c`` is any ``nb``-row view (a tile, a tile-row block, an RHS tile).
     """
-    w = _workspace(c)
-    _trmm(factor.vb, w.T, 1, 1, 1)  # w = V^T C   (unit lower)
-    _trmm(factor.t, w.T, 0, 1)  # w = T^T w
-    _trmm(factor.vb, w.T, 1, 0, 1)  # w = V w
-    c -= w
+    apply_chain((c,), ((factor, 0, None),))
 
 
 def tsmqr_inplace(factor: QRTileFactor, c_top: np.ndarray, c_bottom: np.ndarray) -> None:
     """TSMQR, in place: apply a TSQRT transformation to a pair of row views.
 
     ``c_top`` belongs to the eliminator row, ``c_bottom`` to the killed row.
-    ``V_b`` is a full square block, so its two products stay GEMMs; only
-    ``T^T`` is a TRMM::
-
-        w = T^T (C_top + V_b^T C_bot);   C_top -= w;   C_bot -= V_b w
     """
-    w = factor.vb.T @ c_bottom
-    w += c_top
-    _trmm(factor.t, w.T, 0, 1)  # w = T^T w
-    c_top -= w
-    c_bottom -= factor.vb @ w
-
-
-def ttmqr_inplace(factor: QRTileFactor, c_top: np.ndarray, c_bottom: np.ndarray) -> None:
-    """TTMQR, in place: apply a TTQRT transformation to a pair of row views.
-
-    TTQRT's ``V_b`` is upper triangular (the killed tile was), so all three
-    products of the TSMQR formula are TRMMs on one workspace.
-    """
-    w = _workspace(c_bottom)
-    _trmm(factor.vb, w.T, 0, 1)  # w = V_b^T C_bot   (upper)
-    w += c_top
-    _trmm(factor.t, w.T, 0, 1)  # w = T^T w
-    c_top -= w
-    _trmm(factor.vb, w.T, 0, 0)  # w = V_b w
-    c_bottom -= w
+    apply_chain((c_top, c_bottom), ((factor, 0, 1),))
 
 
 def unmqr(factor: QRTileFactor, c: np.ndarray) -> np.ndarray:
@@ -229,7 +226,7 @@ def unmqr(factor: QRTileFactor, c: np.ndarray) -> np.ndarray:
 
     Functional form of :func:`unmqr_inplace`: returns a new array.
     """
-    out = _workspace(c)
+    out = np.array(c, dtype=np.float64)
     unmqr_inplace(factor, out)
     return out
 
@@ -241,15 +238,12 @@ def tsmqr(
 
     Returns the updated ``(c_top, c_bottom)`` as new arrays.
     """
-    top, bottom = _workspace(c_top), _workspace(c_bottom)
+    top, bottom = np.array(c_top, dtype=np.float64), np.array(c_bottom, dtype=np.float64)
     tsmqr_inplace(factor, top, bottom)
     return top, bottom
 
 
-def ttmqr(
-    factor: QRTileFactor, c_top: np.ndarray, c_bottom: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """TTMQR: functional form of :func:`ttmqr_inplace`."""
-    top, bottom = _workspace(c_top), _workspace(c_bottom)
-    ttmqr_inplace(factor, top, bottom)
-    return top, bottom
+#: TTMQR is the same ``dtpmqrt`` call as TSMQR: the factor's ``l = nb``
+#: tells it that ``V_b`` is upper triangular.
+ttmqr_inplace = tsmqr_inplace
+ttmqr = tsmqr

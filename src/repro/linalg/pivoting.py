@@ -44,8 +44,8 @@ __all__ = [
 #: 768x64, 256x128, 1024x128 and 2048x256 panels hash differently at 1 and 2
 #: threads; blocks up to 128x128 and 1024x16 hash equal).  Worker processes
 #: run one BLAS thread and the host any number, so a panel kernel above the
-#: bound would break executor bit-identity — the ``dtpqrt`` trap of the QR
-#: kernels.  Below it every leaf is the sequential LAPACK routine, and the
+#: bound would break executor bit-identity — as ``dtpqrt`` does from an inner
+#: block of 32, which is why the QR kernels run at 8.  Below it every leaf is the sequential LAPACK routine, and the
 #: pieces between leaves (row gathers, ``dtrsm``, GEMM) are thread-stable.
 _LEAF_ELEMENTS = 16384
 

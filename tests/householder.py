@@ -17,14 +17,17 @@ reflector per Python loop iteration, following the LAPACK conventions:
 * :func:`larft` — build the triangular factor ``T`` from reflectors
   (LAPACK ``dlarft``, forward/columnwise),
 * :func:`apply_q_transpose` / :func:`apply_q` — apply ``Q^T`` or ``Q`` to a
-  matrix using the compact-WY form (LAPACK ``dlarfb``).
+  matrix using the compact-WY form (LAPACK ``dlarfb``),
+* :func:`apply_block_q_transpose` — the same for LAPACK's block-T form
+  (``dgemqrt``/``dtpmqrt``), one compact-WY apply per block of ``ib``
+  reflectors.
 
 It is written for clarity, not speed, and tested against
 ``numpy.linalg.qr``.  The production tile kernels in
-:mod:`repro.kernels.qr_kernels` factor with LAPACK ``dgeqrt`` instead (same
-sign convention, so ``R`` agrees to rounding) and apply with TRMM/GEMM on
-the triangular structure of ``V`` and ``T``; the kernel tests compare them
-against this module.
+:mod:`repro.kernels.qr_kernels` are LAPACK's tile-QR routines at an inner
+block size ``ib`` instead (same sign convention, so ``R`` agrees to
+rounding, and the diagonal ``ib x ib`` blocks of ``T`` are the blocks of
+the full ``T``); the kernel tests compare them against this module.
 """
 
 from __future__ import annotations
@@ -33,7 +36,15 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["house", "geqrt", "larft", "apply_q", "apply_q_transpose", "build_q"]
+__all__ = [
+    "house",
+    "geqrt",
+    "larft",
+    "apply_q",
+    "apply_q_transpose",
+    "apply_block_q_transpose",
+    "build_q",
+]
 
 
 def house(x: np.ndarray) -> Tuple[np.ndarray, float, float]:
@@ -133,6 +144,21 @@ def apply_q_transpose(v: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray
     c = np.asarray(c, dtype=np.float64)
     w = v.T @ c              # (k, ncols)
     return c - v @ (t.T @ w)
+
+
+def apply_block_q_transpose(v: np.ndarray, t: np.ndarray, ib: int, c: np.ndarray) -> np.ndarray:
+    """Compute ``Q^T @ C`` for ``Q = Q_1 Q_2 ...`` given in LAPACK's block-T form.
+
+    Block ``i`` holds reflectors ``[i*ib, (i+1)*ib)`` (the last one may be
+    narrower): ``Q_i = I - V_i T_i V_i^T`` with ``V_i`` those columns of
+    ``v`` and ``T_i`` the upper-triangular block of ``t`` (``ib x k``) in
+    the same columns.  ``Q^T C`` applies ``Q_1^T`` first.
+    """
+    k = v.shape[1]
+    for j in range(0, k, ib):
+        cols = slice(j, min(j + ib, k))
+        c = apply_q_transpose(v[:, cols], t[: cols.stop - j, cols], c)
+    return c
 
 
 def apply_q(v: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -3,15 +3,17 @@
 Worker processes of the ``processes`` and ``cluster`` executors start with
 one BLAS thread while the host may run two or more, so executor bit-identity
 needs every kernel to give the same bits at any thread count.  The tile
-kernels were chosen for that: the QR half is LAPACK ``dgeqrt`` plus
-applies by ``dtrmm`` (on the triangular ``T``, ``V`` and TT's ``V_b``) and
-GEMM (on TS's full ``V_b``) — the ``dtpqrt`` family is not thread-stable
-from nb = 32 up — and the LU panel is a recursion over ``dgetrf`` leaves of
-at most 16 384 elements (OpenBLAS switches to its parallel LU from 20 000
-elements up, and a bare ``dgetrf`` on a 1024x128 panel hashes differently
-at 1 and 2 threads).  This
+kernels were chosen for that: the QR half is LAPACK's tile-QR family
+(``dgeqrt``, ``dtpqrt``, ``dgemqrt``, ``dtpmqrt``) at the inner block size
+``ib = 8`` (at ``ib = 16`` the wide applies and at ``ib = 32`` ``dtpqrt``
+hash differently at 1 and 2 threads), and the LU panel is a recursion over
+``dgetrf`` leaves of at most 16 384 elements (OpenBLAS switches to its
+parallel LU from 20 000 elements up, and a bare ``dgetrf`` on a 1024x128
+panel hashes differently at 1 and 2 threads).  This
 is the guard that fails if a thread-sensitive routine is swapped in later —
 run at the sizes where it bites, not only at tiles too small to thread.
+The QR kernels are hashed one by one, at tile orders up to 128 and on
+operands up to 1024 columns wide.
 The trailing update is one wide GEMM / TRSM / QR apply per column range, so
 the bulk applies are checked too: on many small tiles (n = 512, nb = 16)
 and on a 1024 x 1024 matrix of 256-tiles, where every apply threads.  The
@@ -78,6 +80,34 @@ rng = np.random.default_rng(11)
 for shape in [(1024, 128), (2048, 256)]:
     lu, piv = getrf(rng.standard_normal(shape))
     print(shape, digest(lu, piv))
+"""
+
+
+_QR_KERNELS = _PRELUDE + """
+from scipy.linalg.lapack import dgemqrt, dgeqrt, dtpmqrt, dtpqrt
+from repro.kernels.qr_kernels import IB
+
+F = np.asfortranarray
+rng = np.random.default_rng(19)
+for nb in (3, 8, 12, 16, 17, 64, 128):
+    ib = min(nb, IB)
+    a, r = rng.standard_normal((nb, nb)), np.triu(rng.standard_normal((nb, nb)))
+    qr, t, info = dgeqrt(ib, F(a))
+    assert info == 0
+    hashes, pairs = [digest(qr, t)], []
+    for l, bottom in ((0, a), (nb, np.triu(a))):  # TSQRT, TTQRT
+        top, vb, tb, info = dtpqrt(l, ib, F(r), F(bottom))
+        assert info == 0
+        hashes.append(digest(top, vb, tb))
+        pairs.append((l, vb, tb))
+    # Unpadded widths: at ib = 16 the applies already differ at width 300.
+    for width in (1, 7, 300, 1024):
+        x, y = F(rng.standard_normal((width, nb))), F(rng.standard_normal((width, nb)))
+        out = [dgemqrt(qr, t, x, "R", "N")[0]]
+        for l, vb, tb in pairs:
+            out += dtpmqrt(l, vb, tb, x, y, "R", "N")[:2]
+        hashes.append(digest(*out))
+    print(nb, *hashes)
 """
 
 
@@ -157,6 +187,13 @@ def test_panel_lu_identical_for_one_and_two_blas_threads():
     """``getrf`` itself, on panels a bare ``dgetrf`` factors thread-dependently."""
     one, two = _run(_PANELS, 1), _run(_PANELS, 2)
     assert len(one.splitlines()) == 2
+    assert one == two
+
+
+def test_qr_kernels_identical_for_one_and_two_blas_threads():
+    """The five tile-QR LAPACK calls at the kernels' ``IB``, per tile order and width."""
+    one, two = _run(_QR_KERNELS, 1), _run(_QR_KERNELS, 2)
+    assert len(one.splitlines()) == 7
     assert one == two
 
 

@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from householder import apply_q_transpose, build_q, geqrt
+from householder import apply_block_q_transpose, apply_q_transpose, build_q, geqrt
 from linalg_oracle import apply_row_pivots
 from scipy.linalg.lapack import dgeqrt
 
@@ -40,6 +40,7 @@ from repro.core.factorization import StepRecord
 from repro.core.lu_step import lu_step_tasks
 from repro.core.panel_analysis import analyze_panel
 from repro.kernels.dispatch import KERNELS, sweep_ranges
+from repro.kernels.qr_kernels import WORKSPACE, apply_chain
 from repro.linalg import getrf, trsm_lower_left_unit, trsm_upper_right
 from repro.tiles import BlockCyclicDistribution, ProcessGrid, TileMatrix
 
@@ -293,7 +294,7 @@ class TestQRKernels:
 
 
 # --------------------------------------------------------------------------- #
-# QR kernels (LAPACK dgeqrt) against the pure-NumPy Householder reference
+# QR kernels (LAPACK tile QR) against the pure-NumPy Householder reference
 # --------------------------------------------------------------------------- #
 QR_TILE_SIZES = (1, 2, 3, 8, 17, 64)
 
@@ -301,6 +302,27 @@ QR_TILE_SIZES = (1, 2, 3, 8, 17, 64)
 def _assert_close(actual, expected, rel):
     scale = max(float(np.abs(expected).max()), 1.0)
     np.testing.assert_allclose(actual, expected, rtol=0.0, atol=rel * scale)
+
+
+def _ib(nb):
+    """The kernels' inner block size."""
+    return min(nb, 8)
+
+
+def _apply_factor(f, c):
+    """``Q^T C`` from a factor's full ``V`` and its block-T."""
+    return apply_block_q_transpose(f.v, f.t, _ib(f.nb), c)
+
+
+def _assert_block_t(f, t_ref, rel):
+    """``f.t`` is the block-T of ``t_ref``: its diagonal ``ib x ib`` blocks, upper triangular."""
+    nb, ib = f.nb, _ib(f.nb)
+    assert f.t.shape == (ib, nb)
+    for j in range(0, nb, ib):
+        b = min(ib, nb - j)
+        block = f.t[:b, j : j + b]
+        assert np.all(np.tril(block, -1) == 0.0)
+        _assert_close(block, t_ref[j : j + b, j : j + b], rel)
 
 
 def _square_tile(case, nb, rng):
@@ -325,8 +347,11 @@ class TestQRKernelsAgainstReference:
         # Same sign convention as the reference, so R compares directly.
         _assert_close(f.r, r_ref, 1e-12)
         _assert_close(unmqr(f, c), apply_q_transpose(v_ref, t_ref, c), 1e-12)
-        assert np.all(np.tril(f.r, -1) == 0.0) and np.all(np.tril(f.t, -1) == 0.0)
-        assert not f.coupled and f.v is f.vb and f.vb.shape == (nb, nb)
+        assert np.all(np.tril(f.r, -1) == 0.0)
+        _assert_block_t(f, t_ref, 1e-12)
+        # V is unit lower triangular, its reflectors the strict lower part of vb.
+        assert not f.coupled and f.vb.shape == (nb, nb)
+        np.testing.assert_array_equal(f.v, np.tril(f.vb, -1) + np.eye(nb))
 
     @pytest.mark.parametrize("kernel", [tsqrt, ttqrt])
     @pytest.mark.parametrize("case", ["random", "zero"])
@@ -341,6 +366,8 @@ class TestQRKernelsAgainstReference:
 
         f = kernel(r_top, bottom)
         _assert_close(f.r, r_ref, 1e-12)
+        _assert_block_t(f, t_ref, 1e-12)
+        assert f.l == (nb if kernel is ttqrt else 0)
         apply = ttmqr if kernel is ttqrt else tsmqr
         top, bot = apply(f, c_top, c_bot)
         _assert_close(np.vstack([top, bot]), expected, 1e-12)
@@ -350,14 +377,14 @@ class TestQRKernelsAgainstReference:
         np.testing.assert_array_equal(f.v[:nb], np.eye(nb))
         np.testing.assert_array_equal(f.v[nb:], f.vb)
         # The structured update equals the dense compact-WY apply with full V.
-        dense = apply_q_transpose(f.v, f.t, np.vstack([c_top, c_bot]))
+        dense = _apply_factor(f, np.vstack([c_top, c_bot]))
         _assert_close(np.vstack([top, bot]), dense, 1e-13)
         if case == "zero":  # nothing to annihilate: tau = 0, Q = I
             assert not f.vb.any() and not f.t.any()
             np.testing.assert_array_equal(f.r, r_top)
 
     def test_dgeqrt_keeps_triangular_top_exact(self, nb, rng):
-        """The LAPACK property the stored ``[I; V_b]`` layout relies on."""
+        """The stacked pair's reflectors have the ``[I; V_b]`` form ``dtpqrt`` stores."""
         stacked = np.vstack(
             [np.triu(rng.standard_normal((nb, nb))), rng.standard_normal((nb, nb))]
         )
@@ -371,16 +398,17 @@ class TestQRKernelsAgainstReference:
         f = tsqrt(np.triu(a), a) if coupled else geqrt_tile(a)
         payload = pickle.dumps(f)
         g = pickle.loads(payload)
-        assert (g.nb, g.coupled) == (f.nb, f.coupled)
+        assert (g.nb, g.coupled, g.l) == (f.nb, f.coupled, f.l)
         for name in ("vb", "t", "r"):
             np.testing.assert_array_equal(getattr(g, name), getattr(f, name))
         # What crosses a process or rank boundary is what qr.geqrt/qr.couple
-        # declare as product_bytes: three nb x nb blocks of doubles.
-        assert len(payload) <= 3 * nb * nb * 8 + 1024
+        # declare as product_bytes: two nb x nb blocks and the ib x nb
+        # block-T of doubles.
+        assert len(payload) <= (2 * nb + _ib(nb)) * nb * 8 + 1024
 
 
 # --------------------------------------------------------------------------- #
-# Structure-aware applies (TRMM on V, V_b and T; GEMM on TSQRT's full V_b)
+# Applies (dgemqrt / dtpmqrt on a staged, padded workspace)
 # --------------------------------------------------------------------------- #
 def _factor_for(kernel, nb, rng):
     """A GEQRT factor for ``unmqr``, else a TSQRT/TTQRT factor for the pair apply."""
@@ -401,7 +429,7 @@ class TestStructuredApplies:
         f = _factor_for(kernel, nb, rng)
         rows = nb if kernel == "unmqr" else 2 * nb
         c = rng.standard_normal((rows, 3 * nb + 1))
-        expected = apply_q_transpose(f.v, f.t, c)
+        expected = _apply_factor(f, c)
         if kernel == "unmqr":
             actual = unmqr(f, c)
         else:
@@ -432,16 +460,13 @@ class TestStructuredApplies:
         for array, kept in zip((f.vb, f.t, f.r), factor_before):
             np.testing.assert_array_equal(array, kept)
 
-    @pytest.mark.parametrize("nb", [3, 8, 12, 16, 17, 64, 128])
+    @pytest.mark.parametrize("nb", [3, 8, 12, 16, 17, 24, 33, 64, 100, 128])
     def test_wide_apply_equals_per_tile_bits(self, kernel, nb, rng):
         """A sweep's row-wide apply gives each column block the per-tile bits.
 
-        TSMQR's two GEMMs reproduce per-tile bits only for tile orders
-        <= 16 or divisible by 8 on OpenBLAS; the TRMM applies do at every
-        order.
+        The workspace pads the operand's width to a multiple of 8, which
+        makes every apply reproduce per-tile bits at every tile order.
         """
-        if kernel == "tsmqr" and nb > 16 and nb % 8:
-            pytest.skip("wide GEMM blocks differently from the per-tile GEMM")
         f = _factor_for(kernel, nb, rng)
         cols = 4
         top = rng.standard_normal((nb, cols * nb))
@@ -461,9 +486,29 @@ class TestStructuredApplies:
                 np.testing.assert_array_equal(wide_bottom[:, block], b)
 
 
+@pytest.mark.parametrize("nb", [16, 17])
+def test_chunked_chain_equals_per_tile_bits(nb, rng):
+    """A chain staged in several column chunks gives every tile its per-tile bits."""
+    rows, cols = 48, 50
+    assert rows * nb * cols * nb > 2 * WORKSPACE  # three chunks
+    half = rows // 2
+    tiles = [rng.standard_normal((nb, nb)) for _ in range(rows)]
+    ops = [(geqrt_tile(a), i, None) for i, a in enumerate(tiles)]
+    ops += [(tsqrt(np.triu(tiles[0]), tiles[i]), 0, i) for i in range(1, half)]
+    ops += [(tsqrt(np.triu(tiles[half]), tiles[i]), half, i) for i in range(half + 1, rows)]
+    ops.append((ttqrt(np.triu(tiles[0]), tiles[half]), 0, half))
+    store = rng.standard_normal((rows * nb, cols * nb))
+    wide = store.copy()
+    apply_chain([wide[i * nb : (i + 1) * nb] for i in range(rows)], ops)
+    for j in range(cols):
+        block = store[:, j * nb : (j + 1) * nb].copy()
+        apply_chain([block[i * nb : (i + 1) * nb] for i in range(rows)], ops)
+        np.testing.assert_array_equal(wide[:, j * nb : (j + 1) * nb], block)
+
+
 @pytest.mark.parametrize("nb", QR_TILE_SIZES)
 def test_ttqrt_vb_is_exactly_upper_triangular(nb, rng):
-    """TTMQR's TRMM on ``V_b`` reads only its upper triangle."""
+    """TTQRT's ``V_b`` (``dtpqrt`` with ``l = nb``) is stored upper triangular."""
     f = ttqrt(np.triu(rng.standard_normal((nb, nb))), rng.standard_normal((nb, nb)))
     assert np.all(np.tril(f.vb, -1) == 0.0)
 

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from householder import apply_q, apply_q_transpose, build_q, geqrt, house, larft
+from householder import (
+    apply_block_q_transpose,
+    apply_q,
+    apply_q_transpose,
+    build_q,
+    geqrt,
+    house,
+    larft,
+)
 
 
 class TestHouse:
@@ -111,6 +119,20 @@ class TestApply:
         v, t, _ = geqrt(a)
         back = apply_q(v, t, apply_q_transpose(v, t, c))
         np.testing.assert_allclose(back, c, atol=1e-10)
+
+    @pytest.mark.parametrize("ib", [1, 3, 7, 8])
+    def test_block_apply_matches_full_t(self, ib, rng):
+        """Block-T keeps only ``T``'s diagonal ``ib x ib`` blocks, and they suffice."""
+        a = rng.standard_normal((12, 7))
+        c = rng.standard_normal((12, 3))
+        v, t, _ = geqrt(a)
+        block_t = np.zeros((ib, 7))
+        for j in range(0, 7, ib):
+            b = min(ib, 7 - j)
+            block_t[:b, j : j + b] = t[j : j + b, j : j + b]
+        np.testing.assert_allclose(
+            apply_block_q_transpose(v, block_t, ib, c), apply_q_transpose(v, t, c), atol=1e-10
+        )
 
     def test_larft_consistency(self, rng):
         # Q built from (V, T) equals the product of individual reflectors.
