@@ -65,14 +65,13 @@ from .placement import (
 from .registry_lint import lint_registries
 from .report import AuditReport, RaceReport, Violation
 from .tracing import AccessRecorder, TracingBackend, TracingTileMatrix
-from .verifier import expected_fused_sets, verify_graph
+from .verifier import verify_graph
 
 __all__ = [
     "audit",
     "capture_plan",
     "default_audit_system",
     "verify_graph",
-    "expected_fused_sets",
     "lint_registries",
     "determinism_check",
     "PerturbedThreadedExecutor",

@@ -12,11 +12,15 @@ whole plan and without running a single kernel:
 - every kernel application conforms (matrix products, stacked panels, and
   the concrete panel-factor arrays carried inside calls all have the shapes
   the plan geometry implies);
-- the signature-declared access sets equal the sets the planner declared on
-  the task, so trailing-update sweeps are shape- and access-consistent
-  with their constituent tile kernels;
+- every task batches as many kernels (``fused`` and its kernel mix) as its
+  signature's per-tile units count;
 - every referenced tile exists (out-of-range sweeps surface as
   ``unknown-tile``).
+
+A task's access sets and its signature's come from the same access rule
+(:data:`~repro.kernels.dispatch.ACCESS_RULES`), so they are not compared
+here; what the kernels really touch is checked by the access tracer
+(:mod:`repro.analysis.tracing`).
 
 Every factorization runs on float64 tiles whatever the input dtype
 (:class:`~repro.tiles.tile_matrix.TileMatrix` converts on entry), so there
@@ -293,40 +297,16 @@ def interpret_graph(
             continue
         result.kernels_checked += effect.unit_count
 
-        if frozenset(effect.reads) != frozenset(task.reads):
-            violations.append(
-                Violation(
-                    kind="read-set-mismatch",
-                    message=(
-                        f"{task_label(task)}: planner declared reads "
-                        f"{sorted(task.reads)} but the {task.call.kernel!r} signature "
-                        f"implies {sorted(effect.reads)}"
-                    ),
-                    tasks=(uid,),
-                    subject=task.call.kernel,
-                )
-            )
-        if frozenset(effect.writes) != frozenset(task.writes):
-            violations.append(
-                Violation(
-                    kind="write-set-mismatch",
-                    message=(
-                        f"{task_label(task)}: planner declared writes "
-                        f"{sorted(task.writes)} but the {task.call.kernel!r} signature "
-                        f"implies {sorted(effect.writes)}"
-                    ),
-                    tasks=(uid,),
-                    subject=task.call.kernel,
-                )
-            )
         fused_units = max(int(getattr(task, "fused", 1) or 1), 1)
-        if effect.unit_count != fused_units:
+        mixed = sum(count for _, count in task.mix) if task.mix else fused_units
+        if effect.unit_count != fused_units or effect.unit_count != mixed:
             violations.append(
                 Violation(
                     kind="fused-unit-mismatch",
                     message=(
-                        f"{task_label(task)}: task fuses {fused_units} kernels but the "
-                        f"signature decomposes into {effect.unit_count}"
+                        f"{task_label(task)}: task fuses {fused_units} kernels with a "
+                        f"mix of {mixed} but the signature decomposes into "
+                        f"{effect.unit_count}"
                     ),
                     tasks=(uid,),
                     subject=task.call.kernel,

@@ -2,8 +2,8 @@
 
 Each fixture takes a *real* emitted plan, corrupts it in one specific,
 realistic way (a mis-placed task, a pivot chain escaping its domain, a
-trailing-update sweep whose argument range disagrees with its declared
-tile sets, a panel factor of the wrong shape), and asserts the analyzer
+trailing-update sweep whose row range runs off the matrix, a panel factor
+of the wrong shape), and asserts the analyzer
 flags it.  They serve two purposes: regression tests that the analyses have
 teeth, and executable documentation of what each violation kind means.
 
@@ -84,12 +84,11 @@ def corrupt_cross_domain_pivot(algorithm: str = "lu_nopiv") -> List[Violation]:
 
 
 def corrupt_sweep_range(algorithm: str = "lu_nopiv") -> List[Violation]:
-    """A GEMM sweep whose argument range outruns its declared tiles.
+    """A GEMM sweep whose row range outruns the matrix.
 
-    Extends one ``lu.gemm_sweep``'s row range by one: the signature now
-    implies reads/writes (and a trailing tile) the planner never declared —
-    beyond the matrix.  The interpreter must report set mismatches (and
-    ``unknown-tile`` for the row that walks off the edge).
+    Extends one ``lu.gemm_sweep``'s row range by one: its units now
+    multiply and update a tile row beyond the matrix edge, which the
+    interpreter must report as ``unknown-tile``.
     """
     graph, ctx, dist = capture_plan(_solver(algorithm))
     victim = next(
@@ -127,7 +126,7 @@ def corrupt_factor_shape(algorithm: str = "lu_nopiv") -> List[Violation]:
 _SUITE = {
     "wrong-owner": (corrupt_wrong_owner, "wrong-owner"),
     "cross-domain-pivot": (corrupt_cross_domain_pivot, "cross-domain-pivot"),
-    "sweep-range": (corrupt_sweep_range, "read-set-mismatch"),
+    "sweep-range": (corrupt_sweep_range, "unknown-tile"),
     "factor-shape": (corrupt_factor_shape, "shape-mismatch"),
 }
 

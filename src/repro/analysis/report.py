@@ -20,7 +20,7 @@ class Violation:
     """One correctness finding.
 
     ``kind`` is a stable machine-readable tag (``"cycle"``,
-    ``"write-write-conflict"``, ``"fused-union-mismatch"``, ...);
+    ``"write-write-conflict"``, ``"undeclared-write"``, ...);
     ``message`` is the human-readable diagnosis.  ``tasks`` names the
     offending task uids (when the finding is about graph tasks) and
     ``tile`` the tile reference (when it is about one tile).

@@ -9,10 +9,11 @@ the executors rely on but never re-derive:
   (no dependency path in either direction) write the same tile
   (write-write, which covers duplicate writes without an ordering edge)
   or read a tile the other writes (read-write);
-- **sweep unions** — a task batching several tile kernels (``fused > 1``)
-  declares exactly the union of their accesses, as its
-  :class:`~repro.kernels.dispatch.KernelCall` signature reconstructs it,
-  and batches as many kernels as the signature counts;
+- **sweep descriptors** — a task batching several tile kernels
+  (``fused > 1``) carries a :class:`~repro.kernels.dispatch.KernelCall`
+  whose op has a signature, so the resource analyzer can price and check
+  it per kernel (its access sets are the op's access rule by
+  construction);
 - **product flow** — every ``consumes`` key is produced by an ancestor
   task along every topological order (equivalently: by a task with a
   dependency path to the consumer), or by an earlier graph of the same
@@ -26,48 +27,14 @@ task), so verifying a whole factorization plan of T tasks is O(E·T/64)
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List
 
-from ..kernels.dispatch import KERNEL_SIGNATURES, SigContext
+from ..kernels.dispatch import KERNEL_SIGNATURES
 from ..runtime.graph import CycleError, TaskGraph
-from ..runtime.task import Task, TileRef
+from ..runtime.task import TileRef
 from .report import Violation
 
-__all__ = ["verify_graph", "expected_fused_sets"]
-
-
-#: Signature context for access sets alone: sweep signatures take every
-#: tile range from the call's arguments, so the size does not matter.
-_SET_CONTEXT = SigContext(n=0, nb=1, nrhs=1)
-
-
-def expected_fused_sets(
-    task: Task,
-) -> Optional[Tuple[Set[TileRef], Set[TileRef], int]]:
-    """Reconstruct ``(reads, writes, count)`` of a task from its descriptor.
-
-    Evaluates the op's signature in
-    :data:`~repro.kernels.dispatch.KERNEL_SIGNATURES` (the QR chains take
-    the elimination step ``k`` from ``task.step``).  Returns ``None`` for
-    tasks without a descriptor, ops without a signature, and arguments
-    the signature rejects.
-    """
-    call = task.call
-    signature = None if call is None else KERNEL_SIGNATURES.get(call.kernel)
-    if signature is None:
-        return None
-    try:
-        effect = signature.effect(call, task.step, _SET_CONTEXT)
-    except (TypeError, ValueError, IndexError):  # malformed arguments
-        return None
-    return set(effect.reads), set(effect.writes), effect.unit_count
-
-
-def _fmt_tiles(tiles: Iterable[TileRef], limit: int = 6) -> str:
-    items = sorted(tiles)
-    shown = ", ".join(map(str, items[:limit]))
-    extra = len(items) - limit
-    return shown + (f", ... +{extra}" if extra > 0 else "")
+__all__ = ["verify_graph"]
 
 
 def verify_graph(
@@ -150,13 +117,10 @@ def verify_graph(
                     )
 
     # ------------------------------------------------------------------ #
-    # Sweep-task union sets
+    # Sweep descriptors
     # ------------------------------------------------------------------ #
     for t in graph.tasks:
-        if t.fused <= 1:
-            continue
-        expected = expected_fused_sets(t)
-        if expected is None:
+        if t.fused > 1 and (t.call is None or t.call.kernel not in KERNEL_SIGNATURES):
             violations.append(
                 Violation(
                     kind="fused-descriptor-missing",
@@ -168,44 +132,6 @@ def verify_graph(
                     tasks=(t.uid,),
                 )
             )
-            continue
-        exp_reads, exp_writes, exp_count = expected
-        mixed = sum(count for _, count in t.mix) if t.mix else t.fused
-        if t.fused != exp_count or mixed != exp_count:
-            violations.append(
-                Violation(
-                    kind="fused-count-mismatch",
-                    message=(
-                        f"task {t.uid} ({t.kernel}) declares fused={t.fused} "
-                        f"and a kernel mix of {mixed} but its descriptor "
-                        f"batches {exp_count} kernels"
-                    ),
-                    tasks=(t.uid,),
-                )
-            )
-        for label, declared, exp in (
-            ("reads", set(t.reads), exp_reads),
-            ("writes", set(t.writes), exp_writes),
-        ):
-            if declared != exp:
-                missing = exp - declared
-                extra = declared - exp
-                parts = []
-                if missing:
-                    parts.append(f"missing {_fmt_tiles(missing)}")
-                if extra:
-                    parts.append(f"extraneous {_fmt_tiles(extra)}")
-                violations.append(
-                    Violation(
-                        kind="fused-union-mismatch",
-                        message=(
-                            f"task {t.uid} ({t.kernel}, x{t.fused}) declared "
-                            f"{label} differ from the union of its "
-                            f"constituent kernels: {'; '.join(parts)}"
-                        ),
-                        tasks=(t.uid,),
-                    )
-                )
 
     # ------------------------------------------------------------------ #
     # Produces/consumes product flow

@@ -15,7 +15,6 @@ eliminations compound growth — the behaviour Figure 2 shows for LU IncPiv.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..api.registry import register_solver
@@ -24,7 +23,6 @@ from ..core.solver_base import Executor, TiledSolverBase
 from ..kernels.dispatch import KernelCall, sweep_ranges
 from ..kernels.lu_kernels import LUPanelFactor
 from ..runtime.schedule import KernelTask, call_task
-from ..runtime.task import RHS_COLUMN
 from ..tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from ..tiles.tile_matrix import TileMatrix
 
@@ -67,40 +65,20 @@ class LUIncPivSolver(TiledSolverBase):
         # table, keyed like the descriptors' produces/consumes edges; the
         # tile access sets serialize the TSTRF chain through (k, k).
         products: Dict[object, LUPanelFactor] = {}
-        tasks: List[KernelTask] = []
         rows = tuple(range(k + 1, n))
-
-        # Access-set builders, called only when a task's sets are first read.
-        def swptrsm_sets(columns):
-            cols = {(k, j) for j in columns}
-            return cols | {(k, k)}, cols
-
-        def pair_sets(i):
-            pair = {(k, k), (i, k)}
-            return pair, pair
-
-        def ssssm_sets(columns):
-            cols = {(i, j) for i in (k,) + rows for j in columns}
-            return {(i, k) for i in rows} | cols, cols
 
         # ---- Factor the diagonal tile (pivoting inside the tile). -------- #
         diag_key = ("incpiv-diag", k)
         call = KernelCall("incpiv.getrf", args=(k,), produces=diag_key)
-        tasks.append(call_task("getrf", tiles, call, lambda: ({(k, k)}, {(k, k)}), products))
-        record.add_kernel("getrf")
+        tasks = [call_task("getrf", tiles, call, k, products)]
 
         # Apply its transformation to the trailing row k and the RHS.
         for j0, j1 in ranges:
             call = KernelCall("incpiv.swptrsm", args=(k, j0, j1), consumes=(diag_key,))
-            sweep = partial(swptrsm_sets, range(j0, j1))
-            tasks.append(call_task("swptrsm", tiles, call, sweep, products, j1 - j0))
-        if m:
-            record.add_kernel("swptrsm", m)
+            tasks.append(call_task("swptrsm", tiles, call, k, products, (("swptrsm", j1 - j0),)))
         if tiles.has_rhs:
             call = KernelCall("incpiv.swptrsm_rhs", args=(k,), consumes=(diag_key,))
-            rhs = partial(swptrsm_sets, (RHS_COLUMN,))
-            tasks.append(call_task("swptrsm", tiles, call, rhs, products))
-            record.add_kernel("swptrsm")
+            tasks.append(call_task("swptrsm", tiles, call, k, products))
 
         # ---- Pairwise elimination of every sub-diagonal panel tile. ------ #
         # PLASMA's TSTRF per tile, then the SSSSM updates of all pairs as one
@@ -109,21 +87,15 @@ class LUIncPivSolver(TiledSolverBase):
         pair_keys = tuple(("incpiv-pair", k, i) for i in rows)
         for i, key in zip(rows, pair_keys):
             call = KernelCall("incpiv.tstrf", args=(k, i), produces=key)
-            tasks.append(call_task("tstrf", tiles, call, partial(pair_sets, i), products))
-        if m:
-            record.add_kernel("tstrf", m)
+            tasks.append(call_task("tstrf", tiles, call, k, products))
 
         for j0, j1 in ranges:
             call = KernelCall(
                 "incpiv.ssssm_sweep", args=(k, j0, j1, rows), consumes=pair_keys
             )
-            sweep = partial(ssssm_sets, range(j0, j1))
-            tasks.append(call_task("ssssm", tiles, call, sweep, products, m * (j1 - j0)))
-        if m:
-            record.add_kernel("ssssm", m * m)
+            tasks.append(call_task("ssssm", tiles, call, k, products, (("ssssm", m * (j1 - j0)),)))
         if tiles.has_rhs and m:
             call = KernelCall("incpiv.ssssm_sweep_rhs", args=(k, rows), consumes=pair_keys)
-            rhs = partial(ssssm_sets, (RHS_COLUMN,))
-            tasks.append(call_task("ssssm_rhs", tiles, call, rhs, products, m))
-            record.add_kernel("ssssm_rhs", m)
+            tasks.append(call_task("ssssm_rhs", tiles, call, k, products, (("ssssm_rhs", m),)))
+        record.add_tasks(tasks)
         return record, tasks

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..criteria.base import CriterionDecision
 from ..linalg.triangular import tiled_back_substitution
+from ..runtime.task import kernel_mix
 from ..stability.growth import GrowthTracker
 from ..stability.metrics import StabilityReport, stability_report
 from ..tiles.tile_matrix import TileMatrix
@@ -44,8 +45,11 @@ class StepRecord:
         baselines that never evaluate a criterion).
     kernel_counts:
         Number of invocations of each tile kernel during the step, keyed by
-        lower-case kernel name (``"getrf"``, ``"gemm"``, ``"tsqrt"``, ...).
-        This drives both the flop accounting and the task-graph builder.
+        lower-case kernel name (``"getrf"``, ``"gemm"``, ``"tsqrt"``, ...):
+        the sum of the planned tasks' kernel mixes (:meth:`add_tasks`) plus
+        the control charges of the hybrid and LUPP drivers.  Table I
+        (:mod:`repro.experiments.table1`) and :meth:`Factorization.kernel_totals`
+        read it; the task-graph builder does not.
     domain_rows:
         Tile rows of the diagonal domain at this step.
     eliminations:
@@ -67,6 +71,12 @@ class StepRecord:
     def add_kernel(self, name: str, count: int = 1) -> None:
         """Increment the invocation count of kernel ``name``."""
         self.kernel_counts[name] = self.kernel_counts.get(name, 0) + count
+
+    def add_tasks(self, tasks) -> None:
+        """Count every logical kernel of the planned ``tasks`` (their mixes)."""
+        for task in tasks:
+            for name, count in kernel_mix(task):
+                self.add_kernel(name, count)
 
     @property
     def is_lu(self) -> bool:

@@ -12,8 +12,9 @@ The attached right-hand side is updated exactly like an extra trailing
 column, so the factorization directly produces the transformed ``b``.
 
 The step is *planned* rather than executed: :func:`lu_step_tasks` emits the
-ordered list of :class:`~repro.runtime.schedule.KernelTask` objects with
-their tile read/write sets, so the same plan can run inline (the sequential
+ordered list of :class:`~repro.runtime.schedule.KernelTask` objects, each
+built from its kernel descriptor (whose op's access rule gives the tile
+read/write sets), so the same plan can run inline (the sequential
 reference, :func:`perform_lu_step`) or fan out on a dataflow executor.  The
 panel kernels are one task per tile; the trailing update is one SWPTRSM and
 one GEMM per column range (:func:`~repro.kernels.dispatch.sweep_ranges`:
@@ -26,13 +27,11 @@ those of per-tile products).
 
 from __future__ import annotations
 
-from functools import partial
 from typing import List
 
 from ..kernels.dispatch import KernelCall, sweep_ranges
 from ..linalg.pivoting import SingularPanelError
 from ..runtime.schedule import KernelTask, call_task
-from ..runtime.task import RHS_COLUMN
 from ..tiles.tile_matrix import TileMatrix
 from .factorization import StepRecord
 from .panel_analysis import PanelAnalysis
@@ -68,27 +67,11 @@ def lu_step_tasks(
     rows = tuple(analysis.domain_rows)
     factor = analysis.factor
     ranges = sweep_ranges(k, n)
-    tasks: List[KernelTask] = []
-
-    # Access-set builders, called only when a task's sets are first read.
-    def panel():
-        return frozenset((i, k) for i in rows)
-
-    def swptrsm_sets(columns):
-        cols = frozenset((i, j) for i in rows for j in columns)
-        return panel() | cols, cols
-
-    def gemm_sets(columns):
-        cols = frozenset((i, j) for i in range(k + 1, n) for j in columns)
-        multipliers = frozenset((i, k) for i in range(k + 1, n))
-        return multipliers | {(k, j) for j in columns} | cols, cols
 
     # Factor: write the packed domain factorization into the panel tiles.
     # The diagonal tile receives L1\U, the other domain tiles their L blocks
     # (which are exactly the Schur multipliers of those rows).
-    call = KernelCall("lu.scatter_factor", args=(k, rows, factor))
-    tasks.append(call_task("getrf", tiles, call, lambda: (panel(), panel())))
-    record.add_kernel("getrf")
+    tasks = [call_task("getrf", tiles, KernelCall("lu.scatter_factor", args=(k, rows, factor)), k)]
 
     # Apply (SWPTRSM): permute the domain rows of the trailing columns (and
     # of the RHS) with the panel pivots and solve the unit-lower system on
@@ -96,15 +79,10 @@ def lu_step_tasks(
     # domain rows (strided under a p > 1 grid).
     for j0, j1 in ranges:
         call = KernelCall("lu.swptrsm", args=(j0, j1, rows, factor))
-        sweep = partial(swptrsm_sets, range(j0, j1))
-        tasks.append(call_task("swptrsm", tiles, call, sweep, fused=j1 - j0))
-    if m:
-        record.add_kernel("swptrsm", m)
+        tasks.append(call_task("swptrsm", tiles, call, k, mix=(("swptrsm", j1 - j0),)))
     if tiles.has_rhs:
         call = KernelCall("lu.swptrsm_rhs", args=(rows, factor))
-        rhs = partial(swptrsm_sets, (RHS_COLUMN,))
-        tasks.append(call_task("swptrsm", tiles, call, rhs))
-        record.add_kernel("swptrsm")
+        tasks.append(call_task("swptrsm", tiles, call, k))
 
     # Eliminate (TRSM): panel tiles outside the diagonal domain become the
     # Schur multipliers A_ik U_kk^{-1}.  (Domain tiles below the diagonal
@@ -112,25 +90,22 @@ def lu_step_tasks(
     domain = set(rows)
     for i in range(k + 1, n):
         if i not in domain:
-            call = KernelCall("lu.trsm", args=(i, k, factor))
-            tasks.append(call_task("trsm", tiles, call, lambda i=i: ({(k, k), (i, k)}, {(i, k)})))
-    # Table I charges one TRSM per sub-diagonal panel tile regardless of
-    # which node performs it.
-    record.add_kernel("trsm", m)
+            tasks.append(call_task("trsm", tiles, KernelCall("lu.trsm", args=(i, k, factor)), k))
 
     # Update (GEMM): A_ij <- A_ij - A_ik A_kj over each column range in one
     # product of block views, then the same update of the RHS.
     for j0, j1 in ranges:
         call = KernelCall("lu.gemm_sweep", args=(k, n, j0, j1))
-        sweep = partial(gemm_sets, range(j0, j1))
-        tasks.append(call_task("gemm", tiles, call, sweep, fused=m * (j1 - j0)))
-    if m:
-        record.add_kernel("gemm", m * m)
+        tasks.append(call_task("gemm", tiles, call, k, mix=(("gemm", m * (j1 - j0)),)))
     if tiles.has_rhs and m:
         call = KernelCall("lu.gemm_sweep_rhs", args=(k, n))
-        rhs = partial(gemm_sets, (RHS_COLUMN,))
-        tasks.append(call_task("gemm_rhs", tiles, call, rhs, fused=m))
-        record.add_kernel("gemm_rhs", m)
+        tasks.append(call_task("gemm_rhs", tiles, call, k, mix=(("gemm_rhs", m),)))
+
+    # Table I charges one TRSM per sub-diagonal panel tile regardless of
+    # which node performs it: the domain rows' TRSMs are part of the domain
+    # factorization, so they have no task of their own.
+    record.add_kernel("trsm", len(rows) - 1)
+    record.add_tasks(tasks)
     return tasks
 
 

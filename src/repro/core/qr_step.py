@@ -21,13 +21,11 @@ runs inline (the sequential reference) or fans out on a dataflow executor.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Dict, List, Sequence, Set
 
 from ..kernels.dispatch import KernelCall, sweep_ranges
 from ..kernels.qr_kernels import QRTileFactor
 from ..runtime.schedule import KernelTask, call_task
-from ..runtime.task import RHS_COLUMN
 from ..tiles.tile_matrix import TileMatrix
 from ..trees.base import Elimination, validate_eliminations
 from .factorization import StepRecord
@@ -111,7 +109,6 @@ def qr_step_tasks(
     first changes no value.
     """
     n = tiles.n
-    m = n - k - 1
     elims: List[Elimination] = list(eliminations)
     if validate:
         validate_eliminations(list(range(k, n)), elims)
@@ -124,23 +121,14 @@ def qr_step_tasks(
     # The trailing-update chain: (kernel, rows..., factor key) per op.
     chain: List[tuple] = []
 
-    def pair_sets(e: Elimination):
-        pair = {(e.eliminator, k), (e.killed, k)}
-        return pair, pair
-
     def triangularize(row: int) -> None:
         """GEQRT the panel tile of ``row``; its UNMQR joins the chain."""
         if row in triangular:
             return
         key = ("geqrt", k, row)
         call = KernelCall("qr.geqrt", args=(row, k), produces=key)
-        tasks.append(call_task("geqrt", tiles, call, lambda: ({(row, k)}, {(row, k)}), products))
-        record.add_kernel("geqrt")
+        tasks.append(call_task("geqrt", tiles, call, k, products))
         chain.append(("unmqr", row, key))
-        if m:
-            record.add_kernel("unmqr", m)
-        if tiles.has_rhs:
-            record.add_kernel("unmqr_rhs")
         triangular.add(row)
 
     for e in elims:
@@ -154,13 +142,8 @@ def qr_step_tasks(
         call = KernelCall(
             "qr.couple", args=(e.kind, e.eliminator, e.killed, k), produces=key
         )
-        tasks.append(call_task(couple, tiles, call, partial(pair_sets, e), products))
-        record.add_kernel(couple)
+        tasks.append(call_task(couple, tiles, call, k, products))
         chain.append((update, e.eliminator, e.killed, key))
-        if m:
-            record.add_kernel(update, m)
-        if tiles.has_rhs:
-            record.add_kernel(update + "_rhs")
 
     # The surviving diagonal tile must end up triangular even if no
     # elimination used it as an eliminator (single-row panel, degenerate
@@ -178,31 +161,17 @@ def qr_step_tasks(
     for op in ops:
         families[op[0]] = families.get(op[0], 0) + 1
 
-    def chain_sets(columns):
-        reads, writes = set(), set()
-        for op in ops:
-            reads.add((op[-2], k))  # the factor's panel tile (row or killed)
-            writes.update((row, j) for row in op[1:-1] for j in columns)
-        return reads | writes, writes
-
-    def add_chain(suffix: str, call: KernelCall, columns) -> None:
-        # The chain is labelled with one kernel; its mix keeps the per-family
-        # counts for the cost model and calibration.
-        mix = tuple((name + suffix, count * len(columns)) for name, count in families.items())
-        tasks.append(
-            call_task(
-                kernel + suffix, tiles, call, partial(chain_sets, columns), products,
-                fused=len(ops) * len(columns),
-                mix=mix if len(mix) > 1 else (),
-            )
-        )
-
+    # The chain is labelled with one kernel; its mix keeps the per-family
+    # counts for Table I, the cost model and calibration.
     for j0, j1 in sweep_ranges(k, n):
         call = KernelCall("qr.sweep", args=(j0, j1, ops), consumes=keys)
-        add_chain("", call, range(j0, j1))
+        mix = tuple((name, count * (j1 - j0)) for name, count in families.items())
+        tasks.append(call_task(kernel, tiles, call, k, products, mix))
     if tiles.has_rhs:
         call = KernelCall("qr.sweep_rhs", args=(ops,), consumes=keys)
-        add_chain("_rhs", call, (RHS_COLUMN,))
+        mix = tuple((name + "_rhs", count) for name, count in families.items())
+        tasks.append(call_task(kernel + "_rhs", tiles, call, k, products, mix))
+    record.add_tasks(tasks)
     return tasks
 
 

@@ -36,15 +36,21 @@ GEMM over a block view for LU, the step's UNMQR/TSMQR/TTMQR chain in
 program order over tile-row blocks for QR, the SSSSM chain for IncPiv.
 Each sweep's signature lists its per-tile constituents, so the analyzers
 price and check it kernel by kernel.
+
+Every op is registered together with its *access rule*
+(:data:`ACCESS_RULES`): the tiles a call reads and writes, built directly
+from the call's arguments and the elimination step.  It is the only place
+a task's accesses are declared; a planned task's ``reads``/``writes`` and
+every signature's effect are its output.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import current_process
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,7 +69,9 @@ from .qr_kernels import IB, apply_chain, geqrt_tile, tsqrt, ttqrt
 __all__ = [
     "KernelCall",
     "KERNELS",
+    "ACCESS_RULES",
     "kernel_op",
+    "access_sets",
     "execute_kernel_call",
     "SigContext",
     "OpEffect",
@@ -107,20 +115,46 @@ class KernelCall:
     norm_tiles: Tuple[Tuple[int, int], ...] = ()
 
 
+#: A tile coordinate ``(i, j)``; column ``-1`` is the right-hand side.
+#: The RHS pseudo-column mirrors repro.runtime.task.RHS_COLUMN; it is not
+#: imported because repro.runtime.__init__ imports the process executor,
+#: which imports this module.
+_RHS = -1
+TileSet = FrozenSet[Tuple[int, int]]
+
 #: Name -> operation table the worker resolves descriptors against.
 KERNELS: Dict[str, Callable[..., Any]] = {}
 
+#: Name -> access rule ``rule(step, *call.args) -> (reads, writes)``: the
+#: tiles a call reads (those it updates in place included) and writes at
+#: elimination step ``step``.  It is the one declaration of a task's
+#: accesses: dependency inference, the access tracer's guards and the
+#: signatures' effects all read it.
+ACCESS_RULES: Dict[str, Callable[..., Tuple[TileSet, TileSet]]] = {}
 
-def kernel_op(name: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    """Register a worker-side kernel operation under ``name``."""
+
+def kernel_op(
+    name: str, access: Callable[..., Tuple[TileSet, TileSet]]
+) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
+    """Register a worker-side kernel operation under ``name`` with its access rule."""
 
     def decorator(fn: Callable[..., Any]) -> Callable[..., Any]:
         if name in KERNELS:
             raise ValueError(f"kernel operation {name!r} is already registered")
         KERNELS[name] = fn
+        ACCESS_RULES[name] = access
         return fn
 
     return decorator
+
+
+def access_sets(call: KernelCall, step: int) -> Tuple[TileSet, TileSet]:
+    """``(reads, writes)`` of ``call`` at step ``step``, from its op's access rule."""
+    return ACCESS_RULES[call.kernel](step, *call.args)
+
+
+def _tiles(rows, columns) -> TileSet:
+    return frozenset([(i, j) for i in rows for j in columns])
 
 
 def sweep_ranges(k: int, n: int) -> List[Tuple[int, int]]:
@@ -145,36 +179,57 @@ def sweep_ranges(k: int, n: int) -> List[Tuple[int, int]]:
 # --------------------------------------------------------------------------- #
 # LU step (variant A1)
 # --------------------------------------------------------------------------- #
-@kernel_op("lu.scatter_factor")
+def _lu_scatter_access(step, k, rows, factor):
+    panel = _tiles(rows, (k,))
+    return panel, panel
+
+
+def _lu_swptrsm_access(step, rows, columns):
+    """Domain ``rows`` of ``columns`` updated with the step's panel factor."""
+    cols = _tiles(rows, columns)
+    return cols.union([(i, step) for i in rows]), cols
+
+
+def _lu_gemm_access(k, i1, columns):
+    """Rows ``k+1..i1-1`` of ``columns`` less multipliers times row ``k``."""
+    rows = range(k + 1, i1)
+    cols = _tiles(rows, columns)
+    return cols.union([(i, k) for i in rows], [(k, j) for j in columns]), cols
+
+
+@kernel_op("lu.scatter_factor", _lu_scatter_access)
 def _lu_scatter_factor(tiles: TileMatrix, inputs, k, domain_rows, factor) -> None:
     tiles.scatter_panel(k, list(domain_rows), factor.lu)
 
 
-@kernel_op("lu.swptrsm")
+@kernel_op(
+    "lu.swptrsm",
+    lambda step, j0, j1, rows, factor: _lu_swptrsm_access(step, rows, range(j0, j1)),
+)
 def _lu_swptrsm(tiles: TileMatrix, inputs, j0, j1, domain_rows, factor) -> None:
     columns = tiles.column_rows(j0, j1, domain_rows)
     swptrsm_inplace(factor, columns, stacked_row_index(domain_rows, tiles.nb))
 
 
-@kernel_op("lu.swptrsm_rhs")
+@kernel_op("lu.swptrsm_rhs", lambda step, rows, factor: _lu_swptrsm_access(step, rows, (_RHS,)))
 def _lu_swptrsm_rhs(tiles: TileMatrix, inputs, domain_rows, factor) -> None:
     rhs = tiles.rhs_rows(domain_rows)
     swptrsm_inplace(factor, rhs, stacked_row_index(domain_rows, tiles.nb))
 
 
-@kernel_op("lu.trsm")
+@kernel_op("lu.trsm", lambda step, i, k, factor: (frozenset({(k, k), (i, k)}), frozenset({(i, k)})))
 def _lu_trsm(tiles: TileMatrix, inputs, i, k, factor) -> None:
     tile = tiles.tile(i, k)
     tile[...] = eliminate_trsm(factor, tile)
 
 
-@kernel_op("lu.gemm_sweep")
+@kernel_op("lu.gemm_sweep", lambda step, k, i1, j0, j1: _lu_gemm_access(k, i1, range(j0, j1)))
 def _lu_gemm_sweep(tiles: TileMatrix, inputs, k, i1, j0, j1) -> None:
     c = tiles.block(k + 1, i1, j0, j1)
     c -= tiles.block(k + 1, i1, k, k + 1) @ tiles.block(k, k + 1, j0, j1)
 
 
-@kernel_op("lu.gemm_sweep_rhs")
+@kernel_op("lu.gemm_sweep_rhs", lambda step, k, i1: _lu_gemm_access(k, i1, (_RHS,)))
 def _lu_gemm_sweep_rhs(tiles: TileMatrix, inputs, k, i1) -> None:
     c = tiles.rhs_block(k + 1, i1)
     c -= tiles.block(k + 1, i1, k, k + 1) @ tiles.rhs_tile(k)
@@ -183,14 +238,27 @@ def _lu_gemm_sweep_rhs(tiles: TileMatrix, inputs, k, i1) -> None:
 # --------------------------------------------------------------------------- #
 # QR step (hierarchical tiled QR)
 # --------------------------------------------------------------------------- #
-@kernel_op("qr.geqrt")
+def _pair_access(a, b, k):
+    """A panel kernel updating tiles ``(a, k)`` and ``(b, k)`` in place."""
+    pair = frozenset({(a, k), (b, k)})
+    return pair, pair
+
+
+def _qr_chain_access(step, columns, ops):
+    """Every row an op of the chain updates, over ``columns``; the factors'
+    panel tiles (an op's last row) are read."""
+    writes = _tiles(dict.fromkeys([row for op in ops for row in op[1:-1]]), columns)
+    return writes.union([(op[-2], step) for op in ops]), writes
+
+
+@kernel_op("qr.geqrt", lambda step, row, k: _pair_access(row, row, k))
 def _qr_geqrt(tiles: TileMatrix, inputs, row, k):
     factor = geqrt_tile(tiles.tile(row, k))
     tiles.set_tile(row, k, factor.r)
     return factor
 
 
-@kernel_op("qr.couple")
+@kernel_op("qr.couple", lambda step, kind, a, b, k: _pair_access(a, b, k))
 def _qr_couple(tiles: TileMatrix, inputs, kind, eliminator, killed, k):
     couple = ttqrt if kind == "TT" else tsqrt
     factor = couple(tiles.tile(eliminator, k), tiles.tile(killed, k))
@@ -217,12 +285,12 @@ def _qr_chain(operand, ops, factors) -> None:
     )
 
 
-@kernel_op("qr.sweep")
+@kernel_op("qr.sweep", lambda step, j0, j1, ops: _qr_chain_access(step, range(j0, j1), ops))
 def _qr_sweep(tiles: TileMatrix, inputs, j0, j1, ops) -> None:
     _qr_chain(lambda row: tiles.row_block(row, j0, j1), ops, inputs)
 
 
-@kernel_op("qr.sweep_rhs")
+@kernel_op("qr.sweep_rhs", lambda step, ops: _qr_chain_access(step, (_RHS,), ops))
 def _qr_sweep_rhs(tiles: TileMatrix, inputs, ops) -> None:
     _qr_chain(tiles.rhs_tile, ops, inputs)
 
@@ -230,27 +298,39 @@ def _qr_sweep_rhs(tiles: TileMatrix, inputs, ops) -> None:
 # --------------------------------------------------------------------------- #
 # LU IncPiv
 # --------------------------------------------------------------------------- #
-@kernel_op("incpiv.getrf")
+def _incpiv_row_access(k, columns):
+    """Row ``k`` of ``columns`` updated with the diagonal tile's factor."""
+    cols = _tiles((k,), columns)
+    return cols | {(k, k)}, cols
+
+
+def _ssssm_access(k, rows, columns):
+    """Rows ``k`` and ``rows`` of ``columns`` updated with the pairwise factors."""
+    cols = _tiles((k,) + tuple(rows), columns)
+    return cols.union([(i, k) for i in rows]), cols
+
+
+@kernel_op("incpiv.getrf", lambda step, k: _pair_access(k, k, k))
 def _incpiv_getrf(tiles: TileMatrix, inputs, k):
     factor = factor_tile_lu(tiles.tile(k, k))
     tiles.set_tile(k, k, np.triu(factor.lu))
     return factor
 
 
-@kernel_op("incpiv.swptrsm")
+@kernel_op("incpiv.swptrsm", lambda step, k, j0, j1: _incpiv_row_access(k, range(j0, j1)))
 def _incpiv_swptrsm(tiles: TileMatrix, inputs, k, j0, j1) -> None:
     (factor,) = inputs
     c = tiles.row_block(k, j0, j1)
     c[...] = apply_swptrsm(factor, c)
 
 
-@kernel_op("incpiv.swptrsm_rhs")
+@kernel_op("incpiv.swptrsm_rhs", lambda step, k: _incpiv_row_access(k, (_RHS,)))
 def _incpiv_swptrsm_rhs(tiles: TileMatrix, inputs, k) -> None:
     (factor,) = inputs
     tiles.rhs_tile(k)[...] = apply_swptrsm(factor, tiles.rhs_tile(k))
 
 
-@kernel_op("incpiv.tstrf")
+@kernel_op("incpiv.tstrf", lambda step, k, i: _pair_access(k, i, k))
 def _incpiv_tstrf(tiles: TileMatrix, inputs, k, i):
     nb = tiles.nb
     stacked = np.vstack([np.triu(tiles.tile(k, k)), tiles.tile(i, k)])
@@ -269,12 +349,14 @@ def _ssssm_chain(operand, k, rows, pairs, nb) -> None:
         top[...], bottom[...] = c[:nb], c[nb:] - pair.lu[nb:] @ c[:nb]
 
 
-@kernel_op("incpiv.ssssm_sweep")
+@kernel_op(
+    "incpiv.ssssm_sweep", lambda step, k, j0, j1, rows: _ssssm_access(k, rows, range(j0, j1))
+)
 def _incpiv_ssssm_sweep(tiles: TileMatrix, inputs, k, j0, j1, rows) -> None:
     _ssssm_chain(lambda i: tiles.row_block(i, j0, j1), k, rows, inputs, tiles.nb)
 
 
-@kernel_op("incpiv.ssssm_sweep_rhs")
+@kernel_op("incpiv.ssssm_sweep_rhs", lambda step, k, rows: _ssssm_access(k, rows, (_RHS,)))
 def _incpiv_ssssm_sweep_rhs(tiles: TileMatrix, inputs, k, rows) -> None:
     _ssssm_chain(tiles.rhs_tile, k, rows, inputs, tiles.nb)
 
@@ -284,16 +366,12 @@ def _incpiv_ssssm_sweep_rhs(tiles: TileMatrix, inputs, k, rows) -> None:
 # --------------------------------------------------------------------------- #
 # The analyzer (repro.analysis.abstract) symbolically executes plans over an
 # abstract domain of tile shapes.  Each kernel operation in
-# KERNELS declares a *signature*: a function mapping a KernelCall to the tile
-# sets it reads and writes, the conformability checks its numerics imply, an
-# owner anchor for placement (owner-computes on the written tile), and the
-# byte size of any produced factor.  Registry lint fails when KERNELS and
-# KERNEL_SIGNATURES drift apart in either direction.
-#
-# The RHS pseudo-column constant mirrors repro.runtime.task.RHS_COLUMN; it is
-# not imported because repro.runtime.__init__ imports the process executor,
-# which imports this module.
-_RHS = -1
+# KERNELS declares a *signature*: a function mapping a KernelCall to the
+# conformability checks its numerics imply, an owner anchor for placement
+# (owner-computes on the written tile), its per-tile units, and the byte
+# size of any produced factor; the effect's tile sets are the op's access
+# rule.  Registry lint fails when KERNELS and KERNEL_SIGNATURES drift apart
+# in either direction.
 
 
 @dataclass(frozen=True)
@@ -315,11 +393,12 @@ class SigContext:
 class OpEffect:
     """Abstract effect of one kernel application.
 
-    ``checks`` is a tuple of conformability assertions over shape operands.
-    An operand is a tile reference ``(i, j)`` (column ``-1`` = RHS), a
-    literal ``("lit", rows, cols)``, or a vertical stack
-    ``("stack", (ref, ...))`` whose row counts add and whose column counts
-    must agree.  Check forms:
+    ``reads``/``writes`` are the op's access rule output (see
+    :data:`ACCESS_RULES`).  ``checks`` is a tuple of conformability
+    assertions over shape operands.  An operand is a tile reference
+    ``(i, j)`` (column ``-1`` = RHS), a literal ``("lit", rows, cols)``, or
+    a vertical stack ``("stack", (ref, ...))`` whose row counts add and
+    whose column counts must agree.  Check forms:
 
     - ``("matmul", a, b, out)`` — ``a @ b`` conforms and matches ``out``
     - ``("same_shape", a, b)``
@@ -336,8 +415,8 @@ class OpEffect:
     ``Task.fused``).
     """
 
-    reads: Any
-    writes: Any
+    reads: TileSet = frozenset()
+    writes: TileSet = frozenset()
     checks: Tuple[Any, ...] = ()
     owner_tile: Optional[Tuple[int, int]] = None
     constituents: Tuple[Any, ...] = ()
@@ -362,12 +441,21 @@ KERNEL_SIGNATURES: Dict[str, KernelSignature] = {}
 def kernel_signature(
     name: str,
 ) -> Callable[[Callable[..., OpEffect]], Callable[..., OpEffect]]:
-    """Register the shape signature for kernel op ``name``."""
+    """Register the shape signature for kernel op ``name``.
+
+    The decorated rule returns everything but the tile sets; the
+    registered effect takes ``reads``/``writes`` from the op's access rule.
+    """
 
     def decorator(fn: Callable[..., OpEffect]) -> Callable[..., OpEffect]:
         if name in KERNEL_SIGNATURES:
             raise ValueError(f"kernel signature {name!r} is already registered")
-        KERNEL_SIGNATURES[name] = KernelSignature(effect=fn)
+
+        def effect(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
+            reads, writes = access_sets(call, step)
+            return replace(fn(call, step, ctx), reads=reads, writes=writes)
+
+        KERNEL_SIGNATURES[name] = KernelSignature(effect=effect)
         return fn
 
     return decorator
@@ -380,10 +468,7 @@ def _factor_lu_shape(factor: Any) -> Tuple[int, ...]:
 @kernel_signature("lu.scatter_factor")
 def _sig_lu_scatter_factor(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
     k, rows, factor = call.args
-    refs = frozenset((i, k) for i in rows)
     return OpEffect(
-        reads=refs,
-        writes=refs,
         checks=(
             (
                 "concrete",
@@ -397,20 +482,15 @@ def _sig_lu_scatter_factor(call: KernelCall, step: int, ctx: SigContext) -> OpEf
 
 
 def _sweep_effect(units, checks=()) -> OpEffect:
-    """Effect of a sweep op: the union of its per-tile kernel units.
+    """Effect of a sweep op over its per-tile kernel units.
 
     ``units`` are ``(reads, writes, check, anchor)`` tuples, one per
     logical kernel, exactly the effect that kernel has as a task of its
-    own; they become the placement constituents and the unit count.
+    own; they give the checks, the placement constituents and the unit
+    count.  The sweep's reads and writes are its access rule, which the
+    test suite checks against the union of the units' sets.
     """
-    reads: set = set()
-    writes: set = set()
-    for unit_reads, unit_writes, _check, _anchor in units:
-        reads.update(unit_reads)
-        writes.update(unit_writes)
     return OpEffect(
-        reads=frozenset(reads | writes),
-        writes=frozenset(writes),
         checks=tuple(checks) + tuple(unit[2] for unit in units),
         constituents=tuple((unit[0], unit[3]) for unit in units),
         unit_count=len(units),
@@ -436,12 +516,9 @@ def _sig_lu_swptrsm(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
 @kernel_signature("lu.swptrsm_rhs")
 def _sig_lu_swptrsm_rhs(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
     rows, factor = call.args
-    panel = frozenset((i, step) for i in rows)
     col = tuple((i, _RHS) for i in rows)
     d = len(rows) * ctx.nb
     return OpEffect(
-        reads=panel | frozenset(col),
-        writes=frozenset(col),
         checks=(
             ("concrete", "swptrsm.lu", _factor_lu_shape(factor), (d, ctx.nb)),
             ("matmul", ("lit", d, d), ("stack", col), ("stack", col)),
@@ -454,8 +531,6 @@ def _sig_lu_swptrsm_rhs(call: KernelCall, step: int, ctx: SigContext) -> OpEffec
 def _sig_lu_trsm(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
     i, k, _factor = call.args
     return OpEffect(
-        reads=frozenset({(k, k), (i, k)}),
-        writes=frozenset({(i, k)}),
         checks=(("matmul", (i, k), ("lit", ctx.nb, ctx.nb), (i, k)),),
         owner_tile=(i, k),
     )
@@ -498,8 +573,6 @@ def _qr_factor_bytes(ctx: SigContext) -> int:
 def _sig_qr_geqrt(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
     row, k = call.args
     return OpEffect(
-        reads=frozenset({(row, k)}),
-        writes=frozenset({(row, k)}),
         checks=(("matmul", ("lit", ctx.nb, ctx.nb), (row, k), (row, k)),),
         owner_tile=(row, k),
         product_bytes=_qr_factor_bytes(ctx),
@@ -511,8 +584,6 @@ def _sig_qr_couple(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
     _kind, eliminator, killed, k = call.args
     pair = ((eliminator, k), (killed, k))
     return OpEffect(
-        reads=frozenset(pair),
-        writes=frozenset(pair),
         checks=(
             ("same_shape", (eliminator, k), (killed, k)),
             ("matmul", ("lit", 2 * ctx.nb, 2 * ctx.nb), ("stack", pair), ("stack", pair)),
@@ -553,8 +624,6 @@ def _sig_qr_sweep_rhs(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
 def _sig_incpiv_getrf(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
     (k,) = call.args
     return OpEffect(
-        reads=frozenset({(k, k)}),
-        writes=frozenset({(k, k)}),
         checks=(("matmul", ("lit", ctx.nb, ctx.nb), (k, k), (k, k)),),
         owner_tile=(k, k),
         product_bytes=ctx.nb * ctx.nb * ctx.itemsize + ctx.nb * 8,
@@ -576,8 +645,6 @@ def _sig_incpiv_swptrsm(call: KernelCall, step: int, ctx: SigContext) -> OpEffec
 def _sig_incpiv_swptrsm_rhs(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
     (k,) = call.args
     return OpEffect(
-        reads=frozenset({(k, k), (k, _RHS)}),
-        writes=frozenset({(k, _RHS)}),
         checks=(("matmul", ("lit", ctx.nb, ctx.nb), (k, _RHS), (k, _RHS)),),
         owner_tile=(k, _RHS),
     )
@@ -588,8 +655,6 @@ def _sig_incpiv_tstrf(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
     k, i = call.args
     pair = ((k, k), (i, k))
     return OpEffect(
-        reads=frozenset(pair),
-        writes=frozenset(pair),
         checks=(
             ("same_shape", (k, k), (i, k)),
             ("matmul", ("lit", 2 * ctx.nb, 2 * ctx.nb), ("stack", pair), ("stack", pair)),

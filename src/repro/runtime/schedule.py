@@ -2,8 +2,9 @@
 
 The numerical drivers (:mod:`repro.core.lu_step`, :mod:`repro.core.qr_step`,
 the baselines) describe each elimination step as an ordered list of
-:class:`KernelTask` objects: a kernel name, the tiles it reads and writes,
-and a closure performing the actual numpy computation.  This module turns
+:class:`KernelTask` objects, each built by :func:`call_task` from one
+:class:`~repro.kernels.dispatch.KernelCall`: the call's op is the body, and
+the tiles it reads and writes come from the op's access rule.  This module turns
 such a list into a :class:`~repro.runtime.graph.TaskGraph` — dependencies
 are inferred with the same superscalar (last-writer) analysis PaRSEC uses,
 exactly as :mod:`repro.core.dag_builder` does for the performance
@@ -30,10 +31,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace as dataclass_replace
-from functools import partial
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..kernels.dispatch import KERNELS
+from ..kernels.dispatch import KERNELS, access_sets
 from ..kernels.flops import KernelFlops
 from .executor import ExecutionTrace
 from .graph import TaskGraph
@@ -53,17 +53,18 @@ __all__ = [
 
 
 class _AccessSets:
-    """A task's ``(reads, writes)``, built by ``build`` on first use and cached;
-    every :func:`dataclasses.replace` copy of the task shares it."""
+    """A task's ``(reads, writes)``: given, or built on first use from its
+    call's access rule and cached; every :func:`dataclasses.replace` copy
+    of the task shares it."""
 
-    __slots__ = ("build", "sets")
+    __slots__ = ("call", "step", "sets")
 
-    def __init__(self, build) -> None:
-        self.build, self.sets = build, None
+    def __init__(self, call=None, step: int = 0, sets=None) -> None:
+        self.call, self.step, self.sets = call, step, sets
 
     def __call__(self) -> Tuple[FrozenSet[TileRef], FrozenSet[TileRef]]:
         if self.sets is None:
-            self.sets = tuple(map(frozenset, self.build()))
+            self.sets = access_sets(self.call, self.step)
         return self.sets
 
 
@@ -71,41 +72,46 @@ class _AccessSets:
 class KernelTask:
     """One numerical kernel invocation of an elimination step.
 
+    The planners build every task with :func:`call_task` from its
+    :class:`~repro.kernels.dispatch.KernelCall`; everything else about the
+    task derives from that call and the op registry.
+
     Attributes
     ----------
     kernel:
         Lower-case kernel name (``"getrf"``, ``"gemm"``, ``"tsqrt"``, ...).
     fn:
-        Closure performing the kernel on the tile matrix.  Closures read
-        tile state lazily (at execution time), so the same task list can be
-        run sequentially or handed to an executor.
+        The body: runs the call's op on the live tile matrix (tile state is
+        read at execution time, so the same task list can run sequentially
+        or on an executor).  Instrumenting backends wrap it.
     reads / writes:
         Tile coordinates accessed; right-hand-side tiles use the
         ``(i, RHS_COLUMN)`` convention of :mod:`repro.runtime.task`.
-        Dependencies between tasks are inferred from these sets.  Built on
-        first read from the zero-argument ``access`` builder the planners
-        pass (explicit ``reads=``/``writes=`` win over it); the inline path
-        never reads them, so it never builds them.
+        Dependencies between tasks are inferred from these sets.  For a
+        :func:`call_task` task they are the call's access rule
+        (:data:`~repro.kernels.dispatch.ACCESS_RULES`), built on first read;
+        the inline path never reads them, so it never builds them.  Tasks
+        built directly take explicit ``reads=``/``writes=``.
     flops:
         Optional flop count (forwarded to the graph for diagnostics).
     call:
         Optional picklable :class:`~repro.kernels.dispatch.KernelCall`
         descriptor form of the same kernel — the form the multi-process
-        executor ships to its workers (closures cannot cross a process
-        boundary, so a task without a descriptor can only run in-process).
+        executor ships to its workers.
     fused:
-        Number of logical per-tile kernels this task performs (1 for the
-        per-tile panel kernels; a trailing-update sweep carries its tile
-        count).  The cost model multiplies the per-kernel duration by it
-        and calibration divides measured durations back down.
+        Number of logical per-tile kernels this task performs: the sum of
+        ``mix`` (1 for a per-tile panel kernel).  The cost model multiplies
+        the per-kernel duration by it and calibration divides measured
+        durations back down.
     mix:
-        ``(kernel, count)`` pairs of a sweep running several kernel
-        families (see :attr:`repro.runtime.task.Task.mix`).
+        ``(kernel, count)`` pairs of a sweep (see
+        :attr:`repro.runtime.task.Task.mix`); a step's Table-I counts are
+        the sum of its tasks' mixes.
     """
 
     kernel: str
     fn: Callable[[], None]
-    access: _AccessSets
+    sets: _AccessSets
     flops: float = 0.0
     call: Optional[object] = None
     fused: int = 1
@@ -113,34 +119,33 @@ class KernelTask:
 
     def __init__(
         self, kernel: str, fn: Callable[[], None], reads=None, writes=None,
-        flops: float = 0.0, call=None, fused: int = 1, mix=(), access=None,
+        flops: float = 0.0, call=None, fused: int = 1, mix=(), sets=None,
     ) -> None:
-        if access is None or reads is not None or writes is not None:
-            r, w = access() if access is not None else ((), ())
-            r, w = (r if reads is None else reads), (w if writes is None else writes)
-            access = partial(tuple, (r, w))
-        self.kernel, self.fn, self.flops, self.call = kernel, fn, flops, call
-        self.fused, self.mix = fused, mix
-        self.access = access if isinstance(access, _AccessSets) else _AccessSets(access)
+        if sets is None:
+            sets = _AccessSets(sets=(frozenset(reads or ()), frozenset(writes or ())))
+        elif reads is not None or writes is not None:
+            raise TypeError("a task takes explicit reads/writes or shared sets, not both")
+        self.kernel, self.fn, self.sets, self.flops = kernel, fn, sets, flops
+        self.call, self.fused, self.mix = call, fused, mix
 
-    reads = property(lambda self: self.access()[0], doc="Tiles read (built on first use).")
-    writes = property(lambda self: self.access()[1], doc="Tiles written (built on first use).")
+    reads = property(lambda self: self.sets()[0], doc="Tiles read (built on first use).")
+    writes = property(lambda self: self.sets()[1], doc="Tiles written (built on first use).")
 
 
 def call_task(
     kernel: str,
     tiles,
     call,
-    access: Callable[[], Tuple[Iterable[TileRef], Iterable[TileRef]]],
+    step: int,
     products: Optional[Dict[object, object]] = None,
-    fused: int = 1,
     mix: Tuple[Tuple[str, int], ...] = (),
 ) -> KernelTask:
-    """A task whose in-process body runs ``call``'s op from :data:`KERNELS`.
+    """The task that runs ``call``'s op from :data:`KERNELS` at step ``step``.
 
-    The closure does on ``tiles`` exactly what a worker process does with
-    the descriptor, so both forms of the task are one code path.
-    ``access`` builds ``(reads, writes)`` on first read.  ``products`` is the
+    The body does on ``tiles`` exactly what a worker process does with
+    the descriptor, so both forms of the task are one code path.  Reads and
+    writes come from the op's access rule on first read; ``fused`` is the
+    sum of ``mix`` (a per-tile kernel passes none).  ``products`` is the
     step's factor table: consumed keys are read from it and the op's result
     is stored under ``call.produces`` — the in-process counterpart of the
     executors' produces/consumes edges.
@@ -153,7 +158,8 @@ def call_task(
         if produces is not None:
             products[produces] = result
 
-    return KernelTask(kernel, run, call=call, fused=fused, mix=mix, access=access)
+    fused = sum(count for _, count in mix) if mix else 1
+    return KernelTask(kernel, run, call=call, fused=fused, mix=mix, sets=_AccessSets(call, step))
 
 
 def build_step_graph(

@@ -79,10 +79,10 @@ class Task:
         duration by this count, and calibration divides the measured
         duration back down so cost tables stay per-tile.
     mix:
-        ``(kernel, count)`` pairs of a sweep that runs several kernel
-        families (a QR update chain: UNMQR, TSMQR and TTMQR); the counts
-        add up to ``fused``.  Empty when all ``fused`` kernels are
-        ``kernel`` — see :func:`kernel_mix`.
+        ``(kernel, count)`` pairs of a sweep, one per kernel family it runs
+        (a QR update chain mixes UNMQR, TSMQR and TTMQR); the counts add up
+        to ``fused``.  Empty for a task that is ``fused`` copies of
+        ``kernel`` (a per-tile task) — see :func:`kernel_mix`.
     """
 
     uid: int

@@ -158,17 +158,31 @@ class BlockCyclicDistribution:
         return list(range(k, self.n))
 
     def panel_owners(self, k: int) -> List[int]:
-        """Ranks owning at least one tile of panel ``k`` (sorted, unique)."""
-        return sorted({self.owner(i, k) for i in self.panel_rows(k)})
+        """Ranks owning at least one tile of panel ``k`` (sorted, unique).
+
+        The panel's ``n - k`` rows cycle over the process rows, all in
+        process column ``k mod q``.
+        """
+        self._check_step(k)
+        p, q = self.grid.p, self.grid.q
+        return sorted((i % p) * q + k % q for i in range(k, k + min(p, self.n - k)))
 
     def diagonal_owner(self, k: int) -> int:
         """Rank of the node owning the diagonal tile ``(k, k)``."""
         return self.owner(k, k)
 
     def domain_rows(self, k: int, rank: int) -> List[int]:
-        """Panel rows of step ``k`` owned by ``rank`` (a *domain*)."""
-        self.grid.coords_of(rank)  # reject out-of-range ranks loudly
-        return [i for i in self.panel_rows(k) if self.owner(i, k) == rank]
+        """Panel rows of step ``k`` owned by ``rank`` (a *domain*).
+
+        Every ``p``-th row from the first one at or after ``k`` in the
+        rank's process row, when the rank's process column holds column ``k``.
+        """
+        prow, pcol = self.grid.coords_of(rank)  # rejects out-of-range ranks
+        self._check_step(k)
+        p = self.grid.p
+        if k % self.grid.q != pcol:
+            return []
+        return list(range(k + (prow - k) % p, self.n, p))
 
     def diagonal_domain_rows(self, k: int) -> List[int]:
         """Panel rows of step ``k`` in the *diagonal domain*.
@@ -180,9 +194,11 @@ class BlockCyclicDistribution:
         return self.domain_rows(k, self.diagonal_owner(k))
 
     def off_diagonal_domain_rows(self, k: int) -> List[int]:
-        """Panel rows of step ``k`` *outside* the diagonal domain."""
-        diag = set(self.diagonal_domain_rows(k))
-        return [i for i in self.panel_rows(k) if i not in diag]
+        """Panel rows of step ``k`` *outside* the diagonal domain (the rows
+        whose process row differs from row ``k``'s)."""
+        self._check_step(k)
+        p = self.grid.p
+        return [i for i in range(k + 1, self.n) if (i - k) % p]
 
     def domains(self, k: int) -> List[Tuple[int, List[int]]]:
         """All ``(rank, rows)`` domains of panel ``k``, diagonal domain first."""

@@ -12,8 +12,6 @@ and the `repro-analyze` CLI.
 
 from __future__ import annotations
 
-from dataclasses import replace as dataclass_replace
-
 import numpy as np
 import pytest
 
@@ -29,17 +27,19 @@ from repro.analysis import (
     lint_registries,
     verify_graph,
 )
+from repro.analysis.abstract import interpret_graph, make_context
 from repro.analysis.registry_lint import TASK_KERNELS_OF_OP
 from repro.api.registry import KERNEL_BACKENDS, SOLVERS
 from repro.core.solver_base import pad_to_tile_multiple
 from repro.kernels.backends import KernelBackend, resolve_backend
-from repro.kernels.dispatch import KERNELS, KernelCall
+from repro.kernels import dispatch
+from repro.kernels.dispatch import ACCESS_RULES, KERNEL_SIGNATURES, KERNELS, KernelCall
 from repro.matrices import registry as matrix_registry
 from repro.runtime.executor import ExecutionTrace, ThreadedExecutor
 from repro.runtime.graph import CycleError, TaskGraph
 from repro.runtime.schedule import KernelTask, build_step_graph, merge_traces
 from repro.runtime.task import RHS_COLUMN
-from repro.tiles.distribution import BlockCyclicDistribution
+from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from repro.tiles.tile_matrix import TileMatrix
 
 ALGORITHMS = ["hybrid", "lupp", "lu_nopiv", "lu_incpiv", "hqr"]
@@ -254,25 +254,21 @@ class TestVerifierCorruptedPlans:
         kinds = [v.kind for v in verify_graph(g)]
         assert kinds == ["write-write-conflict"]
 
-    def test_wrong_fused_union_is_flagged(self):
-        a, b = _system(32, seed=3)
-        solver = _solver("lupp", tile_size=8)
-        graph = _capture_plan(solver, a, b)
-        fused = [t for t in graph.tasks if t.fused > 1]
-        assert fused
-        victim = fused[0]
-        victim.reads = frozenset(set(victim.reads) - {next(iter(victim.writes))})
-        kinds = {v.kind for v in verify_graph(graph)}
-        assert "fused-union-mismatch" in kinds
-
     def test_wrong_fused_count_is_flagged(self):
+        # A sweep's width is checked by the abstract interpreter: fused and
+        # the kernel mix must both count its signature's per-tile units.
         a, b = _system(32, seed=3)
-        solver = _solver("hqr", tile_size=8)
-        graph = _capture_plan(solver, a, b)
+        graph = _capture_plan(_solver("hqr", tile_size=8), a, b)
         victim = next(t for t in graph.tasks if t.fused > 1)
+        ctx = make_context(4, 8, 1)
+        assert interpret_graph(graph, ctx).violations == []
         victim.fused += 1
-        kinds = {v.kind for v in verify_graph(graph)}
-        assert "fused-count-mismatch" in kinds
+        kinds = {v.kind for v in interpret_graph(graph, ctx).violations}
+        assert kinds == {"fused-unit-mismatch"}
+        victim.fused -= 1
+        victim.mix = victim.mix[:-1] + ((victim.mix[-1][0], victim.mix[-1][1] + 1),)
+        kinds = {v.kind for v in interpret_graph(graph, ctx).violations}
+        assert kinds == {"fused-unit-mismatch"}
 
     def test_fused_task_without_descriptor_is_flagged(self):
         g = TaskGraph()
@@ -315,6 +311,55 @@ class TestVerifierCorruptedPlans:
         kinds = [v.kind for v in verify_graph(g)]
         assert kinds == ["unordered-producer"]
 
+
+
+# --------------------------------------------------------------------------- #
+# Access rules: the one declaration of a task's tile accesses
+# --------------------------------------------------------------------------- #
+class TestAccessRules:
+    @pytest.mark.parametrize("rhs", [True, False])
+    @pytest.mark.parametrize("grid", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_access_rules_equal_the_union_of_signature_units(
+        self, monkeypatch, algorithm, grid, rhs
+    ):
+        units = []
+        sweep_effect = dispatch._sweep_effect
+
+        def capture(unit_list, checks=()):
+            units.extend(unit_list)
+            return sweep_effect(unit_list, checks)
+
+        monkeypatch.setattr(dispatch, "_sweep_effect", capture)
+        a, b = _system(40, seed=5)
+        solver = _solver(algorithm, grid=ProcessGrid(*grid))
+        graph = _capture_plan(solver, a, b if rhs else None)
+        ctx = make_context(5, 8, 1 if rhs else 0)
+        swept = 0
+        for task in graph.tasks:
+            units.clear()
+            effect = KERNEL_SIGNATURES[task.call.kernel].effect(task.call, task.step, ctx)
+            assert (effect.reads, effect.writes) == (task.reads, task.writes)
+            if units:  # a sweep: the rule must equal the union of its kernels
+                swept += 1
+                writes = set().union(*(unit[1] for unit in units))
+                reads = set().union(*(unit[0] for unit in units))
+                assert task.writes == writes, task
+                assert task.reads == reads | writes, task
+                assert len(units) == task.fused == sum(count for _, count in task.mix)
+        assert swept > 0
+
+    def test_audit_catches_a_rule_that_drops_a_written_column(self, monkeypatch):
+        rule = ACCESS_RULES["lu.gemm_sweep"]
+
+        def short(step, k, i1, j0, j1):
+            reads, writes = rule(step, k, i1, j0, j1)
+            return reads, writes - {(i, j1 - 1) for i in range(k + 1, i1)}
+
+        monkeypatch.setitem(ACCESS_RULES, "lu.gemm_sweep", short)
+        report = audit(_solver("lu_nopiv", grid=ProcessGrid(2, 2)), lint=False)
+        assert not report.ok
+        assert "undeclared-write" in {v.kind for v in report.violations}
 
 # --------------------------------------------------------------------------- #
 # Dynamic access tracing
@@ -466,7 +511,9 @@ class TestTracingBackend:
             def _plan_step(self, tiles, dist, k):
                 record, tasks = super()._plan_step(tiles, dist, k)
                 return record, [
-                    dataclass_replace(t, writes=frozenset(sorted(t.writes)[1:]))
+                    KernelTask(
+                        t.kernel, t.fn, reads=t.reads, writes=sorted(t.writes)[1:], call=t.call
+                    )
                     if t.kernel == "swptrsm"
                     else t
                     for t in tasks

@@ -156,3 +156,27 @@ class TestBlockCyclicDistribution:
         # Rows not in the domain are owned by someone else.
         for i in dist.off_diagonal_domain_rows(k):
             assert dist.owner(i, k) != owner
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (4, 1)])
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_closed_form_domains_match_owner_loops(self, p, q, n):
+        dist = BlockCyclicDistribution(ProcessGrid(p, q), n)
+        for k in range(n):
+            panel = range(k, n)
+            assert dist.panel_owners(k) == sorted({dist.owner(i, k) for i in panel})
+            for rank in range(p * q):
+                assert dist.domain_rows(k, rank) == [i for i in panel if dist.owner(i, k) == rank]
+            diag = dist.owner(k, k)
+            assert dist.off_diagonal_domain_rows(k) == [
+                i for i in panel if dist.owner(i, k) != diag
+            ]
+        for bad_rank in (-1, p * q):
+            with pytest.raises(ValueError):
+                dist.domain_rows(0, bad_rank)
+        for bad_step in (-1, n):
+            with pytest.raises(IndexError):
+                dist.panel_owners(bad_step)
+            with pytest.raises(IndexError):
+                dist.domain_rows(bad_step, 0)
+            with pytest.raises(IndexError):
+                dist.off_diagonal_domain_rows(bad_step)

@@ -227,8 +227,7 @@ class TestCorruption:
 
     def test_sweep_range_detected(self):
         kinds = {v.kind for v in corrupt_sweep_range()}
-        assert "read-set-mismatch" in kinds
-        assert "write-set-mismatch" in kinds
+        assert "unknown-tile" in kinds
 
     def test_factor_shape_detected(self):
         kinds = {v.kind for v in corrupt_factor_shape()}
