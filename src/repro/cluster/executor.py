@@ -35,6 +35,10 @@ least-loaded survivors, the mirror state they own is re-scattered
 bit-identically, because the mirror still holds the exact pre-task state
 and the kernels are deterministic.
 
+Scheduling is the shared :class:`~repro.runtime.executor.DataflowCore`,
+with one ready lane per node, picked when a task is pushed; this module is
+the transport: connection wait, heartbeats and death recovery.
+
 Admission control: binding a system is rejected with
 :class:`MemoryAdmissionError` when the full-size worker tile store would
 exceed any participating worker's advertised ``memory_budget`` —
@@ -44,7 +48,6 @@ the same budget :func:`repro.analysis.audit` gates statically via
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import os
 import threading
@@ -65,8 +68,9 @@ from ..analysis.placement import (
 )
 from ..api.registry import register_executor
 from ..kernels.dispatch import SigContext
-from ..runtime.executor import ExecutionTrace
+from ..runtime.executor import DataflowCore, ExecutionTrace
 from ..runtime.graph import TaskGraph
+from ..runtime.process_executor import default_start_method
 from ..runtime.task import RHS_COLUMN
 from ..tiles.distribution import BlockCyclicDistribution
 from ..tiles.tile_matrix import TileMatrix
@@ -174,7 +178,6 @@ class _Node:
     alive: bool = True
     last_heartbeat: float = 0.0
     in_flight: Optional[int] = None  # task uid currently executing
-    dispatched: int = 0
     #: Buffered tile updates (write-forwards, recovery state) delivered
     #: with this node's next task message; latest value per ref wins.
     pending_tiles: Dict[TileRef, np.ndarray] = field(default_factory=dict)
@@ -272,15 +275,6 @@ class ClusterExecutor:
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
-    def _default_start_method(self) -> str:
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        for preferred in ("forkserver", "fork"):
-            if preferred in methods:
-                return preferred
-        return multiprocessing.get_start_method()
-
     def _ensure_started(self) -> None:
         if self._closed:
             raise ClusterError("ClusterExecutor is closed")
@@ -294,7 +288,7 @@ class ClusterExecutor:
         else:
             authkey = os.urandom(16)
             listener = Listener(("127.0.0.1", 0), authkey=authkey)
-            ctx = get_context(self.start_method or self._default_start_method())
+            ctx = get_context(self.start_method or default_start_method())
             procs = []
             for index in range(self.workers):
                 fail_after = None
@@ -542,14 +536,8 @@ class ClusterExecutor:
                 "ClusterExecutor is not bound to a tile matrix; the solver "
                 "pipeline calls bind_tiles() before running task graphs"
             )
-        missing = sorted({t.kernel for t in tasks if t.call is None})
-        if missing:
-            raise RuntimeError(
-                "ClusterExecutor needs picklable kernel descriptors "
-                f"(KernelTask.call); closure-only tasks found for: {', '.join(missing)}"
-            )
+        flow = DataflowCore(graph, trace, needs_calls="ClusterExecutor")
         ctx = self._ctx
-        dist = self._dist
         effects: Dict[int, Any] = {}
         for task in tasks:
             effect, _violation = signature_effect(task, ctx)
@@ -559,57 +547,43 @@ class ClusterExecutor:
                     "placement needs a declared effect for every task"
                 )
             effects[task.uid] = effect
-        assign_owners([graph], dist, ctx)
-
-        successors = graph.successors()
-        remaining = {t.uid: len(t.deps) for t in tasks}
-        heaps: Dict[int, List[Tuple[float, int]]] = {}
-        errors: List[BaseException] = []
+        assign_owners([graph], self._dist, ctx)
+        # One ready lane per node, picked when a task is pushed: after a
+        # death remaps ranks, re-pushed tasks land on the adopting node.
+        flow.start(lane=lambda uid: self._rank_node[tasks[uid].owner].index)
         t_begin = time.perf_counter()
         deadline = time.monotonic() + timeout if timeout is not None else None
-
-        def push_ready(uid: int) -> None:
-            node = self._rank_node[tasks[uid].owner]
-            heaps.setdefault(node.index, [])
-            heapq.heappush(heaps[node.index], (-tasks[uid].priority, uid))
 
         def in_flight() -> List[_Node]:
             return [n for n in self._live_nodes() if n.in_flight is not None]
 
         def pump() -> None:
             for node in self._live_nodes():
-                heap = heaps.get(node.index)
-                while node.in_flight is None and heap:
-                    _, uid = heapq.heappop(heap)
+                while node.in_flight is None:
+                    uid = flow.pop(node.index)
+                    if uid is None:
+                        break
                     try:
                         self._dispatch(node, tasks[uid], effects[uid])
                     except (OSError, ValueError, BrokenPipeError):
                         # The worker died mid-send: declare it dead (which
-                        # requeues uid's ranks onto survivors) and retry.
-                        self._handle_death(node, tasks, heaps, push_ready)
-                        push_ready(uid)
+                        # requeues its ranks onto survivors) and retry.
+                        self._handle_death(node, flow)
+                        flow.retry(uid)
                         self.comm.retried_tasks += 1
                         break
 
-        for task in tasks:
-            if remaining[task.uid] == 0:
-                push_ready(task.uid)
-        if not any(heaps.values()):
-            raise ValueError("task graph has no source tasks (dependency cycle?)")
         pump()
-
         while True:
             flying = in_flight()
-            if errors and not flying:
-                break
             if not flying:
-                if not any(heaps.values()):
+                if flow.settled:
                     break
                 if not self._live_nodes():
                     raise ClusterError("all cluster workers died")
                 pump()
                 if not in_flight():
-                    break  # ready tasks exist but none dispatchable: cycle
+                    break  # ready tasks exist but none dispatchable
                 continue
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeoutError(
@@ -622,37 +596,27 @@ class ClusterExecutor:
                 try:
                     msg = node.conn.recv()
                 except (EOFError, OSError):
-                    self._handle_death(node, tasks, heaps, push_ready)
+                    self._handle_death(node, flow)
                     continue
                 kind = msg[0]
                 if kind == "hb":
                     node.last_heartbeat = time.monotonic()
                 elif kind == "done":
-                    released = self._finish(node, msg, tasks, effects, trace, successors, remaining)
-                    if not errors:
-                        for uid in released:
-                            push_ready(uid)
-                elif kind == "error":
-                    node.in_flight = None
-                    errors.append(msg[2])
+                    self._finish(node, msg, flow, effects)
                 else:
+                    error = msg[2] if kind == "error" else ClusterError(
+                        f"unexpected worker message {msg!r}"
+                    )
+                    flow.failed(node.in_flight, error)
                     node.in_flight = None
-                    errors.append(ClusterError(f"unexpected worker message {msg!r}"))
             now = time.monotonic()
             for node in in_flight():
                 if now - node.last_heartbeat > self.heartbeat_timeout:
-                    self._handle_death(node, tasks, heaps, push_ready)
-            if not errors:
-                pump()
+                    self._handle_death(node, flow)
+            pump()
 
         trace.wall_time = time.perf_counter() - t_begin
-        if errors:
-            raise errors[0]
-        if len(trace.finish_times) != len(tasks):
-            stuck = sorted(uid for uid, n in remaining.items() if uid not in trace.finish_times)
-            raise ValueError(
-                f"tasks {stuck} never became ready (cycle below the sources?)"
-            )
+        flow.check_complete()
         return trace
 
     # ------------------------------------------------------------------ #
@@ -735,27 +699,17 @@ class ClusterExecutor:
         want_writes = tuple(sorted(effect.writes))
         node.conn.send(("task", task.uid, call, payload, products, want_writes))
         node.in_flight = task.uid
-        node.dispatched += 1
 
     def _finish(
-        self,
-        node: _Node,
-        msg: Tuple[Any, ...],
-        tasks,
-        effects,
-        trace: ExecutionTrace,
-        successors,
-        remaining,
-    ) -> List[int]:
-        """Apply one ``done`` reply; return the newly released task uids."""
+        self, node: _Node, msg: Tuple[Any, ...], flow: DataflowCore, effects
+    ) -> None:
+        """Apply one ``done`` reply and release the task's successors."""
         _, uid, product, norms, writes, start, finish, worker_name = msg
         node.in_flight = None
-        task = tasks[uid]
+        task = flow.tasks[uid]
         call = task.call
-        trace.start_times[uid] = start
-        trace.finish_times[uid] = finish
-        trace.worker_of_task[uid] = worker_name
-        trace.record_kernel(uid, task)
+        trace = flow.trace
+        flow.started(uid, start, worker_name)
         trace.rank_of_task[uid] = task.owner
         if norms is not None and call.norm_tiles:
             trace.tile_norms[uid] = dict(zip(call.norm_tiles, norms))
@@ -774,13 +728,7 @@ class ClusterExecutor:
             self._products[call.produces] = product
             self._product_owner[call.produces] = task.owner
             self._product_nbytes[call.produces] = effects[uid].product_bytes
-
-        released: List[int] = []
-        for succ in successors.get(uid, ()):
-            remaining[succ] -= 1
-            if remaining[succ] == 0:
-                released.append(succ)
-        return released
+        flow.finished(uid, finish)
 
     def _check_pivot_protocol(self, task, call) -> None:
         """Gate pivot exchanges by the certified diagonal-domain protocol."""
@@ -809,7 +757,7 @@ class ClusterExecutor:
             ranks=sorted(owners),
         )
 
-    def _handle_death(self, node: _Node, tasks, heaps, push_ready) -> None:
+    def _handle_death(self, node: _Node, flow: DataflowCore) -> None:
         """Declare a node dead; remap its ranks and requeue its work."""
         if not node.alive:
             return
@@ -871,7 +819,6 @@ class ClusterExecutor:
             uid = node.in_flight
             node.in_flight = None
             self.comm.retried_tasks += 1
-            push_ready(uid)
+            flow.retry(uid)
         # Ready tasks queued on the dead node re-home to the adopted ranks.
-        for _, uid in heaps.pop(node.index, []):
-            push_ready(uid)
+        flow.reroute(node.index)

@@ -10,7 +10,12 @@ can execute task graphs whose tasks carry a Python callable:
   execution model as PaRSEC inside one node.  Numpy kernels release the GIL
   inside BLAS, so tile algorithms actually overlap.
 
-Both executors return an :class:`ExecutionTrace` with per-task timings so
+The threaded, ``processes`` and ``cluster`` executors share one
+:class:`DataflowCore` (dependency counters, priority-ordered ready lanes,
+source and stuck checks, first-error latch, trace records) and add only
+their transport.
+
+All executors return an :class:`ExecutionTrace` with per-task timings so
 examples and tests can inspect the achieved parallelism.
 """
 
@@ -21,7 +26,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..api.registry import register_executor
 from .graph import TaskGraph
@@ -117,6 +122,116 @@ class ExecutionTrace:
         return max(profile) if profile else 0
 
 
+class DataflowCore:
+    """The dataflow state of one executor :meth:`run`; executors add only
+    the transport that runs a popped task and reports its completion.
+
+    A task joins a ready lane (``lane(uid)`` at push time, one lane by
+    default) when its last dependency finishes, and :meth:`pop` hands out a
+    lane's most critical task (largest ``Task.priority``, submission order
+    breaking ties).  The first failure latches: nothing more is released or
+    popped.  Not thread-safe: a threaded transport holds its own lock.
+    ``needs_calls`` names an executor that ships
+    :class:`~repro.kernels.dispatch.KernelCall` descriptors, not closures.
+    """
+
+    def __init__(
+        self, graph: TaskGraph, trace: ExecutionTrace, needs_calls: Optional[str] = None
+    ) -> None:
+        tasks = graph.tasks
+        missing = sorted({t.kernel for t in tasks if t.call is None}) if needs_calls else ()
+        if missing:
+            raise RuntimeError(
+                f"{needs_calls} needs picklable kernel descriptors (KernelTask.call), "
+                f"but tasks {', '.join(missing)} only carry closures"
+            )
+        self.tasks, self.trace = tasks, trace
+        self.errors: List[BaseException] = []
+        self.in_flight = 0  # popped and not yet finished, failed or retried
+        self._successors = graph.successors()
+        self._remaining = [len(t.deps) for t in tasks]
+        self._lanes: Dict[Hashable, List[Tuple[float, int]]] = {}
+        self._lane: Callable[[int], Hashable] = lambda uid: None
+
+    def start(self, lane: Optional[Callable[[int], Hashable]] = None) -> int:
+        """Push the source tasks (into ``lane(uid)`` if given); return how many."""
+        if lane is not None:
+            self._lane = lane
+        sources = [uid for uid, n in enumerate(self._remaining) if n == 0]
+        if not sources:
+            raise ValueError("task graph has no source task (dependency cycle?)")
+        for uid in sources:
+            self._push(uid)
+        return len(sources)
+
+    def _push(self, uid: int) -> None:
+        lane = self._lanes.setdefault(self._lane(uid), [])
+        heapq.heappush(lane, (-self.tasks[uid].priority, uid))
+
+    def pop(self, lane: Hashable = None) -> Optional[int]:
+        """Put ``lane``'s most critical ready task in flight (``None`` if the
+        lane is empty or a task failed)."""
+        heap = self._lanes.get(lane)
+        if self.errors or not heap:
+            return None
+        self.in_flight += 1
+        return heapq.heappop(heap)[1]
+
+    def started(self, uid: int, at: float, worker: str) -> None:
+        """Trace where and when ``uid`` started, and what it computes."""
+        self.trace.start_times[uid] = at
+        self.trace.worker_of_task[uid] = worker
+        self.trace.record_kernel(uid, self.tasks[uid])
+
+    def finished(self, uid: int, at: float) -> int:
+        """Trace ``uid``'s finish, push the successors it was the last
+        dependency of (none after a failure) and return how many."""
+        self.trace.finish_times[uid] = at
+        self.in_flight -= 1
+        released = 0
+        for succ in () if self.errors else self._successors[uid]:
+            self._remaining[succ] -= 1
+            if self._remaining[succ] == 0:
+                self._push(succ)
+                released += 1
+        return released
+
+    def failed(self, uid: int, exc: BaseException, at: Optional[float] = None) -> None:
+        """Latch ``exc`` (the first one is raised); ``at`` traces the finish."""
+        self.in_flight -= 1
+        self.errors.append(exc)
+        if at is not None:
+            self.trace.finish_times[uid] = at
+
+    def retry(self, uid: int) -> None:
+        """Return an in-flight task that never ran to its lane."""
+        self.in_flight -= 1
+        self._push(uid)
+
+    def reroute(self, lane: Hashable) -> None:
+        """Re-push ``lane``'s ready tasks after the lane function changed."""
+        for _, uid in self._lanes.pop(lane, []):
+            self._push(uid)
+
+    @property
+    def settled(self) -> bool:
+        """Nothing in flight and nothing left to pop."""
+        return not self.in_flight and (bool(self.errors) or not any(self._lanes.values()))
+
+    def check_complete(self) -> None:
+        """Raise the first task error, or name the tasks that never became
+        ready (a cycle below the sources, possible through ``extra_deps``)."""
+        if self.errors:
+            raise self.errors[0]
+        done = len(self.trace.finish_times)
+        if done != len(self.tasks):
+            stuck = [uid for uid, n in enumerate(self._remaining) if n > 0]
+            raise ValueError(
+                f"tasks {stuck} never became ready (dependency cycle?); "
+                f"{done}/{len(self.tasks)} tasks finished"
+            )
+
+
 @register_executor("sequential", aliases=("seq",))
 class SequentialExecutor:
     """Run every task of the graph in topological (submission) order.
@@ -185,57 +300,37 @@ class ThreadedExecutor:
         tasks = graph.tasks
         if not tasks:
             return trace
-
-        successors = graph.successors()
-        remaining = {t.uid: len(t.deps) for t in tasks}
+        flow = DataflowCore(graph, trace)
         lock = threading.Lock()
         done = threading.Event()
-        pending = {"count": len(tasks)}
-        errors: List[BaseException] = []
-        # Ready tasks ordered by (-priority, uid): each pool dispatch pops
-        # the currently most critical ready task instead of a fixed one, so
-        # priorities take effect at the moment a worker frees up.
-        ready_heap: List[Tuple[float, int]] = []
-
         t_begin = time.perf_counter()
 
         def dispatch() -> None:
+            # One pool job per released task; each pops the most critical
+            # ready task when a worker frees up (none after a failure).
             with lock:
-                if errors or not ready_heap:
-                    # A task already failed: abort cleanly without starting
-                    # new work (successors of the failed task were never
-                    # released, and already-queued dispatches drain here).
-                    return
-                _, uid = heapq.heappop(ready_heap)
-            execute(uid)
-
-        def execute(uid: int) -> None:
+                uid = flow.pop()
+            if uid is None:
+                return
             task = tasks[uid]
-            trace.start_times[uid] = time.perf_counter()
-            trace.worker_of_task[uid] = threading.current_thread().name
-            trace.record_kernel(uid, task)
+            flow.started(uid, time.perf_counter(), threading.current_thread().name)
             try:
                 if task.fn is not None:
                     task.fn()
             except BaseException as exc:  # propagate to the caller
-                # Record the finish time so the partial trace is inspectable
+                # The finish time keeps the partial trace inspectable
                 # (concurrency_profile, per-task timings) after the failure.
-                trace.finish_times[uid] = time.perf_counter()
+                at = time.perf_counter()
                 with lock:
-                    errors.append(exc)
+                    flow.failed(uid, exc, at)
                     done.set()
                 return
-            trace.finish_times[uid] = time.perf_counter()
-            n_ready = 0
+            at = time.perf_counter()
             with lock:
-                pending["count"] -= 1
-                if pending["count"] == 0:
+                n_ready = flow.finished(uid, at)
+                if flow.settled:
                     done.set()
-                for succ in successors[uid]:
-                    remaining[succ] -= 1
-                    if remaining[succ] == 0:
-                        heapq.heappush(ready_heap, (-tasks[succ].priority, succ))
-                        n_ready += 1
+            # Released on this worker thread: no round trip to the caller's.
             for _ in range(n_ready):
                 try:
                     pool.submit(dispatch)
@@ -244,15 +339,11 @@ class ThreadedExecutor:
                     # another task; drop the successor.
                     return
 
-        initial = [t.uid for t in tasks if remaining[t.uid] == 0]
-        if not initial:
-            raise ValueError("task graph has no source task (dependency cycle?)")
+        n_sources = flow.start()
         pool = ThreadPoolExecutor(max_workers=self.workers, thread_name_prefix="worker")
         completed = False
         try:
-            for uid in initial:
-                heapq.heappush(ready_heap, (-tasks[uid].priority, uid))
-            for _ in range(len(initial)):
+            for _ in range(n_sources):
                 pool.submit(dispatch)
             completed = done.wait(timeout=timeout)
         finally:
@@ -270,6 +361,5 @@ class ThreadedExecutor:
                 f"task graph execution timed out after {timeout} s "
                 f"({len(trace.finish_times)}/{len(tasks)} tasks finished)"
             )
-        if errors:
-            raise errors[0]
+        flow.check_complete()
         return trace

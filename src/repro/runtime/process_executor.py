@@ -9,9 +9,8 @@ removes that ceiling: tiles live in a
 ``multiprocessing.shared_memory`` segment), kernel tasks are shipped to a
 persistent worker-process pool as picklable
 :class:`~repro.kernels.dispatch.KernelCall` descriptors resolved against
-the :data:`~repro.kernels.dispatch.KERNELS` table, and the scheduler
-releases successors exactly as the threaded executor does — every worker
-is a full interpreter with its own GIL.
+the :data:`~repro.kernels.dispatch.KERNELS` table — every worker is a full
+interpreter with its own GIL.
 
 The pickling constraint this imposes: tasks must carry a descriptor
 (``KernelTask.call``), not just a closure, and everything inside the
@@ -24,6 +23,9 @@ factors) flows along graph edges through the descriptors'
 producer before its consumers, so a consumed value is always available
 when a task is dispatched.
 
+Scheduling is the shared :class:`~repro.runtime.executor.DataflowCore`;
+this module is the transport: pool futures, at most ``workers`` in flight.
+
 Worker pools are shared per ``(workers, start_method)`` configuration and
 kept alive across factorizations (the descriptors re-attach to the current
 shared segment by name), so only the first factorization pays the process
@@ -33,7 +35,6 @@ start-up cost.
 from __future__ import annotations
 
 import atexit
-import heapq
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -45,7 +46,7 @@ import multiprocessing
 from ..api.registry import register_executor
 from ..kernels.dispatch import execute_kernel_call
 from ..tiles.shared_buffer import SharedBufferMeta
-from .executor import ExecutionTrace
+from .executor import DataflowCore, ExecutionTrace
 from .graph import TaskGraph
 
 __all__ = ["ProcessExecutor", "shutdown_worker_pools"]
@@ -62,7 +63,10 @@ _ABANDONED_POOLS: List[ProcessPoolExecutor] = []
 _POOLS_LOCK = threading.Lock()
 
 
-def _default_start_method() -> str:
+def default_start_method() -> str:
+    """``forkserver``, else ``fork``, else the platform's first method.
+
+    Shared by the ``processes`` and ``cluster`` executors."""
     # forkserver workers are forked from a clean, exec'd, single-threaded
     # server process, so creating a pool lazily from a serving thread is
     # safe; plain fork from an already-threaded parent can deadlock the
@@ -170,7 +174,7 @@ class ProcessExecutor:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = int(workers)
-        self.start_method = start_method or _default_start_method()
+        self.start_method = start_method or default_start_method()
         self.last_trace: Optional[ExecutionTrace] = None
         # The binding is thread-local: a solver binds, steps, and unbinds
         # all on its factoring thread, so concurrent factorizations of
@@ -212,48 +216,29 @@ class ProcessExecutor:
                 "tiles in a SharedTileBuffer and calls bind()), or bind() a "
                 "SharedBufferMeta yourself"
             )
-        missing = sorted({t.kernel for t in tasks if t.call is None})
-        if missing:
-            raise RuntimeError(
-                "ProcessExecutor needs picklable kernel descriptors "
-                f"(KernelTask.call), but tasks {', '.join(missing)} only carry "
-                "closures; plan the step with the descriptor-emitting planners"
-            )
+        flow = DataflowCore(graph, trace, needs_calls="ProcessExecutor")
 
         pool = _pool_for(self.workers, self.start_method)
-        successors = graph.successors()
-        remaining = {t.uid: len(t.deps) for t in tasks}
         results = getattr(self._binding, "results", None)
         if results is None:  # standalone run() without bind-scoped products
             results = {}
-        errors: List[BaseException] = []
         outstanding: Dict[object, int] = {}
-        # Ready tasks ordered by (-priority, uid).  At most one in-flight
-        # task per worker: keeping the surplus in the host-side heap (rather
-        # than the pool's FIFO queue) means a task that becomes ready while
-        # others wait is dispatched strictly by priority when a worker
-        # frees up, at the cost of one completion round-trip per refill.
-        ready_heap: List[Tuple[float, int]] = []
-
-        def submit(uid: int) -> None:
-            call = tasks[uid].call
-            inputs = tuple(results[key] for key in call.consumes)
-            outstanding[pool.submit(execute_kernel_call, meta, call, inputs)] = uid
 
         def pump() -> None:
-            while ready_heap and len(outstanding) < self.workers:
-                _, uid = heapq.heappop(ready_heap)
-                submit(uid)
+            # The surplus waits in the core's ready lane, not the pool's
+            # FIFO queue, so a freed worker gets the most critical task.
+            while len(outstanding) < self.workers:
+                uid = flow.pop()
+                if uid is None:
+                    return
+                call = tasks[uid].call
+                inputs = tuple(results[key] for key in call.consumes)
+                outstanding[pool.submit(execute_kernel_call, meta, call, inputs)] = uid
 
-        initial = [t.uid for t in tasks if remaining[t.uid] == 0]
-        if not initial:
-            raise ValueError("task graph has no source task (dependency cycle?)")
-
+        flow.start()
         t_begin = time.perf_counter()
         deadline = None if timeout is None else t_begin + timeout
         try:
-            for uid in initial:
-                heapq.heappush(ready_heap, (-tasks[uid].priority, uid))
             pump()
             while outstanding:
                 wait_for = None
@@ -278,29 +263,18 @@ class ProcessExecutor:
                     try:
                         value, norms, start, finish, worker = fut.result()
                     except BaseException as exc:
-                        # Stop releasing successors; already-submitted tasks
-                        # drain through the wait loop.
-                        errors.append(exc)
+                        # Latch the error; already-submitted tasks drain
+                        # through the wait loop.
+                        flow.failed(uid, exc)
                         continue
-                    trace.start_times[uid] = start
-                    trace.finish_times[uid] = finish
-                    trace.worker_of_task[uid] = worker
-                    trace.record_kernel(uid, tasks[uid])
+                    flow.started(uid, start, worker)
                     call = tasks[uid].call
                     if norms is not None:
                         trace.tile_norms[uid] = dict(zip(call.norm_tiles, norms))
                     if call.produces is not None:
                         results[call.produces] = value
-                    if errors:
-                        continue
-                    for succ in successors[uid]:
-                        remaining[succ] -= 1
-                        if remaining[succ] == 0:
-                            heapq.heappush(
-                                ready_heap, (-tasks[succ].priority, succ)
-                            )
-                if not errors:
-                    pump()
+                    flow.finished(uid, finish)
+                pump()
         except BrokenProcessPool:
             # submit() raises synchronously on a pool whose worker died
             # between runs (OOM kill, external signal); evict it so the
@@ -309,17 +283,7 @@ class ProcessExecutor:
             raise
         finally:
             trace.wall_time = time.perf_counter() - t_begin
-        if errors:
-            if any(isinstance(exc, BrokenProcessPool) for exc in errors):
-                _discard_pool(self.workers, self.start_method)
-            raise errors[0]
-        if len(trace.finish_times) != len(tasks):
-            # Every submitted task finished but some never became ready: a
-            # dependency cycle below the sources (possible via extra_deps).
-            # Returning normally would present half-executed tiles as done.
-            stuck = sorted(uid for uid, n in remaining.items() if n > 0)
-            raise ValueError(
-                f"tasks {stuck} never became ready (dependency cycle?); "
-                f"{len(trace.finish_times)}/{len(tasks)} tasks finished"
-            )
+        if any(isinstance(exc, BrokenProcessPool) for exc in flow.errors):
+            _discard_pool(self.workers, self.start_method)
+        flow.check_complete()
         return trace

@@ -92,8 +92,6 @@ class KernelTask:
         (:data:`~repro.kernels.dispatch.ACCESS_RULES`), built on first read;
         the inline path never reads them, so it never builds them.  Tasks
         built directly take explicit ``reads=``/``writes=``.
-    flops:
-        Optional flop count (forwarded to the graph for diagnostics).
     call:
         Optional picklable :class:`~repro.kernels.dispatch.KernelCall`
         descriptor form of the same kernel — the form the multi-process
@@ -112,20 +110,19 @@ class KernelTask:
     kernel: str
     fn: Callable[[], None]
     sets: _AccessSets
-    flops: float = 0.0
     call: Optional[object] = None
     fused: int = 1
     mix: Tuple[Tuple[str, int], ...] = ()
 
     def __init__(
         self, kernel: str, fn: Callable[[], None], reads=None, writes=None,
-        flops: float = 0.0, call=None, fused: int = 1, mix=(), sets=None,
+        call=None, fused: int = 1, mix=(), sets=None,
     ) -> None:
         if sets is None:
             sets = _AccessSets(sets=(frozenset(reads or ()), frozenset(writes or ())))
         elif reads is not None or writes is not None:
             raise TypeError("a task takes explicit reads/writes or shared sets, not both")
-        self.kernel, self.fn, self.sets, self.flops = kernel, fn, sets, flops
+        self.kernel, self.fn, self.sets = kernel, fn, sets
         self.call, self.fused, self.mix = call, fused, mix
 
     reads = property(lambda self: self.sets()[0], doc="Tiles read (built on first use).")
@@ -182,7 +179,6 @@ def build_step_graph(
             step=step,
             reads=t.reads,
             writes=t.writes,
-            flops=t.flops,
             fn=t.fn,
             call=t.call,
             fused=t.fused,
@@ -474,7 +470,7 @@ class StepPipeline:
         graph = oracle.subgraph(selected)
         chosen = [task for uid, task in self._pending if uid in selected]
         for entry, task in zip(graph.tasks, chosen):
-            entry.fn, entry.call, entry.flops = task.fn, task.call, task.flops
+            entry.fn, entry.call = task.fn, task.call
             entry.fused, entry.mix = max(int(task.fused), 1), tuple(task.mix)
         assign_task_priorities(graph, self.tile_size, self.calibration)
         steps = [entry.step for entry in graph.tasks]

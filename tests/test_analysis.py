@@ -581,7 +581,6 @@ class TestTracingBackend:
                             t.fn,
                             reads=t.reads,
                             writes=frozenset(),
-                            flops=t.flops,
                             call=t.call,
                             fused=t.fused,
                         )

@@ -9,18 +9,18 @@ bit-identity of every solver under every executor with lookahead enabled.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 
 from repro.api.facade import make_solver
+from repro.kernels.dispatch import KernelCall
 from repro.matrices.random_gen import random_matrix, random_rhs
 from repro.runtime.executor import SequentialExecutor, ThreadedExecutor
 from repro.runtime.graph import TaskGraph
 from repro.runtime.process_executor import ProcessExecutor
 from repro.runtime.schedule import kernel_cost_fn
 from repro.runtime.task import Task
+from repro.tiles import SharedTileBuffer
 
 ALGORITHMS = ["hybrid", "lupp", "hqr", "lu_incpiv", "lu_nopiv"]
 
@@ -81,23 +81,30 @@ def test_kernel_cost_fn_static_fallback_orders_kernels():
 # --------------------------------------------------------------------------- #
 # Executors honour priorities
 # --------------------------------------------------------------------------- #
-def test_threaded_executor_dispatches_by_priority():
+@pytest.mark.parametrize(
+    "make_executor",
+    [
+        pytest.param(lambda: ThreadedExecutor(workers=1), id="threaded"),
+        pytest.param(lambda: ProcessExecutor(workers=1), id="processes"),
+    ],
+)
+def test_executor_dispatches_by_priority(make_executor):
     """On one worker, independent ready tasks must run in priority order."""
-    order = []
-    lock = threading.Lock()
-
-    def make_fn(label):
-        def fn():
-            with lock:
-                order.append(label)
-
-        return fn
-
     g = TaskGraph()
+    call = KernelCall("lu.gemm_sweep", args=(0, 2, 1, 2))
     for label, prio in [("low", 1.0), ("high", 3.0), ("mid", 2.0)]:
-        g.add_task(label, 0, fn=make_fn(label)).priority = prio
-    ThreadedExecutor(workers=1).run(g)
-    assert order == ["high", "mid", "low"]
+        g.add_task(label, 0, fn=lambda: None, call=call).priority = prio
+    executor = make_executor()
+    buf = SharedTileBuffer.allocate(np.eye(8), 4)
+    try:
+        if isinstance(executor, ProcessExecutor):
+            executor.bind(buf.meta)
+        trace = executor.run(g, timeout=20)
+    finally:
+        buf.close()
+        buf.unlink()
+    order = sorted(trace.start_times, key=trace.start_times.get)
+    assert [g.task(uid).kernel for uid in order] == ["high", "mid", "low"]
 
 
 def test_sequential_executor_records_kernels():

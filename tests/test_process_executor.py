@@ -262,9 +262,16 @@ def test_broken_pool_is_evicted_and_next_run_recovers(rng):
     np.testing.assert_array_equal(solver.factor(a).tiles.array, ref.tiles.array)
 
 
-def test_cycle_below_sources_detected():
+@pytest.mark.parametrize(
+    "make_executor",
+    [
+        pytest.param(lambda: ThreadedExecutor(workers=1), id="threaded"),
+        pytest.param(lambda: ProcessExecutor(workers=1), id="processes"),
+    ],
+)
+def test_cycle_below_sources_detected(make_executor):
     """A dependency cycle among non-source tasks must not return a
-    half-executed graph as if it had finished."""
+    half-executed graph as if it had finished, nor block forever."""
     from repro.runtime.graph import TaskGraph
 
     graph = TaskGraph()
@@ -274,12 +281,14 @@ def test_cycle_below_sources_detected():
     graph.add_task(kernel="a", step=0, fn=lambda: None, call=call, extra_deps=[2])
     graph.add_task(kernel="b", step=0, fn=lambda: None, call=call, extra_deps=[1])
 
-    executor = ProcessExecutor(workers=1)
+    executor = make_executor()
     buf = SharedTileBuffer.allocate(np.eye(8), 4)
     try:
-        executor.bind(buf.meta)
+        if isinstance(executor, ProcessExecutor):
+            executor.bind(buf.meta)
+        # A finite timeout turns a hang into a TimeoutError, not a stuck suite.
         with pytest.raises(ValueError, match="never became ready"):
-            executor.run(graph)
+            executor.run(graph, timeout=20)
     finally:
         buf.close()
         buf.unlink()

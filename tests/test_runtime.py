@@ -248,6 +248,33 @@ class TestExecutors:
         with pytest.raises(RuntimeError, match="kernel failed"):
             ThreadedExecutor(workers=2).run(g)
 
+    def test_threaded_release_stress(self):
+        """More workers than cores and a tiny switch interval: every task
+        runs once, after all its dependencies.  A lost update of a shared
+        dependency counter would strand a task or release it twice."""
+        import sys
+        import time
+
+        rng = np.random.default_rng(0)
+        deps = [rng.choice(np.arange(max(0, uid - 16), uid), size=min(uid, 6), replace=False)
+                for uid in range(1000)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                ran = []
+                g = TaskGraph()
+                for uid, before in enumerate(deps):
+                    # sleep(0) drops the GIL, so workers interleave inside a task.
+                    g.add_task(kernel="x", step=0, extra_deps=[int(d) for d in before],
+                               fn=lambda uid=uid: (time.sleep(0), ran.append(uid)))
+                trace = ThreadedExecutor(workers=8).run(g, timeout=60)
+                assert sorted(ran) == list(range(1000)) and trace.n_tasks == 1000
+                position = {uid: i for i, uid in enumerate(ran)}
+                assert all(position[d] < position[t.uid] for t in g.tasks for d in t.deps)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_threaded_invalid_workers(self):
         with pytest.raises(ValueError):
             ThreadedExecutor(workers=0)
