@@ -10,9 +10,14 @@ Three engines behind one entry point, :func:`audit`:
   structured :class:`RaceReport` on any access a kernel performs outside
   its declared read/write sets;
 - the **registry lint** (:mod:`repro.analysis.registry_lint`) catches
-  plugin drift (unpicklable kernel calls, unpriceable kernel names,
-  protocol-violating solvers/executors/backends) at import time instead
-  of inside a worker process.
+  plugin drift (unpriceable kernel names, protocol-violating
+  solvers/executors/backends) at import time instead of inside a worker
+  process.
+
+A kernel that raises during the audit's inline run is reported as a
+``kernel-error`` violation; the run-time tile accessors' bounds and shape
+checks are what catch a sweep running off the matrix or a factor of the
+wrong shape.
 
 A schedule-perturbation determinism check
 (:mod:`repro.analysis.determinism`) rounds the set out: randomized
@@ -22,8 +27,6 @@ the inline reference.
 On top of those, the **static resource analyzer** certifies resource
 behaviour of a plan:
 
-- :mod:`repro.analysis.abstract` — abstract interpretation over tile
-  shapes: conformability of every kernel and sweep shape consistency;
 - :mod:`repro.analysis.liveness` — tile/product liveness intervals and a
   certified peak-memory bound, cross-checked against execution traces;
 - :mod:`repro.analysis.placement` — owner-computes placement under the
@@ -34,15 +37,6 @@ Run it from the command line with ``repro-analyze`` (or
 ``python -m repro.analysis``).
 """
 
-from .abstract import (
-    AbstractResult,
-    AbstractTile,
-    initial_state,
-    interpret_graph,
-    interpret_graphs,
-    make_context,
-    signature_effect,
-)
 from .audit import audit, capture_plan, default_audit_system
 from .corruption import run_corruption_suite
 from .determinism import PerturbedThreadedExecutor, determinism_check
@@ -60,7 +54,9 @@ from .placement import (
     analyze_placement,
     assign_owners,
     owner_of_ref,
+    signature_effect,
     task_anchor,
+    task_label,
 )
 from .registry_lint import lint_registries
 from .report import AuditReport, RaceReport, Violation
@@ -82,13 +78,8 @@ __all__ = [
     "RaceReport",
     "Violation",
     # static resource analyzer
-    "AbstractResult",
-    "AbstractTile",
-    "initial_state",
-    "interpret_graph",
-    "interpret_graphs",
-    "make_context",
     "signature_effect",
+    "task_label",
     "MemoryCertificate",
     "ProductInterval",
     "analyze_liveness",

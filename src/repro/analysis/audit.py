@@ -18,16 +18,20 @@ configured solver.  For a solver it runs, in order:
    external products).
 
 Both solver passes additionally run the **static resource analyzer**
-(:mod:`repro.analysis.abstract`, :mod:`repro.analysis.liveness`,
-:mod:`repro.analysis.placement`): shape abstract interpretation,
-a certified peak-memory bound (cross-checked against the execution
-traces and optionally admission-gated via ``max_memory``), and
-owner-computes placement with priced communication volume.
+(:mod:`repro.analysis.liveness`, :mod:`repro.analysis.placement`): a
+certified peak-memory bound (cross-checked against the execution traces
+and optionally admission-gated via ``max_memory``) and owner-computes
+placement with priced communication volume.
 
 The result is an :class:`~repro.analysis.report.AuditReport`; the audit
-never raises on findings — races detected dynamically are converted to
-violations (and stop the dynamic pass, since the factorization state is
-corrupt beyond the first undeclared access).
+never raises on findings.  Races detected dynamically are converted to
+violations and stop the dynamic pass, since the factorization state is
+corrupt beyond the first undeclared access.  A kernel that raises (a
+sweep running off the matrix, a factor of the wrong shape, a product
+nobody produced) becomes one ``kernel-error`` violation naming the task;
+it stops the dynamic pass too, and the resource analyses and the
+executor pass are skipped, since a plan whose kernels cannot run has no
+resources to certify.
 """
 
 from __future__ import annotations
@@ -36,14 +40,14 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..kernels.dispatch import SigContext
 from ..linalg.pivoting import SingularPanelError
 from ..runtime.graph import TaskGraph
 from ..runtime.schedule import build_step_graph
 from ..tiles.distribution import BlockCyclicDistribution
 from ..tiles.tile_matrix import TileMatrix
-from .abstract import SigContext, interpret_graphs, make_context
 from .liveness import analyze_liveness, tile_storage_bytes
-from .placement import analyze_placement, assign_owners
+from .placement import analyze_placement, assign_owners, task_label
 from .report import AuditReport, RaceReport, Violation
 from .tracing import TracingBackend
 from .verifier import verify_graph
@@ -83,7 +87,7 @@ def _system_context(
     if b_work is not None:
         b_arr = np.asarray(b_work)
         nrhs = 1 if b_arr.ndim == 1 else int(b_arr.shape[1])
-    ctx = make_context(n_tiles, solver.tile_size, nrhs)
+    ctx = SigContext(n=n_tiles, nb=solver.tile_size, nrhs=nrhs)
     return ctx, BlockCyclicDistribution(solver.grid, n_tiles)
 
 
@@ -100,14 +104,11 @@ def _resource_passes(
     max_memory: Optional[int] = None,
     key: str = "plan",
 ) -> None:
-    """Run the three resource analyses over ``graphs`` into ``report``."""
+    """Run the resource analyses over ``graphs`` into ``report``."""
     if platform is None:
         from ..runtime.platform import dancer_platform
 
         platform = dancer_platform(dist.grid)
-    result = interpret_graphs(list(graphs), ctx)
-    report.add("abstract", result.violations)
-    report.count("kernels", result.kernels_checked)
     live_violations, cert = analyze_liveness(
         graphs,
         ctx,
@@ -130,7 +131,7 @@ def capture_plan(solver, a=None, b=None, *, seed: int = 0, n: Optional[int] = No
     """Plan (and inline-execute) a full factorization; return its artifacts.
 
     Returns ``(graph, ctx, dist)`` — the cumulative task graph of every
-    planned step, the signature context, and the block-cyclic distribution.
+    planned step, the effect-rule context, and the block-cyclic distribution.
     Used by the corruption fixtures and tests that need a real plan to
     mutate or analyze without going through a full :func:`audit`.
     """
@@ -166,8 +167,12 @@ def _trace_and_verify(
     report: AuditReport,
     platform=None,
     max_memory: Optional[int] = None,
-) -> None:
-    """Plan every step in-process, execute under the tracer, verify."""
+) -> bool:
+    """Plan every step in-process, execute under the tracer, verify.
+
+    Returns ``False`` when a kernel raised, so the caller skips the
+    executor pass.
+    """
     from ..core.solver_base import pad_to_tile_multiple
 
     tracer = (
@@ -175,7 +180,8 @@ def _trace_and_verify(
         if isinstance(solver.kernel_backend, TracingBackend)
         else TracingBackend()
     )
-    violations: List[Violation] = []
+    races: List[Violation] = []
+    error: Optional[Violation] = None
     with solver._factor_lock:
         previous_backend = solver.kernel_backend
         solver.kernel_backend = tracer
@@ -192,6 +198,7 @@ def _trace_and_verify(
                     _, tasks = solver._plan_step(tiles, dist, k)
                 except SingularPanelError:
                     break
+                first = len(graph)
                 build_step_graph(tasks, step=k, graph=graph)
                 report.count("tasks", len(tasks))
                 # Step k+1's plan depends on step k's numbers: execute
@@ -199,22 +206,31 @@ def _trace_and_verify(
                 if dynamic:
                     tasks = [tracer.wrap_task(t, k) for t in tasks]
                 try:
-                    for task in tasks:
+                    for i, task in enumerate(tasks):
                         if task.fn is not None:
                             task.fn()
                 except RaceReport as race:
-                    violations.append(race.as_violation())
+                    races.append(race.as_violation())
+                    break
+                except Exception as exc:
+                    failed = graph.task(first + i)
+                    error = Violation(
+                        kind="kernel-error",
+                        message=f"{task_label(failed)} raised {type(exc).__name__}: {exc}",
+                        tasks=(failed.uid,),
+                        subject=failed.call.kernel if failed.call is not None else failed.kernel,
+                    )
                     break
                 report.count("steps")
         finally:
             solver.kernel_backend = previous_backend
     report.count("graphs")
-    violations.extend(verify_graph(graph))
-    report.add("verifier", [v for v in violations if not v.kind.startswith("undeclared")])
+    report.add("verifier", verify_graph(graph))
     if dynamic:
-        report.add(
-            "tracer", [v for v in violations if v.kind.startswith("undeclared")]
-        )
+        report.add("tracer", races)
+    if error is not None:
+        report.add("execution", [error])
+        return False
     ctx, _dist_unused = _system_context(solver, a, b)
     base_bytes = tile_storage_bytes(ctx)
     if dynamic and getattr(tracer, "storage_bytes", 0):
@@ -234,6 +250,7 @@ def _trace_and_verify(
         max_memory=max_memory,
         key="plan",
     )
+    return True
 
 
 def _verify_executed_graphs(
@@ -302,11 +319,12 @@ def audit(
     real executor-backed factorization.  ``a``/``b`` default to a
     well-conditioned random system (``seed``, order ``n``).
 
-    Both solver passes also run the resource analyzer: abstract
-    shape interpretation, a certified peak-memory bound (admission
-    checked against ``max_memory`` bytes when given), and owner-computes
-    placement with communication volume priced by ``platform`` (default:
-    the Dancer calibration on the solver's grid).
+    Both solver passes also run the resource analyzer: a certified
+    peak-memory bound (admission checked against ``max_memory`` bytes
+    when given) and owner-computes placement with communication volume
+    priced by ``platform`` (default: the Dancer calibration on the
+    solver's grid).  A kernel that raises is reported as one
+    ``kernel-error`` violation, not raised.
     """
     report = AuditReport()
     if isinstance(plan_or_solver, TaskGraph):
@@ -325,7 +343,7 @@ def audit(
             report.count(f"registry.{key}", count)
     if a is None:
         a, b = default_audit_system(solver, seed=seed, n=n)
-    _trace_and_verify(
+    ran = _trace_and_verify(
         solver,
         a,
         b,
@@ -334,7 +352,7 @@ def audit(
         platform=platform,
         max_memory=max_memory,
     )
-    if solver.executor is not None:
+    if ran and solver.executor is not None:
         _verify_executed_graphs(
             solver, a, b, report, platform=platform, max_memory=max_memory
         )

@@ -1,11 +1,10 @@
-"""Seeded corruption fixtures for the static resource analyzer.
+"""Seeded corruption fixtures for the placement analysis.
 
 Each fixture takes a *real* emitted plan, corrupts it in one specific,
-realistic way (a mis-placed task, a pivot chain escaping its domain, a
-trailing-update sweep whose row range runs off the matrix, a panel factor
-of the wrong shape), and asserts the analyzer
-flags it.  They serve two purposes: regression tests that the analyses have
-teeth, and executable documentation of what each violation kind means.
+realistic way (a mis-placed task, a pivot chain escaping its domain), and
+asserts the analyzer flags it.  They serve two purposes: regression tests
+that the analysis has teeth, and executable documentation of what each
+violation kind means.
 
 Every fixture returns the list of violations the corrupted artifact
 produced; callers check the expected ``kind`` is present.
@@ -18,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, List, Tuple
 
-from .abstract import interpret_graph
 from .audit import capture_plan
 from .placement import analyze_placement, assign_owners
 from .report import Violation
@@ -26,8 +24,6 @@ from .report import Violation
 __all__ = [
     "corrupt_wrong_owner",
     "corrupt_cross_domain_pivot",
-    "corrupt_sweep_range",
-    "corrupt_factor_shape",
     "run_corruption_suite",
 ]
 
@@ -83,51 +79,10 @@ def corrupt_cross_domain_pivot(algorithm: str = "lu_nopiv") -> List[Violation]:
     return violations
 
 
-def corrupt_sweep_range(algorithm: str = "lu_nopiv") -> List[Violation]:
-    """A GEMM sweep whose row range outruns the matrix.
-
-    Extends one ``lu.gemm_sweep``'s row range by one: its units now
-    multiply and update a tile row beyond the matrix edge, which the
-    interpreter must report as ``unknown-tile``.
-    """
-    graph, ctx, dist = capture_plan(_solver(algorithm))
-    victim = next(
-        t
-        for t in graph.tasks
-        if t.call is not None and t.call.kernel == "lu.gemm_sweep"
-    )
-    k, i1, j0, j1 = victim.call.args
-    victim.call = dataclasses.replace(victim.call, args=(k, i1 + 1, j0, j1))
-    result = interpret_graph(graph, ctx)
-    return result.violations
-
-
-def corrupt_factor_shape(algorithm: str = "lu_nopiv") -> List[Violation]:
-    """A scatter task carrying a truncated panel factor.
-
-    Drops the last tile row of one ``lu.scatter_factor``'s LU factor; the
-    concrete-shape check (factor rows = len(rows) * nb) must report
-    ``shape-mismatch``.
-    """
-    graph, ctx, dist = capture_plan(_solver(algorithm))
-    victim = next(
-        t
-        for t in graph.tasks
-        if t.call is not None and t.call.kernel == "lu.scatter_factor"
-    )
-    k, rows, factor = victim.call.args
-    truncated = dataclasses.replace(factor, lu=factor.lu[: -ctx.nb, :])
-    victim.call = dataclasses.replace(victim.call, args=(k, rows, truncated))
-    result = interpret_graph(graph, ctx)
-    return result.violations
-
-
 #: Fixture name -> (builder, violation kind that must be present).
 _SUITE = {
     "wrong-owner": (corrupt_wrong_owner, "wrong-owner"),
     "cross-domain-pivot": (corrupt_cross_domain_pivot, "cross-domain-pivot"),
-    "sweep-range": (corrupt_sweep_range, "unknown-tile"),
-    "factor-shape": (corrupt_factor_shape, "shape-mismatch"),
 }
 
 

@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..kernels.dispatch import SigContext
 from ..runtime.graph import TaskGraph
-from .abstract import signature_effect
+from .placement import signature_effect
 from .report import Violation
 
 __all__ = [
@@ -108,7 +108,7 @@ def collect_product_intervals(
 ) -> List[ProductInterval]:
     """First-def/last-use interval of every product across the graphs.
 
-    Byte sizes come from the kernel signatures (the same estimator the
+    Byte sizes come from each op's effect rule (the same estimator the
     traced cross-check uses).  Products nothing consumes die at their
     producer; ``consumes`` keys with no known producer are the verifier's
     problem, not ours, and are skipped here.
@@ -129,8 +129,7 @@ def collect_product_intervals(
                     interval.last_graph = g_idx
                     interval.consumers.append((g_idx, uid))
             if call.produces is not None:
-                effect, _violation = signature_effect(task, ctx)
-                nbytes = effect.product_bytes if effect is not None else 0
+                nbytes = signature_effect(task, ctx).product_bytes
                 records[call.produces] = ProductInterval(
                     key=call.produces,
                     nbytes=nbytes,

@@ -12,7 +12,7 @@ paper's pivoting invariant — an LU panel's pivot chain
 panel-wide LUPP exchange — and prices the cross-owner traffic with a
 :class:`~repro.runtime.platform.Platform`.
 
-Sweeps are decomposed into their signature-declared constituents, so a
+Sweeps are decomposed into their declared constituents, so a
 sweep whose written tiles span several owners is priced per logical
 kernel (and reported as a ``multi-owner`` statistic — a fusion boundary a
 distributed executor must split, not a correctness violation).
@@ -29,14 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..kernels.dispatch import SigContext
+from ..kernels.dispatch import OpEffect, SigContext, op_effect
 from ..runtime.graph import TaskGraph
 from ..runtime.task import RHS_COLUMN, Task
 from ..tiles.distribution import BlockCyclicDistribution
-from .abstract import signature_effect, task_label
 from .report import Violation
 
 __all__ = [
+    "task_label",
+    "signature_effect",
     "PlacementSummary",
     "owner_of_ref",
     "ref_bytes",
@@ -45,6 +46,18 @@ __all__ = [
     "assign_owners",
     "analyze_placement",
 ]
+
+
+def task_label(task: Task) -> str:
+    """Human-readable handle for a task in violation messages."""
+    return f"task {task.uid} ({task.kernel}@{task.step})"
+
+
+def signature_effect(task: Task, ctx: SigContext) -> Optional[OpEffect]:
+    """The effect ``task``'s kernel op registered, or ``None`` for a task
+    without a :class:`~repro.kernels.dispatch.KernelCall` descriptor."""
+    call = getattr(task, "call", None)
+    return None if call is None else op_effect(call, task.step, ctx)
 
 
 @dataclass
@@ -120,35 +133,32 @@ def ref_bytes(ref: Tuple[int, int], ctx: SigContext) -> int:
 _ref_bytes = ref_bytes
 
 
-def constituent_units(effect) -> Tuple[Tuple[Tuple[Any, ...], Any], ...]:
-    """Decompose an effect into ``((read_refs, ...), anchor_ref)`` units.
+def constituent_units(task: Task, effect: OpEffect) -> Tuple[Tuple[Tuple[Any, ...], Any], ...]:
+    """Decompose ``task``'s effect into ``((read_refs, ...), anchor_ref)`` units.
 
-    Sweeps decompose into their signature-declared constituents; a plain
-    per-tile kernel is a single unit anchored at its owner tile.
-    Shared between this analyzer and the cluster executor so both count
-    messages per logical kernel with identical semantics.
+    Sweeps decompose into their declared constituents; a plain per-tile
+    kernel is a single unit reading the task's reads, anchored at its
+    owner tile.  Shared between this analyzer and the cluster executor so
+    both count messages per logical kernel with identical semantics.
     """
     if effect.constituents:
         return effect.constituents
     anchor = effect.owner_tile
     if anchor is None:
-        anchor = min(effect.writes) if effect.writes else min(effect.reads, default=None)
+        anchor = min(task.writes) if task.writes else min(task.reads, default=None)
     if anchor is None:
         return ()
-    return ((tuple(effect.reads), anchor),)
-
-
-_constituents = constituent_units
+    return ((tuple(task.reads), anchor),)
 
 
 def task_anchor(task: Task, ctx: SigContext) -> Optional[Tuple[int, int]]:
     """The tile anchoring ``task``'s owner (owner-computes), or ``None``."""
-    effect, _violation = signature_effect(task, ctx)
+    effect = signature_effect(task, ctx)
     if effect is None:
         return None
     if effect.owner_tile is not None:
         return effect.owner_tile
-    units = _constituents(effect)
+    units = constituent_units(task, effect)
     return units[0][1] if units else None
 
 
@@ -159,7 +169,7 @@ def assign_owners(
 
     This is the placement a distributed executor will schedule by; the
     planners leave ``Task.owner`` at 0, so audit assigns before verifying.
-    Returns the number of tasks assigned (tasks without a signature anchor
+    Returns the number of tasks assigned (tasks without an anchor
     are left untouched).
     """
     assigned = 0
@@ -258,7 +268,7 @@ def analyze_placement(
             task = graph.tasks[uid]
             call = getattr(task, "call", None)
             summary.tasks += 1
-            effect, _violation = signature_effect(task, ctx)
+            effect = signature_effect(task, ctx)
             if effect is None:
                 summary.opaque_tasks += 1
                 owner_cache[uid] = None
@@ -266,7 +276,7 @@ def analyze_placement(
                 continue
 
             anchor = effect.owner_tile
-            units = _constituents(effect)
+            units = constituent_units(task, effect)
             if anchor is None and units:
                 anchor = units[0][1]
             expected = owner_of_ref(anchor, dist) if anchor is not None else None

@@ -2,7 +2,6 @@
 
 Worker processes and the calibration pipeline assume conventions the
 registries themselves never enforce: every dispatchable kernel op must
-have a picklable :class:`~repro.kernels.dispatch.KernelCall` form, must
 map onto task-kernel names the cost model can price (a flops entry in
 :mod:`repro.kernels.flops` or the documented generic ``nb^3`` fallback),
 and every registered backend/executor/solver must satisfy the protocol
@@ -16,7 +15,6 @@ not a production solve.
 from __future__ import annotations
 
 import inspect
-import pickle
 from typing import Dict, List, Tuple
 
 from .report import Violation
@@ -83,61 +81,10 @@ def _constructible_without_args(obj, skip: Tuple[str, ...] = ()) -> List[str]:
 
 
 def _lint_kernels() -> Tuple[List[Violation], int]:
-    from ..kernels.dispatch import KERNEL_SIGNATURES, KERNELS, KernelCall
+    from ..kernels.dispatch import KERNELS
 
     violations: List[Violation] = []
-    # The abstract interpreter (repro.analysis.abstract) can only model ops
-    # that declare a shape signature; drift in either direction —
-    # a dispatchable op without a signature, or a signature for an op that
-    # no longer dispatches — is a lint failure.
-    for name in sorted(set(KERNELS) - set(KERNEL_SIGNATURES)):
-        violations.append(
-            Violation(
-                kind="missing-kernel-signature",
-                message=(
-                    f"kernel op {name!r} is registered in KERNELS but has no "
-                    "shape signature in KERNEL_SIGNATURES — the static "
-                    "resource analyzer cannot model its tasks"
-                ),
-                subject=name,
-            )
-        )
-    for name in sorted(set(KERNEL_SIGNATURES) - set(KERNELS)):
-        violations.append(
-            Violation(
-                kind="orphan-kernel-signature",
-                message=(
-                    f"KERNEL_SIGNATURES declares {name!r} but no such op is "
-                    "registered in KERNELS — stale signature, remove or "
-                    "re-register the op"
-                ),
-                subject=name,
-            )
-        )
     for name in sorted(KERNELS):
-        call = KernelCall(kernel=name)
-        try:
-            restored = pickle.loads(pickle.dumps(call))
-        except Exception as exc:
-            violations.append(
-                Violation(
-                    kind="unpicklable-kernel-call",
-                    message=f"KernelCall({name!r}) does not pickle: {exc}",
-                    subject=name,
-                )
-            )
-        else:
-            if restored != call:
-                violations.append(
-                    Violation(
-                        kind="unpicklable-kernel-call",
-                        message=(
-                            f"KernelCall({name!r}) does not round-trip "
-                            "through pickle unchanged"
-                        ),
-                        subject=name,
-                    )
-                )
         task_kernels = TASK_KERNELS_OF_OP.get(name)
         if task_kernels is None:
             violations.append(

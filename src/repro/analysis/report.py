@@ -82,7 +82,7 @@ class AuditReport:
     """Aggregated findings of one :func:`repro.analysis.audit` run.
 
     ``sections`` maps an engine name (``"registry"``, ``"verifier"``,
-    ``"tracer"``, ``"determinism"``) to its findings; ``violations``
+    ``"tracer"``, ``"execution"``, ``"determinism"``) to its findings; ``violations``
     flattens them in engine order.  ``checked`` counts what each engine
     actually covered (graphs, tasks, registry entries) so an empty
     report can be told apart from an engine that never ran.

@@ -11,9 +11,8 @@ the executors rely on but never re-derive:
   or read a tile the other writes (read-write);
 - **sweep descriptors** — a task batching several tile kernels
   (``fused > 1``) carries a :class:`~repro.kernels.dispatch.KernelCall`
-  whose op has a signature, so the resource analyzer can price and check
-  it per kernel (its access sets are the op's access rule by
-  construction);
+  of a registered op, so placement can price it per kernel from the op's
+  effect rule (its access sets are the op's access rule by construction);
 - **product flow** — every ``consumes`` key is produced by an ancestor
   task along every topological order (equivalently: by a task with a
   dependency path to the consumer), or by an earlier graph of the same
@@ -29,7 +28,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, FrozenSet, List
 
-from ..kernels.dispatch import KERNEL_SIGNATURES
+from ..kernels.dispatch import KERNELS
 from ..runtime.graph import CycleError, TaskGraph
 from ..runtime.task import TileRef
 from .report import Violation
@@ -120,13 +119,13 @@ def verify_graph(
     # Sweep descriptors
     # ------------------------------------------------------------------ #
     for t in graph.tasks:
-        if t.fused > 1 and (t.call is None or t.call.kernel not in KERNEL_SIGNATURES):
+        if t.fused > 1 and (t.call is None or t.call.kernel not in KERNELS):
             violations.append(
                 Violation(
                     kind="fused-descriptor-missing",
                     message=(
                         f"fused task {t.uid} ({t.kernel}, x{t.fused}) has "
-                        "no KernelCall descriptor with a signature"
+                        "no KernelCall descriptor of a registered op"
                         + (f" (got {t.call.kernel!r})" if t.call else "")
                     ),
                     tasks=(t.uid,),

@@ -9,7 +9,7 @@ traffic the static placement analyzer predicts.
 
 Placement is *literally* the analyzer's: tasks are placed by
 :func:`repro.analysis.placement.assign_owners` (owner-computes on the
-signature anchor), cross-owner tile reads are enumerated per constituent
+effect rule's anchor), cross-owner tile reads are enumerated per constituent
 unit via :func:`~repro.analysis.placement.constituent_units` with the
 same per-``(ref, dest)`` dedup, products ship once per ``(key, rank)``,
 and both are priced in the same :func:`~repro.analysis.placement.ref_bytes`
@@ -59,12 +59,13 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..analysis.abstract import signature_effect, task_label
 from ..analysis.placement import (
     assign_owners,
     constituent_units,
     owner_of_ref,
     ref_bytes,
+    signature_effect,
+    task_label,
 )
 from ..api.registry import register_executor
 from ..kernels.dispatch import SigContext
@@ -538,15 +539,7 @@ class ClusterExecutor:
             )
         flow = DataflowCore(graph, trace, needs_calls="ClusterExecutor")
         ctx = self._ctx
-        effects: Dict[int, Any] = {}
-        for task in tasks:
-            effect, _violation = signature_effect(task, ctx)
-            if effect is None:
-                raise ClusterError(
-                    f"{task_label(task)} has no kernel signature; distributed "
-                    "placement needs a declared effect for every task"
-                )
-            effects[task.uid] = effect
+        effects = {task.uid: signature_effect(task, ctx) for task in tasks}
         assign_owners([graph], self._dist, ctx)
         # One ready lane per node, picked when a task is pushed: after a
         # death remaps ranks, re-pushed tasks land on the adopting node.
@@ -640,7 +633,7 @@ class ClusterExecutor:
         # per constituent unit, deduplicated per (ref, dest) within the task.
         fetched: Set[Tuple[TileRef, int]] = set()
         payload_refs: List[TileRef] = []
-        for unit_reads, unit_anchor in constituent_units(effect):
+        for unit_reads, unit_anchor in constituent_units(task, effect):
             dest = owner_of_ref(unit_anchor, dist)
             for ref in unit_reads:
                 if ref == unit_anchor:
@@ -659,7 +652,7 @@ class ClusterExecutor:
         # owners must still physically reach this node (forward traffic).
         shipped = set(payload_refs)
         extra_refs: List[TileRef] = []
-        for ref in sorted(effect.reads):
+        for ref in sorted(task.reads):
             if ref in shipped:
                 continue
             if self._rank_node[owner_of_ref(ref, dist)] is node:
@@ -696,7 +689,7 @@ class ClusterExecutor:
             self.comm.product_bytes += self._product_nbytes.get(key, 0)
             self.comm.record_edge(src, exec_rank)
 
-        want_writes = tuple(sorted(effect.writes))
+        want_writes = tuple(sorted(task.writes))
         node.conn.send(("task", task.uid, call, payload, products, want_writes))
         node.in_flight = task.uid
 

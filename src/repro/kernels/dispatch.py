@@ -34,21 +34,23 @@ one *sweep* call per column range (:func:`sweep_ranges`: the next two
 panel columns, then the bulk block) plus one for the right-hand side: a single
 GEMM over a block view for LU, the step's UNMQR/TSMQR/TTMQR chain in
 program order over tile-row blocks for QR, the SSSSM chain for IncPiv.
-Each sweep's signature lists its per-tile constituents, so the analyzers
-price and check it kernel by kernel.
+Each sweep's effect lists its per-tile constituents, so placement prices
+it kernel by kernel.
 
-Every op is registered together with its *access rule*
-(:data:`ACCESS_RULES`): the tiles a call reads and writes, built directly
-from the call's arguments and the elimination step.  It is the only place
-a task's accesses are declared; a planned task's ``reads``/``writes`` and
-every signature's effect are its output.
+Every op is one :func:`kernel_op` registration: its body, its *access
+rule* (:data:`ACCESS_RULES`: the tiles a call reads and writes, built
+directly from the call's arguments and the elimination step) and its
+*effect rule* (:data:`EFFECT_RULES`: owner anchor, per-tile constituents
+and product size, read by placement and the cluster executor).  The
+access rule is the only place a task's accesses are declared; a planned
+task's ``reads``/``writes`` are its output.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import current_process
 from typing import Any, Callable, ClassVar, Dict, FrozenSet, List, Optional, Tuple
 
@@ -70,14 +72,13 @@ __all__ = [
     "KernelCall",
     "KERNELS",
     "ACCESS_RULES",
+    "EFFECT_RULES",
     "kernel_op",
     "access_sets",
+    "op_effect",
     "execute_kernel_call",
     "SigContext",
     "OpEffect",
-    "KernelSignature",
-    "KERNEL_SIGNATURES",
-    "kernel_signature",
     "sweep_ranges",
 ]
 
@@ -120,7 +121,41 @@ class KernelCall:
 #: imported because repro.runtime.__init__ imports the process executor,
 #: which imports this module.
 _RHS = -1
-TileSet = FrozenSet[Tuple[int, int]]
+TileRef = Tuple[int, int]
+TileSet = FrozenSet[TileRef]
+
+
+@dataclass(frozen=True)
+class SigContext:
+    """Problem-level context an effect rule is evaluated under.
+
+    Tiles always hold float64 (``TileMatrix`` converts any input on
+    entry), so every byte count prices :attr:`itemsize` = 8.
+    """
+
+    n: int
+    nb: int
+    nrhs: int
+
+    itemsize: ClassVar[int] = 8
+
+
+@dataclass(frozen=True)
+class OpEffect:
+    """What placement, liveness and the cluster executor read of one kernel call.
+
+    ``owner_tile`` anchors a per-tile kernel's owner (owner-computes on the
+    written tile).  ``constituents`` decomposes a sweep into
+    ``(read_refs, anchor_ref)`` units, one per logical kernel, so placement
+    prices its communication kernel by kernel; a sweep's owner is its first
+    unit's anchor.  ``product_bytes`` sizes the value published under
+    ``call.produces``.
+    """
+
+    owner_tile: Optional[TileRef] = None
+    constituents: Tuple[Tuple[Tuple[TileRef, ...], TileRef], ...] = ()
+    product_bytes: int = 0
+
 
 #: Name -> operation table the worker resolves descriptors against.
 KERNELS: Dict[str, Callable[..., Any]] = {}
@@ -128,21 +163,27 @@ KERNELS: Dict[str, Callable[..., Any]] = {}
 #: Name -> access rule ``rule(step, *call.args) -> (reads, writes)``: the
 #: tiles a call reads (those it updates in place included) and writes at
 #: elimination step ``step``.  It is the one declaration of a task's
-#: accesses: dependency inference, the access tracer's guards and the
-#: signatures' effects all read it.
+#: accesses: dependency inference and the access tracer's guards read it.
 ACCESS_RULES: Dict[str, Callable[..., Tuple[TileSet, TileSet]]] = {}
+
+#: Name -> effect rule ``rule(ctx, step, *call.args) -> OpEffect``.
+EFFECT_RULES: Dict[str, Callable[..., OpEffect]] = {}
 
 
 def kernel_op(
-    name: str, access: Callable[..., Tuple[TileSet, TileSet]]
+    name: str,
+    access: Callable[..., Tuple[TileSet, TileSet]],
+    effect: Callable[..., OpEffect],
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    """Register a worker-side kernel operation under ``name`` with its access rule."""
+    """Register a worker-side kernel operation under ``name`` with its
+    access and effect rules."""
 
     def decorator(fn: Callable[..., Any]) -> Callable[..., Any]:
         if name in KERNELS:
             raise ValueError(f"kernel operation {name!r} is already registered")
         KERNELS[name] = fn
         ACCESS_RULES[name] = access
+        EFFECT_RULES[name] = effect
         return fn
 
     return decorator
@@ -153,8 +194,24 @@ def access_sets(call: KernelCall, step: int) -> Tuple[TileSet, TileSet]:
     return ACCESS_RULES[call.kernel](step, *call.args)
 
 
+def op_effect(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
+    """The effect of ``call`` at step ``step``, from its op's effect rule."""
+    return EFFECT_RULES[call.kernel](ctx, step, *call.args)
+
+
 def _tiles(rows, columns) -> TileSet:
     return frozenset([(i, j) for i in rows for j in columns])
+
+
+def _sweep_effect(units) -> OpEffect:
+    """Effect of a sweep over its per-tile kernel units.
+
+    ``units`` are ``(reads, writes, anchor)`` triples, one per logical
+    kernel, exactly the accesses that kernel has as a task of its own.  The
+    sweep's reads and writes are its access rule, which the test suite
+    checks against the union of the units' sets.
+    """
+    return OpEffect(constituents=tuple((reads, anchor) for reads, _writes, anchor in units))
 
 
 def sweep_ranges(k: int, n: int) -> List[Tuple[int, int]]:
@@ -190,6 +247,16 @@ def _lu_swptrsm_access(step, rows, columns):
     return cols.union([(i, step) for i in rows]), cols
 
 
+def _lu_swptrsm_effect(step, rows, columns) -> OpEffect:
+    """One SWPTRSM per column, anchored at the domain's first row."""
+    panel = tuple((i, step) for i in rows)
+    units = []
+    for j in columns:
+        col = tuple((i, j) for i in rows)
+        units.append((panel + col, col, (rows[0], j)))
+    return _sweep_effect(units)
+
+
 def _lu_gemm_access(k, i1, columns):
     """Rows ``k+1..i1-1`` of ``columns`` less multipliers times row ``k``."""
     rows = range(k + 1, i1)
@@ -197,7 +264,18 @@ def _lu_gemm_access(k, i1, columns):
     return cols.union([(i, k) for i in rows], [(k, j) for j in columns]), cols
 
 
-@kernel_op("lu.scatter_factor", _lu_scatter_access)
+def _lu_gemm_effect(k, i1, columns) -> OpEffect:
+    """One GEMM per updated tile."""
+    return _sweep_effect(
+        [(((i, k), (k, j), (i, j)), ((i, j),), (i, j)) for i in range(k + 1, i1) for j in columns]
+    )
+
+
+@kernel_op(
+    "lu.scatter_factor",
+    _lu_scatter_access,
+    lambda ctx, step, k, rows, factor: OpEffect(owner_tile=(k, k)),
+)
 def _lu_scatter_factor(tiles: TileMatrix, inputs, k, domain_rows, factor) -> None:
     tiles.scatter_panel(k, list(domain_rows), factor.lu)
 
@@ -205,31 +283,48 @@ def _lu_scatter_factor(tiles: TileMatrix, inputs, k, domain_rows, factor) -> Non
 @kernel_op(
     "lu.swptrsm",
     lambda step, j0, j1, rows, factor: _lu_swptrsm_access(step, rows, range(j0, j1)),
+    lambda ctx, step, j0, j1, rows, factor: _lu_swptrsm_effect(step, rows, range(j0, j1)),
 )
 def _lu_swptrsm(tiles: TileMatrix, inputs, j0, j1, domain_rows, factor) -> None:
     columns = tiles.column_rows(j0, j1, domain_rows)
     swptrsm_inplace(factor, columns, stacked_row_index(domain_rows, tiles.nb))
 
 
-@kernel_op("lu.swptrsm_rhs", lambda step, rows, factor: _lu_swptrsm_access(step, rows, (_RHS,)))
+@kernel_op(
+    "lu.swptrsm_rhs",
+    lambda step, rows, factor: _lu_swptrsm_access(step, rows, (_RHS,)),
+    lambda ctx, step, rows, factor: OpEffect(owner_tile=(rows[0], _RHS)),
+)
 def _lu_swptrsm_rhs(tiles: TileMatrix, inputs, domain_rows, factor) -> None:
     rhs = tiles.rhs_rows(domain_rows)
     swptrsm_inplace(factor, rhs, stacked_row_index(domain_rows, tiles.nb))
 
 
-@kernel_op("lu.trsm", lambda step, i, k, factor: (frozenset({(k, k), (i, k)}), frozenset({(i, k)})))
+@kernel_op(
+    "lu.trsm",
+    lambda step, i, k, factor: (frozenset({(k, k), (i, k)}), frozenset({(i, k)})),
+    lambda ctx, step, i, k, factor: OpEffect(owner_tile=(i, k)),
+)
 def _lu_trsm(tiles: TileMatrix, inputs, i, k, factor) -> None:
     tile = tiles.tile(i, k)
     tile[...] = eliminate_trsm(factor, tile)
 
 
-@kernel_op("lu.gemm_sweep", lambda step, k, i1, j0, j1: _lu_gemm_access(k, i1, range(j0, j1)))
+@kernel_op(
+    "lu.gemm_sweep",
+    lambda step, k, i1, j0, j1: _lu_gemm_access(k, i1, range(j0, j1)),
+    lambda ctx, step, k, i1, j0, j1: _lu_gemm_effect(k, i1, range(j0, j1)),
+)
 def _lu_gemm_sweep(tiles: TileMatrix, inputs, k, i1, j0, j1) -> None:
     c = tiles.block(k + 1, i1, j0, j1)
     c -= tiles.block(k + 1, i1, k, k + 1) @ tiles.block(k, k + 1, j0, j1)
 
 
-@kernel_op("lu.gemm_sweep_rhs", lambda step, k, i1: _lu_gemm_access(k, i1, (_RHS,)))
+@kernel_op(
+    "lu.gemm_sweep_rhs",
+    lambda step, k, i1: _lu_gemm_access(k, i1, (_RHS,)),
+    lambda ctx, step, k, i1: _lu_gemm_effect(k, i1, (_RHS,)),
+)
 def _lu_gemm_sweep_rhs(tiles: TileMatrix, inputs, k, i1) -> None:
     c = tiles.rhs_block(k + 1, i1)
     c -= tiles.block(k + 1, i1, k, k + 1) @ tiles.rhs_tile(k)
@@ -251,14 +346,42 @@ def _qr_chain_access(step, columns, ops):
     return writes.union([(op[-2], step) for op in ops]), writes
 
 
-@kernel_op("qr.geqrt", lambda step, row, k: _pair_access(row, row, k))
+def _qr_chain_effect(step, columns, ops) -> OpEffect:
+    """One UNMQR/TSMQR/TTMQR per op and column, in program order."""
+    units = []
+    for j in columns:
+        for op in ops:
+            if op[0] == "unmqr":
+                ref = (op[1], j)
+                units.append((((op[1], step), ref), (ref,), ref))
+            else:
+                pair = ((op[1], j), (op[2], j))
+                units.append((pair + ((op[2], step),), pair, pair[1]))
+    return _sweep_effect(units)
+
+
+def _qr_factor_effect(ctx: SigContext, owner: TileRef) -> OpEffect:
+    """A QR factor's arrays: ``vb`` and ``r`` (``nb x nb``), block-T ``t`` (``ib x nb``)."""
+    nbytes = (2 * ctx.nb + min(ctx.nb, IB)) * ctx.nb * ctx.itemsize
+    return OpEffect(owner_tile=owner, product_bytes=nbytes)
+
+
+@kernel_op(
+    "qr.geqrt",
+    lambda step, row, k: _pair_access(row, row, k),
+    lambda ctx, step, row, k: _qr_factor_effect(ctx, (row, k)),
+)
 def _qr_geqrt(tiles: TileMatrix, inputs, row, k):
     factor = geqrt_tile(tiles.tile(row, k))
     tiles.set_tile(row, k, factor.r)
     return factor
 
 
-@kernel_op("qr.couple", lambda step, kind, a, b, k: _pair_access(a, b, k))
+@kernel_op(
+    "qr.couple",
+    lambda step, kind, a, b, k: _pair_access(a, b, k),
+    lambda ctx, step, kind, a, b, k: _qr_factor_effect(ctx, (b, k)),
+)
 def _qr_couple(tiles: TileMatrix, inputs, kind, eliminator, killed, k):
     couple = ttqrt if kind == "TT" else tsqrt
     factor = couple(tiles.tile(eliminator, k), tiles.tile(killed, k))
@@ -285,12 +408,20 @@ def _qr_chain(operand, ops, factors) -> None:
     )
 
 
-@kernel_op("qr.sweep", lambda step, j0, j1, ops: _qr_chain_access(step, range(j0, j1), ops))
+@kernel_op(
+    "qr.sweep",
+    lambda step, j0, j1, ops: _qr_chain_access(step, range(j0, j1), ops),
+    lambda ctx, step, j0, j1, ops: _qr_chain_effect(step, range(j0, j1), ops),
+)
 def _qr_sweep(tiles: TileMatrix, inputs, j0, j1, ops) -> None:
     _qr_chain(lambda row: tiles.row_block(row, j0, j1), ops, inputs)
 
 
-@kernel_op("qr.sweep_rhs", lambda step, ops: _qr_chain_access(step, (_RHS,), ops))
+@kernel_op(
+    "qr.sweep_rhs",
+    lambda step, ops: _qr_chain_access(step, (_RHS,), ops),
+    lambda ctx, step, ops: _qr_chain_effect(step, (_RHS,), ops),
+)
 def _qr_sweep_rhs(tiles: TileMatrix, inputs, ops) -> None:
     _qr_chain(tiles.rhs_tile, ops, inputs)
 
@@ -310,27 +441,60 @@ def _ssssm_access(k, rows, columns):
     return cols.union([(i, k) for i in rows]), cols
 
 
-@kernel_op("incpiv.getrf", lambda step, k: _pair_access(k, k, k))
+def _ssssm_effect(k, rows, columns) -> OpEffect:
+    """One SSSSM per pair and column, anchored at the pair's lower tile."""
+    units = []
+    for j in columns:
+        for i in rows:
+            pair = ((k, j), (i, j))
+            units.append((((i, k),) + pair, pair, (i, j)))
+    return _sweep_effect(units)
+
+
+def _tile_factor_bytes(ctx: SigContext, tiles: int) -> int:
+    """An LU factor over ``tiles`` stacked tiles plus its ``nb`` pivots."""
+    return tiles * ctx.nb * ctx.nb * ctx.itemsize + ctx.nb * 8
+
+
+@kernel_op(
+    "incpiv.getrf",
+    lambda step, k: _pair_access(k, k, k),
+    lambda ctx, step, k: OpEffect(owner_tile=(k, k), product_bytes=_tile_factor_bytes(ctx, 1)),
+)
 def _incpiv_getrf(tiles: TileMatrix, inputs, k):
     factor = factor_tile_lu(tiles.tile(k, k))
     tiles.set_tile(k, k, np.triu(factor.lu))
     return factor
 
 
-@kernel_op("incpiv.swptrsm", lambda step, k, j0, j1: _incpiv_row_access(k, range(j0, j1)))
+@kernel_op(
+    "incpiv.swptrsm",
+    lambda step, k, j0, j1: _incpiv_row_access(k, range(j0, j1)),
+    lambda ctx, step, k, j0, j1: _sweep_effect(
+        [(((k, k), (k, j)), ((k, j),), (k, j)) for j in range(j0, j1)]
+    ),
+)
 def _incpiv_swptrsm(tiles: TileMatrix, inputs, k, j0, j1) -> None:
     (factor,) = inputs
     c = tiles.row_block(k, j0, j1)
     c[...] = apply_swptrsm(factor, c)
 
 
-@kernel_op("incpiv.swptrsm_rhs", lambda step, k: _incpiv_row_access(k, (_RHS,)))
+@kernel_op(
+    "incpiv.swptrsm_rhs",
+    lambda step, k: _incpiv_row_access(k, (_RHS,)),
+    lambda ctx, step, k: OpEffect(owner_tile=(k, _RHS)),
+)
 def _incpiv_swptrsm_rhs(tiles: TileMatrix, inputs, k) -> None:
     (factor,) = inputs
     tiles.rhs_tile(k)[...] = apply_swptrsm(factor, tiles.rhs_tile(k))
 
 
-@kernel_op("incpiv.tstrf", lambda step, k, i: _pair_access(k, i, k))
+@kernel_op(
+    "incpiv.tstrf",
+    lambda step, k, i: _pair_access(k, i, k),
+    lambda ctx, step, k, i: OpEffect(owner_tile=(i, k), product_bytes=_tile_factor_bytes(ctx, 2)),
+)
 def _incpiv_tstrf(tiles: TileMatrix, inputs, k, i):
     nb = tiles.nb
     stacked = np.vstack([np.triu(tiles.tile(k, k)), tiles.tile(i, k)])
@@ -350,341 +514,21 @@ def _ssssm_chain(operand, k, rows, pairs, nb) -> None:
 
 
 @kernel_op(
-    "incpiv.ssssm_sweep", lambda step, k, j0, j1, rows: _ssssm_access(k, rows, range(j0, j1))
+    "incpiv.ssssm_sweep",
+    lambda step, k, j0, j1, rows: _ssssm_access(k, rows, range(j0, j1)),
+    lambda ctx, step, k, j0, j1, rows: _ssssm_effect(k, rows, range(j0, j1)),
 )
 def _incpiv_ssssm_sweep(tiles: TileMatrix, inputs, k, j0, j1, rows) -> None:
     _ssssm_chain(lambda i: tiles.row_block(i, j0, j1), k, rows, inputs, tiles.nb)
 
 
-@kernel_op("incpiv.ssssm_sweep_rhs", lambda step, k, rows: _ssssm_access(k, rows, (_RHS,)))
+@kernel_op(
+    "incpiv.ssssm_sweep_rhs",
+    lambda step, k, rows: _ssssm_access(k, rows, (_RHS,)),
+    lambda ctx, step, k, rows: _ssssm_effect(k, rows, (_RHS,)),
+)
 def _incpiv_ssssm_sweep_rhs(tiles: TileMatrix, inputs, k, rows) -> None:
     _ssssm_chain(tiles.rhs_tile, k, rows, inputs, tiles.nb)
-
-
-# --------------------------------------------------------------------------- #
-# Shape signatures — abstract transfer rules for the static analyzer
-# --------------------------------------------------------------------------- #
-# The analyzer (repro.analysis.abstract) symbolically executes plans over an
-# abstract domain of tile shapes.  Each kernel operation in
-# KERNELS declares a *signature*: a function mapping a KernelCall to the
-# conformability checks its numerics imply, an owner anchor for placement
-# (owner-computes on the written tile), its per-tile units, and the byte
-# size of any produced factor; the effect's tile sets are the op's access
-# rule.  Registry lint fails when KERNELS and KERNEL_SIGNATURES drift apart
-# in either direction.
-
-
-@dataclass(frozen=True)
-class SigContext:
-    """Problem-level context a signature is evaluated under.
-
-    Tiles always hold float64 (``TileMatrix`` converts any input on
-    entry), so every byte count prices :attr:`itemsize` = 8.
-    """
-
-    n: int
-    nb: int
-    nrhs: int
-
-    itemsize: ClassVar[int] = 8
-
-
-@dataclass(frozen=True)
-class OpEffect:
-    """Abstract effect of one kernel application.
-
-    ``reads``/``writes`` are the op's access rule output (see
-    :data:`ACCESS_RULES`).  ``checks`` is a tuple of conformability
-    assertions over shape operands.  An operand is a tile reference
-    ``(i, j)`` (column ``-1`` = RHS), a literal ``("lit", rows, cols)``, or
-    a vertical stack ``("stack", (ref, ...))`` whose row counts add and
-    whose column counts must agree.  Check forms:
-
-    - ``("matmul", a, b, out)`` — ``a @ b`` conforms and matches ``out``
-    - ``("same_shape", a, b)``
-    - ``("concrete", label, actual_shape, expected_shape)`` — a concrete
-      array carried inside the call (panel factors) has the shape the plan
-      geometry implies
-
-    ``owner_tile`` anchors the task's owner under a distribution
-    (owner-computes on the written tile).  ``constituents`` decomposes a
-    sweep operation into ``((read_refs, ...), anchor_ref)`` units so
-    placement can price intra-sweep communication per logical kernel.
-    ``product_bytes`` sizes the value published under ``call.produces``.
-    ``unit_count`` is the number of logical kernels (cross-checked against
-    ``Task.fused``).
-    """
-
-    reads: TileSet = frozenset()
-    writes: TileSet = frozenset()
-    checks: Tuple[Any, ...] = ()
-    owner_tile: Optional[Tuple[int, int]] = None
-    constituents: Tuple[Any, ...] = ()
-    product_bytes: int = 0
-    unit_count: int = 1
-
-
-@dataclass(frozen=True)
-class KernelSignature:
-    """Transfer rule for one kernel op.
-
-    ``effect(call, step, ctx) -> OpEffect`` derives the abstract effect.
-    """
-
-    effect: Callable[[KernelCall, int, SigContext], OpEffect]
-
-
-#: Name -> signature table, lint-checked against :data:`KERNELS` both ways.
-KERNEL_SIGNATURES: Dict[str, KernelSignature] = {}
-
-
-def kernel_signature(
-    name: str,
-) -> Callable[[Callable[..., OpEffect]], Callable[..., OpEffect]]:
-    """Register the shape signature for kernel op ``name``.
-
-    The decorated rule returns everything but the tile sets; the
-    registered effect takes ``reads``/``writes`` from the op's access rule.
-    """
-
-    def decorator(fn: Callable[..., OpEffect]) -> Callable[..., OpEffect]:
-        if name in KERNEL_SIGNATURES:
-            raise ValueError(f"kernel signature {name!r} is already registered")
-
-        def effect(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-            reads, writes = access_sets(call, step)
-            return replace(fn(call, step, ctx), reads=reads, writes=writes)
-
-        KERNEL_SIGNATURES[name] = KernelSignature(effect=effect)
-        return fn
-
-    return decorator
-
-
-def _factor_lu_shape(factor: Any) -> Tuple[int, ...]:
-    return tuple(getattr(getattr(factor, "lu", None), "shape", ()))
-
-
-@kernel_signature("lu.scatter_factor")
-def _sig_lu_scatter_factor(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    k, rows, factor = call.args
-    return OpEffect(
-        checks=(
-            (
-                "concrete",
-                "scatter_factor.lu",
-                _factor_lu_shape(factor),
-                (len(rows) * ctx.nb, ctx.nb),
-            ),
-        ),
-        owner_tile=(k, k),
-    )
-
-
-def _sweep_effect(units, checks=()) -> OpEffect:
-    """Effect of a sweep op over its per-tile kernel units.
-
-    ``units`` are ``(reads, writes, check, anchor)`` tuples, one per
-    logical kernel, exactly the effect that kernel has as a task of its
-    own; they give the checks, the placement constituents and the unit
-    count.  The sweep's reads and writes are its access rule, which the
-    test suite checks against the union of the units' sets.
-    """
-    return OpEffect(
-        checks=tuple(checks) + tuple(unit[2] for unit in units),
-        constituents=tuple((unit[0], unit[3]) for unit in units),
-        unit_count=len(units),
-    )
-
-
-@kernel_signature("lu.swptrsm")
-def _sig_lu_swptrsm(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    j0, j1, rows, factor = call.args
-    panel = tuple((i, step) for i in rows)
-    d = len(rows) * ctx.nb
-    units = []
-    for j in range(j0, j1):
-        col = tuple((i, j) for i in rows)
-        check = ("matmul", ("lit", d, d), ("stack", col), ("stack", col))
-        units.append((panel + col, col, check, (rows[0], j)))
-    return _sweep_effect(
-        units,
-        checks=(("concrete", "swptrsm.lu", _factor_lu_shape(factor), (d, ctx.nb)),),
-    )
-
-
-@kernel_signature("lu.swptrsm_rhs")
-def _sig_lu_swptrsm_rhs(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    rows, factor = call.args
-    col = tuple((i, _RHS) for i in rows)
-    d = len(rows) * ctx.nb
-    return OpEffect(
-        checks=(
-            ("concrete", "swptrsm.lu", _factor_lu_shape(factor), (d, ctx.nb)),
-            ("matmul", ("lit", d, d), ("stack", col), ("stack", col)),
-        ),
-        owner_tile=(rows[0], _RHS),
-    )
-
-
-@kernel_signature("lu.trsm")
-def _sig_lu_trsm(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    i, k, _factor = call.args
-    return OpEffect(
-        checks=(("matmul", (i, k), ("lit", ctx.nb, ctx.nb), (i, k)),),
-        owner_tile=(i, k),
-    )
-
-
-@kernel_signature("lu.gemm_sweep")
-def _sig_lu_gemm_sweep(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    k, i1, j0, j1 = call.args
-    return _sweep_effect(
-        [
-            (((i, k), (k, j), (i, j)), ((i, j),), ("matmul", (i, k), (k, j), (i, j)), (i, j))
-            for i in range(k + 1, i1)
-            for j in range(j0, j1)
-        ]
-    )
-
-
-@kernel_signature("lu.gemm_sweep_rhs")
-def _sig_lu_gemm_sweep_rhs(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    k, i1 = call.args
-    return _sweep_effect(
-        [
-            (
-                ((i, k), (k, _RHS), (i, _RHS)),
-                ((i, _RHS),),
-                ("matmul", (i, k), (k, _RHS), (i, _RHS)),
-                (i, _RHS),
-            )
-            for i in range(k + 1, i1)
-        ]
-    )
-
-
-def _qr_factor_bytes(ctx: SigContext) -> int:
-    """A QR factor's arrays: ``vb`` and ``r`` (``nb x nb``), block-T ``t`` (``ib x nb``)."""
-    return (2 * ctx.nb + min(ctx.nb, IB)) * ctx.nb * ctx.itemsize
-
-
-@kernel_signature("qr.geqrt")
-def _sig_qr_geqrt(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    row, k = call.args
-    return OpEffect(
-        checks=(("matmul", ("lit", ctx.nb, ctx.nb), (row, k), (row, k)),),
-        owner_tile=(row, k),
-        product_bytes=_qr_factor_bytes(ctx),
-    )
-
-
-@kernel_signature("qr.couple")
-def _sig_qr_couple(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    _kind, eliminator, killed, k = call.args
-    pair = ((eliminator, k), (killed, k))
-    return OpEffect(
-        checks=(
-            ("same_shape", (eliminator, k), (killed, k)),
-            ("matmul", ("lit", 2 * ctx.nb, 2 * ctx.nb), ("stack", pair), ("stack", pair)),
-        ),
-        owner_tile=(killed, k),
-        product_bytes=_qr_factor_bytes(ctx),
-    )
-
-
-def _qr_sweep_effect(columns, ops, step: int, ctx: SigContext) -> OpEffect:
-    units = []
-    for j in columns:
-        for op in ops:
-            if op[0] == "unmqr":
-                ref = (op[1], j)
-                check = ("matmul", ("lit", ctx.nb, ctx.nb), ref, ref)
-                units.append((((op[1], step), ref), (ref,), check, ref))
-            else:
-                pair = ((op[1], j), (op[2], j))
-                check = ("matmul", ("lit", 2 * ctx.nb, 2 * ctx.nb), ("stack", pair), ("stack", pair))
-                units.append((pair + ((op[2], step),), pair, check, pair[1]))
-    return _sweep_effect(units)
-
-
-@kernel_signature("qr.sweep")
-def _sig_qr_sweep(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    j0, j1, ops = call.args
-    return _qr_sweep_effect(range(j0, j1), ops, step, ctx)
-
-
-@kernel_signature("qr.sweep_rhs")
-def _sig_qr_sweep_rhs(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    (ops,) = call.args
-    return _qr_sweep_effect((_RHS,), ops, step, ctx)
-
-
-@kernel_signature("incpiv.getrf")
-def _sig_incpiv_getrf(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    (k,) = call.args
-    return OpEffect(
-        checks=(("matmul", ("lit", ctx.nb, ctx.nb), (k, k), (k, k)),),
-        owner_tile=(k, k),
-        product_bytes=ctx.nb * ctx.nb * ctx.itemsize + ctx.nb * 8,
-    )
-
-
-@kernel_signature("incpiv.swptrsm")
-def _sig_incpiv_swptrsm(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    k, j0, j1 = call.args
-    return _sweep_effect(
-        [
-            (((k, k), (k, j)), ((k, j),), ("matmul", ("lit", ctx.nb, ctx.nb), (k, j), (k, j)), (k, j))
-            for j in range(j0, j1)
-        ]
-    )
-
-
-@kernel_signature("incpiv.swptrsm_rhs")
-def _sig_incpiv_swptrsm_rhs(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    (k,) = call.args
-    return OpEffect(
-        checks=(("matmul", ("lit", ctx.nb, ctx.nb), (k, _RHS), (k, _RHS)),),
-        owner_tile=(k, _RHS),
-    )
-
-
-@kernel_signature("incpiv.tstrf")
-def _sig_incpiv_tstrf(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    k, i = call.args
-    pair = ((k, k), (i, k))
-    return OpEffect(
-        checks=(
-            ("same_shape", (k, k), (i, k)),
-            ("matmul", ("lit", 2 * ctx.nb, 2 * ctx.nb), ("stack", pair), ("stack", pair)),
-        ),
-        owner_tile=(i, k),
-        product_bytes=2 * ctx.nb * ctx.nb * ctx.itemsize + ctx.nb * 8,
-    )
-
-
-def _ssssm_sweep_effect(k, columns, rows, ctx: SigContext) -> OpEffect:
-    units = []
-    for j in columns:
-        for i in rows:
-            pair = ((k, j), (i, j))
-            check = ("matmul", ("lit", 2 * ctx.nb, 2 * ctx.nb), ("stack", pair), ("stack", pair))
-            units.append((((i, k),) + pair, pair, check, (i, j)))
-    return _sweep_effect(units)
-
-
-@kernel_signature("incpiv.ssssm_sweep")
-def _sig_incpiv_ssssm_sweep(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    k, j0, j1, rows = call.args
-    return _ssssm_sweep_effect(k, range(j0, j1), rows, ctx)
-
-
-@kernel_signature("incpiv.ssssm_sweep_rhs")
-def _sig_incpiv_ssssm_sweep_rhs(call: KernelCall, step: int, ctx: SigContext) -> OpEffect:
-    k, rows = call.args
-    return _ssssm_sweep_effect(k, (_RHS,), rows, ctx)
-
 
 # --------------------------------------------------------------------------- #
 # Worker entry point

@@ -27,13 +27,12 @@ from repro.analysis import (
     lint_registries,
     verify_graph,
 )
-from repro.analysis.abstract import interpret_graph, make_context
 from repro.analysis.registry_lint import TASK_KERNELS_OF_OP
 from repro.api.registry import KERNEL_BACKENDS, SOLVERS
 from repro.core.solver_base import pad_to_tile_multiple
 from repro.kernels.backends import KernelBackend, resolve_backend
 from repro.kernels import dispatch
-from repro.kernels.dispatch import ACCESS_RULES, KERNEL_SIGNATURES, KERNELS, KernelCall
+from repro.kernels.dispatch import ACCESS_RULES, KERNELS, KernelCall, SigContext, op_effect
 from repro.matrices import registry as matrix_registry
 from repro.runtime.executor import ExecutionTrace, ThreadedExecutor
 from repro.runtime.graph import CycleError, TaskGraph
@@ -254,21 +253,44 @@ class TestVerifierCorruptedPlans:
         kinds = [v.kind for v in verify_graph(g)]
         assert kinds == ["write-write-conflict"]
 
-    def test_wrong_fused_count_is_flagged(self):
-        # A sweep's width is checked by the abstract interpreter: fused and
-        # the kernel mix must both count its signature's per-tile units.
+    def test_wrong_fused_count_is_flagged(self, monkeypatch):
+        # A planner that miscounts a sweep's mix (and so its fused count)
+        # is caught twice: the sweep's effect rule yields one constituent
+        # per logical kernel, and the Table-I counts summed from the mixes
+        # no longer equal the per-tile oracle's.
+        from per_tile_oracle import per_tile_plan
+
+        from repro.core import qr_step
+
         a, b = _system(32, seed=3)
-        graph = _capture_plan(_solver("hqr", tile_size=8), a, b)
-        victim = next(t for t in graph.tasks if t.fused > 1)
-        ctx = make_context(4, 8, 1)
-        assert interpret_graph(graph, ctx).violations == []
-        victim.fused += 1
-        kinds = {v.kind for v in interpret_graph(graph, ctx).violations}
-        assert kinds == {"fused-unit-mismatch"}
-        victim.fused -= 1
-        victim.mix = victim.mix[:-1] + ((victim.mix[-1][0], victim.mix[-1][1] + 1),)
-        kinds = {v.kind for v in interpret_graph(graph, ctx).violations}
-        assert kinds == {"fused-unit-mismatch"}
+        ctx = SigContext(n=4, nb=8, nrhs=1)
+
+        def table_one(fact):
+            return [dict(step.kernel_counts) for step in fact.steps]
+
+        def miscounted(graph):
+            return [
+                t.call.kernel
+                for t in graph.tasks
+                if len(op_effect(t.call, t.step, ctx).constituents) not in (0, t.fused)
+            ]
+
+        with per_tile_plan():
+            oracle = table_one(_solver("hqr", tile_size=8).factor(a, b))
+        assert table_one(_solver("hqr", tile_size=8).factor(a, b)) == oracle
+        assert miscounted(_capture_plan(_solver("hqr", tile_size=8), a, b)) == []
+
+        plan = qr_step.call_task
+
+        def wrong_mix(kernel, tiles, call, step, products=None, mix=()):
+            if call.kernel == "qr.sweep":
+                mix = mix[:-1] + ((mix[-1][0], mix[-1][1] + 1),)
+            return plan(kernel, tiles, call, step, products, mix)
+
+        monkeypatch.setattr(qr_step, "call_task", wrong_mix)
+        assert table_one(_solver("hqr", tile_size=8).factor(a, b)) != oracle
+        wrong = miscounted(_capture_plan(_solver("hqr", tile_size=8), a, b))
+        assert wrong and set(wrong) == {"qr.sweep"}
 
     def test_fused_task_without_descriptor_is_flagged(self):
         g = TaskGraph()
@@ -326,20 +348,19 @@ class TestAccessRules:
         units = []
         sweep_effect = dispatch._sweep_effect
 
-        def capture(unit_list, checks=()):
+        def capture(unit_list):
             units.extend(unit_list)
-            return sweep_effect(unit_list, checks)
+            return sweep_effect(unit_list)
 
         monkeypatch.setattr(dispatch, "_sweep_effect", capture)
         a, b = _system(40, seed=5)
         solver = _solver(algorithm, grid=ProcessGrid(*grid))
         graph = _capture_plan(solver, a, b if rhs else None)
-        ctx = make_context(5, 8, 1 if rhs else 0)
+        ctx = SigContext(n=5, nb=8, nrhs=1 if rhs else 0)
         swept = 0
         for task in graph.tasks:
             units.clear()
-            effect = KERNEL_SIGNATURES[task.call.kernel].effect(task.call, task.step, ctx)
-            assert (effect.reads, effect.writes) == (task.reads, task.writes)
+            op_effect(task.call, task.step, ctx)
             if units:  # a sweep: the rule must equal the union of its kernels
                 swept += 1
                 writes = set().union(*(unit[1] for unit in units))

@@ -1,11 +1,12 @@
 """Tests for the static resource analyzer.
 
-Covers the three passes (shape abstract interpretation, tile
-liveness / peak-memory certification, placement & communication
-analysis), their wiring through ``audit()``, the corruption fixtures,
-the registry signature lint, and the distribution validation fixes.
+Covers the two passes (tile liveness / peak-memory certification,
+placement & communication analysis), their wiring through ``audit()``,
+the corruption fixtures, kernel errors reported as audit findings, the
+one registration per kernel op, and the distribution validation fixes.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -14,14 +15,19 @@ import pytest
 from repro import analysis
 from repro.analysis.corruption import (
     corrupt_cross_domain_pivot,
-    corrupt_factor_shape,
-    corrupt_sweep_range,
     corrupt_wrong_owner,
     run_corruption_suite,
 )
 from repro.api.cli import main as cli_main
 from repro.api.facade import make_solver
-from repro.kernels.dispatch import KERNEL_SIGNATURES, KERNELS, KernelSignature, OpEffect
+from repro.kernels.dispatch import (
+    ACCESS_RULES,
+    EFFECT_RULES,
+    KERNELS,
+    OpEffect,
+    SigContext,
+    kernel_op,
+)
 from repro.runtime.graph import TaskGraph
 from repro.runtime.schedule import StepPipeline
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
@@ -116,7 +122,7 @@ class TestLiveness:
         solver2.collect_step_graphs = True
         a, b = _system()
         solver2.factor(a, b)
-        ctx = analysis.make_context(4, 4, 1)
+        ctx = SigContext(n=4, nb=4, nrhs=1)
         intervals = analysis.collect_product_intervals(solver2.step_graphs, ctx)
         cert = analysis.certify_peak_memory(
             solver2.step_graphs, ctx, mode="window", intervals=intervals
@@ -151,7 +157,7 @@ class TestLiveness:
         solver.collect_step_graphs = True
         a, b = _system()
         solver.factor(a, b)
-        ctx = analysis.make_context(4, 4, 1)
+        ctx = SigContext(n=4, nb=4, nrhs=1)
         seq = analysis.certify_peak_memory(
             solver.step_graphs, ctx, mode="sequential"
         )
@@ -225,13 +231,39 @@ class TestCorruption:
         kinds = {v.kind for v in corrupt_cross_domain_pivot()}
         assert "cross-domain-pivot" in kinds
 
-    def test_sweep_range_detected(self):
-        kinds = {v.kind for v in corrupt_sweep_range()}
-        assert "unknown-tile" in kinds
+    @pytest.mark.parametrize("executor", [None, "threaded(workers=2)"])
+    @pytest.mark.parametrize(
+        "corruption, error",
+        [("sweep-range", "IndexError"), ("factor-shape", "ValueError")],
+    )
+    def test_kernel_error_is_reported(self, monkeypatch, corruption, error, executor):
+        """A planner emitting a malformed call fails the audit without raising.
 
-    def test_factor_shape_detected(self):
-        kinds = {v.kind for v in corrupt_factor_shape()}
-        assert "shape-mismatch" in kinds
+        ``sweep-range`` widens every ``lu.gemm_sweep`` by one tile row past
+        the matrix edge; ``factor-shape`` drops the last tile row of every
+        ``lu.scatter_factor``'s factor.  The tile accessors reject both.
+        """
+        from repro.core import lu_step
+
+        plan = lu_step.call_task
+
+        def corrupt(kernel, tiles, call, step, products=None, mix=()):
+            if corruption == "sweep-range" and call.kernel == "lu.gemm_sweep":
+                k, i1, j0, j1 = call.args
+                call = dataclasses.replace(call, args=(k, i1 + 1, j0, j1))
+            elif corruption == "factor-shape" and call.kernel == "lu.scatter_factor":
+                k, rows, factor = call.args
+                factor = dataclasses.replace(factor, lu=factor.lu[: -tiles.nb, :])
+                call = dataclasses.replace(call, args=(k, rows, factor))
+            return plan(kernel, tiles, call, step, products, mix)
+
+        monkeypatch.setattr(lu_step, "call_task", corrupt)
+        solver = make_solver("lu_nopiv", tile_size=4, executor=executor)
+        report = analysis.audit(solver, lint=False)
+        assert not report.ok
+        (violation,) = report.sections["execution"]
+        assert violation.kind == "kernel-error"
+        assert error in violation.message
 
     def test_suite_all_detected(self):
         suite = run_corruption_suite()
@@ -241,34 +273,34 @@ class TestCorruption:
 
 
 # --------------------------------------------------------------------- #
-# Registry lint: signature drift in both directions
+# Registry lint
 # --------------------------------------------------------------------- #
 class TestSignatureLint:
     def test_registries_clean(self):
         assert analysis.lint_registries() == []
 
     def test_every_kernel_has_signature(self):
-        assert set(KERNELS) == set(KERNEL_SIGNATURES)
+        # One kernel_op call registers the body, access rule and effect rule.
+        assert set(KERNELS) == set(ACCESS_RULES) == set(EFFECT_RULES)
 
     def test_missing_signature_flagged(self):
-        KERNELS["fixture.nosig"] = lambda *a: None
-        try:
-            kinds = {v.kind for v in analysis.lint_registries()}
-            assert "missing-kernel-signature" in kinds
-        finally:
-            del KERNELS["fixture.nosig"]
+        # The effect rule is a required argument: no op exists without one.
+        with pytest.raises(TypeError):
+            kernel_op("fixture.nosig", lambda step: (frozenset(), frozenset()))
+        assert "fixture.nosig" not in KERNELS
 
     def test_orphan_signature_flagged(self):
-        KERNEL_SIGNATURES["fixture.orphan"] = KernelSignature(
-            effect=lambda call, step, ctx: OpEffect(
-                reads=frozenset(), writes=frozenset()
-            )
+        # An effect rule cannot be swapped in apart from its op: a second
+        # registration of a name is refused and the tables stay as they were.
+        effect = EFFECT_RULES["lu.gemm_sweep"]
+        decorator = kernel_op(
+            "lu.gemm_sweep",
+            ACCESS_RULES["lu.gemm_sweep"],
+            lambda ctx, step, *args: OpEffect(),
         )
-        try:
-            kinds = {v.kind for v in analysis.lint_registries()}
-            assert "orphan-kernel-signature" in kinds
-        finally:
-            del KERNEL_SIGNATURES["fixture.orphan"]
+        with pytest.raises(ValueError, match="already registered"):
+            decorator(lambda *args: None)
+        assert EFFECT_RULES["lu.gemm_sweep"] is effect
 
 
 # --------------------------------------------------------------------- #
@@ -351,7 +383,7 @@ class TestJsonOutput:
         assert payload["ok"] is True
         assert "memory[plan]" in payload["resources"]
         assert "placement[plan]" in payload["resources"]
-        assert payload["checked"]["kernels"] > 0
+        assert payload["checked"]["tasks"] > 0
 
     def test_cli_json(self, tmp_path, capsys):
         out = tmp_path / "report.json"
