@@ -117,6 +117,12 @@ def owner_of_ref(
     return dist.owner(i, j)
 
 
+def _in_matrix(ref: Tuple[int, int], dist: BlockCyclicDistribution) -> bool:
+    """Whether a tile reference lies inside the matrix (RHS tiles included)."""
+    i, j = ref
+    return 0 <= i < dist.n and (j == RHS_COLUMN or 0 <= j < dist.n)
+
+
 def ref_bytes(ref: Tuple[int, int], ctx: SigContext) -> int:
     """Model size in bytes of one tile reference under ``ctx``.
 
@@ -251,7 +257,9 @@ def analyze_placement(
     ``check_declared`` compares each ``Task.owner`` against the
     owner-computes rank (run :func:`assign_owners` first — or let a future
     distributed planner set them — and any drift is a ``wrong-owner``
-    violation).
+    violation).  A task whose effect names a tile outside the matrix is
+    one ``tile-out-of-range`` violation; the units needing that tile are
+    not priced.
     """
     violations: List[Violation] = []
     summary = PlacementSummary()
@@ -279,6 +287,31 @@ def analyze_placement(
             units = constituent_units(task, effect)
             if anchor is None and units:
                 anchor = units[0][1]
+            refs = [] if anchor is None else [anchor]
+            for unit_reads, unit_anchor in units:
+                refs += [unit_anchor, *unit_reads]
+            stray = next((ref for ref in refs if not _in_matrix(ref, dist)), None)
+            if stray is not None:
+                # A tile past the matrix edge has no owner: report it and
+                # price none of the units (or the owner) it would need.
+                violations.append(
+                    Violation(
+                        kind="tile-out-of-range",
+                        message=(
+                            f"{task_label(task)}: tile {stray} lies outside the "
+                            f"{dist.n}x{dist.n} tile matrix"
+                        ),
+                        tasks=(uid,),
+                        tile=stray,
+                    )
+                )
+                units = tuple(
+                    (unit_reads, unit_anchor)
+                    for unit_reads, unit_anchor in units
+                    if all(_in_matrix(ref, dist) for ref in (unit_anchor, *unit_reads))
+                )
+                if anchor is not None and not _in_matrix(anchor, dist):
+                    anchor = None
             expected = owner_of_ref(anchor, dist) if anchor is not None else None
             owner_cache[uid] = expected
             if check_declared and expected is not None and task.owner != expected:
@@ -348,7 +381,7 @@ def analyze_placement(
                     product_owner[call.produces] = expected
                     product_nbytes[call.produces] = effect.product_bytes
                     product_uid[call.produces] = (g_idx, uid)
-                if call.kernel == "lu.scatter_factor":
+                if call.kernel == "lu.scatter_factor" and stray is None:
                     _check_pivot_chain(
                         task, call, dist, ctx, platform, summary, violations
                     )

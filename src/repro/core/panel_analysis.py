@@ -10,8 +10,8 @@ The paper's design rests on this check having "a small computational
 overhead", so it is kept to: one stacked copy of the panel and one |.|
 pass over it for the column maxima and the sub-diagonal tile norms (then
 :func:`repro.linalg.pivoting.getrf` factors the domain rows of the copy in
-place), and a few triangular solves of the 1-norm estimator against the
-packed factors.
+place), and one LAPACK ``dgecon`` call on the packed top block for the
+1-norm estimate.
 """
 
 from __future__ import annotations

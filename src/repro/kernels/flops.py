@@ -118,7 +118,7 @@ class KernelFlops:
 
     @property
     def norm_estimate(self) -> float:
-        """Hager estimate of ``||A_kk^{-1}||_1`` from LU factors (few solves)."""
+        """``dgecon`` estimate of ``||A_kk^{-1}||_1`` from LU factors (few solves)."""
         return 10.0 * self.nb**2
 
     def of(self, name: str) -> float:

@@ -124,6 +124,13 @@ def _fortran(a: np.ndarray) -> np.ndarray:
     return np.array(a, dtype=np.float64, order="F")
 
 
+def _upper(a: np.ndarray) -> np.ndarray:
+    """A Fortran copy of a square ``a`` with its strict lower triangle zeroed."""
+    f = _fortran(a)
+    np.copyto(f, 0.0, where=_strictly_lower(f.shape[0]))
+    return f
+
+
 def _check(info: int, kernel: str, routine: str) -> None:
     if info != 0:
         raise np.linalg.LinAlgError(f"{kernel}: LAPACK {routine} failed with info={info}")
@@ -141,10 +148,12 @@ def geqrt_tile(a_kk: np.ndarray) -> QRTileFactor:
 
 def _couple(r_top: np.ndarray, bottom: np.ndarray, l: int, kernel: str) -> QRTileFactor:
     nb = r_top.shape[0]
-    # dtpqrt reads only the upper triangle of r_top, and with l = nb of bottom.
-    r, vb, t, info = dtpqrt(l, min(nb, IB), _fortran(r_top), bottom, 1, 1)
+    # dtpqrt reads and writes only the upper triangle of the top (and, with
+    # l = nb, of the bottom) and leaves the strict lower part as it came in:
+    # zeroed in the one copy each, r and a TT vb are exactly triangular.
+    r, vb, t, info = dtpqrt(l, min(nb, IB), _upper(r_top), bottom, 1, 1)
     _check(info, kernel, "dtpqrt")
-    return QRTileFactor(vb=vb, t=t, r=_triu(r), nb=nb, coupled=True, l=l)
+    return QRTileFactor(vb=vb, t=t, r=r, nb=nb, coupled=True, l=l)
 
 
 def tsqrt(r_top: np.ndarray, a_bottom: np.ndarray) -> QRTileFactor:
@@ -165,7 +174,7 @@ def ttqrt(r_top: np.ndarray, r_bottom: np.ndarray) -> QRTileFactor:
     when combining the local eliminators of different domains along the
     inter-node reduction tree.
     """
-    return _couple(r_top, _fortran(_triu(r_bottom)), r_top.shape[0], "ttqrt")
+    return _couple(r_top, _upper(r_bottom), r_top.shape[0], "ttqrt")
 
 
 # --------------------------------------------------------------------------- #

@@ -1,7 +1,6 @@
 """Dense linear-algebra substrate: pivoted LU, triangular solves, norm estimation."""
 
 from .norm_est import (
-    hager_norm1_estimate,
     inverse_norm1_estimate,
     inverse_norm1_exact,
     smallest_inverse_norm_from_lu,
@@ -25,7 +24,6 @@ __all__ = [
     "SingularPanelError",
     "inverse_norm1_exact",
     "inverse_norm1_estimate",
-    "hager_norm1_estimate",
     "smallest_inverse_norm_from_lu",
     "trsm_upper_right",
     "trsm_lower_left_unit",

@@ -12,7 +12,8 @@ provides:
   kernel),
 * :func:`getrf_nopiv` — LU without pivoting (used by the LU NoPiv baseline),
 * :func:`pivot_moves` / :func:`pivots_to_permutation` — helpers to apply
-  the pivot sequence to trailing columns, as SWPTRSM does.
+  the pivot sequence to trailing columns, as SWPTRSM does: one LAPACK
+  ``dlaswp`` composes the swaps into a single row gather.
 
 The readable per-column reference LU and the swap-by-swap pivot
 application the tests compare these against live in ``tests/``.
@@ -28,7 +29,7 @@ from typing import Tuple
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dgetrf
+from scipy.linalg.lapack import dgetrf, dlaswp
 
 __all__ = [
     "getrf",
@@ -156,19 +157,25 @@ def pivot_moves(piv: np.ndarray, base: int = 0) -> Tuple[np.ndarray, np.ndarray]
     """The rows a LAPACK pivot sequence actually moves, as one gather.
 
     ``piv[j]`` swaps row ``base + j`` with row ``piv[j]``.  Returns index
-    arrays ``(dst, src)`` (at most ``2 len(piv)`` rows) such that
-    ``c[dst] = c[src]`` equals swapping row ``base + j`` with row
+    arrays ``(dst, src)`` (at most ``2 len(piv)`` rows, ``dst`` ascending)
+    such that ``c[dst] = c[src]`` equals swapping row ``base + j`` with row
     ``piv[j]`` for ``j = 0, 1, ...`` in turn — every other row stays where
-    it is.
+    it is.  The swaps are composed by one ``dlaswp`` on a column of row
+    indices (exact in float64); a row whose entry changed moved.
     """
-    origin = {}
-    for j, p in enumerate(piv.tolist(), base):
-        if p != j:
-            origin[j], origin[p] = origin.get(p, p), origin.get(j, j)
-    dst = np.fromiter(origin, dtype=np.int64, count=len(origin))
-    src = np.fromiter(origin.values(), dtype=np.int64, count=len(origin))
-    moved = dst != src
-    return dst[moved], src[moved]
+    piv = np.asarray(piv)
+    rows = piv.tolist()
+    if not rows:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if min(rows) < base:
+        raise ValueError(f"pivot {min(rows)} lies above the first swapped row {base}")
+    index = np.arange(base, max(max(rows) + 1, base + len(rows)), dtype=np.float64)
+    # Positional arguments (k1, k2, off, inc, overwrite_a): f2py keyword
+    # parsing costs as much as the call.
+    relative = np.subtract(piv, base, dtype=np.int32)
+    swapped = dlaswp(index[:, None], relative, 0, len(rows) - 1, 0, 1, 0)[:, 0]
+    moved = swapped != index
+    return index[moved].astype(np.int64), swapped[moved].astype(np.int64)
 
 
 def pivots_to_permutation(piv: np.ndarray, m: int) -> np.ndarray:

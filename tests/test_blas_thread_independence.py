@@ -20,6 +20,14 @@ and on a 1024 x 1024 matrix of 256-tiles, where every apply threads.  The
 solution is hashed as well: the back-substitution is one ``dtrtrs`` on the
 whole factor, checked on every factorization above and on a warm session
 hit with 1 and 32 right-hand sides.
+
+The hybrid cases also hash both sides of every step's criterion
+(``decision.lhs``/``rhs``).  The left side is ``dgecon``'s estimate on the
+host, whose bits hold at any thread count up to tile order 255: from 256
+elements OpenBLAS runs the ``dasum`` inside ``dgecon`` on two threads, so
+at ``nb >= 256`` an estimate's last bits may differ (the factors do not,
+and a decision can move only on an exact tie).  The hybrid cases here run
+up to ``nb = 128``.
 """
 
 from __future__ import annotations
@@ -57,9 +65,13 @@ b = rng.standard_normal((n, 2))
 options = dict(criterion=criterion) if criterion else dict()
 fact = repro.make_solver(algorithm=algorithm, tile_size=nb, **options).factor(a, b)
 assert fact.succeeded, fact.breakdown
+# The criterion's two sides at every decided step (the hybrid's), so a
+# decision that could move with the thread count is caught too.
+sides = [(s.decision.lhs, s.decision.rhs) for s in fact.steps if s.decision is not None]
 if both_kinds:
     assert fact.qr_steps > 0 and fact.lu_steps > 0, fact.step_kinds
-print(digest(fact.tiles.array, fact.tiles.rhs, fact.solve()))
+    assert len(sides) == fact.n_steps
+print(digest(fact.tiles.array, fact.tiles.rhs, fact.solve(), np.array(sides)))
 """
 
 _SESSION_HIT = _PRELUDE + """

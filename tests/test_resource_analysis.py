@@ -202,6 +202,26 @@ class TestPlacement:
         assert summary.cross_bytes == 0
         assert summary.product_messages == 0
 
+    def test_tile_outside_the_matrix_is_reported(self):
+        """A sweep widened past the matrix edge is a finding, not an ``IndexError``."""
+        solver = make_solver("lu_nopiv", tile_size=4, grid="2x2")
+        graph, ctx, dist = analysis.capture_plan(solver)
+        widened = [t for t in graph.tasks if t.call and t.call.kernel == "lu.gemm_sweep"]
+        assert widened
+        for task in widened:
+            k, i1, j0, j1 = task.call.args
+            task.call = dataclasses.replace(task.call, args=(k, i1 + 1, j0, j1))
+        violations, summary = analysis.analyze_placement(
+            [graph], dist, ctx, check_declared=False
+        )
+        assert [v.kind for v in violations] == ["tile-out-of-range"] * len(widened)
+        by_task = {v.tasks: v for v in violations}
+        for task in widened:
+            violation = by_task[(task.uid,)]
+            assert violation.tile[0] == dist.n
+            assert analysis.task_label(task) in violation.message
+        assert summary.tasks == len(graph.tasks)
+
     def test_comm_volume_priced_by_platform(self):
         from repro.runtime.platform import dancer_platform
 
