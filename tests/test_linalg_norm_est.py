@@ -26,6 +26,29 @@ class TestExact:
             inverse_norm1_exact(np.zeros((3, 3)))
 
 
+class TestHager:
+    """Hager's estimator as dgecon runs it behind :func:`inverse_norm1_estimate`."""
+
+    def test_estimates_explicit_matrix_norm(self, rng):
+        # Estimate ||B||_1 for an explicit B, as ||A^{-1}||_1 with A = B^{-1}:
+        # a lower bound (up to rounding), and never far below.
+        b = rng.standard_normal((12, 12))
+        a = np.linalg.inv(b)
+        lu, piv = getrf(a)
+        est = inverse_norm1_estimate(lu, piv)
+        exact = inverse_norm1_exact(a)
+        assert exact == pytest.approx(np.linalg.norm(b, 1), rel=1e-10)
+        assert est <= exact * (1.0 + 1e-10)
+        assert est >= 0.3 * exact
+
+    def test_exact_for_diagonal(self):
+        # A diagonal A is its own packed LU factor; its inverse has 1-norm 10,
+        # which the first probe vector already attains.
+        d = np.diag([1.0, 0.1, 1.0 / 3.0])
+        est = inverse_norm1_estimate(d, np.arange(3))
+        assert est == pytest.approx(10.0, rel=1e-10)
+
+
 class TestInverseNormFromLU:
     def test_close_to_exact_on_random(self, rng):
         for _ in range(10):

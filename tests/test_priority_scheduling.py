@@ -227,16 +227,22 @@ def test_prioritized_vs_fifo_makespan(monkeypatch):
     # would otherwise land on whichever side runs first.
     _hqr_wall_time(a)
     prioritized, fifo = [], []
-    for _ in range(2):  # best of two, alternated so drift hits both sides
+    # Five back-to-back pairs, judged by the median of the per-pair ratios:
+    # a stall on a shared host inflates one run by up to 1.4x, which the
+    # best of two pairs let through about once in ten; a real regression
+    # slows every pair and still moves the median.
+    for _ in range(5):
         prioritized.append(_hqr_wall_time(a))
         with monkeypatch.context() as patch:
             # FIFO: every task keeps priority 0.0, so the ready heap
             # degenerates to submission order.
             patch.setattr(TaskGraph, "assign_priorities", lambda self, cost=None: {})
             fifo.append(_hqr_wall_time(a))
-    assert min(prioritized) <= min(fifo) * _FIFO_TOLERANCE, (
-        f"priority scheduling regressed: {min(prioritized):.4f}s vs FIFO "
-        f"{min(fifo):.4f}s (tolerance {_FIFO_TOLERANCE}x)"
+    ratio = float(np.median(np.array(prioritized) / np.array(fifo)))
+    assert ratio <= _FIFO_TOLERANCE, (
+        f"priority scheduling regressed: median prioritized/FIFO ratio "
+        f"{ratio:.3f} (tolerance {_FIFO_TOLERANCE}x); prioritized "
+        f"{[round(t, 4) for t in prioritized]}s, FIFO {[round(t, 4) for t in fifo]}s"
     )
 
 
