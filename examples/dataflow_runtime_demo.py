@@ -7,10 +7,11 @@ the QR-step tasks of a panel are present in the graph, and a layer of
 propagate tasks forwards the data to whichever branch the robustness
 criterion selects.  This example demonstrates the pure-Python substitute:
 
-1. it builds the per-step dataflow (both branches) and shows how many tasks
-   each decision outcome keeps;
-2. it compiles the task graph of a full hybrid factorization and simulates
-   it on the modelled 16-node platform (makespan, utilisation);
+1. it takes one step of the hybrid's task graph planned both ways (an LU
+   and a QR step) and shows how many tasks each decision outcome keeps;
+2. it plans the task graph of a full hybrid factorization with the solvers'
+   own planners (its step kinds from a numerical run) and simulates it on
+   the modelled 16-node platform (makespan, utilisation);
 3. it executes a real tiled matrix-multiplication task graph with the
    threaded dataflow executor and reports the achieved concurrency.
 
@@ -20,25 +21,19 @@ Run with ``python examples/dataflow_runtime_demo.py``.
 import numpy as np
 
 from repro import HybridLUQRSolver, MaxCriterion, ProcessGrid
-from repro.core.dag_builder import spec_from_factorization, build_task_graph
+from repro.experiments.figure1 import figure1_summary
 from repro.matrices.random_gen import random_matrix, random_rhs
-from repro.runtime import (
-    StepDataflow,
-    TaskGraph,
-    ThreadedExecutor,
-    dancer_platform,
-    simulate,
-)
-from repro.tiles import BlockCyclicDistribution, TileMatrix
+from repro.perf.model import FactorizationSpec, plan_graph
+from repro.runtime import TaskGraph, ThreadedExecutor, dancer_platform, simulate
+from repro.tiles import TileMatrix
 
 
 def show_dynamic_step_graph() -> None:
     print("1. Dynamic per-step dataflow (Figure 1)")
-    dist = BlockCyclicDistribution(ProcessGrid(2, 2), 8)
-    flow = StepDataflow(dist, k=0, nb=8)
-    print(f"   stages          : {flow.summary()}")
-    print(f"   tasks if LU     : {len(flow.resolve(use_lu=True))}")
-    print(f"   tasks if QR     : {len(flow.resolve(use_lu=False))}")
+    summary = figure1_summary(n_tiles=8, tile_size=8, grid=ProcessGrid(2, 2))
+    print(f"   stages          : {summary['stage_task_counts']}")
+    print(f"   tasks if LU     : {summary['tasks_if_lu_selected']}")
+    print(f"   tasks if QR     : {summary['tasks_if_qr_selected']}")
     print()
 
 
@@ -53,8 +48,7 @@ def simulate_full_factorization() -> None:
     fact = solver.factor(a, b)
 
     platform = dancer_platform(grid)
-    spec = spec_from_factorization(fact, grid=grid)
-    graph = build_task_graph(spec, platform=platform)
+    graph = plan_graph(FactorizationSpec.of(fact, grid=grid), platform=platform)
     sim = simulate(graph, platform, nb)
     print(f"   steps (LU/QR)   : {fact.lu_steps}/{fact.qr_steps}")
     print(f"   tasks           : {len(graph)}")

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..kernels.dispatch import OpEffect, SigContext, op_effect
+from ..kernels.dispatch import OpEffect, SigContext, Unit, op_effect
 from ..runtime.graph import TaskGraph
 from ..runtime.task import RHS_COLUMN, Task
 from ..tiles.distribution import BlockCyclicDistribution
@@ -139,13 +139,13 @@ def ref_bytes(ref: Tuple[int, int], ctx: SigContext) -> int:
 _ref_bytes = ref_bytes
 
 
-def constituent_units(task: Task, effect: OpEffect) -> Tuple[Tuple[Tuple[Any, ...], Any], ...]:
-    """Decompose ``task``'s effect into ``((read_refs, ...), anchor_ref)`` units.
+def constituent_units(task: Task, effect: OpEffect) -> Tuple[Unit, ...]:
+    """Decompose ``task``'s effect into its per-tile kernel :class:`Unit` s.
 
     Sweeps decompose into their declared constituents; a plain per-tile
-    kernel is a single unit reading the task's reads, anchored at its
-    owner tile.  Shared between this analyzer and the cluster executor so
-    both count messages per logical kernel with identical semantics.
+    kernel is a single unit with the task's kernel and accesses, anchored
+    at its owner tile.  Shared between this analyzer, the cluster executor
+    and the performance model, so all three read one unit list.
     """
     if effect.constituents:
         return effect.constituents
@@ -154,7 +154,7 @@ def constituent_units(task: Task, effect: OpEffect) -> Tuple[Tuple[Tuple[Any, ..
         anchor = min(task.writes) if task.writes else min(task.reads, default=None)
     if anchor is None:
         return ()
-    return ((tuple(task.reads), anchor),)
+    return (Unit(task.kernel, tuple(task.reads), tuple(task.writes), anchor),)
 
 
 def task_anchor(task: Task, ctx: SigContext) -> Optional[Tuple[int, int]]:
@@ -165,7 +165,7 @@ def task_anchor(task: Task, ctx: SigContext) -> Optional[Tuple[int, int]]:
     if effect.owner_tile is not None:
         return effect.owner_tile
     units = constituent_units(task, effect)
-    return units[0][1] if units else None
+    return units[0].anchor if units else None
 
 
 def assign_owners(
@@ -286,10 +286,10 @@ def analyze_placement(
             anchor = effect.owner_tile
             units = constituent_units(task, effect)
             if anchor is None and units:
-                anchor = units[0][1]
+                anchor = units[0].anchor
             refs = [] if anchor is None else [anchor]
-            for unit_reads, unit_anchor in units:
-                refs += [unit_anchor, *unit_reads]
+            for unit in units:
+                refs += [unit.anchor, *unit.reads]
             stray = next((ref for ref in refs if not _in_matrix(ref, dist)), None)
             if stray is not None:
                 # A tile past the matrix edge has no owner: report it and
@@ -306,9 +306,9 @@ def analyze_placement(
                     )
                 )
                 units = tuple(
-                    (unit_reads, unit_anchor)
-                    for unit_reads, unit_anchor in units
-                    if all(_in_matrix(ref, dist) for ref in (unit_anchor, *unit_reads))
+                    unit
+                    for unit in units
+                    if all(_in_matrix(ref, dist) for ref in (unit.anchor, *unit.reads))
                 )
                 if anchor is not None and not _in_matrix(anchor, dist):
                     anchor = None
@@ -332,13 +332,13 @@ def analyze_placement(
             # task (a sweep fetches a shared tile once per node).
             fetched: Set[Tuple[Tuple[int, int], int]] = set()
             unit_owners: Set[int] = set()
-            for unit_reads, unit_anchor in units:
-                dest = owner_of_ref(unit_anchor, dist)
+            for unit in units:
+                dest = owner_of_ref(unit.anchor, dist)
                 unit_owners.add(dest)
                 summary.units += 1
                 remote = False
-                for ref in unit_reads:
-                    if ref == unit_anchor:
+                for ref in unit.reads:
+                    if ref == unit.anchor:
                         continue
                     src = owner_of_ref(ref, dist)
                     if src == dest:

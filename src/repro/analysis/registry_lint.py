@@ -3,7 +3,7 @@
 Worker processes and the calibration pipeline assume conventions the
 registries themselves never enforce: every dispatchable kernel op must
 map onto task-kernel names the cost model can price (a flops entry in
-:mod:`repro.kernels.flops` or the documented generic ``nb^3`` fallback),
+:mod:`repro.kernels.flops`),
 and every registered backend/executor/solver must satisfy the protocol
 the runtime calls into.  A plugin that drifts from those conventions
 otherwise fails deep inside a worker process, long after registration;
@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 
 from .report import Violation
 
-__all__ = ["lint_registries", "TASK_KERNELS_OF_OP", "GENERIC_COST_KERNELS"]
+__all__ = ["lint_registries", "TASK_KERNELS_OF_OP"]
 
 
 #: Dispatch-op name -> task-kernel names its tasks are labelled with.
@@ -46,18 +46,12 @@ TASK_KERNELS_OF_OP: Dict[str, Tuple[str, ...]] = {
     "incpiv.ssssm_sweep_rhs": ("ssssm_rhs",),
 }
 
-#: Task kernels with no closed-form Table-I entry; kernel_cost_fn prices
-#: them with the generic nb^3 fallback by design.
-GENERIC_COST_KERNELS = frozenset({"tstrf", "ssssm"})
-
 
 def _priceable(kernel: str) -> bool:
     """True when the cost layer can price a task-kernel name."""
     from ..kernels.flops import KernelFlops
 
     base = kernel[:-4] if kernel.endswith("_rhs") else kernel
-    if base in GENERIC_COST_KERNELS:
-        return True
     try:
         KernelFlops(8).of(base)
     except KeyError:
@@ -140,15 +134,13 @@ def _lint_solvers() -> Tuple[List[Violation], int]:
                     subject=name,
                 )
             )
-        overrides_plan = cls._plan_step is not TiledSolverBase._plan_step
-        overrides_step = cls._do_step is not TiledSolverBase._do_step
-        if not (overrides_plan or overrides_step):
+        if inspect.isabstract(cls):
             violations.append(
                 Violation(
                     kind="solver-protocol",
                     message=(
-                        f"solver {name!r} overrides neither _plan_step nor "
-                        "_do_step — it cannot perform elimination steps"
+                        f"solver {name!r} does not implement plan_kind — it "
+                        "cannot plan elimination steps"
                     ),
                     subject=name,
                 )

@@ -14,6 +14,7 @@ from typing import List, Optional, Tuple
 
 from ..api.registry import register_solver
 from ..core.factorization import StepRecord
+from ..core.panel_analysis import PanelAnalysis
 from ..core.qr_step import qr_step_tasks
 from ..core.solver_base import Executor, TiledSolverBase
 from ..runtime.schedule import KernelTask
@@ -40,6 +41,7 @@ class HQRSolver(TiledSolverBase):
     """
 
     algorithm = "HQR"
+    step_kinds = ("QR",)
 
     def __init__(
         self,
@@ -63,8 +65,13 @@ class HQRSolver(TiledSolverBase):
         self.intra_tree = intra_tree if intra_tree is not None else GreedyTree()
         self.inter_tree = inter_tree if inter_tree is not None else FibonacciTree()
 
-    def _plan_step(
-        self, tiles: TileMatrix, dist: BlockCyclicDistribution, k: int
+    def plan_kind(
+        self,
+        tiles: TileMatrix,
+        dist: BlockCyclicDistribution,
+        k: int,
+        kind: str,
+        analysis: Optional[PanelAnalysis] = None,
     ) -> Tuple[StepRecord, List[KernelTask]]:
         record = StepRecord(k=k, kind="QR", decision_overhead=False)
         tree = HierarchicalTree(

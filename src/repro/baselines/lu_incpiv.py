@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..api.registry import register_solver
 from ..core.factorization import StepRecord
+from ..core.panel_analysis import PanelAnalysis
 from ..core.solver_base import Executor, TiledSolverBase
 from ..kernels.dispatch import KernelCall, sweep_ranges
 from ..kernels.lu_kernels import LUPanelFactor
@@ -53,8 +54,13 @@ class LUIncPivSolver(TiledSolverBase):
             kernel_backend=kernel_backend,
         )
 
-    def _plan_step(
-        self, tiles: TileMatrix, dist: BlockCyclicDistribution, k: int
+    def plan_kind(
+        self,
+        tiles: TileMatrix,
+        dist: BlockCyclicDistribution,
+        k: int,
+        kind: str,
+        analysis: Optional[PanelAnalysis] = None,
     ) -> Tuple[StepRecord, List[KernelTask]]:
         record = StepRecord(k=k, kind="LU", decision_overhead=False)
         n = tiles.n

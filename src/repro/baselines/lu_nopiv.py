@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 from ..api.registry import register_solver
 from ..core.factorization import StepRecord
 from ..core.lu_step import lu_step_tasks
-from ..core.panel_analysis import analyze_panel
+from ..core.panel_analysis import PanelAnalysis, analyze_panel, planned_panel
 from ..core.solver_base import Executor, TiledSolverBase
 from ..runtime.schedule import KernelTask
 from ..tiles.distribution import BlockCyclicDistribution, ProcessGrid
@@ -62,10 +62,19 @@ class LUNoPivSolver(TiledSolverBase):
         )
         self.domain_pivoting = bool(domain_pivoting)
 
-    def _plan_step(
-        self, tiles: TileMatrix, dist: BlockCyclicDistribution, k: int
+    def _panel_analysis(self, tiles, dist, k):
+        return analyze_panel(tiles, dist, k, domain_pivoting=self.domain_pivoting)
+
+    def plan_kind(
+        self,
+        tiles: TileMatrix,
+        dist: BlockCyclicDistribution,
+        k: int,
+        kind: str,
+        analysis: Optional[PanelAnalysis] = None,
     ) -> Tuple[StepRecord, List[KernelTask]]:
+        if analysis is None:
+            analysis = planned_panel(dist, k, self.domain_pivoting)
         record = StepRecord(k=k, kind="LU", decision_overhead=False)
-        analysis = analyze_panel(tiles, dist, k, domain_pivoting=self.domain_pivoting)
         record.domain_rows = analysis.domain_rows
         return record, lu_step_tasks(tiles, k, analysis, record)

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 from ..api.registry import register_solver
 from ..core.factorization import StepRecord
 from ..core.lu_step import lu_step_tasks
-from ..core.panel_analysis import analyze_panel
+from ..core.panel_analysis import PanelAnalysis, analyze_panel, planned_panel
 from ..core.solver_base import Executor, TiledSolverBase
 from ..runtime.schedule import KernelTask
 from ..tiles.distribution import BlockCyclicDistribution, ProcessGrid
@@ -52,14 +52,26 @@ class LUPPSolver(TiledSolverBase):
             kernel_backend=kernel_backend,
         )
 
-    def _plan_step(
-        self, tiles: TileMatrix, dist: BlockCyclicDistribution, k: int
+    def _panel_analysis(self, tiles, dist, k):
+        return analyze_panel(tiles, self._full_panel(tiles), k, domain_pivoting=True)
+
+    def plan_kind(
+        self,
+        tiles: TileMatrix,
+        dist: BlockCyclicDistribution,
+        k: int,
+        kind: str,
+        analysis: Optional[PanelAnalysis] = None,
     ) -> Tuple[StepRecord, List[KernelTask]]:
+        if analysis is None:
+            analysis = planned_panel(self._full_panel(tiles), k)
         record = StepRecord(k=k, kind="LU", decision_overhead=False)
-        # A single-process distribution makes the "diagonal domain" cover the
-        # whole panel, which is exactly the panel-wide pivot search of LUPP.
-        full_panel_dist = BlockCyclicDistribution(ProcessGrid(1, 1), tiles.n)
-        analysis = analyze_panel(tiles, full_panel_dist, k, domain_pivoting=True)
         record.domain_rows = analysis.domain_rows
         record.add_kernel("panel_pivot_exchange")
         return record, lu_step_tasks(tiles, k, analysis, record)
+
+    @staticmethod
+    def _full_panel(tiles) -> BlockCyclicDistribution:
+        """A single-process distribution: its "diagonal domain" is the whole
+        panel, exactly the panel-wide pivot search of LUPP."""
+        return BlockCyclicDistribution(ProcessGrid(1, 1), tiles.n)

@@ -633,10 +633,10 @@ class ClusterExecutor:
         # per constituent unit, deduplicated per (ref, dest) within the task.
         fetched: Set[Tuple[TileRef, int]] = set()
         payload_refs: List[TileRef] = []
-        for unit_reads, unit_anchor in constituent_units(task, effect):
-            dest = owner_of_ref(unit_anchor, dist)
-            for ref in unit_reads:
-                if ref == unit_anchor:
+        for unit in constituent_units(task, effect):
+            dest = owner_of_ref(unit.anchor, dist)
+            for ref in unit.reads:
+                if ref == unit.anchor:
                     continue
                 src = owner_of_ref(ref, dist)
                 if src == dest or (ref, dest) in fetched:

@@ -49,7 +49,8 @@ class StepRecord:
         the sum of the planned tasks' kernel mixes (:meth:`add_tasks`) plus
         the control charges of the hybrid and LUPP drivers.  Table I
         (:mod:`repro.experiments.table1`) and :meth:`Factorization.kernel_totals`
-        read it; the task-graph builder does not.
+        read it; :func:`repro.perf.model.plan_graph` has one task per
+        kernel of the planned tasks' mixes and its own control tasks.
     domain_rows:
         Tile rows of the diagonal domain at this step.
     eliminations:

@@ -36,7 +36,7 @@ from ..trees.greedy import GreedyTree
 from ..trees.hierarchical import HierarchicalTree
 from .factorization import StepRecord
 from .lu_step import lu_step_tasks
-from .panel_analysis import analyze_panel
+from .panel_analysis import PanelAnalysis, analyze_panel, planned_panel
 from .qr_step import qr_step_tasks
 from .solver_base import Executor, TiledSolverBase
 
@@ -82,6 +82,7 @@ class HybridLUQRSolver(TiledSolverBase):
     """
 
     algorithm = "LUQR"
+    step_kinds = ("LU", "QR")
 
     def __init__(
         self,
@@ -124,38 +125,44 @@ class HybridLUQRSolver(TiledSolverBase):
     def _plan_step(
         self, tiles: TileMatrix, dist: BlockCyclicDistribution, k: int
     ) -> Tuple[StepRecord, List[KernelTask]]:
-        record = StepRecord(k=k, kind="LU", decision_overhead=True)
-        # Backup of the diagonal-domain panel tiles (Figure 1, BACKUP PANEL).
-        # The numerical driver never overwrites the tiles before the decision,
-        # so the backup is pure bookkeeping here, but it is charged by the
-        # performance model exactly like the real implementation.
-        record.add_kernel("panel_backup")
-
+        # LU ON PANEL (Figure 1): factor the diagonal domain, gather the
+        # criterion data and decide.  The tiles are never overwritten before
+        # the decision, so the panel backup is bookkeeping only here.
         analysis = analyze_panel(tiles, dist, k, domain_pivoting=self.domain_pivoting)
-        record.add_kernel("criterion_allreduce")
-        record.domain_rows = analysis.domain_rows
-
         decision = self.criterion.evaluate(analysis.info)
-        record.decision = decision
-
         # A singular diagonal domain cannot be used for an LU step no matter
         # what the criterion says (there is no factorization to reuse).
-        if decision.use_lu and not analysis.singular:
-            record.kind = "LU"
-            tasks = lu_step_tasks(tiles, k, analysis, record)
-        else:
-            record.kind = "QR"
-            # The domain factorization is discarded and the panel restored
-            # (Figure 1, PROPAGATE): charge the wasted factorization and the
-            # restore, then run the hierarchical QR step on pristine tiles.
-            record.add_kernel("getrf_discarded")
-            record.add_kernel("panel_restore")
-            tree = HierarchicalTree(
-                distribution=dist,
-                intra_tree=self.intra_tree,
-                inter_tree=self.inter_tree,
-                step=k,
-            )
-            elims = tree.eliminations_for_step(k, list(range(k, tiles.n)))
-            tasks = qr_step_tasks(tiles, k, elims, record)
+        use_lu = decision.use_lu and not analysis.singular
+        record, tasks = self.plan_kind(tiles, dist, k, "LU" if use_lu else "QR", analysis)
+        record.decision = decision
         return record, tasks
+
+    def plan_kind(
+        self,
+        tiles: TileMatrix,
+        dist: BlockCyclicDistribution,
+        k: int,
+        kind: str,
+        analysis: Optional[PanelAnalysis] = None,
+    ) -> Tuple[StepRecord, List[KernelTask]]:
+        if analysis is None:
+            analysis = planned_panel(dist, k, self.domain_pivoting)
+        record = StepRecord(k=k, kind=kind, decision_overhead=True)
+        record.domain_rows = analysis.domain_rows
+        record.add_kernel("panel_backup")
+        record.add_kernel("criterion_allreduce")
+        if kind == "LU":
+            return record, lu_step_tasks(tiles, k, analysis, record)
+        # The domain factorization is discarded and the panel restored
+        # (Figure 1, PROPAGATE): charge the wasted factorization and the
+        # restore, then run the hierarchical QR step on pristine tiles.
+        record.add_kernel("getrf_discarded")
+        record.add_kernel("panel_restore")
+        tree = HierarchicalTree(
+            distribution=dist,
+            intra_tree=self.intra_tree,
+            inter_tree=self.inter_tree,
+            step=k,
+        )
+        elims = tree.eliminations_for_step(k, list(range(k, tiles.n)))
+        return record, qr_step_tasks(tiles, k, elims, record)

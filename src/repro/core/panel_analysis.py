@@ -28,7 +28,10 @@ from ..linalg.norm_est import smallest_inverse_norm_from_lu
 from ..tiles.distribution import BlockCyclicDistribution
 from ..tiles.tile_matrix import TileMatrix
 
-__all__ = ["PanelAnalysis", "analyze_panel"]
+__all__ = ["PanelAnalysis", "analyze_panel", "planned_panel"]
+
+#: Panel factor of a step planned without numerics (:func:`planned_panel`).
+PLANNED_FACTOR = "planned"
 
 
 @dataclass
@@ -45,12 +48,14 @@ class PanelAnalysis:
     exist; ``factor`` is then ``None``, the criterion data reports a zero
     ``diag_inv_norm_inv`` and zero pivots (so every sensible criterion
     rejects the LU step), and the hybrid driver falls back to a QR step.
+    A panel planned without numerics (:func:`planned_panel`) has neither:
+    ``factor`` is :data:`PLANNED_FACTOR` and ``info`` is ``None``.
     """
 
     k: int
     domain_rows: List[int]
-    factor: "LUPanelFactor | None"
-    info: PanelInfo
+    factor: "LUPanelFactor | str | None"
+    info: "PanelInfo | None"
 
     @property
     def singular(self) -> bool:
@@ -81,10 +86,7 @@ def analyze_panel(
     """
     nb = tiles.nb
     n = tiles.n
-    if domain_pivoting:
-        domain_rows = dist.diagonal_domain_rows(k)
-    else:
-        domain_rows = [k]
+    domain_rows = _domain_rows(dist, k, domain_pivoting)
     domain_set = set(domain_rows)
     off_domain_rows = [i for i in range(k, n) if i not in domain_set]
 
@@ -136,3 +138,22 @@ def analyze_panel(
         domain_rows=list(domain_rows),
     )
     return PanelAnalysis(k=k, domain_rows=list(domain_rows), factor=factor, info=info)
+
+
+def _domain_rows(dist: BlockCyclicDistribution, k: int, domain_pivoting: bool) -> List[int]:
+    """Tile rows the pivot search of panel ``k`` spans."""
+    return list(dist.diagonal_domain_rows(k)) if domain_pivoting else [k]
+
+
+def planned_panel(
+    dist: BlockCyclicDistribution, k: int, domain_pivoting: bool = True
+) -> PanelAnalysis:
+    """Panel ``k`` as the LU-step planner sees it, without numerics.
+
+    It has the domain rows :func:`analyze_panel` would factor and a
+    :data:`PLANNED_FACTOR` in place of the factor, so the step it plans can
+    be priced (:mod:`repro.perf.model`) but not run.
+    """
+    return PanelAnalysis(
+        k=k, domain_rows=_domain_rows(dist, k, domain_pivoting), factor=PLANNED_FACTOR, info=None
+    )

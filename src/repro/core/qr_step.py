@@ -30,57 +30,7 @@ from ..tiles.tile_matrix import TileMatrix
 from ..trees.base import Elimination, validate_eliminations
 from .factorization import StepRecord
 
-__all__ = ["perform_qr_step", "qr_step_tasks", "qr_step_operations"]
-
-
-def qr_step_operations(
-    k: int, n: int, eliminations: Sequence[Elimination]
-) -> List[tuple]:
-    """Symbolic kernel sequence of one QR step (no numerics).
-
-    Returns the ordered list of kernel invocations that
-    :func:`perform_qr_step` would execute for the same elimination list,
-    as tuples:
-
-    * ``("geqrt", row)`` and ``("unmqr", row, j)`` — triangularization of a
-      row and the update of its trailing tiles;
-    * ``("tsqrt"|"ttqrt", eliminator, killed)`` — the panel coupling;
-    * ``("tsmqr"|"ttmqr", eliminator, killed, j)`` — the trailing update of
-      the coupled rows at column ``j``.
-
-    The task-graph builder uses this sequence to generate QR-step tasks, and
-    the test suite checks it stays consistent with the numerical driver.
-    """
-    ops: List[tuple] = []
-    triangular: Set[int] = set()
-
-    def triangularize(row: int) -> None:
-        if row in triangular:
-            return
-        ops.append(("geqrt", row))
-        for j in range(k + 1, n):
-            ops.append(("unmqr", row, j))
-        triangular.add(row)
-
-    elims = list(eliminations)
-    if not elims:
-        triangularize(k)
-        return ops
-
-    for e in elims:
-        triangularize(e.eliminator)
-        if e.kind == "TT":
-            triangularize(e.killed)
-            ops.append(("ttqrt", e.eliminator, e.killed))
-            update = "ttmqr"
-        else:
-            ops.append(("tsqrt", e.eliminator, e.killed))
-            update = "tsmqr"
-        for j in range(k + 1, n):
-            ops.append((update, e.eliminator, e.killed, j))
-    if k not in triangular:
-        triangularize(k)
-    return ops
+__all__ = ["perform_qr_step", "qr_step_tasks"]
 
 
 def qr_step_tasks(

@@ -10,10 +10,13 @@ clean-up codes"), breakdown handling, and the construction of
 :class:`~repro.core.factorization.Factorization` /
 :class:`~repro.core.factorization.SolveResult` objects.
 
-Concrete solvers implement :meth:`TiledSolverBase._plan_step`, which makes
-the per-step decision (criterion evaluation, panel analysis — inherently
-sequential, mirroring the paper's BACKUP/LU-ON-PANEL/PROPAGATE control
-layer) and returns the step's numerical kernels as a task list.  The base
+Concrete solvers implement :meth:`TiledSolverBase.plan_kind`, which plans
+a step of a given kind (LU or QR) as a task list of numerical kernels;
+without a panel analysis it plans without numerics, which is how
+:mod:`repro.perf.model` prices a step-kind sequence.
+:meth:`TiledSolverBase._plan_step` makes the per-step decision before it
+(criterion evaluation, panel analysis — inherently sequential, mirroring
+the paper's BACKUP/LU-ON-PANEL/PROPAGATE control layer).  The base
 driver then either runs the kernels in program order (the sequential
 reference) or, when an ``executor`` is configured, materialises them as a
 :class:`~repro.runtime.graph.TaskGraph` and fans them out on the dataflow
@@ -43,6 +46,7 @@ from ..tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from ..tiles.shared_buffer import SharedTileBuffer
 from ..tiles.tile_matrix import TileMatrix
 from .factorization import Factorization, SolveResult, StepRecord, stack_rhs
+from .panel_analysis import PanelAnalysis
 
 __all__ = ["TiledSolverBase", "pad_to_tile_multiple"]
 
@@ -130,6 +134,9 @@ class TiledSolverBase(ABC):
     #: Name used in experiment tables; overridden by subclasses.
     algorithm: str = "abstract"
 
+    #: Step kinds :meth:`plan_kind` plans.
+    step_kinds: Tuple[str, ...] = ("LU",)
+
     def __init__(
         self,
         tile_size: int,
@@ -173,7 +180,6 @@ class TiledSolverBase(ABC):
     # ------------------------------------------------------------------ #
     # Hooks for subclasses
     # ------------------------------------------------------------------ #
-    @abstractmethod
     def _plan_step(
         self, tiles: TileMatrix, dist: BlockCyclicDistribution, k: int
     ) -> Tuple[StepRecord, List[KernelTask]]:
@@ -181,7 +187,37 @@ class TiledSolverBase(ABC):
 
         Performs the sequential control work (panel analysis, criterion
         decision) and returns the step's :class:`StepRecord` together with
-        the ordered kernel tasks that carry out the numerical work.
+        the ordered kernel tasks that carry out the numerical work.  By
+        default the step is the solver's one kind, planned from
+        :meth:`_panel_analysis`.
+        """
+        analysis = self._panel_analysis(tiles, dist, k)
+        return self.plan_kind(tiles, dist, k, self.step_kinds[0], analysis)
+
+    def _panel_analysis(
+        self, tiles: TileMatrix, dist: BlockCyclicDistribution, k: int
+    ) -> Optional[PanelAnalysis]:
+        """The numerical panel analysis whose factor an LU step reuses."""
+        return None
+
+    @abstractmethod
+    def plan_kind(
+        self,
+        tiles: TileMatrix,
+        dist: BlockCyclicDistribution,
+        k: int,
+        kind: str,
+        analysis: Optional[PanelAnalysis] = None,
+    ) -> Tuple[StepRecord, List[KernelTask]]:
+        """Plan elimination step ``k`` as a ``kind`` step (one of
+        :attr:`step_kinds`): the part of :meth:`_plan_step` after the decision.
+
+        ``analysis`` is the step's panel analysis, for the solvers whose LU
+        step reuses its factor.  Without one the step is planned without
+        numerics: ``tiles`` need only have ``n``, ``nb`` and ``has_rhs``,
+        and an LU step carries a placeholder factor
+        (:func:`~repro.core.panel_analysis.planned_panel`), so the plan can
+        be priced but not run.
         """
 
     def _do_step(
@@ -194,7 +230,7 @@ class TiledSolverBase(ABC):
         the step, and submit its kernels to the pending window (they run
         during a later ``advance`` or the final drain); on the inline path
         the kernels simply run in program order.  Subclasses normally only
-        implement :meth:`_plan_step`; overriding ``_do_step`` directly
+        implement :meth:`plan_kind`; overriding ``_do_step`` directly
         opts out of the dataflow execution path (and of the pipeline).
         """
         if self.executor is not None:

@@ -27,9 +27,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..baselines import LUNoPivSolver
-from ..core.dag_builder import FactorizationSpec
 from ..matrices.random_gen import random_matrix, random_rhs
-from ..perf.model import PerformanceModel
+from ..perf.model import FactorizationSpec, PerformanceModel
 from ..runtime.platform import dancer_platform
 from ..tiles.distribution import ProcessGrid
 from ..trees import BinaryTree, FibonacciTree, FlatTree, GreedyTree
@@ -49,24 +48,13 @@ def decision_overhead_ablation(
     """Simulated overhead of the decision machinery when every step is QR."""
     grid = ProcessGrid(4, 4)
     model = PerformanceModel(dancer_platform(grid))
-    hqr_spec = FactorizationSpec(
-        n_tiles=paper_n_tiles,
-        tile_size=paper_tile_size,
-        step_kinds=["QR"] * paper_n_tiles,
-        algorithm="HQR",
-        decision_overhead=False,
-        grid=grid,
+    hqr, luqr = (
+        model.simulate_spec(
+            FactorizationSpec(paper_n_tiles, paper_tile_size, ["QR"] * paper_n_tiles,
+                              algorithm, overhead, grid)
+        )
+        for algorithm, overhead in (("HQR", False), ("LUQR", True))
     )
-    luqr_spec = FactorizationSpec(
-        n_tiles=paper_n_tiles,
-        tile_size=paper_tile_size,
-        step_kinds=["QR"] * paper_n_tiles,
-        algorithm="LUQR",
-        decision_overhead=True,
-        grid=grid,
-    )
-    hqr = model.simulate_spec(hqr_spec)
-    luqr = model.simulate_spec(luqr_spec)
     return {
         "hqr_time_s": hqr.execution_time,
         "luqr_alpha0_time_s": luqr.execution_time,
@@ -91,16 +79,8 @@ def tree_shape_ablation(
     rows: List[Dict[str, object]] = []
     panel_rows = list(range(n_tiles))
     for intra_name, intra in trees.items():
-        spec = FactorizationSpec(
-            n_tiles=n_tiles,
-            tile_size=tile_size,
-            step_kinds=["QR"] * n_tiles,
-            algorithm="HQR",
-            decision_overhead=False,
-            grid=grid,
-            intra_tree=intra,
-            inter_tree=FibonacciTree(),
-        )
+        spec = FactorizationSpec(n_tiles, tile_size, ["QR"] * n_tiles, "HQR", grid=grid,
+                                 intra_tree=intra, inter_tree=FibonacciTree())
         report = model.simulate_spec(spec)
         rows.append(
             {

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..api.facade import make_criterion, make_solver
-from ..core.dag_builder import FactorizationSpec
 from ..core.factorization import Factorization
 from ..core.hybrid import HybridLUQRSolver
-from ..perf.model import PerformanceModel, PerformanceReport
+from ..perf.model import FactorizationSpec, PerformanceModel, PerformanceReport
 from ..runtime.platform import Platform, dancer_platform
 from ..tiles.distribution import ProcessGrid
 

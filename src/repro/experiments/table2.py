@@ -18,12 +18,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..core.dag_builder import FactorizationSpec
 from ..matrices.random_gen import random_matrix, random_rhs
-from ..perf.model import PerformanceModel
-from ..runtime.platform import dancer_platform
-from ..tiles.distribution import ProcessGrid
-from .common import ExperimentConfig, format_table, make_baseline, make_hybrid, resample_step_kinds
+from .common import (
+    ExperimentConfig,
+    format_table,
+    make_baseline,
+    make_hybrid,
+    simulate_at_paper_scale,
+)
 
 __all__ = ["TABLE2_ALPHAS", "table2_rows", "main"]
 
@@ -40,29 +42,13 @@ def table2_rows(
     config = config if config is not None else ExperimentConfig(n_tiles=16)
     alphas = list(alphas) if alphas is not None else TABLE2_ALPHAS
 
-    grid = ProcessGrid(4, 4)
-    platform = dancer_platform(grid)
-    model = PerformanceModel(platform)
-
     n = config.n_order
     a = random_matrix(n, seed=config.seed)
     b = random_rhs(n, seed=config.seed + 1)
-
-    def paper_scale_report(step_kinds: List[str], algorithm: str, overhead: bool):
-        spec = FactorizationSpec(
-            n_tiles=config.paper_n_tiles,
-            tile_size=config.paper_tile_size,
-            step_kinds=resample_step_kinds(step_kinds, config.paper_n_tiles),
-            algorithm=algorithm,
-            decision_overhead=overhead,
-            grid=grid,
-        )
-        return model.simulate_spec(spec)
-
     rows: List[Dict[str, object]] = []
 
-    def add_row(label: str, alpha: object, fact, algorithm: str, overhead: bool) -> None:
-        report = paper_scale_report(fact.step_kinds, algorithm, overhead)
+    def add_row(label: str, alpha: object, fact) -> None:
+        report = simulate_at_paper_scale(fact, config)
         rows.append(
             {
                 "algorithm": label,
@@ -77,20 +63,12 @@ def table2_rows(
         )
 
     # Baselines first, as in the paper's table.
-    for base, overhead in (("LU NoPiv", False), ("LU IncPiv", False)):
-        solver = make_baseline(base, config)
-        fact = solver.factor(a, b)
-        add_row(base, "", fact, solver.algorithm, overhead)
-
+    for base in ("LU NoPiv", "LU IncPiv"):
+        add_row(base, "", make_baseline(base, config).factor(a, b))
     for alpha in alphas:
-        solver = make_hybrid("max", alpha, config)
-        fact = solver.factor(a, b)
-        add_row("LUQR (MAX)", alpha, fact, "LUQR", True)
-
+        add_row("LUQR (MAX)", alpha, make_hybrid("max", alpha, config).factor(a, b))
     for base in ("HQR", "LUPP"):
-        solver = make_baseline(base, config)
-        fact = solver.factor(a, b)
-        add_row(base, "", fact, solver.algorithm, False)
+        add_row(base, "", make_baseline(base, config).factor(a, b))
 
     return rows
 

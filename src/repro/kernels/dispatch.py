@@ -34,14 +34,16 @@ one *sweep* call per column range (:func:`sweep_ranges`: the next two
 panel columns, then the bulk block) plus one for the right-hand side: a single
 GEMM over a block view for LU, the step's UNMQR/TSMQR/TTMQR chain in
 program order over tile-row blocks for QR, the SSSSM chain for IncPiv.
-Each sweep's effect lists its per-tile constituents, so placement prices
-it kernel by kernel.
+Each sweep's effect lists its per-tile constituents (kernel name, reads,
+writes, owner anchor), so placement prices its communication and the
+performance model (:mod:`repro.perf.model`) its cost kernel by kernel.
 
 Every op is one :func:`kernel_op` registration: its body, its *access
 rule* (:data:`ACCESS_RULES`: the tiles a call reads and writes, built
 directly from the call's arguments and the elimination step) and its
 *effect rule* (:data:`EFFECT_RULES`: owner anchor, per-tile constituents
-and product size, read by placement and the cluster executor).  The
+and product size, read by placement, the cluster executor and the
+performance model).  The
 access rule is the only place a task's accesses are declared; a planned
 task's ``reads``/``writes`` are its output.
 """
@@ -52,7 +54,7 @@ import os
 import time
 from dataclasses import dataclass
 from multiprocessing import current_process
-from typing import Any, Callable, ClassVar, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -79,6 +81,7 @@ __all__ = [
     "execute_kernel_call",
     "SigContext",
     "OpEffect",
+    "Unit",
     "sweep_ranges",
 ]
 
@@ -140,20 +143,31 @@ class SigContext:
     itemsize: ClassVar[int] = 8
 
 
+class Unit(NamedTuple):
+    """One logical per-tile kernel of a task: the accesses it has as a task
+    of its own, and the tile its owner computes on."""
+
+    kernel: str
+    reads: Tuple[TileRef, ...]
+    writes: Tuple[TileRef, ...]
+    anchor: TileRef
+
+
 @dataclass(frozen=True)
 class OpEffect:
-    """What placement, liveness and the cluster executor read of one kernel call.
+    """What placement, liveness, the cluster executor and the performance
+    model read of one kernel call.
 
     ``owner_tile`` anchors a per-tile kernel's owner (owner-computes on the
-    written tile).  ``constituents`` decomposes a sweep into
-    ``(read_refs, anchor_ref)`` units, one per logical kernel, so placement
-    prices its communication kernel by kernel; a sweep's owner is its first
-    unit's anchor.  ``product_bytes`` sizes the value published under
-    ``call.produces``.
+    written tile).  ``constituents`` decomposes a sweep into its
+    :class:`Unit` s, one per logical kernel, so placement prices its
+    communication and the performance model its cost kernel by kernel; a
+    sweep's owner is its first unit's anchor.  ``product_bytes`` sizes the
+    value published under ``call.produces``.
     """
 
     owner_tile: Optional[TileRef] = None
-    constituents: Tuple[Tuple[Tuple[TileRef, ...], TileRef], ...] = ()
+    constituents: Tuple[Unit, ...] = ()
     product_bytes: int = 0
 
 
@@ -206,12 +220,12 @@ def _tiles(rows, columns) -> TileSet:
 def _sweep_effect(units) -> OpEffect:
     """Effect of a sweep over its per-tile kernel units.
 
-    ``units`` are ``(reads, writes, anchor)`` triples, one per logical
-    kernel, exactly the accesses that kernel has as a task of its own.  The
-    sweep's reads and writes are its access rule, which the test suite
-    checks against the union of the units' sets.
+    ``units`` are ``(kernel, reads, writes, anchor)`` tuples, one per
+    logical kernel, exactly the accesses that kernel has as a task of its
+    own.  The sweep's reads and writes are its access rule, which the test
+    suite checks against the union of the units' sets.
     """
-    return OpEffect(constituents=tuple((reads, anchor) for reads, _writes, anchor in units))
+    return OpEffect(constituents=tuple(Unit(*unit) for unit in units))
 
 
 def sweep_ranges(k: int, n: int) -> List[Tuple[int, int]]:
@@ -253,7 +267,7 @@ def _lu_swptrsm_effect(step, rows, columns) -> OpEffect:
     units = []
     for j in columns:
         col = tuple((i, j) for i in rows)
-        units.append((panel + col, col, (rows[0], j)))
+        units.append(("swptrsm", panel + col, col, (rows[0], j)))
     return _sweep_effect(units)
 
 
@@ -264,10 +278,14 @@ def _lu_gemm_access(k, i1, columns):
     return cols.union([(i, k) for i in rows], [(k, j) for j in columns]), cols
 
 
-def _lu_gemm_effect(k, i1, columns) -> OpEffect:
+def _lu_gemm_effect(kernel, k, i1, columns) -> OpEffect:
     """One GEMM per updated tile."""
     return _sweep_effect(
-        [(((i, k), (k, j), (i, j)), ((i, j),), (i, j)) for i in range(k + 1, i1) for j in columns]
+        [
+            (kernel, ((i, k), (k, j), (i, j)), ((i, j),), (i, j))
+            for i in range(k + 1, i1)
+            for j in columns
+        ]
     )
 
 
@@ -313,7 +331,7 @@ def _lu_trsm(tiles: TileMatrix, inputs, i, k, factor) -> None:
 @kernel_op(
     "lu.gemm_sweep",
     lambda step, k, i1, j0, j1: _lu_gemm_access(k, i1, range(j0, j1)),
-    lambda ctx, step, k, i1, j0, j1: _lu_gemm_effect(k, i1, range(j0, j1)),
+    lambda ctx, step, k, i1, j0, j1: _lu_gemm_effect("gemm", k, i1, range(j0, j1)),
 )
 def _lu_gemm_sweep(tiles: TileMatrix, inputs, k, i1, j0, j1) -> None:
     c = tiles.block(k + 1, i1, j0, j1)
@@ -323,7 +341,7 @@ def _lu_gemm_sweep(tiles: TileMatrix, inputs, k, i1, j0, j1) -> None:
 @kernel_op(
     "lu.gemm_sweep_rhs",
     lambda step, k, i1: _lu_gemm_access(k, i1, (_RHS,)),
-    lambda ctx, step, k, i1: _lu_gemm_effect(k, i1, (_RHS,)),
+    lambda ctx, step, k, i1: _lu_gemm_effect("gemm_rhs", k, i1, (_RHS,)),
 )
 def _lu_gemm_sweep_rhs(tiles: TileMatrix, inputs, k, i1) -> None:
     c = tiles.rhs_block(k + 1, i1)
@@ -346,17 +364,17 @@ def _qr_chain_access(step, columns, ops):
     return writes.union([(op[-2], step) for op in ops]), writes
 
 
-def _qr_chain_effect(step, columns, ops) -> OpEffect:
+def _qr_chain_effect(step, columns, ops, suffix="") -> OpEffect:
     """One UNMQR/TSMQR/TTMQR per op and column, in program order."""
     units = []
     for j in columns:
         for op in ops:
             if op[0] == "unmqr":
                 ref = (op[1], j)
-                units.append((((op[1], step), ref), (ref,), ref))
+                units.append((op[0] + suffix, ((op[1], step), ref), (ref,), ref))
             else:
                 pair = ((op[1], j), (op[2], j))
-                units.append((pair + ((op[2], step),), pair, pair[1]))
+                units.append((op[0] + suffix, pair + ((op[2], step),), pair, pair[1]))
     return _sweep_effect(units)
 
 
@@ -420,7 +438,7 @@ def _qr_sweep(tiles: TileMatrix, inputs, j0, j1, ops) -> None:
 @kernel_op(
     "qr.sweep_rhs",
     lambda step, ops: _qr_chain_access(step, (_RHS,), ops),
-    lambda ctx, step, ops: _qr_chain_effect(step, (_RHS,), ops),
+    lambda ctx, step, ops: _qr_chain_effect(step, (_RHS,), ops, "_rhs"),
 )
 def _qr_sweep_rhs(tiles: TileMatrix, inputs, ops) -> None:
     _qr_chain(tiles.rhs_tile, ops, inputs)
@@ -441,13 +459,13 @@ def _ssssm_access(k, rows, columns):
     return cols.union([(i, k) for i in rows]), cols
 
 
-def _ssssm_effect(k, rows, columns) -> OpEffect:
+def _ssssm_effect(kernel, k, rows, columns) -> OpEffect:
     """One SSSSM per pair and column, anchored at the pair's lower tile."""
     units = []
     for j in columns:
         for i in rows:
             pair = ((k, j), (i, j))
-            units.append((((i, k),) + pair, pair, (i, j)))
+            units.append((kernel, ((i, k),) + pair, pair, (i, j)))
     return _sweep_effect(units)
 
 
@@ -471,7 +489,7 @@ def _incpiv_getrf(tiles: TileMatrix, inputs, k):
     "incpiv.swptrsm",
     lambda step, k, j0, j1: _incpiv_row_access(k, range(j0, j1)),
     lambda ctx, step, k, j0, j1: _sweep_effect(
-        [(((k, k), (k, j)), ((k, j),), (k, j)) for j in range(j0, j1)]
+        [("swptrsm", ((k, k), (k, j)), ((k, j),), (k, j)) for j in range(j0, j1)]
     ),
 )
 def _incpiv_swptrsm(tiles: TileMatrix, inputs, k, j0, j1) -> None:
@@ -516,7 +534,7 @@ def _ssssm_chain(operand, k, rows, pairs, nb) -> None:
 @kernel_op(
     "incpiv.ssssm_sweep",
     lambda step, k, j0, j1, rows: _ssssm_access(k, rows, range(j0, j1)),
-    lambda ctx, step, k, j0, j1, rows: _ssssm_effect(k, rows, range(j0, j1)),
+    lambda ctx, step, k, j0, j1, rows: _ssssm_effect("ssssm", k, rows, range(j0, j1)),
 )
 def _incpiv_ssssm_sweep(tiles: TileMatrix, inputs, k, j0, j1, rows) -> None:
     _ssssm_chain(lambda i: tiles.row_block(i, j0, j1), k, rows, inputs, tiles.nb)
@@ -525,7 +543,7 @@ def _incpiv_ssssm_sweep(tiles: TileMatrix, inputs, k, j0, j1, rows) -> None:
 @kernel_op(
     "incpiv.ssssm_sweep_rhs",
     lambda step, k, rows: _ssssm_access(k, rows, (_RHS,)),
-    lambda ctx, step, k, rows: _ssssm_effect(k, rows, (_RHS,)),
+    lambda ctx, step, k, rows: _ssssm_effect("ssssm_rhs", k, rows, (_RHS,)),
 )
 def _incpiv_ssssm_sweep_rhs(tiles: TileMatrix, inputs, k, rows) -> None:
     _ssssm_chain(tiles.rhs_tile, k, rows, inputs, tiles.nb)

@@ -74,6 +74,17 @@ class KernelFlops:
         """General tile-tile multiply-accumulate ``C <- C - A B``."""
         return 2.0 * self.nb**3
 
+    # ----------------------- LU IncPiv kernels ------------------------ #
+    @property
+    def tstrf(self) -> float:
+        """Pairwise LU of the diagonal tile on a panel tile (priced as TRSM)."""
+        return self.trsm
+
+    @property
+    def ssssm(self) -> float:
+        """Apply a TSTRF transformation to a pair of trailing tiles (a GEMM)."""
+        return self.gemm
+
     # ----------------------- QR-step kernels -------------------------- #
     # The kernels in repro.kernels.qr_kernels are LAPACK's inner-blocked
     # tile QR (dgeqrt / dtpqrt / dgemqrt / dtpmqrt at ib = 8), as in the

@@ -115,6 +115,14 @@ def _strictly_lower(nb: int) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=None)
+def _strictly_upper(nb: int) -> np.ndarray:
+    """Strictly-upper mask of order ``nb``, built once."""
+    mask = np.ascontiguousarray(_strictly_lower(nb).T)
+    mask.flags.writeable = False
+    return mask
+
+
 def _triu(m: np.ndarray) -> np.ndarray:
     """``np.triu(m)`` for a square ``m``: the same ``np.where``, cached mask."""
     return np.where(_strictly_lower(m.shape[0]), 0.0, m)
@@ -125,9 +133,14 @@ def _fortran(a: np.ndarray) -> np.ndarray:
 
 
 def _upper(a: np.ndarray) -> np.ndarray:
-    """A Fortran copy of a square ``a`` with its strict lower triangle zeroed."""
+    """A Fortran copy of a square ``a`` with its strict lower triangle zeroed.
+
+    The zeroing runs on the copy's C-ordered transpose, whose strict upper
+    triangle it is: mask and view then share one layout, which keeps
+    ``np.copyto`` on its fast path.
+    """
     f = _fortran(a)
-    np.copyto(f, 0.0, where=_strictly_lower(f.shape[0]))
+    np.copyto(f.T, 0.0, where=_strictly_upper(f.shape[0]))
     return f
 
 

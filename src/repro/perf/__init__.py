@@ -2,8 +2,10 @@
 
 Two layers that close the loop between model and machine:
 
-* :mod:`repro.perf.model` — the paper's analytic layer: simulate a run on
-  a modelled platform and report normalised GFLOP/s (Figure 2, Table II);
+* :mod:`repro.perf.model` — the paper's analytic layer: plan a run's step
+  kinds with the solvers' own planners, expand every planned task into its
+  per-tile kernel units (:func:`plan_graph`), simulate that graph on a
+  modelled platform and report normalised GFLOP/s (Figure 2, Table II);
 * :mod:`repro.perf.calibrate` — fit per-kernel cost models from the
   execution traces of real factorizations on *this* host, persisted at
   ``~/.cache/repro/calibration.json``.
@@ -25,12 +27,15 @@ from .calibrate import (
     kernel_source_hash,
     run_calibration,
 )
-from .model import PerformanceModel, PerformanceReport
+from .model import FactorizationSpec, PerformanceModel, PerformanceReport, plan_graph, planned_steps
 
 __all__ = [
     "Platform",
     "dancer_platform",
     "laptop_platform",
+    "FactorizationSpec",
+    "plan_graph",
+    "planned_steps",
     "PerformanceModel",
     "PerformanceReport",
     "Calibration",

@@ -10,32 +10,241 @@ even at equal hardware efficiency.  Table II additionally reports the
 "true" rate where the numerator is the number of flops actually performed,
 ``(2/3 f_LU + 4/3 (1 - f_LU)) N^3``.
 
-:class:`PerformanceModel` glues the pieces together: it builds the task
-graph of a run (from a numerical factorization or from an explicit spec),
-schedules it on a modelled platform with the discrete-event simulator, and
-converts the makespan into the fake/true GFLOP/s and %-of-peak columns.
-
-The model is no longer purely analytic.  Pass a
-:class:`~repro.perf.calibrate.Calibration` (fitted from real execution
-traces by :mod:`repro.perf.calibrate`) and every kernel the calibration
-has observed is priced at its *measured* per-core duration instead of the
-platform's paper-derived rates, from the same fit the critical-path
-scheduler's b-level priorities read online.
+A run is a :class:`FactorizationSpec` (algorithm, tile counts, per-step
+LU/QR kinds).  :func:`plan_graph` plans it with the solver's own step
+planner, without numerics
+(:meth:`~repro.core.solver_base.TiledSolverBase.plan_kind`), and expands
+every planned task into the per-tile kernel units its op's effect rule
+declares: one task per unit, owned by its anchor tile's rank, priced at
+its kernel's flop count, with dependencies inferred from its tile
+accesses.  Each step adds its control tasks (the hybrid's decision, LUPP's
+pivot exchange); the graph has no right-hand side.
+:class:`PerformanceModel` schedules the graph on a modelled platform with
+the discrete-event simulator and converts the makespan into the fake/true
+GFLOP/s and %-of-peak columns; a
+:class:`~repro.perf.calibrate.Calibration` replaces the platform's rates
+with measured per-kernel durations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from collections import namedtuple
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..core.dag_builder import FactorizationSpec, build_task_graph, spec_from_factorization
+from ..analysis.placement import constituent_units, owner_of_ref
+from ..baselines import HQRSolver, LUIncPivSolver, LUNoPivSolver, LUPPSolver
 from ..core.factorization import Factorization
-from ..kernels.flops import fake_flops, true_flops
+from ..core.hybrid import HybridLUQRSolver
+from ..kernels.dispatch import SigContext, op_effect
+from ..kernels.flops import KernelFlops, fake_flops, true_flops
+from ..runtime.graph import TaskGraph
 from ..runtime.platform import Platform, dancer_platform
+from ..runtime.schedule import KernelTask, static_kernel_flops
 from ..runtime.simulator import SimulationResult, simulate
-from ..tiles.distribution import ProcessGrid
+from ..tiles.distribution import BlockCyclicDistribution, ProcessGrid
+from ..trees.base import ReductionTree
 
-__all__ = ["PerformanceReport", "PerformanceModel"]
+__all__ = [
+    "FactorizationSpec",
+    "planned_steps",
+    "plan_graph",
+    "PerformanceReport",
+    "PerformanceModel",
+]
+
+#: Solver class of every ``FactorizationSpec.algorithm`` label.
+_SOLVERS = {
+    cls.algorithm: cls
+    for cls in (HybridLUQRSolver, LUNoPivSolver, LUIncPivSolver, LUPPSolver, HQRSolver)
+}
+
+#: Bandwidth of the node-local copies behind the panel backup and restore.
+_MEMCPY_BANDWIDTH = 5.0e9
+
+
+@dataclass
+class FactorizationSpec:
+    """Everything the performance model needs to know about one run.
+
+    Attributes
+    ----------
+    n_tiles:
+        Number of tile rows/columns.
+    tile_size:
+        Tile order ``nb``.
+    step_kinds:
+        ``"LU"`` or ``"QR"`` for each of the ``n_tiles`` steps; each must be
+        a kind the algorithm's solver plans.
+    algorithm:
+        Solver label (``"LUQR"``, ``"LU NoPiv"``, ``"LU IncPiv"``,
+        ``"LUPP"``, ``"HQR"``): its planner builds the steps, and
+        ``"LUPP"`` pays a panel-wide pivot exchange per step.
+    decision_overhead:
+        Whether each step pays backup / criterion / propagate (hybrid only).
+    grid:
+        Process grid of the target platform run.
+    intra_tree / inter_tree:
+        Reduction trees of the QR steps (the solver's defaults when None).
+    """
+
+    n_tiles: int
+    tile_size: int
+    step_kinds: List[str]
+    algorithm: str = "LUQR"
+    decision_overhead: bool = False
+    grid: ProcessGrid = field(default_factory=lambda: ProcessGrid(1, 1))
+    intra_tree: Optional[ReductionTree] = None
+    inter_tree: Optional[ReductionTree] = None
+
+    def __post_init__(self) -> None:
+        if len(self.step_kinds) != self.n_tiles:
+            raise ValueError(
+                f"expected {self.n_tiles} step kinds, got {len(self.step_kinds)}"
+            )
+        solver = _SOLVERS.get(self.algorithm)
+        if solver is None:
+            raise ValueError(
+                f"unknown algorithm {self.algorithm!r}; expected one of {sorted(_SOLVERS)}"
+            )
+        for kind in self.step_kinds:
+            if kind not in solver.step_kinds:
+                raise ValueError(f"{self.algorithm} plans no {kind!r} steps")
+
+    @classmethod
+    def of(cls, fact: Factorization, grid: Optional[ProcessGrid] = None) -> "FactorizationSpec":
+        """The spec of a numerical factorization's run."""
+        return cls(
+            n_tiles=fact.tiles.n,
+            tile_size=fact.tiles.nb,
+            step_kinds=fact.step_kinds,
+            algorithm=fact.algorithm,
+            decision_overhead=any(s.decision_overhead for s in fact.steps),
+            grid=grid if grid is not None else ProcessGrid(1, 1),
+        )
+
+    @property
+    def lu_fraction(self) -> float:
+        if not self.step_kinds:
+            return 0.0
+        return sum(1 for k in self.step_kinds if k == "LU") / len(self.step_kinds)
+
+
+#: What a step planner reads of the tile matrix: its shape, and no RHS.
+_TileShape = namedtuple("_TileShape", "n nb has_rhs", defaults=(False,))
+
+
+def planned_steps(spec: FactorizationSpec) -> Iterator[Tuple[int, str, List[KernelTask]]]:
+    """``(k, kind, tasks)`` of every step of ``spec``, planned without numerics
+    by the algorithm's own solver."""
+    solver_class = _SOLVERS[spec.algorithm]
+    trees = {}
+    if "QR" in solver_class.step_kinds:
+        trees = dict(intra_tree=spec.intra_tree, inter_tree=spec.inter_tree)
+    solver = solver_class(spec.tile_size, grid=spec.grid, **trees)
+    tiles = _TileShape(spec.n_tiles, spec.tile_size)
+    dist = BlockCyclicDistribution(spec.grid, spec.n_tiles)
+    for k, kind in enumerate(spec.step_kinds):
+        _record, tasks = solver.plan_kind(tiles, dist, k, kind)
+        yield k, kind, tasks
+
+
+def plan_graph(spec: FactorizationSpec, platform: Optional[Platform] = None) -> TaskGraph:
+    """The per-tile task graph of the run ``spec`` describes.
+
+    Every planned task of :func:`planned_steps` becomes one task per kernel
+    unit its effect rule declares, in program order, after the step's
+    control tasks.  ``platform`` only prices the control tasks that
+    communicate (criterion all-reduce, LUPP pivot exchange); compute units
+    carry flop counts and are priced by the simulator itself.
+    """
+    nb = spec.tile_size
+    dist = BlockCyclicDistribution(spec.grid, spec.n_tiles)
+    ctx = SigContext(n=spec.n_tiles, nb=nb, nrhs=0)
+    flops = lru_cache(maxsize=None)(partial(static_kernel_flops, nb=nb))
+    graph = TaskGraph()
+    for k, kind, tasks in planned_steps(spec):
+        control = _control_tasks(graph, spec, dist, k, kind, platform)
+        for task in tasks:
+            reuse = spec.decision_overhead and task.call.kernel == "lu.scatter_factor"
+            for unit in constituent_units(task, op_effect(task.call, k, ctx)):
+                graph.add_task(
+                    # LU ON PANEL already factored (and was charged for) the
+                    # domain; the LU step reuses it, a zero-cost propagate.
+                    kernel="propagate" if reuse else unit.kernel,
+                    step=k,
+                    reads=unit.reads,
+                    writes=unit.writes,
+                    owner=owner_of_ref(unit.anchor, dist),
+                    flops=0.0 if reuse else flops(unit.kernel),
+                    duration_hint=0.0 if reuse else None,
+                    extra_deps=control,
+                )
+    return graph
+
+
+def _control_tasks(
+    graph: TaskGraph,
+    spec: FactorizationSpec,
+    dist: BlockCyclicDistribution,
+    k: int,
+    kind: str,
+    platform: Optional[Platform],
+) -> List[int]:
+    """Add step ``k``'s control tasks; return the uids its units wait for.
+
+    With the decision overhead: BACKUP PANEL, LU ON PANEL (the diagonal
+    domain's factorization), the criterion data of every other panel
+    owner, the all-reduce of the decision and, for a QR step, the restore
+    of the panel.  For LUPP: the panel-wide pivot exchange.  All are marked
+    ``critical``; the simulator ignores the flag.
+    """
+    nb = spec.tile_size
+    diag_owner = dist.diagonal_owner(k)
+    panel_owners = dist.panel_owners(k)
+    deps: List[int] = []
+    if spec.decision_overhead:
+        domain = [(i, k) for i in dist.diagonal_domain_rows(k)]
+        copy_time = len(domain) * 8.0 * nb * nb / _MEMCPY_BANDWIDTH
+        backup = graph.add_task(
+            "panel_backup", k, reads=domain, owner=diag_owner, critical=True,
+            duration_hint=copy_time,
+        )
+        lu_on_panel = graph.add_task(
+            "getrf", k, reads=domain, writes=domain, owner=diag_owner, critical=True,
+            flops=len(domain) * nb**3 - nb**3 / 3.0, extra_deps=[backup.uid],
+        )
+        inputs = [lu_on_panel.uid]
+        for rank in panel_owners:
+            if rank != diag_owner:
+                rows = dist.domain_rows(k, rank)
+                local = graph.add_task(
+                    "criterion_local", k, reads=[(i, k) for i in rows], owner=rank,
+                    critical=True, flops=len(rows) * KernelFlops(nb).tile_norm,
+                )
+                inputs.append(local.uid)
+        allreduce = graph.add_task(
+            "criterion_allreduce", k, owner=diag_owner, critical=True,
+            duration_hint=platform.allreduce_time(len(panel_owners), 8.0 * nb) if platform else 0.0,
+            extra_deps=inputs,
+        )
+        deps = [allreduce.uid]
+        if kind == "QR":
+            restore = graph.add_task(
+                "panel_restore", k, writes=domain, owner=diag_owner, critical=True,
+                duration_hint=copy_time, extra_deps=deps,
+            )
+            deps = [restore.uid]
+    if spec.algorithm == "LUPP":
+        panel = [(i, k) for i in range(k, spec.n_tiles)]
+        pivot = graph.add_task(
+            "panel_pivot_exchange", k, reads=panel, writes=panel, owner=diag_owner,
+            critical=True,
+            duration_hint=platform.pivot_exchange_time(len(panel_owners), nb) if platform else 0.0,
+        )
+        deps.append(pivot.uid)
+    return deps
 
 
 @dataclass
@@ -101,7 +310,7 @@ class PerformanceModel:
     # ------------------------------------------------------------------ #
     def simulate_spec(self, spec: FactorizationSpec) -> PerformanceReport:
         """Simulate a run described by an explicit spec."""
-        graph = build_task_graph(spec, platform=self.platform)
+        graph = plan_graph(spec, platform=self.platform)
         sim = simulate(
             graph,
             self.platform,
@@ -115,7 +324,7 @@ class PerformanceModel:
         self, fact: Factorization, grid: Optional[ProcessGrid] = None
     ) -> PerformanceReport:
         """Simulate the platform execution of an actual numerical run."""
-        spec = spec_from_factorization(fact, grid=grid if grid is not None else self.platform.grid)
+        spec = FactorizationSpec.of(fact, grid=grid if grid is not None else self.platform.grid)
         return self.simulate_spec(spec)
 
     # ------------------------------------------------------------------ #

@@ -18,7 +18,6 @@ factors) flow between descriptors through ``produces``/``consumes`` keys
 instead of shared Python dicts.
 """
 
-from .dataflow import DataflowStage, StepDataflow
 from .executor import ExecutionTrace, SequentialExecutor, ThreadedExecutor
 from .graph import TaskGraph
 from .process_executor import ProcessExecutor, shutdown_worker_pools
@@ -57,6 +56,4 @@ __all__ = [
     "ProcessExecutor",
     "shutdown_worker_pools",
     "ExecutionTrace",
-    "StepDataflow",
-    "DataflowStage",
 ]

@@ -7,12 +7,12 @@ the baselines) describe each elimination step as an ordered list of
 the tiles it reads and writes come from the op's access rule.  This module turns
 such a list into a :class:`~repro.runtime.graph.TaskGraph` — dependencies
 are inferred with the same superscalar (last-writer) analysis PaRSEC uses,
-exactly as :mod:`repro.core.dag_builder` does for the performance
-simulation — and runs it on a real executor.
+the analysis :mod:`repro.perf.model` applies to the same plan's per-tile
+units for the performance simulation — and runs it on a real executor.
 
 The per-step criterion decision of the hybrid algorithm stays sequential
 (it is inherently dynamic, mirroring the BACKUP / LU ON PANEL / PROPAGATE
-control layer of :mod:`repro.runtime.dataflow`), but every panel
+control layer of the paper's Figure 1), but every panel
 elimination and trailing-matrix update within a step fans out; since numpy
 kernels release the GIL inside BLAS, the updates genuinely overlap on a
 :class:`~repro.runtime.executor.ThreadedExecutor`.
@@ -220,10 +220,11 @@ def kernel_cost_fn(
     durations are used; kernels the calibration has never seen fall back
     to their Table-I flop count converted at the calibrated rate, so all
     costs stay in seconds.  Without a calibration, costs are plain flop
-    counts — only relative magnitudes matter for priorities.  Kernels with
-    no Table-I entry (``tstrf``, ``ssssm``, RHS variants strip their
-    ``_rhs`` suffix first) are charged a generic ``nb^3``.  A sweep is
-    charged per logical kernel of its :func:`~repro.runtime.task.kernel_mix`.
+    counts — only relative magnitudes matter for priorities.  RHS variants
+    are priced as their ``_rhs``-stripped kernel, and a kernel with no
+    :class:`~repro.kernels.flops.KernelFlops` entry a generic ``nb^3``.  A
+    sweep is charged per logical kernel of its
+    :func:`~repro.runtime.task.kernel_mix`.
     """
     nb = int(tile_size)
 
@@ -245,10 +246,11 @@ def kernel_cost_fn(
 
 
 def static_kernel_flops(kernel: str, nb: int) -> float:
-    """Table-I flop count of one ``kernel`` on tiles of order ``nb``.
+    """Flop count of one ``kernel`` on tiles of order ``nb``, from
+    :class:`~repro.kernels.flops.KernelFlops`.
 
     RHS variants are charged as their ``_rhs``-stripped kernel; kernels
-    with no Table-I entry a generic ``nb^3``.
+    with no entry (control tasks) a generic ``nb^3``.
     """
     base = kernel[:-4] if kernel.endswith("_rhs") else kernel
     try:

@@ -2,7 +2,7 @@
 
 This is the substitute for running the real PaRSEC runtime on the paper's
 cluster: given the task graph of an algorithm (built by
-:mod:`repro.core.dag_builder`) and a :class:`~repro.runtime.platform.Platform`,
+:func:`repro.perf.model.plan_graph`) and a :class:`~repro.runtime.platform.Platform`,
 the simulator performs greedy earliest-start list scheduling:
 
 * a task becomes *data ready* when every predecessor has finished and the
@@ -20,9 +20,11 @@ trace) is what the performance model converts into the GFLOP/s numbers of
 Figure 2 and Table II.  With a calibration the same machinery turns
 predictive: a simulated makespan estimates what a *measured* run on this
 host would take (``tests/test_calibration.py`` checks the prediction).
-The simulator prices :mod:`repro.core.dag_builder`'s per-tile plan, not
-the sweep plan the runtime executes, so it ranks configurations at paper
-scale only; it does not choose a tile size or an executor.
+:func:`~repro.perf.model.plan_graph` builds the graph from the solvers'
+own planners: the tasks the runtime executes, each expanded into the
+per-tile kernel units its op's effect rule declares.  The simulator ranks
+configurations at paper scale; it does not choose a tile size or an
+executor.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Dict, List, Tuple
 
 from .graph import TaskGraph
 from .platform import Platform
-from .task import Task, kernel_mix
+from .task import Task
 
 __all__ = ["ScheduledTask", "SimulationResult", "simulate"]
 
@@ -78,17 +80,15 @@ class SimulationResult:
 
 
 def _task_duration(task: Task, platform: Platform, tile_size: int, calibration) -> float:
+    """Duration of one per-tile task (the graphs the simulator prices have
+    one task per logical kernel)."""
     if task.duration_hint is not None:
         return float(task.duration_hint)
-    # Sweep tasks batch several logical per-tile kernels; cost tables are
-    # per logical kernel, so the duration adds up over the task's mix.
-    mix = kernel_mix(task)
     if calibration is not None:
-        measured = [calibration.kernel_duration(kernel, tile_size) for kernel, _ in mix]
-        if all(d is not None and d > 0.0 for d in measured):
-            return sum(float(d) * m for d, (_, m) in zip(measured, mix))
-    m = max(getattr(task, "fused", 1), 1)
-    return platform.kernel_duration(task.kernel, task.flops) * m
+        measured = calibration.kernel_duration(task.kernel, tile_size)
+        if measured is not None and measured > 0.0:
+            return float(measured)
+    return platform.kernel_duration(task.kernel, task.flops)
 
 
 def _dependency_transfer(task: Task, dep: Task, platform: Platform, nb: int) -> Tuple[float, float]:
@@ -133,7 +133,7 @@ def simulate(
 
     successors = graph.successors()
     remaining = {t.uid: len(t.deps) for t in tasks}
-    finish: Dict[int, float] = {}
+    durations: Dict[int, float] = {}
     data_ready: Dict[int, float] = {t.uid: 0.0 for t in tasks}
 
     # Per-node heaps of core-available times.
@@ -162,11 +162,10 @@ def simulate(
         node_heap = cores[task.owner]
         core_free = heapq.heappop(node_heap)
         start = max(ready_time, core_free)
-        duration = _task_duration(task, platform, tile_size, calibration)
+        duration = durations[uid] = _task_duration(task, platform, tile_size, calibration)
         end = start + duration
         heapq.heappush(node_heap, end)
 
-        finish[uid] = end
         busy[task.owner] += duration
         per_kernel_time[task.kernel] = per_kernel_time.get(task.kernel, 0.0) + duration
         makespan = max(makespan, end)
@@ -200,9 +199,6 @@ def simulate(
             "(the task graph has a dependency cycle)"
         )
 
-    durations = {
-        t.uid: _task_duration(t, platform, tile_size, calibration) for t in tasks
-    }
     critical = graph.critical_path_length(durations)
 
     return SimulationResult(

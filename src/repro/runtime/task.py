@@ -75,9 +75,9 @@ class Task:
     fused:
         Number of logical per-tile kernels this task batches (1 for a
         plain per-tile task; a trailing-update sweep carries its tile
-        count).  The cost model and the simulator scale the per-kernel
-        duration by this count, and calibration divides the measured
-        duration back down so cost tables stay per-tile.
+        count).  The priority cost model scales the per-kernel duration by
+        this count, and calibration divides the measured duration back
+        down so cost tables stay per-tile.
     mix:
         ``(kernel, count)`` pairs of a sweep, one per kernel family it runs
         (a QR update chain mixes UNMQR, TSMQR and TTMQR); the counts add up
@@ -118,10 +118,10 @@ class Task:
 def kernel_mix(task) -> Tuple[Tuple[str, int], ...]:
     """The ``(kernel, count)`` pairs one task performs.
 
-    A task's ``mix`` when it has one, else ``((kernel, fused),)``.  The cost
-    model, the simulator and calibration all price a task through this, so
-    a QR update chain is charged per UNMQR/TSMQR/TTMQR, not as ``fused``
-    copies of the kernel it is labelled with.
+    A task's ``mix`` when it has one, else ``((kernel, fused),)``.  The
+    priority cost model and calibration price a task through this, so a QR
+    update chain is charged per UNMQR/TSMQR/TTMQR, not as ``fused`` copies
+    of the kernel it is labelled with.
     """
     mix = getattr(task, "mix", ())
     if mix:

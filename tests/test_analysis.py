@@ -12,6 +12,8 @@ and the `repro-analyze` CLI.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,6 @@ from repro.analysis.registry_lint import TASK_KERNELS_OF_OP
 from repro.api.registry import KERNEL_BACKENDS, SOLVERS
 from repro.core.solver_base import pad_to_tile_multiple
 from repro.kernels.backends import KernelBackend, resolve_backend
-from repro.kernels import dispatch
 from repro.kernels.dispatch import ACCESS_RULES, KERNELS, KernelCall, SigContext, op_effect
 from repro.matrices import registry as matrix_registry
 from repro.runtime.executor import ExecutionTrace, ThreadedExecutor
@@ -342,32 +343,22 @@ class TestAccessRules:
     @pytest.mark.parametrize("rhs", [True, False])
     @pytest.mark.parametrize("grid", [(1, 1), (2, 2)])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_access_rules_equal_the_union_of_signature_units(
-        self, monkeypatch, algorithm, grid, rhs
-    ):
-        units = []
-        sweep_effect = dispatch._sweep_effect
-
-        def capture(unit_list):
-            units.extend(unit_list)
-            return sweep_effect(unit_list)
-
-        monkeypatch.setattr(dispatch, "_sweep_effect", capture)
+    def test_access_rules_equal_the_union_of_signature_units(self, algorithm, grid, rhs):
         a, b = _system(40, seed=5)
         solver = _solver(algorithm, grid=ProcessGrid(*grid))
         graph = _capture_plan(solver, a, b if rhs else None)
         ctx = SigContext(n=5, nb=8, nrhs=1 if rhs else 0)
         swept = 0
         for task in graph.tasks:
-            units.clear()
-            op_effect(task.call, task.step, ctx)
+            units = op_effect(task.call, task.step, ctx).constituents
             if units:  # a sweep: the rule must equal the union of its kernels
                 swept += 1
-                writes = set().union(*(unit[1] for unit in units))
-                reads = set().union(*(unit[0] for unit in units))
+                writes = set().union(*(unit.writes for unit in units))
+                reads = set().union(*(unit.reads for unit in units))
                 assert task.writes == writes, task
                 assert task.reads == reads | writes, task
                 assert len(units) == task.fused == sum(count for _, count in task.mix)
+                assert Counter(unit.kernel for unit in units) == Counter(dict(task.mix)), task
         assert swept > 0
 
     def test_audit_catches_a_rule_that_drops_a_written_column(self, monkeypatch):

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.api.facade import make_solver
-from repro.core.dag_builder import build_task_graph, spec_from_factorization
 from repro.matrices.random_gen import random_matrix
 from repro.perf.calibrate import (
     Calibration,
@@ -31,6 +30,7 @@ from repro.perf.calibrate import (
     kernel_source_hash,
     run_calibration,
 )
+from repro.perf.model import FactorizationSpec, plan_graph
 from repro.runtime.executor import ExecutionTrace, SequentialExecutor, ThreadedExecutor
 from repro.runtime.schedule import merge_traces
 from repro.runtime.simulator import simulate
@@ -235,9 +235,7 @@ def test_simulated_makespan_predicts_measured(algorithm, isolated_calibration):
     assert cal.n_samples > 0
 
     platform = calibrated_platform(cal, cores=1, nb=nb)
-    graph = build_task_graph(
-        spec_from_factorization(fact), platform=platform
-    )
+    graph = plan_graph(FactorizationSpec.of(fact), platform=platform)
     sim = simulate(graph, platform, nb, record_schedule=False, calibration=cal)
 
     assert sim.makespan > 0

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import analyze_panel, perform_lu_step, perform_qr_step
 from repro.core.factorization import StepRecord
-from repro.core.qr_step import qr_step_operations
 from repro.linalg import inverse_norm1_exact
 from repro.tiles import BlockCyclicDistribution, ProcessGrid, TileMatrix
 from repro.trees import FlatTree, GreedyTree, HierarchicalTree
@@ -189,20 +188,3 @@ class TestQRStep:
         record = StepRecord(k=1, kind="QR")
         perform_qr_step(tiles, 1, [], record)
         np.testing.assert_allclose(np.tril(tiles.tile(1, 1), -1), 0.0, atol=1e-12)
-
-    def test_operations_match_recorded_kernels(self, rng, grid22):
-        """qr_step_operations and perform_qr_step agree on kernel counts."""
-        n_tiles, nb = 5, 4
-        tiles, _, _ = make_tiles(rng, n_tiles, nb)
-        dist = BlockCyclicDistribution(grid22, n_tiles)
-        tree = HierarchicalTree(distribution=dist, step=0)
-        elims = tree.eliminations_for_step(0, list(range(n_tiles)))
-
-        record = StepRecord(k=0, kind="QR")
-        perform_qr_step(tiles, 0, elims, record)
-        ops = qr_step_operations(0, n_tiles, elims)
-        from collections import Counter
-
-        op_counts = Counter(op[0] for op in ops)
-        for name in ("geqrt", "unmqr", "tsqrt", "tsmqr", "ttqrt", "ttmqr"):
-            assert record.kernel_counts.get(name, 0) == op_counts.get(name, 0), name

@@ -1,20 +1,46 @@
-"""Tests for the task-graph builder and the performance model."""
+"""Tests for the planner-based task graph and the performance model."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro import HybridLUQRSolver, MaxCriterion, ProcessGrid
-from repro.core.dag_builder import (
-    FactorizationSpec,
-    build_task_graph,
-    spec_from_factorization,
-)
+from repro.api.facade import make_criterion, make_solver
+from repro.experiments.figure1 import figure1_summary
 from repro.kernels.flops import fake_flops, true_flops
 from repro.perf import PerformanceModel, dancer_platform
+from repro.perf.model import FactorizationSpec, plan_graph, planned_steps
+from repro.runtime.executor import SequentialExecutor
 from repro.runtime.simulator import simulate
+from repro.tiles import BlockCyclicDistribution
+from repro.trees import FibonacciTree, GreedyTree, HierarchicalTree
 
 
 GRID = ProcessGrid(2, 2)
+GRIDS = [ProcessGrid(1, 1), ProcessGrid(2, 2), ProcessGrid(4, 4)]
+ALGORITHMS = ["hybrid", "lu_nopiv", "lupp", "lu_incpiv", "hqr"]
+
+#: StepRecord charges the graph prices as control tasks, not as planned units.
+CONTROL_CHARGES = {
+    "panel_backup",
+    "criterion_allreduce",
+    "getrf_discarded",
+    "panel_restore",
+    "panel_pivot_exchange",
+}
+
+
+def _factor(algorithm, grid, executor=None):
+    """Factor a 32x32 system in 8 tiles of 4 (no RHS); the hybrid mixes kinds."""
+    a = np.random.default_rng(7).standard_normal((32, 32)) + 8.0 * np.eye(32)
+    options = {}
+    if algorithm == "hybrid":
+        options["criterion"] = make_criterion("random", lu_probability=0.5, seed=3)
+    solver = make_solver(algorithm, tile_size=4, grid=grid, executor=executor, **options)
+    fact = solver.factor(a)
+    assert fact.succeeded
+    return solver, fact
 
 
 class TestFactorizationSpec:
@@ -23,15 +49,19 @@ class TestFactorizationSpec:
             FactorizationSpec(n_tiles=3, tile_size=8, step_kinds=["LU"])
         with pytest.raises(ValueError):
             FactorizationSpec(n_tiles=2, tile_size=8, step_kinds=["LU", "XX"])
+        with pytest.raises(ValueError, match="plans no 'QR' steps"):
+            FactorizationSpec(2, 8, ["LU", "QR"], algorithm="LU NoPiv")
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            FactorizationSpec(2, 8, ["LU", "LU"], algorithm="LU?")
 
     def test_lu_fraction(self):
         spec = FactorizationSpec(4, 8, ["LU", "QR", "LU", "LU"])
         assert spec.lu_fraction == pytest.approx(0.75)
 
-    def test_spec_from_factorization(self, rng):
+    def test_spec_of_a_factorization(self, rng):
         a = rng.standard_normal((32, 32)) + 4 * np.eye(32)
         fact = HybridLUQRSolver(8, MaxCriterion(10.0), grid=GRID).factor(a, np.ones(32))
-        spec = spec_from_factorization(fact, grid=GRID)
+        spec = FactorizationSpec.of(fact, grid=GRID)
         assert spec.n_tiles == 4
         assert spec.tile_size == 8
         assert spec.step_kinds == fact.step_kinds
@@ -39,82 +69,139 @@ class TestFactorizationSpec:
         assert spec.algorithm == "LUQR"
 
 
-class TestBuildTaskGraph:
-    def test_all_lu_task_count_matches_table1(self):
-        n = 6
-        spec = FactorizationSpec(n, 8, ["LU"] * n, algorithm="LU NoPiv",
-                                 decision_overhead=False, grid=GRID)
-        graph = build_task_graph(spec)
+class TestPlanGraph:
+    @pytest.mark.parametrize("grid", GRIDS, ids=str)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_unit_counts_equal_the_table1_counts(self, algorithm, grid):
+        _, fact = _factor(algorithm, grid)
+        graph = plan_graph(FactorizationSpec.of(fact, grid))
+        for record in fact.steps:
+            expected = Counter(
+                {k: v for k, v in record.kernel_counts.items() if k not in CONTROL_CHARGES}
+            )
+            if record.is_lu and record.domain_rows:
+                # Table I charges the diagonal domain's TRSMs, which are part
+                # of the domain factorization and have no task of their own.
+                expected["trsm"] -= len(record.domain_rows) - 1
+            # The hybrid's LU steps reuse the factor of LU ON PANEL.
+            units = Counter(
+                "getrf" if t.kernel == "propagate" else t.kernel
+                for t in graph.tasks
+                if t.step == record.k and not t.critical
+            )
+            assert units == +expected, record.k
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=str)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_planned_tasks_are_the_tasks_the_runtime_runs(self, algorithm, grid):
+        solver, fact = _factor(algorithm, grid, executor=SequentialExecutor())
+        planned = Counter(
+            task.kernel
+            for _, _, tasks in planned_steps(FactorizationSpec.of(fact, grid))
+            for task in tasks
+        )
+        flushed = Counter(
+            kernel for trace in solver.step_traces for kernel in trace.kernel_of_task.values()
+        )
+        assert planned == flushed
+        assert sum(planned.values()) == sum(trace.n_tasks for trace in solver.step_traces)
+
+    def test_hybrid_pays_the_decision_and_lupp_the_pivot_exchange_in_every_step(self):
+        kinds = ["LU", "QR", "LU", "QR", "QR"]
+        n = len(kinds)
+        graph = plan_graph(FactorizationSpec(n, 8, kinds, "LUQR", True, GRID))
         counts = graph.kernel_counts()
-        # Per step k: 1 getrf + (n-k-1) trsm + (n-k-1) swptrsm + (n-k-1)^2 gemm.
-        assert counts["getrf"] == n
-        expected_trsm = sum(n - k - 1 for k in range(n))
-        assert counts["trsm"] == expected_trsm
-        assert counts["swptrsm"] == expected_trsm
-        assert counts["gemm"] == sum((n - k - 1) ** 2 for k in range(n))
-
-    def test_hybrid_includes_decision_tasks(self):
-        n = 4
-        spec = FactorizationSpec(n, 8, ["LU", "QR", "LU", "LU"], algorithm="LUQR",
-                                 decision_overhead=True, grid=GRID)
-        graph = build_task_graph(spec)
-        counts = graph.kernel_counts()
-        assert counts["panel_backup"] == n
-        assert counts["criterion_allreduce"] == n
-        assert counts["panel_restore"] == 1  # only QR steps restore
-
-    def test_lupp_has_pivot_exchange_per_step(self):
-        n = 5
-        spec = FactorizationSpec(n, 8, ["LU"] * n, algorithm="LUPP",
-                                 decision_overhead=False, grid=GRID)
-        counts = build_task_graph(spec).kernel_counts()
-        assert counts["panel_pivot_exchange"] == n
-
-    def test_incpiv_uses_pairwise_kernels(self):
-        n = 4
-        spec = FactorizationSpec(n, 8, ["LU"] * n, algorithm="LU IncPiv",
-                                 decision_overhead=False, grid=GRID)
-        counts = build_task_graph(spec).kernel_counts()
-        assert "tstrf" in counts and "ssssm" in counts
-        assert "trsm" not in counts
-
-    def test_qr_steps_generate_qr_kernels(self):
-        n = 5
-        spec = FactorizationSpec(n, 8, ["QR"] * n, algorithm="HQR",
-                                 decision_overhead=False, grid=GRID)
-        counts = build_task_graph(spec).kernel_counts()
-        assert counts.get("geqrt", 0) > 0
-        assert counts.get("tsmqr", 0) + counts.get("ttmqr", 0) > 0
-        assert "gemm" not in counts
-
-    def test_owners_follow_block_cyclic(self):
-        n = 4
-        spec = FactorizationSpec(n, 8, ["LU"] * n, algorithm="LU NoPiv",
-                                 decision_overhead=False, grid=GRID)
-        graph = build_task_graph(spec)
-        from repro.tiles import BlockCyclicDistribution
-
-        dist = BlockCyclicDistribution(GRID, n)
+        assert counts["panel_backup"] == counts["criterion_allreduce"] == n
+        assert counts["getrf"] == n  # LU ON PANEL; the LU steps reuse its factor
+        assert counts["propagate"] == kinds.count("LU")
+        assert counts["panel_restore"] == kinds.count("QR")
+        # Every unit of a step waits for the step's decision (and restore).
+        gate = {}
         for task in graph.tasks:
-            if task.kernel == "gemm":
-                (i, j) = sorted(task.writes)[0]
-                assert task.owner == dist.owner(i, j)
+            if task.kernel in ("criterion_allreduce", "panel_restore"):
+                gate[task.step] = task.uid
+            elif not task.critical:
+                assert gate[task.step] in task.deps, task
+
+        lupp = plan_graph(FactorizationSpec(n, 8, ["LU"] * n, "LUPP", False, GRID))
+        assert lupp.kernel_counts()["panel_pivot_exchange"] == n
+        for name in ("HQR", "LU NoPiv"):
+            kind = "QR" if name == "HQR" else "LU"
+            graph = plan_graph(FactorizationSpec(n, 8, [kind] * n, name, False, GRID))
+            assert not any(t.critical for t in graph.tasks)
+
+    @pytest.mark.parametrize("algorithm", ["LU NoPiv", "LU IncPiv", "LUPP", "HQR", "LUQR"])
+    def test_owners_follow_block_cyclic(self, algorithm):
+        n, grid = 7, ProcessGrid(2, 3)
+        kind = "QR" if algorithm == "HQR" else "LU"
+        spec = FactorizationSpec(n, 8, [kind] * n, algorithm, algorithm == "LUQR", grid)
+        dist = BlockCyclicDistribution(grid, n)
+        units = [t for t in plan_graph(spec).tasks if not t.critical]
+        assert units
+        for task in units:
+            owners = {dist.owner(i, j) for i, j in task.writes}
+            if len(task.writes) == 1:
+                assert {task.owner} == owners, task
+            else:
+                assert task.owner in owners, task
 
     def test_total_flops_close_to_formula(self):
         n, nb = 12, 32
         spec = FactorizationSpec(n, nb, ["LU"] * n, algorithm="LU NoPiv",
                                  decision_overhead=False, grid=GRID)
-        graph = build_task_graph(spec)
+        graph = plan_graph(spec)
         assert graph.total_flops() == pytest.approx(fake_flops(n * nb), rel=0.15)
 
     def test_graph_is_schedulable(self):
         spec = FactorizationSpec(5, 8, ["LU", "QR", "LU", "QR", "LU"], algorithm="LUQR",
                                  decision_overhead=True, grid=GRID)
         platform = dancer_platform(GRID)
-        graph = build_task_graph(spec, platform=platform)
+        graph = plan_graph(spec, platform=platform)
         sim = simulate(graph, platform, 8)
         assert sim.makespan > 0.0
         assert len(sim.schedule) == len(graph)
+
+
+class TestFigure1:
+    def test_branch_sizes_on_one_node(self):
+        n = 5
+        r = n - 1
+        summary = figure1_summary(n_tiles=n, grid=ProcessGrid(1, 1))
+        # The whole panel is the diagonal domain: the LU branch is the
+        # propagate of the reused factor, r SWPTRSM and r*r GEMM.
+        assert summary["lu_branch_tasks"] == 1 + r + r * r
+        tree = HierarchicalTree(
+            BlockCyclicDistribution(ProcessGrid(1, 1), n), GreedyTree(), FibonacciTree()
+        )
+        elims = tree.eliminations_for_step(0, list(range(n)))
+        geqrt = {0} | {e.eliminator for e in elims} | {e.killed for e in elims if e.kind == "TT"}
+        assert len(elims) == r
+        # QR branch: the restore, then every GEQRT and every coupling
+        # kernel, each followed by its r trailing updates.
+        assert summary["qr_branch_tasks"] == 1 + (len(geqrt) + len(elims)) * (1 + r)
+        assert summary["stage_task_counts"] == {
+            "panel_backup": 1, "getrf": 1, "criterion_allreduce": 1, "panel_restore": 1,
+            "lu_step": summary["lu_branch_tasks"], "qr_step": summary["qr_branch_tasks"] - 1,
+        }
+
+    def test_outcomes_share_the_control_tasks(self):
+        n, grid = 6, ProcessGrid(2, 2)
+        summary = figure1_summary(n_tiles=n, grid=grid, step=1)
+        dist = BlockCyclicDistribution(grid, n)
+        owners = len(dist.panel_owners(1))
+        # BACKUP PANEL, LU ON PANEL, a criterion task per other panel owner
+        # and the all-reduce.
+        assert summary["control_tasks"] == 3 + owners - 1
+        r = n - 2
+        off_domain = r + 1 - len(dist.diagonal_domain_rows(1))
+        assert summary["lu_branch_tasks"] == 1 + r + off_domain + r * r
+        for kind in ("lu", "qr"):
+            assert summary[f"tasks_if_{kind}_selected"] == (
+                summary["control_tasks"] + summary[f"{kind}_branch_tasks"]
+            )
+        assert summary["total_tasks_in_graph"] == (
+            summary["control_tasks"] + summary["lu_branch_tasks"] + summary["qr_branch_tasks"]
+        )
 
 
 class TestPerformanceModel:

@@ -1,4 +1,4 @@
-"""Tests for the dataflow runtime: task graph, simulator, executors, dataflow."""
+"""Tests for the dataflow runtime: task graph, simulator, executors."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,13 @@ import pytest
 from repro.runtime import (
     Platform,
     SequentialExecutor,
-    StepDataflow,
     TaskGraph,
     ThreadedExecutor,
     dancer_platform,
     laptop_platform,
     simulate,
 )
-from repro.tiles import BlockCyclicDistribution, ProcessGrid
+from repro.tiles import ProcessGrid
 
 
 # --------------------------------------------------------------------------- #
@@ -377,46 +376,3 @@ class TestExecutorErrorHandling:
         g.add_task(kernel="fast", step=0, fn=lambda: None)
         trace = ThreadedExecutor(workers=1).run(g, timeout=10.0)
         assert trace.n_tasks == 1
-
-
-# --------------------------------------------------------------------------- #
-# Dynamic per-step dataflow
-# --------------------------------------------------------------------------- #
-class TestStepDataflow:
-    def test_stage_structure(self):
-        dist = BlockCyclicDistribution(ProcessGrid(2, 2), 6)
-        flow = StepDataflow(dist, k=0, nb=8)
-        summary = flow.summary()
-        assert set(summary) == {
-            "backup_panel", "lu_on_panel", "decision", "propagate", "lu_step", "qr_step",
-        }
-        assert summary["propagate"] == 6  # one per panel tile
-        assert summary["backup_panel"] == len(dist.diagonal_domain_rows(0))
-
-    def test_branch_sizes(self):
-        n = 5
-        dist = BlockCyclicDistribution(ProcessGrid(1, 1), n)
-        flow = StepDataflow(dist, k=0, nb=4)
-        r = n - 1
-        # LU branch: r TRSM + r SWPTRSM + r*r GEMM.
-        assert len(flow.lu_branch) == 2 * r + r * r
-        # QR branch (flat TS chain): 1 GEQRT + r UNMQR + r TSQRT + r*r TSMQR.
-        assert len(flow.qr_branch) == 1 + 2 * r + r * r
-
-    def test_resolve_discards_other_branch(self):
-        dist = BlockCyclicDistribution(ProcessGrid(2, 2), 6)
-        flow = StepDataflow(dist, k=1, nb=8)
-        total = len(flow.graph)
-        lu_kept = flow.resolve(use_lu=True)
-        qr_kept = flow.resolve(use_lu=False)
-        assert len(lu_kept) == total - len(flow.qr_branch)
-        assert len(qr_kept) == total - len(flow.lu_branch)
-        assert not any(t.uid in set(flow.qr_branch) for t in lu_kept)
-
-    def test_control_tasks_in_both_resolutions(self):
-        dist = BlockCyclicDistribution(ProcessGrid(2, 2), 4)
-        flow = StepDataflow(dist, k=0, nb=8)
-        control = set(flow.control_tasks())
-        for use_lu in (True, False):
-            kept = {t.uid for t in flow.resolve(use_lu)}
-            assert control <= kept

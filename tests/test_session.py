@@ -1,5 +1,7 @@
 """Tests for the ``SolverSession`` serving layer."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,19 @@ class TestFingerprint:
     def test_non_contiguous_matches_contiguous(self, rng):
         a = rng.standard_normal((16, 16))
         assert matrix_fingerprint(a.T.copy().T) == matrix_fingerprint(a)
+
+    def test_digest_is_the_sha256_of_the_c_ordered_bytes(self, rng):
+        base = rng.standard_normal((24, 24))
+        inputs = {
+            "C": base[:16, :16].copy(),
+            "Fortran": np.asfortranarray(base[:16, :16]),
+            "strided": base[::2, 1::3],
+        }
+        for layout, a in inputs.items():
+            digest = hashlib.sha256()
+            for part in (str(a.shape).encode(), str(a.dtype).encode(), a.tobytes(order="C")):
+                digest.update(part)
+            assert matrix_fingerprint(a) == digest.hexdigest(), layout
 
 
 class TestSessionCache:
