@@ -1,6 +1,6 @@
 """Correctness-analysis subsystem for the dataflow runtime.
 
-Three engines behind one entry point, :func:`audit`:
+Two engines behind one entry point, :func:`audit`:
 
 - the **static plan verifier** (:mod:`repro.analysis.verifier`) proves a
   :class:`~repro.runtime.graph.TaskGraph` is an acyclic, conflict-free,
@@ -8,11 +8,10 @@ Three engines behind one entry point, :func:`audit`:
 - the **dynamic race detector** (:mod:`repro.analysis.tracing`) is a
   ``tracing`` kernel backend that write-guards tile views and raises a
   structured :class:`RaceReport` on any access a kernel performs outside
-  its declared read/write sets;
-- the **registry lint** (:mod:`repro.analysis.registry_lint`) catches
-  plugin drift (unpriceable kernel names, protocol-violating
-  solvers/executors/backends) at import time instead of inside a worker
-  process.
+  its declared read/write sets.
+
+Plugins are checked where they register (:mod:`repro.api.registry`): a
+kernel backend whose ``name`` is not its registry name is refused there.
 
 A kernel that raises during the audit's inline run is reported as a
 ``kernel-error`` violation; the run-time tile accessors' bounds and shape
@@ -58,7 +57,6 @@ from .placement import (
     task_anchor,
     task_label,
 )
-from .registry_lint import lint_registries
 from .report import AuditReport, RaceReport, Violation
 from .tracing import AccessRecorder, TracingBackend, TracingTileMatrix
 from .verifier import verify_graph
@@ -68,7 +66,6 @@ __all__ = [
     "capture_plan",
     "default_audit_system",
     "verify_graph",
-    "lint_registries",
     "determinism_check",
     "PerturbedThreadedExecutor",
     "AccessRecorder",

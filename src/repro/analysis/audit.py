@@ -4,18 +4,20 @@
 :class:`~repro.runtime.graph.TaskGraph` (static verification only) or a
 configured solver.  For a solver it runs, in order:
 
-1. **registry lint** over SOLVERS/EXECUTORS/KERNEL_BACKENDS/KERNELS;
-2. a **combined plan + trace pass**: the solver's ``_plan_step`` is
-   driven step by step through an in-process harness that accumulates
-   every planned task into one cumulative task graph (verified
-   statically) while executing the kernels under the access tracer
-   (planning of step ``k+1`` depends on the numerical results of step
-   ``k``, so planning and execution must interleave);
-3. when the solver has an executor configured, a **real factorization**
+1. a **combined plan + trace pass**: the solver's ``_plan_step`` is
+   driven step by step (:func:`capture_plan`'s loop), accumulating every
+   planned task into one cumulative task graph (verified statically)
+   while executing the kernels under the access tracer (planning of step
+   ``k+1`` depends on the numerical results of step ``k``, so planning
+   and execution must interleave);
+2. when the solver has an executor configured, a **real factorization**
    with step-graph collection enabled, verifying every graph the
    lookahead pipeline actually flushed (``produces`` keys from earlier
    flushes legitimately satisfy later ones and are threaded through as
    external products).
+
+Plugins are checked where they register (:mod:`repro.api.registry`), not
+here.
 
 Both solver passes additionally run the **static resource analyzer**
 (:mod:`repro.analysis.liveness`, :mod:`repro.analysis.placement`): a
@@ -73,8 +75,8 @@ def default_audit_system(solver, seed: int = 0, n: Optional[int] = None):
 
 def _system_context(
     solver, a: np.ndarray, b: Optional[np.ndarray]
-) -> Tuple[SigContext, BlockCyclicDistribution]:
-    """Signature context and distribution of a system.
+) -> Tuple[np.ndarray, Optional[np.ndarray], SigContext, BlockCyclicDistribution]:
+    """The padded system, its signature context and its distribution.
 
     Tiles hold float64 whatever the input dtype, so the context prices
     every byte at 8 and a float32 input certifies as its float64 copy.
@@ -88,7 +90,7 @@ def _system_context(
         b_arr = np.asarray(b_work)
         nrhs = 1 if b_arr.ndim == 1 else int(b_arr.shape[1])
     ctx = SigContext(n=n_tiles, nb=solver.tile_size, nrhs=nrhs)
-    return ctx, BlockCyclicDistribution(solver.grid, n_tiles)
+    return a_work, b_work, ctx, BlockCyclicDistribution(solver.grid, n_tiles)
 
 
 def _resource_passes(
@@ -127,130 +129,59 @@ def _resource_passes(
     report.resources[f"placement[{key}]"] = summary.as_dict()
 
 
+def _plan_inline(solver, a, b, tracer: Optional[TracingBackend] = None):
+    """Plan every step in-process into one cumulative graph, running it inline.
+
+    Planning step ``k+1`` reads step ``k``'s numbers, so each step's
+    kernels run before the next step is planned; with a ``tracer`` they
+    run on its proxied tiles, wrapped.  Returns ``(graph, ctx, dist,
+    steps, failure)``: ``steps`` counts the steps whose kernels all ran,
+    and ``failure`` is ``None`` or ``(exception, task)`` for the first
+    kernel that raised, which stops the run.
+    """
+    a_work, b_work, ctx, dist = _system_context(solver, a, b)
+    graph = TaskGraph()
+    with solver._factor_lock:
+        tiles = TileMatrix.from_dense(a_work, solver.tile_size, rhs=b_work)
+        if tracer is not None:
+            tiles = tracer.prepare_tiles(tiles)
+        solver._reset()
+        steps = 0
+        for k in range(tiles.n):
+            try:
+                _, tasks = solver._plan_step(tiles, dist, k)
+            except SingularPanelError:
+                break
+            first = len(graph)
+            build_step_graph(tasks, step=k, graph=graph)
+            for i, task in enumerate(tasks):
+                if tracer is not None:
+                    task = tracer.wrap_task(task, k)
+                if task.fn is None:
+                    continue
+                try:
+                    task.fn()
+                except Exception as exc:
+                    return graph, ctx, dist, steps, (exc, graph.task(first + i))
+            steps += 1
+    return graph, ctx, dist, steps, None
+
+
 def capture_plan(solver, a=None, b=None, *, seed: int = 0, n: Optional[int] = None):
     """Plan (and inline-execute) a full factorization; return its artifacts.
 
     Returns ``(graph, ctx, dist)`` — the cumulative task graph of every
     planned step, the effect-rule context, and the block-cyclic distribution.
     Used by the corruption fixtures and tests that need a real plan to
-    mutate or analyze without going through a full :func:`audit`.
+    mutate or analyze without going through a full :func:`audit`.  A
+    kernel that raises propagates.
     """
-    from ..core.solver_base import pad_to_tile_multiple
-
     if a is None:
         a, b = default_audit_system(solver, seed=seed, n=n)
-    ctx, dist = _system_context(solver, a, b)
-    with solver._factor_lock:
-        a_work, b_work, _ = pad_to_tile_multiple(np.asarray(a), b, solver.tile_size)
-        tiles = TileMatrix.from_dense(a_work, solver.tile_size, rhs=b_work)
-        solver._reset()
-        graph = TaskGraph()
-        for k in range(tiles.n):
-            try:
-                _, tasks = solver._plan_step(tiles, dist, k)
-            except SingularPanelError:
-                break
-            build_step_graph(tasks, step=k, graph=graph)
-            # Planning of step k+1 reads step k's numbers: execute inline.
-            for task in tasks:
-                if task.fn is not None:
-                    task.fn()
+    graph, ctx, dist, _steps, failure = _plan_inline(solver, a, b)
+    if failure is not None:
+        raise failure[0]
     return graph, ctx, dist
-
-
-def _trace_and_verify(
-    solver,
-    a: np.ndarray,
-    b: Optional[np.ndarray],
-    *,
-    dynamic: bool,
-    report: AuditReport,
-    platform=None,
-    max_memory: Optional[int] = None,
-) -> bool:
-    """Plan every step in-process, execute under the tracer, verify.
-
-    Returns ``False`` when a kernel raised, so the caller skips the
-    executor pass.
-    """
-    from ..core.solver_base import pad_to_tile_multiple
-
-    tracer = (
-        solver.kernel_backend
-        if isinstance(solver.kernel_backend, TracingBackend)
-        else TracingBackend()
-    )
-    races: List[Violation] = []
-    error: Optional[Violation] = None
-    with solver._factor_lock:
-        previous_backend = solver.kernel_backend
-        solver.kernel_backend = tracer
-        try:
-            a_work, b_work, _ = pad_to_tile_multiple(a, b, solver.tile_size)
-            tiles = TileMatrix.from_dense(a_work, solver.tile_size, rhs=b_work)
-            if dynamic:
-                tiles = tracer.prepare_tiles(tiles)
-            dist = BlockCyclicDistribution(solver.grid, tiles.n)
-            solver._reset()
-            graph = TaskGraph()
-            for k in range(tiles.n):
-                try:
-                    _, tasks = solver._plan_step(tiles, dist, k)
-                except SingularPanelError:
-                    break
-                first = len(graph)
-                build_step_graph(tasks, step=k, graph=graph)
-                report.count("tasks", len(tasks))
-                # Step k+1's plan depends on step k's numbers: execute
-                # the kernels now, traced when the dynamic pass is on.
-                if dynamic:
-                    tasks = [tracer.wrap_task(t, k) for t in tasks]
-                try:
-                    for i, task in enumerate(tasks):
-                        if task.fn is not None:
-                            task.fn()
-                except RaceReport as race:
-                    races.append(race.as_violation())
-                    break
-                except Exception as exc:
-                    failed = graph.task(first + i)
-                    error = Violation(
-                        kind="kernel-error",
-                        message=f"{task_label(failed)} raised {type(exc).__name__}: {exc}",
-                        tasks=(failed.uid,),
-                        subject=failed.call.kernel if failed.call is not None else failed.kernel,
-                    )
-                    break
-                report.count("steps")
-        finally:
-            solver.kernel_backend = previous_backend
-    report.count("graphs")
-    report.add("verifier", verify_graph(graph))
-    if dynamic:
-        report.add("tracer", races)
-    if error is not None:
-        report.add("execution", [error])
-        return False
-    ctx, _dist_unused = _system_context(solver, a, b)
-    base_bytes = tile_storage_bytes(ctx)
-    if dynamic and getattr(tracer, "storage_bytes", 0):
-        # Cross-check: the bound's base term must cover what the tracing
-        # backend actually saw allocated for the tile store.
-        base_bytes = max(base_bytes, int(tracer.storage_bytes))
-    _resource_passes(
-        report,
-        [graph],
-        ctx,
-        dist,
-        platform=platform,
-        base_bytes=base_bytes,
-        # One cumulative graph, executed inline step by step: the
-        # position-granular sequential bound is sound here.
-        mode="sequential",
-        max_memory=max_memory,
-        key="plan",
-    )
-    return True
 
 
 def _verify_executed_graphs(
@@ -281,7 +212,7 @@ def _verify_executed_graphs(
             if task.call is not None and task.call.produces is not None:
                 produced.add(task.call.produces)
     report.add("verifier", violations)
-    ctx, dist = _system_context(solver, a, b)
+    _, _, ctx, dist = _system_context(solver, a, b)
     traces = solver.step_traces if solver.step_traces else None
     _resource_passes(
         report,
@@ -304,7 +235,6 @@ def audit(
     b: Optional[np.ndarray] = None,
     *,
     dynamic: bool = True,
-    lint: bool = True,
     seed: int = 0,
     n: Optional[int] = None,
     platform=None,
@@ -313,10 +243,9 @@ def audit(
     """Audit a task graph or a configured solver; return an AuditReport.
 
     For a :class:`TaskGraph`, runs the static plan verifier only.  For a
-    solver, runs the registry lint (``lint=False`` to skip), the combined
-    plan+trace pass (``dynamic=False`` for plan-only), and — when the
-    solver has an executor configured — verifies the task graphs of a
-    real executor-backed factorization.  ``a``/``b`` default to a
+    solver, runs the combined plan+trace pass (``dynamic=False`` for
+    plan-only), and — when the solver has an executor configured —
+    verifies the task graphs of a real executor-backed factorization.  ``a``/``b`` default to a
     well-conditioned random system (``seed``, order ``n``).
 
     Both solver passes also run the resource analyzer: a certified
@@ -334,25 +263,53 @@ def audit(
         return report
 
     solver = plan_or_solver
-    if lint:
-        from .registry_lint import lint_registries_with_coverage
-
-        found, coverage = lint_registries_with_coverage()
-        report.add("registry", found)
-        for key, count in coverage.items():
-            report.count(f"registry.{key}", count)
     if a is None:
         a, b = default_audit_system(solver, seed=seed, n=n)
-    ran = _trace_and_verify(
-        solver,
-        a,
-        b,
-        dynamic=dynamic,
-        report=report,
+    tracer = None
+    if dynamic:
+        tracer = (
+            solver.kernel_backend
+            if isinstance(solver.kernel_backend, TracingBackend)
+            else TracingBackend()
+        )
+    graph, ctx, dist, steps, failure = _plan_inline(solver, a, b, tracer)
+    report.count("tasks", len(graph))
+    report.count("steps", steps)
+    report.count("graphs")
+    report.add("verifier", verify_graph(graph))
+    exc, failed = failure if failure is not None else (None, None)
+    # A race stops the traced run but leaves a plan to certify.
+    race = isinstance(exc, RaceReport)
+    if dynamic:
+        report.add("tracer", [exc.as_violation()] if race else [])
+    if exc is not None and not race:
+        error = Violation(
+            kind="kernel-error",
+            message=f"{task_label(failed)} raised {type(exc).__name__}: {exc}",
+            tasks=(failed.uid,),
+            subject=failed.call.kernel if failed.call is not None else failed.kernel,
+        )
+        report.add("execution", [error])
+        return report
+    base_bytes = tile_storage_bytes(ctx)
+    if getattr(tracer, "storage_bytes", 0):
+        # Cross-check: the bound's base term must cover what the tracing
+        # backend actually saw allocated for the tile store.
+        base_bytes = max(base_bytes, int(tracer.storage_bytes))
+    _resource_passes(
+        report,
+        [graph],
+        ctx,
+        dist,
         platform=platform,
+        base_bytes=base_bytes,
+        # One cumulative graph, executed inline step by step: the
+        # position-granular sequential bound is sound here.
+        mode="sequential",
         max_memory=max_memory,
+        key="plan",
     )
-    if ran and solver.executor is not None:
+    if solver.executor is not None:
         _verify_executed_graphs(
             solver, a, b, report, platform=platform, max_memory=max_memory
         )

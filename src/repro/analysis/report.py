@@ -1,8 +1,8 @@
 """Structured findings of the correctness-analysis engines.
 
-Every engine (plan verifier, access tracer, registry lint, determinism
-check) reduces its findings to :class:`Violation` records so one
-:class:`AuditReport` can aggregate them; the dynamic tracer additionally
+Every engine (plan verifier, access tracer, resource analyzer,
+determinism check) reduces its findings to :class:`Violation` records so
+one :class:`AuditReport` can aggregate them; the dynamic tracer additionally
 raises :class:`RaceReport` — an exception carrying the same structure —
 at the exact access that breaks a task's declared read/write sets.
 """
@@ -81,11 +81,12 @@ class RaceReport(RuntimeError):
 class AuditReport:
     """Aggregated findings of one :func:`repro.analysis.audit` run.
 
-    ``sections`` maps an engine name (``"registry"``, ``"verifier"``,
-    ``"tracer"``, ``"execution"``, ``"determinism"``) to its findings; ``violations``
-    flattens them in engine order.  ``checked`` counts what each engine
-    actually covered (graphs, tasks, registry entries) so an empty
-    report can be told apart from an engine that never ran.
+    ``sections`` maps an engine name (``"verifier"``, ``"tracer"``,
+    ``"execution"``, ``"liveness"``, ``"placement"``, ``"determinism"``)
+    to its findings; ``violations`` flattens them in engine order.
+    ``checked`` counts what the engines actually covered (graphs, tasks,
+    steps) so an empty report can be told apart from an engine that never
+    ran.
     """
 
     sections: Dict[str, List[Violation]] = field(default_factory=dict)

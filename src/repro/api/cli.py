@@ -1,10 +1,10 @@
 """``repro-analyze`` console entry: audit solver plans from the shell.
 
 Runs the correctness-analysis subsystem (:mod:`repro.analysis`) over one
-or more solver algorithms: registry lint, static plan verification,
-dynamic access tracing, executor-backed graph verification, and — on
-request — the schedule-perturbation determinism check.  Exits non-zero
-when any violation is found, so CI can gate on it directly::
+or more solver algorithms: static plan verification, dynamic access
+tracing, executor-backed graph verification, and — on request — the
+schedule-perturbation determinism check.  Exits non-zero when any
+violation is found, so CI can gate on it directly::
 
     repro-analyze                          # all five solvers, inline
     repro-analyze --algorithm hybrid --executor "threaded(workers=4)"
@@ -26,9 +26,9 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-analyze",
         description=(
-            "Audit solver task plans: registry lint, static plan "
-            "verification, dynamic race tracing, and (optionally) the "
-            "schedule-perturbation determinism check."
+            "Audit solver task plans: static plan verification, dynamic "
+            "race tracing, and (optionally) the schedule-perturbation "
+            "determinism check."
         ),
     )
     parser.add_argument(
@@ -95,9 +95,6 @@ def _parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="seed for the audited system"
     )
     parser.add_argument(
-        "--skip-lint", action="store_true", help="skip the registry lint"
-    )
-    parser.add_argument(
         "--skip-dynamic",
         action="store_true",
         help="skip the dynamic access-tracing pass (static verification only)",
@@ -128,7 +125,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     algorithms: List[str] = list(args.algorithms or DEFAULT_ALGORITHMS)
     failures = 0
     reports = {}
-    for index, algorithm in enumerate(algorithms):
+    for algorithm in algorithms:
 
         def build(executor=None, algorithm=algorithm):
             return make_solver(
@@ -144,8 +141,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = analysis.audit(
             solver,
             dynamic=not args.skip_dynamic,
-            # One registry lint covers every algorithm; run it once.
-            lint=not args.skip_lint and index == 0,
             seed=args.seed,
             n=args.n,
             max_memory=args.max_memory,

@@ -21,9 +21,12 @@ optional call-style argument list::
     "fibonacci"          -> FibonacciTree()
 
 Unknown names raise a :class:`ValueError` that lists every available
-option, so typos are self-explanatory.  The module is intentionally a leaf
-(stdlib imports only): every built-in module imports it at definition time
-to self-register, so it must never import back into the package.
+option, so typos are self-explanatory.  A plugin is checked when it
+registers: a taken name raises, and so does a kernel backend whose
+``name`` is not the name it registers under.  The module is intentionally
+a leaf (stdlib imports only): every built-in module imports it at
+definition time to self-register, so it must never import back into the
+package.
 """
 
 from __future__ import annotations
@@ -176,12 +179,16 @@ class Registry:
                         f"cannot alias {key!r} to {canonical!r}: the "
                         f"{self.kind} name is already registered"
                     )
+            self._check(canonical, factory)
             self._factories[canonical] = factory
             for alias in aliases:
                 self._aliases[alias.lower()] = canonical
             return factory
 
         return decorator
+
+    def _check(self, canonical: str, factory: Callable[..., Any]) -> None:
+        """Raise to refuse ``factory`` before it registers as ``canonical``."""
 
     def unregister(self, name: str) -> None:
         """Remove a registered factory and every alias pointing at it.
@@ -249,12 +256,29 @@ class Registry:
         return factory(*args, **kwargs)
 
 
+class _BackendRegistry(Registry):
+    def _check(self, canonical: str, factory: Callable[..., Any]) -> None:
+        """Refuse a kernel backend whose ``name`` is not its registry name.
+
+        Backends resolve to one shared instance per declared ``name``, so a
+        plugin that inherits another backend's name (say a ``NumpyBackend``
+        subclass without its own) would resolve to that backend's
+        instance, and its hooks would never run.
+        """
+        declared = getattr(factory, "name", canonical)
+        if declared != canonical:
+            raise ValueError(
+                f"kernel backend {canonical!r} declares name={declared!r}; "
+                f"set name = {canonical!r} on the class it registers"
+            )
+
+
 #: The five extension points of the framework.
 SOLVERS = Registry("algorithm")
 CRITERIA = Registry("criterion")
 TREES = Registry("reduction tree")
 EXECUTORS = Registry("executor")
-KERNEL_BACKENDS = Registry("kernel backend")
+KERNEL_BACKENDS = _BackendRegistry("kernel backend")
 
 #: Decorators used by the built-ins (and available to user plugins).
 register_solver = SOLVERS.register

@@ -202,7 +202,7 @@ class ClusterExecutor:
     workers:
         Number of worker nodes to spawn locally (ignored when ``hosts``
         is given).  Workers start lazily on first use, so constructing
-        the executor — e.g. from the registry lint — costs nothing.
+        the executor — e.g. from a spec — costs nothing.
     hosts:
         TCP endpoints (``"host:port"``) of pre-started
         ``repro-cluster-worker`` processes; connects instead of spawning.

@@ -4,9 +4,9 @@ Covers the static plan verifier (clean plans for all five solvers over
 the Table III special-matrix registry, plus deliberately corrupted plans
 it must flag), the dynamic access-tracing race detector (undeclared
 reads/writes raise structured RaceReports; clean factorizations trace
-bit-identically to the numpy reference), the registry lint (clean
-built-ins, injected drift detected), the schedule-perturbation
-determinism check, the `CycleError` / `merge_traces` runtime hardening,
+bit-identically to the numpy reference), the checks plugins meet when
+they register, the priceability of every planned kernel, the
+schedule-perturbation determinism check, the `CycleError` / `merge_traces` runtime hardening,
 and the `repro-analyze` CLI.
 """
 
@@ -25,22 +25,22 @@ from repro.analysis import (
     TracingBackend,
     TracingTileMatrix,
     audit,
+    capture_plan,
     determinism_check,
-    lint_registries,
     verify_graph,
 )
-from repro.analysis.registry_lint import TASK_KERNELS_OF_OP
 from repro.api.registry import KERNEL_BACKENDS, SOLVERS
-from repro.core.solver_base import pad_to_tile_multiple
-from repro.kernels.backends import KernelBackend, resolve_backend
-from repro.kernels.dispatch import ACCESS_RULES, KERNELS, KernelCall, SigContext, op_effect
+from repro.kernels.backends import KernelBackend, NumpyBackend, resolve_backend
+from repro.kernels.dispatch import ACCESS_RULES, KernelCall, SigContext, op_effect
+from repro.kernels.flops import KernelFlops
 from repro.matrices import registry as matrix_registry
 from repro.runtime.executor import ExecutionTrace, ThreadedExecutor
 from repro.runtime.graph import CycleError, TaskGraph
-from repro.runtime.schedule import KernelTask, build_step_graph, merge_traces
-from repro.runtime.task import RHS_COLUMN
-from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
+from repro.runtime.schedule import KernelTask, merge_traces
+from repro.runtime.task import RHS_COLUMN, kernel_mix
+from repro.tiles.distribution import ProcessGrid
 from repro.tiles.tile_matrix import TileMatrix
+from repro.trees.flat import FlatTree
 
 ALGORITHMS = ["hybrid", "lupp", "lu_nopiv", "lu_incpiv", "hqr"]
 
@@ -64,17 +64,7 @@ def _solver(algorithm, tile_size=8, **kwargs):
 
 def _capture_plan(solver, a, b=None):
     """Plan + execute every step inline; return the cumulative TaskGraph."""
-    a_work, b_work, _ = pad_to_tile_multiple(a, b, solver.tile_size)
-    tiles = TileMatrix.from_dense(a_work, solver.tile_size, rhs=b_work)
-    dist = BlockCyclicDistribution(solver.grid, tiles.n)
-    solver._reset()
-    graph = TaskGraph()
-    for k in range(tiles.n):
-        _, tasks = solver._plan_step(tiles, dist, k)
-        build_step_graph(tasks, step=k, graph=graph)
-        for task in tasks:
-            task.fn()
-    return graph
+    return capture_plan(solver, a, b)[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -185,7 +175,7 @@ class TestVerifierCleanPlans:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_audit_clean_inline(self, algorithm):
         solver = _solver(algorithm, tile_size=8)
-        report = audit(solver, lint=False)
+        report = audit(solver)
         assert report.ok, [str(v) for v in report.violations]
         assert report.checked["tasks"] > 0
 
@@ -198,7 +188,7 @@ class TestVerifierCleanPlans:
             lookahead=lookahead,
             executor=ThreadedExecutor(workers=2),
         )
-        report = audit(solver, lint=False)
+        report = audit(solver)
         assert report.ok, [str(v) for v in report.violations]
         # The executor pass verified at least the flushed pipeline graphs.
         assert report.checked["graphs"] >= 2
@@ -369,7 +359,7 @@ class TestAccessRules:
             return reads, writes - {(i, j1 - 1) for i in range(k + 1, i1)}
 
         monkeypatch.setitem(ACCESS_RULES, "lu.gemm_sweep", short)
-        report = audit(_solver("lu_nopiv", grid=ProcessGrid(2, 2)), lint=False)
+        report = audit(_solver("lu_nopiv", grid=ProcessGrid(2, 2)))
         assert not report.ok
         assert "undeclared-write" in {v.kind for v in report.violations}
 
@@ -601,51 +591,81 @@ class TestTracingBackend:
 
         solver = CorruptedLUPP(tile_size=8)
         a, b = _system(32, seed=4)
-        report = audit(solver, a, b, lint=False)
+        report = audit(solver, a, b)
         kinds = {v.kind for v in report.violations}
         assert not report.ok
         assert kinds & {"undeclared-write", "read-write-conflict"}
 
 
 # --------------------------------------------------------------------------- #
-# Registry lint
+# Registration checks and priceable plans
 # --------------------------------------------------------------------------- #
-class TestRegistryLint:
-    def test_builtin_registries_are_clean(self):
-        assert lint_registries() == []
+class TestRegistrationChecks:
+    def test_backend_inheriting_a_name_is_refused_at_registration(self):
+        # Without its own name, a NumpyBackend subclass resolved to the
+        # shared numpy instance, so its hooks never ran.
+        class Inheriting(NumpyBackend):
+            def wrap_task(self, task, step):  # pragma: no cover - never runs
+                raise AssertionError("an inheriting backend must not register")
 
-    def test_every_registered_kernel_op_is_mapped(self):
-        assert set(KERNELS) == set(TASK_KERNELS_OF_OP)
+        with pytest.raises(ValueError, match="name='numpy'"):
+            KERNEL_BACKENDS.register("inheriting_test_backend")(Inheriting)
+        assert "inheriting_test_backend" not in KERNEL_BACKENDS
 
-    def test_unmapped_kernel_op_is_flagged(self):
-        name = "test.ephemeral_op"
-
-        def op(tiles, inputs):  # pragma: no cover - never executed
-            return None
-
-        KERNELS[name] = op
-        try:
-            kinds = {v.kind for v in lint_registries()}
-            assert "unmapped-kernel-op" in kinds
-        finally:
-            del KERNELS[name]
-        assert lint_registries() == []
-
-    def test_protocol_violating_backend_is_flagged(self):
-        class BrokenBackend(KernelBackend):
+    def test_backend_named_otherwise_is_refused_at_registration(self):
+        class Misnamed(KernelBackend):
             # Registered under one name, calling itself by another.
             name = "unregistered_name"
 
-        KERNEL_BACKENDS.register("broken_test_backend")(BrokenBackend)
+        with pytest.raises(ValueError, match="unregistered_name"):
+            KERNEL_BACKENDS.register("broken_test_backend")(Misnamed)
+        assert "broken_test_backend" not in KERNEL_BACKENDS
+
+    def test_named_backend_plugin_hooks_run(self):
+        class Counting(NumpyBackend):
+            name = "counting_test_backend"
+            wrapped = 0
+
+            def wrap_task(self, task, step):
+                type(self).wrapped += 1
+                return task
+
+        KERNEL_BACKENDS.register("counting_test_backend")(Counting)
         try:
-            violations = [
-                v for v in lint_registries() if v.subject == "broken_test_backend"
-            ]
-            assert [v.kind for v in violations] == ["backend-protocol"]
-            assert "unregistered_name" in violations[0].message
+            backend = resolve_backend("counting_test_backend")
+            assert type(backend) is Counting
+            a, b = _system(32, seed=2)
+            solver = _solver("lupp", kernel_backend="counting_test_backend")
+            x = solver.solve(a, b).x
+            assert Counting.wrapped > 0
+            ref = _solver("lupp").solve(a, b).x
+            assert np.array_equal(x, ref)
         finally:
-            KERNEL_BACKENDS.unregister("broken_test_backend")
-        assert lint_registries() == []
+            KERNEL_BACKENDS.unregister("counting_test_backend")
+
+
+class TestPriceablePlans:
+    @pytest.mark.parametrize("grid", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_every_planned_kernel_has_a_flops_entry(self, algorithm, grid):
+        # The cost model prices a kernel without an entry as nb^3, silently.
+        # The flat tree adds the TS kernels; the dominant system the
+        # hybrid's LU steps.
+        flat = {"intra_tree": FlatTree()} if algorithm in ("hybrid", "hqr") else {}
+        solver = _solver(algorithm, grid=ProcessGrid(*grid), **flat)
+        ctx = SigContext(n=5, nb=8, nrhs=1)
+        kernels = set()
+        for dominant in (False, True):
+            graph = _capture_plan(solver, *_system(40, seed=5, dominant=dominant))
+            for task in graph.tasks:
+                kernels.update(kernel for kernel, _ in kernel_mix(task))
+                effect = op_effect(task.call, task.step, ctx)
+                kernels.update(unit.kernel for unit in effect.constituents)
+        if flat:
+            assert {"tsqrt", "tsmqr"} <= kernels
+        flops = KernelFlops(8)
+        for kernel in sorted(kernels):
+            flops.of(kernel[:-4] if kernel.endswith("_rhs") else kernel)
 
 
 # --------------------------------------------------------------------------- #
@@ -703,7 +723,6 @@ class TestCli:
                 "4",
                 "--n",
                 "16",
-                "--skip-lint",
             ],
             capture_output=True,
             text=True,

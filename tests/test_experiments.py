@@ -5,7 +5,9 @@ structure of the returned data and (ii) the qualitative relationships the
 paper reports (stability ordering, QR/LU cost ratio, decision overhead).
 """
 
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from repro.experiments.common import (
     resample_step_kinds,
     simulate_at_paper_scale,
 )
+from repro.perf.model import FactorizationSpec, PerformanceModel
+from repro.runtime.platform import dancer_platform
 from repro.tiles import ProcessGrid
 
 TINY = ExperimentConfig(n_tiles=6, tile_size=4, paper_n_tiles=12, paper_tile_size=64,
@@ -55,6 +59,43 @@ class TestCommonHelpers:
         report = simulate_at_paper_scale(fact, TINY)
         assert report.n_tiles == TINY.paper_n_tiles
         assert report.fake_gflops > 0
+
+    def test_simulation_memo_keys_every_input(self):
+        # Each variant differs from the base in one input the simulation
+        # reads; a memo key without it would hand back the base's report.
+        def fact(kinds, overhead=True, algorithm="LUQR"):
+            steps = [SimpleNamespace(decision_overhead=overhead) for _ in kinds]
+            return SimpleNamespace(step_kinds=kinds, algorithm=algorithm, steps=steps)
+
+        base = fact(["LU", "QR", "LU"])
+        smaller = dataclasses.replace(TINY, paper_n_tiles=TINY.paper_n_tiles - 2)
+        wider = dataclasses.replace(TINY, paper_tile_size=2 * TINY.paper_tile_size)
+        variants = [
+            (base, TINY, None),
+            (fact(["LU", "QR", "LU"], overhead=False), TINY, None),
+            (fact(["QR", "LU", "LU"]), TINY, None),
+            (fact(["QR", "QR", "QR"], algorithm="HQR"), TINY, None),
+            (fact(["LU", "LU", "LU"], overhead=False), TINY, "LU NoPiv"),
+            (base, smaller, None),
+            (base, wider, None),
+        ]
+        reports = []
+        for f, cfg, algorithm in variants:
+            spec = FactorizationSpec(
+                n_tiles=cfg.paper_n_tiles,
+                tile_size=cfg.paper_tile_size,
+                step_kinds=resample_step_kinds(f.step_kinds, cfg.paper_n_tiles),
+                algorithm=algorithm or f.algorithm,
+                decision_overhead=f.steps[0].decision_overhead,
+                grid=ProcessGrid(4, 4),
+            )
+            expected = PerformanceModel(dancer_platform()).simulate_spec(spec)
+            report = simulate_at_paper_scale(f, cfg, algorithm=algorithm)
+            assert report == expected
+            reports.append(report)
+        assert len({(r.n_tasks, r.execution_time) for r in reports}) == len(variants)
+        # The same spec again is served from the memo.
+        assert simulate_at_paper_scale(base, TINY) is reports[0]
 
     def test_format_table(self):
         out = format_table([{"a": 1, "b": 2.5}, {"a": 30, "b": 1e-9}])

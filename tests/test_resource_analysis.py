@@ -60,7 +60,7 @@ class TestCleanMatrix:
             executor="threaded(workers=2)",
             lookahead=lookahead,
         )
-        report = analysis.audit(solver, a, b, lint=False)
+        report = analysis.audit(solver, a, b)
         assert report.ok, [str(v) for v in report.violations]
         # Both passes certified a peak-memory bound.
         assert report.resources["memory[plan]"]["peak_bytes"] > 0
@@ -82,7 +82,6 @@ class TestCleanMatrix:
                 ),
                 a.astype(dtype),
                 b.astype(dtype),
-                lint=False,
             )
             for dtype in (np.float32, np.float64)
         ]
@@ -96,7 +95,7 @@ class TestCleanMatrix:
         solver = make_solver(
             algorithm, tile_size=4, grid=grid, kernel_backend=backend
         )
-        report = analysis.audit(solver, lint=False)
+        report = analysis.audit(solver)
         assert report.ok, [str(v) for v in report.violations]
         assert report.resources["memory[plan]"]["peak_bytes"] > 0
 
@@ -112,7 +111,7 @@ class TestLiveness:
         solver = make_solver(
             "hqr", tile_size=4, grid="2x2", executor=executor, lookahead=2
         )
-        report = analysis.audit(solver, lint=False)
+        report = analysis.audit(solver)
         assert report.ok, [str(v) for v in report.violations]
         # No peak-bound-violated finding means the certified bound covered
         # the traced overlap; check the numbers directly too.
@@ -166,7 +165,7 @@ class TestLiveness:
 
     def test_audit_admission_check(self):
         solver = make_solver("hqr", tile_size=4)
-        report = analysis.audit(solver, lint=False, max_memory=1)
+        report = analysis.audit(solver, max_memory=1)
         assert not report.ok
         assert any(v.kind == "memory-admission" for v in report.violations)
 
@@ -279,7 +278,7 @@ class TestCorruption:
 
         monkeypatch.setattr(lu_step, "call_task", corrupt)
         solver = make_solver("lu_nopiv", tile_size=4, executor=executor)
-        report = analysis.audit(solver, lint=False)
+        report = analysis.audit(solver)
         assert not report.ok
         (violation,) = report.sections["execution"]
         assert violation.kind == "kernel-error"
@@ -293,12 +292,9 @@ class TestCorruption:
 
 
 # --------------------------------------------------------------------- #
-# Registry lint
+# Kernel op registration
 # --------------------------------------------------------------------- #
 class TestSignatureLint:
-    def test_registries_clean(self):
-        assert analysis.lint_registries() == []
-
     def test_every_kernel_has_signature(self):
         # One kernel_op call registers the body, access rule and effect rule.
         assert set(KERNELS) == set(ACCESS_RULES) == set(EFFECT_RULES)
@@ -398,7 +394,7 @@ class TestRuntimeHooks:
 class TestJsonOutput:
     def test_report_as_dict_round_trips(self):
         solver = make_solver("hybrid", tile_size=4, grid="2x2")
-        report = analysis.audit(solver, lint=False)
+        report = analysis.audit(solver)
         payload = json.loads(json.dumps(report.as_dict(), default=str))
         assert payload["ok"] is True
         assert "memory[plan]" in payload["resources"]

@@ -95,7 +95,7 @@ class TestAccessSetsOnFirstRead:
         solver = SOLVERS.get(name)(
             tile_size=8, grid=ProcessGrid(2, 2), executor=SequentialExecutor()
         )
-        report = audit(solver, lint=False)
+        report = audit(solver)
         assert len(builds.per_call) == builds.planned > 0 and builds.counts() == {1}
         assert report.ok, report.violations
 
