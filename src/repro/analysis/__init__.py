@@ -23,14 +23,11 @@ A schedule-perturbation determinism check
 ready-queue orders on the threaded executor must stay bit-identical to
 the inline reference.
 
-On top of those, the **static resource analyzer** certifies resource
-behaviour of a plan:
-
-- :mod:`repro.analysis.liveness` — tile/product liveness intervals and a
-  certified peak-memory bound, cross-checked against execution traces;
-- :mod:`repro.analysis.placement` — owner-computes placement under the
-  block-cyclic distribution, the LU diagonal-domain pivoting invariant,
-  and per-edge communication volume priced by the platform model.
+On top of those, :mod:`repro.analysis.placement` checks where a plan
+runs: owner-computes placement under the block-cyclic distribution, the
+LU diagonal-domain pivoting invariant, and per-edge communication volume
+priced by the platform model.  On a distributed executor the audit also
+compares the rank each task ran on with its owner-computes rank.
 
 Run it from the command line with ``repro-analyze`` (or
 ``python -m repro.analysis``).
@@ -39,15 +36,6 @@ Run it from the command line with ``repro-analyze`` (or
 from .audit import audit, capture_plan, default_audit_system
 from .corruption import run_corruption_suite
 from .determinism import PerturbedThreadedExecutor, determinism_check
-from .liveness import (
-    MemoryCertificate,
-    ProductInterval,
-    analyze_liveness,
-    certify_peak_memory,
-    collect_product_intervals,
-    tile_storage_bytes,
-    traced_product_peak,
-)
 from .placement import (
     PlacementSummary,
     analyze_placement,
@@ -74,16 +62,9 @@ __all__ = [
     "AuditReport",
     "RaceReport",
     "Violation",
-    # static resource analyzer
+    # placement
     "signature_effect",
     "task_label",
-    "MemoryCertificate",
-    "ProductInterval",
-    "analyze_liveness",
-    "certify_peak_memory",
-    "collect_product_intervals",
-    "tile_storage_bytes",
-    "traced_product_peak",
     "PlacementSummary",
     "analyze_placement",
     "assign_owners",

@@ -12,18 +12,19 @@ configured solver.  For a solver it runs, in order:
    and execution must interleave);
 2. when the solver has an executor configured, a **real factorization**
    with step-graph collection enabled, verifying every graph the
-   lookahead pipeline actually flushed (``produces`` keys from earlier
+   step pipeline actually flushed (``produces`` keys from earlier
    flushes legitimately satisfy later ones and are threaded through as
    external products).
 
 Plugins are checked where they register (:mod:`repro.api.registry`), not
 here.
 
-Both solver passes additionally run the **static resource analyzer**
-(:mod:`repro.analysis.liveness`, :mod:`repro.analysis.placement`): a
-certified peak-memory bound (cross-checked against the execution traces
-and optionally admission-gated via ``max_memory``) and owner-computes
-placement with priced communication volume.
+Both solver passes additionally run the **placement analysis**
+(:mod:`repro.analysis.placement`): owner-computes placement with priced
+communication volume.  On a distributed executor the executed pass checks
+where each task actually ran: a task whose recorded rank
+(``ExecutionTrace.rank_of_task``) is not its owner-computes rank is a
+``wrong-owner`` violation.
 
 The result is an :class:`~repro.analysis.report.AuditReport`; the audit
 never raises on findings.  Races detected dynamically are converted to
@@ -31,9 +32,9 @@ violations and stop the dynamic pass, since the factorization state is
 corrupt beyond the first undeclared access.  A kernel that raises (a
 sweep running off the matrix, a factor of the wrong shape, a product
 nobody produced) becomes one ``kernel-error`` violation naming the task;
-it stops the dynamic pass too, and the resource analyses and the
+it stops the dynamic pass too, and the placement analysis and the
 executor pass are skipped, since a plan whose kernels cannot run has no
-resources to certify.
+placement to check.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ import numpy as np
 
 from ..kernels.dispatch import SigContext
 from ..linalg.pivoting import SingularPanelError
+from ..runtime.executor import ExecutionTrace
 from ..runtime.graph import TaskGraph
 from ..runtime.schedule import build_step_graph
 from ..tiles.distribution import BlockCyclicDistribution
 from ..tiles.tile_matrix import TileMatrix
-from .liveness import analyze_liveness, tile_storage_bytes
 from .placement import analyze_placement, assign_owners, task_label
 from .report import AuditReport, RaceReport, Violation
 from .tracing import TracingBackend
@@ -93,35 +94,31 @@ def _system_context(
     return a_work, b_work, ctx, BlockCyclicDistribution(solver.grid, n_tiles)
 
 
-def _resource_passes(
+def _placement_pass(
     report: AuditReport,
     graphs: Sequence[TaskGraph],
     ctx: SigContext,
     dist: BlockCyclicDistribution,
     *,
     platform=None,
-    base_bytes: Optional[int] = None,
-    mode: str = "window",
-    traces=None,
-    max_memory: Optional[int] = None,
+    traces: Sequence[ExecutionTrace] = (),
     key: str = "plan",
 ) -> None:
-    """Run the resource analyses over ``graphs`` into ``report``."""
+    """Check and price the placement of ``graphs`` into ``report``.
+
+    Each task's owner is its owner-computes rank, unless the matching
+    flush's trace in ``traces`` records the rank a distributed executor
+    ran it on; an owner that is not the owner-computes rank is a
+    ``wrong-owner`` violation.
+    """
+    assign_owners(graphs, dist, ctx)
+    for graph, trace in zip(graphs, traces):
+        for uid, rank in trace.rank_of_task.items():
+            graph.task(uid).owner = rank
     if platform is None:
         from ..runtime.platform import dancer_platform
 
         platform = dancer_platform(dist.grid)
-    live_violations, cert = analyze_liveness(
-        graphs,
-        ctx,
-        mode=mode,
-        base_bytes=base_bytes,
-        traces=traces,
-        max_memory=max_memory,
-    )
-    report.add("liveness", live_violations)
-    report.resources[f"memory[{key}]"] = cert.as_dict()
-    assign_owners(graphs, dist, ctx)
     place_violations, summary = analyze_placement(
         graphs, dist, ctx, platform=platform
     )
@@ -191,9 +188,13 @@ def _verify_executed_graphs(
     report: AuditReport,
     *,
     platform=None,
-    max_memory: Optional[int] = None,
 ) -> None:
-    """Run the real (executor-backed) factorization; verify flushed graphs."""
+    """Run the real (executor-backed) factorization; verify flushed graphs.
+
+    Placement is checked against the ranks the tasks ran on, so a task a
+    distributed executor ran off its owner-computes rank is a
+    ``wrong-owner`` violation.
+    """
     violations: List[Violation] = []
     previous = solver.collect_step_graphs
     solver.collect_step_graphs = True
@@ -213,18 +214,13 @@ def _verify_executed_graphs(
                 produced.add(task.call.produces)
     report.add("verifier", violations)
     _, _, ctx, dist = _system_context(solver, a, b)
-    traces = solver.step_traces if solver.step_traces else None
-    _resource_passes(
+    _placement_pass(
         report,
         solver.step_graphs,
         ctx,
         dist,
         platform=platform,
-        # Flush-granular window bound: dominates any executor's true
-        # concurrent overlap because flushes run sequentially.
-        mode="window",
-        traces=traces,
-        max_memory=max_memory,
+        traces=solver.step_traces,
         key="executed",
     )
 
@@ -238,7 +234,6 @@ def audit(
     seed: int = 0,
     n: Optional[int] = None,
     platform=None,
-    max_memory: Optional[int] = None,
 ) -> AuditReport:
     """Audit a task graph or a configured solver; return an AuditReport.
 
@@ -248,12 +243,11 @@ def audit(
     verifies the task graphs of a real executor-backed factorization.  ``a``/``b`` default to a
     well-conditioned random system (``seed``, order ``n``).
 
-    Both solver passes also run the resource analyzer: a certified
-    peak-memory bound (admission checked against ``max_memory`` bytes
-    when given) and owner-computes placement with communication volume
-    priced by ``platform`` (default: the Dancer calibration on the
-    solver's grid).  A kernel that raises is reported as one
-    ``kernel-error`` violation, not raised.
+    Both solver passes also check owner-computes placement, with
+    communication volume priced by ``platform`` (default: the Dancer
+    calibration on the solver's grid); the executor pass checks the ranks
+    a distributed executor ran the tasks on.  A kernel that raises is
+    reported as one ``kernel-error`` violation, not raised.
     """
     report = AuditReport()
     if isinstance(plan_or_solver, TaskGraph):
@@ -291,26 +285,7 @@ def audit(
         )
         report.add("execution", [error])
         return report
-    base_bytes = tile_storage_bytes(ctx)
-    if getattr(tracer, "storage_bytes", 0):
-        # Cross-check: the bound's base term must cover what the tracing
-        # backend actually saw allocated for the tile store.
-        base_bytes = max(base_bytes, int(tracer.storage_bytes))
-    _resource_passes(
-        report,
-        [graph],
-        ctx,
-        dist,
-        platform=platform,
-        base_bytes=base_bytes,
-        # One cumulative graph, executed inline step by step: the
-        # position-granular sequential bound is sound here.
-        mode="sequential",
-        max_memory=max_memory,
-        key="plan",
-    )
+    _placement_pass(report, [graph], ctx, dist, platform=platform, key="plan")
     if solver.executor is not None:
-        _verify_executed_graphs(
-            solver, a, b, report, platform=platform, max_memory=max_memory
-        )
+        _verify_executed_graphs(solver, a, b, report, platform=platform)
     return report

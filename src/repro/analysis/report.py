@@ -82,7 +82,7 @@ class AuditReport:
     """Aggregated findings of one :func:`repro.analysis.audit` run.
 
     ``sections`` maps an engine name (``"verifier"``, ``"tracer"``,
-    ``"execution"``, ``"liveness"``, ``"placement"``, ``"determinism"``)
+    ``"execution"``, ``"placement"``, ``"determinism"``)
     to its findings; ``violations`` flattens them in engine order.
     ``checked`` counts what the engines actually covered (graphs, tasks,
     steps) so an empty report can be told apart from an engine that never
@@ -91,9 +91,8 @@ class AuditReport:
 
     sections: Dict[str, List[Violation]] = field(default_factory=dict)
     checked: Dict[str, int] = field(default_factory=dict)
-    #: Resource certifications (peak memory, comm volume, pivot stats)
-    #: keyed by analysis pass — quantities, not findings, so they live
-    #: outside ``sections``.
+    #: Placement summaries (comm volume, pivot stats) keyed by analysis
+    #: pass — quantities, not findings, so they live outside ``sections``.
     resources: Dict[str, Any] = field(default_factory=dict)
 
     @property

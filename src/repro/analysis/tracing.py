@@ -276,26 +276,17 @@ class TracingBackend(KernelBackend):
     def __init__(self) -> None:
         self.recorder = AccessRecorder()
         self.reports: List[RaceReport] = []
-        #: Bytes of the tile storage (matrix + RHS) of the last traced
-        #: factorization — the allocation high-water mark of the always-live
-        #: population, which the liveness pass cross-checks its certified
-        #: base against.
-        self.storage_bytes: int = 0
         self._uids = itertools.count()
 
     def reset(self) -> None:
         """Drop all recorded accesses and reports (new factorization)."""
         self.recorder = AccessRecorder()
         self.reports = []
-        self.storage_bytes = 0
         self._uids = itertools.count()
 
     # -- instrumentation hooks ----------------------------------------- #
     def prepare_tiles(self, tiles: TileMatrix) -> TracingTileMatrix:
         self.reset()
-        self.storage_bytes = int(tiles.array.nbytes) + (
-            int(tiles.rhs.nbytes) if tiles.rhs is not None else 0
-        )
         return TracingTileMatrix.wrap(tiles, self.recorder)
 
     def wrap_task(self, task, step: int):

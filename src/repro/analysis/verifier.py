@@ -44,7 +44,7 @@ def verify_graph(
     """Verify one task graph; return all violations found (empty = clean).
 
     ``external_products`` names ``produces`` keys satisfied outside this
-    graph — the lookahead pipeline flushes a factorization as several
+    graph — the step pipeline flushes a factorization as several
     graphs, and a later flush may legally consume factors produced by an
     earlier one.
     """

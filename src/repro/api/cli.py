@@ -64,23 +64,10 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--lookahead", type=int, default=1, help="pipeline lookahead depth"
-    )
-    parser.add_argument(
         "--grid",
         default=None,
         metavar="PxQ",
         help="process grid for the placement analysis, e.g. 2x2 (default 1x1)",
-    )
-    parser.add_argument(
-        "--max-memory",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help=(
-            "admission limit: fail the audit when the certified peak-memory "
-            "bound exceeds this many bytes"
-        ),
     )
     parser.add_argument(
         "--json",
@@ -133,7 +120,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 tile_size=args.tile_size,
                 executor=executor,
                 kernel_backend=args.kernel_backend,
-                lookahead=args.lookahead,
                 grid=args.grid,
             )
 
@@ -143,7 +129,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             dynamic=not args.skip_dynamic,
             seed=args.seed,
             n=args.n,
-            max_memory=args.max_memory,
         )
         if args.determinism:
             a, b = analysis.default_audit_system(solver, seed=args.seed, n=args.n)

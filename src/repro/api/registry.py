@@ -260,10 +260,9 @@ class _BackendRegistry(Registry):
     def _check(self, canonical: str, factory: Callable[..., Any]) -> None:
         """Refuse a kernel backend whose ``name`` is not its registry name.
 
-        Backends resolve to one shared instance per declared ``name``, so a
-        plugin that inherits another backend's name (say a ``NumpyBackend``
-        subclass without its own) would resolve to that backend's
-        instance, and its hooks would never run.
+        A solver's backend is reported by its ``name``, so a plugin that
+        inherits another backend's name (say a ``NumpyBackend`` subclass
+        without its own) would pass for that backend.
         """
         declared = getattr(factory, "name", canonical)
         if declared != canonical:

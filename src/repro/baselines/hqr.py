@@ -51,7 +51,6 @@ class HQRSolver(TiledSolverBase):
         inter_tree: Optional[ReductionTree] = None,
         track_growth: bool = True,
         executor: Optional[Executor] = None,
-        lookahead: int = 1,
         kernel_backend=None,
     ) -> None:
         super().__init__(
@@ -59,7 +58,6 @@ class HQRSolver(TiledSolverBase):
             grid=grid,
             track_growth=track_growth,
             executor=executor,
-            lookahead=lookahead,
             kernel_backend=kernel_backend,
         )
         self.intra_tree = intra_tree if intra_tree is not None else GreedyTree()

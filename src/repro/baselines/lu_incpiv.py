@@ -20,11 +20,11 @@ from typing import Dict, List, Optional, Tuple
 from ..api.registry import register_solver
 from ..core.factorization import StepRecord
 from ..core.panel_analysis import PanelAnalysis
-from ..core.solver_base import Executor, TiledSolverBase
+from ..core.solver_base import TiledSolverBase
 from ..kernels.dispatch import KernelCall, sweep_ranges
 from ..kernels.lu_kernels import LUPanelFactor
 from ..runtime.schedule import KernelTask, call_task
-from ..tiles.distribution import BlockCyclicDistribution, ProcessGrid
+from ..tiles.distribution import BlockCyclicDistribution
 from ..tiles.tile_matrix import TileMatrix
 
 __all__ = ["LUIncPivSolver"]
@@ -35,24 +35,6 @@ class LUIncPivSolver(TiledSolverBase):
     """Tiled LU with incremental pairwise pivoting."""
 
     algorithm = "LU IncPiv"
-
-    def __init__(
-        self,
-        tile_size: int,
-        grid: Optional[ProcessGrid] = None,
-        track_growth: bool = True,
-        executor: Optional[Executor] = None,
-        lookahead: int = 1,
-        kernel_backend=None,
-    ) -> None:
-        super().__init__(
-            tile_size=tile_size,
-            grid=grid,
-            track_growth=track_growth,
-            executor=executor,
-            lookahead=lookahead,
-            kernel_backend=kernel_backend,
-        )
 
     def plan_kind(
         self,

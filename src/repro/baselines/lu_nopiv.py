@@ -49,7 +49,6 @@ class LUNoPivSolver(TiledSolverBase):
         domain_pivoting: bool = False,
         track_growth: bool = True,
         executor: Optional[Executor] = None,
-        lookahead: int = 1,
         kernel_backend=None,
     ) -> None:
         super().__init__(
@@ -57,7 +56,6 @@ class LUNoPivSolver(TiledSolverBase):
             grid=grid,
             track_growth=track_growth,
             executor=executor,
-            lookahead=lookahead,
             kernel_backend=kernel_backend,
         )
         self.domain_pivoting = bool(domain_pivoting)

@@ -20,7 +20,7 @@ from ..api.registry import register_solver
 from ..core.factorization import StepRecord
 from ..core.lu_step import lu_step_tasks
 from ..core.panel_analysis import PanelAnalysis, analyze_panel, planned_panel
-from ..core.solver_base import Executor, TiledSolverBase
+from ..core.solver_base import TiledSolverBase
 from ..runtime.schedule import KernelTask
 from ..tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from ..tiles.tile_matrix import TileMatrix
@@ -33,24 +33,6 @@ class LUPPSolver(TiledSolverBase):
     """Tiled LU with partial pivoting over the entire elimination panel."""
 
     algorithm = "LUPP"
-
-    def __init__(
-        self,
-        tile_size: int,
-        grid: Optional[ProcessGrid] = None,
-        track_growth: bool = True,
-        executor: Optional[Executor] = None,
-        lookahead: int = 1,
-        kernel_backend=None,
-    ) -> None:
-        super().__init__(
-            tile_size=tile_size,
-            grid=grid,
-            track_growth=track_growth,
-            executor=executor,
-            lookahead=lookahead,
-            kernel_backend=kernel_backend,
-        )
 
     def _panel_analysis(self, tiles, dist, k):
         return analyze_panel(tiles, self._full_panel(tiles), k, domain_pivoting=True)

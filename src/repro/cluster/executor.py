@@ -40,10 +40,9 @@ with one ready lane per node, picked when a task is pushed; this module is
 the transport: connection wait, heartbeats and death recovery.
 
 Admission control: binding a system is rejected with
-:class:`MemoryAdmissionError` when the full-size worker tile store would
-exceed any participating worker's advertised ``memory_budget`` —
-the same budget :func:`repro.analysis.audit` gates statically via
-``max_memory=executor.min_budget()``.
+:class:`MemoryAdmissionError` when the full-size worker tile store
+(``order * order * 8 + order * nrhs * 8`` bytes) would exceed any
+participating worker's advertised ``memory_budget``.
 """
 
 from __future__ import annotations
@@ -348,9 +347,8 @@ class ClusterExecutor:
     def min_budget(self) -> Optional[int]:
         """Smallest advertised worker budget, or ``None`` when unlimited.
 
-        Feed this to ``audit(..., max_memory=executor.min_budget())`` to
-        gate plans statically with the same bytes admission checks at
-        bind time.
+        Admission at bind time checks the tile store against each
+        participating worker's own budget; this is the tightest of them.
         """
         self._ensure_started()
         budgets = [node.budget for node in self._live_nodes() if node.budget is not None]
@@ -367,7 +365,7 @@ class ClusterExecutor:
             )
         node.process.terminate()
         # Join so the death is observable immediately: the next bind's
-        # liveness sweep (or the run loop's EOF) sees a dead process, not
+        # dead-worker sweep (or the run loop's EOF) sees a dead process, not
         # a SIGTERM still in flight.
         node.process.join(timeout=10.0)
 
@@ -414,7 +412,7 @@ class ClusterExecutor:
         self._bind_lock.acquire()
         try:
             self._ensure_started()
-            # Liveness sweep: a locally spawned worker killed between runs
+            # Dead-worker sweep: a locally spawned worker killed between runs
             # (kill_worker, OOM, ...) is culled here so the system binds to
             # the survivors instead of timing out on a dead node's ack.
             for node in self._live_nodes():

@@ -40,7 +40,7 @@ Tile payload entries are ``(i, j, ndarray)`` with ``j ==``
 ``i``.  Norm sampling mirrors
 :func:`repro.kernels.dispatch.execute_kernel_call` — computed *after*
 the finish timestamp, in one ``region_tile_norms`` pass over the
-sampled tiles' bounding box, so lookahead growth tracking stays
+sampled tiles' bounding box, so pipelined growth tracking stays
 bit-identical to the inline drivers without skewing kernel timings.
 
 Fault injection: ``fail_after_tasks=N`` makes the worker call

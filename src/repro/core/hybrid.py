@@ -94,7 +94,6 @@ class HybridLUQRSolver(TiledSolverBase):
         domain_pivoting: bool = True,
         track_growth: bool = True,
         executor: Optional[Executor] = None,
-        lookahead: int = 1,
         kernel_backend=None,
     ) -> None:
         super().__init__(
@@ -102,7 +101,6 @@ class HybridLUQRSolver(TiledSolverBase):
             grid=grid,
             track_growth=track_growth,
             executor=executor,
-            lookahead=lookahead,
             kernel_backend=kernel_backend,
         )
         self.criterion = criterion if criterion is not None else MaxCriterion(alpha=1.0)

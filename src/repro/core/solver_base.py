@@ -110,19 +110,12 @@ class TiledSolverBase(ABC):
         materialised in a shared-memory
         :class:`~repro.tiles.shared_buffer.SharedTileBuffer` for the
         duration of the factorization); when ``None`` (default) the kernels
-        run inline in program order.  Per-flush
+        run inline in program order.  On an executor, step ``k+1``'s panel
+        tasks run beside step ``k``'s trailing update
+        (:class:`~repro.runtime.schedule.StepPipeline`, one step deep).
+        Per-flush
         :class:`~repro.runtime.executor.ExecutionTrace` objects of the
         last factorization are kept in ``step_traces``.
-    lookahead:
-        Cross-step lookahead depth used when an executor is configured
-        (ignored on the inline path).  The driver plans up to
-        ``lookahead + 1`` steps into one
-        :class:`~repro.runtime.schedule.StepPipeline` window before
-        draining it, so step ``k+1``'s panel tasks run concurrently with
-        step ``k``'s trailing update.  ``0`` restores strict step-at-a-time
-        execution; the default ``1`` is the classic panel/update overlap.
-        Results are bit-identical for every depth (the pipeline only
-        flushes dependency-closed task sets).
     kernel_backend:
         Kernel backend (a registry name such as ``"numpy"`` or
         ``"tracing"``, or a ready
@@ -143,7 +136,6 @@ class TiledSolverBase(ABC):
         grid: Optional[ProcessGrid] = None,
         track_growth: bool = True,
         executor: Optional[Executor] = None,
-        lookahead: int = 1,
         kernel_backend=None,
     ) -> None:
         if (
@@ -152,13 +144,10 @@ class TiledSolverBase(ABC):
             or tile_size < 1
         ):
             raise ValueError(f"tile_size must be an integer >= 1, got {tile_size!r}")
-        if lookahead < 0:
-            raise ValueError(f"lookahead must be >= 0, got {lookahead}")
         self.tile_size = int(tile_size)
         self.grid = grid if grid is not None else ProcessGrid(1, 1)
         self.track_growth = bool(track_growth)
         self.executor = executor
-        self.lookahead = int(lookahead)
         #: Resolved kernel backend; ``None`` resolves to ``numpy``.
         self.kernel_backend: KernelBackend = resolve_backend(kernel_backend)
         #: Per-flush execution traces of the last factorization (only
@@ -226,7 +215,7 @@ class TiledSolverBase(ABC):
         """Perform elimination step ``k`` and describe it.
 
         Default implementation: with an executor configured, drain from
-        the lookahead pipeline whatever planning step ``k`` needs, plan
+        the step pipeline whatever planning step ``k`` needs, plan
         the step, and submit its kernels to the pending window (they run
         during a later ``advance`` or the final drain); on the inline path
         the kernels simply run in program order.  Subclasses normally only
@@ -238,7 +227,6 @@ class TiledSolverBase(ABC):
                 self._pipeline = StepPipeline(
                     self.executor,
                     tile_size=self.tile_size,
-                    lookahead=self.lookahead,
                     calibration=self._calibration(),
                     collect_graphs=self.collect_step_graphs,
                 )

@@ -21,7 +21,7 @@ names raise a :class:`ValueError` listing the available options.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any
 
 from ..api.registry import KERNEL_BACKENDS, register_kernel_backend
 
@@ -31,8 +31,8 @@ __all__ = ["KernelBackend", "NumpyBackend", "resolve_backend"]
 class KernelBackend:
     """Hooks around the tasks of a factorization (no-ops here).
 
-    ``name`` is the canonical registry name; calibration tables are keyed
-    by it.
+    ``name`` is the canonical registry name, by which a solver's backend
+    is reported.
     """
 
     name = "abstract"
@@ -73,32 +73,14 @@ class NumpyBackend(KernelBackend):
     name = "numpy"
 
 
-#: Shared instances per registry name (aliases included), so resolving a
-#: name on every solver construction is a dictionary lookup.
-_SINGLETONS: Dict[str, KernelBackend] = {}
-
-
 def resolve_backend(spec: Any = None) -> KernelBackend:
     """Resolve a backend spec (name, instance, or None) to an instance.
 
     ``None`` means the default ``numpy`` backend.  Names resolve through
-    :data:`~repro.api.registry.KERNEL_BACKENDS` to a shared per-process
-    instance (aliases included); unknown names raise a :class:`ValueError`
-    listing the available backends.  Ready instances pass through.
+    :data:`~repro.api.registry.KERNEL_BACKENDS` to a fresh instance on
+    every call, so an instrumenting backend's state is never shared
+    between solvers and a re-registered name takes effect at once;
+    unknown names raise a :class:`ValueError` listing the available
+    backends.  Ready instances pass through.
     """
-    if spec is None:
-        spec = "numpy"
-    if isinstance(spec, KernelBackend):
-        return spec
-    if not isinstance(spec, str):
-        return KERNEL_BACKENDS.create(spec)
-    key = spec.strip().lower()
-    cached = _SINGLETONS.get(key)
-    if cached is None:
-        # Aliases share their canonical name's instance: register under the
-        # canonical name first, then point the requested key at whichever
-        # instance won.
-        created = KERNEL_BACKENDS.create(key)
-        cached = _SINGLETONS.setdefault(getattr(created, "name", key), created)
-        _SINGLETONS[key] = cached
-    return cached
+    return KERNEL_BACKENDS.create("numpy" if spec is None else spec)

@@ -108,7 +108,7 @@ class KernelCall:
         operation (outside the timed window) and ships back with the
         result.  The scheduler attaches these to the last writer of each
         tile per elimination step so growth tracking stays exact — and
-        bit-identical to the inline path — even when cross-step lookahead
+        bit-identical to the inline path — even when the step pipeline
         interleaves steps (the host cannot sample between steps then).
     """
 
@@ -155,8 +155,8 @@ class Unit(NamedTuple):
 
 @dataclass(frozen=True)
 class OpEffect:
-    """What placement, liveness, the cluster executor and the performance
-    model read of one kernel call.
+    """What placement, the cluster executor and the performance model read
+    of one kernel call.
 
     ``owner_tile`` anchors a per-tile kernel's owner (owner-computes on the
     written tile).  ``constituents`` decomposes a sweep into its
@@ -231,7 +231,7 @@ def _sweep_effect(units) -> OpEffect:
 def sweep_ranges(k: int, n: int) -> List[Tuple[int, int]]:
     """Trailing tile-column ranges of step ``k``: ``k+1``, ``k+2``, ``[k+3, n)``.
 
-    The split follows what the default lookahead-1 pipeline
+    The split follows what the one-step-deep pipeline
     (:class:`~repro.runtime.schedule.StepPipeline`) flushes.  Planning
     step ``k+1`` needs only step ``k``'s update of column ``k+1``, so that
     column is a sweep of its own.  Planning step ``k+2`` flushes the rest
@@ -239,9 +239,7 @@ def sweep_ranges(k: int, n: int) -> List[Tuple[int, int]]:
     with column ``k+2`` apart from the bulk block, that update waits only
     on step ``k``'s sweep of the same column and runs beside the bulk
     block.  A bulk block holding column ``k+2`` would make every such
-    flush one serial chain.  The ranges do not follow a solver's
-    ``lookahead``, so that no setting of it changes a bit of the result.
-    Empty ranges are dropped.
+    flush one serial chain.  Empty ranges are dropped.
     """
     edges = [min(j, n) for j in (k + 1, k + 2, k + 3)] + [n]
     return [(j0, j1) for j0, j1 in zip(edges, edges[1:]) if j0 < j1]

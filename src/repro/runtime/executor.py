@@ -48,7 +48,7 @@ class ExecutionTrace:
     (``mix_of_task``, see :func:`~repro.runtime.task.kernel_mix`), and
     optionally the tile norms sampled by the multi-process
     executor's workers (``tile_norms``, used for exact growth tracking
-    under cross-step lookahead).
+    when the step pipeline interleaves steps).
     """
 
     start_times: Dict[int, float] = field(default_factory=dict)

@@ -198,22 +198,6 @@ class TaskGraph:
             )
         return order
 
-    def tile_intervals(self, offset: int = 0) -> Dict[TileRef, Tuple[int, int]]:
-        """Live interval (first/last access position) of every tile.
-
-        Positions index the topological order, shifted by ``offset`` so the
-        intervals of consecutive pipeline-flushed graphs can be merged onto
-        one global program-order axis (pass the running task count).  This
-        is the first-def/last-use skeleton the liveness pass builds its
-        peak-memory certification on.
-        """
-        intervals: Dict[TileRef, Tuple[int, int]] = {}
-        for pos, uid in enumerate(self.topological_order(), start=offset):
-            for tile in self._tasks[uid].touches():
-                first, _ = intervals.get(tile, (pos, pos))
-                intervals[tile] = (first, pos)
-        return intervals
-
     def blevels(
         self, cost: Optional[Callable[[Task], float]] = None
     ) -> Dict[int, float]:

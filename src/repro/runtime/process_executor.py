@@ -191,7 +191,7 @@ class ProcessExecutor:
         """Target this thread's subsequent :meth:`run` calls at a segment."""
         self._binding.meta = meta
         # Execution-time products (compact-WY factors, pivot pairs) live
-        # for the whole binding, not one run(): the lookahead pipeline may
+        # for the whole binding, not one run(): the step pipeline may
         # flush a producer in an earlier graph than its consumers.
         self._binding.results = {}
 

@@ -271,25 +271,34 @@ def assign_task_priorities(
     graph.assign_priorities(kernel_cost_fn(tile_size, calibration))
 
 
+#: How many planned steps may stay pending behind the step being planned.
+#: One is the panel/update overlap: step ``k``'s panel tasks run beside
+#: step ``k-1``'s trailing update.  A constant, not a ``lookahead=``
+#: option: neither depth 0 nor depth 2 beat it by 5 % in nine of ten
+#: paired runs (README, "Trailing-update sweeps").
+PIPELINE_DEPTH = 1
+
+
 class StepPipeline:
-    """Cross-step lookahead: plan ahead, flush dependency-closed slices.
+    """Cross-step overlap: plan ahead, flush dependency-closed slices.
 
     The tiled drivers plan elimination steps one at a time (the per-step
     criterion decision is inherently sequential), but the planned kernel
     tasks need not run before the next step is planned.  The pipeline
-    keeps up to ``lookahead + 1`` steps of planned tasks in one pending
-    window and, before step ``k`` is planned, flushes only what planning
-    step ``k`` actually needs: every pending writer of panel column ``k``
-    (panel analysis reads column ``k`` alone), any task a flushed task
-    depends on (the dependency closure under the superscalar analysis —
-    RAW, WAW and WAR edges alike), and every task of steps older than the
-    lookahead depth.  ``submit`` adds each task once to the window's
-    dependency oracle, one :class:`~repro.runtime.graph.TaskGraph` holding
-    kernel, step and access sets (no closures).  A flush runs the oracle's
-    induced :meth:`~repro.runtime.graph.TaskGraph.subgraph` on the selected
-    tasks with critical-path priorities, to completion on the executor —
-    so step ``k``'s panel tasks execute concurrently with step ``k-1``'s
-    still-pending trailing update inside the same graph.
+    keeps up to ``PIPELINE_DEPTH + 1`` steps of planned tasks in one
+    pending window and, before step ``k`` is planned, flushes only what
+    planning step ``k`` actually needs: every pending writer of panel
+    column ``k`` (panel analysis reads column ``k`` alone), any task a
+    flushed task depends on (the dependency closure under the superscalar
+    analysis — RAW, WAW and WAR edges alike), and every task of steps
+    older than :data:`PIPELINE_DEPTH`.  ``submit`` adds each task once to
+    the window's dependency oracle, one
+    :class:`~repro.runtime.graph.TaskGraph` holding kernel, step and
+    access sets (no closures).  A flush runs the oracle's induced
+    :meth:`~repro.runtime.graph.TaskGraph.subgraph` on the selected tasks
+    with critical-path priorities, to completion on the executor — so step
+    ``k``'s panel tasks execute concurrently with step ``k-1``'s pending
+    trailing update inside the same graph.
 
     Results are bit-identical to the sequential reference: the closure
     guarantees every flushed task sees exactly the tile bytes it would
@@ -312,10 +321,6 @@ class StepPipeline:
         The dataflow executor every flush runs on.
     tile_size:
         Tile order ``nb`` (drives the priority cost model).
-    lookahead:
-        How many steps may stay pending behind the one being planned
-        (``0`` degenerates to one flush per step; ``1`` is the classic
-        panel/update overlap).
     calibration:
         Optional calibrated cost model for priorities (see
         :func:`kernel_cost_fn`).
@@ -328,24 +333,15 @@ class StepPipeline:
         self,
         executor,
         tile_size: int,
-        lookahead: int = 1,
         calibration: Optional[object] = None,
         collect_graphs: bool = False,
     ) -> None:
-        if lookahead < 0:
-            raise ValueError(f"lookahead must be >= 0, got {lookahead}")
         self.executor = executor
         self.tile_size = int(tile_size)
-        self.lookahead = int(lookahead)
         self.calibration = calibration
         self.collect_graphs = bool(collect_graphs)
         self.traces: List[ExecutionTrace] = []
         self.graphs: List[TaskGraph] = []
-        #: ``(min_step, max_step)`` per flush — how many elimination steps
-        #: were in flight together.  The liveness pass uses flush windows as
-        #: its memory-certification granularity, so the spans double as a
-        #: direct measure of how much lookahead actually materialised.
-        self.window_spans: List[Tuple[int, int]] = []
         #: ``step -> {tile: 1-norm after that step}`` samples for growth
         #: replay; only populated when ``submit`` is given the tiles.
         self.norm_samples: Dict[int, Dict[TileRef, float]] = {}
@@ -390,7 +386,7 @@ class StepPipeline:
         """Flush everything planning step ``k`` needs (call before planning)."""
         if not self._pending:
             return
-        horizon = k - 1 - self.lookahead
+        horizon = k - 1 - PIPELINE_DEPTH
 
         def needed(step: int, task: KernelTask) -> bool:
             return step <= horizon or any(j == k for (_, j) in task.writes)
@@ -475,8 +471,6 @@ class StepPipeline:
             entry.fn, entry.call = task.fn, task.call
             entry.fused, entry.mix = max(int(task.fused), 1), tuple(task.mix)
         assign_task_priorities(graph, self.tile_size, self.calibration)
-        steps = [entry.step for entry in graph.tasks]
-        self.window_spans.append((min(steps), max(steps)))
         if self.collect_graphs:
             self.graphs.append(graph)
         self._pending = [entry for entry in self._pending if entry[0] not in selected]

@@ -125,6 +125,31 @@ def test_execution_ranks_match_assign_owners(cluster2, rng):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_audit_flags_a_task_run_off_its_owner(cluster2, monkeypatch, algorithm):
+    """The audit checks the ranks the cluster ran tasks on, not placement
+    against itself: one task per flush moved to the next rank fails it."""
+    import repro.cluster.executor as cluster_executor
+
+    solver = _solver(algorithm, cluster2)
+    report = repro.analysis.audit(solver)
+    assert report.ok, report.summary()
+    place = cluster_executor.assign_owners
+
+    def misplace(graphs, dist, ctx):
+        assigned = place(graphs, dist, ctx)
+        for graph in graphs:
+            task = graph.tasks[0]
+            task.owner = (task.owner + 1) % dist.grid.size
+        return assigned
+
+    monkeypatch.setattr(cluster_executor, "assign_owners", misplace)
+    report = repro.analysis.audit(solver)
+    assert not report.ok
+    assert {v.kind for v in report.violations} == {"wrong-owner"}
+    assert len(report.violations) == report.checked["graphs"] - 1
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_measured_comm_matches_placement_prediction(algorithm, rng):
     """One worker per rank: payload items == the analyzer's predictions."""
     a, b = _system(rng)
@@ -175,14 +200,13 @@ def test_admission_rejects_overbudget_system(rng):
         executor.close()
 
 
-def test_admission_accepts_within_budget_and_audit_gates(rng):
+def test_admission_accepts_within_budget(rng):
     budget = 1 << 26
+    a, b = _system(rng)
     executor = repro.ClusterExecutor(workers=2, memory_budget=budget)
     try:
         assert executor.min_budget() == budget
-        solver = _solver("lupp", executor)
-        report = repro.analysis.audit(solver, max_memory=executor.min_budget())
-        assert report.ok, report.summary()
+        assert _solver("lupp", executor).factor(a, b).succeeded
     finally:
         executor.close()
 

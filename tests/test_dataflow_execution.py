@@ -230,7 +230,7 @@ class TestStepTaskPlans:
         assert (0, RHS_COLUMN) in written
 
     def test_build_step_graph_appends_for_lookahead(self):
-        """Two steps can share one graph (the cross-step lookahead seam)."""
+        """Two steps can share one graph (the cross-step pipeline seam)."""
         log = []
         step0 = [KernelTask("a", lambda: log.append(0), writes=frozenset({(0, 0)}))]
         step1 = [

@@ -7,7 +7,7 @@ per-tile plan (one task per tile kernel) survives only as the oracle in
 ``per_tile_oracle.py``: factors, transformed right-hand side and Table-I
 kernel counts of the sweep plan must equal it bit for bit, for all five
 solvers, on three grids, five tile orders, with and without a right-hand
-side, on every executor and lookahead depth.  Also covered: the sweep
+side, inline and on every executor.  Also covered: the sweep
 tasks' bookkeeping (logical kernel counts in ``fused``, traces,
 calibration samples) and the kernel-backend registry, where ``fused``,
 ``jit`` and their aliases now name the ``numpy`` backend.
@@ -47,14 +47,10 @@ N_TILES = 5
 HYBRID_CRITERION = "random(lu_probability=0.5, seed=0)"
 
 
-def _solver(algorithm, nb, grid, executor=None, lookahead=1):
+def _solver(algorithm, nb, grid, executor=None):
     options = {"criterion": make_criterion(HYBRID_CRITERION)} if algorithm == "hybrid" else {}
     return SOLVERS.get(algorithm)(
-        tile_size=nb,
-        grid=ProcessGrid(*GRIDS[grid]),
-        executor=executor,
-        lookahead=lookahead,
-        **options,
+        tile_size=nb, grid=ProcessGrid(*GRIDS[grid]), executor=executor, **options
     )
 
 
@@ -83,8 +79,8 @@ def _oracle(algorithm, grid, nb, with_rhs):
     return _ORACLE[key]
 
 
-def _assert_matches_oracle(algorithm, grid, nb, with_rhs, executor=None, lookahead=1):
-    fact = _solver(algorithm, nb, grid, executor, lookahead).factor(*_system(nb, with_rhs))
+def _assert_matches_oracle(algorithm, grid, nb, with_rhs, executor=None):
+    fact = _solver(algorithm, nb, grid, executor).factor(*_system(nb, with_rhs))
     assert fact.succeeded, fact.breakdown
     array, rhs, counts, kinds = _fingerprint(fact)
     ref_array, ref_rhs, ref_counts, ref_kinds = _oracle(algorithm, grid, nb, with_rhs)
@@ -115,15 +111,14 @@ _EXECUTORS = {
 }
 
 
-@pytest.mark.parametrize("lookahead", [0, 2])
 @pytest.mark.parametrize("executor", list(_EXECUTORS))
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_executed_sweep_plan_matches_per_tile_oracle(algorithm, executor, lookahead):
+def test_executed_sweep_plan_matches_per_tile_oracle(algorithm, executor):
     for grid in GRIDS:
         for nb in TILE_ORDERS:
             for with_rhs in (False, True):
                 _assert_matches_oracle(
-                    algorithm, grid, nb, with_rhs, _EXECUTORS[executor](), lookahead
+                    algorithm, grid, nb, with_rhs, _EXECUTORS[executor]()
                 )
 
 
@@ -263,8 +258,46 @@ def test_unknown_backend_lists_available_options():
 @pytest.mark.parametrize("alias", ["reference", "ref", "fused", "batched", "jit", "numba"])
 def test_former_backend_names_are_numpy_aliases(alias):
     assert KERNEL_BACKENDS.get(alias) is NumpyBackend
-    assert resolve_backend(alias) is resolve_backend("numpy")
+    assert type(resolve_backend(alias)) is NumpyBackend
     assert make_kernel_backend(alias).name == "numpy"
+
+
+def test_resolve_backend_follows_the_registry():
+    """Names resolve afresh: an unregistered name raises, a re-registered
+    one runs the new class's hooks."""
+
+    class First(NumpyBackend):
+        name = "resolve_test_backend"
+
+    class Second(NumpyBackend):
+        name = "resolve_test_backend"
+        wrapped = 0
+
+        def wrap_task(self, task, step):
+            type(self).wrapped += 1
+            return task
+
+    KERNEL_BACKENDS.register("resolve_test_backend")(First)
+    assert type(resolve_backend("resolve_test_backend")) is First
+    KERNEL_BACKENDS.unregister("resolve_test_backend")
+    with pytest.raises(ValueError, match="available:"):
+        resolve_backend("resolve_test_backend")
+    KERNEL_BACKENDS.register("resolve_test_backend")(Second)
+    try:
+        solver = make_solver("lupp", tile_size=8, kernel_backend="resolve_test_backend")
+        assert type(solver.kernel_backend) is Second
+        solver.factor(np.eye(16) * 4.0)
+        assert Second.wrapped > 0
+    finally:
+        KERNEL_BACKENDS.unregister("resolve_test_backend")
+
+
+def test_solvers_get_their_own_tracing_backend():
+    first = make_solver("lupp", tile_size=8, kernel_backend="tracing")
+    second = make_solver("lupp", tile_size=8, kernel_backend="tracing")
+    assert first.kernel_backend is not second.kernel_backend
+    first.factor(np.eye(16) * 4.0)
+    assert first.kernel_backend.recorder is not second.kernel_backend.recorder
 
 
 def test_resolve_backend_passes_instances_through():

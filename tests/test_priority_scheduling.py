@@ -1,10 +1,10 @@
 """Critical-path priority scheduling and cross-step lookahead.
 
 The scheduler refactor must be invisible to the numerics: priorities only
-reorder *ready* tasks, and the lookahead pipeline only defers tasks whose
-results nothing in the current panel needs.  These tests pin both halves —
-the b-level computation itself, the executors honouring it, and the
-bit-identity of every solver under every executor with lookahead enabled.
+reorder *ready* tasks, and the step pipeline, one step deep, only defers
+tasks whose results nothing in the current panel needs.  These tests pin
+both halves — the b-level computation itself, the executors honouring it,
+and the bit-identity of every solver under every executor.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.matrices.random_gen import random_matrix, random_rhs
 from repro.runtime.executor import SequentialExecutor, ThreadedExecutor
 from repro.runtime.graph import TaskGraph
 from repro.runtime.process_executor import ProcessExecutor
-from repro.runtime.schedule import kernel_cost_fn
+from repro.runtime.schedule import StepPipeline, kernel_cost_fn
 from repro.runtime.task import Task
 from repro.tiles import SharedTileBuffer
 
@@ -118,8 +118,7 @@ def test_sequential_executor_records_kernels():
 # Bit-identity under priorities + lookahead, all solvers, all executors
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("lookahead", [0, 1, 2])
-def test_threaded_lookahead_bit_identical(algorithm, lookahead):
+def test_threaded_lookahead_bit_identical(algorithm):
     n, nb = 48, 8
     a = random_matrix(n, seed=11)
     b = random_rhs(n, seed=12)
@@ -129,7 +128,6 @@ def test_threaded_lookahead_bit_identical(algorithm, lookahead):
     par_solver = make_solver(
         algorithm, tile_size=nb, executor=ThreadedExecutor(workers=3)
     )
-    par_solver.lookahead = lookahead
     par = par_solver.factor(a.copy(), b.copy())
     assert np.array_equal(ref.tiles.array, par.tiles.array)
     assert ref.growth_factor == par.growth_factor
@@ -143,7 +141,6 @@ def test_process_lookahead_bit_identical(algorithm):
     par_solver = make_solver(
         algorithm, tile_size=nb, executor=ProcessExecutor(workers=2)
     )
-    par_solver.lookahead = 1
     par = par_solver.factor(a.copy())
     assert np.array_equal(ref.tiles.array, par.tiles.array)
     assert ref.growth_factor == par.growth_factor
@@ -157,40 +154,43 @@ def test_lookahead_exact_per_step_growth():
     par = make_solver(
         "hybrid", tile_size=nb, executor=ThreadedExecutor(workers=3)
     )
-    par.lookahead = 2
     f_seq = seq.factor(a.copy())
     f_par = par.factor(a.copy())
     assert f_seq.growth.per_step == f_par.growth.per_step
 
 
 def test_lookahead_batches_steps_into_one_graph():
-    """With lookahead > 0 some flushed graphs must span multiple steps —
-    the whole point of deferring trailing updates."""
+    """The pipeline is one step deep: every flush spans at most two steps,
+    some span two (the point of deferring trailing updates), and flushes
+    drain in step order."""
     n, nb = 48, 8
     a = random_matrix(n, seed=31)
     solver = make_solver(
         "lupp", tile_size=nb, executor=ThreadedExecutor(workers=2),
         track_growth=False,
     )
-    solver.lookahead = 2
     solver.collect_step_graphs = True
     solver.factor(a.copy())
     spans = [
-        {t.step for t in g.tasks} for g in solver.step_graphs if len(g)
+        (min(t.step for t in g.tasks), max(t.step for t in g.tasks))
+        for g in solver.step_graphs
+        if len(g)
     ]
-    assert any(len(span) > 1 for span in spans), spans
+    assert spans
+    assert all(hi - lo <= 1 for lo, hi in spans), spans
+    assert any(hi - lo == 1 for lo, hi in spans), spans
+    los = [lo for lo, _ in spans]
+    assert los == sorted(los)
 
 
-def test_lookahead_zero_matches_stepwise_trace_count():
-    """lookahead=0 still defers only within the dependency-closed window;
-    the number of traces stays bounded by the number of steps + final flush."""
+def test_trace_count_bounded_by_steps():
+    """Each step flushes at most once, plus the final drain."""
     n, nb = 32, 8
     a = random_matrix(n, seed=41)
     solver = make_solver(
         "lupp", tile_size=nb, executor=ThreadedExecutor(workers=2),
         track_growth=False,
     )
-    solver.lookahead = 0
     solver.factor(a.copy())
     assert 0 < len(solver.step_traces) <= n // nb + 1
 
@@ -246,7 +246,13 @@ def test_prioritized_vs_fifo_makespan(monkeypatch):
     )
 
 
-def test_negative_lookahead_rejected():
-    with pytest.raises(ValueError):
-        solver = make_solver("lupp", tile_size=8, executor=None)
-        type(solver)(8, lookahead=-1)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_removed_lookahead_option_fails_loudly(algorithm):
+    """The pipeline depth is fixed; the option that set it is gone."""
+    solver_cls = type(make_solver(algorithm, tile_size=8))
+    with pytest.raises(TypeError, match="lookahead"):
+        solver_cls(8, lookahead=2)
+    with pytest.raises(ValueError, match="does not accept option 'lookahead'"):
+        make_solver(algorithm, tile_size=8, lookahead=2)
+    with pytest.raises(TypeError, match="lookahead"):
+        StepPipeline(SequentialExecutor(), tile_size=8, lookahead=2)

@@ -1,7 +1,7 @@
 """Tests for the static resource analyzer.
 
-Covers the two passes (tile liveness / peak-memory certification,
-placement & communication analysis), their wiring through ``audit()``,
+Covers the placement & communication analysis, its wiring through
+``audit()`` (including the ranks a distributed executor ran tasks on),
 the corruption fixtures, kernel errors reported as audit findings, the
 one registration per kernel op, and the distribution validation fixes.
 """
@@ -25,11 +25,8 @@ from repro.kernels.dispatch import (
     EFFECT_RULES,
     KERNELS,
     OpEffect,
-    SigContext,
     kernel_op,
 )
-from repro.runtime.graph import TaskGraph
-from repro.runtime.schedule import StepPipeline
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 
 ALGORITHMS = ("lu_nopiv", "lupp", "lu_incpiv", "hqr", "hybrid")
@@ -44,28 +41,22 @@ def _system(dtype=np.float64, n=16, seed=0):
 
 
 # --------------------------------------------------------------------- #
-# Clean matrix: every solver x lookahead x grid audits clean
+# Clean matrix: every solver x grid audits clean
 # --------------------------------------------------------------------- #
 class TestCleanMatrix:
     @pytest.mark.parametrize("grid", GRIDS)
-    @pytest.mark.parametrize("lookahead", [0, 2])
     @pytest.mark.parametrize("dtype", [np.float64])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_audit_clean(self, algorithm, dtype, lookahead, grid):
+    def test_audit_clean(self, algorithm, dtype, grid):
         a, b = _system(dtype)
         solver = make_solver(
-            algorithm,
-            tile_size=4,
-            grid=grid,
-            executor="threaded(workers=2)",
-            lookahead=lookahead,
+            algorithm, tile_size=4, grid=grid, executor="threaded(workers=2)"
         )
         report = analysis.audit(solver, a, b)
         assert report.ok, [str(v) for v in report.violations]
-        # Both passes certified a peak-memory bound.
-        assert report.resources["memory[plan]"]["peak_bytes"] > 0
-        assert report.resources["memory[executed]"]["peak_bytes"] > 0
+        # Both passes checked placement.
         assert "placement[plan]" in report.resources
+        assert "placement[executed]" in report.resources
 
     def test_float32_input_certifies_as_float64(self):
         """Tiles hold float64 whatever the input dtype, so a float32 system
@@ -78,7 +69,6 @@ class TestCleanMatrix:
                     tile_size=4,
                     grid="2x2",
                     executor="threaded(workers=2)",
-                    lookahead=2,
                 ),
                 a.astype(dtype),
                 b.astype(dtype),
@@ -97,77 +87,7 @@ class TestCleanMatrix:
         )
         report = analysis.audit(solver)
         assert report.ok, [str(v) for v in report.violations]
-        assert report.resources["memory[plan]"]["peak_bytes"] > 0
-
-
-# --------------------------------------------------------------------- #
-# Liveness: certified bound dominates the traced high-water mark
-# --------------------------------------------------------------------- #
-class TestLiveness:
-    @pytest.mark.parametrize(
-        "executor", ["sequential", "threaded(workers=2)", "processes(workers=2)"]
-    )
-    def test_bound_dominates_traced_high_water(self, executor):
-        solver = make_solver(
-            "hqr", tile_size=4, grid="2x2", executor=executor, lookahead=2
-        )
-        report = analysis.audit(solver)
-        assert report.ok, [str(v) for v in report.violations]
-        # No peak-bound-violated finding means the certified bound covered
-        # the traced overlap; check the numbers directly too.
-        solver2 = make_solver(
-            "hqr", tile_size=4, grid="2x2", executor=executor, lookahead=2
-        )
-        solver2.collect_step_graphs = True
-        a, b = _system()
-        solver2.factor(a, b)
-        ctx = SigContext(n=4, nb=4, nrhs=1)
-        intervals = analysis.collect_product_intervals(solver2.step_graphs, ctx)
-        cert = analysis.certify_peak_memory(
-            solver2.step_graphs, ctx, mode="window", intervals=intervals
-        )
-        traced = analysis.traced_product_peak(solver2.step_traces, intervals)
-        if traced is not None:
-            assert cert.product_peak_bytes >= traced
-
-    def test_sequential_mode_and_admission(self):
-        solver = make_solver("hqr", tile_size=4)
-        graph, ctx, _dist = analysis.capture_plan(solver)
-        violations, cert = analysis.analyze_liveness(
-            [graph], ctx, mode="sequential"
-        )
-        assert not violations
-        assert cert.peak_bytes == cert.base_bytes + cert.product_peak_bytes
-        assert cert.base_bytes == analysis.tile_storage_bytes(ctx)
-        # An impossible admission limit is flagged.
-        violations, _ = analysis.analyze_liveness(
-            [graph], ctx, mode="sequential", max_memory=1
-        )
-        assert any(v.kind == "memory-admission" for v in violations)
-        with pytest.raises(ValueError):
-            analysis.certify_peak_memory([graph], ctx, mode="bogus")
-
-    def test_window_bound_at_least_sequential(self):
-        # The window (flush-granular) bound is coarser than the
-        # position-granular sequential sweep over the same graphs.
-        solver = make_solver(
-            "hqr", tile_size=4, executor="threaded(workers=2)", lookahead=2
-        )
-        solver.collect_step_graphs = True
-        a, b = _system()
-        solver.factor(a, b)
-        ctx = SigContext(n=4, nb=4, nrhs=1)
-        seq = analysis.certify_peak_memory(
-            solver.step_graphs, ctx, mode="sequential"
-        )
-        win = analysis.certify_peak_memory(solver.step_graphs, ctx, mode="window")
-        assert win.product_peak_bytes >= seq.product_peak_bytes
-
-    def test_audit_admission_check(self):
-        solver = make_solver("hqr", tile_size=4)
-        report = analysis.audit(solver, max_memory=1)
-        assert not report.ok
-        assert any(v.kind == "memory-admission" for v in report.violations)
+        assert "placement[plan]" in report.resources
 
 
 # --------------------------------------------------------------------- #
@@ -349,46 +269,6 @@ class TestDistributionValidation:
 
 
 # --------------------------------------------------------------------- #
-# Runtime hooks: tile_intervals and pipeline window spans
-# --------------------------------------------------------------------- #
-class TestRuntimeHooks:
-    def test_tile_intervals(self):
-        graph = TaskGraph()
-        graph.add_task("a", step=0, writes={(0, 0)})
-        graph.add_task("b", step=0, reads={(0, 0)}, writes={(1, 0)})
-        graph.add_task("c", step=1, reads={(1, 0)})
-        intervals = graph.tile_intervals()
-        assert intervals[(0, 0)] == (0, 1)
-        assert intervals[(1, 0)] == (1, 2)
-        offset = graph.tile_intervals(offset=10)
-        assert offset[(0, 0)] == (10, 11)
-
-    def test_pipeline_window_spans(self, monkeypatch):
-        captured = {}
-        orig = StepPipeline.flush_all
-
-        def spy(self):
-            captured["pipeline"] = self
-            return orig(self)
-
-        monkeypatch.setattr(StepPipeline, "flush_all", spy)
-        solver = make_solver(
-            "lu_nopiv", tile_size=4, executor="threaded(workers=2)", lookahead=2
-        )
-        solver.collect_step_graphs = True
-        a, b = _system()
-        solver.factor(a, b)
-        pipeline = captured["pipeline"]
-        assert len(pipeline.window_spans) == len(pipeline.graphs)
-        for lo, hi in pipeline.window_spans:
-            assert lo <= hi
-            assert hi - lo <= solver.lookahead
-        # Flushes drain in step order.
-        los = [lo for lo, _ in pipeline.window_spans]
-        assert los == sorted(los)
-
-
-# --------------------------------------------------------------------- #
 # Machine-readable output
 # --------------------------------------------------------------------- #
 class TestJsonOutput:
@@ -397,7 +277,6 @@ class TestJsonOutput:
         report = analysis.audit(solver)
         payload = json.loads(json.dumps(report.as_dict(), default=str))
         assert payload["ok"] is True
-        assert "memory[plan]" in payload["resources"]
         assert "placement[plan]" in payload["resources"]
         assert payload["checked"]["tasks"] > 0
 
@@ -418,17 +297,12 @@ class TestJsonOutput:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["hybrid"]["ok"] is True
-        assert "memory[plan]" in payload["hybrid"]["resources"]
+        assert "placement[plan]" in payload["hybrid"]["resources"]
 
-    def test_cli_max_memory_fails(self):
-        rc = cli_main(
-            [
-                "--algorithm",
-                "hybrid",
-                "--tile-size",
-                "4",
-                "--max-memory",
-                "1",
-            ]
-        )
-        assert rc == 1
+    @pytest.mark.parametrize("flag", ["--lookahead", "--max-memory"])
+    def test_cli_rejects_removed_flags(self, flag, capsys):
+        """The pipeline depth and the memory certificate are gone."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["--algorithm", "hybrid", "--tile-size", "4", flag, "1"])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err

@@ -2,7 +2,7 @@
 
 A planned task's read and write sets are its call's access rule
 (``repro.kernels.dispatch.ACCESS_RULES``), evaluated on first read; only
-the consumers of the sets (the lookahead pipeline, the access tracer and
+the consumers of the sets (the step pipeline, the access tracer and
 the audit) ever evaluate it, and each task's copies share one cached
 result.  The pipeline infers each task's dependencies once, at submission.
 """
@@ -154,7 +154,7 @@ class TestOneDependencyPass:
 
     def test_pipeline_oracle_keeps_no_closures(self):
         log = []
-        pipe = StepPipeline(SequentialExecutor(), tile_size=8, lookahead=1)
+        pipe = StepPipeline(SequentialExecutor(), tile_size=8)
         pipe.submit([KernelTask("a", lambda: log.append("a"), writes={(0, 1)})], step=0)
         pipe.submit([KernelTask("b", lambda: log.append("b"), writes={(1, 2)})], step=1)
         assert all(t.fn is None and t.call is None for t in pipe._oracle.tasks)
