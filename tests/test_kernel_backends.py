@@ -292,6 +292,13 @@ def test_resolve_backend_follows_the_registry():
         KERNEL_BACKENDS.unregister("resolve_test_backend")
 
 
+@pytest.mark.parametrize("name", ["numpy", "tracing", "trace"])
+def test_each_resolve_builds_a_fresh_instance(name):
+    first, second = resolve_backend(name), resolve_backend(name)
+    assert type(first) is type(second) is KERNEL_BACKENDS.get(name)
+    assert first is not second
+
+
 def test_solvers_get_their_own_tracing_backend():
     first = make_solver("lupp", tile_size=8, kernel_backend="tracing")
     second = make_solver("lupp", tile_size=8, kernel_backend="tracing")

@@ -18,7 +18,12 @@ from repro.matrices.random_gen import random_matrix, random_rhs
 from repro.runtime.executor import SequentialExecutor, ThreadedExecutor
 from repro.runtime.graph import TaskGraph
 from repro.runtime.process_executor import ProcessExecutor
-from repro.runtime.schedule import StepPipeline, kernel_cost_fn
+from repro.runtime.schedule import (
+    PIPELINE_DEPTH,
+    KernelTask,
+    StepPipeline,
+    kernel_cost_fn,
+)
 from repro.runtime.task import Task
 from repro.tiles import SharedTileBuffer
 
@@ -193,6 +198,156 @@ def test_trace_count_bounded_by_steps():
     )
     solver.factor(a.copy())
     assert 0 < len(solver.step_traces) <= n // nb + 1
+
+
+_PIPELINE_EXECUTORS = {
+    "sequential": SequentialExecutor,
+    "threaded": lambda: ThreadedExecutor(workers=2),
+    "processes": lambda: ProcessExecutor(workers=2),
+}
+
+
+@pytest.mark.parametrize("executor", list(_PIPELINE_EXECUTORS))
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_pipeline_window_is_one_step_deep(algorithm, executor):
+    """Every solver's flushes span at most ``PIPELINE_DEPTH + 1`` steps,
+    drain in step order, run every step, and number at most one per step
+    plus the final drain."""
+    n, nb = 48, 8
+    solver = make_solver(
+        algorithm, tile_size=nb, grid="2x2",
+        executor=_PIPELINE_EXECUTORS[executor](),
+    )
+    solver.collect_step_graphs = True
+    fact = solver.factor(random_matrix(n, seed=51), random_rhs(n, seed=52))
+    assert fact.succeeded, fact.breakdown
+    graphs = [g for g in solver.step_graphs if len(g)]
+    spans = [(min(t.step for t in g.tasks), max(t.step for t in g.tasks)) for g in graphs]
+    assert all(hi - lo <= PIPELINE_DEPTH for lo, hi in spans), spans
+    assert [lo for lo, _ in spans] == sorted(lo for lo, _ in spans)
+    assert {t.step for g in graphs for t in g.tasks} == set(range(fact.n_steps))
+    assert len(solver.step_traces) == len(solver.step_graphs) <= fact.n_steps + 1
+
+
+@pytest.mark.parametrize("executor", list(_PIPELINE_EXECUTORS))
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_pipeline_matches_inline_on_a_grid(algorithm, executor):
+    """On a 2x2 grid with a right-hand side, the pipelined factorization
+    equals the inline one: factors, RHS, step kinds and per-step growth."""
+    n, nb = 48, 8
+    a, b = random_matrix(n, seed=61), random_rhs(n, seed=62)
+    options = {"criterion": "max(alpha=30)"} if algorithm == "hybrid" else {}
+
+    def factor(executor):
+        return make_solver(
+            algorithm, tile_size=nb, grid="2x2", executor=executor, **options
+        ).factor(a.copy(), b.copy())
+
+    ref = factor(None)
+    par = factor(_PIPELINE_EXECUTORS[executor]())
+    assert np.array_equal(ref.tiles.array, par.tiles.array)
+    assert np.array_equal(ref.tiles.rhs, par.tiles.rhs)
+    assert [s.kind for s in ref.steps] == [s.kind for s in par.steps]
+    assert ref.growth.per_step == par.growth.per_step
+
+
+# --------------------------------------------------------------------------- #
+# The pipeline window, on hand-built tasks
+# --------------------------------------------------------------------------- #
+class TestPipelineWindow:
+    """``advance(k)`` runs the writers of panel column ``k``, their
+    dependency closure and every step older than ``PIPELINE_DEPTH``;
+    everything else stays pending."""
+
+    @staticmethod
+    def _task(log, name, reads=(), writes=()):
+        return KernelTask(name, lambda: log.append(name), reads=reads, writes=writes)
+
+    def test_depth_is_one_step(self):
+        assert PIPELINE_DEPTH == 1
+
+    def test_advance_keeps_the_previous_step_pending(self):
+        log = []
+        pipe = StepPipeline(SequentialExecutor(), tile_size=8)
+        pipe.submit([self._task(log, "s0", writes={(5, 5)})], step=0)
+        pipe.advance(1)
+        assert log == [] and pipe.pending_count == 1
+        pipe.submit([self._task(log, "s1", writes={(6, 6)})], step=1)
+        pipe.advance(2)  # step 0 is now older than the window
+        assert log == ["s0"] and pipe.pending_count == 1
+        pipe.submit([self._task(log, "s2", writes={(7, 7)})], step=2)
+        pipe.advance(3)
+        assert log == ["s0", "s1"] and pipe.pending_count == 1
+
+    def test_advance_runs_the_writers_of_the_panel_column(self):
+        log = []
+        pipe = StepPipeline(SequentialExecutor(), tile_size=8)
+        pipe.submit(
+            [
+                self._task(log, "panel", writes={(2, 1)}),
+                self._task(log, "trailing", writes={(2, 3)}),
+            ],
+            step=0,
+        )
+        pipe.advance(1)
+        assert log == ["panel"] and pipe.pending_count == 1
+
+    def test_advance_runs_the_dependency_closure(self):
+        """A needed task pulls in what it reads after (RAW) and what read
+        its tiles before (WAR); unrelated tasks stay pending."""
+        log = []
+        pipe = StepPipeline(SequentialExecutor(), tile_size=8)
+        pipe.submit(
+            [
+                self._task(log, "producer", writes={(3, 3)}),
+                self._task(log, "reader", reads={(4, 1)}, writes={(4, 4)}),
+                self._task(log, "unrelated", writes={(5, 5)}),
+                self._task(log, "panel", reads={(3, 3)}, writes={(4, 1)}),
+            ],
+            step=0,
+        )
+        pipe.advance(1)
+        assert log[-1] == "panel"
+        assert sorted(log) == ["panel", "producer", "reader"]
+        assert pipe.pending_count == 1
+
+    def test_advance_on_an_empty_window_runs_nothing(self):
+        pipe = StepPipeline(SequentialExecutor(), tile_size=8, collect_graphs=True)
+        pipe.advance(0)
+        pipe.flush_all()
+        assert pipe.traces == [] and pipe.graphs == []
+
+    def test_each_flush_keeps_one_graph_and_one_trace(self):
+        log = []
+        pipe = StepPipeline(SequentialExecutor(), tile_size=8, collect_graphs=True)
+        for step in range(4):  # the drivers' order: advance, plan, submit
+            pipe.advance(step)
+            pipe.submit([self._task(log, f"s{step}", writes={(9, 9 + step)})], step=step)
+        pipe.flush_all()
+        assert log == ["s0", "s1", "s2", "s3"]
+        assert len(pipe.graphs) == len(pipe.traces) == 3
+        assert [sorted(t.step for t in g.tasks) for g in pipe.graphs] == [[0], [1], [2, 3]]
+
+    def test_a_failed_flush_drops_the_window(self):
+        """After a kernel raises, the final drain must not re-run tasks on
+        half-updated tiles."""
+        log = []
+
+        def boom():
+            raise RuntimeError("kernel failed")
+
+        pipe = StepPipeline(SequentialExecutor(), tile_size=8)
+        pipe.submit(
+            [
+                KernelTask("boom", boom, writes={(1, 1)}),
+                self._task(log, "later", writes={(2, 2)}),
+            ],
+            step=0,
+        )
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            pipe.advance(1)
+        pipe.flush_all()
+        assert log == [] and pipe.pending_count == 0
 
 
 # --------------------------------------------------------------------------- #

@@ -58,6 +58,18 @@ class TestCleanMatrix:
         assert "placement[plan]" in report.resources
         assert "placement[executed]" in report.resources
 
+    @pytest.mark.parametrize("executor", ["sequential", "processes(workers=2)"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_audit_clean_on_executors_without_ranks(self, algorithm, executor):
+        """The executed pass reads the ranks a distributed executor ran tasks
+        on; traces of single-node executors carry none, so their tasks keep
+        their owner-computes ranks and nothing is flagged."""
+        a, b = _system()
+        solver = make_solver(algorithm, tile_size=4, grid="2x2", executor=executor)
+        report = analysis.audit(solver, a, b)
+        assert report.ok, [str(v) for v in report.violations]
+        assert "placement[executed]" in report.resources
+
     def test_float32_input_certifies_as_float64(self):
         """Tiles hold float64 whatever the input dtype, so a float32 system
         certifies exactly the resources of its float64 copy."""
