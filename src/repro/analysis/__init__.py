@@ -1,14 +1,19 @@
 """Correctness-analysis subsystem for the dataflow runtime.
 
-Two engines behind one entry point, :func:`audit`:
+The runtime infers every dependency from the tile accesses each task
+declares, so the checks behind the one entry point, :func:`audit`, are
+the ones that catch a kernel touching what it did not declare and a task
+running where it should not:
 
-- the **static plan verifier** (:mod:`repro.analysis.verifier`) proves a
-  :class:`~repro.runtime.graph.TaskGraph` is an acyclic, conflict-free,
-  well-typed dataflow plan;
 - the **dynamic race detector** (:mod:`repro.analysis.tracing`) is a
   ``tracing`` kernel backend that write-guards tile views and raises a
   structured :class:`RaceReport` on any access a kernel performs outside
-  its declared read/write sets.
+  its declared read/write sets;
+- the **placement analysis** (:mod:`repro.analysis.placement`) checks
+  owner-computes placement under the block-cyclic distribution, the LU
+  diagonal-domain pivoting invariant, and per-edge communication volume
+  priced by the platform model.  On a distributed executor the audit also
+  compares the rank each task ran on with its owner-computes rank.
 
 Plugins are checked where they register (:mod:`repro.api.registry`): a
 kernel backend whose ``name`` is not its registry name is refused there.
@@ -22,12 +27,6 @@ A schedule-perturbation determinism check
 (:mod:`repro.analysis.determinism`) rounds the set out: randomized
 ready-queue orders on the threaded executor must stay bit-identical to
 the inline reference.
-
-On top of those, :mod:`repro.analysis.placement` checks where a plan
-runs: owner-computes placement under the block-cyclic distribution, the
-LU diagonal-domain pivoting invariant, and per-edge communication volume
-priced by the platform model.  On a distributed executor the audit also
-compares the rank each task ran on with its owner-computes rank.
 
 Run it from the command line with ``repro-analyze`` (or
 ``python -m repro.analysis``).
@@ -47,13 +46,11 @@ from .placement import (
 )
 from .report import AuditReport, RaceReport, Violation
 from .tracing import AccessRecorder, TracingBackend, TracingTileMatrix
-from .verifier import verify_graph
 
 __all__ = [
     "audit",
     "capture_plan",
     "default_audit_system",
-    "verify_graph",
     "determinism_check",
     "PerturbedThreadedExecutor",
     "AccessRecorder",

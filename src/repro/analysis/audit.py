@@ -1,25 +1,22 @@
 """`repro.analysis.audit` — one entry point over all analysis engines.
 
-``audit(plan_or_solver)`` accepts either a ready
-:class:`~repro.runtime.graph.TaskGraph` (static verification only) or a
-configured solver.  For a solver it runs, in order:
+``audit(solver)`` takes a configured solver and runs, in order:
 
-1. a **combined plan + trace pass**: the solver's ``_plan_step`` is
-   driven step by step (:func:`capture_plan`'s loop), accumulating every
-   planned task into one cumulative task graph (verified statically)
-   while executing the kernels under the access tracer (planning of step
-   ``k+1`` depends on the numerical results of step ``k``, so planning
-   and execution must interleave);
+1. a **traced plan pass**: the solver's ``_plan_step`` is driven step by
+   step (:func:`capture_plan`'s loop), accumulating every planned task
+   into one cumulative task graph while executing the kernels under the
+   access tracer (planning of step ``k+1`` depends on the numerical
+   results of step ``k``, so planning and execution must interleave);
 2. when the solver has an executor configured, a **real factorization**
-   with step-graph collection enabled, verifying every graph the
-   step pipeline actually flushed (``produces`` keys from earlier
-   flushes legitimately satisfy later ones and are threaded through as
-   external products).
+   with step-graph collection enabled, whose flushed graphs get the
+   placement check below.
 
-Plugins are checked where they register (:mod:`repro.api.registry`), not
-here.
+Dependencies are inferred from the declared tile accesses, so what the
+audit checks is that the kernels touch only what they declare (the
+tracer) and that each task runs where it should (placement).  Plugins
+are checked where they register (:mod:`repro.api.registry`), not here.
 
-Both solver passes additionally run the **placement analysis**
+Both solver passes run the **placement analysis**
 (:mod:`repro.analysis.placement`): owner-computes placement with priced
 communication volume.  On a distributed executor the executed pass checks
 where each task actually ran: a task whose recorded rank
@@ -39,7 +36,7 @@ placement to check.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +50,6 @@ from ..tiles.tile_matrix import TileMatrix
 from .placement import analyze_placement, assign_owners, task_label
 from .report import AuditReport, RaceReport, Violation
 from .tracing import TracingBackend
-from .verifier import verify_graph
 
 __all__ = ["audit", "capture_plan", "default_audit_system"]
 
@@ -181,7 +177,7 @@ def capture_plan(solver, a=None, b=None, *, seed: int = 0, n: Optional[int] = No
     return graph, ctx, dist
 
 
-def _verify_executed_graphs(
+def _executed_placement_pass(
     solver,
     a: np.ndarray,
     b: Optional[np.ndarray],
@@ -189,30 +185,21 @@ def _verify_executed_graphs(
     *,
     platform=None,
 ) -> None:
-    """Run the real (executor-backed) factorization; verify flushed graphs.
+    """Run the real (executor-backed) factorization; check its placement.
 
     Placement is checked against the ranks the tasks ran on, so a task a
     distributed executor ran off its owner-computes rank is a
     ``wrong-owner`` violation.
     """
-    violations: List[Violation] = []
     previous = solver.collect_step_graphs
     solver.collect_step_graphs = True
     try:
         solver.factor(a, b)
     finally:
         solver.collect_step_graphs = previous
-    produced: Set[object] = set()
     for graph in solver.step_graphs:
         report.count("graphs")
         report.count("tasks", len(graph))
-        violations.extend(
-            verify_graph(graph, external_products=frozenset(produced))
-        )
-        for task in graph.tasks:
-            if task.call is not None and task.call.produces is not None:
-                produced.add(task.call.produces)
-    report.add("verifier", violations)
     _, _, ctx, dist = _system_context(solver, a, b)
     _placement_pass(
         report,
@@ -226,7 +213,7 @@ def _verify_executed_graphs(
 
 
 def audit(
-    plan_or_solver,
+    solver,
     a: Optional[np.ndarray] = None,
     b: Optional[np.ndarray] = None,
     *,
@@ -235,28 +222,25 @@ def audit(
     n: Optional[int] = None,
     platform=None,
 ) -> AuditReport:
-    """Audit a task graph or a configured solver; return an AuditReport.
+    """Audit a configured solver; return an AuditReport.
 
-    For a :class:`TaskGraph`, runs the static plan verifier only.  For a
-    solver, runs the combined plan+trace pass (``dynamic=False`` for
-    plan-only), and — when the solver has an executor configured —
-    verifies the task graphs of a real executor-backed factorization.  ``a``/``b`` default to a
+    Runs the traced plan pass (``dynamic=False`` for plan-only) and —
+    when the solver has an executor configured — the placement check of
+    a real executor-backed factorization.  ``a``/``b`` default to a
     well-conditioned random system (``seed``, order ``n``).
 
-    Both solver passes also check owner-computes placement, with
-    communication volume priced by ``platform`` (default: the Dancer
-    calibration on the solver's grid); the executor pass checks the ranks
-    a distributed executor ran the tasks on.  A kernel that raises is
-    reported as one ``kernel-error`` violation, not raised.
+    Both passes check owner-computes placement, with communication volume
+    priced by ``platform`` (default: the Dancer calibration on the
+    solver's grid); the executor pass checks the ranks a distributed
+    executor ran the tasks on.  A kernel that raises is reported as one
+    ``kernel-error`` violation, not raised.
     """
+    if isinstance(solver, TaskGraph):
+        raise TypeError(
+            "audit() takes a configured solver, as audit(solver, a, b): a "
+            "TaskGraph carries no kernels to trace"
+        )
     report = AuditReport()
-    if isinstance(plan_or_solver, TaskGraph):
-        report.count("graphs")
-        report.count("tasks", len(plan_or_solver))
-        report.add("verifier", verify_graph(plan_or_solver))
-        return report
-
-    solver = plan_or_solver
     if a is None:
         a, b = default_audit_system(solver, seed=seed, n=n)
     tracer = None
@@ -270,7 +254,6 @@ def audit(
     report.count("tasks", len(graph))
     report.count("steps", steps)
     report.count("graphs")
-    report.add("verifier", verify_graph(graph))
     exc, failed = failure if failure is not None else (None, None)
     # A race stops the traced run but leaves a plan to certify.
     race = isinstance(exc, RaceReport)
@@ -287,5 +270,5 @@ def audit(
         return report
     _placement_pass(report, [graph], ctx, dist, platform=platform, key="plan")
     if solver.executor is not None:
-        _verify_executed_graphs(solver, a, b, report, platform=platform)
+        _executed_placement_pass(solver, a, b, report, platform=platform)
     return report

@@ -1,7 +1,7 @@
 """Structured findings of the correctness-analysis engines.
 
-Every engine (plan verifier, access tracer, resource analyzer,
-determinism check) reduces its findings to :class:`Violation` records so
+Every engine (access tracer, placement analysis, determinism check)
+reduces its findings to :class:`Violation` records so
 one :class:`AuditReport` can aggregate them; the dynamic tracer additionally
 raises :class:`RaceReport` — an exception carrying the same structure —
 at the exact access that breaks a task's declared read/write sets.
@@ -19,8 +19,8 @@ __all__ = ["Violation", "RaceReport", "AuditReport"]
 class Violation:
     """One correctness finding.
 
-    ``kind`` is a stable machine-readable tag (``"cycle"``,
-    ``"write-write-conflict"``, ``"undeclared-write"``, ...);
+    ``kind`` is a stable machine-readable tag (``"undeclared-write"``,
+    ``"kernel-error"``, ``"wrong-owner"``, ...);
     ``message`` is the human-readable diagnosis.  ``tasks`` names the
     offending task uids (when the finding is about graph tasks) and
     ``tile`` the tile reference (when it is about one tile).
@@ -81,8 +81,8 @@ class RaceReport(RuntimeError):
 class AuditReport:
     """Aggregated findings of one :func:`repro.analysis.audit` run.
 
-    ``sections`` maps an engine name (``"verifier"``, ``"tracer"``,
-    ``"execution"``, ``"placement"``, ``"determinism"``)
+    ``sections`` maps an engine name (``"tracer"``, ``"execution"``,
+    ``"placement"``, ``"determinism"``)
     to its findings; ``violations`` flattens them in engine order.
     ``checked`` counts what the engines actually covered (graphs, tasks,
     steps) so an empty report can be told apart from an engine that never

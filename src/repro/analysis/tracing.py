@@ -1,6 +1,6 @@
 """Dynamic access-tracing race detector.
 
-The static verifier can only check what the planners *declare*; this
+The runtime infers dependencies from what the planners *declare*; this
 module checks what the kernels actually *do*.  A
 :class:`TracingBackend` (registered as the ``tracing`` kernel backend)
 interposes on the two seams every factorization flows through:
@@ -30,8 +30,8 @@ dependency inference.
 Scope: the tracer observes in-process execution (inline and threaded
 executors; thread-local contexts keep concurrent tasks separate).  The
 process executor runs picklable descriptors inside worker processes
-where closures never execute, so those runs are planned-and-verified
-statically but not traced — ``repro.analysis.audit`` therefore always
+where closures never execute, so those runs are placement-checked but
+not traced — ``repro.analysis.audit`` therefore always
 drives its dynamic pass through an in-process harness.
 """
 

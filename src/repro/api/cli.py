@@ -1,9 +1,9 @@
 """``repro-analyze`` console entry: audit solver plans from the shell.
 
 Runs the correctness-analysis subsystem (:mod:`repro.analysis`) over one
-or more solver algorithms: static plan verification, dynamic access
-tracing, executor-backed graph verification, and — on request — the
-schedule-perturbation determinism check.  Exits non-zero when any
+or more solver algorithms: dynamic access tracing, the placement
+check of the planned and (with ``--executor``) the executed graphs, and —
+on request — the schedule-perturbation determinism check.  Exits non-zero when any
 violation is found, so CI can gate on it directly::
 
     repro-analyze                          # all five solvers, inline
@@ -26,8 +26,8 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-analyze",
         description=(
-            "Audit solver task plans: static plan verification, dynamic "
-            "race tracing, and (optionally) the schedule-perturbation "
+            "Audit solver task plans: dynamic race tracing, the placement "
+            "check, and (optionally) the schedule-perturbation "
             "determinism check."
         ),
     )
@@ -59,7 +59,7 @@ def _parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help=(
-            "executor spec for the executed-graph verification pass, e.g. "
+            "executor spec for the executed-graph placement pass, e.g. "
             "'threaded(workers=4)' (default: inline only)"
         ),
     )
@@ -84,7 +84,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--skip-dynamic",
         action="store_true",
-        help="skip the dynamic access-tracing pass (static verification only)",
+        help="skip the dynamic access-tracing pass (placement check only)",
     )
     parser.add_argument(
         "--determinism",

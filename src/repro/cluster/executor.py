@@ -185,6 +185,38 @@ class _Node:
     pending_products: Dict[Any, Any] = field(default_factory=dict)
 
 
+#: Seconds a starting worker gets to connect and to say hello.
+_HELLO_TIMEOUT = 60.0
+
+
+def _await_worker(listener: Listener, procs: Sequence[Any]) -> None:
+    """Wait until a spawned worker connects to ``listener``.
+
+    Raises :class:`ClusterError` as soon as one of ``procs`` exits first,
+    or when none connects within the hello timeout; a bare ``accept()``
+    would wait forever for a worker that died while starting.  The usual
+    death is a main script that starts the executor at import time: the
+    forkserver and spawn start methods re-import the main module in every
+    worker, where starting processes is refused.
+    """
+    # Listener has no fileno of its own; wait on its socket and on the
+    # workers' exit sentinels together.
+    ready = conn_wait(
+        [listener._listener._socket] + [proc.sentinel for proc in procs],
+        timeout=_HELLO_TIMEOUT,
+    )
+    if not ready:
+        raise ClusterError(f"no cluster worker connected within {_HELLO_TIMEOUT:g}s")
+    for proc in procs:
+        if proc.exitcode is not None:
+            raise ClusterError(
+                f"cluster worker {proc.name} exited with code {proc.exitcode} "
+                "before connecting; a script that starts a ClusterExecutor "
+                'must do so under `if __name__ == "__main__":`, since worker '
+                "processes re-import the main module"
+            )
+
+
 def _parse_host(spec: str) -> Tuple[str, int]:
     host, _, port = str(spec).rpartition(":")
     if not host or not port:
@@ -309,24 +341,32 @@ class ClusterExecutor:
                 )
                 proc.start()
                 procs.append(proc)
+            nodes: Dict[int, _Node] = {}
             try:
-                nodes: Dict[int, _Node] = {}
                 for _ in range(self.workers):
+                    _await_worker(listener, procs)
                     conn = worker_mod.no_delay(listener.accept())
                     node = self._handshake(len(nodes), conn, process=None)
                     nodes[node.index] = node
-                # Hello order follows connect order, not spawn order: pair
-                # each node with its process by the worker id it announced.
+            except BaseException:
                 for node in nodes.values():
-                    node.process = procs[node.index]
-                self._nodes = [nodes[i] for i in sorted(nodes)]
+                    node.conn.close()
+                for proc in procs:
+                    proc.terminate()
+                    proc.join(timeout=1.0)
+                raise
             finally:
                 listener.close()
+            # Hello order follows connect order, not spawn order: pair
+            # each node with its process by the worker id it announced.
+            for node in nodes.values():
+                node.process = procs[node.index]
+            self._nodes = [nodes[i] for i in sorted(nodes)]
         self._started = True
 
     def _handshake(self, fallback_index: int, conn: Connection, process: Any) -> _Node:
-        if not conn.poll(60.0):
-            raise ClusterError("cluster worker did not say hello within 60s")
+        if not conn.poll(_HELLO_TIMEOUT):
+            raise ClusterError(f"cluster worker did not say hello within {_HELLO_TIMEOUT:g}s")
         msg = conn.recv()
         if not (isinstance(msg, tuple) and msg and msg[0] == "hello"):
             raise ClusterError(f"expected a hello from the worker, got {msg!r}")

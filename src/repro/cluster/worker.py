@@ -26,7 +26,8 @@ Host → worker
         Drop the tile store and the product cache.  Answered by
         ``("ack", "unbind")``.
     ``("shutdown",)``
-        Acknowledge and return from the serve loop.
+        Acknowledge (when the host is still listening) and return from
+        the serve loop.
 
 Worker → host
     ``("hello", worker_id, name, memory_budget, pid)`` once on connect
@@ -162,7 +163,12 @@ def serve(
                 products = {}
                 send(("ack", "unbind"))
             elif kind == "shutdown":
-                send(("ack", "shutdown"))
+                # The host may close its end without reading the ack; a
+                # worker told to stop has nothing left to report.
+                try:
+                    send(("ack", "shutdown"))
+                except (OSError, ValueError):
+                    pass
                 return
             elif kind == "task":
                 _, uid, call, tile_payload, product_payload, want_writes = msg

@@ -276,19 +276,18 @@ def collect_samples(
     (timer-resolution artifacts) are all skipped rather than crashing or
     skewing the fit.
 
-    Sweep tasks (``ExecutionTrace.fused_of_task``) batch ``m`` logical
-    per-tile kernels in one measurement; their duration is split into
-    ``m`` equal per-kernel samples so the fitted table stays per *logical*
-    kernel.  A QR update chain runs UNMQR, TSMQR and TTMQR in one task
-    (``ExecutionTrace.mix_of_task``): its duration is shared out over the
-    families in proportion to their Table-I flop counts, and each share is
-    booked under that family's own name.  The chain is timed as a whole,
-    so those samples are apportioned, not separately measured.
+    Sweep tasks batch several logical per-tile kernels in one measurement
+    (``ExecutionTrace.mix_of_task``): the duration is shared out over the
+    mix's families in proportion to their Table-I flop counts, each share
+    is booked under that family's own name, and a family's share is split
+    into one equal sample per kernel, so the fitted table stays per
+    *logical* kernel.  A QR update chain (UNMQR, TSMQR and TTMQR in one
+    task) is timed as a whole, so its samples are apportioned, not
+    separately measured.
     """
     nb = int(tile_size)
     samples: Dict[Tuple[str, int], List[float]] = {}
     for trace in traces:
-        fused_of_task = getattr(trace, "fused_of_task", {})
         mix_of_task = getattr(trace, "mix_of_task", {})
         for uid, kernel in trace.kernel_of_task.items():
             start = trace.start_times.get(uid)
@@ -300,8 +299,7 @@ def collect_samples(
                 continue
             mix = mix_of_task.get(uid)
             if not mix:
-                m = max(int(fused_of_task.get(uid, 1)), 1)
-                samples.setdefault((kernel, nb), []).extend([duration / m] * m)
+                samples.setdefault((kernel, nb), []).append(duration)
                 continue
             weights = [static_kernel_flops(name, nb) * count for name, count in mix]
             total = sum(weights)

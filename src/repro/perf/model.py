@@ -155,9 +155,12 @@ def plan_graph(spec: FactorizationSpec, platform: Optional[Platform] = None) -> 
 
     Every planned task of :func:`planned_steps` becomes one task per kernel
     unit its effect rule declares, in program order, after the step's
-    control tasks.  ``platform`` only prices the control tasks that
-    communicate (criterion all-reduce, LUPP pivot exchange); compute units
-    carry flop counts and are priced by the simulator itself.
+    control tasks.  A unit is priced at its kernel's flop count; the LU
+    factor a step scatters is priced as the factorization of all its rows
+    (LUPP: the whole remaining panel).  ``platform`` only prices the
+    control tasks that communicate (criterion all-reduce, LUPP pivot
+    exchange); compute units carry flop counts and are priced by the
+    simulator itself.
     """
     nb = spec.tile_size
     dist = BlockCyclicDistribution(spec.grid, spec.n_tiles)
@@ -167,21 +170,33 @@ def plan_graph(spec: FactorizationSpec, platform: Optional[Platform] = None) -> 
     for k, kind, tasks in planned_steps(spec):
         control = _control_tasks(graph, spec, dist, k, kind, platform)
         for task in tasks:
-            reuse = spec.decision_overhead and task.call.kernel == "lu.scatter_factor"
+            factor = task.call.kernel == "lu.scatter_factor"
+            # LU ON PANEL already factored (and was charged for) the
+            # domain; the LU step reuses it, a zero-cost propagate.
+            reuse = spec.decision_overhead and factor
             for unit in constituent_units(task, op_effect(task.call, k, ctx)):
+                if reuse:
+                    price = 0.0
+                elif factor:
+                    price = _panel_getrf_flops(len(task.call.args[1]), nb)
+                else:
+                    price = flops(unit.kernel)
                 graph.add_task(
-                    # LU ON PANEL already factored (and was charged for) the
-                    # domain; the LU step reuses it, a zero-cost propagate.
                     kernel="propagate" if reuse else unit.kernel,
                     step=k,
                     reads=unit.reads,
                     writes=unit.writes,
                     owner=owner_of_ref(unit.anchor, dist),
-                    flops=0.0 if reuse else flops(unit.kernel),
+                    flops=price,
                     duration_hint=0.0 if reuse else None,
                     extra_deps=control,
                 )
     return graph
+
+
+def _panel_getrf_flops(rows: int, nb: int) -> float:
+    """Flops of the LU factorization of a ``rows * nb`` by ``nb`` panel."""
+    return rows * nb**3 - nb**3 / 3.0
 
 
 def _control_tasks(
@@ -213,7 +228,7 @@ def _control_tasks(
         )
         lu_on_panel = graph.add_task(
             "getrf", k, reads=domain, writes=domain, owner=diag_owner, critical=True,
-            flops=len(domain) * nb**3 - nb**3 / 3.0, extra_deps=[backup.uid],
+            flops=_panel_getrf_flops(len(domain), nb), extra_deps=[backup.uid],
         )
         inputs = [lu_on_panel.uid]
         for rank in panel_owners:

@@ -41,11 +41,11 @@ class ExecutionTrace:
 
     Besides per-task timings, the trace records each task's kernel name
     (``kernel_of_task``) so per-kernel cost calibration
-    (:mod:`repro.perf.calibrate`) can be fed from traces alone, the batch
-    count of sweep tasks (``fused_of_task``, recorded only when > 1, so
-    calibration can divide a sweep's duration back into per-kernel
-    samples) and the kernel mix of sweeps running several kernel families
-    (``mix_of_task``, see :func:`~repro.runtime.task.kernel_mix`), and
+    (:mod:`repro.perf.calibrate`) can be fed from traces alone, the kernel
+    mix of sweep tasks (``mix_of_task``, see
+    :func:`~repro.runtime.task.kernel_mix`; its counts sum to the task's
+    batch count, so calibration can divide a sweep's duration back into
+    per-kernel samples), and
     optionally the tile norms sampled by the multi-process
     executor's workers (``tile_norms``, used for exact growth tracking
     when the step pipeline interleaves steps).
@@ -55,7 +55,6 @@ class ExecutionTrace:
     finish_times: Dict[int, float] = field(default_factory=dict)
     worker_of_task: Dict[int, str] = field(default_factory=dict)
     kernel_of_task: Dict[int, str] = field(default_factory=dict)
-    fused_of_task: Dict[int, int] = field(default_factory=dict)
     mix_of_task: Dict[int, Tuple[Tuple[str, int], ...]] = field(default_factory=dict)
     tile_norms: Dict[int, Dict[TileRef, float]] = field(default_factory=dict)
     #: Logical (block-cyclic) rank each task executed under — recorded only
@@ -65,10 +64,8 @@ class ExecutionTrace:
     wall_time: float = 0.0
 
     def record_kernel(self, uid: int, task) -> None:
-        """Record what task ``uid`` computes: kernel, batch count, mix."""
+        """Record what task ``uid`` computes: kernel and mix."""
         self.kernel_of_task[uid] = task.kernel
-        if task.fused > 1:
-            self.fused_of_task[uid] = task.fused
         if task.mix:
             self.mix_of_task[uid] = task.mix
 

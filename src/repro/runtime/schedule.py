@@ -489,28 +489,29 @@ class StepPipeline:
 
 
 def _check_trace_consistency(tr: ExecutionTrace) -> None:
-    """Reject traces whose fused bookkeeping contradicts the kernel map.
+    """Reject traces whose kernel mixes contradict the kernel map.
 
     Executors record ``kernel_of_task`` for every task they start and add
-    a ``fused_of_task`` entry (the per-task kernel multiplicity, always
-    >= 2) only for fused tasks.  A trace that violates either invariant
-    was corrupted upstream; merging it would silently skew calibration
-    (fused durations are split back into per-kernel samples), so fail
-    loudly here instead.
+    a ``mix_of_task`` entry (each kernel family's count, every count
+    >= 1) for sweep tasks.  A trace that violates either invariant was
+    corrupted upstream; merging it would silently skew calibration (a
+    sweep's duration is split back into per-kernel samples by its mix),
+    so fail loudly here instead.
     """
-    fused = getattr(tr, "fused_of_task", {})
-    orphans = sorted(uid for uid in fused if uid not in tr.kernel_of_task)
+    mixes = tr.mix_of_task
+    orphans = sorted(uid for uid in mixes if uid not in tr.kernel_of_task)
     if orphans:
         raise ValueError(
-            "inconsistent ExecutionTrace: fused_of_task names task uids "
+            "inconsistent ExecutionTrace: mix_of_task names task uids "
             f"{orphans} that kernel_of_task never recorded"
         )
-    bad_counts = sorted(uid for uid, m in fused.items() if int(m) < 2)
+    bad_counts = sorted(
+        uid for uid, mix in mixes.items() if any(int(count) < 1 for _, count in mix)
+    )
     if bad_counts:
         raise ValueError(
-            "inconsistent ExecutionTrace: fused_of_task records a "
-            f"multiplicity < 2 for task uids {bad_counts} (fused tasks "
-            "always batch at least two kernels)"
+            "inconsistent ExecutionTrace: mix_of_task records a kernel "
+            f"count < 1 for task uids {bad_counts}"
         )
 
 
@@ -537,9 +538,7 @@ def merge_traces(traces: Sequence[ExecutionTrace]) -> ExecutionTrace:
             merged.worker_of_task[offset + uid] = w
         for uid, kernel in tr.kernel_of_task.items():
             merged.kernel_of_task[offset + uid] = kernel
-        for uid, m in getattr(tr, "fused_of_task", {}).items():
-            merged.fused_of_task[offset + uid] = m
-        for uid, mix in getattr(tr, "mix_of_task", {}).items():
+        for uid, mix in tr.mix_of_task.items():
             merged.mix_of_task[offset + uid] = mix
         for uid, norms in tr.tile_norms.items():
             merged.tile_norms[offset + uid] = dict(norms)
@@ -556,8 +555,7 @@ def merge_traces(traces: Sequence[ExecutionTrace]) -> ExecutionTrace:
             | set(tr.finish_times)
             | set(tr.worker_of_task)
             | set(tr.kernel_of_task)
-            | set(getattr(tr, "fused_of_task", ()))
-            | set(getattr(tr, "mix_of_task", ()))
+            | set(tr.mix_of_task)
             | set(tr.tile_norms)
             | set(getattr(tr, "rank_of_task", ()))
         )

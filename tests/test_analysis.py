@@ -1,12 +1,13 @@
 """Tests of the correctness-analysis subsystem (`repro.analysis`).
 
-Covers the static plan verifier (clean plans for all five solvers over
-the Table III special-matrix registry, plus deliberately corrupted plans
-it must flag), the dynamic access-tracing race detector (undeclared
-reads/writes raise structured RaceReports; clean factorizations trace
-bit-identically to the numpy reference), the checks plugins meet when
-they register, the priceability of every planned kernel, the
-schedule-perturbation determinism check, the `CycleError` / `merge_traces` runtime hardening,
+Covers `audit()` on clean plans (all five solvers over the Table III
+special-matrix registry, inline and threaded; a bare task graph is
+refused), the access rules every task's dependencies are inferred from,
+the dynamic access-tracing race detector (undeclared reads/writes raise
+structured RaceReports; clean factorizations trace bit-identically to the
+numpy reference), the checks plugins meet when they register, the
+priceability of every planned kernel, the schedule-perturbation
+determinism check, the `CycleError` / `merge_traces` runtime hardening,
 and the `repro-analyze` CLI.
 """
 
@@ -19,7 +20,6 @@ import pytest
 
 import repro
 from repro.analysis import (
-    AuditReport,
     PerturbedThreadedExecutor,
     RaceReport,
     TracingBackend,
@@ -27,11 +27,10 @@ from repro.analysis import (
     audit,
     capture_plan,
     determinism_check,
-    verify_graph,
 )
 from repro.api.registry import KERNEL_BACKENDS, SOLVERS
 from repro.kernels.backends import KernelBackend, NumpyBackend, resolve_backend
-from repro.kernels.dispatch import ACCESS_RULES, KernelCall, SigContext, op_effect
+from repro.kernels.dispatch import ACCESS_RULES, SigContext, op_effect
 from repro.kernels.flops import KernelFlops
 from repro.matrices import registry as matrix_registry
 from repro.runtime.executor import ExecutionTrace, ThreadedExecutor
@@ -121,32 +120,32 @@ class TestCycleError:
 # --------------------------------------------------------------------------- #
 class TestMergeTraceConsistency:
     @staticmethod
-    def _trace(kernels, fused=None):
+    def _trace(kernels, mix=None):
         tr = ExecutionTrace()
         for uid, kernel in kernels.items():
             tr.kernel_of_task[uid] = kernel
             tr.start_times[uid] = 0.0
             tr.finish_times[uid] = 1.0
-        for uid, m in (fused or {}).items():
-            tr.fused_of_task[uid] = m
+        for uid, m in (mix or {}).items():
+            tr.mix_of_task[uid] = m
         return tr
 
     def test_consistent_traces_merge_with_offsets(self):
-        t1 = self._trace({0: "gemm", 1: "getrf"}, fused={0: 3})
+        t1 = self._trace({0: "gemm", 1: "getrf"}, mix={0: (("gemm", 3),)})
         t2 = self._trace({0: "trsm"})
         merged = merge_traces([t1, t2])
         assert merged.kernel_of_task == {0: "gemm", 1: "getrf", 2: "trsm"}
-        assert merged.fused_of_task == {0: 3}
+        assert merged.mix_of_task == {0: (("gemm", 3),)}
 
-    def test_fused_entry_without_kernel_entry_rejected(self):
-        tr = self._trace({0: "gemm"}, fused={0: 2})
-        tr.fused_of_task[5] = 4  # task 5 was never recorded as started
+    def test_mix_entry_without_kernel_entry_rejected(self):
+        tr = self._trace({0: "gemm"}, mix={0: (("gemm", 2),)})
+        tr.mix_of_task[5] = (("gemm", 4),)  # task 5 was never recorded as started
         with pytest.raises(ValueError, match=r"\[5\].*kernel_of_task"):
             merge_traces([tr])
 
-    def test_fused_multiplicity_below_two_rejected(self):
-        tr = self._trace({0: "gemm"}, fused={0: 1})
-        with pytest.raises(ValueError, match="multiplicity"):
+    def test_mix_count_below_one_rejected(self):
+        tr = self._trace({0: "tsmqr"}, mix={0: (("unmqr", 2), ("tsmqr", 0))})
+        with pytest.raises(ValueError, match="count"):
             merge_traces([tr])
 
     def test_real_fused_traces_stay_consistent(self):
@@ -154,14 +153,16 @@ class TestMergeTraceConsistency:
         solver = _solver("lupp", executor=ThreadedExecutor(workers=2))
         solver.factor(a, b)
         merged = merge_traces(solver.step_traces)
-        assert set(merged.fused_of_task) <= set(merged.kernel_of_task)
-        assert all(m >= 2 for m in merged.fused_of_task.values())
+        assert set(merged.mix_of_task) <= set(merged.kernel_of_task)
+        counts = [count for mix in merged.mix_of_task.values() for _, count in mix]
+        assert counts and min(counts) >= 1
+        assert max(sum(count for _, count in mix) for mix in merged.mix_of_task.values()) >= 2
 
 
 # --------------------------------------------------------------------------- #
-# Plan verifier: clean plans
+# audit(): clean plans
 # --------------------------------------------------------------------------- #
-class TestVerifierCleanPlans:
+class TestAuditCleanPlans:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("matrix", SPECIAL_MATRICES)
     @pytest.mark.parametrize("n,nb", [(24, 4), (32, 8)])
@@ -169,8 +170,9 @@ class TestVerifierCleanPlans:
         a = matrix_registry.build(matrix, n)
         b = np.ones(n)
         solver = _solver(algorithm, tile_size=nb)
-        graph = _capture_plan(solver, a, b)
-        assert verify_graph(graph) == []
+        report = audit(solver, a, b)
+        assert report.ok, [str(v) for v in report.violations]
+        assert report.checked["tasks"] > 0
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_audit_clean_inline(self, algorithm):
@@ -186,59 +188,39 @@ class TestVerifierCleanPlans:
         )
         report = audit(solver)
         assert report.ok, [str(v) for v in report.violations]
-        # The executor pass verified at least the flushed pipeline graphs.
+        # The executor pass checked at least the flushed pipeline graphs.
         assert report.checked["graphs"] >= 2
 
-    def test_audit_accepts_task_graph_directly(self):
-        solver = _solver("lupp", tile_size=8)
-        a, b = _system(32, seed=1)
-        graph = _capture_plan(solver, a, b)
-        report = audit(graph)
-        assert isinstance(report, AuditReport)
-        assert report.ok
-        assert report.checked["tasks"] == len(graph)
+    def test_audit_rejects_a_task_graph(self):
+        graph = _capture_plan(_solver("lupp", tile_size=8), *_system(32, seed=1))
+        with pytest.raises(TypeError, match=r"audit\(solver, a, b\)"):
+            audit(graph)
 
 
 # --------------------------------------------------------------------------- #
-# Plan verifier: corrupted plans must be flagged
+# Access rules: the one declaration of a task's tile accesses
 # --------------------------------------------------------------------------- #
-class TestVerifierCorruptedPlans:
-    @pytest.fixture()
-    def lupp_plan(self):
-        a, b = _system(32, seed=2)
-        return _capture_plan(_solver("lupp", tile_size=8), a, b)
-
-    def test_dropped_read_edge_is_flagged(self, lupp_plan):
-        # Find a task that depends on the writer of one of its reads and
-        # sever that edge: the classic under-declared dependency.
-        graph = lupp_plan
-        victim = writer = None
-        for t in graph.tasks:
-            for d in sorted(t.deps):
-                if graph.task(d).writes & t.reads:
-                    victim, writer = t, d
-                    break
-            if victim:
-                break
-        assert victim is not None
-        victim.deps.discard(writer)
-        kinds = {v.kind for v in verify_graph(graph)}
-        assert "read-write-conflict" in kinds or "write-write-conflict" in kinds
-
-    def test_cycle_is_flagged(self, lupp_plan):
-        last = lupp_plan.tasks[-1]
-        lupp_plan.task(0).deps.add(last.uid)
-        violations = verify_graph(lupp_plan)
-        assert [v.kind for v in violations] == ["cycle"]
-        assert 0 in violations[0].tasks
-
-    def test_duplicate_unordered_writes_flagged(self):
-        g = TaskGraph()
-        g.add_task("w1", 0, writes={(0, 0)})
-        g.add_task("w2", 0, writes={(0, 0)})
-        g.task(1).deps.clear()  # two writers, no ordering edge
-        kinds = [v.kind for v in verify_graph(g)]
-        assert kinds == ["write-write-conflict"]
+class TestAccessRules:
+    @pytest.mark.parametrize("rhs", [True, False])
+    @pytest.mark.parametrize("grid", [(1, 1), (2, 2)])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_access_rules_equal_the_union_of_signature_units(self, algorithm, grid, rhs):
+        a, b = _system(40, seed=5)
+        solver = _solver(algorithm, grid=ProcessGrid(*grid))
+        graph = _capture_plan(solver, a, b if rhs else None)
+        ctx = SigContext(n=5, nb=8, nrhs=1 if rhs else 0)
+        swept = 0
+        for task in graph.tasks:
+            units = op_effect(task.call, task.step, ctx).constituents
+            if units:  # a sweep: the rule must equal the union of its kernels
+                swept += 1
+                writes = set().union(*(unit.writes for unit in units))
+                reads = set().union(*(unit.reads for unit in units))
+                assert task.writes == writes, task
+                assert task.reads == reads | writes, task
+                assert len(units) == task.fused == sum(count for _, count in task.mix)
+                assert Counter(unit.kernel for unit in units) == Counter(dict(task.mix)), task
+        assert swept > 0
 
     def test_wrong_fused_count_is_flagged(self, monkeypatch):
         # A planner that miscounts a sweep's mix (and so its fused count)
@@ -279,85 +261,21 @@ class TestVerifierCorruptedPlans:
         wrong = miscounted(_capture_plan(_solver("hqr", tile_size=8), a, b))
         assert wrong and set(wrong) == {"qr.sweep"}
 
-    def test_fused_task_without_descriptor_is_flagged(self):
-        g = TaskGraph()
-        g.add_task("gemm", 0, reads={(1, 0)}, writes={(1, 1)}, fused=3)
-        kinds = [v.kind for v in verify_graph(g)]
-        assert kinds == ["fused-descriptor-missing"]
-
-    def test_missing_producer_is_flagged(self):
-        g = TaskGraph()
-        key = ("geqrt", 0, 0)
-        g.add_task(
-            "unmqr",
-            0,
-            reads={(0, 0)},
-            writes={(0, 1)},
-            call=KernelCall("qr.sweep", args=(1, 2, (("unmqr", 0, 0),)), consumes=(key,)),
-        )
-        kinds = [v.kind for v in verify_graph(g)]
-        assert kinds == ["missing-producer"]
-        # The same key supplied by an earlier pipeline flush is legal.
-        assert verify_graph(g, external_products=frozenset({key})) == []
-
-    def test_unordered_producer_is_flagged(self):
-        g = TaskGraph()
-        key = ("geqrt", 0, 0)
-        g.add_task(
-            "geqrt",
-            0,
-            writes={(0, 0)},
-            call=KernelCall("qr.geqrt", args=(0, 0), produces=key),
-        )
-        g.add_task(
-            "unmqr",
-            0,
-            reads={(1, 1)},
-            writes={(1, 2)},
-            call=KernelCall("qr.sweep", args=(2, 3, (("unmqr", 1, 0),)), consumes=(key,)),
-        )
-        # Disjoint tiles: no inferred edge between producer and consumer.
-        kinds = [v.kind for v in verify_graph(g)]
-        assert kinds == ["unordered-producer"]
-
-
-
-# --------------------------------------------------------------------------- #
-# Access rules: the one declaration of a task's tile accesses
-# --------------------------------------------------------------------------- #
-class TestAccessRules:
-    @pytest.mark.parametrize("rhs", [True, False])
-    @pytest.mark.parametrize("grid", [(1, 1), (2, 2)])
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_access_rules_equal_the_union_of_signature_units(self, algorithm, grid, rhs):
-        a, b = _system(40, seed=5)
-        solver = _solver(algorithm, grid=ProcessGrid(*grid))
-        graph = _capture_plan(solver, a, b if rhs else None)
-        ctx = SigContext(n=5, nb=8, nrhs=1 if rhs else 0)
-        swept = 0
-        for task in graph.tasks:
-            units = op_effect(task.call, task.step, ctx).constituents
-            if units:  # a sweep: the rule must equal the union of its kernels
-                swept += 1
-                writes = set().union(*(unit.writes for unit in units))
-                reads = set().union(*(unit.reads for unit in units))
-                assert task.writes == writes, task
-                assert task.reads == reads | writes, task
-                assert len(units) == task.fused == sum(count for _, count in task.mix)
-                assert Counter(unit.kernel for unit in units) == Counter(dict(task.mix)), task
-        assert swept > 0
-
-    def test_audit_catches_a_rule_that_drops_a_written_column(self, monkeypatch):
+    @pytest.mark.parametrize("dropped", ["written-column", "multiplier-read"])
+    def test_audit_catches_a_rule_that_drops_a_tile(self, monkeypatch, dropped):
         rule = ACCESS_RULES["lu.gemm_sweep"]
 
         def short(step, k, i1, j0, j1):
             reads, writes = rule(step, k, i1, j0, j1)
-            return reads, writes - {(i, j1 - 1) for i in range(k + 1, i1)}
+            if dropped == "written-column":
+                return reads, writes - {(i, j1 - 1) for i in range(k + 1, i1)}
+            return reads - {(i, k) for i in range(k + 1, i1)}, writes
 
         monkeypatch.setitem(ACCESS_RULES, "lu.gemm_sweep", short)
         report = audit(_solver("lu_nopiv", grid=ProcessGrid(2, 2)))
         assert not report.ok
-        assert "undeclared-write" in {v.kind for v in report.violations}
+        kind = "undeclared-write" if dropped == "written-column" else "undeclared-read"
+        assert kind in {v.kind for v in report.violations}
 
 # --------------------------------------------------------------------------- #
 # Dynamic access tracing
@@ -590,7 +508,7 @@ class TestTracingBackend:
         report = audit(solver, a, b)
         kinds = {v.kind for v in report.violations}
         assert not report.ok
-        assert kinds & {"undeclared-write", "read-write-conflict"}
+        assert "undeclared-write" in kinds
 
 
 # --------------------------------------------------------------------------- #

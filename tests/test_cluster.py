@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import os
 import socket
+import subprocess
+import sys
 import threading
 from multiprocessing import Pipe
 from multiprocessing.connection import Connection, Listener
@@ -363,6 +365,58 @@ def test_close_is_idempotent():
     executor.close()
     with pytest.raises(ClusterError):
         executor.min_budget()
+
+
+def test_unguarded_script_fails_loudly_instead_of_hanging(tmp_path):
+    """Spawned workers re-import the main module; one that starts the
+    executor at import time dies before connecting, and start-up must
+    name the missing guard instead of waiting in ``accept()`` forever."""
+    script = tmp_path / "unguarded.py"
+    script.write_text(
+        "import numpy as np\n"
+        "import repro\n"
+        "executor = repro.ClusterExecutor(workers=2)\n"
+        "a = np.eye(16) * 4.0\n"
+        "repro.solve(a, np.ones(16), algorithm='lupp', tile_size=4, executor=executor)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(script)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "ClusterError" in proc.stderr
+    assert 'if __name__ == "__main__":' in proc.stderr
+
+
+class _AckRefusingConnection:
+    """A host end that hung up before the worker acknowledged shutdown."""
+
+    def __init__(self):
+        self.sent = []
+
+    def recv(self):
+        return ("shutdown",)
+
+    def send(self, msg):
+        if msg == ("ack", "shutdown"):
+            raise ConnectionResetError("host closed the connection")
+        self.sent.append(msg)
+
+
+def test_worker_treats_a_refused_shutdown_ack_as_a_clean_exit():
+    conn = _AckRefusingConnection()
+    assert cluster_worker.serve(conn, heartbeat_interval=60.0) is None
+    assert [msg[0] for msg in conn.sent] == ["hello"]
+
+
+def test_workers_exit_cleanly_at_close():
+    executor = repro.ClusterExecutor(workers=WORKERS)
+    executor.min_budget()  # starts the workers
+    processes = [node.process for node in executor._nodes]
+    executor.close()
+    assert [process.exitcode for process in processes] == [0] * WORKERS
 
 
 # --------------------------------------------------------------------- #

@@ -130,6 +130,16 @@ class TestPlanGraph:
             graph = plan_graph(FactorizationSpec(n, 8, [kind] * n, name, False, GRID))
             assert not any(t.critical for t in graph.tasks)
 
+    def test_lupp_prices_each_panel_factorization_panel_wide(self):
+        # LUPP factors all n - k remaining panel tiles in step k; LU NoPiv
+        # factors the diagonal tile alone (2/3 nb^3).
+        n, nb = 5, 8
+        for name, rows in (("LUPP", lambda k: n - k), ("LU NoPiv", lambda k: 1)):
+            graph = plan_graph(FactorizationSpec(n, nb, ["LU"] * n, name, False, GRID))
+            priced = {t.step: t.flops for t in graph.tasks if t.kernel == "getrf"}
+            assert priced == {k: rows(k) * nb**3 - nb**3 / 3.0 for k in range(n)}
+        assert priced[0] == pytest.approx(2.0 / 3.0 * nb**3)
+
     @pytest.mark.parametrize("algorithm", ["LU NoPiv", "LU IncPiv", "LUPP", "HQR", "LUQR"])
     def test_owners_follow_block_cyclic(self, algorithm):
         n, grid = 7, ProcessGrid(2, 3)

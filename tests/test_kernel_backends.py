@@ -188,9 +188,16 @@ def test_incpiv_chains_carry_their_table_one_counts():
 def test_execution_trace_records_fused_counts():
     a = np.random.default_rng(9).standard_normal((64, 64))
     solver = SOLVERS.get("lupp")(tile_size=16, executor=ThreadedExecutor(workers=2))
+    solver.collect_step_graphs = True
     solver.factor(a, np.ones(64))
-    fused_counts = [m for trace in solver.step_traces for m in trace.fused_of_task.values()]
-    assert fused_counts and all(m > 1 for m in fused_counts)
+    # Every sweep's batch count is its recorded mix's total.
+    fused = 0
+    for graph, trace in zip(solver.step_graphs, solver.step_traces):
+        for task in graph.tasks:
+            if task.fused > 1:
+                fused += 1
+                assert sum(count for _, count in trace.mix_of_task[task.uid]) == task.fused
+    assert fused
 
 
 def test_collect_samples_normalizes_fused_durations():
@@ -198,7 +205,7 @@ def test_collect_samples_normalizes_fused_durations():
     trace.kernel_of_task = {0: "gemm"}
     trace.start_times = {0: 0.0}
     trace.finish_times = {0: 3.0}
-    trace.fused_of_task = {0: 3}
+    trace.mix_of_task = {0: (("gemm", 3),)}
     samples = collect_samples([trace], tile_size=16)
     assert samples[("gemm", 16)] == [1.0, 1.0, 1.0]
 
@@ -208,7 +215,6 @@ def test_collect_samples_splits_a_chain_by_family():
     trace.kernel_of_task = {0: "tsmqr"}
     trace.start_times = {0: 0.0}
     trace.finish_times = {0: 8.0}
-    trace.fused_of_task = {0: 3}
     trace.mix_of_task = {0: (("unmqr", 2), ("tsmqr", 1))}
     samples = collect_samples([trace], tile_size=16)
     # Table I: UNMQR 2 nb^3, TSMQR 4 nb^3 — half of the chain's time each.

@@ -185,7 +185,11 @@ class TestCorruption:
     @pytest.mark.parametrize("executor", [None, "threaded(workers=2)"])
     @pytest.mark.parametrize(
         "corruption, error",
-        [("sweep-range", "IndexError"), ("factor-shape", "ValueError")],
+        [
+            ("sweep-range", "IndexError"),
+            ("factor-shape", "ValueError"),
+            ("missing-product", "KeyError"),
+        ],
     )
     def test_kernel_error_is_reported(self, monkeypatch, corruption, error, executor):
         """A planner emitting a malformed call fails the audit without raising.
@@ -193,10 +197,13 @@ class TestCorruption:
         ``sweep-range`` widens every ``lu.gemm_sweep`` by one tile row past
         the matrix edge; ``factor-shape`` drops the last tile row of every
         ``lu.scatter_factor``'s factor.  The tile accessors reject both.
+        ``missing-product`` makes every ``qr.sweep`` consume a factor no task
+        produces, which the step's product table rejects.
         """
-        from repro.core import lu_step
+        from repro.core import lu_step, qr_step
 
-        plan = lu_step.call_task
+        module = qr_step if corruption == "missing-product" else lu_step
+        plan = module.call_task
 
         def corrupt(kernel, tiles, call, step, products=None, mix=()):
             if corruption == "sweep-range" and call.kernel == "lu.gemm_sweep":
@@ -206,10 +213,13 @@ class TestCorruption:
                 k, rows, factor = call.args
                 factor = dataclasses.replace(factor, lu=factor.lu[: -tiles.nb, :])
                 call = dataclasses.replace(call, args=(k, rows, factor))
+            elif corruption == "missing-product" and call.kernel == "qr.sweep":
+                call = dataclasses.replace(call, consumes=call.consumes + (("unproduced", step),))
             return plan(kernel, tiles, call, step, products, mix)
 
-        monkeypatch.setattr(lu_step, "call_task", corrupt)
-        solver = make_solver("lu_nopiv", tile_size=4, executor=executor)
+        monkeypatch.setattr(module, "call_task", corrupt)
+        algorithm = "hqr" if corruption == "missing-product" else "lu_nopiv"
+        solver = make_solver(algorithm, tile_size=4, executor=executor)
         report = analysis.audit(solver)
         assert not report.ok
         (violation,) = report.sections["execution"]
