@@ -8,7 +8,7 @@
    access tracer (planning of step ``k+1`` depends on the numerical
    results of step ``k``, so planning and execution must interleave);
 2. when the solver has an executor configured, a **real factorization**
-   with step-graph collection enabled, whose flushed graphs get the
+   with step-graph collection enabled, whose step graphs get the
    placement check below.
 
 Dependencies are inferred from the declared tile accesses, so what the
@@ -31,7 +31,10 @@ sweep running off the matrix, a factor of the wrong shape, a product
 nobody produced) becomes one ``kernel-error`` violation naming the task;
 it stops the dynamic pass too, and the placement analysis and the
 executor pass are skipped, since a plan whose kernels cannot run has no
-placement to check.
+placement to check.  An exception out of the executor pass (a worker's
+kernel error, a refused pivot exchange, a product consumed before it was
+produced) becomes one ``executor-error`` violation in the same
+``execution`` section.
 """
 
 from __future__ import annotations
@@ -103,7 +106,7 @@ def _placement_pass(
     """Check and price the placement of ``graphs`` into ``report``.
 
     Each task's owner is its owner-computes rank, unless the matching
-    flush's trace in ``traces`` records the rank a distributed executor
+    step's trace in ``traces`` records the rank a distributed executor
     ran it on; an owner that is not the owner-computes rank is a
     ``wrong-owner`` violation.
     """
@@ -189,12 +192,20 @@ def _executed_placement_pass(
 
     Placement is checked against the ranks the tasks ran on, so a task a
     distributed executor ran off its owner-computes rank is a
-    ``wrong-owner`` violation.
+    ``wrong-owner`` violation.  If the factorization raises, that is one
+    ``executor-error`` violation and no placement is checked.
     """
     previous = solver.collect_step_graphs
     solver.collect_step_graphs = True
     try:
         solver.factor(a, b)
+    except Exception as exc:  # reported, not raised
+        report.add("execution", [Violation(
+            kind="executor-error",
+            message=f"the {type(solver.executor).__name__} factorization raised "
+            f"{type(exc).__name__}: {exc}",
+        )])
+        return
     finally:
         solver.collect_step_graphs = previous
     for graph in solver.step_graphs:
@@ -233,7 +244,8 @@ def audit(
     priced by ``platform`` (default: the Dancer calibration on the
     solver's grid); the executor pass checks the ranks a distributed
     executor ran the tasks on.  A kernel that raises is reported as one
-    ``kernel-error`` violation, not raised.
+    ``kernel-error`` violation, and an exception out of the executor pass
+    as one ``executor-error`` violation, not raised.
     """
     if isinstance(solver, TaskGraph):
         raise TypeError(

@@ -9,7 +9,9 @@ priority with seeded random noise before running the graph, and
 :func:`determinism_check` factors the same system under several
 perturbed schedules, comparing factors (and transformed RHS) bit for
 bit against the inline in-program-order reference.  Any difference is
-an undeclared dependency — a real race — reported as a violation.
+an undeclared dependency — a real race — reported as a violation; a
+factorization that raises (the reference or a perturbed round) is
+reported as a ``factorization-error`` violation naming it.
 """
 
 from __future__ import annotations
@@ -61,16 +63,30 @@ def determinism_check(
     distinct seeds and compares tile storage, transformed RHS, and
     breakdown status bit-for-bit against the inline reference.
     """
+
+    def raised(label: str, exc: Exception) -> Violation:
+        return Violation(
+            kind="factorization-error",
+            message=f"{label} raised {type(exc).__name__}: {exc}",
+        )
+
     violations: List[Violation] = []
-    reference = make_solver(None).factor(a, b)
+    try:
+        reference = make_solver(None).factor(a, b)
+    except Exception as exc:  # reported, not raised: nothing to compare
+        return [raised("the inline reference", exc)]
     ref_tiles = reference.tiles.array.copy()
     ref_rhs = None if reference.tiles.rhs is None else reference.tiles.rhs.copy()
     ref_breakdown = getattr(reference, "breakdown", None)
 
     for r in range(rounds):
         executor = PerturbedThreadedExecutor(workers=workers, seed=seed + r)
-        fact = make_solver(executor).factor(a, b)
         label = f"perturbed schedule round {r} (seed {seed + r})"
+        try:
+            fact = make_solver(executor).factor(a, b)
+        except Exception as exc:  # reported, not raised
+            violations.append(raised(label, exc))
+            continue
         if getattr(fact, "breakdown", None) != ref_breakdown:
             violations.append(
                 Violation(

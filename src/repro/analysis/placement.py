@@ -20,8 +20,8 @@ distributed executor must split, not a correctness violation).
 Message counting is deduplicated per destination: a tile fetched by many
 constituents of one task, or a factor consumed by many tasks on one node,
 ships once.  The critical-path communication volume is the longest
-comm-weighted dependency chain, accumulated across the pipeline-flushed
-graphs (flushes are sequential, so their critical paths add).
+comm-weighted dependency chain, accumulated across the per-step graphs
+(steps run one after another, so their critical paths add).
 """
 
 from __future__ import annotations

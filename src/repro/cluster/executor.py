@@ -255,8 +255,8 @@ class ClusterExecutor:
         worker die upon receiving its n-th task, before executing it.
     """
 
-    #: Workers hold (distributed) tile state: the pipeline must route norm
-    #: sampling through KernelCall.norm_tiles exactly as for ProcessExecutor.
+    #: Workers hold (distributed) tile state: the solver binds its tiles
+    #: as the host mirror (``bind_tiles``) instead of copying them in.
     distributes_tiles = True
 
     def __init__(
@@ -564,7 +564,7 @@ class ClusterExecutor:
     # Execution
     # ------------------------------------------------------------------ #
     def run(self, graph: TaskGraph, timeout: Optional[float] = None) -> ExecutionTrace:
-        """Execute one flushed task graph across the worker nodes."""
+        """Execute one step's task graph across the worker nodes."""
         trace = ExecutionTrace()
         self.last_trace = trace
         tasks = graph.tasks
@@ -572,8 +572,8 @@ class ClusterExecutor:
             return trace
         if not self._bound:
             raise RuntimeError(
-                "ClusterExecutor is not bound to a tile matrix; the solver "
-                "pipeline calls bind_tiles() before running task graphs"
+                "ClusterExecutor is not bound to a tile matrix; a tiled "
+                "solver calls bind_tiles() before running task graphs"
             )
         flow = DataflowCore(graph, trace, needs_calls="ClusterExecutor")
         ctx = self._ctx
@@ -735,15 +735,13 @@ class ClusterExecutor:
         self, node: _Node, msg: Tuple[Any, ...], flow: DataflowCore, effects
     ) -> None:
         """Apply one ``done`` reply and release the task's successors."""
-        _, uid, product, norms, writes, start, finish, worker_name = msg
+        _, uid, product, writes, start, finish, worker_name = msg
         node.in_flight = None
         task = flow.tasks[uid]
         call = task.call
         trace = flow.trace
         flow.started(uid, start, worker_name)
         trace.rank_of_task[uid] = task.owner
-        if norms is not None and call.norm_tiles:
-            trace.tile_norms[uid] = dict(zip(call.norm_tiles, norms))
 
         # The mirror is authoritative: install the written tiles, and buffer
         # forwards for tiles owned by ranks living on other nodes.

@@ -33,16 +33,14 @@ Worker → host
     ``("hello", worker_id, name, memory_budget, pid)`` once on connect
     (the advertised ``memory_budget`` drives the host's admission
     control), ``("hb",)`` heartbeats from a daemon thread, and per task
-    either ``("done", uid, result, norms, writes, start, finish, name)``
+    either ``("done", uid, result, writes, start, finish, name)``
     or ``("error", uid, exception)``.
 
 Tile payload entries are ``(i, j, ndarray)`` with ``j ==``
 :data:`~repro.runtime.task.RHS_COLUMN` meaning the RHS tile of row
-``i``.  Norm sampling mirrors
-:func:`repro.kernels.dispatch.execute_kernel_call` — computed *after*
-the finish timestamp, in one ``region_tile_norms`` pass over the
-sampled tiles' bounding box, so pipelined growth tracking stays
-bit-identical to the inline drivers without skewing kernel timings.
+``i``.  The written tiles shipped back in ``done`` keep the host's
+mirror current after every task, so the host reads each step's growth
+norms from its own mirror once the step's graph has run.
 
 Fault injection: ``fail_after_tasks=N`` makes the worker call
 ``os._exit`` upon *receiving* its N-th task message, before executing
@@ -192,16 +190,9 @@ def serve(
                     finish = time.perf_counter()
                     if call.produces is not None:
                         products[call.produces] = result
-                    norms: Optional[Tuple[float, ...]] = None
-                    if call.norm_tiles:
-                        # The inline drivers' region_tile_norms reduction,
-                        # one pass over the sampled tiles' bounding box,
-                        # after `finish`: bit-identical growth
-                        # bookkeeping, unskewed timings.
-                        norms = tiles.sampled_tile_norms(call.norm_tiles)
                     writes = _read_writes(tiles, want_writes)
                     reply = result if call.produces is not None else None
-                    send(("done", uid, reply, norms, writes, start, finish, name))
+                    send(("done", uid, reply, writes, start, finish, name))
                 except Exception as exc:  # noqa: BLE001 - forwarded to the host
                     try:
                         send(("error", uid, exc))

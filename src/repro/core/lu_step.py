@@ -18,11 +18,9 @@ read/write sets), so the same plan can run inline (the sequential
 reference, :func:`perform_lu_step`) or fan out on a dataflow executor.  The
 panel kernels are one task per tile; the trailing update is one SWPTRSM and
 one GEMM per column range (:func:`~repro.kernels.dispatch.sweep_ranges`:
-the next two panel columns, so the pipeline can start step ``k+1`` early and
-overlap it with the bulk block) plus one of each for the right-hand side.
-A range's GEMM is a
-single BLAS call over block views (the README records where its bits match
-those of per-tile products).
+the next two panel columns, then the bulk block) plus one of each for the
+right-hand side.  A range's GEMM is a single BLAS call over block views
+(the README records where its bits match those of per-tile products).
 """
 
 from __future__ import annotations

@@ -18,11 +18,13 @@ without a panel analysis it plans without numerics, which is how
 (criterion evaluation, panel analysis — inherently sequential, mirroring
 the paper's BACKUP/LU-ON-PANEL/PROPAGATE control layer).  The base
 driver then either runs the kernels in program order (the sequential
-reference) or, when an ``executor`` is configured, materialises them as a
-:class:`~repro.runtime.graph.TaskGraph` and fans them out on the dataflow
-executor — the execution model of the paper's PaRSEC runtime inside one
-node.  Both paths execute the exact same kernel closures, so they produce
-bit-identical factors.
+reference) or, when an ``executor`` is configured, materialises the step as
+one :class:`~repro.runtime.graph.TaskGraph` and runs it to completion on
+the dataflow executor — the execution model of the paper's PaRSEC runtime
+inside one node, with a host barrier between steps.  Both paths execute
+the exact same kernels on the same tile bytes, so they produce
+bit-identical factors, and the growth record is read by the same host
+pass after every step.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from ..linalg.pivoting import SingularPanelError
 from ..runtime.executor import ExecutionTrace, SequentialExecutor, ThreadedExecutor
 from ..runtime.graph import TaskGraph
 from ..runtime.process_executor import ProcessExecutor
-from ..runtime.schedule import KernelTask, StepPipeline, run_step_tasks
+from ..runtime.schedule import KernelTask, run_step_tasks
 from ..stability.growth import GrowthTracker
 from ..stability.metrics import stability_report, stability_reports
 from ..tiles.distribution import BlockCyclicDistribution, ProcessGrid
@@ -97,12 +99,14 @@ class TiledSolverBase(ABC):
         Defaults to a single process (shared-memory behaviour).
     track_growth:
         Record the tile-norm growth factor after every step (one
-        vectorized pass over the trailing region ``[k:, k:]`` the step
-        wrote; disable for pure benchmarking runs).  Either way a
+        vectorized host pass over the trailing region ``[k:, k:]`` the
+        step wrote, on every execution path; disable for pure
+        benchmarking runs).  Either way a
         factorization that overflows raises ``ValueError``.
     executor:
         Optional dataflow executor.  When set, every elimination step's
-        kernels are materialised as a task graph and dispatched on it (a
+        kernels are materialised as one task graph and run on it to
+        completion before the next step is planned (a
         :class:`~repro.runtime.executor.ThreadedExecutor` overlaps the
         trailing-matrix updates, since numpy kernels release the GIL inside
         BLAS; a :class:`~repro.runtime.process_executor.ProcessExecutor`
@@ -110,10 +114,7 @@ class TiledSolverBase(ABC):
         materialised in a shared-memory
         :class:`~repro.tiles.shared_buffer.SharedTileBuffer` for the
         duration of the factorization); when ``None`` (default) the kernels
-        run inline in program order.  On an executor, step ``k+1``'s panel
-        tasks run beside step ``k``'s trailing update
-        (:class:`~repro.runtime.schedule.StepPipeline`, one step deep).
-        Per-flush
+        run inline in program order.  The per-step
         :class:`~repro.runtime.executor.ExecutionTrace` objects of the
         last factorization are kept in ``step_traces``.
     kernel_backend:
@@ -150,18 +151,17 @@ class TiledSolverBase(ABC):
         self.executor = executor
         #: Resolved kernel backend; ``None`` resolves to ``numpy``.
         self.kernel_backend: KernelBackend = resolve_backend(kernel_backend)
-        #: Per-flush execution traces of the last factorization (only
+        #: Per-step execution traces of the last factorization (only
         #: populated when an executor is configured).
         self.step_traces: List[ExecutionTrace] = []
-        #: Set to True to retain each flush's TaskGraph of the last
+        #: Set to True to retain each step's TaskGraph of the last
         #: factorization in ``step_graphs`` (costs memory: the graphs hold
         #: the kernel closures); used to replay a real execution through
         #: the simulator, e.g. for calibration validation.
         self.collect_step_graphs = False
         self.step_graphs: List[TaskGraph] = []
-        self._pipeline: Optional[StepPipeline] = None
-        # A solver instance carries per-factorization state (the
-        # pipeline, step traces, criterion state), so concurrent factor()
+        # A solver instance carries per-factorization state (step
+        # traces, criterion state), so concurrent factor()
         # calls on one instance must serialize; SolverSession relies on
         # this when misses on different matrices share its single solver.
         self._factor_lock = threading.RLock()
@@ -214,32 +214,23 @@ class TiledSolverBase(ABC):
     ) -> StepRecord:
         """Perform elimination step ``k`` and describe it.
 
-        Default implementation: with an executor configured, drain from
-        the step pipeline whatever planning step ``k`` needs, plan
-        the step, and submit its kernels to the pending window (they run
-        during a later ``advance`` or the final drain); on the inline path
-        the kernels simply run in program order.  Subclasses normally only
-        implement :meth:`plan_kind`; overriding ``_do_step`` directly
-        opts out of the dataflow execution path (and of the pipeline).
+        Plans the step, then runs its kernels: inline in program order, or
+        as one prioritised task graph on the executor, to completion (the
+        trace, and the graph when ``collect_step_graphs`` is set, are kept).
+        Subclasses normally only implement :meth:`plan_kind`.
         """
-        if self.executor is not None:
-            if self._pipeline is None:
-                self._pipeline = StepPipeline(
-                    self.executor,
-                    tile_size=self.tile_size,
-                    calibration=self._calibration(),
-                    collect_graphs=self.collect_step_graphs,
-                )
-            self._pipeline.advance(k)
-            record, tasks = self._plan_step(tiles, dist, k)
-            tasks = [self.kernel_backend.wrap_task(t, k) for t in tasks]
-            self._pipeline.submit(
-                tasks, step=k, tiles=tiles if self.track_growth else None
-            )
-            return record
         record, tasks = self._plan_step(tiles, dist, k)
         tasks = [self.kernel_backend.wrap_task(t, k) for t in tasks]
-        run_step_tasks(tasks, executor=None, step=k)
+        if self.executor is None:
+            run_step_tasks(tasks, step=k)
+            return record
+        trace, graph = run_step_tasks(
+            tasks, self.executor, step=k,
+            tile_size=self.tile_size, calibration=self._calibration(),
+        )
+        self.step_traces.append(trace)
+        if self.collect_step_graphs:
+            self.step_graphs.append(graph)
         return record
 
     def _calibration(self):
@@ -312,10 +303,10 @@ class TiledSolverBase(ABC):
         if shared is None and getattr(self.executor, "distributes_tiles", False):
             # A distributed executor scatters the owned tiles to its worker
             # nodes; the host-side TileMatrix stays the planning mirror (the
-            # sequential control layer reads panels between flushes) and
-            # receives every remote write back, so it always holds the
-            # factors once the pipeline drains.  Bind the raw tiles, before
-            # any instrumenting backend wraps them in proxy views.
+            # sequential control layer reads panels between steps) and
+            # receives every remote write back, so it holds each step's
+            # writes once the step's graph has run.  Bind the raw tiles,
+            # before any instrumenting backend wraps them in proxy views.
             self.executor.bind_tiles(tiles, dist)
             distributed = True
         # Instrumenting backends (e.g. the access tracer) interpose proxied
@@ -324,13 +315,10 @@ class TiledSolverBase(ABC):
         self._reset()
         self.step_traces = []
         self.step_graphs = []
-        self._pipeline = None
 
         growth: Optional[GrowthTracker] = None
-        norms = None
         if self.track_growth:
-            norms = tiles.region_tile_norms(0, tiles.n, 0, tiles.n)
-            growth = GrowthTracker(float(norms.max()))
+            growth = GrowthTracker(float(tiles.region_tile_norms(0, tiles.n, 0, tiles.n).max()))
 
         steps = []
         breakdown: Optional[str] = None
@@ -342,35 +330,19 @@ class TiledSolverBase(ABC):
                     breakdown = f"step {k}: {exc}"
                     break
                 steps.append(record)
-                # Under the pipeline the step's kernels have not run yet;
-                # growth is replayed from the pipeline's norm samples after
-                # the final drain instead.
-                if growth is not None and self._pipeline is None:
+                # The step has run on every path: shared memory (processes)
+                # or the host mirror (cluster) already holds its writes.
+                if growth is not None:
                     growth.record(self._active_region_max_norm(tiles, k))
         finally:
-            try:
-                pipeline = self._pipeline
-                if pipeline is not None:
-                    try:
-                        # Drain every pending task before the factors are
-                        # read (or copied out of shared memory) below.
-                        pipeline.flush_all()
-                    finally:
-                        self.step_traces.extend(pipeline.traces)
-                        if self.collect_step_graphs:
-                            self.step_graphs = list(pipeline.graphs)
-            finally:
-                if shared is not None:
-                    self.executor.unbind()
-                    tiles = tiles.copy()  # move the factors out of shared memory
-                    shared.close()
-                    shared.unlink()
-                elif distributed:
-                    self.executor.unbind_tiles()
+            if shared is not None:
+                self.executor.unbind()
+                tiles = tiles.copy()  # move the factors out of shared memory
+                shared.close()
+                shared.unlink()
+            elif distributed:
+                self.executor.unbind_tiles()
 
-        if growth is not None and self._pipeline is not None:
-            self._replay_growth(growth, norms, len(steps))
-        self._pipeline = None
         if growth is None and not np.isfinite(tiles.array).all():
             raise ValueError("the factorization overflowed: its factors hold NaN or Inf")
         return Factorization(
@@ -444,22 +416,6 @@ class TiledSolverBase(ABC):
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-    def _replay_growth(self, growth: GrowthTracker, norms: np.ndarray, n_steps: int) -> None:
-        """Rebuild the per-step growth record from the pipeline's samples.
-
-        Each tile's norm was sampled by its last writer of each step, with
-        the same ``region_tile_norms`` reduction as the inline ``[k:, k:]``
-        pass, so applying the samples step by step to the initial
-        ``norms`` reproduces the inline per-step record bit for bit,
-        regardless of how the pipeline interleaved the steps at execution
-        time.
-        """
-        samples = self._pipeline.norm_samples
-        for k in range(n_steps):
-            for (i, j), value in samples.get(k, {}).items():
-                norms[i, j] = value
-            growth.record(float(norms[k:, k:].max()))
-
     def _active_region_max_norm(self, tiles: TileMatrix, k: int) -> float:
         """Largest tile 1-norm of the trailing region ``[k:, k:]`` after step ``k``.
 

@@ -52,7 +52,7 @@ class KernelBackend:
     def wrap_task(self, task, step: int):
         """Hook: wrap or replace a planned kernel task before it runs.
 
-        Called once per planned task (inline and pipelined paths alike)
+        Called once per planned task (inline and executor paths alike)
         before submission, so an instrumenting backend can wrap the task
         closure with bookkeeping.  Must return a task with identical
         declared ``reads``/``writes``; the base implementation returns

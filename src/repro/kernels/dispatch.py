@@ -103,20 +103,12 @@ class KernelCall:
     produces:
         Key under which the operation's return value is published for
         downstream ``consumes``.
-    norm_tiles:
-        Tile coordinates whose 1-norms the worker samples right after the
-        operation (outside the timed window) and ships back with the
-        result.  The scheduler attaches these to the last writer of each
-        tile per elimination step so growth tracking stays exact — and
-        bit-identical to the inline path — even when the step pipeline
-        interleaves steps (the host cannot sample between steps then).
     """
 
     kernel: str
     args: Tuple[Any, ...] = ()
     consumes: Tuple[Any, ...] = ()
     produces: Optional[Any] = None
-    norm_tiles: Tuple[Tuple[int, int], ...] = ()
 
 
 #: A tile coordinate ``(i, j)``; column ``-1`` is the right-hand side.
@@ -231,15 +223,10 @@ def _sweep_effect(units) -> OpEffect:
 def sweep_ranges(k: int, n: int) -> List[Tuple[int, int]]:
     """Trailing tile-column ranges of step ``k``: ``k+1``, ``k+2``, ``[k+3, n)``.
 
-    The split follows what the one-step-deep pipeline
-    (:class:`~repro.runtime.schedule.StepPipeline`) flushes.  Planning
-    step ``k+1`` needs only step ``k``'s update of column ``k+1``, so that
-    column is a sweep of its own.  Planning step ``k+2`` flushes the rest
-    of step ``k`` together with step ``k+1``'s update of column ``k+2``;
-    with column ``k+2`` apart from the bulk block, that update waits only
-    on step ``k``'s sweep of the same column and runs beside the bulk
-    block.  A bulk block holding column ``k+2`` would make every such
-    flush one serial chain.  Empty ranges are dropped.
+    The split was chosen for a one-step-deep cross-step window, since
+    removed (each step now runs as one graph, to completion).  It stays
+    because the ranges set the GEMM widths, and other widths can move the
+    factors' bits.  Empty ranges are dropped.
     """
     edges = [min(j, n) for j in (k + 1, k + 2, k + 3)] + [n]
     return [(j0, j1) for j0, j1 in zip(edges, edges[1:]) if j0 < j1]
@@ -600,16 +587,13 @@ def _tiles_for(meta: SharedBufferMeta) -> TileMatrix:
 
 def execute_kernel_call(
     meta: SharedBufferMeta, call: KernelCall, inputs: Tuple[Any, ...]
-) -> Tuple[Any, Optional[Tuple[float, ...]], float, float, str]:
+) -> Tuple[Any, float, float, str]:
     """Run one :class:`KernelCall` against the shared tiles (worker side).
 
-    Returns ``(result, norms, start, finish, worker_name)`` where the
+    Returns ``(result, start, finish, worker_name)`` where the
     timestamps come from :func:`time.perf_counter` (system-wide monotonic
     on Linux, so they are comparable across the worker processes of one
-    node) and ``norms`` holds the 1-norms of ``call.norm_tiles`` (``None``
-    when no sampling was requested).  The norms are computed after
-    ``finish`` is taken, so sampling never skews kernel timings used for
-    calibration.
+    node).
     """
     tiles = _tiles_for(meta)
     try:
@@ -622,10 +606,4 @@ def execute_kernel_call(
     start = time.perf_counter()
     result = op(tiles, inputs, *call.args)
     finish = time.perf_counter()
-    norms: Optional[Tuple[float, ...]] = None
-    if call.norm_tiles:
-        # One region_tile_norms pass over the sampled tiles' bounding box,
-        # the reduction the inline drivers' growth norms use, so the
-        # sampled values are bit-identical to the inline bookkeeping.
-        norms = tiles.sampled_tile_norms(call.norm_tiles)
-    return result, norms, start, finish, current_process().name
+    return result, start, finish, current_process().name

@@ -24,7 +24,6 @@ from .process_executor import ProcessExecutor, shutdown_worker_pools
 from .platform import Platform, dancer_platform, laptop_platform
 from .schedule import (
     KernelTask,
-    StepPipeline,
     assign_task_priorities,
     build_step_graph,
     kernel_cost_fn,
@@ -39,7 +38,6 @@ __all__ = [
     "TileRef",
     "TaskGraph",
     "KernelTask",
-    "StepPipeline",
     "build_step_graph",
     "run_step_tasks",
     "merge_traces",

@@ -30,7 +30,6 @@ from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..api.registry import register_executor
 from .graph import TaskGraph
-from .task import TileRef
 
 __all__ = ["ExecutionTrace", "SequentialExecutor", "ThreadedExecutor"]
 
@@ -45,10 +44,7 @@ class ExecutionTrace:
     mix of sweep tasks (``mix_of_task``, see
     :func:`~repro.runtime.task.kernel_mix`; its counts sum to the task's
     batch count, so calibration can divide a sweep's duration back into
-    per-kernel samples), and
-    optionally the tile norms sampled by the multi-process
-    executor's workers (``tile_norms``, used for exact growth tracking
-    when the step pipeline interleaves steps).
+    per-kernel samples).
     """
 
     start_times: Dict[int, float] = field(default_factory=dict)
@@ -56,7 +52,6 @@ class ExecutionTrace:
     worker_of_task: Dict[int, str] = field(default_factory=dict)
     kernel_of_task: Dict[int, str] = field(default_factory=dict)
     mix_of_task: Dict[int, Tuple[Tuple[str, int], ...]] = field(default_factory=dict)
-    tile_norms: Dict[int, Dict[TileRef, float]] = field(default_factory=dict)
     #: Logical (block-cyclic) rank each task executed under — recorded only
     #: by distribution-aware executors, so owner-computes placement can be
     #: asserted directly from the trace.

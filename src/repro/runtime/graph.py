@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import replace
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .task import Task, TileRef
@@ -109,19 +108,6 @@ class TaskGraph:
 
         self._tasks.append(task)
         return task
-
-    def subgraph(self, uids: Iterable[int]) -> "TaskGraph":
-        """Induced subgraph on ``uids``, renumbered in program order; edges to
-        other tasks are dropped.  For ``uids`` closed under not-yet-run
-        dependencies these are the edges a fresh graph would infer.  The copy
-        has no last-writer state: run it, do not append to it."""
-        renumber = {old: new for new, old in enumerate(sorted(uids))}
-        graph = TaskGraph()
-        for old, new in renumber.items():
-            task = self._tasks[old]
-            deps = {renumber[d] for d in task.deps if d in renumber}
-            graph._tasks.append(replace(task, uid=new, deps=deps))
-        return graph
 
     # ------------------------------------------------------------------ #
     # Queries

@@ -191,8 +191,8 @@ class ProcessExecutor:
         """Target this thread's subsequent :meth:`run` calls at a segment."""
         self._binding.meta = meta
         # Execution-time products (compact-WY factors, pivot pairs) live
-        # for the whole binding, not one run(): the step pipeline may
-        # flush a producer in an earlier graph than its consumers.
+        # for the whole binding, one table per factorization; the
+        # planners key them by step, so steps never collide.
         self._binding.results = {}
 
     def unbind(self) -> None:
@@ -261,7 +261,7 @@ class ProcessExecutor:
                 for fut in done:
                     uid = outstanding.pop(fut)
                     try:
-                        value, norms, start, finish, worker = fut.result()
+                        value, start, finish, worker = fut.result()
                     except BaseException as exc:
                         # Latch the error; already-submitted tasks drain
                         # through the wait loop.
@@ -269,8 +269,6 @@ class ProcessExecutor:
                         continue
                     flow.started(uid, start, worker)
                     call = tasks[uid].call
-                    if norms is not None:
-                        trace.tile_norms[uid] = dict(zip(call.norm_tiles, norms))
                     if call.produces is not None:
                         results[call.produces] = value
                     flow.finished(uid, finish)

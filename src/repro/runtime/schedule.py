@@ -15,23 +15,16 @@ The per-step criterion decision of the hybrid algorithm stays sequential
 control layer of the paper's Figure 1), but every panel
 elimination and trailing-matrix update within a step fans out; since numpy
 kernels release the GIL inside BLAS, the updates genuinely overlap on a
-:class:`~repro.runtime.executor.ThreadedExecutor`.
-
-:class:`StepPipeline` holds the planned-but-not-yet-executed tasks of
-several steps in one pending window and flushes *dependency-closed* slices
-of it, so step ``k+1``'s panel tasks run in the same graph as — and
-concurrently with — step ``k``'s still-draining trailing update, the
-panel/update overlap the paper obtains from PaRSEC's asynchrony.  Each
-flush is prioritised by critical-path depth (b-level) under the calibrated
-cost model, so the executors' priority-ordered ready sets favour the panel
-chain.
+:class:`~repro.runtime.executor.ThreadedExecutor`.  Each step is one graph,
+prioritised by critical-path depth (b-level) under the calibrated cost
+model and run to completion, so the host sees the step's writes before it
+plans the next step.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, replace as dataclass_replace
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from ..kernels.dispatch import KERNELS, access_sets
 from ..kernels.flops import KernelFlops
@@ -42,7 +35,6 @@ from .task import Task, TileRef, kernel_mix
 __all__ = [
     "KernelTask",
     "call_task",
-    "StepPipeline",
     "build_step_graph",
     "run_step_tasks",
     "kernel_cost_fn",
@@ -191,21 +183,27 @@ def run_step_tasks(
     tasks: Sequence[KernelTask],
     executor=None,
     step: int = 0,
-) -> Optional[ExecutionTrace]:
+    tile_size: Optional[int] = None,
+    calibration: Optional[object] = None,
+) -> Optional[Tuple[ExecutionTrace, TaskGraph]]:
     """Execute one step's kernel tasks, sequentially or on an executor.
 
     With ``executor=None`` the tasks simply run in program order with no
-    graph overhead (the sequential reference path); otherwise the task
-    graph is materialised and dispatched on the executor (sequential,
-    threaded, or multi-process), and the execution trace is returned so
-    callers can inspect the achieved parallelism.
+    graph overhead (the sequential reference path) and ``None`` is
+    returned.  Otherwise the step's task graph is materialised, given
+    b-level priorities under :func:`kernel_cost_fn` when ``tile_size`` is
+    known (without it every priority stays 0: submission order), and run
+    to completion on the executor (sequential, threaded, multi-process or
+    cluster); the execution trace and the graph are returned.
     """
     if executor is None:
         for t in tasks:
             t.fn()
         return None
     graph = build_step_graph(tasks, step=step)
-    return executor.run(graph)
+    if tile_size is not None:
+        assign_task_priorities(graph, tile_size, calibration)
+    return executor.run(graph), graph
 
 
 def kernel_cost_fn(
@@ -271,223 +269,6 @@ def assign_task_priorities(
     graph.assign_priorities(kernel_cost_fn(tile_size, calibration))
 
 
-#: How many planned steps may stay pending behind the step being planned.
-#: One is the panel/update overlap: step ``k``'s panel tasks run beside
-#: step ``k-1``'s trailing update.  A constant, not a ``lookahead=``
-#: option: neither depth 0 nor depth 2 beat it by 5 % in nine of ten
-#: paired runs (README, "Trailing-update sweeps").
-PIPELINE_DEPTH = 1
-
-
-class StepPipeline:
-    """Cross-step overlap: plan ahead, flush dependency-closed slices.
-
-    The tiled drivers plan elimination steps one at a time (the per-step
-    criterion decision is inherently sequential), but the planned kernel
-    tasks need not run before the next step is planned.  The pipeline
-    keeps up to ``PIPELINE_DEPTH + 1`` steps of planned tasks in one
-    pending window and, before step ``k`` is planned, flushes only what
-    planning step ``k`` actually needs: every pending writer of panel
-    column ``k`` (panel analysis reads column ``k`` alone), any task a
-    flushed task depends on (the dependency closure under the superscalar
-    analysis — RAW, WAW and WAR edges alike), and every task of steps
-    older than :data:`PIPELINE_DEPTH`.  ``submit`` adds each task once to
-    the window's dependency oracle, one
-    :class:`~repro.runtime.graph.TaskGraph` holding kernel, step and
-    access sets (no closures).  A flush runs the oracle's induced
-    :meth:`~repro.runtime.graph.TaskGraph.subgraph` on the selected tasks
-    with critical-path priorities, to completion on the executor — so step
-    ``k``'s panel tasks execute concurrently with step ``k-1``'s pending
-    trailing update inside the same graph.
-
-    Results are bit-identical to the sequential reference: the closure
-    guarantees every flushed task sees exactly the tile bytes it would
-    have seen inline, and tasks left pending only ever *depend on* flushed
-    work, never the other way around.
-
-    Growth tracking needs the per-step tile norms, which the host can no
-    longer observe between steps once flushes interleave them; instead the
-    last writer of each tile within a step samples the tile's 1-norm right
-    after its kernel (via a wrapped closure in-process, or via
-    ``KernelCall.norm_tiles`` on worker processes) into ``norm_samples``,
-    which the driver replays step by step after the factorization.  A task
-    samples with one ``region_tile_norms`` pass over its tiles' bounding
-    box (``TileMatrix.sampled_tile_norms``), the reduction of the inline
-    ``[k:, k:]`` pass, so the replayed values are bit-identical.
-
-    Parameters
-    ----------
-    executor:
-        The dataflow executor every flush runs on.
-    tile_size:
-        Tile order ``nb`` (drives the priority cost model).
-    calibration:
-        Optional calibrated cost model for priorities (see
-        :func:`kernel_cost_fn`).
-    collect_graphs:
-        Keep each flush's :class:`TaskGraph` in ``graphs`` (used to replay
-        real executions through the simulator).
-    """
-
-    def __init__(
-        self,
-        executor,
-        tile_size: int,
-        calibration: Optional[object] = None,
-        collect_graphs: bool = False,
-    ) -> None:
-        self.executor = executor
-        self.tile_size = int(tile_size)
-        self.calibration = calibration
-        self.collect_graphs = bool(collect_graphs)
-        self.traces: List[ExecutionTrace] = []
-        self.graphs: List[TaskGraph] = []
-        #: ``step -> {tile: 1-norm after that step}`` samples for growth
-        #: replay; only populated when ``submit`` is given the tiles.
-        self.norm_samples: Dict[int, Dict[TileRef, float]] = {}
-        self._oracle = TaskGraph()
-        #: ``(oracle uid, task)`` of every planned task that has not run yet.
-        self._pending: List[Tuple[int, KernelTask]] = []
-        # Executors whose kernels run outside this process (shared-memory
-        # workers or distributed cluster nodes) must sample norms on the
-        # worker, via KernelCall.norm_tiles; in-process executors sample
-        # through a wrapped closure over the live tiles.
-        self._shared_tiles = bool(
-            getattr(executor, "uses_shared_tiles", False)
-            or getattr(executor, "distributes_tiles", False)
-        )
-        self._lock = threading.Lock()
-        self._failed = False
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    # ------------------------------------------------------------------ #
-    # Driver-facing API
-    # ------------------------------------------------------------------ #
-    def submit(
-        self, tasks: Sequence[KernelTask], step: int, tiles=None
-    ) -> None:
-        """Append one planned step's tasks to the pending window.
-
-        ``tiles`` (the live :class:`~repro.tiles.tile_matrix.TileMatrix`)
-        enables norm sampling for growth tracking; pass ``None`` when
-        growth is not tracked.
-        """
-        entries = list(tasks)
-        if tiles is not None and entries:
-            entries = self._attach_norm_sampling(entries, step, tiles)
-        for task in entries:
-            entry = self._oracle.add_task(task.kernel, step, task.reads, task.writes)
-            self._pending.append((entry.uid, task))
-
-    def advance(self, k: int) -> None:
-        """Flush everything planning step ``k`` needs (call before planning)."""
-        if not self._pending:
-            return
-        horizon = k - 1 - PIPELINE_DEPTH
-
-        def needed(step: int, task: KernelTask) -> bool:
-            return step <= horizon or any(j == k for (_, j) in task.writes)
-
-        self._flush(needed)
-
-    def flush_all(self) -> None:
-        """Run every still-pending task (end of factorization/breakdown)."""
-        if self._failed:
-            # A previous flush died mid-graph; re-running its tasks would
-            # re-apply kernels to half-updated tiles.  The factorization is
-            # being torn down anyway, so just drop the window.
-            self._pending.clear()
-            return
-        self._flush(lambda step, task: True)
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _attach_norm_sampling(
-        self, entries: List[KernelTask], step: int, tiles
-    ) -> List[KernelTask]:
-        n = tiles.n
-        last_writer: Dict[TileRef, int] = {}
-        for idx, task in enumerate(entries):
-            for tile in task.writes:
-                if 0 <= tile[1] < n:  # matrix tiles only, RHS is not tracked
-                    last_writer[tile] = idx
-        sample_of: Dict[int, List[TileRef]] = {}
-        for tile, idx in last_writer.items():
-            sample_of.setdefault(idx, []).append(tile)
-        for idx, sample_tiles in sample_of.items():
-            task = entries[idx]
-            ordered = tuple(sorted(sample_tiles))
-            if self._shared_tiles:
-                # Worker processes mutate their own mapping of the shared
-                # segment; sampling must happen worker-side, piggybacked on
-                # the kernel descriptor and harvested from the trace.
-                if task.call is not None:
-                    entries[idx] = dataclass_replace(
-                        task,
-                        call=dataclass_replace(task.call, norm_tiles=ordered),
-                    )
-            else:
-                entries[idx] = dataclass_replace(
-                    task, fn=self._sampling_fn(task.fn, tiles, step, ordered)
-                )
-        return entries
-
-    def _sampling_fn(
-        self, fn: Callable[[], None], tiles, step: int, sample_tiles
-    ) -> Callable[[], None]:
-        def sampled() -> None:
-            fn()
-            # Sample after the write; the next writer of each tile lives in
-            # a later step and therefore depends on this task, so no other
-            # task can touch the tile between the write and the sample.
-            values = tiles.sampled_tile_norms(sample_tiles)
-            with self._lock:
-                self.norm_samples.setdefault(step, {}).update(zip(sample_tiles, values))
-
-        return sampled
-
-    def _flush(self, needed: Callable[[int, KernelTask], bool]) -> None:
-        if not self._pending:
-            return
-        # The oracle turns every RAW/WAW/WAR relation into an edge, so the
-        # closure below is exactly "everything a selected task needs to have
-        # run first" (edges to tasks that already ran are ignored).
-        oracle = self._oracle
-        live = {uid for uid, _ in self._pending}
-        selected = set()
-        for uid, task in reversed(self._pending):
-            if uid in selected or needed(oracle.task(uid).step, task):
-                selected.add(uid)
-                selected.update(live.intersection(oracle.task(uid).deps))
-        if not selected:
-            return
-        graph = oracle.subgraph(selected)
-        chosen = [task for uid, task in self._pending if uid in selected]
-        for entry, task in zip(graph.tasks, chosen):
-            entry.fn, entry.call = task.fn, task.call
-            entry.fused, entry.mix = max(int(task.fused), 1), tuple(task.mix)
-        assign_task_priorities(graph, self.tile_size, self.calibration)
-        if self.collect_graphs:
-            self.graphs.append(graph)
-        self._pending = [entry for entry in self._pending if entry[0] not in selected]
-        for uid in selected:  # about to run: the oracle keeps their uids, not their sets
-            oracle.task(uid).reads = oracle.task(uid).writes = frozenset()
-        try:
-            trace = self.executor.run(graph)
-        except BaseException:
-            self._failed = True
-            raise
-        self.traces.append(trace)
-        # Harvest worker-side norm samples (multi-process path).
-        for uid, norms in trace.tile_norms.items():
-            store = self.norm_samples.setdefault(graph.task(uid).step, {})
-            store.update(norms)
-
-
 def _check_trace_consistency(tr: ExecutionTrace) -> None:
     """Reject traces whose kernel mixes contradict the kernel map.
 
@@ -540,8 +321,6 @@ def merge_traces(traces: Sequence[ExecutionTrace]) -> ExecutionTrace:
             merged.kernel_of_task[offset + uid] = kernel
         for uid, mix in tr.mix_of_task.items():
             merged.mix_of_task[offset + uid] = mix
-        for uid, norms in tr.tile_norms.items():
-            merged.tile_norms[offset + uid] = dict(norms)
         for uid, rank in getattr(tr, "rank_of_task", {}).items():
             merged.rank_of_task[offset + uid] = rank
         merged.wall_time += tr.wall_time
@@ -556,7 +335,6 @@ def merge_traces(traces: Sequence[ExecutionTrace]) -> ExecutionTrace:
             | set(tr.worker_of_task)
             | set(tr.kernel_of_task)
             | set(tr.mix_of_task)
-            | set(tr.tile_norms)
             | set(getattr(tr, "rank_of_task", ()))
         )
         offset += (max(seen) + 1) if seen else 0

@@ -33,6 +33,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from ..kernels.flops import KernelFlops
 from .graph import TaskGraph
 from .platform import Platform
 from .task import Task
@@ -81,12 +82,19 @@ class SimulationResult:
 
 def _task_duration(task: Task, platform: Platform, tile_size: int, calibration) -> float:
     """Duration of one per-tile task (the graphs the simulator prices have
-    one task per logical kernel)."""
+    one task per logical kernel).
+
+    A calibrated ``getrf`` measures one tile; a panel-wide factorization
+    (LU ON PANEL, LUPP's scattered panel factor) carries more flops than
+    that and is charged the measured duration scaled by the ratio.
+    """
     if task.duration_hint is not None:
         return float(task.duration_hint)
     if calibration is not None:
         measured = calibration.kernel_duration(task.kernel, tile_size)
         if measured is not None and measured > 0.0:
+            if task.kernel == "getrf":
+                return float(measured) * max(task.flops / KernelFlops(tile_size).getrf, 1.0)
             return float(measured)
     return platform.kernel_duration(task.kernel, task.flops)
 

@@ -284,15 +284,6 @@ class TileMatrix:
         sub = self._data[i0 * nb : i1 * nb, j0 * nb : j1 * nb]
         return np.abs(sub).reshape(rows, nb, cols, nb).sum(axis=1).max(axis=2)
 
-    def sampled_tile_norms(self, refs: Sequence[Tuple[int, int]]) -> Tuple[float, ...]:
-        """1-norms of the tiles ``refs``, bit-identical to per-tile calls, from
-        one :meth:`region_tile_norms` call over their bounding box."""
-        rows = [i for i, _ in refs]
-        cols = [j for _, j in refs]
-        i0, j0 = min(rows), min(cols)
-        box = self.region_tile_norms(i0, max(rows) + 1, j0, max(cols) + 1)
-        return tuple(float(box[i - i0, j - j0]) for i, j in refs)
-
     def max_tile_norm(self, ord: object = 1) -> float:
         """Largest tile norm of the whole matrix."""
         if ord == 1:

@@ -81,14 +81,6 @@ def test_merge_traces_kernel_only_entries_advance_offset():
     assert merged.kernel_of_task == {7: "getrf", 8: "gemm"}
 
 
-def test_merge_traces_copies_tile_norms():
-    tr = ExecutionTrace()
-    tr.tile_norms[0] = {(1, 1): 2.0}
-    merged = merge_traces([tr])
-    merged.tile_norms[0][(1, 1)] = 99.0
-    assert tr.tile_norms[0][(1, 1)] == 2.0
-
-
 # --------------------------------------------------------------------------- #
 # Sample harvesting
 # --------------------------------------------------------------------------- #
@@ -250,7 +242,7 @@ def test_simulated_makespan_predicts_measured(algorithm, isolated_calibration):
 
 
 def test_calibrated_costs_drive_priorities(isolated_calibration):
-    """With a calibration present, the pipeline prices b-levels in seconds."""
+    """With a calibration present, the step graphs price b-levels in seconds."""
     cal = Calibration()
     cal.add_samples({("gemm", 8): [1e-3], ("getrf", 8): [5e-3]})
     cal.save()

@@ -129,7 +129,7 @@ def test_execution_ranks_match_assign_owners(cluster2, rng):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_audit_flags_a_task_run_off_its_owner(cluster2, monkeypatch, algorithm):
     """The audit checks the ranks the cluster ran tasks on, not placement
-    against itself: one task per flush moved to the next rank fails it."""
+    against itself: one task per step graph moved to the next rank fails it."""
     import repro.cluster.executor as cluster_executor
 
     solver = _solver(algorithm, cluster2)

@@ -140,6 +140,24 @@ class TestPlanGraph:
             assert priced == {k: rows(k) * nb**3 - nb**3 / 3.0 for k in range(n)}
         assert priced[0] == pytest.approx(2.0 / 3.0 * nb**3)
 
+    def test_calibrated_getrf_is_scaled_by_its_panel_flops(self):
+        """A calibrated ``getrf`` measures one tile: LUPP's scattered panel
+        factor of ``rows`` tiles costs ``d * (rows nb^3 - nb^3/3) / (2/3 nb^3)``."""
+
+        class Stub:
+            def kernel_duration(self, kernel, nb):
+                return 1e-3 if kernel == "getrf" else None
+
+        n, nb = 5, 8
+        graph = plan_graph(FactorizationSpec(n, nb, ["LU"] * n, "LUPP", False, GRID))
+        result = simulate(graph, dancer_platform(GRID), nb, calibration=Stub())
+        spent = {s.step: s.finish - s.start for s in result.schedule if s.kernel == "getrf"}
+        one_tile = 2.0 / 3.0 * nb**3
+        assert spent == pytest.approx(
+            {k: 1e-3 * ((n - k) * nb**3 - nb**3 / 3.0) / one_tile for k in range(n)}
+        )
+        assert spent[n - 1] == pytest.approx(1e-3)
+
     @pytest.mark.parametrize("algorithm", ["LU NoPiv", "LU IncPiv", "LUPP", "HQR", "LUQR"])
     def test_owners_follow_block_cyclic(self, algorithm):
         n, grid = 7, ProcessGrid(2, 3)

@@ -230,7 +230,8 @@ class TestStepTaskPlans:
         assert (0, RHS_COLUMN) in written
 
     def test_build_step_graph_appends_for_lookahead(self):
-        """Two steps can share one graph (the cross-step pipeline seam)."""
+        """Two steps can share one graph (the audit accumulates a whole
+        factorization this way)."""
         log = []
         step0 = [KernelTask("a", lambda: log.append(0), writes=frozenset({(0, 0)}))]
         step1 = [
@@ -379,15 +380,6 @@ class TestIncrementalGrowth:
         rescan = _per_tile_rescan(LUPPSolver)(8, track_growth=True).factor(a)
         incremental = LUPPSolver(8, track_growth=True).factor(a)
         assert incremental.growth.per_step == rescan.growth.per_step
-
-    def test_sampled_tile_norms_match_per_tile_regions(self, rng):
-        """One bounding-box pass gives each tile the bits of its own 1x1 pass."""
-        for nb in (1, 8, 17):
-            tiles = TileMatrix.from_dense(rng.standard_normal((6 * nb, 6 * nb)), nb)
-            refs = [(1, 4), (5, 2), (3, 3), (1, 2)]
-            single = [float(tiles.region_tile_norms(i, i + 1, j, j + 1)[0, 0]) for i, j in refs]
-            assert tiles.sampled_tile_norms(refs) == tuple(single)
-            assert single == [tiles.tile_norm(i, j) for i, j in refs]
 
     def test_region_tile_norms_vectorized_matches_loop(self, rng):
         tiles = TileMatrix.from_dense(rng.standard_normal((40, 40)), 8)

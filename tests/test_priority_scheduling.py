@@ -1,10 +1,11 @@
-"""Critical-path priority scheduling and cross-step lookahead.
+"""Critical-path priority scheduling and one task graph per step.
 
-The scheduler refactor must be invisible to the numerics: priorities only
-reorder *ready* tasks, and the step pipeline, one step deep, only defers
-tasks whose results nothing in the current panel needs.  These tests pin
-both halves — the b-level computation itself, the executors honouring it,
-and the bit-identity of every solver under every executor.
+The scheduler must be invisible to the numerics: priorities only reorder
+*ready* tasks, and each elimination step runs as one graph, to
+completion, before the next step is planned.  These tests pin both
+halves — the b-level computation itself, the executors honouring it, the
+per-step graphs, and the bit-identity of every solver under every
+executor.
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ from repro.matrices.random_gen import random_matrix, random_rhs
 from repro.runtime.executor import SequentialExecutor, ThreadedExecutor
 from repro.runtime.graph import TaskGraph
 from repro.runtime.process_executor import ProcessExecutor
-from repro.runtime.schedule import (
-    PIPELINE_DEPTH,
-    KernelTask,
-    StepPipeline,
-    kernel_cost_fn,
-)
+from repro.runtime.schedule import kernel_cost_fn
 from repro.runtime.task import Task
 from repro.tiles import SharedTileBuffer
 
@@ -120,7 +116,7 @@ def test_sequential_executor_records_kernels():
 
 
 # --------------------------------------------------------------------------- #
-# Bit-identity under priorities + lookahead, all solvers, all executors
+# Bit-identity under priorities, all solvers, all executors
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_threaded_lookahead_bit_identical(algorithm):
@@ -152,7 +148,7 @@ def test_process_lookahead_bit_identical(algorithm):
 
 
 def test_lookahead_exact_per_step_growth():
-    """Growth sampling through the pipeline must equal the inline path."""
+    """Per-step growth on an executor must equal the inline path."""
     n, nb = 48, 8
     a = random_matrix(n, seed=21)
     seq = make_solver("hybrid", tile_size=nb, executor=None)
@@ -164,75 +160,47 @@ def test_lookahead_exact_per_step_growth():
     assert f_seq.growth.per_step == f_par.growth.per_step
 
 
-def test_lookahead_batches_steps_into_one_graph():
-    """The pipeline is one step deep: every flush spans at most two steps,
-    some span two (the point of deferring trailing updates), and flushes
-    drain in step order."""
-    n, nb = 48, 8
-    a = random_matrix(n, seed=31)
-    solver = make_solver(
-        "lupp", tile_size=nb, executor=ThreadedExecutor(workers=2),
-        track_growth=False,
-    )
-    solver.collect_step_graphs = True
-    solver.factor(a.copy())
-    spans = [
-        (min(t.step for t in g.tasks), max(t.step for t in g.tasks))
-        for g in solver.step_graphs
-        if len(g)
-    ]
-    assert spans
-    assert all(hi - lo <= 1 for lo, hi in spans), spans
-    assert any(hi - lo == 1 for lo, hi in spans), spans
-    los = [lo for lo, _ in spans]
-    assert los == sorted(los)
-
-
 def test_trace_count_bounded_by_steps():
-    """Each step flushes at most once, plus the final drain."""
+    """Each step runs exactly one graph and keeps exactly one trace."""
     n, nb = 32, 8
     a = random_matrix(n, seed=41)
     solver = make_solver(
         "lupp", tile_size=nb, executor=ThreadedExecutor(workers=2),
         track_growth=False,
     )
-    solver.factor(a.copy())
-    assert 0 < len(solver.step_traces) <= n // nb + 1
+    fact = solver.factor(a.copy())
+    assert len(solver.step_traces) == fact.n_steps == n // nb
 
 
-_PIPELINE_EXECUTORS = {
+_STEP_EXECUTORS = {
     "sequential": SequentialExecutor,
     "threaded": lambda: ThreadedExecutor(workers=2),
     "processes": lambda: ProcessExecutor(workers=2),
 }
 
 
-@pytest.mark.parametrize("executor", list(_PIPELINE_EXECUTORS))
+@pytest.mark.parametrize("executor", list(_STEP_EXECUTORS))
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_pipeline_window_is_one_step_deep(algorithm, executor):
-    """Every solver's flushes span at most ``PIPELINE_DEPTH + 1`` steps,
-    drain in step order, run every step, and number at most one per step
-    plus the final drain."""
+def test_each_step_runs_as_one_graph(algorithm, executor):
+    """On a 2x2 grid every solver keeps one graph and one trace per step,
+    and each graph holds exactly its own step's tasks, in step order."""
     n, nb = 48, 8
     solver = make_solver(
-        algorithm, tile_size=nb, grid="2x2",
-        executor=_PIPELINE_EXECUTORS[executor](),
+        algorithm, tile_size=nb, grid="2x2", executor=_STEP_EXECUTORS[executor](),
     )
     solver.collect_step_graphs = True
     fact = solver.factor(random_matrix(n, seed=51), random_rhs(n, seed=52))
     assert fact.succeeded, fact.breakdown
-    graphs = [g for g in solver.step_graphs if len(g)]
-    spans = [(min(t.step for t in g.tasks), max(t.step for t in g.tasks)) for g in graphs]
-    assert all(hi - lo <= PIPELINE_DEPTH for lo, hi in spans), spans
-    assert [lo for lo, _ in spans] == sorted(lo for lo, _ in spans)
-    assert {t.step for g in graphs for t in g.tasks} == set(range(fact.n_steps))
-    assert len(solver.step_traces) == len(solver.step_graphs) <= fact.n_steps + 1
+    assert len(solver.step_graphs) == len(solver.step_traces) == fact.n_steps
+    for k, graph in enumerate(solver.step_graphs):
+        assert len(graph) > 0
+        assert {t.step for t in graph.tasks} == {k}
 
 
-@pytest.mark.parametrize("executor", list(_PIPELINE_EXECUTORS))
+@pytest.mark.parametrize("executor", list(_STEP_EXECUTORS))
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_pipeline_matches_inline_on_a_grid(algorithm, executor):
-    """On a 2x2 grid with a right-hand side, the pipelined factorization
+    """On a 2x2 grid with a right-hand side, the executor-run factorization
     equals the inline one: factors, RHS, step kinds and per-step growth."""
     n, nb = 48, 8
     a, b = random_matrix(n, seed=61), random_rhs(n, seed=62)
@@ -244,7 +212,7 @@ def test_pipeline_matches_inline_on_a_grid(algorithm, executor):
         ).factor(a.copy(), b.copy())
 
     ref = factor(None)
-    par = factor(_PIPELINE_EXECUTORS[executor]())
+    par = factor(_STEP_EXECUTORS[executor]())
     assert np.array_equal(ref.tiles.array, par.tiles.array)
     assert np.array_equal(ref.tiles.rhs, par.tiles.rhs)
     assert [s.kind for s in ref.steps] == [s.kind for s in par.steps]
@@ -252,102 +220,35 @@ def test_pipeline_matches_inline_on_a_grid(algorithm, executor):
 
 
 # --------------------------------------------------------------------------- #
-# The pipeline window, on hand-built tasks
+# A failing step
 # --------------------------------------------------------------------------- #
-class TestPipelineWindow:
-    """``advance(k)`` runs the writers of panel column ``k``, their
-    dependency closure and every step older than ``PIPELINE_DEPTH``;
-    everything else stays pending."""
+@pytest.mark.parametrize("executor", ["sequential", "threaded"])
+def test_a_failing_kernel_propagates_and_the_solver_recovers(monkeypatch, executor):
+    """A kernel that raises on an executor propagates out of ``factor()``;
+    the next ``factor()`` on the same solver equals inline bit for bit."""
+    from repro.kernels import dispatch
 
-    @staticmethod
-    def _task(log, name, reads=(), writes=()):
-        return KernelTask(name, lambda: log.append(name), reads=reads, writes=writes)
-
-    def test_depth_is_one_step(self):
-        assert PIPELINE_DEPTH == 1
-
-    def test_advance_keeps_the_previous_step_pending(self):
-        log = []
-        pipe = StepPipeline(SequentialExecutor(), tile_size=8)
-        pipe.submit([self._task(log, "s0", writes={(5, 5)})], step=0)
-        pipe.advance(1)
-        assert log == [] and pipe.pending_count == 1
-        pipe.submit([self._task(log, "s1", writes={(6, 6)})], step=1)
-        pipe.advance(2)  # step 0 is now older than the window
-        assert log == ["s0"] and pipe.pending_count == 1
-        pipe.submit([self._task(log, "s2", writes={(7, 7)})], step=2)
-        pipe.advance(3)
-        assert log == ["s0", "s1"] and pipe.pending_count == 1
-
-    def test_advance_runs_the_writers_of_the_panel_column(self):
-        log = []
-        pipe = StepPipeline(SequentialExecutor(), tile_size=8)
-        pipe.submit(
-            [
-                self._task(log, "panel", writes={(2, 1)}),
-                self._task(log, "trailing", writes={(2, 3)}),
-            ],
-            step=0,
-        )
-        pipe.advance(1)
-        assert log == ["panel"] and pipe.pending_count == 1
-
-    def test_advance_runs_the_dependency_closure(self):
-        """A needed task pulls in what it reads after (RAW) and what read
-        its tiles before (WAR); unrelated tasks stay pending."""
-        log = []
-        pipe = StepPipeline(SequentialExecutor(), tile_size=8)
-        pipe.submit(
-            [
-                self._task(log, "producer", writes={(3, 3)}),
-                self._task(log, "reader", reads={(4, 1)}, writes={(4, 4)}),
-                self._task(log, "unrelated", writes={(5, 5)}),
-                self._task(log, "panel", reads={(3, 3)}, writes={(4, 1)}),
-            ],
-            step=0,
-        )
-        pipe.advance(1)
-        assert log[-1] == "panel"
-        assert sorted(log) == ["panel", "producer", "reader"]
-        assert pipe.pending_count == 1
-
-    def test_advance_on_an_empty_window_runs_nothing(self):
-        pipe = StepPipeline(SequentialExecutor(), tile_size=8, collect_graphs=True)
-        pipe.advance(0)
-        pipe.flush_all()
-        assert pipe.traces == [] and pipe.graphs == []
-
-    def test_each_flush_keeps_one_graph_and_one_trace(self):
-        log = []
-        pipe = StepPipeline(SequentialExecutor(), tile_size=8, collect_graphs=True)
-        for step in range(4):  # the drivers' order: advance, plan, submit
-            pipe.advance(step)
-            pipe.submit([self._task(log, f"s{step}", writes={(9, 9 + step)})], step=step)
-        pipe.flush_all()
-        assert log == ["s0", "s1", "s2", "s3"]
-        assert len(pipe.graphs) == len(pipe.traces) == 3
-        assert [sorted(t.step for t in g.tasks) for g in pipe.graphs] == [[0], [1], [2, 3]]
-
-    def test_a_failed_flush_drops_the_window(self):
-        """After a kernel raises, the final drain must not re-run tasks on
-        half-updated tiles."""
-        log = []
-
-        def boom():
+    n, nb = 48, 8
+    a, b = random_matrix(n, seed=71), random_rhs(n, seed=72)
+    solver = make_solver("lupp", tile_size=nb, executor=_STEP_EXECUTORS[executor]())
+    with monkeypatch.context() as patch:
+        def boom(*args, **kwargs):
             raise RuntimeError("kernel failed")
 
-        pipe = StepPipeline(SequentialExecutor(), tile_size=8)
-        pipe.submit(
-            [
-                KernelTask("boom", boom, writes={(1, 1)}),
-                self._task(log, "later", writes={(2, 2)}),
-            ],
-            step=0,
-        )
+        patch.setitem(dispatch.KERNELS, "lu.gemm_sweep", boom)
         with pytest.raises(RuntimeError, match="kernel failed"):
-            pipe.advance(1)
-        pipe.flush_all()
-        assert log == [] and pipe.pending_count == 0
+            solver.factor(a.copy(), b.copy())
+    ref = make_solver("lupp", tile_size=nb).factor(a.copy(), b.copy())
+    again = solver.factor(a.copy(), b.copy())
+    assert np.array_equal(ref.tiles.array, again.tiles.array)
+    assert np.array_equal(ref.tiles.rhs, again.tiles.rhs)
+    assert ref.growth.per_step == again.growth.per_step
+    assert len(solver.step_traces) == again.n_steps
+
+
+def test_the_step_pipeline_is_gone():
+    with pytest.raises(ImportError):
+        from repro.runtime import StepPipeline  # noqa: F401
 
 
 # --------------------------------------------------------------------------- #
@@ -403,11 +304,9 @@ def test_prioritized_vs_fifo_makespan(monkeypatch):
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_removed_lookahead_option_fails_loudly(algorithm):
-    """The pipeline depth is fixed; the option that set it is gone."""
+    """The option that set the old cross-step window's depth is gone."""
     solver_cls = type(make_solver(algorithm, tile_size=8))
     with pytest.raises(TypeError, match="lookahead"):
         solver_cls(8, lookahead=2)
     with pytest.raises(ValueError, match="does not accept option 'lookahead'"):
         make_solver(algorithm, tile_size=8, lookahead=2)
-    with pytest.raises(TypeError, match="lookahead"):
-        StepPipeline(SequentialExecutor(), tile_size=8, lookahead=2)

@@ -226,6 +226,57 @@ class TestCorruption:
         assert violation.kind == "kernel-error"
         assert error in violation.message
 
+    def test_executor_error_is_reported(self):
+        """An exception out of the executor pass fails the audit without
+        raising: one ``executor-error`` violation naming the exception."""
+        from repro.cluster.executor import ClusterError
+        from repro.runtime.executor import SequentialExecutor
+
+        class Failing(SequentialExecutor):
+            def run(self, graph):
+                raise ClusterError("task 0 consumes a product before any task produced it")
+
+        report = analysis.audit(make_solver("hqr", tile_size=4, executor=Failing()))
+        assert not report.ok
+        (violation,) = report.sections["execution"]
+        assert violation.kind == "executor-error"
+        assert "ClusterError" in violation.message
+        assert "before any task produced it" in violation.message
+
+    @pytest.mark.parametrize("where", ["reference", "perturbed"])
+    def test_determinism_reports_a_raising_kernel(self, monkeypatch, where):
+        """A kernel that raises in the inline reference, or only in the
+        perturbed threaded rounds, is a finding; the check does not raise."""
+        import threading
+
+        sweep = KERNELS["lu.gemm_sweep"]
+
+        def flaky(*args):
+            if where == "reference" or threading.current_thread() is not threading.main_thread():
+                raise IndexError("sweep ran off the matrix")
+            return sweep(*args)
+
+        monkeypatch.setitem(KERNELS, "lu.gemm_sweep", flaky)
+        a, b = _system()
+
+        def build(executor=None):
+            # "none": inline even when REPRO_EXECUTOR sets a default executor.
+            return make_solver("lu_nopiv", tile_size=4, executor=executor or "none")
+
+        violations = analysis.determinism_check(build, a, b, rounds=2)
+        assert violations and {v.kind for v in violations} == {"factorization-error"}
+        assert all("IndexError: sweep ran off the matrix" in v.message for v in violations)
+        if where == "reference":
+            (violation,) = violations
+            assert "inline reference" in violation.message
+        else:
+            assert [v.message.split(" raised")[0] for v in violations] == [
+                "perturbed schedule round 0 (seed 0)",
+                "perturbed schedule round 1 (seed 1)",
+            ]
+        argv = ["--algorithm", "lu_nopiv", "--tile-size", "4", "--determinism"]
+        assert cli_main(argv) != 0
+
     def test_suite_all_detected(self):
         suite = run_corruption_suite()
         assert suite, "suite must not be empty"
@@ -323,7 +374,7 @@ class TestJsonOutput:
 
     @pytest.mark.parametrize("flag", ["--lookahead", "--max-memory"])
     def test_cli_rejects_removed_flags(self, flag, capsys):
-        """The pipeline depth and the memory certificate are gone."""
+        """The old pipeline depth and the memory certificate are gone."""
         with pytest.raises(SystemExit) as excinfo:
             cli_main(["--algorithm", "hybrid", "--tile-size", "4", flag, "1"])
         assert excinfo.value.code == 2

@@ -2,9 +2,9 @@
 
 A planned task's read and write sets are its call's access rule
 (``repro.kernels.dispatch.ACCESS_RULES``), evaluated on first read; only
-the consumers of the sets (the step pipeline, the access tracer and
+the consumers of the sets (the step graphs, the access tracer and
 the audit) ever evaluate it, and each task's copies share one cached
-result.  The pipeline infers each task's dependencies once, at submission.
+result.  A step's graph infers each task's dependencies once, as it is built.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.kernels.dispatch import KernelCall
 from repro.runtime import schedule
 from repro.runtime.executor import SequentialExecutor
 from repro.runtime.graph import TaskGraph
-from repro.runtime.schedule import KernelTask, StepPipeline, call_task
+from repro.runtime.schedule import KernelTask, call_task
 from repro.tiles import ProcessGrid, TileMatrix
 from repro.tiles.distribution import BlockCyclicDistribution
 
@@ -130,7 +130,7 @@ class TestOneDependencyPass:
         solver = SOLVERS.get(name)(tile_size=8, executor=SequentialExecutor())
         solver.factor(a, b)
         assert len(added) == builds.planned > 0
-        # Every flush ran exactly the edges a fresh inference would give.
+        # Every step graph ran exactly the edges a fresh inference would give.
         solver.collect_step_graphs = True
         solver.factor(a, b)
         for graph in solver.step_graphs:
@@ -138,30 +138,6 @@ class TestOneDependencyPass:
             for t in graph.tasks:
                 fresh.add_task(t.kernel, t.step, reads=t.reads, writes=t.writes)
             assert [t.deps for t in graph.tasks] == [t.deps for t in fresh.tasks]
-
-    def test_subgraph_renumbers_and_drops_outside_dependencies(self):
-        graph = TaskGraph()
-        graph.add_task("a", 0, writes=[(0, 0)])
-        graph.add_task("b", 0, reads=[(0, 0)], writes=[(1, 0)])
-        graph.add_task("c", 0, reads=[(0, 0)], writes=[(2, 0)])
-        graph.add_task("d", 1, reads=[(1, 0), (2, 0)], writes=[(3, 0)])
-        sub = graph.subgraph([3, 1, 2])
-        assert [t.kernel for t in sub.tasks] == ["b", "c", "d"]
-        assert [t.uid for t in sub.tasks] == [0, 1, 2]
-        assert [t.deps for t in sub.tasks] == [set(), set(), {0, 1}]
-        assert sub.task(2).reads == frozenset({(1, 0), (2, 0)})
-        assert graph.task(3).deps == {1, 2}  # the oracle itself is untouched
-
-    def test_pipeline_oracle_keeps_no_closures(self):
-        log = []
-        pipe = StepPipeline(SequentialExecutor(), tile_size=8)
-        pipe.submit([KernelTask("a", lambda: log.append("a"), writes={(0, 1)})], step=0)
-        pipe.submit([KernelTask("b", lambda: log.append("b"), writes={(1, 2)})], step=1)
-        assert all(t.fn is None and t.call is None for t in pipe._oracle.tasks)
-        pipe.advance(1)  # step 0 writes column 1, which step 1 plans from
-        assert log == ["a"] and pipe.pending_count == 1
-        pipe.flush_all()
-        assert log == ["a", "b"] and pipe.pending_count == 0
 
 
 class TestPanelAnalysisNormPass:
