@@ -95,6 +95,25 @@ def test_cluster_bit_identical_to_inline(cluster2, algorithm, matrix_name, rng):
     np.testing.assert_array_equal(x_cluster, x_inline)
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_cluster_runs_each_step_as_one_graph(cluster2, algorithm, rng):
+    """Each step runs as one graph with one trace, and the host mirror holds
+    the step's writes when ``run`` returns: the per-step growth read from it
+    equals the inline record."""
+    a, b = _system(rng)
+    inline = _solver(algorithm).factor(a, b)
+    solver = _solver(algorithm, cluster2)
+    solver.collect_step_graphs = True
+    distributed = solver.factor(a, b)
+
+    assert len(solver.step_graphs) == len(solver.step_traces) == distributed.n_steps
+    for k, graph in enumerate(solver.step_graphs):
+        assert len(graph) > 0
+        assert {t.step for t in graph.tasks} == {k}
+    assert distributed.step_kinds == inline.step_kinds
+    assert distributed.growth.per_step == inline.growth.per_step
+
+
 def test_cluster_trace_metadata(cluster2, rng):
     a, b = _system(rng)
     _solver("hybrid", cluster2).factor(a, b)

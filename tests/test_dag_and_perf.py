@@ -158,6 +158,31 @@ class TestPlanGraph:
         )
         assert spent[n - 1] == pytest.approx(1e-3)
 
+    def test_calibrated_getrf_prices_lu_on_panel_panel_wide(self):
+        """The hybrid's LU ON PANEL is scaled like LUPP's panel factor;
+        LU NoPiv's diagonal-tile ``getrf`` costs the measured duration."""
+
+        class Stub:
+            def kernel_duration(self, kernel, nb):
+                return 1e-3 if kernel == "getrf" else None
+
+        kinds = ["LU", "QR", "LU", "QR", "QR"]
+        n, nb = len(kinds), 8
+        one_tile = 2.0 / 3.0 * nb**3
+        for name, hybrid in (("LUQR", True), ("LU NoPiv", False)):
+            graph = plan_graph(FactorizationSpec(n, nb, kinds if hybrid else ["LU"] * n,
+                                                 name, hybrid, GRID))
+            result = simulate(graph, dancer_platform(GRID), nb, calibration=Stub())
+            flops = {t.uid: t.flops for t in graph.tasks if t.kernel == "getrf"}
+            spent = {s.uid: s.duration for s in result.schedule if s.kernel == "getrf"}
+            assert len(spent) == n
+            expected = {uid: 1e-3 * max(f / one_tile, 1.0) for uid, f in flops.items()}
+            assert spent == pytest.approx(expected)
+            if hybrid:
+                assert max(spent.values()) > 1e-3
+            else:
+                assert list(spent.values()) == pytest.approx([1e-3] * n)
+
     @pytest.mark.parametrize("algorithm", ["LU NoPiv", "LU IncPiv", "LUPP", "HQR", "LUQR"])
     def test_owners_follow_block_cyclic(self, algorithm):
         n, grid = 7, ProcessGrid(2, 3)
