@@ -115,10 +115,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for algorithm in algorithms:
 
         def build(executor=None, algorithm=algorithm):
+            # "none", not None: under REPRO_EXECUTOR, None would pick the
+            # environment's executor, and this tool has its own --executor.
             return make_solver(
                 algorithm,
                 tile_size=args.tile_size,
-                executor=executor,
+                executor="none" if executor is None else executor,
                 kernel_backend=args.kernel_backend,
                 grid=args.grid,
             )

@@ -114,7 +114,10 @@ class TiledSolverBase(ABC):
         materialised in a shared-memory
         :class:`~repro.tiles.shared_buffer.SharedTileBuffer` for the
         duration of the factorization); when ``None`` (default) the kernels
-        run inline in program order.  The per-step
+        run inline in program order.  Each graph's b-level priorities
+        are Table-I flops
+        (:func:`~repro.runtime.schedule.kernel_cost_fn`), so the schedule
+        depends only on the plan.  The per-step
         :class:`~repro.runtime.executor.ExecutionTrace` objects of the
         last factorization are kept in ``step_traces``.
     kernel_backend:
@@ -224,25 +227,11 @@ class TiledSolverBase(ABC):
         if self.executor is None:
             run_step_tasks(tasks, step=k)
             return record
-        trace, graph = run_step_tasks(
-            tasks, self.executor, step=k,
-            tile_size=self.tile_size, calibration=self._calibration(),
-        )
+        trace, graph = run_step_tasks(tasks, self.executor, step=k, tile_size=self.tile_size)
         self.step_traces.append(trace)
         if self.collect_step_graphs:
             self.step_graphs.append(graph)
         return record
-
-    def _calibration(self):
-        """Calibrated cost model for scheduling priorities, if one exists.
-
-        Lazily loads the per-host calibration file
-        (:func:`repro.perf.calibrate.default_calibration`); priorities fall
-        back to static Table-I flop counts when no calibration exists.
-        """
-        from ..perf.calibrate import default_calibration
-
-        return default_calibration()
 
     def _criterion_name(self) -> Optional[str]:
         return None

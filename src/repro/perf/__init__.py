@@ -1,4 +1,4 @@
-"""Performance modelling and online calibration.
+"""Performance modelling and per-kernel calibration.
 
 Two layers that close the loop between model and machine:
 
@@ -7,8 +7,9 @@ Two layers that close the loop between model and machine:
   per-tile kernel units (:func:`plan_graph`), simulate that graph on a
   modelled platform and report normalised GFLOP/s (Figure 2, Table II);
 * :mod:`repro.perf.calibrate` — fit per-kernel cost models from the
-  execution traces of real factorizations on *this* host, persisted at
-  ``~/.cache/repro/calibration.json``.
+  execution traces of real factorizations on *this* host.  A calibration
+  lives in the process that fits it: the caller passes it to the
+  simulator or :class:`PerformanceModel`; nothing is written to disk.
 
 Tile size and executor are chosen by the caller, as the paper fixes
 ``nb`` per platform by experiment; nothing here picks them.
@@ -20,11 +21,7 @@ from .calibrate import (
     KernelCost,
     calibrate_from_traces,
     calibrated_platform,
-    calibration_path,
-    clear_calibration_cache,
     collect_samples,
-    default_calibration,
-    kernel_source_hash,
     run_calibration,
 )
 from .model import FactorizationSpec, PerformanceModel, PerformanceReport, plan_graph, planned_steps
@@ -42,10 +39,6 @@ __all__ = [
     "KernelCost",
     "calibrate_from_traces",
     "calibrated_platform",
-    "calibration_path",
-    "clear_calibration_cache",
     "collect_samples",
-    "default_calibration",
-    "kernel_source_hash",
     "run_calibration",
 ]

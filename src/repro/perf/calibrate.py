@@ -1,4 +1,4 @@
-"""Online per-kernel cost calibration from real execution traces.
+"""Per-kernel cost calibration from real execution traces.
 
 The perf stack originally priced kernels with hard-coded platform
 constants (the Dancer rates of Table II).  This module closes the loop
@@ -12,34 +12,19 @@ a real factorization can be fitted into a per-kernel cost model
   observed sizes) to extrapolate to unobserved tile sizes — every tile
   kernel is ``Theta(nb^3)`` at leading order (Table I).
 
-The fitted :class:`Calibration` drives two consumers:
-
-* the critical-path scheduler (b-level priorities weigh each task by its
-  calibrated duration, see :func:`repro.runtime.schedule.kernel_cost_fn`);
-* the discrete-event simulator (``simulate(..., calibration=...)``
-  replaces the analytic platform rates with measured per-core costs, so a
-  simulated makespan predicts a measured one).
-
-Calibrations persist per host at ``~/.cache/repro/calibration.json``
-(override with the ``REPRO_CALIBRATION`` environment variable) and are
-loaded lazily and cached by modification time, so solvers pick up a new
-calibration without re-importing anything.  A saved file records a hash of
-the kernel sources it was measured with; :func:`default_calibration`
-ignores a file whose hash is missing or different — a table fitted before a
-kernel got several times cheaper would silently skew priorities — until
-:func:`run_calibration` is run again.
+A :class:`Calibration` is an in-memory object: it is fitted in the process
+that uses it (:func:`calibrate_from_traces`, or :func:`run_calibration` to
+measure this host) and handed by the caller to the discrete-event
+simulator (``simulate(..., calibration=...)``), to
+:class:`~repro.perf.model.PerformanceModel` or to
+:func:`repro.runtime.schedule.kernel_cost_fn`, so a simulated makespan
+predicts a measured one.  Nothing is persisted, and the solvers never read
+one: their schedule depends only on the plan.
 """
 
 from __future__ import annotations
 
-import functools
-import hashlib
-import json
-import os
-import socket
-import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..kernels.flops import KernelFlops
@@ -51,57 +36,11 @@ from ..tiles.distribution import ProcessGrid
 __all__ = [
     "KernelCost",
     "Calibration",
-    "calibration_path",
-    "kernel_source_hash",
-    "default_calibration",
-    "clear_calibration_cache",
     "collect_samples",
     "calibrate_from_traces",
     "run_calibration",
     "calibrated_platform",
 ]
-
-#: Environment variable overriding the calibration file location.
-CALIBRATION_ENV = "REPRO_CALIBRATION"
-
-#: Version-1 files load unchanged; a version-2 ``backends`` key (per
-#: kernel-backend tables, which earlier releases wrote) is ignored.
-_FORMAT_VERSION = 2
-
-
-@functools.lru_cache(maxsize=1)
-def kernel_source_hash() -> str:
-    """SHA-256 over the sources of every tile kernel a calibration times.
-
-    ``kernels/*.py`` plus the linalg modules the kernels are built on; a
-    change to any of them may move a kernel's cost, so a persisted table is
-    only trusted by :func:`default_calibration` under the hash it was
-    measured with.
-    """
-    package = Path(__file__).resolve().parents[1]
-    sources = sorted((package / "kernels").glob("*.py")) + [
-        package / "linalg" / name
-        for name in ("pivoting.py", "triangular.py")
-    ]
-    digest = hashlib.sha256()
-    for source in sources:
-        digest.update(source.name.encode())
-        digest.update(source.read_bytes())
-    return digest.hexdigest()
-
-
-def calibration_path() -> Path:
-    """Location of the per-host calibration file.
-
-    ``$REPRO_CALIBRATION`` when set, else ``~/.cache/repro/calibration.json``
-    (``$XDG_CACHE_HOME`` is honoured when present).
-    """
-    env = os.environ.get(CALIBRATION_ENV, "").strip()
-    if env:
-        return Path(env).expanduser()
-    cache_root = os.environ.get("XDG_CACHE_HOME", "").strip()
-    base = Path(cache_root).expanduser() if cache_root else Path.home() / ".cache"
-    return base / "repro" / "calibration.json"
 
 
 @dataclass
@@ -151,11 +90,6 @@ class Calibration:
     """Per-kernel cost model fitted from real execution traces."""
 
     kernels: Dict[str, KernelCost] = field(default_factory=dict)
-    host: str = ""
-    #: :func:`kernel_source_hash` at measurement time; empty for tables
-    #: loaded from files that predate it (which load, but are not trusted
-    #: as the host default).
-    kernel_hash: str = field(default_factory=kernel_source_hash)
 
     @property
     def n_samples(self) -> int:
@@ -199,67 +133,6 @@ class Calibration:
         for (kernel, nb), durations in samples.items():
             self.kernels.setdefault(kernel, KernelCost()).add(nb, durations)
         return self
-
-    # ------------------------------------------------------------------ #
-    # Persistence
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _table_to_dict(table: Dict[str, KernelCost]) -> Dict:
-        return {
-            name: {
-                str(nb): {"mean": mean, "count": count}
-                for nb, (mean, count) in sorted(cost.by_nb.items())
-            }
-            for name, cost in sorted(table.items())
-        }
-
-    @staticmethod
-    def _table_from_dict(data: Dict) -> Dict[str, KernelCost]:
-        table: Dict[str, KernelCost] = {}
-        for name, entries in data.items():
-            by_nb = {
-                int(nb): (float(entry["mean"]), int(entry["count"]))
-                for nb, entry in entries.items()
-            }
-            table[name] = KernelCost(by_nb=by_nb)
-        return table
-
-    def to_dict(self) -> Dict:
-        return {
-            "version": _FORMAT_VERSION,
-            "host": self.host,
-            "kernel_hash": self.kernel_hash,
-            "kernels": self._table_to_dict(self.kernels),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "Calibration":
-        # Anything newer (or unversioned) is rejected rather than silently
-        # misread.
-        version = int(data.get("version", 0))
-        if version not in (1, _FORMAT_VERSION):
-            raise ValueError(
-                f"unsupported calibration format version {data.get('version')!r}"
-            )
-        return cls(
-            kernels=cls._table_from_dict(data.get("kernels", {})),
-            host=str(data.get("host", "")),
-            kernel_hash=str(data.get("kernel_hash", "")),
-        )
-
-    def save(self, path: Optional[Path] = None) -> Path:
-        """Write the calibration file (creating parent directories)."""
-        path = Path(path) if path is not None else calibration_path()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
-        tmp.replace(path)  # atomic: readers never see a torn file
-        return path
-
-    @classmethod
-    def load(cls, path: Optional[Path] = None) -> "Calibration":
-        path = Path(path) if path is not None else calibration_path()
-        return cls.from_dict(json.loads(path.read_text()))
 
 
 # --------------------------------------------------------------------------- #
@@ -310,15 +183,10 @@ def collect_samples(
 
 
 def calibrate_from_traces(
-    traces: Sequence[ExecutionTrace],
-    tile_size: int,
-    host: Optional[str] = None,
+    traces: Sequence[ExecutionTrace], tile_size: int
 ) -> Calibration:
     """Fit a :class:`Calibration` from the traces of one tile size."""
-    calibration = Calibration(
-        host=host if host is not None else socket.gethostname()
-    )
-    return calibration.add_samples(collect_samples(traces, tile_size))
+    return Calibration().add_samples(collect_samples(traces, tile_size))
 
 
 def run_calibration(
@@ -327,8 +195,6 @@ def run_calibration(
     algorithms: Sequence[str] = ("lupp", "hqr"),
     seed: int = 20140401,
     executor=None,
-    save: bool = True,
-    path: Optional[Path] = None,
 ) -> Calibration:
     """Measure this host: factor seeded matrices and fit a calibration.
 
@@ -337,7 +203,7 @@ def run_calibration(
     default executor is a
     :class:`~repro.runtime.executor.SequentialExecutor` so every duration
     is an uncontended single-core measurement — exactly the per-core cost
-    the simulator and the priority scheduler want.
+    the simulator wants.  The calibration is returned, not stored.
     """
     import numpy as np
 
@@ -347,7 +213,7 @@ def run_calibration(
         executor = SequentialExecutor()
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n)) + 4.0 * np.eye(n)
-    calibration = Calibration(host=socket.gethostname())
+    calibration = Calibration()
     for nb in tile_sizes:
         for algorithm in algorithms:
             solver = make_solver(
@@ -355,55 +221,7 @@ def run_calibration(
             )
             solver.factor(a.copy())
             calibration.add_samples(collect_samples(solver.step_traces, nb))
-    if save:
-        calibration.save(path)
-        clear_calibration_cache()
     return calibration
-
-
-# --------------------------------------------------------------------------- #
-# Lazy per-host default
-# --------------------------------------------------------------------------- #
-_CACHE: Dict[str, Tuple[Optional[int], Optional[Calibration]]] = {}
-_CACHE_LOCK = threading.Lock()
-
-
-def default_calibration() -> Optional[Calibration]:
-    """The host's persisted calibration, or ``None`` when there is none.
-
-    Cached by file modification time, so the cost of calling this per
-    factorization is one ``stat``; a corrupt or unreadable file degrades
-    to ``None`` (static cost models) rather than raising, and so does a
-    stale one — measured with other kernel sources than the installed ones
-    (:func:`kernel_source_hash`), or before the hash was recorded.
-    """
-    path = calibration_path()
-    key = str(path)
-    try:
-        mtime: Optional[int] = path.stat().st_mtime_ns
-    except OSError:
-        mtime = None
-    with _CACHE_LOCK:
-        cached = _CACHE.get(key)
-        if cached is not None and cached[0] == mtime:
-            return cached[1]
-    calibration: Optional[Calibration] = None
-    if mtime is not None:
-        try:
-            calibration = Calibration.load(path)
-        except (OSError, ValueError, KeyError, TypeError):
-            calibration = None
-        if calibration is not None and calibration.kernel_hash != kernel_source_hash():
-            calibration = None
-    with _CACHE_LOCK:
-        _CACHE[key] = (mtime, calibration)
-    return calibration
-
-
-def clear_calibration_cache() -> None:
-    """Drop the lazy-load cache (tests, or after writing a new file)."""
-    with _CACHE_LOCK:
-        _CACHE.clear()
 
 
 # --------------------------------------------------------------------------- #

@@ -190,14 +190,9 @@ class ProcessExecutor:
     def bind(self, meta: SharedBufferMeta) -> None:
         """Target this thread's subsequent :meth:`run` calls at a segment."""
         self._binding.meta = meta
-        # Execution-time products (compact-WY factors, pivot pairs) live
-        # for the whole binding, one table per factorization; the
-        # planners key them by step, so steps never collide.
-        self._binding.results = {}
 
     def unbind(self) -> None:
         self._binding.meta = None
-        self._binding.results = None
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -219,9 +214,10 @@ class ProcessExecutor:
         flow = DataflowCore(graph, trace, needs_calls="ProcessExecutor")
 
         pool = _pool_for(self.workers, self.start_method)
-        results = getattr(self._binding, "results", None)
-        if results is None:  # standalone run() without bind-scoped products
-            results = {}
+        # Execution-time products (compact-WY factors, pivot pairs) live
+        # for one run: the planners key them by step, and each step's
+        # graph runs to completion, so none is read after its run.
+        results: Dict[object, object] = {}
         outstanding: Dict[object, int] = {}
 
         def pump() -> None:

@@ -16,9 +16,10 @@ control layer of the paper's Figure 1), but every panel
 elimination and trailing-matrix update within a step fans out; since numpy
 kernels release the GIL inside BLAS, the updates genuinely overlap on a
 :class:`~repro.runtime.executor.ThreadedExecutor`.  Each step is one graph,
-prioritised by critical-path depth (b-level) under the calibrated cost
-model and run to completion, so the host sees the step's writes before it
-plans the next step.
+prioritised by critical-path depth (b-level) in Table-I flops and run to
+completion, so the host sees the step's writes before it plans the next
+step.  The priorities depend only on the plan: no measured cost enters the
+solve path.
 """
 
 from __future__ import annotations
@@ -184,17 +185,17 @@ def run_step_tasks(
     executor=None,
     step: int = 0,
     tile_size: Optional[int] = None,
-    calibration: Optional[object] = None,
 ) -> Optional[Tuple[ExecutionTrace, TaskGraph]]:
     """Execute one step's kernel tasks, sequentially or on an executor.
 
     With ``executor=None`` the tasks simply run in program order with no
     graph overhead (the sequential reference path) and ``None`` is
     returned.  Otherwise the step's task graph is materialised, given
-    b-level priorities under :func:`kernel_cost_fn` when ``tile_size`` is
-    known (without it every priority stays 0: submission order), and run
-    to completion on the executor (sequential, threaded, multi-process or
-    cluster); the execution trace and the graph are returned.
+    b-level priorities in Table-I flops (:func:`kernel_cost_fn` without a
+    calibration) when ``tile_size`` is known (without it every priority
+    stays 0: submission order), and run to completion on the executor
+    (sequential, threaded, multi-process or cluster); the execution trace
+    and the graph are returned.
     """
     if executor is None:
         for t in tasks:
@@ -202,7 +203,7 @@ def run_step_tasks(
         return None
     graph = build_step_graph(tasks, step=step)
     if tile_size is not None:
-        assign_task_priorities(graph, tile_size, calibration)
+        assign_task_priorities(graph, tile_size)
     return executor.run(graph), graph
 
 
@@ -222,7 +223,9 @@ def kernel_cost_fn(
     are priced as their ``_rhs``-stripped kernel, and a kernel with no
     :class:`~repro.kernels.flops.KernelFlops` entry a generic ``nb^3``.  A
     sweep is charged per logical kernel of its
-    :func:`~repro.runtime.task.kernel_mix`.
+    :func:`~repro.runtime.task.kernel_mix`.  The solvers' executor path
+    always prices by flops; a calibration comes only from a caller that
+    fitted one.
     """
     nb = int(tile_size)
 

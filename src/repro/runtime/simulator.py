@@ -12,14 +12,16 @@ the simulator performs greedy earliest-start list scheduling:
   earliest available core of its owner node;
 * kernel durations come from the explicit ``duration_hint`` of
   control/communication tasks, else from a measured
-  :class:`~repro.perf.calibrate.Calibration` when one is passed, else
-  from the platform's analytic per-kernel rates.
+  :class:`~repro.perf.calibrate.Calibration` when the caller passes one
+  (fitted in the same process; none is read from disk), else from the
+  platform's analytic per-kernel rates.
 
 The result (makespan, per-node utilisation, communication volume, schedule
 trace) is what the performance model converts into the GFLOP/s numbers of
 Figure 2 and Table II.  With a calibration the same machinery turns
 predictive: a simulated makespan estimates what a *measured* run on this
-host would take (``tests/test_calibration.py`` checks the prediction).
+host would take (``tests/test_calibration.py`` fits one from a run's
+traces and checks the prediction).
 :func:`~repro.perf.model.plan_graph` builds the graph from the solvers'
 own planners: the tasks the runtime executes, each expanded into the
 per-tile kernel units its op's effect rule declares.  The simulator ranks

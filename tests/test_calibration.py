@@ -1,21 +1,25 @@
-"""Online calibration: trace harvesting, fitting, persistence, prediction.
+"""Calibration: trace harvesting, fitting, prediction, and its scope.
 
-The calibration layer turns measured kernel durations into the cost model
-behind the priority scheduler and the predictive simulator.  These tests
-pin the fit math, the trace-edge-case robustness of :func:`merge_traces` /
-:func:`collect_samples`, the JSON round trip through
-``REPRO_CALIBRATION``, and — the tier-1 closing-the-loop check —
-that a calibrated simulation predicts a measured makespan to within a
-small factor for every solver.
+A calibration turns measured kernel durations into a cost model for the
+predictive simulator.  These tests pin the fit math, the trace-edge-case
+robustness of :func:`merge_traces` / :func:`collect_samples`, that a
+calibration is an in-memory object (fitting one writes no file, and no
+file steers a solver's schedule), that a calibration handed to the
+priority cost model prices b-levels in seconds, and — the tier-1
+closing-the-loop check — that a calibrated simulation predicts a measured
+makespan to within a small factor for every solver.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.api.facade import make_solver
 from repro.matrices.random_gen import random_matrix
 from repro.perf.calibrate import (
@@ -23,29 +27,21 @@ from repro.perf.calibrate import (
     KernelCost,
     calibrate_from_traces,
     calibrated_platform,
-    calibration_path,
-    clear_calibration_cache,
     collect_samples,
-    default_calibration,
-    kernel_source_hash,
     run_calibration,
 )
-from repro.perf.model import FactorizationSpec, plan_graph
+from repro.perf.model import FactorizationSpec, PerformanceModel, plan_graph
 from repro.runtime.executor import ExecutionTrace, SequentialExecutor, ThreadedExecutor
-from repro.runtime.schedule import merge_traces
+from repro.runtime.graph import TaskGraph
+from repro.runtime.schedule import (
+    assign_task_priorities,
+    kernel_cost_fn,
+    merge_traces,
+    static_kernel_flops,
+)
 from repro.runtime.simulator import simulate
 
 ALGORITHMS = ["hybrid", "lupp", "hqr", "lu_incpiv", "lu_nopiv"]
-
-
-@pytest.fixture()
-def isolated_calibration(tmp_path, monkeypatch):
-    """Point REPRO_CALIBRATION at a temp file and reset the lazy cache."""
-    path = tmp_path / "calibration.json"
-    monkeypatch.setenv("REPRO_CALIBRATION", str(path))
-    clear_calibration_cache()
-    yield path
-    clear_calibration_cache()
 
 
 # --------------------------------------------------------------------------- #
@@ -127,81 +123,23 @@ def test_calibration_flops_per_second_prefers_gemm():
 
 
 # --------------------------------------------------------------------------- #
-# Persistence round trip
+# A calibration lives in memory
 # --------------------------------------------------------------------------- #
-def test_calibration_roundtrip_via_env(isolated_calibration):
-    assert calibration_path() == isolated_calibration
-    assert default_calibration() is None
-
-    cal = Calibration(host="testhost")
-    cal.add_samples({("gemm", 8): [0.5], ("getrf", 16): [0.25, 0.75]})
-    cal.save()
-    clear_calibration_cache()
-
-    loaded = default_calibration()
-    assert loaded is not None
-    assert loaded.host == "testhost"
-    assert loaded.kernel_duration("gemm", 8) == pytest.approx(0.5)
-    assert loaded.kernel_duration("getrf", 16) == pytest.approx(0.5)
-    assert {name: sorted(cost.by_nb) for name, cost in loaded.kernels.items()} == {
-        "gemm": [8],
-        "getrf": [16],
-    }
-
-
-def test_corrupt_calibration_degrades_to_none(isolated_calibration):
-    isolated_calibration.write_text("not json {")
-    clear_calibration_cache()
-    assert default_calibration() is None
-
-
-def test_stale_calibration_is_ignored_as_host_default(isolated_calibration):
-    """A table measured with other kernel sources (or before the hash was
-    recorded) still loads explicitly but is not trusted as the default."""
-    cal = Calibration(host="testhost")
-    cal.add_samples({("getrf", 16): [0.25]})
-    assert cal.kernel_hash == kernel_source_hash()
-    cal.save()
-    fresh = json.loads(isolated_calibration.read_text())
-    assert fresh["kernel_hash"] == kernel_source_hash() and fresh["version"] == 2
-    assert default_calibration() is not None
-
-    version2 = {k: v for k, v in fresh.items() if k != "kernel_hash"}
-    version1 = dict(version=1, host=fresh["host"], kernels=fresh["kernels"])
-    for stale in (dict(fresh, kernel_hash="0" * 64), version2, version1):
-        isolated_calibration.write_text(json.dumps(stale))
-        clear_calibration_cache()
-        assert default_calibration() is None
-        loaded = Calibration.load(isolated_calibration)
-        assert loaded.kernel_duration("getrf", 16) == pytest.approx(0.25)
-        assert loaded.kernel_hash == stale.get("kernel_hash", "")
-
-    # Re-running the calibration makes the file current again.
-    run_calibration(n=32, tile_sizes=(8,), algorithms=("lupp",))
-    assert default_calibration() is not None
-
-
-def test_calibration_rejects_future_format():
-    with pytest.raises(ValueError):
-        Calibration.from_dict({"version": 99, "kernels": {}})
-
-
-def test_run_calibration_end_to_end(isolated_calibration):
+def test_run_calibration_end_to_end(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     cal = run_calibration(n=32, tile_sizes=(8,), algorithms=("lupp",))
     assert cal.n_samples > 0
     assert "getrf" in cal.kernels
-    # Persisted and picked up lazily.
-    on_disk = json.loads(isolated_calibration.read_text())
-    assert on_disk["version"] == 2
-    reloaded = default_calibration()
-    assert reloaded is not None and reloaded.n_samples == cal.n_samples
+    # Fitted and returned; nothing is written anywhere.
+    assert list(tmp_path.rglob("*")) == []
 
 
 # --------------------------------------------------------------------------- #
 # Tier-1: the calibrated simulator predicts reality
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_simulated_makespan_predicts_measured(algorithm, isolated_calibration):
+def test_simulated_makespan_predicts_measured(algorithm):
     """Closing the loop: calibrate on this host, then check the simulated
     makespan of a factorization is within ~3x of the measured one.
 
@@ -241,28 +179,98 @@ def test_simulated_makespan_predicts_measured(algorithm, isolated_calibration):
     )
 
 
-def test_calibrated_costs_drive_priorities(isolated_calibration):
-    """With a calibration present, the step graphs price b-levels in seconds."""
-    cal = Calibration()
-    cal.add_samples({("gemm", 8): [1e-3], ("getrf", 8): [5e-3]})
-    cal.save()
-    clear_calibration_cache()
+def test_performance_model_takes_an_in_process_calibration():
+    """``PerformanceModel(calibration=)`` prices the plan with a fit made
+    in the same process, exactly as ``simulate(..., calibration=)`` does."""
+    nb = 8
+    solver = make_solver(
+        "lupp", tile_size=nb, executor=SequentialExecutor(), track_growth=False
+    )
+    fact = solver.factor(random_matrix(32, seed=3))
+    cal = calibrate_from_traces(solver.step_traces, nb)
+    platform = calibrated_platform(cal, cores=1, nb=nb)
+    spec = FactorizationSpec.of(fact)
+    report = PerformanceModel(platform, calibration=cal).simulate_spec(spec)
+    sim = simulate(plan_graph(spec, platform=platform), platform, nb, calibration=cal)
+    assert report.execution_time == sim.makespan > 0
+    analytic = PerformanceModel(platform).simulate_spec(spec)
+    assert analytic.execution_time != report.execution_time
 
-    n, nb = 32, 8
-    a = random_matrix(n, seed=9)
+
+def test_calibration_prices_blevels_in_seconds():
+    """A calibration handed to the priority cost model prices b-levels in
+    calibrated seconds; an unobserved kernel costs its Table-I flops at
+    the calibrated rate."""
+    nb = 8
+    cal = Calibration()
+    cal.add_samples({("gemm", nb): [1e-3], ("getrf", nb): [5e-3]})
+
+    solver = make_solver(
+        "lupp", tile_size=nb, executor=SequentialExecutor(), track_growth=False
+    )
+    solver.collect_step_graphs = True
+    solver.factor(random_matrix(32, seed=9))
+    priorities = []
+    for graph in solver.step_graphs:
+        assign_task_priorities(graph, nb, cal)
+        priorities += [t.priority for t in graph.tasks]
+    # Calibrated seconds, not raw flop counts: b-levels stay far below the
+    # ~1e4..1e6 flop magnitudes of the static model at nb=8.
+    assert priorities and all(0 < p < 10.0 for p in priorities)
+
+    chain = TaskGraph()
+    chain.add_task("getrf", 0, writes=[(0, 0)])
+    chain.add_task("trsm", 0, reads=[(0, 0)], writes=[(1, 0)])
+    chain.add_task("gemm", 0, reads=[(1, 0)], writes=[(1, 1)])
+    assign_task_priorities(chain, nb, cal)
+    rate = 2 * nb**3 / 1e-3  # the calibrated GEMM rate
+    trsm = static_kernel_flops("trsm", nb) / rate
+    assert cal.kernel_duration("trsm", nb) is None
+    assert [t.priority for t in chain.tasks] == pytest.approx(
+        [5e-3 + trsm + 1e-3, trsm + 1e-3, 1e-3]
+    )
+
+
+def _legacy_calibration_file(path: Path, kernels) -> None:
+    """A calibration file in the version-2 format that releases with a
+    per-host default read through ``REPRO_CALIBRATION``, stamped with the
+    hash they trusted: SHA-256 over ``kernels/*.py`` and the two linalg
+    modules under them, name and bytes each."""
+    package = Path(repro.__file__).resolve().parent
+    sources = sorted((package / "kernels").glob("*.py")) + [
+        package / "linalg" / name for name in ("pivoting.py", "triangular.py")
+    ]
+    digest = hashlib.sha256()
+    for source in sources:
+        digest.update(source.name.encode())
+        digest.update(source.read_bytes())
+    table = {
+        name: {str(nb): {"mean": mean, "count": 1}}
+        for (name, nb), mean in kernels.items()
+    }
+    path.write_text(json.dumps(
+        {"version": 2, "host": "test", "kernel_hash": digest.hexdigest(), "kernels": table}
+    ))
+
+
+def test_a_calibration_file_does_not_steer_the_schedule(tmp_path, monkeypatch):
+    """The step graphs carry the static Table-I b-levels whatever
+    calibration file the environment points at."""
+    nb = 8
+    path = tmp_path / "calibration.json"
+    _legacy_calibration_file(path, {("gemm", nb): 1e-3, ("getrf", nb): 5e-3})
+    monkeypatch.setenv("REPRO_CALIBRATION", str(path))
+
     solver = make_solver(
         "lupp", tile_size=nb, executor=ThreadedExecutor(workers=2),
         track_growth=False,
     )
     solver.collect_step_graphs = True
-    ref = make_solver("lupp", tile_size=nb, executor=None, track_growth=False)
-    f_par = solver.factor(a.copy())
-    f_seq = ref.factor(a.copy())
-    assert np.array_equal(f_par.tiles.array, f_seq.tiles.array)
-    priorities = [
-        t.priority for g in solver.step_graphs for t in g.tasks
-    ]
-    assert priorities and all(p > 0 for p in priorities)
-    # Calibrated seconds, not raw flop counts: b-levels stay far below the
-    # ~1e4..1e6 flop magnitudes of the static model at nb=8.
-    assert max(priorities) < 10.0
+    ref = make_solver("lupp", tile_size=nb, executor="none", track_growth=False)
+    a = random_matrix(32, seed=9)
+    assert np.array_equal(solver.factor(a.copy()).tiles.array, ref.factor(a.copy()).tiles.array)
+    assert solver.step_graphs
+    cost = kernel_cost_fn(nb)
+    for graph in solver.step_graphs:
+        levels = graph.blevels(cost)
+        assert [t.priority for t in graph.tasks] == [levels[t.uid] for t in graph.tasks]

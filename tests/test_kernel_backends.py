@@ -15,8 +15,6 @@ calibration samples) and the kernel-backend registry, where ``fused``,
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 from per_tile_oracle import per_tile_plan
@@ -29,7 +27,7 @@ from repro.core.lu_step import lu_step_tasks
 from repro.core.panel_analysis import analyze_panel
 from repro.core.qr_step import qr_step_tasks
 from repro.kernels.backends import NumpyBackend, resolve_backend
-from repro.perf.calibrate import Calibration, collect_samples
+from repro.perf.calibrate import collect_samples
 from repro.runtime.executor import ExecutionTrace, SequentialExecutor, ThreadedExecutor
 from repro.runtime.process_executor import ProcessExecutor
 from repro.runtime.task import kernel_mix
@@ -238,17 +236,6 @@ def test_qr_calibration_tables_are_per_family():
     )
     booked = sum(sum(samples.get((name, 16), [])) for name in updates)
     assert booked == pytest.approx(chains, rel=1e-9)
-
-
-def test_calibration_file_with_backend_tables_loads(tmp_path):
-    cal = Calibration()
-    cal.add_samples({("gemm", 16): [1.0]})
-    data = cal.to_dict()
-    assert "backends" not in data
-    data["backends"] = {"fused": {"gemm": {"16": {"mean": 9.0, "count": 1}}}}
-    path = tmp_path / "calibration.json"
-    path.write_text(json.dumps(data))
-    assert Calibration.load(path).kernel_duration("gemm", 16) == 1.0
 
 
 # --------------------------------------------------------------------------- #

@@ -195,6 +195,24 @@ def test_repro_executor_env_var(rng, monkeypatch):
     )
 
 
+def test_binding_keeps_no_products_across_steps(rng):
+    """Execution-time products live for one step's run: at the end of a
+    factorization the binding holds only the shared segment."""
+    executor = ProcessExecutor(workers=WORKERS)
+    held = []
+    unbind = executor.unbind
+
+    def spy():
+        held.append(dict(vars(executor._binding)))
+        unbind()
+
+    executor.unbind = spy
+    a = rng.standard_normal((32, 32))
+    fact = HQRSolver(8, executor=executor).factor(a, np.ones(32))
+    assert fact.succeeded and len(executor.last_trace.finish_times) > 0
+    assert [set(binding) for binding in held] == [{"meta"}]
+
+
 # --------------------------------------------------------------------------- #
 # Error handling and preconditions
 # --------------------------------------------------------------------------- #

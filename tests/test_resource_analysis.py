@@ -277,6 +277,23 @@ class TestCorruption:
         argv = ["--algorithm", "lu_nopiv", "--tile-size", "4", "--determinism"]
         assert cli_main(argv) != 0
 
+    def test_cli_determinism_reference_is_inline(self, monkeypatch):
+        """Under ``REPRO_EXECUTOR`` the CLI still hands the determinism
+        check an inline reference; the tool has its own ``--executor``."""
+        monkeypatch.setenv("REPRO_EXECUTOR", "sequential")
+        builders = []
+
+        def capture(build, a, b, **kwargs):
+            builders.append(build)
+            return []
+
+        monkeypatch.setattr(analysis, "determinism_check", capture)
+        argv = ["--algorithm", "lu_nopiv", "--tile-size", "4", "--determinism"]
+        assert cli_main(argv) == 0
+        (build,) = builders
+        assert build(None).executor is None
+        assert build("sequential").executor is not None
+
     def test_suite_all_detected(self):
         suite = run_corruption_suite()
         assert suite, "suite must not be empty"
