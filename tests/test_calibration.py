@@ -122,6 +122,31 @@ def test_calibration_flops_per_second_prefers_gemm():
     assert rate == pytest.approx(2 * 8**3 / 1e-4)
 
 
+def test_calibration_add_samples_groups_by_kernel_and_tile():
+    cal = Calibration()
+    assert cal.add_samples({("gemm", 8): [0.5], ("getrf", 16): [0.25, 0.75]}) is cal
+    assert cal.n_samples == 3
+    assert cal.kernel_duration("gemm", 8) == pytest.approx(0.5)
+    assert cal.kernel_duration("getrf", 16) == pytest.approx(0.5)
+    assert cal.kernel_duration("trsm", 8) is None
+    assert {name: sorted(cost.by_nb) for name, cost in cal.kernels.items()} == {
+        "gemm": [8],
+        "getrf": [16],
+    }
+
+
+def test_calibration_add_samples_pools_repeated_fits():
+    """Folding samples in twice gives the count-weighted mean of all of
+    them, the same table as folding them in at once."""
+    cal = Calibration()
+    cal.add_samples({("gemm", 8): [1.0]})
+    cal.add_samples({("gemm", 8): [2.0, 3.0, 6.0], ("gemm", 16): [4.0]})
+    once = Calibration().add_samples({("gemm", 8): [1.0, 2.0, 3.0, 6.0], ("gemm", 16): [4.0]})
+    assert cal.kernels["gemm"].by_nb == {8: (pytest.approx(3.0), 4), 16: (4.0, 1)}
+    assert cal.kernels["gemm"].by_nb == once.kernels["gemm"].by_nb
+    assert cal.n_samples == 5
+
+
 # --------------------------------------------------------------------------- #
 # A calibration lives in memory
 # --------------------------------------------------------------------------- #
