@@ -32,7 +32,7 @@ from ..linalg.pivoting import SingularPanelError
 from ..runtime.schedule import KernelTask, call_task
 from ..tiles.tile_matrix import TileMatrix
 from .factorization import StepRecord
-from .panel_analysis import PanelAnalysis
+from .panel_analysis import PLANNED_FACTOR, PanelAnalysis
 
 __all__ = ["perform_lu_step", "lu_step_tasks"]
 
@@ -64,6 +64,8 @@ def lu_step_tasks(
     m = n - k - 1
     rows = tuple(analysis.domain_rows)
     factor = analysis.factor
+    if factor is not PLANNED_FACTOR:
+        factor.moves  # built here, on the host, before the concurrent SWPTRSMs read it
     ranges = sweep_ranges(k, n)
 
     # Factor: write the packed domain factorization into the panel tiles.

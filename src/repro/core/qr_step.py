@@ -12,7 +12,7 @@ TTQRT/TTMQR (triangular victims), and applying every transformation to the
 trailing tiles and to the attached right-hand side.  Like the LU step, the
 work is emitted as a list of :class:`~repro.runtime.schedule.KernelTask`
 objects with tile read/write sets: one task per panel kernel, then one
-update chain per trailing column range and one for the right-hand side.
+update chain over the trailing columns and the right-hand side, ``[A | b]``.
 The compact-WY factors flow from the panel tasks to the chains along
 produces/consumes keys, and the tile access sets serialize producers
 before consumers under the superscalar dependency rules, so the same plan
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set
 
-from ..kernels.dispatch import KernelCall, sweep_ranges
+from ..kernels.dispatch import KernelCall
 from ..kernels.qr_kernels import QRTileFactor
 from ..runtime.schedule import KernelTask, call_task
 from ..tiles.tile_matrix import TileMatrix
@@ -50,13 +50,13 @@ def qr_step_tasks(
 
     The panel kernels (GEQRT/TSQRT/TTQRT) are one task each, in the order
     of the elimination list; each publishes its compact-WY factor under a
-    ``produces`` key.  The trailing update then runs as one chain per
-    column range (:func:`~repro.kernels.dispatch.sweep_ranges`) and one for
-    the right-hand side: every UNMQR/TSMQR/TTMQR of the step, in program
-    order, applied to the tile-row blocks of the range.  A column sees the
-    same kernels in the same order as under a per-tile plan, and panel
-    column ``k`` is never an update operand, so running all panel kernels
-    first changes no value.
+    ``produces`` key.  The trailing update then runs as one chain over
+    ``[A | b]``: every UNMQR/TSMQR/TTMQR of the step, in program order,
+    applied to columns ``k+1..n-1`` and the RHS (alone at ``k = n-1``).  A
+    column sees the same kernels in the same order as under a per-tile
+    plan, the padded applies are width-stable, and panel column ``k`` is
+    never an update operand, so neither the one chain nor running all
+    panel kernels first changes a value.
     """
     n = tiles.n
     elims: List[Elimination] = list(eliminations)
@@ -112,15 +112,14 @@ def qr_step_tasks(
         families[op[0]] = families.get(op[0], 0) + 1
 
     # The chain is labelled with one kernel; its mix keeps the per-family
-    # counts for Table I, the cost model and calibration.
-    for j0, j1 in sweep_ranges(k, n):
-        call = KernelCall("qr.sweep", args=(j0, j1, ops), consumes=keys)
-        mix = tuple((name, count * (j1 - j0)) for name, count in families.items())
-        tasks.append(call_task(kernel, tiles, call, k, products, mix))
-    if tiles.has_rhs:
-        call = KernelCall("qr.sweep_rhs", args=(ops,), consumes=keys)
-        mix = tuple((name + "_rhs", count) for name, count in families.items())
-        tasks.append(call_task(kernel + "_rhs", tiles, call, k, products, mix))
+    # counts, matrix and RHS apart, for Table I, the cost model and calibration.
+    m, rhs = n - k - 1, tiles.has_rhs
+    mix = [(name, count * m) for name, count in families.items() if m]
+    mix += [(name + "_rhs", count) for name, count in families.items() if rhs]
+    if mix:
+        call = KernelCall("qr.sweep", args=(k + 1, n, rhs, ops), consumes=keys)
+        label = kernel if m else kernel + "_rhs"
+        tasks.append(call_task(label, tiles, call, k, products, tuple(mix)))
     record.add_tasks(tasks)
     return tasks
 

@@ -1,11 +1,12 @@
 """Kernel backends: the seam instrumentation plugs into a factorization.
 
 Every solver runs one trailing-update plan (see :mod:`repro.core.lu_step`
-and :mod:`repro.core.qr_step`): the panel kernels are per tile, the
-trailing update of step ``k`` is one sweep task per kernel family and
+and :mod:`repro.core.qr_step`): the panel kernels are per tile.  An LU or
+IncPiv step's trailing update is one sweep task per kernel family and
 column range — columns ``k+1`` and ``k+2``, the bulk block ``k+3..n-1``
 (:func:`~repro.kernels.dispatch.sweep_ranges`) — plus one for the
-right-hand side.  A *kernel backend* does not change that plan; it
+right-hand side; a QR step's is one chain over the trailing columns and
+the right-hand side.  A *kernel backend* does not change that plan; it
 only gets two hooks around it, :meth:`KernelBackend.prepare_tiles` and
 :meth:`KernelBackend.wrap_task`, which is how the access tracer in
 :mod:`repro.analysis.tracing` observes every kernel.

@@ -30,10 +30,12 @@ The step planners (:mod:`repro.core.lu_step`, :mod:`repro.core.qr_step`,
 worker is bit-identical to closure execution by construction.
 
 Panel kernels are one call per tile.  The trailing update of step ``k`` is
-one *sweep* call per column range (:func:`sweep_ranges`: the next two
-panel columns, then the bulk block) plus one for the right-hand side: a single
-GEMM over a block view for LU, the step's UNMQR/TSMQR/TTMQR chain in
-program order over tile-row blocks for QR, the SSSSM chain for IncPiv.
+a few *sweep* calls.  LU and IncPiv make one per column range
+(:func:`sweep_ranges`: the next two panel columns, then the bulk block)
+plus one for the right-hand side: a single GEMM over a block view for LU,
+the SSSSM chain for IncPiv.  QR makes one: the step's UNMQR/TSMQR/TTMQR
+chain in program order over each tile row of ``[A | b]``, its trailing
+block and RHS tile staged side by side.
 Each sweep's effect lists its per-tile constituents (kernel name, reads,
 writes, owner anchor), so placement prices its communication and the
 performance model (:mod:`repro.perf.model`) its cost kernel by kernel.
@@ -221,12 +223,15 @@ def _sweep_effect(units) -> OpEffect:
 
 
 def sweep_ranges(k: int, n: int) -> List[Tuple[int, int]]:
-    """Trailing tile-column ranges of step ``k``: ``k+1``, ``k+2``, ``[k+3, n)``.
+    """Trailing tile-column ranges of an LU or IncPiv step ``k``: ``k+1``,
+    ``k+2``, ``[k+3, n)``.
 
     The split was chosen for a one-step-deep cross-step window, since
     removed (each step now runs as one graph, to completion).  It stays
-    because the ranges set the GEMM widths, and other widths can move the
-    factors' bits.  Empty ranges are dropped.
+    because the ranges set the GEMM and ``dtrtrs`` widths, and other widths
+    can move the factors' bits.  The padded QR applies are width-stable,
+    so a QR step runs one chain and does not split.  Empty ranges are
+    dropped.
     """
     edges = [min(j, n) for j in (k + 1, k + 2, k + 3)] + [n]
     return [(j0, j1) for j0, j1 in zip(edges, edges[1:]) if j0 < j1]
@@ -342,6 +347,11 @@ def _pair_access(a, b, k):
     return pair, pair
 
 
+def _qr_columns(j0, j1, rhs):
+    """A chain's trailing columns ``j0..j1-1``, then the RHS if it carries it."""
+    return tuple(range(j0, j1)) + ((_RHS,) if rhs else ())
+
+
 def _qr_chain_access(step, columns, ops):
     """Every row an op of the chain updates, over ``columns``; the factors'
     panel tiles (an op's last row) are read."""
@@ -349,10 +359,12 @@ def _qr_chain_access(step, columns, ops):
     return writes.union([(op[-2], step) for op in ops]), writes
 
 
-def _qr_chain_effect(step, columns, ops, suffix="") -> OpEffect:
-    """One UNMQR/TSMQR/TTMQR per op and column, in program order."""
+def _qr_chain_effect(step, columns, ops) -> OpEffect:
+    """One UNMQR/TSMQR/TTMQR per op and column, in program order; the RHS
+    column's units are the ``_rhs`` families."""
     units = []
     for j in columns:
+        suffix = "_rhs" if j == _RHS else ""
         for op in ops:
             if op[0] == "unmqr":
                 ref = (op[1], j)
@@ -393,40 +405,25 @@ def _qr_couple(tiles: TileMatrix, inputs, kind, eliminator, killed, k):
     return factor
 
 
-def _qr_chain(operand, ops, factors) -> None:
-    """Apply a step's trailing-update chain, in program order, to one range.
+@kernel_op(
+    "qr.sweep",
+    lambda step, j0, j1, rhs, ops: _qr_chain_access(step, _qr_columns(j0, j1, rhs), ops),
+    lambda ctx, step, j0, j1, rhs, ops: _qr_chain_effect(step, _qr_columns(j0, j1, rhs), ops),
+)
+def _qr_sweep(tiles: TileMatrix, inputs, j0, j1, rhs, ops) -> None:
+    """Apply a step's trailing-update chain, in program order, to columns
+    ``j0..j1-1`` and, with ``rhs``, the right-hand side: one
+    :func:`~repro.kernels.qr_kernels.apply_chain` over ``[A | b]``.
 
     ``ops`` holds ``("unmqr", row, idx)`` and ``("tsmqr"|"ttmqr", eliminator,
-    killed, idx)`` entries; ``idx`` indexes the consumed factors and
-    ``operand(row)`` is the tile-row view of the range.  The whole chain is
-    one :func:`~repro.kernels.qr_kernels.apply_chain`: each row is staged
-    once, every apply runs in place on the staged copy, and each row is
-    written back once.
+    killed, idx)`` entries; ``idx`` indexes the consumed factors.
     """
     rows = list(dict.fromkeys(r for op in ops for r in op[1:-1]))
     slot = {row: i for i, row in enumerate(rows)}
     apply_chain(
-        [operand(row) for row in rows],
-        [(factors[op[-1]], slot[op[1]], slot[op[2]] if len(op) == 4 else None) for op in ops],
+        [(tiles.row_block(row, j0, j1),) + ((tiles.rhs_tile(row),) if rhs else ()) for row in rows],
+        [(inputs[op[-1]], slot[op[1]], slot[op[2]] if len(op) == 4 else None) for op in ops],
     )
-
-
-@kernel_op(
-    "qr.sweep",
-    lambda step, j0, j1, ops: _qr_chain_access(step, range(j0, j1), ops),
-    lambda ctx, step, j0, j1, ops: _qr_chain_effect(step, range(j0, j1), ops),
-)
-def _qr_sweep(tiles: TileMatrix, inputs, j0, j1, ops) -> None:
-    _qr_chain(lambda row: tiles.row_block(row, j0, j1), ops, inputs)
-
-
-@kernel_op(
-    "qr.sweep_rhs",
-    lambda step, ops: _qr_chain_access(step, (_RHS,), ops),
-    lambda ctx, step, ops: _qr_chain_effect(step, (_RHS,), ops, "_rhs"),
-)
-def _qr_sweep_rhs(tiles: TileMatrix, inputs, ops) -> None:
-    _qr_chain(tiles.rhs_tile, ops, inputs)
 
 
 # --------------------------------------------------------------------------- #
@@ -466,6 +463,7 @@ def _tile_factor_bytes(ctx: SigContext, tiles: int) -> int:
 )
 def _incpiv_getrf(tiles: TileMatrix, inputs, k):
     factor = factor_tile_lu(tiles.tile(k, k))
+    factor.moves  # built before the concurrent SWPTRSMs read it
     tiles.set_tile(k, k, np.triu(factor.lu))
     return factor
 
@@ -502,6 +500,7 @@ def _incpiv_tstrf(tiles: TileMatrix, inputs, k, i):
     nb = tiles.nb
     stacked = np.vstack([np.triu(tiles.tile(k, k)), tiles.tile(i, k)])
     pair = factor_panel_lu(stacked, nb)
+    pair.moves  # built before the concurrent SSSSM sweeps read it
     tiles.set_tile(k, k, np.triu(pair.lu[:nb]))
     tiles.set_tile(i, k, pair.lu[nb:])
     return pair

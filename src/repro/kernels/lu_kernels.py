@@ -16,7 +16,8 @@ The kernels below operate on plain numpy arrays (tiles); the step driver in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -52,13 +53,6 @@ class LUPanelFactor:
         stacked panel was swapped with row ``piv[j]``.
     nb:
         Tile order.
-    moves:
-        ``(dst, src)`` stacked-row indices of the at most ``2 nb`` rows the
-        pivot sequence moves (:func:`repro.linalg.pivoting.pivot_moves`).
-        Derived from ``piv`` at construction — eagerly, so concurrent
-        SWPTRSM tasks never race to fill it — and left out of the pickled
-        state: a shipped factor is exactly ``lu + piv``, as the memory and
-        communication certificates declare, and rebuilds it on arrival.
 
     The triangular solves read ``L``/``U`` straight from the packed top
     block (LAPACK references only the triangle it is told to).
@@ -67,17 +61,26 @@ class LUPanelFactor:
     lu: np.ndarray
     piv: np.ndarray
     nb: int
-    moves: Tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.moves = pivot_moves(self.piv)
+    @cached_property
+    def moves(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(dst, src)`` stacked-row indices of the at most ``2 nb`` rows the
+        pivot sequence moves (:func:`repro.linalg.pivoting.pivot_moves`).
+
+        Built on first use, so a domain factor a QR step discards never pays
+        for it; whoever hands a factor to concurrent SWPTRSM tasks builds it
+        first (the LU planner, the IncPiv factor kernels, :meth:`__setstate__`).
+        Not pickled: a shipped factor is exactly ``lu + piv``, as the memory
+        and communication certificates declare.
+        """
+        return pivot_moves(self.piv)
 
     def __getstate__(self) -> dict:
         return {"lu": self.lu, "piv": self.piv, "nb": self.nb}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self.__post_init__()
+        self.moves  # rebuilt on arrival, before any task of this process reads it
 
     @property
     def top(self) -> np.ndarray:

@@ -30,9 +30,8 @@ The applies work on the transposed operand: ``Q^T C`` is ``(C^T Q)^T``, so
 every apply runs side ``'R'`` on a Fortran-ordered ``C^T``.
 :func:`apply_chain` copies the tile rows a chain of applies touches once
 into one such workspace, runs every apply in place on it and writes each
-row back once; the trailing-update sweeps of
-:mod:`repro.kernels.dispatch` call it per column range.  The workspace's
-row count (the operand's column count) is rounded up to a multiple of
+row back once; a QR step's sweep (:mod:`repro.kernels.dispatch`) stages
+each row's trailing block and RHS tile side by side.  The workspace's row count (the operand's column count) is rounded up to a multiple of
 :data:`PAD` and zero-padded: so padded, each column of a wide apply has the
 bits it has when its tile is applied on its own, at every tile order.  At
 ``ib = 8`` every call also gives the same bits at any BLAS thread count;
@@ -49,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -194,26 +194,34 @@ def ttqrt(r_top: np.ndarray, r_bottom: np.ndarray) -> QRTileFactor:
 # Applies: one staged workspace per chain, in place on it
 # --------------------------------------------------------------------------- #
 def apply_chain(
-    rows: Sequence[np.ndarray], ops: Sequence[Tuple[QRTileFactor, int, Optional[int]]]
+    rows: Sequence[Sequence[np.ndarray]], ops: Sequence[Tuple[QRTileFactor, int, Optional[int]]]
 ) -> None:
-    """Apply a chain of QR transformations, in order, to tile-row views.
+    """Apply a chain of QR transformations, in order, to tile rows in place.
 
-    ``rows`` are ``nb``-row views of one width, updated in place; each op
+    Each row is a tuple of column parts (say its trailing block and its RHS
+    tile): ``nb``-row views, of the same widths in every row; each op
     ``(factor, top, bottom)`` applies ``Q^T`` of ``factor`` to ``rows[top]``
     (GEQRT, ``bottom`` is ``None``) or to the stacked
     ``[rows[top]; rows[bottom]]`` (TSQRT/TTQRT).
-    The rows are staged into a C-ordered ``len(rows)*nb x padded-width``
+    The rows' parts are staged side by side into a C-ordered ``len(rows)*nb x padded-width``
     workspace, whose transpose is the Fortran-ordered ``C^T`` every LAPACK
     call updates in place.  Wide rows go in column chunks of at most
-    :data:`WORKSPACE` elements, a multiple of :data:`PAD` wide: that bounds
-    the workspace and, padded, leaves the bits unchanged.
+    :data:`WORKSPACE` elements, a multiple of :data:`PAD` wide, which may
+    span two parts: that bounds the workspace and, padded, leaves the bits unchanged.
     """
-    nb, width = rows[0].shape
+    nb = rows[0][0].shape[0]
+    edges = list(accumulate((part.shape[1] for part in rows[0]), initial=0))
     chunk = max(PAD, WORKSPACE // (len(rows) * nb) // PAD * PAD)
-    for c0 in range(0, width, chunk):
-        c1 = min(width, c0 + chunk)
+    for c0 in range(0, edges[-1], chunk):
+        c1 = min(edges[-1], c0 + chunk)
+        # (part, its columns a:b, their workspace column) in this chunk.
+        pieces = [
+            (p, max(c0, e0) - e0, min(c1, e1) - e0, max(c0, e0) - c0)
+            for p, (e0, e1) in enumerate(zip(edges, edges[1:])) if max(c0, e0) < min(c1, e1)
+        ]
         ws = np.zeros((len(rows) * nb, -(-(c1 - c0) // PAD) * PAD))
-        np.concatenate([row[:, c0:c1] for row in rows], out=ws[:, : c1 - c0])
+        for p, a, b, o in pieces:
+            np.concatenate([row[p][:, a:b] for row in rows], out=ws[:, o : o + b - a])
         staged = ws.reshape(len(rows), nb, -1)
         x = staged.transpose(0, 2, 1)  # x[i]: row i's C^T, Fortran-ordered
         for factor, top, bottom in ops:
@@ -224,7 +232,8 @@ def apply_chain(
             if info:
                 raise np.linalg.LinAlgError(f"QR apply: LAPACK failed with info={info}")
         for row, part in zip(rows, staged):
-            row[:, c0:c1] = part[:, : c1 - c0]
+            for p, a, b, o in pieces:
+                row[p][:, a:b] = part[:, o : o + b - a]
 
 
 def unmqr_inplace(factor: QRTileFactor, c: np.ndarray) -> None:
@@ -232,7 +241,7 @@ def unmqr_inplace(factor: QRTileFactor, c: np.ndarray) -> None:
 
     ``c`` is any ``nb``-row view (a tile, a tile-row block, an RHS tile).
     """
-    apply_chain((c,), ((factor, 0, None),))
+    apply_chain(((c,),), ((factor, 0, None),))
 
 
 def tsmqr_inplace(factor: QRTileFactor, c_top: np.ndarray, c_bottom: np.ndarray) -> None:
@@ -240,7 +249,7 @@ def tsmqr_inplace(factor: QRTileFactor, c_top: np.ndarray, c_bottom: np.ndarray)
 
     ``c_top`` belongs to the eliminator row, ``c_bottom`` to the killed row.
     """
-    apply_chain((c_top, c_bottom), ((factor, 0, 1),))
+    apply_chain(((c_top,), (c_bottom,)), ((factor, 0, 1),))
 
 
 def unmqr(factor: QRTileFactor, c: np.ndarray) -> np.ndarray:

@@ -5,7 +5,9 @@ Two layers that close the loop between model and machine:
 * :mod:`repro.perf.model` — the paper's analytic layer: plan a run's step
   kinds with the solvers' own planners, expand every planned task into its
   per-tile kernel units (:func:`plan_graph`), simulate that graph on a
-  modelled platform and report normalised GFLOP/s (Figure 2, Table II);
+  modelled platform and report normalised GFLOP/s (Figure 2, Table II),
+  and bound the parallelism of the executed step graphs
+  (:func:`plan_parallelism`);
 * :mod:`repro.perf.calibrate` — fit per-kernel cost models from the
   execution traces of real factorizations on *this* host.  A calibration
   lives in the process that fits it: the caller passes it to the
@@ -24,7 +26,8 @@ from .calibrate import (
     collect_samples,
     run_calibration,
 )
-from .model import FactorizationSpec, PerformanceModel, PerformanceReport, plan_graph, planned_steps
+from .model import FactorizationSpec, PerformanceModel, PerformanceReport, plan_graph
+from .model import plan_parallelism, planned_steps
 
 __all__ = [
     "Platform",
@@ -32,6 +35,7 @@ __all__ = [
     "laptop_platform",
     "FactorizationSpec",
     "plan_graph",
+    "plan_parallelism",
     "planned_steps",
     "PerformanceModel",
     "PerformanceReport",

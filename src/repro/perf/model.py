@@ -28,6 +28,7 @@ with measured per-kernel durations.
 
 from __future__ import annotations
 
+import heapq
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -41,7 +42,7 @@ from ..kernels.dispatch import SigContext, op_effect
 from ..kernels.flops import KernelFlops, fake_flops, true_flops
 from ..runtime.graph import TaskGraph
 from ..runtime.platform import Platform, dancer_platform
-from ..runtime.schedule import KernelTask, static_kernel_flops
+from ..runtime.schedule import KernelTask, build_step_graph, kernel_cost_fn, static_kernel_flops
 from ..runtime.simulator import SimulationResult, simulate
 from ..tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from ..trees.base import ReductionTree
@@ -50,6 +51,7 @@ __all__ = [
     "FactorizationSpec",
     "planned_steps",
     "plan_graph",
+    "plan_parallelism",
     "PerformanceReport",
     "PerformanceModel",
 ]
@@ -192,6 +194,40 @@ def plan_graph(spec: FactorizationSpec, platform: Optional[Platform] = None) -> 
                     extra_deps=control,
                 )
     return graph
+
+
+def plan_parallelism(spec: FactorizationSpec, workers: int) -> float:
+    """Work over makespan of the executed step graphs on ``workers`` workers.
+
+    Each step of :func:`planned_steps` becomes the graph the executors run
+    (:func:`~repro.runtime.schedule.build_step_graph`), priced by
+    :func:`~repro.runtime.schedule.kernel_cost_fn` (Table-I flops, no
+    overhead).  A free worker starts the ready task of largest b-level, and
+    each step ends before the next starts, as on the executors.  The value
+    is deterministic, and ``workers`` is its ceiling.
+    """
+    cost = kernel_cost_fn(spec.tile_size)
+    work = makespan = 0.0
+    for k, _kind, tasks in planned_steps(spec):
+        graph = build_step_graph(tasks, step=k)
+        levels, succ = graph.blevels(cost), graph.successors()
+        waiting = {task.uid: len(task.deps) for task in graph.tasks}
+        ready = [(-levels[uid], uid) for uid, deps in waiting.items() if not deps]
+        heapq.heapify(ready)
+        running: List[Tuple[float, int]] = []
+        now = 0.0
+        while ready or running:
+            while ready and len(running) < workers:
+                uid = heapq.heappop(ready)[1]
+                heapq.heappush(running, (now + cost(graph.task(uid)), uid))
+            now, uid = heapq.heappop(running)
+            for later in succ[uid]:
+                waiting[later] -= 1
+                if not waiting[later]:
+                    heapq.heappush(ready, (-levels[later], later))
+        work += sum(map(cost, graph.tasks))
+        makespan += now
+    return work / makespan
 
 
 def _panel_getrf_flops(rows: int, nb: int) -> float:

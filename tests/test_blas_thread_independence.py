@@ -14,8 +14,9 @@ is the guard that fails if a thread-sensitive routine is swapped in later —
 run at the sizes where it bites, not only at tiles too small to thread.
 The QR kernels are hashed one by one, at tile orders up to 128 and on
 operands up to 1024 columns wide.
-The trailing update is one wide GEMM / TRSM / QR apply per column range, so
-the bulk applies are checked too: on many small tiles (n = 512, nb = 16)
+The trailing update is one wide GEMM / TRSM per column range and one QR
+chain over the trailing columns and the right-hand side, so the bulk
+applies are checked too: on many small tiles (n = 512, nb = 16)
 and on a 1024 x 1024 matrix of 256-tiles, where every apply threads.  The
 solution is hashed as well: the back-substitution is one ``dtrtrs`` on the
 whole factor, checked on every factorization above and on a warm session
@@ -147,6 +148,26 @@ for kind in ("LU", "QR"):
 """
 
 
+_PARTED_CHAIN = _PRELUDE + """
+from repro.kernels.qr_kernels import WORKSPACE, apply_chain, geqrt_tile, tsqrt, ttqrt
+
+rng = np.random.default_rng(23)
+rows = 6
+for nb in (16, 17, 64):
+    tiles = [rng.standard_normal((nb, nb)) for _ in range(rows)]
+    ops = [(geqrt_tile(a), i, None) for i, a in enumerate(tiles)]
+    ops += [(tsqrt(np.triu(tiles[0]), tiles[i]), 0, i) for i in (1, 2)]
+    ops += [(tsqrt(np.triu(tiles[3]), tiles[i]), 3, i) for i in (4, 5)]
+    ops.append((ttqrt(np.triu(tiles[0]), tiles[3]), 0, 3))
+    # A block just over one workspace chunk wide: the chunk boundary falls
+    # inside it, so the second chunk carries its tail and the RHS together.
+    cols = max(8, WORKSPACE // (rows * nb) // 8 * 8) // nb + 1
+    a, b = rng.standard_normal((rows * nb, cols * nb)), rng.standard_normal((rows * nb, 7))
+    apply_chain([(a[i * nb : (i + 1) * nb], b[i * nb : (i + 1) * nb]) for i in range(rows)], ops)
+    print(nb, digest(a, b))
+"""
+
+
 def _run(script: str, threads: int) -> str:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     src = str(Path(repro.__file__).resolve().parents[1])
@@ -206,6 +227,13 @@ def test_qr_kernels_identical_for_one_and_two_blas_threads():
     """The five tile-QR LAPACK calls at the kernels' ``IB``, per tile order and width."""
     one, two = _run(_QR_KERNELS, 1), _run(_QR_KERNELS, 2)
     assert len(one.splitlines()) == 7
+    assert one == two
+
+
+def test_parted_qr_chain_identical_for_one_and_two_blas_threads():
+    """One chain over ``[A | b]`` row parts, with a chunk across the boundary."""
+    one, two = _run(_PARTED_CHAIN, 1), _run(_PARTED_CHAIN, 2)
+    assert len(one.splitlines()) == 3
     assert one == two
 
 

@@ -10,7 +10,7 @@ from repro.api.facade import make_criterion, make_solver
 from repro.experiments.figure1 import figure1_summary
 from repro.kernels.flops import fake_flops, true_flops
 from repro.perf import PerformanceModel, dancer_platform
-from repro.perf.model import FactorizationSpec, plan_graph, planned_steps
+from repro.perf.model import FactorizationSpec, plan_graph, plan_parallelism, planned_steps
 from repro.runtime.executor import SequentialExecutor
 from repro.runtime.simulator import simulate
 from repro.tiles import BlockCyclicDistribution
@@ -213,6 +213,60 @@ class TestPlanGraph:
         sim = simulate(graph, platform, 8)
         assert sim.makespan > 0.0
         assert len(sim.schedule) == len(graph)
+
+
+def _parallelism_spec(algorithm, n, nb):
+    """All steps of the baseline's one kind; the hybrid takes a QR step every third."""
+    kinds = {"HQR": "QR", "LUQR": None}.get(algorithm, "LU")
+    steps = n // nb
+    return FactorizationSpec(
+        n_tiles=steps,
+        tile_size=nb,
+        step_kinds=[kinds or ("QR" if k % 3 == 2 else "LU") for k in range(steps)],
+        algorithm=algorithm,
+    )
+
+
+class TestPlanParallelism:
+    """The two-worker ceiling of the executed step graphs, pinned per plan.
+
+    A QR step's trailing update is one chain, so its steps have almost no
+    parallelism left on two workers; the LU solvers overlap their column
+    ranges.  A change to the planned graphs moves these numbers first.
+    """
+
+    @pytest.mark.parametrize(
+        "algorithm, n, nb, expected",
+        [
+            ("LUQR", 512, 16, 1.058383),
+            ("LU NoPiv", 512, 16, 1.128763),
+            ("LU IncPiv", 512, 16, 1.102335),
+            ("LUPP", 512, 16, 1.105019),
+            ("HQR", 512, 16, 1.011608),
+            ("LUQR", 768, 64, 1.182923),
+            ("LU NoPiv", 768, 64, 1.387952),
+            ("LU IncPiv", 768, 64, 1.303167),
+            ("LUPP", 768, 64, 1.329253),
+            ("HQR", 768, 64, 1.030411),
+            ("LUQR", 1024, 128, 1.293538),
+            ("LU NoPiv", 1024, 128, 1.600000),
+            ("LU IncPiv", 1024, 128, 1.462857),
+            ("LUPP", 1024, 128, 1.533442),
+            ("HQR", 1024, 128, 1.044898),
+        ],
+    )
+    def test_two_worker_parallelism_is_pinned(self, algorithm, n, nb, expected):
+        spec = _parallelism_spec(algorithm, n, nb)
+        assert plan_parallelism(spec, 2) == pytest.approx(expected, abs=1e-6)
+
+    @pytest.mark.parametrize("algorithm", ["LUQR", "HQR", "LUPP"])
+    def test_one_worker_runs_the_work_serially(self, algorithm):
+        assert plan_parallelism(_parallelism_spec(algorithm, 256, 32), 1) == pytest.approx(1.0)
+
+    def test_bounded_by_the_worker_count(self):
+        spec = _parallelism_spec("LU NoPiv", 768, 64)
+        assert 1.0 < plan_parallelism(spec, 2) <= 2.0
+        assert 1.0 < plan_parallelism(spec, 4) <= 4.0
 
 
 class TestFigure1:

@@ -1,8 +1,9 @@
 """The one trailing-update plan, checked against the per-tile plan it replaced.
 
-Every solver plans its trailing update as at most four sweep tasks per
+The LU solvers plan their trailing update as at most four sweep tasks per
 kernel family — the next two panel columns, the bulk block, the
-right-hand side.  The
+right-hand side — and a QR step as one chain over the trailing columns
+and the right-hand side.  The
 per-tile plan (one task per tile kernel) survives only as the oracle in
 ``per_tile_oracle.py``: factors, transformed right-hand side and Table-I
 kernel counts of the sweep plan must equal it bit for bit, for all five
@@ -27,12 +28,15 @@ from repro.core.lu_step import lu_step_tasks
 from repro.core.panel_analysis import analyze_panel
 from repro.core.qr_step import qr_step_tasks
 from repro.kernels.backends import NumpyBackend, resolve_backend
+from repro.kernels.dispatch import KERNELS
+from repro.kernels.qr_kernels import geqrt_tile, unmqr
 from repro.perf.calibrate import collect_samples
 from repro.runtime.executor import ExecutionTrace, SequentialExecutor, ThreadedExecutor
 from repro.runtime.process_executor import ProcessExecutor
-from repro.runtime.task import kernel_mix
+from repro.runtime.task import RHS_COLUMN, kernel_mix
 from repro.tiles.distribution import BlockCyclicDistribution, ProcessGrid
 from repro.tiles.tile_matrix import TileMatrix
+from repro.trees.base import Elimination
 from repro.trees.greedy import GreedyTree
 
 ALGORITHMS = ["hybrid", "lupp", "lu_nopiv", "lu_incpiv", "hqr"]
@@ -157,19 +161,52 @@ def test_qr_chains_carry_their_table_one_counts():
     record = StepRecord(k=0, kind="QR")
     tasks = qr_step_tasks(tiles, 0, GreedyTree().eliminations(rows), record)
     counts = record.kernel_counts
-    chains = [t for t in tasks if t.call.kernel in ("qr.sweep", "qr.sweep_rhs")]
-    assert len(chains) == 4
+    chains = [t for t in tasks if t.call.kernel == "qr.sweep"]
+    assert len(chains) == 1
     updates = ("unmqr", "tsmqr", "ttmqr")
-    assert sum(t.fused for t in chains if t.call.kernel == "qr.sweep") == sum(
-        counts.get(name, 0) for name in updates
-    )
-    assert sum(t.fused for t in chains if t.call.kernel == "qr.sweep_rhs") == sum(
-        counts.get(name + "_rhs", 0) for name in updates
-    )
+    updates += tuple(name + "_rhs" for name in updates)
+    assert chains[0].fused == sum(counts.get(name, 0) for name in updates)
     # The mix keeps each family's own count, whatever the chain's label.
-    for name in updates + tuple(name + "_rhs" for name in updates):
+    for name in updates:
         mixed = sum(m for t in chains for kernel, m in kernel_mix(t) if kernel == name)
         assert mixed == counts.get(name, 0)
+
+
+@pytest.mark.parametrize("k", [0, 1, N_TILES - 2])
+def test_qr_step_plans_one_chain_over_the_matrix_and_rhs(k):
+    """Columns ``k+1..n-1`` and the RHS ride in one ``qr.sweep``."""
+    tiles = _tiles()
+    n = tiles.n
+    # TS kills down to the last row, which a TT merge kills.
+    elims = [Elimination(killed=i, eliminator=k, kind="TS") for i in range(k + 1, n - 1)]
+    elims.append(Elimination(killed=n - 1, eliminator=k, kind="TT"))
+    record = StepRecord(k=k, kind="QR")
+    tasks = qr_step_tasks(tiles, k, elims, record)
+    (chain,) = [t for t in tasks if t.call.kernel == "qr.sweep"]
+    assert tasks[-1] is chain
+    families = {"unmqr", "ttmqr"} | ({"tsmqr"} if k < n - 2 else set())
+    mix = dict(chain.mix)
+    assert set(mix) == families | {name + "_rhs" for name in families}
+    for name in families:
+        assert mix[name] == (n - k - 1) * mix[name + "_rhs"]
+    assert mix == {name: record.kernel_counts[name] for name in mix}
+    assert chain.writes == {(i, j) for i in range(k, n) for j in [*range(k + 1, n), RHS_COLUMN]}
+    assert "qr.sweep_rhs" not in KERNELS
+
+
+def test_last_qr_step_still_transforms_the_rhs():
+    tiles = _tiles()
+    k = tiles.n - 1
+    expected = unmqr(geqrt_tile(tiles.tile(k, k)), tiles.rhs_tile(k))
+    record = StepRecord(k=k, kind="QR")
+    tasks = qr_step_tasks(tiles, k, GreedyTree().eliminations([k]), record)
+    assert [t.call.kernel for t in tasks] == ["qr.geqrt", "qr.sweep"]
+    assert tasks[-1].kernel == "unmqr_rhs" and tasks[-1].mix == (("unmqr_rhs", 1),)
+    assert tasks[-1].writes == {(k, RHS_COLUMN)}
+    for task in tasks:
+        task.fn()
+    np.testing.assert_array_equal(tiles.rhs_tile(k), expected)
+    assert record.kernel_counts == {"geqrt": 1, "unmqr_rhs": 1}
 
 
 def test_incpiv_chains_carry_their_table_one_counts():

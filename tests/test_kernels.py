@@ -209,17 +209,30 @@ class TestInPlaceLUKernels:
     def test_factor_ships_exactly_lu_and_piv(self, rng):
         nb = 16
         f = factor_panel_lu(rng.standard_normal((3 * nb, nb)), nb)
-        assert "moves" in vars(f)  # built at construction, not on first use
+        assert "moves" not in vars(f)  # built on first use, not at construction
         assert set(f.__getstate__()) == {"lu", "piv", "nb"}
         payload = pickle.dumps(f)
         assert len(payload) <= f.lu.nbytes + f.piv.nbytes + 512
         g = pickle.loads(payload)
+        assert "moves" in vars(g)  # rebuilt on arrival
         np.testing.assert_array_equal(g.lu, f.lu)
         np.testing.assert_array_equal(g.piv, f.piv)
         for rebuilt, built in zip(g.moves, f.moves):
             np.testing.assert_array_equal(rebuilt, built)
         c = rng.standard_normal((3 * nb, 2))
         np.testing.assert_array_equal(apply_swptrsm(g, c), apply_swptrsm(f, c))
+
+    def test_pivot_moves_are_built_by_whoever_shares_the_factor(self, rng):
+        """A domain factor builds its moves only when an LU step is planned
+        with it; the IncPiv factor kernels build theirs before returning."""
+        nb = 8
+        tiles = TileMatrix.from_dense(rng.standard_normal((4 * nb, 4 * nb)), nb)
+        analysis = analyze_panel(tiles, BlockCyclicDistribution(ProcessGrid(2, 1), 4), 0)
+        assert "moves" not in vars(analysis.factor)
+        lu_step_tasks(tiles, 0, analysis, StepRecord(k=0, kind="LU"))
+        assert "moves" in vars(analysis.factor)
+        assert "moves" in vars(KERNELS["incpiv.getrf"](tiles, (), 1))
+        assert "moves" in vars(KERNELS["incpiv.tstrf"](tiles, (), 1, 2))
 
     def test_factor_panel_factors_the_stack_in_place(self, rng):
         stacked = rng.standard_normal((24, 8))
@@ -486,24 +499,55 @@ class TestStructuredApplies:
                 np.testing.assert_array_equal(wide_bottom[:, block], b)
 
 
+def _chain_ops(rows, nb, rng):
+    """A chain with every apply kind: GEQRT per row, two TS domains, one TT merge."""
+    tiles = [rng.standard_normal((nb, nb)) for _ in range(rows)]
+    half = rows // 2
+    ops = [(geqrt_tile(a), i, None) for i, a in enumerate(tiles)]
+    ops += [(tsqrt(np.triu(tiles[0]), tiles[i]), 0, i) for i in range(1, half)]
+    ops += [(tsqrt(np.triu(tiles[half]), tiles[i]), half, i) for i in range(half + 1, rows)]
+    ops.append((ttqrt(np.triu(tiles[0]), tiles[half]), 0, half))
+    return ops
+
+
 @pytest.mark.parametrize("nb", [16, 17])
 def test_chunked_chain_equals_per_tile_bits(nb, rng):
     """A chain staged in several column chunks gives every tile its per-tile bits."""
     rows, cols = 48, 50
     assert rows * nb * cols * nb > 2 * WORKSPACE  # three chunks
-    half = rows // 2
-    tiles = [rng.standard_normal((nb, nb)) for _ in range(rows)]
-    ops = [(geqrt_tile(a), i, None) for i, a in enumerate(tiles)]
-    ops += [(tsqrt(np.triu(tiles[0]), tiles[i]), 0, i) for i in range(1, half)]
-    ops += [(tsqrt(np.triu(tiles[half]), tiles[i]), half, i) for i in range(half + 1, rows)]
-    ops.append((ttqrt(np.triu(tiles[0]), tiles[half]), 0, half))
+    ops = _chain_ops(rows, nb, rng)
     store = rng.standard_normal((rows * nb, cols * nb))
     wide = store.copy()
-    apply_chain([wide[i * nb : (i + 1) * nb] for i in range(rows)], ops)
+    apply_chain([(wide[i * nb : (i + 1) * nb],) for i in range(rows)], ops)
     for j in range(cols):
         block = store[:, j * nb : (j + 1) * nb].copy()
-        apply_chain([block[i * nb : (i + 1) * nb] for i in range(rows)], ops)
+        apply_chain([(block[i * nb : (i + 1) * nb],) for i in range(rows)], ops)
         np.testing.assert_array_equal(wide[:, j * nb : (j + 1) * nb], block)
+
+
+@pytest.mark.parametrize("cols", [1, 3, "straddle"])
+@pytest.mark.parametrize("nrhs", [1, 2, 7])
+@pytest.mark.parametrize("nb", [8, 16, 17, 33])
+def test_parted_chain_equals_separate_chains(nb, nrhs, cols, rng):
+    """A chain over ``(row block, RHS tile)`` parts has the bits of the matrix
+    chain and the RHS chain applied separately, also when a workspace chunk
+    straddles the part boundary."""
+    rows = 6
+    chunk = max(8, WORKSPACE // (rows * nb) // 8 * 8)
+    if cols == "straddle":
+        cols = chunk // nb + 1
+        assert chunk < cols * nb < 2 * chunk  # the first chunk ends inside the block
+    ops = _chain_ops(rows, nb, rng)
+    a, b = rng.standard_normal((rows * nb, cols * nb)), rng.standard_normal((rows * nb, nrhs))
+    parted_a, parted_b = a.copy(), b.copy()
+    apply_chain(
+        [(parted_a[i * nb : (i + 1) * nb], parted_b[i * nb : (i + 1) * nb]) for i in range(rows)],
+        ops,
+    )
+    for separate in (a, b):
+        apply_chain([(separate[i * nb : (i + 1) * nb],) for i in range(rows)], ops)
+    np.testing.assert_array_equal(parted_a, a)
+    np.testing.assert_array_equal(parted_b, b)
 
 
 @pytest.mark.parametrize("nb", QR_TILE_SIZES)
